@@ -3,8 +3,10 @@
 // k = 8/9/10 (serial byte-table walk, precomposed neighbor-table build,
 // table-resident bitset sweep single-threaded and parallel), stretch
 // sampling, the warm /v1/route handler (which must be allocation-free),
-// and the scgd telemetry zero-overhead guard (traced vs untraced /v1/route
-// must differ by zero allocations per request) — and emits them as JSON so
+// warm requests to the four v1 endpoints through the whole middleware
+// (each held to its allocation ceiling), and the scgd telemetry
+// zero-overhead guard (traced vs untraced /v1/route must differ by zero
+// allocations per request) — and emits them as JSON so
 // each PR can be compared against the committed BENCH_baseline.json and the
 // perf trajectory of the exact-measurement engine stays visible.
 //
@@ -19,7 +21,8 @@
 //
 // The -compare flag turns the command into a regression gate: it reads two
 // reports and fails if any benchmark present in both slowed past the ratio
-// threshold, gained allocations, or — for route/hot — allocates at all.
+// threshold, gained allocations, or — for route/hot — allocates at all, or
+// — for the serve/* entries — allocates past its ceiling.
 // Wall-clock ratios tolerate machine-to-machine noise (-max-ratio, default
 // 3x); allocation counts are deterministic and gate exactly.
 //
@@ -175,6 +178,7 @@ func main() {
 		routeIters = 1000
 	}
 	rep.Entries = append(rep.Entries, routeHotEntry(routeIters*4))
+	rep.Entries = append(rep.Entries, serveEntries(routeIters)...)
 	rep.Entries = append(rep.Entries, telemetryGuard(routeIters)...)
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
@@ -270,8 +274,9 @@ func crossCheckHotpaths(path string) int {
 // compareReports is the regression gate: every benchmark present in both
 // reports must hold new ns/op <= old ns/op * maxRatio and must not gain
 // allocations (tolerance half an alloc, since the counts are means over a
-// finite loop); route/hot additionally must report exactly zero allocs/op no
-// matter what the old report says. Benchmarks present in only one report are
+// finite loop); route/hot additionally must report exactly zero allocs/op,
+// and each serve/* entry at most its ceiling, no matter what the old report
+// says. Benchmarks present in only one report are
 // listed but do not fail the gate — CI compares a -quick smoke run (k <= 8)
 // against the full committed baseline (k <= 10). Returns the process exit
 // code.
@@ -295,6 +300,10 @@ func compareReports(oldPath, newPath string, maxRatio float64) int {
 	for _, n := range newRep.Entries {
 		if n.Name == "route/hot" && n.AllocsPerOp != 0 {
 			fmt.Fprintf(os.Stderr, "benchreport: FAIL %s: %.2f allocs/op, the warm route handler must not allocate\n", n.Name, n.AllocsPerOp)
+			bad++
+		}
+		if ceiling, ok := serveCeiling(n.Name); ok && n.AllocsPerOp > ceiling {
+			fmt.Fprintf(os.Stderr, "benchreport: FAIL %s: %.2f allocs/op, ceiling %.0f\n", n.Name, n.AllocsPerOp, ceiling)
 			bad++
 		}
 		o, ok := oldByName[n.Name]
@@ -550,6 +559,68 @@ func routeHotEntry(iters int) Entry {
 		AllocsPerOp: allocs,
 		Detail:      "warm-cache MS(2,3) GET handler only, asserted 0 allocs/op",
 	}
+}
+
+// serveTargets are the warm v1 requests serveEntries measures, with the
+// allocation ceilings internal/server names the allocations of.
+var serveTargets = []struct {
+	name, target string
+	ceiling      float64
+}{
+	{"serve/route", "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321", server.ServeAllocs},
+	{"serve/metrics", "/v1/metrics?family=MS&l=2&n=3", server.ServeAllocs},
+	{"serve/neighbors", "/v1/neighbors?family=MS&l=2&n=3&node=2314567", server.ServeAllocs},
+	{"serve/profile", "/v1/profile?family=MS&l=2&n=3", server.ProfileSubmitAllocs},
+}
+
+func serveCeiling(name string) (float64, bool) {
+	for _, t := range serveTargets {
+		if t.name == name {
+			return t.ceiling, true
+		}
+	}
+	return 0, false
+}
+
+// serveEntries measures warm requests to the four v1 endpoints through the
+// whole middleware, as net/http serves them (server.MeasureServe: a fresh
+// response header per request, no client X-Request-Id), and fails the
+// report when any allocates past its ceiling. The profile row is a submit
+// answered from the resident MS(2,3) profile, which also mints a job.
+func serveEntries(iters int) []Entry {
+	s := server.New(server.Config{
+		RequestTimeout: 30 * time.Second,
+		SampleInterval: -1,
+	})
+	defer s.Close()
+	const profile = "/v1/profile?family=MS&l=2&n=3"
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, profile, nil))
+		if w.Code == http.StatusOK {
+			break
+		}
+		if w.Code != http.StatusAccepted || time.Since(start) > time.Minute {
+			fail(fmt.Errorf("benchreport: MS(2,3) profile = %d: %s", w.Code, w.Body.String()))
+		}
+	}
+	out := make([]Entry, 0, len(serveTargets))
+	for _, t := range serveTargets {
+		ns, allocs, err := server.MeasureServe(s, t.target, iters)
+		fail(err)
+		if allocs > t.ceiling {
+			fail(fmt.Errorf("benchreport: warm %s allocates %.2f times per request, ceiling %.0f", t.target, allocs, t.ceiling))
+		}
+		out = append(out, Entry{
+			Name:        t.name,
+			K:           7,
+			Rounds:      iters,
+			NsPerOp:     ns,
+			AllocsPerOp: allocs,
+			Detail:      fmt.Sprintf("warm MS(2,3) GET through the middleware, fresh response header, asserted <= %.0f allocs/op", t.ceiling),
+		})
+	}
+	return out
 }
 
 // telemetryGuard is the zero-overhead assertion for scgd's request tracing:

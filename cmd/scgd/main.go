@@ -59,7 +59,7 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 64, "max concurrent requests per gated endpoint (excess get 503)")
 		profWorkers  = flag.Int("profile-workers", 0, "exact-profile job workers (0 = GOMAXPROCS)")
 		profQueue    = flag.Int("profile-queue", 16, "exact-profile job queue depth (full queue gets 503)")
-		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request context deadline")
+		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "deadline, from request start, for a request's wait on a cold build (then 504)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain bound for in-flight requests")
 		maxK         = flag.Int("max-k", 20, "largest node-label length a request may materialize (<= 20)")
 		accessLog    = flag.String("access-log", "", "NDJSON access-record path ('-' for stdout, empty = off)")

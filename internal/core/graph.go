@@ -93,6 +93,13 @@ func (g *Graph) Neighbors(u perm.Perm) []perm.Perm {
 	return out
 }
 
+// NeighborInto writes u's out-neighbor along generator i into dst: the
+// allocation-free form of Neighbors(u)[i]. dst must have u's length and
+// must not alias u.
+func (g *Graph) NeighborInto(u perm.Perm, i int, dst perm.Perm) {
+	u.ComposeInto(g.genPerms[i], dst)
+}
+
 // NeighborRanks appends the ranks of u's out-neighbors to dst and returns
 // it, using scratch space to avoid allocation in BFS loops.
 func (g *Graph) NeighborRanks(u perm.Perm, buf perm.Perm, dst []int64) []int64 {

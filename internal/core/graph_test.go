@@ -65,6 +65,11 @@ func TestNeighbors(t *testing.T) {
 		if ranks[i] != nb.Rank() {
 			t.Errorf("rank mismatch at %d", i)
 		}
+		// NeighborInto agrees with Neighbors, generator by generator.
+		g.NeighborInto(id, i, buf)
+		if !buf.Equal(nb) {
+			t.Errorf("NeighborInto(%d) = %v, Neighbors says %v", i, buf, nb)
+		}
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 )
 
 // benchmarkServerStack drives warm-cache /v1/route requests through the
-// full middleware stack (request construction, recorder, mux, deadline
-// context — costs net/http imposes per request, so this pair can never be
-// zero-alloc; BenchmarkRouteHot in route_hot_test.go measures the handler
-// itself, which must be). The telemetry-on and telemetry-off variants differ
+// full middleware stack, with a fresh httptest request and recorder per
+// iteration, which allocate more than net/http's own per-request state
+// does (MeasureServe times middleware and handler the way net/http serves
+// them, against the ServeAllocs ceiling; BenchmarkRouteHot in
+// route_hot_test.go measures the handler itself, which must not allocate).
+// The telemetry-on and telemetry-off variants differ
 // only in Config.DisableTracing; cmd/benchreport runs the same pair
 // in-process and fails the build if the allocs/op delta is nonzero (pooled
 // traces and always-on atomic counters make tracing allocation-free).

@@ -2,7 +2,7 @@ package server
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -19,8 +19,16 @@ type Key struct {
 	L, N   int
 }
 
-func (k Key) String() string {
-	return fmt.Sprintf("%v(%d,%d)", k.Family, k.L, k.N)
+func (k Key) String() string { return string(k.appendName(nil)) }
+
+// appendName appends k's String form, family(l,n), without allocating.
+func (k Key) appendName(b []byte) []byte {
+	b = append(b, k.Family.String()...)
+	b = append(b, '(')
+	b = strconv.AppendInt(b, int64(k.L), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(k.N), 10)
+	return append(b, ')')
 }
 
 // K returns the label length n·l+1 (n+1 for nucleus-only families).

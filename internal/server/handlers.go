@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -29,18 +28,27 @@ func (s *Server) parseKey(family, lStr, nStr string) (Key, error) {
 	if err != nil {
 		return Key{}, fmt.Errorf("unknown family %q", family)
 	}
-	l, n := 0, 0
-	if lStr != "" {
-		if l, err = strconv.Atoi(lStr); err != nil {
-			return Key{}, fmt.Errorf("bad l %q", lStr)
-		}
+	l, err := atoiParam("l", lStr)
+	if err != nil {
+		return Key{}, err
 	}
-	if nStr != "" {
-		if n, err = strconv.Atoi(nStr); err != nil {
-			return Key{}, fmt.Errorf("bad n %q", nStr)
-		}
+	n, err := atoiParam("n", nStr)
+	if err != nil {
+		return Key{}, err
 	}
 	return s.validateKey(fam, l, n)
+}
+
+// atoiParam decodes an integer query parameter; absent or empty is 0.
+func atoiParam(name, raw string) (int, error) {
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q", name, raw)
+	}
+	return v, nil
 }
 
 func (s *Server) validateKey(fam topology.Family, l, n int) (Key, error) {
@@ -57,10 +65,20 @@ func (s *Server) validateKey(fam topology.Family, l, n int) (Key, error) {
 	return key, nil
 }
 
-// network resolves key through the cache, classifying failures: parameter
+// network resolves key for a handler. A resident network answers at once,
+// with no context work. A cold key builds, or waits on another request's
+// build, under a context derived from the request's own: it carries the
+// request deadline and the trace, so the cache marks its build-topology,
+// build-wait and store-load phases, and a client that hangs up or a wait
+// past the deadline ends the request. Failures are classified: parameter
 // errors are the client's (400), expired deadlines are overload (504).
-func (s *Server) network(ctx context.Context, key Key) (*topology.Network, int, error) {
-	nw, err := s.cache.Network(ctx, key)
+func (s *Server) network(r *http.Request, c call, key Key) (*topology.Network, int, error) {
+	if nw, ok := s.cache.CachedNetwork(key); ok {
+		return nw, http.StatusOK, nil
+	}
+	ctx, cancel := context.WithDeadline(r.Context(), c.deadline)
+	defer cancel()
+	nw, err := s.cache.Network(telemetry.WithTrace(ctx, c.tr), key)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return nil, http.StatusGatewayTimeout, err
@@ -91,8 +109,13 @@ func parseNode(what, raw string, k int) (perm.Perm, error) {
 func decodeRouteRequest(w http.ResponseWriter, r *http.Request) (RouteRequest, error) {
 	switch r.Method {
 	case http.MethodGet:
-		var req RouteRequest
-		if err := parseRouteQuery(r.URL.RawQuery, &req); err != nil {
+		q := parseQuery(r.URL.RawQuery)
+		req := RouteRequest{Family: q.family, Src: q.src, Dst: q.dst}
+		var err error
+		if req.L, err = atoiParam("l", q.l); err != nil {
+			return req, err
+		}
+		if req.N, err = atoiParam("n", q.n); err != nil {
 			return req, err
 		}
 		return req, nil
@@ -112,23 +135,11 @@ func decodeRoutePost(w http.ResponseWriter, r *http.Request) (RouteRequest, erro
 	return req, nil
 }
 
-func intParam(q url.Values, name string) (int, error) {
-	raw := q.Get(name)
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return v, nil
-}
-
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request, c call) int {
 	// The span timeline follows the pipeline: decode -> cache (-> build-*
 	// inside the cache on a miss) -> solve -> verify -> encode. tr is nil
 	// when tracing is disabled; every Phase call then no-ops.
-	tr := telemetry.TraceFrom(r.Context())
+	tr := c.tr
 	tr.Phase("decode")
 	req, err := decodeRouteRequest(w, r)
 	if err != nil {
@@ -142,18 +153,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) int {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
 	tr.Phase("cache")
-	// Warm fast path: a resident network avoids the singleflight machinery
-	// (and its closure) entirely; cold keys take the building path once.
-	nw, ok := s.cache.CachedNetwork(key)
-	if !ok {
-		var status int
-		nw, status, err = s.network(r.Context(), key)
-		if err != nil {
-			return writeErr(w, status, err.Error())
-		}
+	nw, status, err := s.network(r, c, key)
+	if err != nil {
+		return writeErr(w, status, err.Error())
 	}
-	sc := routeScratchPool.Get().(*routeScratch)
-	defer routeScratchPool.Put(sc)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	src, err := parseNodeInto("src", req.Src, nw.K(), &sc.src)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
@@ -185,13 +190,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) int {
 		}
 	}
 	sc.buf = appendRouteResponse(sc.buf[:0], nw, src, dst, moves, exact, hasExact, stretch, hasStretch)
-	h := w.Header()
-	if _, ok := h["Content-Type"]; !ok {
-		h.Set("Content-Type", "application/json")
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.buf)
-	return http.StatusOK
+	return writeBody(w, http.StatusOK, sc.buf)
 }
 
 // routeDistance looks up the exact distance from src to dst in a resident
@@ -224,49 +223,39 @@ func (s *Server) validateRouteKey(req RouteRequest) (Key, error) {
 	return s.validateKey(fam, req.L, req.N)
 }
 
-func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request, c call) int {
 	if r.Method != http.MethodGet {
 		return writeErr(w, http.StatusMethodNotAllowed, "use GET")
 	}
-	q := r.URL.Query()
-	key, err := s.parseKey(q.Get("family"), q.Get("l"), q.Get("n"))
+	q := parseQuery(r.URL.RawQuery)
+	key, err := s.parseKey(q.family, q.l, q.n)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
-	nw, status, err := s.network(r.Context(), key)
+	nw, status, err := s.network(r, c, key)
 	if err != nil {
 		return writeErr(w, status, err.Error())
 	}
-	node, err := parseNode("node", q.Get("node"), nw.K())
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	node, err := parseNodeInto("node", q.node, nw.K(), &sc.src)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
-	set := nw.Graph().GeneratorSet()
-	nbs := nw.Graph().Neighbors(node)
-	out := make([]Neighbor, len(nbs))
-	for i, nb := range nbs {
-		out[i] = Neighbor{Move: set.At(i).Name(), Node: nb.String()}
-	}
-	writeJSON(w, http.StatusOK, NeighborsResponse{
-		Network:   nw.Name(),
-		K:         nw.K(),
-		Node:      node.String(),
-		Degree:    nw.Degree(),
-		Neighbors: out,
-	})
-	return http.StatusOK
+	sc.buf = appendNeighborsResponse(sc.buf[:0], nw, node, growPerm(&sc.dst, nw.K()))
+	return writeBody(w, http.StatusOK, sc.buf)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, c call) int {
 	if r.Method != http.MethodGet {
 		return writeErr(w, http.StatusMethodNotAllowed, "use GET")
 	}
-	q := r.URL.Query()
-	key, err := s.parseKey(q.Get("family"), q.Get("l"), q.Get("n"))
+	q := parseQuery(r.URL.RawQuery)
+	key, err := s.parseKey(q.family, q.l, q.n)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
-	nw, status, err := s.network(r.Context(), key)
+	nw, status, err := s.network(r, c, key)
 	if err != nil {
 		return writeErr(w, status, err.Error())
 	}
@@ -300,8 +289,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 			resp.AlphaExact = &ae
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return http.StatusOK
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.buf = appendMetricsResponse(sc.buf[:0], &resp)
+	return writeBody(w, http.StatusOK, sc.buf)
 }
 
 // universalDL evaluates the applicable Moore-type diameter lower bound:
@@ -321,66 +312,46 @@ func universalDL(nw *topology.Network) float64 {
 	return 0
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, c call) int {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		return writeErr(w, http.StatusMethodNotAllowed, "use GET or POST")
 	}
-	q := r.URL.Query()
-	if id := q.Get("id"); id != "" {
-		job, err := s.jobs.Get(id)
-		if err != nil {
+	q := parseQuery(r.URL.RawQuery)
+	var job Job
+	status, cached := http.StatusOK, false
+	if q.id != "" {
+		var err error
+		if job, err = s.jobs.Get(q.id); err != nil {
 			return writeErr(w, http.StatusNotFound, err.Error())
 		}
-		writeJSON(w, http.StatusOK, jobResponse(job, false))
-		return http.StatusOK
-	}
-	key, err := s.parseKey(q.Get("family"), q.Get("l"), q.Get("n"))
-	if err != nil {
-		return writeErr(w, http.StatusBadRequest, err.Error())
-	}
-	if k := key.K(); k > core.MaxExplicitK {
-		return writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("exact profile needs k <= %d (%d! states must be enumerable), got k=%d", core.MaxExplicitK, core.MaxExplicitK, k))
-	}
-	job, err := s.jobs.Submit(key, w.Header().Get("X-Request-Id"))
-	if err != nil {
-		if errors.Is(err, ErrJobsBusy) {
-			return writeErr(w, http.StatusServiceUnavailable, err.Error())
+	} else {
+		key, err := s.parseKey(q.family, q.l, q.n)
+		if err != nil {
+			return writeErr(w, http.StatusBadRequest, err.Error())
 		}
-		return writeErr(w, http.StatusBadRequest, err.Error())
-	}
-	status := http.StatusAccepted
-	cached := false
-	if job.Status == JobDone {
-		status = http.StatusOK
-		cached = true
-	}
-	writeJSON(w, status, jobResponse(job, cached))
-	return status
-}
-
-// jobResponse renders a job snapshot on the wire.
-func jobResponse(job Job, cached bool) ProfileResponse {
-	resp := ProfileResponse{
-		JobID:     job.ID,
-		RequestID: job.ReqID,
-		Network:   job.Key.String(),
-		Status:    string(job.Status),
-		Cached:    cached,
-		Error:     job.Err,
-	}
-	if job.Result != nil {
-		resp.Result = &ProfileResult{
-			Diameter:    job.Result.Eccentricity,
-			AvgDistance: job.Result.Mean,
-			Nodes:       job.Result.Reachable,
-			Histogram:   append([]int64(nil), job.Result.Histogram...),
+		if k := key.K(); k > core.MaxExplicitK {
+			return writeErr(w, http.StatusBadRequest,
+				fmt.Sprintf("exact profile needs k <= %d (%d! states must be enumerable), got k=%d", core.MaxExplicitK, core.MaxExplicitK, k))
+		}
+		if job, err = s.jobs.Submit(key, c.id); err != nil {
+			if errors.Is(err, ErrJobsBusy) {
+				return writeErr(w, http.StatusServiceUnavailable, err.Error())
+			}
+			return writeErr(w, http.StatusBadRequest, err.Error())
+		}
+		if job.Status == JobDone {
+			cached = true
+		} else {
+			status = http.StatusAccepted
 		}
 	}
-	return resp
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.buf = appendProfileResponse(sc.buf[:0], &job, cached)
+	return writeBody(w, status, sc.buf)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ call) int {
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -388,14 +359,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 	return http.StatusOK
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request, _ call) int {
 	writeJSON(w, http.StatusOK, s.Stats())
 	return http.StatusOK
 }
 
 // handleMetricsz is the Prometheus scrape endpoint. It renders the same
 // instruments /statsz snapshots, in the text exposition format (0.0.4).
-func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, _ call) int {
 	if r.Method != http.MethodGet {
 		return writeErr(w, http.StatusMethodNotAllowed, "use GET")
 	}

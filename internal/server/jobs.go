@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -213,7 +213,9 @@ func (j *Jobs) run(id string) {
 // newJobLocked allocates and registers the next job. Callers hold j.mu.
 func (j *Jobs) newJobLocked(key Key) *Job {
 	j.nextID++
-	job := &Job{ID: fmt.Sprintf("job-%d", j.nextID), Key: key}
+	var buf [24]byte
+	id := strconv.AppendInt(append(buf[:0], "job-"...), j.nextID, 10)
+	job := &Job{ID: string(id), Key: key}
 	j.byID[job.ID] = job
 	return job
 }

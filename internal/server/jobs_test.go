@@ -106,11 +106,17 @@ func TestJobSubmitFullQueueRejects(t *testing.T) {
 	defer j.Close()
 
 	// Saturate the runner directly: one blocker for the worker, then fillers
-	// until the queue itself rejects.
-	release := make(chan struct{})
-	if !runner.Submit(func() { <-release }) {
+	// until the queue itself rejects. The fillers go in only once the
+	// worker has taken the blocker: while the blocker still sits in the
+	// one-slot queue the first filler is refused at once, and the worker
+	// would then free the slot for the job under test. The blockers are
+	// released on every exit path, before the deferred Close waits on them.
+	release, started := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	if !runner.Submit(func() { close(started); <-release }) {
 		t.Fatal("blocker rejected")
 	}
+	<-started
 	for runner.Submit(func() { <-release }) {
 	}
 	if _, err := j.Submit(msKey(2, 1), ""); !errors.Is(err, ErrJobsBusy) {
@@ -124,7 +130,6 @@ func TestJobSubmitFullQueueRejects(t *testing.T) {
 	if _, err := j.Get("job-1"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("Get on a rolled-back job = %v, want ErrUnknownJob", err)
 	}
-	close(release)
 }
 
 func TestJobCachedProfileCompletesSynchronously(t *testing.T) {

@@ -2,59 +2,58 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/gen"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
 
-// This file is the allocation-free half of /v1/route: a pooled per-request
-// workspace, a copy-free GET query decoder, and a hand-rolled response
-// encoder that reproduces writeJSON's indented output byte for byte. The
-// steady-state warm-cache GET request allocates nothing on the heap;
-// TestRouteHotAllocs and the benchreport route/hot gate enforce that.
+// This file is the request side of scgd's allocation-free v1 path: a
+// pooled per-request workspace and a copy-free query decoder shared by all
+// four v1 endpoints (the response side is encode.go), plus the in-memory
+// measurements that pin it. A warm GET /v1/route handler allocates nothing
+// on the heap (TestRouteHotAllocs and the benchreport route/hot gate), and
+// a warm request to any v1 endpoint through the whole middleware allocates
+// only what ServeAllocs names.
 
-// routeScratch bundles every buffer one /v1/route request needs: node-label
-// parse targets, the topology routing workspace, and the response encoding
-// buffer. Instances recycle through routeScratchPool.
-type routeScratch struct {
+// scratch bundles every buffer one v1 request needs: node-label parse
+// targets, the topology routing workspace, and the response encoding
+// buffer. Instances recycle through scratchPool.
+type scratch struct {
 	topo topology.RouteScratch
 	src  perm.Perm
 	dst  perm.Perm
 	buf  []byte
 }
 
-var routeScratchPool = sync.Pool{New: func() any { return &routeScratch{} }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
-// parseRouteQuery decodes the five /v1/route query parameters. The fast path
-// slices key/value substrings straight out of RawQuery; queries carrying
-// escapes, '+', or semicolon separators fall back to url.ParseQuery with
-// r.URL.Query()'s drop-malformed-pairs semantics, so observable behavior is
-// unchanged.
-func parseRouteQuery(rq string, req *RouteRequest) error {
+// v1Query holds the query parameters the v1 endpoints read, each as
+// url.Values.Get returns it: the first value, "" when absent.
+type v1Query struct {
+	family, l, n, src, dst, node, id string
+}
+
+// parseQuery decodes the v1 query parameters. The fast path slices values
+// straight out of RawQuery; queries carrying escapes, '+', or semicolon
+// separators fall back to url.ParseQuery with r.URL.Query()'s
+// drop-malformed-pairs semantics, so observable behavior is unchanged.
+// FuzzRouteRequest checks both paths against url.ParseQuery.
+func parseQuery(rq string) v1Query {
 	if strings.ContainsAny(rq, "%+;") {
-		q, err := url.ParseQuery(rq)
-		_ = err // match r.URL.Query(), which keeps the well-formed pairs
-		req.Family = q.Get("family")
-		if req.L, err = intParam(q, "l"); err != nil {
-			return err
+		vals, _ := url.ParseQuery(rq) // like r.URL.Query(), keep the well-formed pairs
+		return v1Query{
+			family: vals.Get("family"), l: vals.Get("l"), n: vals.Get("n"),
+			src: vals.Get("src"), dst: vals.Get("dst"), node: vals.Get("node"), id: vals.Get("id"),
 		}
-		if req.N, err = intParam(q, "n"); err != nil {
-			return err
-		}
-		req.Src = q.Get("src")
-		req.Dst = q.Get("dst")
-		return nil
 	}
-	var seenFam, seenL, seenN, seenSrc, seenDst bool
+	var q v1Query
+	var seen uint8
 	for len(rq) > 0 {
 		pair := rq
 		if i := strings.IndexByte(rq, '&'); i >= 0 {
@@ -62,153 +61,63 @@ func parseRouteQuery(rq string, req *RouteRequest) error {
 		} else {
 			rq = ""
 		}
-		if pair == "" {
-			continue
-		}
 		key, val := pair, ""
 		if i := strings.IndexByte(pair, '='); i >= 0 {
 			key, val = pair[:i], pair[i+1:]
 		}
-		// First occurrence wins, matching url.Values.Get.
+		var field *string
+		var bit uint8
 		switch key {
 		case "family":
-			if !seenFam {
-				req.Family, seenFam = val, true
-			}
+			field, bit = &q.family, 1<<0
 		case "l":
-			if !seenL {
-				seenL = true
-				if val != "" {
-					v, err := strconv.Atoi(val)
-					if err != nil {
-						return fmt.Errorf("bad l %q", val)
-					}
-					req.L = v
-				}
-			}
+			field, bit = &q.l, 1<<1
 		case "n":
-			if !seenN {
-				seenN = true
-				if val != "" {
-					v, err := strconv.Atoi(val)
-					if err != nil {
-						return fmt.Errorf("bad n %q", val)
-					}
-					req.N = v
-				}
-			}
+			field, bit = &q.n, 1<<2
 		case "src":
-			if !seenSrc {
-				req.Src, seenSrc = val, true
-			}
+			field, bit = &q.src, 1<<3
 		case "dst":
-			if !seenDst {
-				req.Dst, seenDst = val, true
-			}
+			field, bit = &q.dst, 1<<4
+		case "node":
+			field, bit = &q.node, 1<<5
+		case "id":
+			field, bit = &q.id, 1<<6
+		default:
+			continue
+		}
+		// First occurrence wins, matching url.Values.Get.
+		if seen&bit == 0 {
+			*field, seen = val, seen|bit
 		}
 	}
-	return nil
+	return q
 }
 
-// parseNodeInto decodes a node label into buf, which grows once per scratch
-// lifetime. Anything but a fully valid compact digit label of exactly k
-// symbols re-runs the allocating parseNode so error messages stay identical.
-func parseNodeInto(what, raw string, k int, buf *perm.Perm) (perm.Perm, error) {
+// growPerm returns (*buf)[:k], reallocating only when the pooled buffer is
+// too short, which happens once per scratch lifetime and instance size.
+func growPerm(buf *perm.Perm, k int) perm.Perm {
 	if cap(*buf) < k {
 		*buf = make(perm.Perm, k)
 	}
-	p := (*buf)[:k]
+	return (*buf)[:k]
+}
+
+// parseNodeInto decodes a node label into buf. Anything but a fully valid
+// compact digit label of exactly k symbols re-runs the allocating
+// parseNode so error messages stay identical.
+func parseNodeInto(what, raw string, k int, buf *perm.Perm) (perm.Perm, error) {
+	p := growPerm(buf, k)
 	if n, ok := perm.ParseInto(raw, p); ok && n == k && p.Valid() {
 		return p, nil
 	}
 	return parseNode(what, raw, k)
 }
 
-// appendPermLabel renders p exactly as perm.String: concatenated digits for
-// k <= 9, space-separated symbols beyond.
-func appendPermLabel(b []byte, p perm.Perm) []byte {
-	if len(p) <= 9 {
-		for _, v := range p {
-			b = append(b, byte('0'+v))
-		}
-		return b
-	}
-	for i, v := range p {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return b
-}
-
-// appendJSONFloat reproduces encoding/json's float64 rendering: 'f' format
-// in the human range, 'e' with a trimmed exponent outside it.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendRouteResponse renders the RouteResponse wire document byte for byte
-// as writeJSON (a json.Encoder with two-space indent) would, without
-// reflection or intermediate slices. TestRouteEncodeParity pins the
-// equivalence, and the CI daemon smoke greps the rendered `"verified": true`
-// separator, so the `": "` spelling here is load-bearing.
-func appendRouteResponse(b []byte, nw *topology.Network, src, dst perm.Perm, moves []gen.Generator, exact int, hasExact bool, stretch float64, hasStretch bool) []byte {
-	b = append(b, "{\n  \"network\": \""...)
-	b = append(b, nw.Name()...)
-	b = append(b, "\",\n  \"k\": "...)
-	b = strconv.AppendInt(b, int64(nw.K()), 10)
-	b = append(b, ",\n  \"nodes\": "...)
-	b = strconv.AppendInt(b, nw.Nodes(), 10)
-	b = append(b, ",\n  \"src\": \""...)
-	b = appendPermLabel(b, src)
-	b = append(b, "\",\n  \"dst\": \""...)
-	b = appendPermLabel(b, dst)
-	b = append(b, "\",\n  \"moves\": ["...)
-	for i, m := range moves {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n    \""...)
-		b = append(b, nw.MoveName(m)...)
-		b = append(b, '"')
-	}
-	if len(moves) > 0 {
-		b = append(b, "\n  "...)
-	}
-	b = append(b, "],\n  \"hops\": "...)
-	b = strconv.AppendInt(b, int64(len(moves)), 10)
-	b = append(b, ",\n  \"diameter_bound\": "...)
-	b = strconv.AppendInt(b, int64(nw.DiameterUpperBound()), 10)
-	b = append(b, ",\n  \"verified\": true"...)
-	if hasExact {
-		b = append(b, ",\n  \"exact_distance\": "...)
-		b = strconv.AppendInt(b, int64(exact), 10)
-	}
-	if hasStretch {
-		b = append(b, ",\n  \"stretch\": "...)
-		b = appendJSONFloat(b, stretch)
-	}
-	b = append(b, "\n}\n"...)
-	return b
-}
-
-// nullResponseWriter is the measurement sink for the hot-route benchmarks: a
-// ResponseWriter whose header map persists across requests (mirroring a
-// keep-alive connection's reused response machinery) and whose body writes
-// only count bytes.
+// nullResponseWriter is the measurement sink for the in-memory benchmarks:
+// a ResponseWriter whose body writes only count bytes. MeasureRouteHot
+// keeps one header map across requests, so only the handler's own
+// allocations are counted; MeasureServe swaps in a fresh map per request,
+// as net/http gives each response.
 type nullResponseWriter struct {
 	h      http.Header
 	status int
@@ -229,23 +138,67 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 }
 
 // MeasureRouteHot drives iters warm-cache GET /v1/route requests through the
-// handler (past the mux middleware, which pays per-request context and
-// header costs by net/http design) and returns mean wall time and heap
-// allocations per request. cmd/benchreport gates allocs/op at exactly zero.
+// route handler alone, past the middleware (MeasureServe times the two
+// together), and returns mean wall time and heap allocations per request.
+// cmd/benchreport gates allocs/op at exactly zero.
 func MeasureRouteHot(s *Server, target string, iters int) (nsPerOp, allocsPerOp float64, err error) {
 	r, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {
 		return 0, 0, err
 	}
+	c := call{deadline: time.Now().Add(s.cfg.RequestTimeout)}
 	w := newNullResponseWriter()
 	for i := 0; i < 64; i++ {
-		if status := s.handleRoute(w, r); status != http.StatusOK {
+		if status := s.handleRoute(w, r, c); status != http.StatusOK {
 			return 0, 0, fmt.Errorf("route warm-up returned %d for %s", status, target)
 		}
 	}
 	ns, allocs := measureLoop(iters, func() {
-		s.handleRoute(w, r)
+		s.handleRoute(w, r, c)
 	})
+	return ns, allocs, nil
+}
+
+// Allocation ceilings for one warm v1 GET through Handler().ServeHTTP, as
+// MeasureServe counts them. Every such request pays four:
+//
+//   - 2: the response header map and its first bucket, which net/http
+//     allocates for every response;
+//   - 1: the request ID string telemetry.NewRequestID mints when the
+//     client sent no X-Request-Id;
+//   - 1: the one-element value slice http.Header.Set stores it in.
+//
+// A profile submit answered from a resident profile also records a job:
+// the Job itself and its ID string (2), plus the amortized growth of the
+// job ledger's map and completion list, which the last 2 bound.
+const (
+	ServeAllocs         = 4
+	ProfileSubmitAllocs = 8
+)
+
+// MeasureServe drives iters warm GET requests for target through
+// Handler(), middleware included, the way net/http serves them: one reused
+// request without X-Request-Id, and a fresh response header map per call.
+// The target must already answer 200 (a profile submit needs its profile
+// resident). It returns mean wall time and heap allocations per request;
+// the ServeAllocs and ProfileSubmitAllocs ceilings apply to the latter.
+func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp float64, err error) {
+	r, err := http.NewRequest(http.MethodGet, target, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	w := newNullResponseWriter()
+	serve := func() {
+		w.h = make(http.Header)
+		s.mux.ServeHTTP(w, r)
+	}
+	for i := 0; i < 64; i++ {
+		serve()
+		if w.status != http.StatusOK {
+			return 0, 0, fmt.Errorf("warm-up returned %d for %s", w.status, target)
+		}
+	}
+	ns, allocs := measureLoop(iters, serve)
 	return ns, allocs, nil
 }
 

@@ -37,19 +37,20 @@ func warmProfile(t testing.TB, s *Server, n int) {
 
 const hotTarget = "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
 
-func warmHotPath(t testing.TB, s *Server, target string) (*nullResponseWriter, *http.Request) {
+func warmHotPath(t testing.TB, s *Server, target string) (*nullResponseWriter, *http.Request, call) {
 	t.Helper()
 	r, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := call{deadline: time.Now().Add(s.cfg.RequestTimeout)}
 	w := newNullResponseWriter()
 	for i := 0; i < 64; i++ {
-		if status := s.handleRoute(w, r); status != http.StatusOK {
+		if status := s.handleRoute(w, r, c); status != http.StatusOK {
 			t.Fatalf("warm-up returned %d for %s", status, target)
 		}
 	}
-	return w, r
+	return w, r, c
 }
 
 // TestRouteHotAllocs is the zero-allocation contract of the warm route
@@ -60,9 +61,9 @@ func TestRouteHotAllocs(t *testing.T) {
 		t.Skip("the race detector allocates inside sync.Pool and the instrumented handler")
 	}
 	s := newHotServer(t)
-	w, r := warmHotPath(t, s, hotTarget)
+	w, r, c := warmHotPath(t, s, hotTarget)
 	allocs := testing.AllocsPerRun(200, func() {
-		s.handleRoute(w, r)
+		s.handleRoute(w, r, c)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm /v1/route handler allocates %.1f times per request, want 0", allocs)
@@ -78,9 +79,9 @@ func TestRouteHotAllocsWithProfile(t *testing.T) {
 	}
 	s := newHotServer(t)
 	warmProfile(t, s, 4)
-	w, r := warmHotPath(t, s, "/v1/route?family=star&n=4&src=21345&dst=53421")
+	w, r, c := warmHotPath(t, s, "/v1/route?family=star&n=4&src=21345&dst=53421")
 	allocs := testing.AllocsPerRun(200, func() {
-		s.handleRoute(w, r)
+		s.handleRoute(w, r, c)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm /v1/route with profile overlay allocates %.1f times per request, want 0", allocs)
@@ -163,10 +164,10 @@ func TestRouteScratchReuseDeterministic(t *testing.T) {
 // allocation.
 func BenchmarkRouteHot(b *testing.B) {
 	s := newHotServer(b)
-	w, r := warmHotPath(b, s, hotTarget)
+	w, r, c := warmHotPath(b, s, hotTarget)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.handleRoute(w, r)
+		s.handleRoute(w, r, c)
 	}
 }

@@ -11,8 +11,8 @@
 //     distance tables keyed by (family, l, n), with singleflight request
 //     coalescing — N concurrent cold requests trigger exactly one build.
 //   - Admission control: per-endpoint concurrency gates (pool.Gate) that
-//     shed load with 503 instead of queueing, plus per-request context
-//     deadlines.
+//     shed load with 503 instead of queueing, plus a per-request deadline
+//     on any wait for a cold build.
 //   - Async jobs: k!-state exact profiles run on a bounded pool.Runner;
 //     submit returns a job ID, polls return status/result. The package
 //     contains no raw go statements — all concurrency routes through
@@ -57,7 +57,9 @@ type Config struct {
 	// (defaults: GOMAXPROCS workers, 16 queued jobs).
 	ProfileWorkers int
 	ProfileQueue   int
-	// RequestTimeout bounds each request's context (default 10s).
+	// RequestTimeout bounds how long a request may wait on a cold build,
+	// counted from request start; past it the request answers 504
+	// (default 10s). Warm requests never wait and never consult it.
 	RequestTimeout time.Duration
 	// MaxK caps the label length a request may materialize; k! must fit in
 	// int64, so the hard ceiling (and default) is 20.
@@ -326,10 +328,22 @@ func (s *Server) Stats() StatsResponse {
 	return resp
 }
 
+// call is what the middleware hands a handler beside the request: the
+// request ID it issued or accepted, the span timeline (nil with tracing
+// off), and the deadline for a wait on a cold build. Passing these by
+// value replaces a context derived per request (context.WithTimeout,
+// telemetry.WithTrace, r.WithContext), which allocated on every request
+// although only a cold build ever waits; network derives one then.
+type call struct {
+	id       string
+	tr       *telemetry.Trace
+	deadline time.Time
+}
+
 // route registers a handler with the shared middleware: request-ID
 // issuance, span timeline, admission gate (when gated), request deadline,
 // metrics, access record, and the slow-log decision.
-func (s *Server) route(name string, gated bool, fn func(w http.ResponseWriter, r *http.Request) int) {
+func (s *Server) route(name string, gated bool, fn func(w http.ResponseWriter, r *http.Request, c call) int) {
 	ep := &endpoint{
 		name:     name,
 		requests: s.reg.Counter("scgd_http_requests_total", "Requests received per endpoint.", telemetry.Label{Key: "endpoint", Value: name}),
@@ -364,13 +378,7 @@ func (s *Server) route(name string, gated bool, fn func(w http.ResponseWriter, r
 		if ep.gate != nil {
 			defer ep.gate.Leave()
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		// The trace key is installed even when tr is nil so the context
-		// chain — and therefore the request's allocation profile — is
-		// identical with tracing on and off.
-		ctx = telemetry.WithTrace(ctx, tr)
-		status := fn(w, r.WithContext(ctx))
+		status := fn(w, r, call{id: reqID, tr: tr, deadline: start.Add(s.cfg.RequestTimeout)})
 		d := time.Since(start)
 		ep.observe(status, d)
 		s.access.log(r, name, status, start, d, reqID)
@@ -416,11 +424,30 @@ func Run(ctx context.Context, ln net.Listener, s *Server, drain time.Duration) e
 	return err
 }
 
-// writeJSON writes v with the given status. Encoding failures are
-// swallowed: by the time Encode runs the status line is committed, and
-// every payload type here marshals by construction.
+// jsonContentType is the Content-Type value of every JSON answer. Handlers
+// install it by map assignment instead of Header.Set, which would allocate
+// a one-element slice per request. Sharing one slice is safe: net/http
+// (and httptest) clone the handler's header, values included, at
+// WriteHeader, and nothing here writes through it.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends an already encoded JSON document with the given status
+// and returns the status for the middleware's bookkeeping.
+func writeBody(w http.ResponseWriter, status int, body []byte) int {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+	return status
+}
+
+// writeJSON writes v with the given status through encoding/json. Only
+// error bodies, /healthz and /statsz take this reflective path; the v1
+// answers use the append encoders in encode.go, which TestV1BodyParity
+// pins to this function's output. Encoding failures are swallowed: by the
+// time Encode runs the status line is committed, and every payload type
+// here marshals by construction.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -111,9 +111,10 @@ func (t *Trace) Spans() []PhaseSpan {
 // traceKey is the context key type for the request trace.
 type traceKey struct{}
 
-// WithTrace attaches t to ctx. A nil t is attached as-is so the serving
-// path performs the same context operations whether tracing is on or off —
-// that symmetry is what lets the guard benchmark assert a zero delta.
+// WithTrace attaches t to ctx; a nil t is attached as-is. The serving
+// middleware hands each handler its trace directly, so a context carries
+// one only where work leaves the handler: a cold cache build or a wait on
+// another request's build, and an async profile job.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
 }
@@ -144,13 +145,14 @@ func newReqIDPrefix() string {
 	return hex.EncodeToString(b[:])
 }
 
-// NewRequestID returns a fresh X-Request-Id value.
+// NewRequestID returns a fresh X-Request-Id value. The ID is assembled in
+// a stack buffer, so the returned string is its only allocation.
 func NewRequestID() string {
-	buf := make([]byte, 0, len(reqIDPrefix)+12)
-	buf = append(buf, reqIDPrefix...)
-	buf = append(buf, '-')
-	buf = strconv.AppendInt(buf, reqIDSeq.Add(1), 10)
-	return string(buf)
+	var buf [40]byte
+	b := append(buf[:0], reqIDPrefix...)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, reqIDSeq.Add(1), 10)
+	return string(b)
 }
 
 // maxRequestIDLen bounds accepted client-supplied IDs.

@@ -90,6 +90,11 @@ func TestNewRequestID(t *testing.T) {
 			t.Errorf("generated ID %q fails validation", id)
 		}
 	}
+	// The returned string is the only allocation: every request without a
+	// client-supplied ID pays it.
+	if allocs := testing.AllocsPerRun(100, func() { _ = NewRequestID() }); allocs != 1 {
+		t.Errorf("NewRequestID allocates %.1f times, want 1", allocs)
+	}
 }
 
 func TestValidRequestID(t *testing.T) {
