@@ -4,7 +4,8 @@
 // table-resident bitset sweep single-threaded and parallel), stretch
 // sampling, the warm /v1/route handler (which must be allocation-free),
 // warm requests to the four v1 endpoints through the whole middleware
-// (each held to its allocation ceiling), and the scgd telemetry
+// (each held to its allocation ceiling), warm routes through scgd's own
+// HTTP/1.1 transport (held to its ceiling), and the scgd telemetry
 // zero-overhead guard (traced vs untraced /v1/route must differ by zero
 // allocations per request) — and emits them as JSON so
 // each PR can be compared against the committed BENCH_baseline.json and the
@@ -22,7 +23,8 @@
 // The -compare flag turns the command into a regression gate: it reads two
 // reports and fails if any benchmark present in both slowed past the ratio
 // threshold, gained allocations, or — for route/hot — allocates at all, or
-// — for the serve/* entries — allocates past its ceiling.
+// — for the serve/* entries, serve/conn-route included — allocates past
+// its ceiling.
 // Wall-clock ratios tolerate machine-to-machine noise (-max-ratio, default
 // 3x); allocation counts are deterministic and gate exactly.
 //
@@ -43,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -179,6 +182,7 @@ func main() {
 	}
 	rep.Entries = append(rep.Entries, routeHotEntry(routeIters*4))
 	rep.Entries = append(rep.Entries, serveEntries(routeIters)...)
+	rep.Entries = append(rep.Entries, connEntry(routeIters))
 	rep.Entries = append(rep.Entries, telemetryGuard(routeIters)...)
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
@@ -573,7 +577,14 @@ var serveTargets = []struct {
 	{"serve/profile", "/v1/profile?family=MS&l=2&n=3", server.ProfileSubmitAllocs},
 }
 
+// connRoute is the entry for warm routes served by server.Run over one
+// keep-alive loopback connection (connEntry), held to server.ConnAllocs.
+const connRoute = "serve/conn-route"
+
 func serveCeiling(name string) (float64, bool) {
+	if name == connRoute {
+		return server.ConnAllocs, true
+	}
 	for _, t := range serveTargets {
 		if t.name == name {
 			return t.ceiling, true
@@ -583,9 +594,9 @@ func serveCeiling(name string) (float64, bool) {
 }
 
 // serveEntries measures warm requests to the four v1 endpoints through the
-// whole middleware, as net/http serves them (server.MeasureServe: a fresh
-// response header per request, no client X-Request-Id), and fails the
-// report when any allocates past its ceiling. The profile row is a submit
+// whole middleware, as server.Run serves them (server.MeasureServe: one
+// response header map cleared per request, no client X-Request-Id), and
+// fails the report when any allocates past its ceiling. The profile row is a submit
 // answered from the resident MS(2,3) profile, which also mints a job.
 func serveEntries(iters int) []Entry {
 	s := server.New(server.Config{
@@ -617,10 +628,40 @@ func serveEntries(iters int) []Entry {
 			Rounds:      iters,
 			NsPerOp:     ns,
 			AllocsPerOp: allocs,
-			Detail:      fmt.Sprintf("warm MS(2,3) GET through the middleware, fresh response header, asserted <= %.0f allocs/op", t.ceiling),
+			Detail:      fmt.Sprintf("warm MS(2,3) GET through the middleware, reused response header, asserted <= %.0f allocs/op", t.ceiling),
 		})
 	}
 	return out
+}
+
+// connEntry measures warm MS(2,3) routes served by server.Run over one
+// keep-alive loopback connection from a client that allocates nothing, a
+// different pair on every request (server.MeasureConn), and fails the
+// report when a request allocates past server.ConnAllocs: the transport's
+// own gate, beside route/hot's for the handler.
+func connEntry(iters int) Entry {
+	s := server.New(server.Config{
+		RequestTimeout: 30 * time.Second,
+		SampleInterval: -1,
+	})
+	rng := perm.NewRNG(7)
+	targets := make([]string, 256)
+	for i := range targets {
+		targets[i] = "/v1/route?family=MS&l=2&n=3&src=" + perm.Random(7, rng).String() + "&dst=" + perm.Random(7, rng).String()
+	}
+	ns, allocs, err := server.MeasureConn(context.Background(), s, targets, iters)
+	fail(err)
+	if allocs > server.ConnAllocs {
+		fail(fmt.Errorf("benchreport: a warm route through server.Run allocates %.2f times per request, ceiling %d", allocs, server.ConnAllocs))
+	}
+	return Entry{
+		Name:        connRoute,
+		K:           7,
+		Rounds:      iters,
+		NsPerOp:     ns,
+		AllocsPerOp: allocs,
+		Detail:      fmt.Sprintf("warm MS(2,3) GETs, 256 pairs, over one loopback keep-alive connection to server.Run, asserted <= %d allocs/op", server.ConnAllocs),
+	}
 }
 
 // telemetryGuard is the zero-overhead assertion for scgd's request tracing:

@@ -1,5 +1,5 @@
 // Command scgd is the super-Cayley topology-query daemon: a stdlib-only
-// net/http JSON service answering the query workload a fabric controller
+// HTTP/1.1 JSON service answering the query workload a fabric controller
 // issues against the paper's networks — route lookup (the ball-arrangement
 // game solvers), neighbor enumeration, degree/diameter/cost metrics, and
 // async exact BFS profiles — from a byte-budgeted topology cache with

@@ -1,9 +1,10 @@
 // Command scgload is a closed-loop load generator for scgd: a fixed worker
 // pool issues back-to-back requests against the topology-query service (a
-// live daemon via -url, or an in-process server when -url is empty) with a
-// weighted endpoint mix, and reports per-endpoint throughput and latency
-// percentiles as JSON — the server-side counterpart of cmd/benchreport,
-// producing the committed BENCH_server.json baseline.
+// live daemon via -url, or, when -url is empty, an in-process server.Run on
+// a loopback listener) with a weighted endpoint mix, and reports
+// per-endpoint throughput and latency percentiles as JSON — the
+// server-side counterpart of cmd/benchreport, producing the committed
+// BENCH_server.json baseline.
 //
 // Examples:
 //
@@ -17,8 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"os"
 	"runtime"
@@ -124,9 +125,20 @@ func main() {
 	base := *target
 	targetLabel := base
 	if base == "" {
-		ts := httptest.NewServer(server.New(server.Config{}).Handler())
-		defer ts.Close()
-		base = ts.URL
+		// The in-process target is scgd's own transport: server.Run on a
+		// loopback listener, as the daemon serves.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		fail(err)
+		ctx, stop := context.WithCancel(context.Background())
+		var srv pool.Group
+		var runErr error
+		srv.Go(func() { runErr = server.Run(ctx, ln, server.New(server.Config{}), 5*time.Second) })
+		defer func() {
+			stop()
+			srv.Wait()
+			fail(runErr)
+		}()
+		base = "http://" + ln.Addr().String()
 		targetLabel = "in-process"
 	}
 	base = strings.TrimRight(base, "/")

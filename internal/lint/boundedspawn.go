@@ -1,10 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
-
 // analyzerBoundedSpawn keeps parallelism behind one audited chokepoint. The
 // covered packages — the measurement packages (internal/core, internal/sim,
 // internal/figures) and the scgd engine (internal/server) — must not contain
@@ -14,20 +9,13 @@ import (
 // deterministic error selection, bounded job admission) lives in
 // internal/pool. Code that needs a goroutine routes it through pool.Map
 // (gathered results), pool.Each (side effects over per-index state),
-// pool.Gate (admission), or pool.Runner (async jobs), where the spawn
-// discipline is tested once; internal/pool itself — the chokepoint — is
-// outside the analyzer's scope, as is everything else not listed.
-//
-// One idiom is sanctioned: an http.Server's serve loop must run on its own
-// goroutine for graceful shutdown to work (Shutdown is called from the
-// goroutine that owns the lifecycle), and net/http bounds that spawn itself.
-// `go hs.Serve(ln)` is allowed, as is the single-statement literal
-// `go func() { errc <- hs.Serve(ln) }()` that routes the terminal error back
-// to the owner. Anything more inside the literal is a real goroutine body
-// and must go through internal/pool.
+// pool.Gate (admission), pool.Runner (async jobs), or pool.Group (one
+// goroutine per connection), where the spawn discipline is tested once; internal/pool itself — the chokepoint — is
+// outside the analyzer's scope, as is everything else not listed. There
+// are no exemptions.
 var analyzerBoundedSpawn = &Analyzer{
 	Name: "boundedspawn",
-	Doc:  "forbid raw go statements in the spawn-audited packages; use internal/pool (http.Server serve loops exempt)",
+	Doc:  "forbid raw go statements in the spawn-audited packages; use internal/pool",
 	Run:  runBoundedSpawn,
 }
 
@@ -44,61 +32,8 @@ func runBoundedSpawn(p *Package, report Reporter) {
 		return
 	}
 	for _, g := range p.index().goStmts {
-		if sanctionedServeSpawn(p, g.node) {
-			continue
-		}
 		report(g.node.Pos(),
 			"raw go statement in a spawn-audited package bypasses the audited internal/pool chokepoint",
-			"fan out with pool.Each(n, workers, fn) for per-index side effects, pool.Map for gathered results, or pool.Runner for async jobs")
+			"fan out with pool.Each(n, workers, fn) for per-index side effects, pool.Map for gathered results, pool.Runner for async jobs, or pool.Group for one goroutine per connection")
 	}
-}
-
-// sanctionedServeSpawn reports whether g is the blessed http.Server serve
-// idiom: the spawned call is a serve method on *net/http.Server, either
-// directly (`go hs.Serve(ln)`) or as the sole statement of an argument-less
-// func literal (`go func() { errc <- hs.Serve(ln) }()`).
-func sanctionedServeSpawn(p *Package, g *ast.GoStmt) bool {
-	if isHTTPServeCall(p, g.Call) {
-		return true
-	}
-	lit, ok := g.Call.Fun.(*ast.FuncLit)
-	if !ok || len(g.Call.Args) != 0 || len(lit.Body.List) != 1 {
-		return false
-	}
-	switch st := lit.Body.List[0].(type) {
-	case *ast.ExprStmt:
-		call, ok := st.X.(*ast.CallExpr)
-		return ok && isHTTPServeCall(p, call)
-	case *ast.SendStmt:
-		call, ok := st.Value.(*ast.CallExpr)
-		return ok && isHTTPServeCall(p, call)
-	}
-	return false
-}
-
-// isHTTPServeCall reports whether call invokes one of net/http.Server's
-// serve methods on a server value.
-func isHTTPServeCall(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Serve", "ServeTLS", "ListenAndServe", "ListenAndServeTLS":
-	default:
-		return false
-	}
-	t := p.Info.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Server" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
 }

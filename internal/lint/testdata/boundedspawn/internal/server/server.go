@@ -1,57 +1,16 @@
-// Package server mirrors the scgd engine: a spawn-audited package where the
-// only tolerated raw goroutine is the sanctioned http.Server serve idiom —
-// the serve loop must leave the lifecycle goroutine free to call Shutdown.
+// Package server mirrors the scgd engine: a spawn-audited package with no
+// tolerated raw goroutine — its serving loop spawns through internal/pool.
 package server
 
-import (
-	"net"
-	"net/http"
-
-	"fixspawn/internal/pool"
-)
+import "fixspawn/internal/pool"
 
 func handle(i int) {}
 
-// serveDirect runs the serve loop on its own goroutine; sanctioned.
-func serveDirect(hs *http.Server, ln net.Listener) {
-	go hs.Serve(ln)
-}
-
-// serveChannel is the error-returning form of the same idiom; sanctioned.
-func serveChannel(hs *http.Server, ln net.Listener) <-chan error {
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	return errc
-}
-
-// listenAndServe needs no listener but is still a serve loop; sanctioned.
-func listenAndServe(hs *http.Server) {
-	go hs.ListenAndServe()
-}
-
-// serveAndMore smuggles real work into the serve literal: the second
-// statement makes it an ordinary goroutine body, so it is flagged.
-func serveAndMore(hs *http.Server, ln net.Listener, done chan struct{}) {
-	go func() { //lintwant raw go statement in a spawn-audited package
-		_ = hs.Serve(ln)
-		done <- struct{}{}
-	}()
-}
-
-// rawSpawn is an ordinary goroutine with no serve call; flagged.
+// rawSpawn is an ordinary goroutine; flagged.
 func rawSpawn(done chan struct{}) {
 	go func() { //lintwant raw go statement in a spawn-audited package
 		done <- struct{}{}
 	}()
-}
-
-// lookalike has the right shape but the wrong receiver type; flagged.
-type lookalike struct{}
-
-func (lookalike) Serve(net.Listener) error { return nil }
-
-func serveImpostor(s lookalike, ln net.Listener) {
-	go s.Serve(ln) //lintwant raw go statement in a spawn-audited package
 }
 
 // pooled routes fan-out through the audited chokepoint; clean.

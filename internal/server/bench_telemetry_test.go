@@ -9,9 +9,9 @@ import (
 
 // benchmarkServerStack drives warm-cache /v1/route requests through the
 // full middleware stack, with a fresh httptest request and recorder per
-// iteration, which allocate more than net/http's own per-request state
-// does (MeasureServe times middleware and handler the way net/http serves
-// them, against the ServeAllocs ceiling; BenchmarkRouteHot in
+// iteration, which allocate more than Run's connections do per request
+// (MeasureServe times middleware and handler the way Run serves them,
+// against the ServeAllocs ceiling; BenchmarkRouteHot in
 // route_hot_test.go measures the handler itself, which must not allocate).
 // The telemetry-on and telemetry-off variants differ
 // only in Config.DisableTracing; cmd/benchreport runs the same pair

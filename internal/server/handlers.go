@@ -69,15 +69,20 @@ func (s *Server) validateKey(fam topology.Family, l, n int) (Key, error) {
 // with no context work. A cold key builds, or waits on another request's
 // build, under a context derived from the request's own: it carries the
 // request deadline and the trace, so the cache marks its build-topology,
-// build-wait and store-load phases, and a client that hangs up or a wait
-// past the deadline ends the request. Failures are classified: parameter
-// errors are the client's (400), expired deadlines are overload (504).
-func (s *Server) network(r *http.Request, c call, key Key) (*topology.Network, int, error) {
+// build-wait and store-load phases, and a wait past the deadline ends the
+// request. So does a client that hangs up: on one of Run's connections the
+// wait starts the connection's hang-up watch, the only place anything
+// does. Failures are classified: parameter errors are the client's (400),
+// expired deadlines are overload (504).
+func (s *Server) network(w http.ResponseWriter, r *http.Request, c call, key Key) (*topology.Network, int, error) {
 	if nw, ok := s.cache.CachedNetwork(key); ok {
 		return nw, http.StatusOK, nil
 	}
 	ctx, cancel := context.WithDeadline(r.Context(), c.deadline)
 	defer cancel()
+	if rw, ok := w.(*response); ok {
+		defer rw.c.watchHangup(cancel)()
+	}
 	nw, err := s.cache.Network(telemetry.WithTrace(ctx, c.tr), key)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -153,7 +158,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request, c call) int
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
 	tr.Phase("cache")
-	nw, status, err := s.network(r, c, key)
+	nw, status, err := s.network(w, r, c, key)
 	if err != nil {
 		return writeErr(w, status, err.Error())
 	}
@@ -232,7 +237,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request, c call)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
-	nw, status, err := s.network(r, c, key)
+	nw, status, err := s.network(w, r, c, key)
 	if err != nil {
 		return writeErr(w, status, err.Error())
 	}
@@ -255,7 +260,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, c call) i
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
-	nw, status, err := s.network(r, c, key)
+	nw, status, err := s.network(w, r, c, key)
 	if err != nil {
 		return writeErr(w, status, err.Error())
 	}

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -10,16 +14,18 @@ import (
 	"time"
 
 	"repro/internal/perm"
+	"repro/internal/pool"
 	"repro/internal/topology"
 )
 
 // This file is the request side of scgd's allocation-free v1 path: a
 // pooled per-request workspace and a copy-free query decoder shared by all
-// four v1 endpoints (the response side is encode.go), plus the in-memory
+// four v1 endpoints (the response side is encode.go), plus the
 // measurements that pin it. A warm GET /v1/route handler allocates nothing
-// on the heap (TestRouteHotAllocs and the benchreport route/hot gate), and
-// a warm request to any v1 endpoint through the whole middleware allocates
-// only what ServeAllocs names.
+// on the heap (TestRouteHotAllocs and the benchreport route/hot gate); a
+// warm request to any v1 endpoint through the whole middleware allocates
+// only what ServeAllocs names, and through Run's transport only what
+// ConnAllocs names.
 
 // scratch bundles every buffer one v1 request needs: node-label parse
 // targets, the topology routing workspace, and the response encoding
@@ -116,8 +122,8 @@ func parseNodeInto(what, raw string, k int, buf *perm.Perm) (perm.Perm, error) {
 // nullResponseWriter is the measurement sink for the in-memory benchmarks:
 // a ResponseWriter whose body writes only count bytes. MeasureRouteHot
 // keeps one header map across requests, so only the handler's own
-// allocations are counted; MeasureServe swaps in a fresh map per request,
-// as net/http gives each response.
+// allocations are counted; MeasureServe clears it before each request, as
+// Run's connections clear theirs.
 type nullResponseWriter struct {
 	h      http.Header
 	status int
@@ -160,10 +166,8 @@ func MeasureRouteHot(s *Server, target string, iters int) (nsPerOp, allocsPerOp 
 }
 
 // Allocation ceilings for one warm v1 GET through Handler().ServeHTTP, as
-// MeasureServe counts them. Every such request pays four:
+// MeasureServe counts them. Every such request pays two:
 //
-//   - 2: the response header map and its first bucket, which net/http
-//     allocates for every response;
 //   - 1: the request ID string telemetry.NewRequestID mints when the
 //     client sent no X-Request-Id;
 //   - 1: the one-element value slice http.Header.Set stores it in.
@@ -171,17 +175,24 @@ func MeasureRouteHot(s *Server, target string, iters int) (nsPerOp, allocsPerOp 
 // A profile submit answered from a resident profile also records a job:
 // the Job itself and its ID string (2), plus the amortized growth of the
 // job ledger's map and completion list, which the last 2 bound.
+//
+// ConnAllocs is the ceiling for the same request served by Run over a
+// keep-alive connection, as MeasureConn counts it: the two above, plus
+// the request-target string the connection reads it into (RequestURI,
+// which URL.Path and URL.RawQuery slice).
 const (
-	ServeAllocs         = 4
-	ProfileSubmitAllocs = 8
+	ServeAllocs         = 2
+	ProfileSubmitAllocs = 6
+	ConnAllocs          = ServeAllocs + 1
 )
 
 // MeasureServe drives iters warm GET requests for target through
-// Handler(), middleware included, the way net/http serves them: one reused
-// request without X-Request-Id, and a fresh response header map per call.
-// The target must already answer 200 (a profile submit needs its profile
-// resident). It returns mean wall time and heap allocations per request;
-// the ServeAllocs and ProfileSubmitAllocs ceilings apply to the latter.
+// Handler(), middleware included, the way Run serves them: one reused
+// request without X-Request-Id, and one response header map cleared
+// before each call. The target must already answer 200 (a profile submit
+// needs its profile resident). It returns mean wall time and heap
+// allocations per request; the ServeAllocs and ProfileSubmitAllocs
+// ceilings apply to the latter.
 func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp float64, err error) {
 	r, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {
@@ -189,7 +200,7 @@ func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp flo
 	}
 	w := newNullResponseWriter()
 	serve := func() {
-		w.h = make(http.Header)
+		clear(w.h)
 		s.mux.ServeHTTP(w, r)
 	}
 	for i := 0; i < 64; i++ {
@@ -200,6 +211,110 @@ func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp flo
 	}
 	ns, allocs := measureLoop(iters, serve)
 	return ns, allocs, nil
+}
+
+// MeasureConn serves s with Run on a loopback listener and drives iters
+// GET requests over one keep-alive connection, cycling through targets, so
+// that consecutive requests differ. The client writes prepared bytes and
+// reads each answer into one buffer, so it allocates nothing itself: the
+// heap allocations per request it returns are Run's, the ConnAllocs
+// ceiling's subject, with mean round-trip wall time, from the best of
+// three rounds of iters requests. Every target must
+// answer 200 once warm. Run closes s before MeasureConn returns.
+func MeasureConn(ctx context.Context, s *Server, targets []string, iters int) (nsPerOp, allocsPerOp float64, err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return 0, 0, err
+	}
+	rctx, stop := context.WithCancel(ctx)
+	var g pool.Group
+	var runErr error
+	g.Go(func() { runErr = Run(rctx, ln, s, time.Second) })
+	defer func() {
+		stop()
+		g.Wait()
+		if err == nil {
+			err = runErr
+		}
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		return 0, 0, err
+	}
+	defer func() { _ = nc.Close() }() // only read from after the last answer
+	reqs := make([][]byte, len(targets))
+	for i, target := range targets {
+		reqs[i] = []byte("GET " + target + " HTTP/1.1\r\nHost: scgd\r\n\r\n")
+	}
+	buf := make([]byte, 64<<10)
+	var i int
+	var rtErr error
+	roundTrip := func() {
+		if rtErr == nil {
+			rtErr = exchangeRaw(nc, reqs[i%len(reqs)], buf)
+			i++
+		}
+	}
+	for j := 0; j < 64; j++ {
+		roundTrip()
+	}
+	// The lowest of three rounds counts: the connection's goroutine may move
+	// to a P whose sync.Pools the warm-up never primed, which costs a few
+	// dozen allocations once, not per request.
+	nsPerOp, allocsPerOp = measureLoop(iters, roundTrip)
+	for round := 1; round < 3; round++ {
+		if ns, allocs := measureLoop(iters, roundTrip); allocs < allocsPerOp {
+			nsPerOp, allocsPerOp = ns, allocs
+		}
+	}
+	if rtErr != nil {
+		return 0, 0, fmt.Errorf("request %d: %w", i, rtErr)
+	}
+	return nsPerOp, allocsPerOp, nil
+}
+
+// exchangeRaw writes one request and reads its answer into buf, which must
+// hold it whole, and fails unless the status is 200.
+func exchangeRaw(nc net.Conn, req, buf []byte) error {
+	if _, err := nc.Write(req); err != nil {
+		return err
+	}
+	n, want := 0, -1
+	for want < 0 || n < want {
+		if n == len(buf) {
+			return errors.New("answer larger than the buffer")
+		}
+		m, err := nc.Read(buf[n:])
+		if err != nil {
+			return err
+		}
+		n += m
+		if want >= 0 {
+			continue
+		}
+		end := bytes.Index(buf[:n], []byte("\r\n\r\n"))
+		if end < 0 {
+			continue
+		}
+		if !bytes.HasPrefix(buf, []byte("HTTP/1.1 200 ")) {
+			line, _, _ := bytes.Cut(buf[:n], []byte("\r\n"))
+			return fmt.Errorf("answer %q", line)
+		}
+		const field = "\r\nContent-Length: "
+		at := bytes.Index(buf[:end], []byte(field))
+		if at < 0 {
+			return errors.New("answer without Content-Length")
+		}
+		length := 0
+		for _, b := range buf[at+len(field) : end] {
+			if b < '0' || b > '9' {
+				break
+			}
+			length = 10*length + int(b-'0')
+		}
+		want = end + 4 + length
+	}
+	return nil
 }
 
 // measureLoop times fn and reports mean nanoseconds and heap allocations per

@@ -16,7 +16,7 @@
 //   - Async jobs: k!-state exact profiles run on a bounded pool.Runner;
 //     submit returns a job ID, polls return status/result. The package
 //     contains no raw go statements — all concurrency routes through
-//     internal/pool and the sanctioned http.Server.Serve idiom, which is
+//     internal/pool, including Run's connection loops (conn.go), which is
 //     what scglint's boundedspawn policy enforces here.
 //
 // Telemetry (internal/telemetry) threads through all of it: every request
@@ -30,11 +30,8 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"io"
-	"net"
 	"net/http"
 	"runtime"
 	"sort"
@@ -292,8 +289,8 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // Close stops the runtime sampler and drains the async job queue: it
 // blocks until every admitted exact-profile job has finished. In-flight
-// HTTP requests are drained by http.Server.Shutdown (see Run); Close
-// handles the work that outlives its submitting request.
+// HTTP requests are drained by Run's shutdown; Close handles the work
+// that outlives its submitting request.
 func (s *Server) Close() {
 	if s.sampler != nil {
 		s.sampler.Stop()
@@ -400,35 +397,11 @@ func (s *Server) logSlowJob(job *Job, start time.Time, d time.Duration, spans []
 	s.slow.log(job.ReqID, "job:/v1/profile", "", 0, start, d, spans)
 }
 
-// Run serves s on ln until ctx is canceled, then shuts down gracefully:
-// http.Server.Shutdown drains in-flight requests (bounded by drain), and
-// Close drains the async job queue. It returns nil on a clean shutdown.
-func Run(ctx context.Context, ln net.Listener, s *Server, drain time.Duration) error {
-	hs := &http.Server{Handler: s.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		// The listener failed before shutdown was requested.
-		s.Close()
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), drain) //scglint:ctxdetach shutdown runs after ctx is already canceled; the drain deadline needs a fresh root
-	defer cancel()
-	err := hs.Shutdown(sctx)
-	s.Close()
-	if serr := <-serveErr; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
-		err = serr
-	}
-	return err
-}
-
 // jsonContentType is the Content-Type value of every JSON answer. Handlers
 // install it by map assignment instead of Header.Set, which would allocate
-// a one-element slice per request. Sharing one slice is safe: net/http
-// (and httptest) clone the handler's header, values included, at
-// WriteHeader, and nothing here writes through it.
+// a one-element slice per request. Sharing one slice is safe: Run's
+// connections, net/http and httptest only read a handler's header values,
+// and nothing here writes through it.
 var jsonContentType = []string{"application/json"}
 
 // writeBody sends an already encoded JSON document with the given status

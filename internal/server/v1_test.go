@@ -20,7 +20,7 @@ import (
 )
 
 // TestServeAllocs is the allocation budget of a warm v1 request through
-// the whole middleware, measured as net/http serves it (MeasureServe): at
+// the whole middleware, measured as Run serves it (MeasureServe): at
 // most ServeAllocs for route, metrics, neighbors and a job poll, at most
 // ProfileSubmitAllocs for a cache-hit profile submit. The benchreport
 // serve/* entries gate the same ceilings.
