@@ -1,15 +1,15 @@
 // Command benchreport runs the repository's headline performance
-// measurements — the three rank kernels, the BFS engine suite at
-// k = 8/9/10 (serial byte-table walk, precomposed neighbor-table build,
-// table-resident bitset sweep single-threaded and parallel), stretch
-// sampling, the warm /v1/route handler (which must be allocation-free),
-// warm requests to the four v1 endpoints through the whole middleware
-// (each held to its allocation ceiling), warm routes through scgd's own
-// HTTP/1.1 transport (held to its ceiling), and the scgd telemetry
-// zero-overhead guard (traced vs untraced /v1/route must differ by zero
-// allocations per request) — and emits them as JSON so
-// each PR can be compared against the committed BENCH_baseline.json and the
-// perf trajectory of the exact-measurement engine stays visible.
+// measurements — the three rank kernels, the BFS engine at k = 8/9/10
+// (precomposed neighbor-table build, then the table-resident bitset sweep
+// on one worker and on -workers), stretch sampling, the warm /v1/route
+// handler (which must be allocation-free), warm requests to the four v1
+// endpoints through the whole middleware (each held to its allocation
+// ceiling), warm routes through scgd's own HTTP/1.1 transport (held to its
+// ceiling), and the scgd telemetry zero-overhead guard (traced vs untraced
+// /v1/route must differ by zero allocations per request) — and emits them
+// as JSON so each PR can be compared against the committed
+// BENCH_baseline.json and the perf trajectory of the exact-measurement
+// engine stays visible.
 //
 // Entries are emitted in a fixed order (no map iteration feeds the file),
 // so two runs on the same machine differ only in the timing fields.
@@ -84,7 +84,7 @@ type Entry struct {
 	Name string `json:"name"`
 	// K is the permutation dimension the benchmark ran at, 0 if n/a.
 	K int `json:"k,omitempty"`
-	// Workers is the BFS worker count, 0 for serial/non-BFS entries.
+	// Workers is the BFS worker count, 0 for non-BFS entries.
 	Workers int `json:"workers,omitempty"`
 	// Rounds is how many times the measured operation ran.
 	Rounds int `json:"rounds"`
@@ -198,9 +198,9 @@ func main() {
 }
 
 // benchedHotpaths is the set of //scglint:hotpath-annotated functions these
-// benchmarks exercise: the rank and compose kernels (rankKernels and every
-// BFS edge), the serial engine's expansion loop and the bitset engine's
-// expand/merge loops (bfsSuite), the precomposed-table build kernel
+// benchmarks exercise: the rank and compose kernels (rankKernels and the
+// neighbor-table build), the bitset engine's expand/merge loops
+// (bfsSuite), the precomposed-table build kernel
 // (neighbor-table entries), the store decode kernel (store/decode), and the
 // warm-route distance overlay (route/hot and the telemetry guard's
 // /v1/route traffic). perm.Rank is the deliberately unannotated O(k²)
@@ -211,7 +211,6 @@ var benchedHotpaths = []string{
 	"repro/internal/core.(*NeighborTable).fillChunk",
 	"repro/internal/core.(*bitsetBFS).expandWords",
 	"repro/internal/core.(*bitsetBFS).mergeWords",
-	"repro/internal/core.(*serialBFS).expandNode",
 	"repro/internal/perm.(Perm).ComposeInto",
 	"repro/internal/perm.(Perm).RankBits",
 	"repro/internal/perm.(Perm).RankInto",
@@ -405,13 +404,14 @@ func rankKernels(iters int) []Entry {
 	}
 }
 
-// bfsSuite measures the BFS engine family on star(k): the serial byte-table
-// walk, the precomposed neighbor-table build (the one-time cost the bitset
-// engines amortize), and the table-resident bitset sweep single-threaded and
-// at the requested worker count. The table is dropped between build rounds so
-// every build is cold, left resident for the sweep entries so they time only
-// the frontier work, and dropped at the end so successive k do not stack
-// hundreds of megabytes.
+// bfsSuite measures the BFS engine on star(k): the precomposed
+// neighbor-table build (the one-time cost every search amortizes), and the
+// table-resident bitset sweep on one worker and at the requested worker
+// count. The table is dropped between build rounds so every build is cold,
+// left resident for the sweep entries so they time only the frontier work,
+// and dropped at the end so successive k do not stack hundreds of
+// megabytes. Every sweep's diameter must equal star's closed form
+// ⌊3(k−1)/2⌋.
 func bfsSuite(k, rounds, workers int) []Entry {
 	nw, err := topology.NewStar(k)
 	fail(err)
@@ -421,16 +421,7 @@ func bfsSuite(k, rounds, workers int) []Entry {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-
-	var diam int
-	serial := time.Duration(0)
-	for r := 0; r < rounds; r++ {
-		t0 := time.Now()
-		res, err := g.BFSSerial(src)
-		fail(err)
-		serial += time.Since(t0)
-		diam = res.Eccentricity
-	}
+	diam := 3 * (k - 1) / 2
 
 	build := time.Duration(0)
 	for r := 0; r < rounds; r++ {
@@ -441,47 +432,34 @@ func bfsSuite(k, rounds, workers int) []Entry {
 		build += time.Since(t0)
 	}
 
-	check := func(name string, run func() (ecc int, err error)) time.Duration {
+	sweep := func(workers int) time.Duration {
 		total := time.Duration(0)
 		for r := 0; r < rounds; r++ {
 			t0 := time.Now()
-			ecc, err := run()
+			res, err := g.BFSParallel(src, workers)
 			fail(err)
 			total += time.Since(t0)
-			if ecc != diam {
-				fail(fmt.Errorf("benchreport: %s diameter %d != serial %d at k=%d", name, ecc, diam, k))
+			if res.Eccentricity != diam {
+				fail(fmt.Errorf("benchreport: BFS (workers=%d) diameter %d != closed form %d at k=%d", workers, res.Eccentricity, diam, k))
 			}
 		}
 		return total
 	}
-	bitset := check("bitset BFS", func() (int, error) {
-		res, err := g.BFSBitset(src)
-		if err != nil {
-			return 0, err
-		}
-		return res.Eccentricity, nil
-	})
-	parallel := check("parallel BFS", func() (int, error) {
-		res, err := g.BFSParallel(src, workers)
-		if err != nil {
-			return 0, err
-		}
-		return res.Eccentricity, nil
-	})
+	bitset := sweep(1)
+	parallel := sweep(workers)
 	g.DropNeighborTable()
 
 	detail := fmt.Sprintf("star(%d), %d states, diameter %d", k, perm.Factorial(k), diam)
 	tblDetail := fmt.Sprintf("star(%d), %d states x degree %d, cold build", k, perm.Factorial(k), g.OutDegree())
 	return []Entry{
-		{Name: fmt.Sprintf("bfs-serial/star-%d", k), K: k, Rounds: rounds, NsPerOp: nsPerOp(serial, rounds), Detail: detail},
 		{Name: fmt.Sprintf("neighbor-table/star-%d", k), K: k, Workers: w, Rounds: rounds, NsPerOp: nsPerOp(build, rounds), Detail: tblDetail},
 		{Name: fmt.Sprintf("bfs-bitset/star-%d", k), K: k, Workers: 1, Rounds: rounds, NsPerOp: nsPerOp(bitset, rounds), Detail: detail + ", table resident"},
 		{Name: fmt.Sprintf("bfs-parallel/star-%d", k), K: k, Workers: w, Rounds: rounds, NsPerOp: nsPerOp(parallel, rounds), Detail: detail + ", table resident"},
 	}
 }
 
-// stretchEntry times MeasureStretch on star(7): repeated shortest-path
-// searches against the solver's routes, the scratch-reuse hot path.
+// stretchEntry times MeasureStretch on star(7): one search from the
+// identity, then one table lookup and one solver route per pair.
 func stretchEntry(pairs int) Entry {
 	nw, err := topology.NewStar(7)
 	fail(err)

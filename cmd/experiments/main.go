@@ -62,17 +62,39 @@ func main() {
 			fail(f.Close())
 		}()
 	}
-	if *traceFile == "" {
-		*traceFile = filepath.Join(*out, "mnb_ms22_trace.ndjson")
+	fail(reproduce(*out, *maxK, *traceFile, *statsEvery, func(format string, args ...any) {
+		fmt.Printf(format, args...)
+	}))
+
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		fail(err)
+		runtime.GC()
+		fail(pprof.WriteHeapProfile(f))
+		fail(f.Close())
+	}
+}
+
+// reproduce regenerates every artifact into the existing directory out,
+// logging each file written and the phase timings through logf. main runs
+// it, and so does the golden test that holds results/ to the code.
+func reproduce(out string, maxK int, traceFile string, statsEvery int, logf func(format string, args ...any)) error {
+	if traceFile == "" {
+		traceFile = filepath.Join(out, "mnb_ms22_trace.ndjson")
 	}
 
 	timer := obs.NewPhaseTimer()
+	// write keeps the first write error and skips later writes; reproduce
+	// returns it before the trace export.
+	var werr error
 	write := func(name, content string) {
-		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fail(err)
+		if werr != nil {
+			return
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(content))
+		path := filepath.Join(out, name)
+		if werr = os.WriteFile(path, []byte(content), 0o644); werr == nil {
+			logf("wrote %s (%d bytes)\n", path, len(content))
+		}
 	}
 
 	// Figures 1-3: game traces.
@@ -82,35 +104,51 @@ func main() {
 	// Figures 4-6 as tables and plots.
 	timer.Start("fig4-6")
 	f4, err := figures.Fig4Degrees()
-	fail(err)
+	if err != nil {
+		return err
+	}
 	write("fig4_degrees.txt", figures.RenderSeries("Figure 4: node degree vs log2(N)", f4)+
 		"\n"+figures.RenderASCII("Figure 4 (plot)", f4, 0, 0, false))
 	f5, err := figures.Fig5Diameters()
-	fail(err)
-	overlay, err := figures.ExactDiameterOverlay(*maxK)
-	fail(err)
+	if err != nil {
+		return err
+	}
+	overlay, err := figures.ExactDiameterOverlay(maxK)
+	if err != nil {
+		return err
+	}
 	write("fig5_diameters.txt", figures.RenderSeries("Figure 5: diameter vs log2(N)", f5)+
 		"\n"+figures.RenderSeries("Figure 5 overlay: exact BFS diameters", overlay)+
 		"\n"+figures.RenderASCII("Figure 5 (plot, log y)", f5, 0, 0, true))
 	f6, err := figures.Fig6Cost()
-	fail(err)
+	if err != nil {
+		return err
+	}
 	write("fig6_cost.txt", figures.RenderSeries("Figure 6: degree x diameter vs log2(N)", f6)+
 		"\n"+figures.RenderASCII("Figure 6 (plot, log y)", f6, 0, 0, true))
 
 	// Table 1 and companions.
 	timer.Start("table1")
-	t1, err := figures.Table1(*maxK)
-	fail(err)
+	t1, err := figures.Table1(maxK)
+	if err != nil {
+		return err
+	}
 	write("table1_alpha.txt", figures.RenderTable1(t1))
 	avg, err := figures.AvgDistanceTable(3, 2)
-	fail(err)
+	if err != nil {
+		return err
+	}
 	write("thm47_avgdist.txt", figures.RenderAvgDistanceTable(avg))
-	cmp, err := figures.CompareTable(3, 2, *maxK >= 7)
-	fail(err)
+	cmp, err := figures.CompareTable(3, 2, maxK >= 7)
+	if err != nil {
+		return err
+	}
 	write("sec41_compare.txt", figures.RenderCompareTable(cmp))
-	growth, err := figures.DiameterGrowthTable(min(*maxK, 9),
+	growth, err := figures.DiameterGrowthTable(min(maxK, 9),
 		append(topology.AllSuperCayleyFamilies(), topology.Star, topology.Rotator, topology.IS))
-	fail(err)
+	if err != nil {
+		return err
+	}
 	write("diameter_growth.txt", figures.RenderGrowthTable(growth))
 
 	// MCMP / Theorem 4.8-4.9.
@@ -119,27 +157,27 @@ func main() {
 
 	// Communication tasks, with the worked-example MS(2,2) MNB trace.
 	timer.Start("communication")
-	report, record := commReport(*statsEvery)
+	report, record := commReport(statsEvery)
 	write("sec5_communication.txt", report)
+	if werr != nil {
+		return werr
+	}
 	if record != nil {
-		fail(writeTrace(record, *traceFile))
-		csvPath := strings.TrimSuffix(*traceFile, filepath.Ext(*traceFile)) + ".csv"
-		fail(writeTrace(record, csvPath))
-		fmt.Printf("wrote %s and %s (%d step samples)\n", *traceFile, csvPath, len(record.Steps))
+		if err := writeTrace(record, traceFile); err != nil {
+			return err
+		}
+		csvPath := strings.TrimSuffix(traceFile, filepath.Ext(traceFile)) + ".csv"
+		if err := writeTrace(record, csvPath); err != nil {
+			return err
+		}
+		logf("wrote %s and %s (%d step samples)\n", traceFile, csvPath, len(record.Steps))
 	}
 
-	fmt.Println("phase timings:")
+	logf("phase timings:\n")
 	for _, p := range timer.Phases() {
-		fmt.Printf("  %-16s %8.3fs\n", p.Name, p.Seconds)
+		logf("  %-16s %8.3fs\n", p.Name, p.Seconds)
 	}
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		fail(err)
-		runtime.GC()
-		fail(pprof.WriteHeapProfile(f))
-		fail(f.Close())
-	}
+	return nil
 }
 
 // writeTrace writes a run record as NDJSON, or CSV for .csv paths.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/perm"
 )
@@ -47,152 +46,18 @@ func meanFromHistogram(hist []int64) float64 {
 // BFS runs a breadth-first search over the whole k!-state space from node
 // src, using unit link weights. It errors if k exceeds MaxExplicitK.
 //
-// BFS dispatches between the engines: the serial reference implementation
-// (BFSSerial) below parallelBFSThreshold states, and the table-driven
-// bitset engines (BFSParallel on multi-core runtimes, BFSBitset otherwise)
-// above it. The bitset engines materialize the graph's precomposed
-// NeighborTable on first use; one-shot callers that must not leave the
-// n·deg·4-byte table resident should DropNeighborTable afterwards. All
-// engines produce bit-for-bit identical results (see
-// TestParallelSerialEquivalence), so callers never observe the switch.
+// BFS runs the bitset engine (BFSParallel) on a worker count chosen by
+// size: one worker below parallelBFSThreshold states, GOMAXPROCS at or
+// above it. The engine materializes the graph's precomposed NeighborTable
+// on first use; one-shot callers that must not leave the n·deg·4-byte
+// table resident should DropNeighborTable afterwards. The result does not
+// depend on the worker count (TestEngineMatchesOracle).
 func (g *Graph) BFS(src perm.Perm) (*BFSResult, error) {
-	if g.Order() >= parallelBFSThreshold {
-		if runtime.GOMAXPROCS(0) > 1 {
-			return g.BFSParallel(src, 0)
-		}
-		return g.BFSBitset(src)
+	workers := 0 // GOMAXPROCS
+	if g.Order() < parallelBFSThreshold {
+		workers = 1
 	}
-	return g.BFSSerial(src)
-}
-
-// serialBFS is the state of one single-threaded search: the shared distance
-// and queue arrays plus the reusable permutation buffers of the edge kernel.
-// Factoring the per-node expansion into a method gives the allocation-free
-// inner loop a name the static analyzer (and the profiler) can anchor to.
-//
-// Distances live in the compact 1-byte backing d8, which stores
-// distance+1 so the zero value already means "unreachable" (no sentinel
-// fill pass). If a search is about to record a distance beyond u8DistLimit
-// it widens once into d32 and finishes there (expandNodeWide) instead of
-// wrapping — no generator set we build comes near that diameter, so the
-// wide path is exercised only by the overflow-guard test.
-type serialBFS struct {
-	g         *Graph
-	k         int
-	d8        []uint8
-	d32       []int32
-	queue     []int64
-	hist      []int64
-	reachable int64
-	cur, next perm.Perm
-	scratch   []int
-}
-
-// expandNode relaxes every generator edge of one frontier node. sd is the
-// stored (distance+1) value of r, which is exactly the true distance of
-// every child it discovers.
-//
-//scglint:hotpath per-node edge expansion: one unrank + |S| compose/rank probes per k!-space state
-func (s *serialBFS) expandNode(r int64) {
-	sd := s.d8[r]
-	perm.UnrankInto(s.k, r, s.cur, s.scratch)
-	for _, gp := range s.g.genPerms {
-		s.cur.ComposeInto(gp, s.next)
-		nr := s.next.RankBits()
-		if s.d8[nr] == 0 {
-			s.d8[nr] = sd + 1
-			for len(s.hist) <= int(sd) {
-				s.hist = append(s.hist, 0) //scglint:coldpath histogram growth is bounded by the diameter (<= maxPlausibleDiameter appends per search)
-			}
-			s.hist[sd]++
-			s.reachable++
-			s.queue = append(s.queue, nr) //scglint:coldpath queue is preallocated to the full k! order; append never grows it
-		}
-	}
-}
-
-// expandNodeWide is expandNode against the int32 backing, used only after
-// an overflow widened the table mid-search.
-func (s *serialBFS) expandNodeWide(r int64) {
-	d := s.d32[r]
-	perm.UnrankInto(s.k, r, s.cur, s.scratch)
-	for _, gp := range s.g.genPerms {
-		s.cur.ComposeInto(gp, s.next)
-		nr := s.next.RankBits()
-		if s.d32[nr] < 0 {
-			s.d32[nr] = d + 1
-			for len(s.hist) <= int(d)+1 {
-				s.hist = append(s.hist, 0)
-			}
-			s.hist[d+1]++
-			s.reachable++
-			s.queue = append(s.queue, nr)
-		}
-	}
-}
-
-// widen converts the compact distance backing to int32 in place, preserving
-// every recorded distance.
-func (s *serialBFS) widen() {
-	s.d32 = make([]int32, len(s.d8))
-	for i, v := range s.d8 {
-		s.d32[i] = int32(v) - 1
-	}
-	s.d8 = nil
-}
-
-// BFSSerial is the single-threaded reference BFS engine. The queue and
-// distance array are preallocated to the full k! order up front (the search
-// visits every reachable state, so the queue's final length is known), and
-// ranking uses the allocation-free popcount kernel; the loop allocates only
-// when the histogram grows past its small initial capacity.
-func (g *Graph) BFSSerial(src perm.Perm) (*BFSResult, error) {
-	k := g.K()
-	if k > MaxExplicitK {
-		return nil, fmt.Errorf("core: BFS: k=%d exceeds MaxExplicitK=%d (%d states)", k, MaxExplicitK, perm.Factorial(k))
-	}
-	if len(src) != k {
-		return nil, fmt.Errorf("core: BFS: source has %d symbols, graph wants %d", len(src), k)
-	}
-	n := perm.Factorial(k)
-	s := &serialBFS{
-		g:       g,
-		k:       k,
-		d8:      make([]uint8, n),
-		queue:   make([]int64, 1, n),
-		hist:    make([]int64, 1, maxPlausibleDiameter),
-		cur:     make(perm.Perm, k),
-		next:    make(perm.Perm, k),
-		scratch: make([]int, k),
-	}
-	srcRank := src.Rank()
-	s.d8[srcRank] = 1
-	s.queue[0] = srcRank
-	s.hist[0] = 1
-	s.reachable = 1
-	wide := false
-	for head := 0; head < len(s.queue); head++ {
-		r := s.queue[head]
-		if !wide && int32(s.d8[r]) > u8DistLimit {
-			// r's children would land past the byte limit: fall back to
-			// the wide backing for the rest of the search.
-			s.widen()
-			wide = true
-		}
-		if wide {
-			s.expandNodeWide(r)
-		} else {
-			s.expandNode(r)
-		}
-	}
-	return &BFSResult{
-		Source:       srcRank,
-		Reachable:    s.reachable,
-		Eccentricity: len(s.hist) - 1,
-		Histogram:    s.hist,
-		Mean:         meanFromHistogram(s.hist),
-		Dist:         DistTable{d8: s.d8, d32: s.d32},
-	}, nil
+	return g.BFSParallel(src, workers)
 }
 
 // maxPlausibleDiameter sizes the initial distance histogram: no generator

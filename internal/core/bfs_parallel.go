@@ -9,9 +9,9 @@ import (
 	"repro/internal/pool"
 )
 
-// parallelBFSThreshold is the graph order below which BFS keeps using the
-// serial reference engine: 8! = 40,320 states finish in ~10 ms serially,
-// under the table-build and per-level fan-out cost of the bitset engines.
+// parallelBFSThreshold is the graph order from which BFS fans out over
+// GOMAXPROCS workers. Below 8! = 40,320 states a second worker saved
+// nothing measurable on two cores, so BFS runs one and spawns nothing.
 const parallelBFSThreshold = 40320
 
 // bitsetBFS is the state of one table-driven bitset search. The frontier
@@ -27,8 +27,7 @@ const parallelBFSThreshold = 40320
 // range, so every visited/dist write has exactly one writer). The two
 // pool.Each barriers give the happens-before edges. Bit order is fixed by
 // rank order, so the result — distance table, histogram, every derived
-// statistic — is identical bit-for-bit to BFSSerial's regardless of the
-// worker count.
+// statistic — is identical bit-for-bit at every worker count.
 type bitsetBFS struct {
 	tbl     *NeighborTable
 	visited []uint64   // all states discovered so far
@@ -120,22 +119,10 @@ func (e *bitsetBFS) widen() {
 	e.d8 = nil
 }
 
-// bfsBitset is the shared driver of BFSBitset and BFSParallel. It
-// materializes the graph's precomposed neighbor table (memoized across
-// searches) and runs the level-synchronous bitset engine with the given
-// worker count.
-func (g *Graph) bfsBitset(src perm.Perm, workers int) (*BFSResult, error) {
-	k := g.K()
-	if k > MaxExplicitK {
-		return nil, fmt.Errorf("core: BFSBitset: k=%d exceeds MaxExplicitK=%d (%d states)", k, MaxExplicitK, perm.Factorial(k))
-	}
-	if len(src) != k {
-		return nil, fmt.Errorf("core: BFSBitset: source has %d symbols, graph wants %d", len(src), k)
-	}
-	tbl, err := g.EnsureNeighborTable(workers)
-	if err != nil {
-		return nil, err
-	}
+// bitsetSearch is the engine's driver: a level-synchronous search of
+// tbl's graph from srcRank with the given worker count. Both Graph.BFS
+// (through BFSParallel) and IndexGraph.BFS run it.
+func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int) *BFSResult {
 	n := tbl.n
 	words := int((n + 63) >> 6)
 	if workers > words {
@@ -152,7 +139,6 @@ func (g *Graph) bfsBitset(src perm.Perm, workers int) (*BFSResult, error) {
 	for i := range e.wnext {
 		e.wnext[i] = make([]uint64, words)
 	}
-	srcRank := src.Rank()
 	e.visited[srcRank>>6] |= 1 << (srcRank & 63)
 	e.cur[srcRank>>6] |= 1 << (srcRank & 63)
 	e.d8[srcRank] = 1
@@ -206,27 +192,31 @@ func (g *Graph) bfsBitset(src perm.Perm, workers int) (*BFSResult, error) {
 		Histogram:    hist,
 		Mean:         meanFromHistogram(hist),
 		Dist:         DistTable{d8: e.d8, d32: e.d32},
-	}, nil
+	}
 }
 
-// BFSBitset runs the table-driven bitset engine single-threaded: same
-// branch-free inner loop as the parallel engine, no goroutines (pool.Each
-// degenerates to an inline call at one worker). On single-core runtimes
-// this is the fast path for large graphs once the neighbor table is
-// resident.
-func (g *Graph) BFSBitset(src perm.Perm) (*BFSResult, error) {
-	return g.bfsBitset(src, 1)
-}
-
-// BFSParallel is the level-synchronous parallel BFS engine over the
-// precomposed neighbor table; see bitsetBFS for the sharding and
-// determinism argument. workers <= 0 means runtime.GOMAXPROCS(0). The
-// per-level fan-out runs on the audited pool.Each chokepoint (the
-// measurement packages spawn no raw goroutines; scglint's boundedspawn
-// analyzer enforces this).
+// BFSParallel runs the bitset engine from src on the given number of
+// workers, for the neighbor-table build (memoized on the graph) and the
+// search; workers <= 0 means runtime.GOMAXPROCS(0). BFS picks the count by
+// size; this is the explicit spelling for tests and benchmarks. See
+// bitsetBFS for the sharding and determinism argument. The per-level
+// fan-out runs on the audited pool.Each chokepoint (the measurement
+// packages spawn no raw goroutines; scglint's boundedspawn analyzer
+// enforces this).
 func (g *Graph) BFSParallel(src perm.Perm, workers int) (*BFSResult, error) {
+	k := g.K()
+	if k > MaxExplicitK {
+		return nil, fmt.Errorf("core: BFS: k=%d exceeds MaxExplicitK=%d (%d states)", k, MaxExplicitK, perm.Factorial(k))
+	}
+	if len(src) != k {
+		return nil, fmt.Errorf("core: BFS: source has %d symbols, graph wants %d", len(src), k)
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return g.bfsBitset(src, workers)
+	tbl, err := g.EnsureNeighborTable(workers)
+	if err != nil {
+		return nil, err
+	}
+	return bitsetSearch(tbl, src.Rank(), workers), nil
 }

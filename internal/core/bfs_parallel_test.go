@@ -1,8 +1,6 @@
-// Parallel-vs-serial BFS equivalence across every network family. This
+// Engine-vs-oracle BFS equivalence across every network family. This
 // lives in an external test package so it can build instances through
-// internal/topology (which imports core) without an import cycle; the CI
-// race step runs it as `go test -run TestParallelSerialEquivalence -race
-// ./internal/core`.
+// internal/topology (which imports core) without an import cycle.
 package core_test
 
 import (
@@ -46,12 +44,11 @@ func equivalenceInstances(t *testing.T, maxK int) []*topology.Network {
 	return nws
 }
 
-// TestParallelSerialEquivalence checks that the table-driven bitset
-// engines (serial BFSBitset and BFSParallel at several worker counts,
-// including workers > frontier width, which exercises the shard clamping)
-// return a reflect.DeepEqual-identical BFSResult to the serial reference
-// engine for every family at every enumerable size with k <= 8.
-func TestParallelSerialEquivalence(t *testing.T) {
+// TestEngineMatchesOracle checks that the bitset engine at several worker
+// counts (including workers > frontier width, which exercises the shard
+// clamping) returns a reflect.DeepEqual-identical BFSResult to the queue
+// oracle for every family at every enumerable size with k <= 8.
+func TestEngineMatchesOracle(t *testing.T) {
 	maxK := 8
 	if testing.Short() {
 		maxK = 6
@@ -59,39 +56,26 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	for _, nw := range equivalenceInstances(t, maxK) {
 		g := nw.Graph()
 		src := perm.Identity(g.K())
-		want, err := g.BFSSerial(src)
-		if err != nil {
-			t.Fatalf("%s: serial BFS: %v", g.Name(), err)
-		}
-		check := func(engine string, got *core.BFSResult) {
-			t.Helper()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %s differs from serial:\ngot:    ecc=%d reach=%d hist=%v mean=%v\nserial: ecc=%d reach=%d hist=%v mean=%v",
-					g.Name(), engine,
-					got.Eccentricity, got.Reachable, got.Histogram, got.Mean,
-					want.Eccentricity, want.Reachable, want.Histogram, want.Mean)
-			}
-		}
-		bit, err := g.BFSBitset(src)
-		if err != nil {
-			t.Fatalf("%s: bitset BFS: %v", g.Name(), err)
-		}
-		check("bitset BFS", bit)
+		want := core.OracleBFS(g, src)
 		for _, workers := range []int{1, 2, 3, 7} {
 			got, err := g.BFSParallel(src, workers)
 			if err != nil {
-				t.Fatalf("%s: parallel BFS (workers=%d): %v", g.Name(), workers, err)
+				t.Fatalf("%s: BFS (workers=%d): %v", g.Name(), workers, err)
 			}
-			check("parallel BFS (workers="+string(rune('0'+workers))+")", got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: BFS (workers=%d) differs from the oracle:\ngot:    ecc=%d reach=%d hist=%v mean=%v\noracle: ecc=%d reach=%d hist=%v mean=%v",
+					g.Name(), workers,
+					got.Eccentricity, got.Reachable, got.Histogram, got.Mean,
+					want.Eccentricity, want.Reachable, want.Histogram, want.Mean)
+			}
 		}
 		g.DropNeighborTable()
 	}
 }
 
-// TestParallelSerialEquivalenceK9Smoke runs one k = 9 instance (362,880
-// states) through all three engines — large enough that the table engines
-// are the ones BFS would actually dispatch to.
-func TestParallelSerialEquivalenceK9Smoke(t *testing.T) {
+// TestEngineMatchesOracleK9Smoke runs one k = 9 instance (362,880 states)
+// at one and four workers: large enough that BFS would fan out.
+func TestEngineMatchesOracleK9Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("k=9 smoke skipped in -short mode")
 	}
@@ -101,31 +85,22 @@ func TestParallelSerialEquivalenceK9Smoke(t *testing.T) {
 	}
 	g := nw.Graph()
 	src := perm.Identity(9)
-	want, err := g.BFSSerial(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bit, err := g.BFSBitset(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bit, want) {
-		t.Fatalf("star(9): bitset BFS differs from serial: ecc %d vs %d, reach %d vs %d",
-			bit.Eccentricity, want.Eccentricity, bit.Reachable, want.Reachable)
-	}
-	got, err := g.BFSParallel(src, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("star(9): parallel BFS differs from serial: ecc %d vs %d, reach %d vs %d",
-			got.Eccentricity, want.Eccentricity, got.Reachable, want.Reachable)
+	want := core.OracleBFS(g, src)
+	for _, workers := range []int{1, 4} {
+		got, err := g.BFSParallel(src, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("star(9): BFS (workers=%d) differs from the oracle: ecc %d vs %d, reach %d vs %d",
+				workers, got.Eccentricity, want.Eccentricity, got.Reachable, want.Reachable)
+		}
 	}
 	g.DropNeighborTable()
 }
 
-// TestBFSDispatch pins the engine-selection contract: BFS must agree with
-// the serial reference on both sides of parallelBFSThreshold.
+// TestBFSDispatch pins the worker-count rule: BFS must agree with the
+// oracle on both sides of parallelBFSThreshold.
 func TestBFSDispatch(t *testing.T) {
 	for _, k := range []int{5, 8} {
 		nw, err := topology.NewStar(k)
@@ -137,12 +112,8 @@ func TestBFSDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := g.BFSSerial(perm.Identity(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("star(%d): BFS dispatch result differs from serial reference", k)
+		if want := core.OracleBFS(g, perm.Identity(k)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("star(%d): BFS result differs from the oracle", k)
 		}
 	}
 }
@@ -175,21 +146,6 @@ func TestExactProfileMatchesDiameterAndAverage(t *testing.T) {
 	}
 }
 
-func BenchmarkBFSSerial(b *testing.B) {
-	for _, k := range []int{8, 9} {
-		b.Run(starName(k), func(b *testing.B) {
-			g := starGraph(b, k)
-			src := perm.Identity(k)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.BFSSerial(src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkBFSParallel(b *testing.B) {
 	for _, k := range []int{8, 9} {
 		b.Run(starName(k), func(b *testing.B) {
@@ -207,7 +163,7 @@ func BenchmarkBFSParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSBitset measures the table-resident serial bitset engine —
+// BenchmarkBFSBitset measures the table-resident engine on one worker —
 // the steady-state cost of one full-graph search once the precomposed
 // neighbor table is built (the table build is benchmarked separately by
 // benchreport's neighbor-table entry).
@@ -222,7 +178,7 @@ func BenchmarkBFSBitset(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.BFSBitset(src); err != nil {
+				if _, err := g.BFSParallel(src, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -41,52 +41,41 @@ func TestDistTableAt(t *testing.T) {
 	}
 }
 
-// TestUint8OverflowGuard lowers u8DistLimit and requires every engine to
-// widen to the int32 backing instead of wrapping: the distances past the
-// limit must come back exact, bit-for-bit equal to an unconstrained run.
+// TestUint8OverflowGuard lowers u8DistLimit and requires the engine to
+// widen to the int32 backing instead of wrapping: at every worker count
+// the result must be reflect.DeepEqual to the oracle's at the same limit,
+// whose distances past the limit are exact.
 func TestUint8OverflowGuard(t *testing.T) {
 	const k = 7 // cycle of 7 states, eccentricity 6
 	g := cycleGraph(t, k)
 	src := perm.Identity(k)
 
-	want, err := g.BFSSerial(src) // default limit: compact, no overflow
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Dist.IsCompact() {
+	compact := oracleBFS(g, src) // default limit: compact, no overflow
+	if !compact.Dist.IsCompact() {
 		t.Fatal("reference run should stay compact")
 	}
-	if want.Eccentricity != k-1 || want.Reachable != int64(k) {
-		t.Fatalf("cycle profile: ecc=%d reach=%d, want %d and %d", want.Eccentricity, want.Reachable, k-1, k)
+	if compact.Eccentricity != k-1 || compact.Reachable != int64(k) {
+		t.Fatalf("cycle profile: ecc=%d reach=%d, want %d and %d", compact.Eccentricity, compact.Reachable, k-1, k)
 	}
 
 	defer func(old int32) { u8DistLimit = old }(u8DistLimit)
 	u8DistLimit = 3
 
-	engines := []struct {
-		name string
-		run  func() (*BFSResult, error)
-	}{
-		{"serial", func() (*BFSResult, error) { return g.BFSSerial(src) }},
-		{"bitset", func() (*BFSResult, error) { return g.BFSBitset(src) }},
-		{"parallel", func() (*BFSResult, error) { return g.BFSParallel(src, 3) }},
+	want := oracleBFS(g, src)
+	if want.Dist.IsCompact() || !reflect.DeepEqual(want.Dist.Int32Slice(), compact.Dist.Int32Slice()) {
+		t.Fatal("oracle: widened distances disagree with the compact run")
 	}
-	for _, e := range engines {
-		got, err := e.run()
+	for _, workers := range []int{1, 3} {
+		got, err := g.BFSParallel(src, workers)
 		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got.Dist.IsCompact() {
-			t.Fatalf("%s: distances exceed u8DistLimit=%d but the table stayed compact", e.name, u8DistLimit)
+			t.Fatalf("workers=%d: distances exceed u8DistLimit=%d but the table stayed compact", workers, u8DistLimit)
 		}
-		if got.Eccentricity != want.Eccentricity || got.Reachable != want.Reachable {
-			t.Fatalf("%s: ecc=%d reach=%d, want %d and %d", e.name, got.Eccentricity, got.Reachable, want.Eccentricity, want.Reachable)
-		}
-		if !reflect.DeepEqual(got.Histogram, want.Histogram) {
-			t.Fatalf("%s: histogram %v, want %v", e.name, got.Histogram, want.Histogram)
-		}
-		if !reflect.DeepEqual(got.Dist.Int32Slice(), want.Dist.Int32Slice()) {
-			t.Fatalf("%s: widened distances disagree with the compact reference", e.name)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: ecc=%d reach=%d hist=%v, oracle %d, %d, %v", workers,
+				got.Eccentricity, got.Reachable, got.Histogram, want.Eccentricity, want.Reachable, want.Histogram)
 		}
 	}
 	g.DropNeighborTable()

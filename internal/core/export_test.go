@@ -1,0 +1,6 @@
+package core
+
+import "repro/internal/perm"
+
+// OracleBFS exposes the test oracle to the external core_test package.
+func OracleBFS(g *Graph, src perm.Perm) *BFSResult { return oracleBFS(g, src) }

@@ -29,10 +29,11 @@ func fuzzGenUniverse(k int) []gen.Generator {
 	return universe
 }
 
-// FuzzParallelBFS drives both BFS engines over Cayley graphs of random
-// inverse-closed generator sets at k <= 7 and requires identical histogram,
-// eccentricity, mean, and distance arrays. Sets that do not generate S_k
-// are kept: equivalence must hold on disconnected state spaces too.
+// FuzzParallelBFS drives the BFS engine over Cayley graphs of random
+// inverse-closed generator sets at k <= 7, from a random source and on one
+// to four workers, and requires a result reflect.DeepEqual to the oracle's.
+// Sets that do not generate S_k are kept: equivalence must hold on
+// disconnected state spaces too.
 func FuzzParallelBFS(f *testing.F) {
 	f.Add(uint8(4), uint64(1), uint8(2))
 	f.Add(uint8(6), uint64(42), uint8(3))
@@ -73,26 +74,15 @@ func FuzzParallelBFS(f *testing.F) {
 		g := NewGraph("fuzz", set)
 
 		src := perm.Random(k, rng)
-		serial, err := g.BFSSerial(src)
-		if err != nil {
-			t.Fatalf("serial BFS: %v", err)
-		}
+		want := oracleBFS(g, src)
 		workers := 1 + int(seed%4)
-		parallel, err := g.BFSParallel(src, workers)
+		got, err := g.BFSParallel(src, workers)
 		if err != nil {
-			t.Fatalf("parallel BFS (workers=%d): %v", workers, err)
+			t.Fatalf("BFS (workers=%d): %v", workers, err)
 		}
-		if !reflect.DeepEqual(parallel.Histogram, serial.Histogram) {
-			t.Fatalf("histogram mismatch on %s from %v:\nparallel %v\nserial   %v", g, src, parallel.Histogram, serial.Histogram)
-		}
-		if parallel.Eccentricity != serial.Eccentricity {
-			t.Fatalf("eccentricity mismatch: parallel %d, serial %d", parallel.Eccentricity, serial.Eccentricity)
-		}
-		if parallel.Mean != serial.Mean {
-			t.Fatalf("mean mismatch: parallel %v, serial %v", parallel.Mean, serial.Mean)
-		}
-		if !reflect.DeepEqual(parallel.Dist, serial.Dist) {
-			t.Fatalf("distance array mismatch on %s from %v", g, src)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("BFS (workers=%d) on %s from %v differs from the oracle:\ngot    ecc=%d hist=%v mean=%v\noracle ecc=%d hist=%v mean=%v",
+				workers, g, src, got.Eccentricity, got.Histogram, got.Mean, want.Eccentricity, want.Histogram, want.Mean)
 		}
 	})
 }

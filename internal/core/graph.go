@@ -8,7 +8,15 @@
 // generator g with V = U ∘ g. Because Cayley graphs are vertex-symmetric
 // (Akers & Krishnamurthy), a single-source BFS from the identity yields the
 // exact diameter and average distance of the whole graph: dist(U, V) =
-// dist(I, U⁻¹∘V).
+// dist(I, U⁻¹∘V). ShortestPath and MeasureStretch read pair distances off
+// that one search too.
+//
+// Every unit-weight search, baselines' IndexGraph included, runs one
+// engine: the level-synchronous bitset BFS over a precomposed
+// NeighborTable (bfs_parallel.go), on a worker count chosen by instance
+// size. BFSWeighted, the 0/1-weight intercluster search, is the one other
+// search. The tests hold the engine to a plain queue-BFS oracle and to
+// closed-form distances.
 package core
 
 import (
@@ -20,8 +28,9 @@ import (
 )
 
 // MaxExplicitK bounds the instance size for exhaustive BFS: 10! = 3,628,800
-// states at 4 bytes of distance each. Larger instances must be measured
-// through solver bounds instead.
+// states at 1 byte of distance each, plus the neighbor table's 4 bytes per
+// state and generator. Larger instances must be measured through solver
+// bounds instead.
 const MaxExplicitK = 10
 
 // Graph is a (possibly directed) Cayley graph on S_k.
@@ -98,16 +107,6 @@ func (g *Graph) Neighbors(u perm.Perm) []perm.Perm {
 // must not alias u.
 func (g *Graph) NeighborInto(u perm.Perm, i int, dst perm.Perm) {
 	u.ComposeInto(g.genPerms[i], dst)
-}
-
-// NeighborRanks appends the ranks of u's out-neighbors to dst and returns
-// it, using scratch space to avoid allocation in BFS loops.
-func (g *Graph) NeighborRanks(u perm.Perm, buf perm.Perm, dst []int64) []int64 {
-	for _, gp := range g.genPerms {
-		u.ComposeInto(gp, buf)
-		dst = append(dst, buf.Rank())
-	}
-	return dst
 }
 
 // Connected reports whether the graph is strongly connected, i.e. whether

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -58,14 +59,9 @@ func TestNeighbors(t *testing.T) {
 			t.Errorf("unexpected neighbor %v", nb)
 		}
 	}
-	// NeighborRanks agrees with Neighbors.
+	// NeighborInto agrees with Neighbors, generator by generator.
 	buf := make(perm.Perm, 4)
-	ranks := g.NeighborRanks(id, buf, nil)
 	for i, nb := range nbrs {
-		if ranks[i] != nb.Rank() {
-			t.Errorf("rank mismatch at %d", i)
-		}
-		// NeighborInto agrees with Neighbors, generator by generator.
 		g.NeighborInto(id, i, buf)
 		if !buf.Equal(nb) {
 			t.Errorf("NeighborInto(%d) = %v, Neighbors says %v", i, buf, nb)
@@ -270,6 +266,29 @@ func TestIndexGraphRing(t *testing.T) {
 	}
 }
 
+// TestIndexGraphUnevenDegree searches a 5-node path, whose end rows are
+// padded with self-loops: the padding must add no edge.
+func TestIndexGraphUnevenDegree(t *testing.T) {
+	path := &IndexGraph{N: 5, Out: func(u int64, visit func(int64)) {
+		if u > 0 {
+			visit(u - 1)
+		}
+		if u < 4 {
+			visit(u + 1)
+		}
+	}}
+	res, err := path.BFS(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Histogram, []int64{1, 1, 1, 1, 1}) {
+		t.Fatalf("path BFS from its end: histogram %v, want one node per distance 0..4", res.Histogram)
+	}
+	if d, err := path.DiameterAllPairs(); err != nil || d != 4 {
+		t.Fatalf("path all-pairs diameter = %d, %v; want 4", d, err)
+	}
+}
+
 func TestIndexGraphErrors(t *testing.T) {
 	ig := &IndexGraph{N: 4, Out: func(u int64, visit func(int64)) {}}
 	if _, err := ig.BFS(-1); err == nil {
@@ -283,6 +302,14 @@ func TestIndexGraphErrors(t *testing.T) {
 	}
 	if _, err := ig.DiameterAllPairs(); err == nil {
 		t.Error("disconnected DiameterAllPairs should error")
+	}
+	// An out-of-range neighbor is an error, not a panic.
+	bad := &IndexGraph{N: 4, Out: func(u int64, visit func(int64)) { visit(u + 1) }}
+	if _, err := bad.BFS(0); err == nil {
+		t.Error("out-of-range neighbor accepted by BFS")
+	}
+	if _, err := bad.DiameterAllPairs(); err == nil {
+		t.Error("out-of-range neighbor accepted by DiameterAllPairs")
 	}
 }
 

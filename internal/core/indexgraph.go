@@ -5,7 +5,7 @@ import "fmt"
 // IndexGraph is a generic finite digraph over node indices 0..N-1 described
 // by a neighbor callback. Baseline topologies that are not permutation
 // graphs (hypercubes, tori, k-ary n-cubes, CCC) expose themselves through
-// this interface so that one BFS implementation measures everything.
+// this interface so that one BFS engine measures everything.
 type IndexGraph struct {
 	// N is the number of nodes.
 	N int64
@@ -13,46 +13,55 @@ type IndexGraph struct {
 	Out func(u int64, visit func(v int64))
 }
 
-// BFS runs a unit-weight breadth-first search from src.
+// neighborTable materializes Out as the bitset engine's NeighborTable.
+// Rows are padded to the largest out-degree with self-loops, which a
+// search never follows: a node is visited before its row is read. An
+// out-of-range neighbor is an error.
+func (ig *IndexGraph) neighborTable() (*NeighborTable, error) {
+	if ig.N < 1 || ig.N > 1<<32 {
+		return nil, fmt.Errorf("core: IndexGraph: %d nodes, want 1..2^32", ig.N)
+	}
+	deg := 0
+	badNode, badNbr := int64(-1), int64(0)
+	for u := int64(0); u < ig.N; u++ {
+		d := 0
+		ig.Out(u, func(v int64) {
+			if (v < 0 || v >= ig.N) && badNode < 0 {
+				badNode, badNbr = u, v
+			}
+			d++
+		})
+		deg = max(deg, d)
+	}
+	if badNode >= 0 {
+		return nil, fmt.Errorf("core: IndexGraph: node %d has neighbor %d out of range 0..%d", badNode, badNbr, ig.N-1)
+	}
+	t := &NeighborTable{deg: deg, n: ig.N, nbr: make([]uint32, ig.N*int64(deg))}
+	for u := int64(0); u < ig.N; u++ {
+		row := t.Row(u)
+		j := 0
+		ig.Out(u, func(v int64) {
+			row[j] = uint32(v)
+			j++
+		})
+		for ; j < deg; j++ {
+			row[j] = uint32(u)
+		}
+	}
+	return t, nil
+}
+
+// BFS runs a unit-weight breadth-first search from src on the bitset
+// engine, one worker.
 func (ig *IndexGraph) BFS(src int64) (*BFSResult, error) {
 	if src < 0 || src >= ig.N {
 		return nil, fmt.Errorf("core: IndexGraph.BFS: source %d out of range 0..%d", src, ig.N-1)
 	}
-	dist := make([]int32, ig.N)
-	for i := range dist {
-		dist[i] = -1
+	tbl, err := ig.neighborTable()
+	if err != nil {
+		return nil, err
 	}
-	dist[src] = 0
-	queue := make([]int64, 1, 1024)
-	queue[0] = src
-	hist := []int64{1}
-	reachable := int64(1)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		d := dist[u]
-		ig.Out(u, func(v int64) {
-			if v < 0 || v >= ig.N {
-				panic(fmt.Sprintf("core: IndexGraph.BFS: neighbor %d out of range", v))
-			}
-			if dist[v] < 0 {
-				dist[v] = d + 1
-				for len(hist) <= int(d)+1 {
-					hist = append(hist, 0)
-				}
-				hist[d+1]++
-				reachable++
-				queue = append(queue, v)
-			}
-		})
-	}
-	return &BFSResult{
-		Source:       src,
-		Reachable:    reachable,
-		Eccentricity: len(hist) - 1,
-		Histogram:    hist,
-		Mean:         meanFromHistogram(hist),
-		Dist:         newDistTable32(dist),
-	}, nil
+	return bitsetSearch(tbl, src, 1), nil
 }
 
 // DiameterExact computes the exact diameter of a vertex-transitive
@@ -69,21 +78,21 @@ func (ig *IndexGraph) DiameterExact() (int, error) {
 	return res.Eccentricity, nil
 }
 
-// DiameterAllPairs computes the exact diameter by BFS from every node.
-// It is O(N·(N+E)) and intended only for small baseline instances.
+// DiameterAllPairs computes the exact diameter by BFS from every node,
+// building the neighbor table once. It is O(N·(N+E)) and intended only for
+// small baseline instances.
 func (ig *IndexGraph) DiameterAllPairs() (int, error) {
+	tbl, err := ig.neighborTable()
+	if err != nil {
+		return 0, err
+	}
 	maxEcc := 0
 	for src := int64(0); src < ig.N; src++ {
-		res, err := ig.BFS(src)
-		if err != nil {
-			return 0, err
-		}
+		res := bitsetSearch(tbl, src, 1)
 		if res.Reachable != ig.N {
 			return 0, fmt.Errorf("core: DiameterAllPairs: node %d reaches only %d/%d", src, res.Reachable, ig.N)
 		}
-		if res.Eccentricity > maxEcc {
-			maxEcc = res.Eccentricity
-		}
+		maxEcc = max(maxEcc, res.Eccentricity)
 	}
 	return maxEcc, nil
 }

@@ -12,8 +12,9 @@ import (
 // row of generator targets per state, nbr[r*deg+j] = Rank(Unrank(r) ∘ g_j),
 // computed once per build. With the table resident the BFS inner loop is a
 // pair of array lookups per edge instead of an unrank + compose + rank
-// permutation kernel — the bitset engines in bfs_parallel.go run entirely
+// permutation kernel — the bitset engine in bfs_parallel.go runs entirely
 // off it. Ranks fit uint32 because MaxExplicitK = 10 keeps k! < 2³².
+// IndexGraph fills the same layout from its Out callback, with k = 0.
 type NeighborTable struct {
 	k, deg int
 	n      int64

@@ -6,93 +6,47 @@ import (
 	"repro/internal/perm"
 )
 
-// pathScratch bundles the k!-sized buffers one ShortestPath search needs —
-// predecessor and via arrays, the BFS queue, and the permutation kernels'
-// working space — so repeated searches (MeasureStretch samples hundreds of
-// pairs) reuse one allocation instead of re-allocating ~9·k! bytes per pair.
-type pathScratch struct {
-	via   []int8
-	pred  []int64
-	queue []int64
-	cur   perm.Perm
-	next  perm.Perm
-	tmp   []int
-}
-
-// newPathScratch allocates search buffers sized for g.
-func (g *Graph) newPathScratch() *pathScratch {
-	k := g.K()
-	n := perm.Factorial(k)
-	return &pathScratch{
-		via:   make([]int8, n),
-		pred:  make([]int64, n),
-		queue: make([]int64, 0, n),
-		cur:   make(perm.Perm, k),
-		next:  make(perm.Perm, k),
-		tmp:   make([]int, k),
-	}
-}
-
 // ShortestPath returns a minimum-hop generator-index sequence from src to
-// dst, found by BFS over the full state space (k <= MaxExplicitK). It is
-// the exact-routing oracle used to measure how far the game solvers are
-// from optimal.
+// dst (k <= MaxExplicitK). It is the exact-routing oracle used to measure
+// how far the game solvers are from optimal. It searches from the
+// identity only: left multiplication by src⁻¹ is an automorphism, so the
+// path is the one from I to x = src⁻¹∘dst, found by walking back from x
+// along any generator g whose predecessor x∘g⁻¹ is one hop closer.
 func (g *Graph) ShortestPath(src, dst perm.Perm) ([]int, error) {
 	k := g.K()
 	if k > MaxExplicitK {
 		return nil, fmt.Errorf("core: ShortestPath: k=%d exceeds MaxExplicitK", k)
 	}
-	return g.shortestPathInto(src, dst, g.newPathScratch())
-}
-
-// shortestPathInto is ShortestPath against caller-owned scratch buffers.
-func (g *Graph) shortestPathInto(src, dst perm.Perm, ps *pathScratch) ([]int, error) {
-	k := g.K()
 	if len(src) != k || len(dst) != k {
 		return nil, fmt.Errorf("core: ShortestPath: label size mismatch")
 	}
 	if src.Equal(dst) {
 		return nil, nil
 	}
-	// BFS from src recording the generator used to reach each node.
-	via, pred := ps.via, ps.pred
-	for i := range pred {
-		pred[i] = -1
+	prof, err := g.BFS(perm.Identity(k))
+	if err != nil {
+		return nil, err
 	}
-	srcRank, dstRank := src.Rank(), dst.Rank()
-	pred[srcRank] = srcRank
-	queue := append(ps.queue[:0], srcRank)
-	cur, next, scratch := ps.cur, ps.next, ps.tmp
-	found := false
-search:
-	for head := 0; head < len(queue); head++ {
-		r := queue[head]
-		perm.UnrankInto(k, r, cur, scratch)
-		for gi, gp := range g.genPerms {
-			cur.ComposeInto(gp, next)
-			nr := next.RankBits()
-			if pred[nr] < 0 {
-				pred[nr] = r
-				via[nr] = int8(gi)
-				if nr == dstRank {
-					found = true
-					break search
-				}
-				queue = append(queue, nr)
-			}
-		}
-	}
-	ps.queue = queue[:0]
-	if !found {
+	x := src.Inverse().Compose(dst)
+	d := prof.Dist.At(x.RankBits())
+	if d < 0 {
 		return nil, fmt.Errorf("core: ShortestPath: %v unreachable from %v", dst, src)
 	}
-	var rev []int
-	for r := dstRank; r != srcRank; r = pred[r] {
-		rev = append(rev, int(via[r]))
+	inv := make([]perm.Perm, len(g.genPerms))
+	for i, gp := range g.genPerms {
+		inv[i] = gp.Inverse()
 	}
-	path := make([]int, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
+	path := make([]int, d)
+	pred := make(perm.Perm, k)
+	for ; d > 0; d-- {
+		for i, gi := range inv {
+			x.ComposeInto(gi, pred)
+			if prof.Dist.At(pred.RankBits()) == d-1 {
+				path[d-1] = i
+				x, pred = pred, x
+				break
+			}
+		}
 	}
 	return path, nil
 }
@@ -126,28 +80,30 @@ type StretchStats struct {
 // MeasureStretch samples `pairs` random (src, dst) pairs and compares the
 // supplied route function against exact BFS distances. route must return a
 // walk of generator applications from src to dst (its length is what's
-// measured).
+// measured). One search from the identity gives every pair's distance as
+// dist(I, src⁻¹∘dst).
 func (g *Graph) MeasureStretch(pairs int, seed uint64, route func(src, dst perm.Perm) (int, error)) (*StretchStats, error) {
 	k := g.K()
 	if k > MaxExplicitK {
 		return nil, fmt.Errorf("core: MeasureStretch: k=%d too large", k)
 	}
+	prof, err := g.BFS(perm.Identity(k))
+	if err != nil {
+		return nil, err
+	}
 	rng := perm.NewRNG(seed)
 	st := &StretchStats{}
 	var sum float64
-	// One set of k!-sized search buffers serves every sampled pair.
-	ps := g.newPathScratch()
 	for i := 0; i < pairs; i++ {
 		src := perm.Random(k, rng)
 		dst := perm.Random(k, rng)
 		if src.Equal(dst) {
 			continue
 		}
-		exactPath, err := g.shortestPathInto(src, dst, ps)
-		if err != nil {
-			return nil, err
+		exact := int(prof.Dist.At(src.Inverse().Compose(dst).RankBits()))
+		if exact < 0 {
+			return nil, fmt.Errorf("core: MeasureStretch: %v unreachable from %v", dst, src)
 		}
-		exact := len(exactPath)
 		alg, err := route(src, dst)
 		if err != nil {
 			return nil, err

@@ -7,28 +7,29 @@ import (
 	"repro/internal/perm"
 )
 
+// TestShortestPathMatchesBFSDistance checks ShortestPath's walk from
+// random sources, on an undirected and a directed graph, against the
+// oracle's search from that source: the walk must end at dst after
+// exactly dist(src, dst) hops.
 func TestShortestPathMatchesBFSDistance(t *testing.T) {
-	g := starGraph(5)
-	res, err := g.BFS(perm.Identity(5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := perm.NewRNG(3)
-	for trial := 0; trial < 40; trial++ {
-		dst := perm.Random(5, rng)
-		path, err := g.ShortestPath(perm.Identity(5), dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int32(len(path)) != res.Dist.At(dst.Rank()) {
-			t.Fatalf("path length %d != BFS distance %d for %v", len(path), res.Dist.At(dst.Rank()), dst)
-		}
-		end, err := g.WalkLinks(perm.Identity(5), path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !end.Equal(dst) {
-			t.Fatalf("walk ends at %v, want %v", end, dst)
+	for _, g := range []*Graph{starGraph(5), rotatorGraph(5)} {
+		for trial := 0; trial < 20; trial++ {
+			src, dst := perm.Random(5, rng), perm.Random(5, rng)
+			path, err := g.ShortestPath(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleBFS(g, src).Dist.At(dst.Rank()); int32(len(path)) != want {
+				t.Fatalf("%s: path length %d != oracle distance %d for %v -> %v", g.Name(), len(path), want, src, dst)
+			}
+			end, err := g.WalkLinks(src, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !end.Equal(dst) {
+				t.Fatalf("%s: walk from %v ends at %v, want %v", g.Name(), src, end, dst)
+			}
 		}
 	}
 }

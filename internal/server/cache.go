@@ -197,10 +197,9 @@ func (c *Cache) Profile(ctx context.Context, key Key) (*core.BFSResult, error) {
 		}
 		tr.Phase("build-profile")
 		res, err := nw.Graph().ExactProfile()
-		// Large instances run through the table-driven bitset engines,
-		// which memoize an n·deg·4-byte neighbor table on the graph; drop
-		// it so the LRU's accounting (networkBytes) stays honest for the
-		// resident topology.
+		// The BFS engine memoizes an n·deg·4-byte neighbor table on the
+		// graph; drop it so the LRU's accounting (networkBytes) stays
+		// honest for the resident topology.
 		nw.Graph().DropNeighborTable()
 		if err != nil {
 			return nil, 0, err
