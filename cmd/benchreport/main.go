@@ -1,7 +1,7 @@
 // Command benchreport runs the repository's headline performance
 // measurements — the three rank kernels, the BFS engine at k = 8/9/10
-// (precomposed neighbor-table build, then the table-resident bitset sweep
-// on one worker and on -workers), stretch sampling, the warm /v1/route
+// (factored neighbor-table build, then the table-resident bitset sweep on
+// one worker and on -workers), stretch sampling, the warm /v1/route
 // handler (which must be allocation-free), warm requests to the four v1
 // endpoints through the whole middleware (each held to its allocation
 // ceiling), warm routes through scgd's own HTTP/1.1 transport (held to its
@@ -199,18 +199,18 @@ func main() {
 
 // benchedHotpaths is the set of //scglint:hotpath-annotated functions these
 // benchmarks exercise: the rank and compose kernels (rankKernels and the
-// neighbor-table build), the bitset engine's expand/merge loops
-// (bfsSuite), the precomposed-table build kernel
-// (neighbor-table entries), the store decode kernel (store/decode), and the
-// warm-route distance overlay (route/hot and the telemetry guard's
-// /v1/route traffic). perm.Rank is the deliberately unannotated O(k²)
+// neighbor-table build), the column expand kernel and the level merge of
+// the bitset engine (bfsSuite), the column build kernel (neighbor-table
+// entries), the store decode kernel (store/decode), and the warm-route
+// distance overlay (route/hot and the telemetry guard's /v1/route
+// traffic). perm.Rank is the deliberately unannotated O(k²)
 // reference, so it is absent. If an annotation is added or removed, this
 // list and the benchmark that drives the kernel must move together — the
 // -hotpath-report cross-check fails CI otherwise.
 var benchedHotpaths = []string{
-	"repro/internal/core.(*NeighborTable).fillChunk",
-	"repro/internal/core.(*bitsetBFS).expandWords",
 	"repro/internal/core.(*bitsetBFS).mergeWords",
+	"repro/internal/core.(*column).expand",
+	"repro/internal/core.(*column).fill",
 	"repro/internal/perm.(Perm).ComposeInto",
 	"repro/internal/perm.(Perm).RankBits",
 	"repro/internal/perm.(Perm).RankInto",
@@ -404,14 +404,13 @@ func rankKernels(iters int) []Entry {
 	}
 }
 
-// bfsSuite measures the BFS engine on star(k): the precomposed
-// neighbor-table build (the one-time cost every search amortizes), and the
-// table-resident bitset sweep on one worker and at the requested worker
-// count. The table is dropped between build rounds so every build is cold,
-// left resident for the sweep entries so they time only the frontier work,
-// and dropped at the end so successive k do not stack hundreds of
-// megabytes. Every sweep's diameter must equal star's closed form
-// ⌊3(k−1)/2⌋.
+// bfsSuite measures the BFS engine on star(k): the factored neighbor-table
+// build (star keeps about 2.7·k! deltas: its two longest transpositions
+// move the whole label), and the table-resident bitset sweep on one worker
+// and at the requested worker count. The table is dropped between build
+// rounds so every build is cold, left resident for the sweep entries so
+// they time only the frontier work, and dropped at the end. Every sweep's
+// diameter must equal star's closed form ⌊3(k−1)/2⌋.
 func bfsSuite(k, rounds, workers int) []Entry {
 	nw, err := topology.NewStar(k)
 	fail(err)
@@ -479,7 +478,7 @@ func stretchEntry(pairs int) Entry {
 }
 
 // storeDecodeEntry times store.DecodeEntry on a star(8) entry that carries
-// the precomposed neighbor table — the sequential-read half of a warm
+// the neighbor table's expanded rows — the sequential-read half of a warm
 // start. The neighbor section dominates the file (k!·deg little-endian
 // words), so this benchmark is what drives the decodeU32LE hotpath kernel.
 func storeDecodeEntry(iters int) Entry {

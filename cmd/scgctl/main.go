@@ -11,8 +11,8 @@
 // a bounded worker pool, and writes the scgstore/v1 entries. Keys already
 // present are skipped, so an interrupted warm is resumable by rerunning
 // the same command; -force rebuilds them anyway, and -neighbors also
-// persists the precomposed neighbor tables (larger files, instant
-// adjacency on load).
+// persists the neighbor tables' rows (larger files; nothing reads them
+// back, since a search builds its own factored columns).
 //
 // doctor reads and checksum-verifies every entry, censuses schema
 // revisions and quarantined files, reaps *.scgp.tmp.* partial writes left
@@ -80,7 +80,7 @@ func runWarm(args []string) error {
 		dir       = fs.String("store", "", "store directory (required)")
 		sweep     = fs.String("sweep", "", "comma-separated family:maxK sweep specs, e.g. MS:8,star:9 (required)")
 		workers   = fs.Int("workers", 0, "concurrent BFS builds (0 = GOMAXPROCS)")
-		neighbors = fs.Bool("neighbors", false, "also persist precomposed neighbor tables (larger entries)")
+		neighbors = fs.Bool("neighbors", false, "also persist neighbor-table rows (larger entries)")
 		force     = fs.Bool("force", false, "rebuild entries that already exist")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -48,16 +48,21 @@ func meanFromHistogram(hist []int64) float64 {
 //
 // BFS runs the bitset engine (BFSParallel) on a worker count chosen by
 // size: one worker below parallelBFSThreshold states, GOMAXPROCS at or
-// above it. The engine materializes the graph's precomposed NeighborTable
-// on first use; one-shot callers that must not leave the n·deg·4-byte
-// table resident should DropNeighborTable afterwards. The result does not
-// depend on the worker count (TestEngineMatchesOracle).
+// above it. The engine builds the graph's factored NeighborTable on first
+// use and leaves it memoized; one-shot callers should DropNeighborTable
+// afterwards. The result does not depend on the worker count
+// (TestEngineMatchesOracle).
 func (g *Graph) BFS(src perm.Perm) (*BFSResult, error) {
-	workers := 0 // GOMAXPROCS
+	return g.BFSParallel(src, g.bfsWorkers())
+}
+
+// bfsWorkers is the worker count BFS picks by size: one below
+// parallelBFSThreshold states, GOMAXPROCS (0) at or above it.
+func (g *Graph) bfsWorkers() int {
 	if g.Order() < parallelBFSThreshold {
-		workers = 1
+		return 1
 	}
-	return g.BFSParallel(src, workers)
+	return 0
 }
 
 // maxPlausibleDiameter sizes the initial distance histogram: no generator
@@ -111,7 +116,9 @@ func (g *Graph) ExactProfile() (*BFSResult, error) {
 
 // BFSWeighted runs a 0/1-weight shortest-path search (deque BFS) where link
 // i costs weight[i] ∈ {0, 1}. It is used to measure intercluster distances:
-// nucleus links cost 0 and super (intercluster) links cost 1 (§4.3).
+// nucleus links cost 0 and super (intercluster) links cost 1 (§4.3). It
+// reads neighbor ranks from the graph's memoized NeighborTable, built on
+// the same worker count as BFS.
 func (g *Graph) BFSWeighted(src perm.Perm, weight []int) (*BFSResult, error) {
 	k := g.K()
 	if k > MaxExplicitK {
@@ -125,6 +132,10 @@ func (g *Graph) BFSWeighted(src perm.Perm, weight []int) (*BFSResult, error) {
 			return nil, fmt.Errorf("core: BFSWeighted: weight[%d] = %d, only 0/1 supported", i, w)
 		}
 	}
+	tbl, err := g.EnsureNeighborTable(g.bfsWorkers())
+	if err != nil {
+		return nil, err
+	}
 	n := perm.Factorial(k)
 	dist := make([]int32, n)
 	for i := range dist {
@@ -135,9 +146,6 @@ func (g *Graph) BFSWeighted(src perm.Perm, weight []int) (*BFSResult, error) {
 	// Deque BFS: zero-weight edges push front, unit-weight edges push back.
 	deque := newIntDeque(1024)
 	deque.pushFront(srcRank)
-	cur := make(perm.Perm, k)
-	next := make(perm.Perm, k)
-	scratch := make([]int, k)
 	settled := make([]bool, n)
 	var maxD int32
 	for deque.len() > 0 {
@@ -150,10 +158,8 @@ func (g *Graph) BFSWeighted(src perm.Perm, weight []int) (*BFSResult, error) {
 		if d > maxD {
 			maxD = d
 		}
-		perm.UnrankInto(k, r, cur, scratch)
-		for i, gp := range g.genPerms {
-			cur.ComposeInto(gp, next)
-			nr := next.RankBits()
+		for i := range weight {
+			nr := tbl.At(r, i)
 			nd := d + int32(weight[i])
 			if dist[nr] < 0 || nd < dist[nr] {
 				dist[nr] = nd

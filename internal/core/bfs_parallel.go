@@ -14,11 +14,11 @@ import (
 // nothing measurable on two cores, so BFS runs one and spawns nothing.
 const parallelBFSThreshold = 40320
 
-// bitsetBFS is the state of one table-driven bitset search. The frontier
-// and visited sets are word-packed bitsets over state ranks, and the edge
-// kernel is branch-free: each neighbor rank from the precomposed
-// NeighborTable is OR-ed into a next-frontier bitset unconditionally —
-// no per-edge visited check, no compare-and-swap, no permutation algebra.
+// bitsetBFS is the state of one bitset search over a NeighborTable's
+// columns. The frontier and visited sets are word-packed bitsets over
+// state ranks, and the edge kernel (column.expand) ORs each neighbor into
+// a next-frontier bitset unconditionally — no per-edge visited check, no
+// compare-and-swap, no permutation algebra.
 //
 // Parallelism is level-synchronous with no atomics at all: each worker
 // expands its shard of the current frontier's words into a private
@@ -39,24 +39,11 @@ type bitsetBFS struct {
 }
 
 // expandWords expands every frontier state in cur's word range [lo, hi)
-// into worker w's private next-frontier bitset: two array lookups and one
-// OR per edge.
-//
-//scglint:hotpath bitset edge expansion: branch-free table-lookup + OR per edge over the frontier shard
+// into worker w's private next-frontier bitset, one column at a time.
 func (e *bitsetBFS) expandWords(w, lo, hi int) {
-	next := e.wnext[w]
-	nbr := e.tbl.nbr
-	deg := int64(e.tbl.deg)
-	for wi := lo; wi < hi; wi++ {
-		word := e.cur[wi]
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			base := (int64(wi)<<6 + int64(b)) * deg
-			for _, nr := range nbr[base : base+deg] {
-				next[nr>>6] |= 1 << (nr & 63)
-			}
-		}
+	next, cur := e.wnext[w], e.cur[lo:hi]
+	for ci := range e.tbl.cols {
+		e.tbl.cols[ci].expand(next, cur, lo)
 	}
 }
 

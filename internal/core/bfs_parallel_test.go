@@ -164,7 +164,7 @@ func BenchmarkBFSParallel(b *testing.B) {
 }
 
 // BenchmarkBFSBitset measures the table-resident engine on one worker —
-// the steady-state cost of one full-graph search once the precomposed
+// the steady-state cost of one full-graph search once the factored
 // neighbor table is built (the table build is benchmarked separately by
 // benchreport's neighbor-table entry).
 func BenchmarkBFSBitset(b *testing.B) {

@@ -10,7 +10,10 @@ import (
 
 // fuzzGenUniverse lists every generator constructible at dimension k that
 // the fuzzer may pick: transpositions, position swaps, and prefix reversals
-// (all self-inverse) plus insertion/selection rotations (mutual inverses).
+// (all self-inverse), insertion/selection rotations (mutual inverses), and
+// the super generators of every super-symbol length n dividing k−1 —
+// swaps S_{i,n} and rotations R^i — whose moved range starts at position
+// 2, so that every column shape of the super Cayley families is drawn.
 func fuzzGenUniverse(k int) []gen.Generator {
 	var universe []gen.Generator
 	for i := 2; i <= k; i++ {
@@ -24,6 +27,18 @@ func fuzzGenUniverse(k int) []gen.Generator {
 	for i := 1; i < k; i++ {
 		for j := i + 1; j <= k; j++ {
 			universe = append(universe, gen.NewPositionSwap(i, j))
+		}
+	}
+	for n := 1; n < k; n++ {
+		if (k-1)%n != 0 {
+			continue
+		}
+		l := (k - 1) / n
+		for i := 2; i <= l; i++ {
+			universe = append(universe, gen.NewSwap(i, n))
+		}
+		for i := 1; i < l; i++ {
+			universe = append(universe, gen.NewRotation(i, n))
 		}
 	}
 	return universe

@@ -12,11 +12,13 @@
 // that one search too.
 //
 // Every unit-weight search, baselines' IndexGraph included, runs one
-// engine: the level-synchronous bitset BFS over a precomposed
-// NeighborTable (bfs_parallel.go), on a worker count chosen by instance
-// size. BFSWeighted, the 0/1-weight intercluster search, is the one other
-// search. The tests hold the engine to a plain queue-BFS oracle and to
-// closed-form distances.
+// engine: the level-synchronous bitset BFS (bfs_parallel.go) over a
+// factored NeighborTable, one column of rank deltas per generator
+// (neighbortable.go), on a worker count chosen by instance size.
+// BFSWeighted, the 0/1-weight intercluster search, is the one other search;
+// it reads the same columns. The tests hold the engine to a plain queue-BFS
+// oracle and to closed-form distances, and the columns to compose + rank on
+// every state.
 package core
 
 import (
@@ -28,9 +30,11 @@ import (
 )
 
 // MaxExplicitK bounds the instance size for exhaustive BFS: 10! = 3,628,800
-// states at 1 byte of distance each, plus the neighbor table's 4 bytes per
-// state and generator. Larger instances must be measured through solver
-// bounds instead.
+// states at 1 byte of distance each, plus the search's bitsets and the
+// neighbor table's columns (a full k!-entry column of 4-byte deltas only
+// for a generator that moves position 1 and one of the last two: two for
+// star, four for IS; it keeps k! < 2³¹).
+// Larger instances must be measured through solver bounds instead.
 const MaxExplicitK = 10
 
 // Graph is a (possibly directed) Cayley graph on S_k.
@@ -44,7 +48,7 @@ type Graph struct {
 	// (§3.2).
 	undirected bool
 
-	// mu guards tbl, the memoized precomposed neighbor table (built lazily
+	// mu guards tbl, the memoized factored neighbor table (built lazily
 	// by EnsureNeighborTable, released by DropNeighborTable).
 	mu  sync.Mutex
 	tbl *NeighborTable

@@ -13,13 +13,14 @@ type IndexGraph struct {
 	Out func(u int64, visit func(v int64))
 }
 
-// neighborTable materializes Out as the bitset engine's NeighborTable.
-// Rows are padded to the largest out-degree with self-loops, which a
-// search never follows: a node is visited before its row is read. An
-// out-of-range neighbor is an error.
+// neighborTable materializes Out as full-span columns (s = 1, span = N,
+// delta = v − u) of the bitset engine's NeighborTable. Nodes with fewer
+// out-neighbors than the largest out-degree are padded with self-loops
+// (delta 0), which a search never follows: a node is visited before its
+// neighbors are read. An out-of-range neighbor is an error.
 func (ig *IndexGraph) neighborTable() (*NeighborTable, error) {
-	if ig.N < 1 || ig.N > 1<<32 {
-		return nil, fmt.Errorf("core: IndexGraph: %d nodes, want 1..2^32", ig.N)
+	if ig.N < 1 || ig.N > 1<<31 {
+		return nil, fmt.Errorf("core: IndexGraph: %d nodes, want 1..2^31", ig.N)
 	}
 	deg := 0
 	badNode, badNbr := int64(-1), int64(0)
@@ -36,17 +37,13 @@ func (ig *IndexGraph) neighborTable() (*NeighborTable, error) {
 	if badNode >= 0 {
 		return nil, fmt.Errorf("core: IndexGraph: node %d has neighbor %d out of range 0..%d", badNode, badNbr, ig.N-1)
 	}
-	t := &NeighborTable{deg: deg, n: ig.N, nbr: make([]uint32, ig.N*int64(deg))}
+	t := fullSpanTable(ig.N, deg)
 	for u := int64(0); u < ig.N; u++ {
-		row := t.Row(u)
 		j := 0
 		ig.Out(u, func(v int64) {
-			row[j] = uint32(v)
+			t.cols[j].delta[u] = int32(v - u)
 			j++
 		})
-		for ; j < deg; j++ {
-			row[j] = uint32(u)
-		}
 	}
 	return t, nil
 }

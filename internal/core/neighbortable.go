@@ -2,29 +2,176 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/perm"
 	"repro/internal/pool"
 )
 
-// NeighborTable is the precomposed adjacency of a Cayley graph: one flat
-// row of generator targets per state, nbr[r*deg+j] = Rank(Unrank(r) ∘ g_j),
-// computed once per build. With the table resident the BFS inner loop is a
-// pair of array lookups per edge instead of an unrank + compose + rank
-// permutation kernel — the bitset engine in bfs_parallel.go runs entirely
-// off it. Ranks fit uint32 because MaxExplicitK = 10 keeps k! < 2³².
-// IndexGraph fills the same layout from its Out callback, with k = 0.
+// NeighborTable is the factored adjacency of a Cayley graph: one column of
+// rank deltas per generator instead of a k!·deg table of neighbor ranks.
+//
+// A generator that moves only positions [lo, hi) of a label leaves every
+// Lehmer digit outside that range unchanged, so it maps rank r to
+// r + Δ[(r/s) mod span] with s = (k−hi)! and span = (k−lo)!/s. A column
+// stores those span deltas, each computed once from the representative
+// state of rank m·s. The paper's nucleus generators move the leftmost n+1
+// symbols and its super generators never move symbol 1, so MS(2,4) keeps
+// 59,040 deltas where a row table keeps 1,814,400 ranks; only a generator
+// that moves both the first and one of the last two positions needs a full
+// k!-entry column (star keeps two, about 2.7·k! deltas in all). Ranks and
+// deltas fit 32 bits because MaxExplicitK = 10 keeps k! < 2³¹. IndexGraph
+// fills full-span columns (s = 1, span = N) from its Out callback, with
+// k = 0, so the bitset engine in bfs_parallel.go runs one kernel over
+// both.
 type NeighborTable struct {
 	k, deg int
 	n      int64
-	nbr    []uint32
+	cols   []column
 }
 
-// neighborChunk is the number of consecutive states one build task fills.
-// Each chunk pays a single UnrankInto and then walks its states with
-// NextPermutation (lexicographic successor == rank order), so larger chunks
-// amortize the decode while keeping enough tasks for the worker pool.
+// column is one generator's action on ranks: rank r moves to
+// r + delta[(r/s) mod span]. divS and modSpan are the multiply-high
+// reciprocals of s and span (Lemire, Kaser & Kurz, "Faster Remainder by
+// Direct Computation", 2019), exact for 32-bit operands. A zero reciprocal
+// skips its step: divS when s = 1, modSpan when the moved range starts at
+// position 0, so that r/s < span already. wordS, nonzero when s < 64 and
+// one 64-rank word can wrap past span at most once, is ⌈2¹⁶/s⌉: x·wordS>>16
+// = x/s for every x < 128.
+type column struct {
+	delta         []int32
+	s, span       uint64
+	divS, modSpan uint64
+	wordS         uint64
+}
+
+// newColumn returns the shape of a column over n ranks, without its deltas.
+func newColumn(n, s, span int64) column {
+	c := column{s: uint64(s), span: uint64(span)}
+	if s > 1 {
+		c.divS = ^uint64(0)/c.s + 1
+	}
+	if s*span < n {
+		c.modSpan = ^uint64(0)/c.span + 1
+	}
+	if s < 64 && (c.modSpan == 0 || span >= 64) {
+		c.wordS = (1<<16 + c.s - 1) / c.s
+	}
+	return c
+}
+
+// index returns (r/s) mod span, the delta index of rank r.
+func (c *column) index(r uint64) uint64 {
+	q := r
+	if c.divS != 0 {
+		q, _ = bits.Mul64(c.divS, r)
+	}
+	if c.modSpan != 0 {
+		q, _ = bits.Mul64(c.modSpan*q, c.span)
+	}
+	return q
+}
+
+// at returns the rank the column's generator maps rank r to.
+func (c *column) at(r uint64) uint64 { return uint64(int64(r) + int64(c.delta[c.index(r)])) }
+
+// expand ORs the neighbors along c of every frontier state in cur, whose
+// first word is word lo of the frontier, into next. By column shape:
+//   - s >= 64: each run of s consecutive ranks moves by one delta, so a
+//     64-rank word meets at most two runs. One quotient per run that holds
+//     frontier states, and the run's bits are OR-ed, shifted, into at most
+//     two words of next.
+//   - full span (s = 1, moved range from position 0): a delta load and an
+//     OR per edge.
+//   - wordS != 0: one quotient and remainder per word; per edge, the delta
+//     index is the word's plus a 16-bit multiply, at most one wrap past
+//     span, then a delta load and an OR.
+//   - otherwise (spans below 64 at the label's tail): up to three
+//     multiply-highs per edge.
+//
+//scglint:hotpath column expand kernel: one delta load + OR per edge (per run of s >= 64 ranks) over the frontier shard
+func (c *column) expand(next, cur []uint64, lo int) {
+	delta, span := c.delta, c.span
+	switch {
+	case c.s >= 64:
+		for i, word := range cur {
+			r0 := uint64(lo+i) << 6
+			for word != 0 {
+				q, _ := bits.Mul64(c.divS, r0+uint64(bits.TrailingZeros64(word)))
+				// Ranks [r0, r0+end) of this word lie in run q or before.
+				run := word
+				if end := (q+1)*c.s - r0; end < 64 {
+					run &= 1<<end - 1
+				}
+				word ^= run
+				if c.modSpan != 0 {
+					q, _ = bits.Mul64(c.modSpan*q, span)
+				}
+				// The run's bit for rank r lands on rank r + delta:
+				// bit b of the word goes to bit t+b of next.
+				t := int64(r0) + int64(delta[q])
+				sh := uint(t) & 63
+				if v := run << sh; v != 0 {
+					next[t>>6] |= v
+				}
+				if v := run >> (64 - sh); v != 0 {
+					next[t>>6+1] |= v
+				}
+			}
+		}
+	case c.divS == 0 && c.modSpan == 0:
+		for i, word := range cur {
+			r0 := int64(lo+i) << 6
+			for word != 0 {
+				r := r0 + int64(bits.TrailingZeros64(word))
+				word &= word - 1
+				nr := r + int64(delta[r])
+				next[nr>>6] |= 1 << (nr & 63)
+			}
+		}
+	case c.wordS != 0:
+		wordS := c.wordS
+		for i, word := range cur {
+			if word == 0 {
+				continue
+			}
+			r0 := uint64(lo+i) << 6
+			q0 := r0
+			if c.divS != 0 {
+				q0, _ = bits.Mul64(c.divS, r0)
+			}
+			t0 := r0 - q0*c.s
+			if c.modSpan != 0 {
+				q0, _ = bits.Mul64(c.modSpan*q0, span)
+			}
+			for word != 0 {
+				b := uint64(bits.TrailingZeros64(word))
+				word &= word - 1
+				m := q0 + (t0+b)*wordS>>16
+				if m >= span {
+					m -= span
+				}
+				nr := int64(r0+b) + int64(delta[m])
+				next[nr>>6] |= 1 << (nr & 63)
+			}
+		}
+	default:
+		for i, word := range cur {
+			r0 := uint64(lo+i) << 6
+			for word != 0 {
+				nr := c.at(r0 + uint64(bits.TrailingZeros64(word)))
+				word &= word - 1
+				next[nr>>6] |= 1 << (nr & 63)
+			}
+		}
+	}
+}
+
+// neighborChunk is the number of consecutive column entries one build task
+// fills. Each chunk pays a single UnrankInto and then steps from one
+// representative state to the next in O(k), so larger chunks amortize the
+// decode while keeping enough tasks for the worker pool.
 const neighborChunk = 1 << 13
 
 // K returns the symbol count of the underlying graph.
@@ -36,63 +183,119 @@ func (t *NeighborTable) Degree() int { return t.deg }
 // Len returns the number of states covered.
 func (t *NeighborTable) Len() int64 { return t.n }
 
-// Bytes returns the heap footprint of the table backing.
-func (t *NeighborTable) Bytes() int64 { return int64(len(t.nbr)) * 4 }
-
-// Raw returns the flat row-major backing (nbr[r*deg+j] = rank of neighbor
-// j of state r). The slice aliases the table; callers must not mutate it.
-// It exists for internal/store, which persists the backing verbatim.
-func (t *NeighborTable) Raw() []uint32 { return t.nbr }
-
-// NewNeighborTableRaw reconstructs a table from its raw backing, as loaded
-// from the persistent store. The caller transfers ownership of nbr, whose
-// length must equal k!·deg.
-func NewNeighborTableRaw(k, deg int, nbr []uint32) (*NeighborTable, error) {
-	if k < 1 || k > MaxExplicitK {
-		return nil, fmt.Errorf("core: NewNeighborTableRaw: k=%d out of range [1, %d]", k, MaxExplicitK)
+// Bytes returns the heap footprint of the columns' deltas.
+func (t *NeighborTable) Bytes() int64 {
+	var n int64
+	for i := range t.cols {
+		n += int64(len(t.cols[i].delta)) * 4
 	}
-	if deg < 1 {
-		return nil, fmt.Errorf("core: NewNeighborTableRaw: degree %d < 1", deg)
-	}
-	n := perm.Factorial(k)
-	if int64(len(nbr)) != n*int64(deg) {
-		return nil, fmt.Errorf("core: NewNeighborTableRaw: %d entries, want %d (k=%d deg=%d)", len(nbr), n*int64(deg), k, deg)
-	}
-	return &NeighborTable{k: k, deg: deg, n: n, nbr: nbr}, nil
-}
-
-// Row returns the neighbor ranks of state r in generator order. The slice
-// aliases the table; callers must not mutate it.
-func (t *NeighborTable) Row(r int64) []uint32 {
-	base := r * int64(t.deg)
-	return t.nbr[base : base+int64(t.deg)]
+	return n
 }
 
 // At returns the rank of neighbor j of state r.
 func (t *NeighborTable) At(r int64, j int) int64 {
-	return int64(t.nbr[r*int64(t.deg)+int64(j)])
+	return int64(t.cols[j].at(uint64(r)))
 }
 
-// fillChunk precomposes the rows of states [lo, hi): one unrank at the
-// chunk base, then |S| compose+rank probes per state with NextPermutation
-// advancing the state label in rank order.
+// Row returns the neighbor ranks of state r in generator order, in a fresh
+// slice.
+func (t *NeighborTable) Row(r int64) []uint32 {
+	row := make([]uint32, t.deg)
+	for j := range t.cols {
+		row[j] = uint32(t.cols[j].at(uint64(r)))
+	}
+	return row
+}
+
+// Rows expands the columns into a fresh row-major table: rows[r*deg+j] is
+// the rank of neighbor j of state r. It costs n·deg·4 bytes; internal/store
+// persists it, and sim.PermTopology reads its hops from it.
+func (t *NeighborTable) Rows() []uint32 {
+	rows := make([]uint32, t.n*int64(t.deg))
+	for j := range t.cols {
+		c := &t.cols[j]
+		for r, i := int64(0), j; r < t.n; r, i = r+1, i+t.deg {
+			rows[i] = uint32(c.at(uint64(r)))
+		}
+	}
+	return rows
+}
+
+// NewNeighborTableRows reconstructs a table from its row-major expansion
+// (the Rows layout), as loaded from the persistent store: each generator
+// becomes a full-span column. rows must hold k!·deg ranks below k!.
+func NewNeighborTableRows(k, deg int, rows []uint32) (*NeighborTable, error) {
+	if k < 1 || k > MaxExplicitK {
+		return nil, fmt.Errorf("core: NewNeighborTableRows: k=%d out of range [1, %d]", k, MaxExplicitK)
+	}
+	if deg < 1 {
+		return nil, fmt.Errorf("core: NewNeighborTableRows: degree %d < 1", deg)
+	}
+	n := perm.Factorial(k)
+	if int64(len(rows)) != n*int64(deg) {
+		return nil, fmt.Errorf("core: NewNeighborTableRows: %d entries, want %d (k=%d deg=%d)", len(rows), n*int64(deg), k, deg)
+	}
+	t := fullSpanTable(n, deg)
+	t.k = k
+	for j := range t.cols {
+		delta := t.cols[j].delta
+		for r, i := int64(0), j; r < n; r, i = r+1, i+deg {
+			delta[r] = int32(int64(rows[i]) - r)
+		}
+	}
+	return t, nil
+}
+
+// fullSpanTable returns a table of deg zeroed full-span columns over n
+// ranks (every delta 0: each state is its own neighbor until filled).
+func fullSpanTable(n int64, deg int) *NeighborTable {
+	t := &NeighborTable{deg: deg, n: n, cols: make([]column, deg)}
+	backing := make([]int32, n*int64(deg))
+	for j := range t.cols {
+		t.cols[j] = newColumn(n, 1, n)
+		t.cols[j].delta, backing = backing[:n:n], backing[n:]
+	}
+	return t
+}
+
+// movedRange returns the positions [lo, hi) that generator gp moves; an
+// identity generator gets [0, 0), one column entry of delta 0.
+func movedRange(gp perm.Perm) (lo, hi int) {
+	lo = -1
+	for i, v := range gp {
+		if v != i+1 {
+			if lo < 0 {
+				lo = i
+			}
+			hi = i + 1
+		}
+	}
+	return max(lo, 0), hi
+}
+
+// fill computes delta[from:to). Entry m is the generator's rank shift at
+// the representative state of rank m·s, whose positions right of the moved
+// range hold their symbols in increasing order. One unrank at the chunk
+// base; then reversing that tail gives rank m·s + s − 1, whose
+// lexicographic successor is the next representative.
 //
-//scglint:hotpath precomposed-table build kernel: |S| compose + popcount-rank probes per k!-space state
-func (t *NeighborTable) fillChunk(genPerms []perm.Perm, lo, hi int64, cur, next perm.Perm, scratch []int) {
-	perm.UnrankInto(t.k, lo, cur, scratch)
-	base := lo * int64(t.deg)
-	for r := lo; r < hi; r++ {
-		for _, gp := range genPerms {
-			cur.ComposeInto(gp, next)
-			t.nbr[base] = uint32(next.RankBits())
-			base++
+//scglint:hotpath column build kernel: one compose + popcount-rank probe per column entry, |S|·span entries per graph
+func (c *column) fill(gp perm.Perm, hi int, from, to int64, cur, next perm.Perm, scratch []int) {
+	k := len(cur)
+	s := int64(c.s)
+	perm.UnrankInto(k, from*s, cur, scratch)
+	for m := from; m < to; m++ {
+		cur.ComposeInto(gp, next)
+		c.delta[m] = int32(next.RankBits() - m*s)
+		for a, b := hi, k-1; a < b; a, b = a+1, b-1 {
+			cur[a], cur[b] = cur[b], cur[a]
 		}
 		cur.NextPermutation()
 	}
 }
 
-// buildNeighborTable materializes the full adjacency of g across the worker
-// pool. workers <= 0 means runtime.GOMAXPROCS(0).
+// buildNeighborTable computes g's columns across the worker pool. workers
+// <= 0 means runtime.GOMAXPROCS(0).
 func buildNeighborTable(g *Graph, workers int) (*NeighborTable, error) {
 	k := g.K()
 	if k > MaxExplicitK {
@@ -103,30 +306,44 @@ func buildNeighborTable(g *Graph, workers int) (*NeighborTable, error) {
 	}
 	n := perm.Factorial(k)
 	deg := len(g.genPerms)
-	t := &NeighborTable{
-		k:   k,
-		deg: deg,
-		n:   n,
-		nbr: make([]uint32, n*int64(deg)),
+	t := &NeighborTable{k: k, deg: deg, n: n, cols: make([]column, deg)}
+	his := make([]int, deg)
+	var total int64
+	for j, gp := range g.genPerms {
+		lo, hi := movedRange(gp)
+		s := perm.Factorial(k - hi)
+		t.cols[j] = newColumn(n, s, perm.Factorial(k-lo)/s)
+		his[j] = hi
+		total += int64(t.cols[j].span)
 	}
-	chunks := int((n + neighborChunk - 1) / neighborChunk)
-	pool.Each(chunks, workers, func(ci int) {
-		lo := int64(ci) * neighborChunk
-		hi := lo + neighborChunk
-		if hi > n {
-			hi = n
+	// One backing for every column; a task fills one chunk of one column.
+	backing := make([]int32, total)
+	type task struct {
+		col      int
+		from, to int64
+	}
+	var tasks []task
+	for j := range t.cols {
+		span := int64(t.cols[j].span)
+		t.cols[j].delta, backing = backing[:span:span], backing[span:]
+		for from := int64(0); from < span; from += neighborChunk {
+			tasks = append(tasks, task{j, from, min(from+neighborChunk, span)})
 		}
+	}
+	pool.Each(len(tasks), workers, func(i int) {
+		tk := tasks[i]
 		cur := make(perm.Perm, k)
 		next := make(perm.Perm, k)
 		scratch := make([]int, k)
-		t.fillChunk(g.genPerms, lo, hi, cur, next, scratch)
+		t.cols[tk.col].fill(g.genPerms[tk.col], his[tk.col], tk.from, tk.to, cur, next, scratch)
 	})
 	return t, nil
 }
 
-// EnsureNeighborTable returns the graph's precomposed neighbor table,
-// building and memoizing it on first use. The table costs n·deg·4 bytes
-// (~130 MB for star-10), so callers that materialize it for a one-shot
+// EnsureNeighborTable returns the graph's factored neighbor table, building
+// and memoizing it on first use. The columns cost 4 bytes per entry: 236 KB
+// for MS(2,4), about 2.7·k!·4 bytes for star-like families, whose two
+// longest generators move position 1 and one of the last two. Callers that build it for a one-shot
 // measurement should DropNeighborTable afterwards — the server's profile
 // builder does exactly that before handing the graph to the LRU.
 func (g *Graph) EnsureNeighborTable(workers int) (*NeighborTable, error) {
@@ -144,7 +361,8 @@ func (g *Graph) EnsureNeighborTable(workers int) (*NeighborTable, error) {
 	return t, nil
 }
 
-// DropNeighborTable releases the memoized neighbor table, if any.
+// DropNeighborTable releases the memoized columns, if any. Rows expansions
+// belong to their callers; the graph keeps none.
 func (g *Graph) DropNeighborTable() {
 	g.mu.Lock()
 	g.tbl = nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/gen"
@@ -26,8 +27,10 @@ func TestNeighborTableMatchesComposeRank(t *testing.T) {
 	if tbl.K() != 5 || tbl.Degree() != len(gens) || tbl.Len() != 120 {
 		t.Fatalf("table meta: k=%d deg=%d n=%d", tbl.K(), tbl.Degree(), tbl.Len())
 	}
-	if tbl.Bytes() != 120*int64(len(gens))*4 {
-		t.Fatalf("Bytes() = %d", tbl.Bytes())
+	// Transposition (1 i) moves positions [0, i): its column holds
+	// 5!/(5−i)! deltas, capped at s = 1 for the last two.
+	if want := int64(20+60+120+120) * 4; tbl.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want %d", tbl.Bytes(), want)
 	}
 	next := make(perm.Perm, 5)
 	for r := int64(0); r < tbl.Len(); r++ {
@@ -59,7 +62,7 @@ func TestNeighborTableMatchesComposeRank(t *testing.T) {
 	g.DropNeighborTable()
 }
 
-// FuzzNeighborTable builds precomposed tables for random inverse-closed
+// FuzzNeighborTable builds factored tables for random inverse-closed
 // generator sets and requires every sampled row to agree with the direct
 // ComposeInto + RankBits computation, across worker counts.
 func FuzzNeighborTable(f *testing.F) {
@@ -116,4 +119,58 @@ func FuzzNeighborTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestColumnReciprocals holds the column index arithmetic to / and %: for
+// every column shape (s, span) that occurs at k <= 10 — a generator moving
+// positions [lo, hi), hi >= lo+2, plus the identity's [0, 0) — and every
+// rank r < k!,
+// the multiply-high quotient must equal r/s, the remainder (r/s) mod span,
+// and index(r) both; the 16-bit per-word reciprocal must equal x/s for
+// every x < 128 the word kernel feeds it. k = 10 is left to runs without
+// the race detector.
+func TestColumnReciprocals(t *testing.T) {
+	maxK := MaxExplicitK
+	if raceEnabled || testing.Short() {
+		maxK = 9
+	}
+	for k := 1; k <= maxK; k++ {
+		n := perm.Factorial(k)
+		shapes := [][2]int{{0, 0}}
+		for lo := 0; lo < k; lo++ {
+			for hi := lo + 2; hi <= k; hi++ { // a generator moves >= 2 positions
+				shapes = append(shapes, [2]int{lo, hi})
+			}
+		}
+		for _, sh := range shapes {
+			s := perm.Factorial(k - sh[1])
+			span := perm.Factorial(k-sh[0]) / s
+			c := newColumn(n, s, span)
+			us, uspan := uint64(s), uint64(span)
+			for r := uint64(0); r < uint64(n); r++ {
+				q := r / us
+				if c.divS != 0 {
+					if got, _ := bits.Mul64(c.divS, r); got != q {
+						t.Fatalf("k=%d [%d,%d): %d/%d = %d, reciprocal gives %d", k, sh[0], sh[1], r, s, q, got)
+					}
+				}
+				m := q % uspan
+				if c.modSpan != 0 {
+					if got, _ := bits.Mul64(c.modSpan*q, uspan); got != m {
+						t.Fatalf("k=%d [%d,%d): %d mod %d = %d, reciprocal gives %d", k, sh[0], sh[1], q, span, m, got)
+					}
+				}
+				if got := c.index(r); got != m {
+					t.Fatalf("k=%d [%d,%d): index(%d) = %d, want %d", k, sh[0], sh[1], r, got, m)
+				}
+			}
+			if c.wordS != 0 {
+				for x := uint64(0); x < 128; x++ {
+					if got := x * c.wordS >> 16; got != x/us {
+						t.Fatalf("k=%d [%d,%d): %d/%d = %d, word reciprocal gives %d", k, sh[0], sh[1], x, s, x/us, got)
+					}
+				}
+			}
+		}
+	}
 }

@@ -197,9 +197,10 @@ func (c *Cache) Profile(ctx context.Context, key Key) (*core.BFSResult, error) {
 		}
 		tr.Phase("build-profile")
 		res, err := nw.Graph().ExactProfile()
-		// The BFS engine memoizes an n·deg·4-byte neighbor table on the
-		// graph; drop it so the LRU's accounting (networkBytes) stays
-		// honest for the resident topology.
+		// The BFS engine memoizes the neighbor table's columns on the
+		// graph (236 KB for MS(2,4), about 2.7·k!·4 bytes for star-like
+		// families); drop them so the LRU's accounting (networkBytes)
+		// stays honest for the resident topology.
 		nw.Graph().DropNeighborTable()
 		if err != nil {
 			return nil, 0, err

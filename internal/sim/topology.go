@@ -45,10 +45,10 @@ type PermTopology struct {
 	// genPerms caches generator permutations by link.
 	genPerms []perm.Perm
 	k        int
-	// table caches neighbor ranks ([node*degree + link]) for networks small
-	// enough to enumerate; nil otherwise (Neighbor falls back to
-	// rank/unrank).
-	table []int64
+	// table holds the graph's NeighborTable rows ([node*degree + link])
+	// for networks small enough to enumerate; nil otherwise (Neighbor
+	// falls back to rank/unrank).
+	table []uint32
 }
 
 // maxNeighborTableEntries bounds the precomputed adjacency cache.
@@ -71,29 +71,16 @@ func NewPermTopology(nw *topology.Network) (*PermTopology, error) {
 	if _, err := nw.Route(perm.Identity(pt.k), perm.Identity(pt.k)); err != nil {
 		return nil, fmt.Errorf("sim: NewPermTopology: %s has no usable router: %v", nw.Name(), err)
 	}
+	// Expand the graph's neighbor rows so that hot simulation loops avoid
+	// per-hop unrank/compose/rank work.
 	if entries := nw.Nodes() * int64(len(pt.genPerms)); entries <= maxNeighborTableEntries {
-		pt.buildTable()
+		tbl, err := nw.Graph().EnsureNeighborTable(0)
+		if err != nil {
+			return nil, fmt.Errorf("sim: NewPermTopology: %v", err)
+		}
+		pt.table = tbl.Rows()
 	}
 	return pt, nil
-}
-
-// buildTable precomputes the rank-indexed adjacency table so that hot
-// simulation loops avoid per-hop unrank/compose/rank work.
-func (pt *PermTopology) buildTable() {
-	n := pt.nw.Nodes()
-	deg := len(pt.genPerms)
-	table := make([]int64, n*int64(deg))
-	cur := make(perm.Perm, pt.k)
-	next := make(perm.Perm, pt.k)
-	scratch := make([]int, pt.k)
-	for r := int64(0); r < n; r++ {
-		perm.UnrankInto(pt.k, r, cur, scratch)
-		for li, gp := range pt.genPerms {
-			cur.ComposeInto(gp, next)
-			table[r*int64(deg)+int64(li)] = next.Rank()
-		}
-	}
-	pt.table = table
 }
 
 func (pt *PermTopology) Name() string    { return pt.nw.Name() }
@@ -102,7 +89,7 @@ func (pt *PermTopology) Degree() int     { return len(pt.genPerms) }
 
 func (pt *PermTopology) Neighbor(node int64, link int) int64 {
 	if pt.table != nil {
-		return pt.table[node*int64(len(pt.genPerms))+int64(link)]
+		return int64(pt.table[node*int64(len(pt.genPerms))+int64(link)])
 	}
 	u := perm.Unrank(pt.k, node)
 	return u.Compose(pt.genPerms[link]).Rank()

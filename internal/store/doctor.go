@@ -17,8 +17,8 @@ type DoctorEntry struct {
 	N      int    `json:"n"`
 	K      int    `json:"k"`
 	Bytes  int64  `json:"bytes"`
-	// HasNeighbors reports whether the entry carries a precomposed
-	// neighbor table (scgctl warm -neighbors).
+	// HasNeighbors reports whether the entry carries neighbor-table rows
+	// (scgctl warm -neighbors).
 	HasNeighbors bool `json:"has_neighbors"`
 }
 

@@ -14,7 +14,7 @@ import (
 // needs to warm-start one (family, l, n) instance: the topology parameters,
 // the rank-indexed exact distance table, the distance histogram with its
 // derived diameter/average-distance profile, and (optionally) the
-// precomposed neighbor table. All integers are little-endian.
+// neighbor table's rows. All integers are little-endian.
 //
 //	offset size  field
 //	0      8     magic "scgstore"
@@ -72,17 +72,17 @@ var (
 )
 
 // Entry is one persisted instance: the topology parameters plus the
-// materialized exact profile, and optionally the precomposed neighbor
-// table (scgctl warm -neighbors bakes it for fleet provisioning; scgd
-// never persists it, since the serving path drops neighbor tables after
-// the BFS to keep the LRU accounting honest).
+// materialized exact profile, and optionally the neighbor table, stored as
+// its row-major expansion (scgctl warm -neighbors bakes it; scgd never
+// persists or reads it, since a search builds its own factored columns).
 type Entry struct {
 	Family string
 	L, N   int
 	K      int
 	// Profile is the exact BFS profile from the identity; required.
 	Profile *core.BFSResult
-	// Neighbors is the precomposed adjacency; optional.
+	// Neighbors is the adjacency; optional. A decoded one holds a
+	// full-span column per generator.
 	Neighbors *core.NeighborTable
 }
 
@@ -103,8 +103,10 @@ func AppendEntry(buf []byte, e *Entry) ([]byte, error) {
 	} else {
 		d32, _ = e.Profile.Dist.RawWide()
 	}
+	var rows []uint32
 	if e.Neighbors != nil {
 		flags |= flagNeighbors
+		rows = e.Neighbors.Rows()
 	}
 
 	metaLen := 4 + len(e.Family) + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 8*len(hist)
@@ -114,7 +116,7 @@ func AppendEntry(buf []byte, e *Entry) ([]byte, error) {
 	}
 	nbrLen := 0
 	if e.Neighbors != nil {
-		nbrLen = 4 + 4*len(e.Neighbors.Raw())
+		nbrLen = 4 + 4*len(rows)
 	}
 
 	start := len(buf)
@@ -153,7 +155,7 @@ func AppendEntry(buf []byte, e *Entry) ([]byte, error) {
 	// Neighbor section.
 	if e.Neighbors != nil {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Neighbors.Degree()))
-		for _, r := range e.Neighbors.Raw() {
+		for _, r := range rows {
 			buf = binary.LittleEndian.AppendUint32(buf, r)
 		}
 	}
@@ -288,7 +290,7 @@ func DecodeEntry(data []byte) (*Entry, error) {
 				return nil, fmt.Errorf("%w: neighbor rank %d out of range (order %d)", ErrCorrupt, r, order)
 			}
 		}
-		tbl, err := core.NewNeighborTableRaw(k, deg, ranks)
+		tbl, err := core.NewNeighborTableRows(k, deg, ranks)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -339,7 +341,7 @@ func decodeMeta(meta []byte, e *Entry, order int64) error {
 
 // decodeU32LE fills dst with little-endian 32-bit words from src, whose
 // length must be at least 4·len(dst). This is the bulk of a warm-start
-// load when the entry carries a precomposed neighbor table (k!·deg words),
+// load when the entry carries the neighbor table's rows (k!·deg words),
 // so the loop is a pure index kernel: no bounds re-derivation, no calls,
 // no allocation.
 //

@@ -1,8 +1,8 @@
 // Package store persists materialized topology profiles between scgd
 // runs. Each (family, l, n) instance becomes one content-addressed file:
 // the exact rank-indexed distance table, the distance histogram with its
-// diameter/average-distance profile, and optionally the precomposed
-// neighbor table, encoded in the versioned scgstore/v1 binary format
+// diameter/average-distance profile, and optionally the neighbor table's
+// rows, encoded in the versioned scgstore/v1 binary format
 // (format.go) and written atomically. The serving cache consults the
 // store before falling back to BFS, so a restarted daemon — or a fresh
 // fleet replica shipped a pre-baked store directory — answers its first

@@ -14,7 +14,7 @@ import (
 )
 
 // buildEntry materializes one small instance and its exact profile for
-// store tests; withNeighbors also bakes the precomposed adjacency.
+// store tests; withNeighbors also bakes the neighbor-table rows.
 func buildEntry(t *testing.T, fam topology.Family, l, n int, withNeighbors bool) (*Entry, Key) {
 	t.Helper()
 	nw, err := topology.New(fam, l, n)
