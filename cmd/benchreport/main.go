@@ -530,7 +530,7 @@ func routeHotEntry(iters int) Entry {
 	ns, allocs, err := server.MeasureRouteHot(s, target, iters)
 	fail(err)
 	if allocs != 0 {
-		fail(fmt.Errorf("benchreport: warm /v1/route handler allocates %.2f times per request, want exactly 0", allocs))
+		fail(fmt.Errorf("benchreport: warm /v1/route handler allocates %.2f times per request (%.0f in %d requests), want exactly 0", allocs, allocs*float64(iters), iters))
 	}
 	return Entry{
 		Name:        "route/hot",
@@ -597,7 +597,7 @@ func serveEntries(iters int) []Entry {
 		ns, allocs, err := server.MeasureServe(s, t.target, iters)
 		fail(err)
 		if allocs > t.ceiling {
-			fail(fmt.Errorf("benchreport: warm %s allocates %.2f times per request, ceiling %.0f", t.target, allocs, t.ceiling))
+			fail(fmt.Errorf("benchreport: warm %s allocates %.2f times per request (%.0f in %d requests), ceiling %.0f", t.target, allocs, allocs*float64(iters), iters, t.ceiling))
 		}
 		out = append(out, Entry{
 			Name:        t.name,
@@ -629,7 +629,7 @@ func connEntry(iters int) Entry {
 	ns, allocs, err := server.MeasureConn(context.Background(), s, targets, iters)
 	fail(err)
 	if allocs > server.ConnAllocs {
-		fail(fmt.Errorf("benchreport: a warm route through server.Run allocates %.2f times per request, ceiling %d", allocs, server.ConnAllocs))
+		fail(fmt.Errorf("benchreport: a warm route through server.Run allocates %.2f times per request (%.0f in %d requests), ceiling %d", allocs, allocs*float64(iters), iters, server.ConnAllocs))
 	}
 	return Entry{
 		Name:        connRoute,

@@ -1,64 +1,48 @@
-// Command scglint is the project's static-analysis suite: sixteen custom
-// analyzers that machine-check the repository's correctness conventions
-// using only the standard library's go/ast, go/parser, go/token, and
-// go/types. Six guard sequential conventions (permalias, panicstyle,
-// nilrecorder, droppederr, simhygiene, mapdeterminism); five are
-// concurrency-aware (goroutinecapture, atomicmix, waitgrouplint,
-// boundedspawn, telemetrylabel), enforcing the parallel measurement
-// engine's discipline: no shared scratch captured by concurrent closures,
-// no mixed atomic/plain access, Add-before-spawn / Done-in-defer, all
-// goroutine fan-out routed through the audited internal/pool chokepoint,
-// and statically auditable metric cardinality. Five are interprocedural,
-// built on a whole-module dataflow layer: hotalloc proves the
-// //scglint:hotpath-annotated kernels — and everything they reach through
-// the intra-module call graph — free of allocating constructs; ctxflow
-// proves context.Context values thread through to every context-accepting
-// callee with no undeclared context.Background() roots in the serving
-// paths; lockorder proves the module-wide lock-acquisition graph acyclic
-// (no AB/BA orderings, no re-acquiring a held lock through any call
-// chain) and flags locks held across blocking operations; goroleak proves
-// goroutine owners — tickers, cancel funcs, pool runners, samplers, and
-// unbuffered sends from spawned goroutines — are released or received on
-// every path; and escapegate (under -escapes) holds the hotpath kernels
-// to a committed compiler escape budget.
+// Command scglint is the project's static-analysis suite: six custom
+// analyzers that machine-check the repository's conventions using only the
+// standard library's go/ast, go/parser, go/token, and go/types. Each one
+// either caught a real bug in this tree or enforces an invariant nothing
+// else checks:
+//
+//   - panicstyle: panic messages read "pkg: Func: message";
+//   - droppederr: error results are never silently discarded;
+//   - telemetrylabel: scgd's metric names and label keys are constants
+//     registered once, so /metricsz cardinality is static;
+//   - hotalloc: //scglint:hotpath kernels, and everything they reach
+//     through the module call graph, are free of allocating constructs
+//     (findings print the call chain from the root);
+//   - lockorder: the module's lock-acquisition graph is acyclic, and no
+//     lock is held across a blocking operation;
+//   - escapegate (under -escapes): the hotpath kernels match the
+//     committed compiler escape budget exactly.
 //
 // Usage:
 //
 //	go run ./cmd/scglint ./...
 //	go run ./cmd/scglint -json ./...
-//	go run ./cmd/scglint -sarif ./... > scglint.sarif
-//	go run ./cmd/scglint -diff ./...          # preview suggested fixes
-//	go run ./cmd/scglint -fix ./...           # apply suggested fixes
-//	go run ./cmd/scglint -only permalias,droppederr ./...
+//	go run ./cmd/scglint -only droppederr,lockorder ./...
 //	go run ./cmd/scglint -list -v
-//	go run ./cmd/scglint -callgraph           # dump the hot call graph
 //	go run ./cmd/scglint -hotpath-report      # id/position/reason of hot roots
-//	go run ./cmd/scglint -facts-cache .scglint-facts ./...   # warm-run cache
 //	go run ./cmd/scglint -escapes ./...       # gate kernels on the escape budget
 //	go run ./cmd/scglint -escapes -escapes-update ./...   # rewrite the budget
 //
 // The driver exits 0 when the tree is clean, 1 when findings were reported,
 // and 2 when the module could not be loaded or the flags are invalid.
-// Several findings carry machine-applyable fixes (loop-variable rebinds,
-// clone-before-capture, relocating WaitGroup Add/Done); -fix applies the
-// non-overlapping subset and -diff previews the same edits as a unified
-// diff without writing. -sarif emits a SARIF 2.1.0 log for CI code-scanning
-// annotation. -escapes runs `go build -gcflags=-m`, attributes the heap
-// escapes the compiler reports to the //scglint:hotpath kernels, and
-// compares the per-kernel counts against results/escape_budget.json in
-// both directions — new escapes fail with the compiler's diagnostic line,
-// and budgets looser than reality (or naming vanished kernels) fail as
-// stale. Findings can be suppressed with an audited directive on the
-// flagged statement (trailing, or on its own line above — covering the
-// statement's full line span when it wraps):
+// -escapes runs `go build -gcflags=-m`, attributes the heap escapes the
+// compiler reports to the //scglint:hotpath kernels, and compares the
+// per-kernel counts against results/escape_budget.json in both directions
+// — new escapes fail with the compiler's diagnostic line, and budgets
+// looser than reality (or naming vanished kernels) fail as stale. Findings
+// can be suppressed with an audited directive on the flagged statement
+// (trailing, or on its own line above — covering the statement's full line
+// span when it wraps):
 //
 //	//scglint:ignore <analyzer> <reason>
 //
-// The interprocedural analyzers read four more directives, all with
+// The interprocedural analyzers read three more directives, all with
 // mandatory reasons: //scglint:hotpath <why> marks a function a hot-path
 // root, //scglint:coldpath <why> cuts call-graph edges into a function (or,
-// on a statement, exempts that statement's allocations),
-// //scglint:ctxdetach <why> sanctions a deliberate context detach, and
+// on a statement, exempts that statement's allocations), and
 // //scglint:lockheld <why> sanctions a deliberate hold across a blocking
 // operation or a lock-order edge (a singleflight barrier, a mutex whose
 // critical section is the serialized write itself). Unused or malformed

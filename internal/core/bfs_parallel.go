@@ -187,9 +187,8 @@ func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int) *BFSResult {
 // search; workers <= 0 means runtime.GOMAXPROCS(0). BFS picks the count by
 // size; this is the explicit spelling for tests and benchmarks. See
 // bitsetBFS for the sharding and determinism argument. The per-level
-// fan-out runs on the audited pool.Each chokepoint (the measurement
-// packages spawn no raw goroutines; scglint's boundedspawn analyzer
-// enforces this).
+// fan-out runs on the pool.Each chokepoint (the measurement packages spawn
+// no raw goroutines).
 func (g *Graph) BFSParallel(src perm.Perm, workers int) (*BFSResult, error) {
 	k := g.K()
 	if k > MaxExplicitK {

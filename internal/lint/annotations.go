@@ -7,13 +7,12 @@ import (
 
 // Dataflow annotations.
 //
-// The interprocedural layer understands four directives beyond
+// The interprocedural layer understands three directives beyond
 // //scglint:ignore, all with a mandatory free-text reason so the inventory
 // of exceptions never rots:
 //
 //	//scglint:hotpath <why this function must stay allocation-free>
 //	//scglint:coldpath <why this call or function is allowed to allocate>
-//	//scglint:ctxdetach <why a fresh context root is correct here>
 //	//scglint:lockheld <why this operation is safe under the held lock>
 //
 // hotpath attaches to a function declaration (in its doc comment, or as a
@@ -28,12 +27,6 @@ import (
 // edges on that statement's line span, with the same anchoring rules as
 // //scglint:ignore.
 //
-// ctxdetach sanctions a deliberate new context root (context.Background /
-// context.TODO, or passing a non-derived context to a callee) on its line
-// span, and blesses variables assigned there so downstream flow checks
-// treat them as derived. Async jobs that outlive their submitting request
-// and graceful-shutdown deadlines are the two legitimate shapes.
-//
 // lockheld sanctions a blocking operation or lock-order edge the lockorder
 // analyzer would otherwise flag, on its line span. The canonical shapes: a
 // mutex that exists precisely to serialize writer I/O, a non-blocking
@@ -46,30 +39,28 @@ import (
 
 // Annotation verbs understood by parseAnnotation.
 const (
-	annotHotpath   = "hotpath"
-	annotColdpath  = "coldpath"
-	annotCtxDetach = "ctxdetach"
-	annotLockHeld  = "lockheld"
+	annotHotpath  = "hotpath"
+	annotColdpath = "coldpath"
+	annotLockHeld = "lockheld"
 )
 
 // annotation is one parsed dataflow directive.
 type annotation struct {
 	// Kind is one of the annot* verbs.
-	Kind string `json:"kind"`
+	Kind string
 	// Reason is the mandatory justification text.
-	Reason string `json:"reason"`
+	Reason string
 	// Pos locates the directive comment.
-	Pos sitePos `json:"pos"`
+	Pos sitePos
 	// Lo and Hi are the inclusive line span the directive covers when it is
 	// statement-anchored (own line plus the anchored statement's span).
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
+	Lo int
+	Hi int
 	// FuncID names the function declaration the directive is attached to
 	// ("" when statement-anchored).
-	FuncID string `json:"func_id,omitempty"`
-	// Used records whether any analysis consumed the directive; it is
-	// recomputed per run, not persisted meaningfully across cache loads.
-	Used bool `json:"-"`
+	FuncID string
+	// Used records whether any analysis consumed the directive.
+	Used bool
 }
 
 // parseAnnotation decodes the body of a //scglint:<verb> comment (the text
@@ -86,7 +77,7 @@ func parseAnnotation(body string) (kind, reason, malformed string, ok bool) {
 	}
 	verb = strings.TrimSpace(verb)
 	switch verb {
-	case annotHotpath, annotColdpath, annotCtxDetach, annotLockHeld:
+	case annotHotpath, annotColdpath, annotLockHeld:
 		reason = strings.TrimSpace(rest)
 		if reason == "" {
 			return verb, "", "missing reason (write //scglint:" + verb + " <why>)", true
@@ -120,17 +111,14 @@ func collectAnnotations(m *Module, p *Package, f *ast.File) (anns []*annotation,
 			pos := m.sitePosAt(c.Pos())
 			if malformed != "" {
 				analyzer := "hotalloc"
-				switch kind {
-				case annotCtxDetach:
-					analyzer = "ctxflow"
-				case annotLockHeld:
+				if kind == annotLockHeld {
 					analyzer = "lockorder"
 				}
 				diags = append(diags, factDiag{
 					Pos:      pos,
 					Analyzer: analyzer,
 					Message:  "malformed //scglint directive: " + malformed,
-					Hint:     "syntax: //scglint:{hotpath|coldpath|ctxdetach|lockheld} <reason>",
+					Hint:     "syntax: //scglint:{hotpath|coldpath|lockheld} <reason>",
 				})
 				continue
 			}
@@ -155,7 +143,7 @@ func collectAnnotations(m *Module, p *Package, f *ast.File) (anns []*annotation,
 			docLo = m.Fset.Position(fd.Doc.Pos()).Line
 		}
 		for _, ann := range anns {
-			if ann.Kind == annotCtxDetach || ann.Kind == annotLockHeld || ann.FuncID != "" {
+			if ann.Kind == annotLockHeld || ann.FuncID != "" {
 				continue
 			}
 			if ann.Pos.Line >= docLo && ann.Pos.Line <= declLine {

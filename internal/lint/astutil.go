@@ -93,20 +93,6 @@ func pathHasSuffix(path string, suffixes ...string) bool {
 	return false
 }
 
-// importsPackage reports whether the package directly imports path. It is
-// the cheap pre-gate for analyzers whose trigger syntax requires naming a
-// package (sync/atomic calls, sync type declarations): packages without the
-// import skip the sweep entirely, which is what keeps the full-catalog run
-// near the six-analyzer cost.
-func importsPackage(p *Package, path string) bool {
-	for _, im := range p.Types.Imports() {
-		if im.Path() == path {
-			return true
-		}
-	}
-	return false
-}
-
 // identUse resolves an identifier to its object, or nil.
 func identUse(p *Package, e ast.Expr) types.Object {
 	id, ok := e.(*ast.Ident)
@@ -117,24 +103,4 @@ func identUse(p *Package, e ast.Expr) types.Object {
 		return obj
 	}
 	return p.Info.Defs[id]
-}
-
-// terminates reports whether a statement unconditionally leaves the
-// enclosing function (return or panic) — the early-exit shapes the guard
-// analyses accept.
-func terminates(s ast.Stmt) bool {
-	switch st := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := st.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "panic"
-	case *ast.BlockStmt:
-		return len(st.List) > 0 && terminates(st.List[len(st.List)-1])
-	}
-	return false
 }

@@ -30,20 +30,14 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		jsonOut  = fs.Bool("json", false, "emit findings as a JSON array")
-		sarifOut = fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-		applyFix = fs.Bool("fix", false, "apply suggested fixes to the source tree")
-		diffOut  = fs.Bool("diff", false, "print suggested fixes as a unified diff without writing (dry run)")
 		only     = fs.String("only", "", "comma-separated analyzers to run (default: all)")
 		skip     = fs.String("skip", "", "comma-separated analyzers to skip")
 		list     = fs.Bool("list", false, "list analyzers and exit")
 		chdir    = fs.String("C", ".", "directory whose enclosing module is analyzed")
-		showDocs = fs.Bool("v", false, "with -list, include analyzer documentation; with analysis, print facts-cache statistics")
+		showDocs = fs.Bool("v", false, "with -list, include analyzer documentation")
 		showVer  = fs.Bool("version", false, "print version and exit")
 
-		callGraph  = fs.Bool("callgraph", false, "print the hot call graph (from //scglint:hotpath roots) and exit")
-		hotReport  = fs.Bool("hotpath-report", false, "list //scglint:hotpath roots (id, position, reason) and exit")
-		factsCache = fs.String("facts-cache", "", "directory for the on-disk facts cache (warm runs skip unchanged packages)")
-		hotDepth   = fs.Int("hotpath-depth", 0, "call-graph depth bound for hotalloc (default 8)")
+		hotReport = fs.Bool("hotpath-report", false, "list //scglint:hotpath roots (id, position, reason) and exit")
 
 		escapes       = fs.Bool("escapes", false, "run go build -gcflags=-m and gate every //scglint:hotpath kernel against the committed escape budget")
 		escapesUpdate = fs.Bool("escapes-update", false, "with -escapes, rewrite the committed budget from the current compiler output")
@@ -73,17 +67,13 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return ExitClean
 	}
 	exclusive := 0
-	for _, on := range []bool{*jsonOut, *sarifOut, *diffOut, *callGraph, *hotReport, *escapes} {
+	for _, on := range []bool{*jsonOut, *hotReport, *escapes} {
 		if on {
 			exclusive++
 		}
 	}
 	if exclusive > 1 {
-		_, _ = fmt.Fprintln(stderr, "scglint: -json, -sarif, -diff, -callgraph, -hotpath-report, and -escapes are mutually exclusive")
-		return ExitError
-	}
-	if *applyFix && (*jsonOut || *sarifOut || *callGraph || *hotReport || *escapes) {
-		_, _ = fmt.Fprintln(stderr, "scglint: -fix cannot be combined with -json, -sarif, -callgraph, -hotpath-report, or -escapes")
+		_, _ = fmt.Fprintln(stderr, "scglint: -json, -hotpath-report, and -escapes are mutually exclusive")
 		return ExitError
 	}
 	if *escapesUpdate && !*escapes {
@@ -100,12 +90,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintln(stderr, "scglint:", err)
 		return ExitError
 	}
-	m.FactsCacheDir = *factsCache
-	m.HotpathDepth = *hotDepth
-	if *callGraph {
-		WriteCallGraph(stdout, m)
-		return ExitClean
-	}
 	if *hotReport {
 		WriteHotpathReport(stdout, m)
 		return ExitClean
@@ -114,13 +98,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return RunEscapeGate(m, *escapeBudget, *escapesUpdate, stdout, stderr)
 	}
 	findings := Run(m, analyzers)
-	if *showDocs && *factsCache != "" {
-		stats := m.FactsInfo()
-		_, _ = fmt.Fprintf(stderr, "scglint: facts: %d package(s) analyzed, %d from cache\n",
-			len(stats.Computed), len(stats.Cached))
-	}
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
@@ -130,32 +108,12 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			_, _ = fmt.Fprintln(stderr, "scglint:", err)
 			return ExitError
 		}
-	case *sarifOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sarifLogFor(m, analyzers, findings)); err != nil {
-			_, _ = fmt.Fprintln(stderr, "scglint:", err)
-			return ExitError
-		}
-	case *diffOut:
-		WriteDiff(stdout, m, PlanFixes(m, findings))
-	default:
+	} else {
 		for _, f := range findings {
 			_, _ = fmt.Fprintln(stdout, f)
 		}
 		if len(findings) > 0 {
 			_, _ = fmt.Fprintf(stdout, "scglint: %d finding(s) in %s\n", len(findings), m.Path)
-		}
-	}
-	if *applyFix && !*diffOut {
-		res := PlanFixes(m, findings)
-		if err := WriteFixes(res); err != nil {
-			_, _ = fmt.Fprintln(stderr, "scglint:", err)
-			return ExitError
-		}
-		if res.Applied > 0 || res.Skipped > 0 {
-			_, _ = fmt.Fprintf(stdout, "scglint: applied %d fix(es) to %d file(s), skipped %d; re-run to verify convergence\n",
-				res.Applied, len(res.Changed), res.Skipped)
 		}
 	}
 	if len(findings) > 0 {

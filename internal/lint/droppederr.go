@@ -31,15 +31,15 @@ var analyzerDroppedErr = &Analyzer{
 func runDroppedErr(p *Package, report Reporter) {
 	ix := p.index()
 	for _, e := range ix.exprStmts {
-		if call, ok := e.node.X.(*ast.CallExpr); ok {
+		if call, ok := e.X.(*ast.CallExpr); ok {
 			checkDroppedErr(p, call, "call", report)
 		}
 	}
 	for _, g := range ix.goStmts {
-		checkDroppedErr(p, g.node.Call, "go statement", report)
+		checkDroppedErr(p, g.Call, "go statement", report)
 	}
 	for _, d := range ix.deferStmts {
-		checkDroppedErr(p, d.node.Call, "deferred call", report)
+		checkDroppedErr(p, d.Call, "deferred call", report)
 	}
 }
 

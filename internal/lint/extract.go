@@ -9,13 +9,12 @@ import (
 	"strings"
 )
 
-// Facts extraction: one bounded AST walk per function declaration, run
-// only on facts-cache misses (the walk's output is exactly what the cache
-// stores). The shared analyzer index (inspect.go) is deliberately not
-// used here — extraction must not warm per-Run state, and it records
-// details (panic extents, signature stacks) the index does not carry.
+// Facts extraction: one bounded AST walk per function declaration. The
+// shared analyzer index (inspect.go) is deliberately not used here — it
+// records node lists only, while extraction needs details (panic extents,
+// signature stacks) the index does not carry.
 
-// extractPackageFacts builds the serializable facts record of one package.
+// extractPackageFacts builds the facts record of one package.
 func extractPackageFacts(m *Module, p *Package) *pkgFacts {
 	pf := &pkgFacts{Path: p.Path, Funcs: make(map[string]*funcFacts)}
 	for _, f := range p.Files {
@@ -60,16 +59,6 @@ func extractPackageFacts(m *Module, p *Package) *pkgFacts {
 	return pf
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
 // typeFuncName renders a callee the way funcName renders its declaration:
 // plain name, or "(Recv).Name" with the receiver relative to its package.
 func typeFuncName(fn *types.Func) string {
@@ -112,12 +101,9 @@ type extractor struct {
 	ff   *funcFacts
 	file string // module-relative path of the file under walk
 
-	derived    map[types.Object]bool // ctx-derived objects
-	sigStack   []*types.Signature    // enclosing signatures, innermost last
-	panicSpans [][2]token.Pos        // panic(...) argument extents: exempt
-	stack      []ast.Node            // ancestors of the node being visited
-	callASTs   []*ast.CallExpr       // aligned with ff.Calls
-	bgConsumed map[*ast.CallExpr]bool
+	sigStack   []*types.Signature // enclosing signatures, innermost last
+	panicSpans [][2]token.Pos     // panic(...) argument extents: exempt
+	stack      []ast.Node         // ancestors of the node being visited
 }
 
 // extractFuncFacts walks one declaration and records its facts. Function
@@ -127,34 +113,21 @@ type extractor struct {
 func extractFuncFacts(m *Module, p *Package, pf *pkgFacts, fd *ast.FuncDecl) *funcFacts {
 	name := funcName(fd)
 	ff := &funcFacts{
-		ID:         funcID(p.Path, name),
-		Name:       name,
-		Pos:        m.sitePosAt(fd.Pos()),
-		EndLine:    m.Fset.Position(fd.End()).Line,
-		MainOrInit: fd.Recv == nil && (fd.Name.Name == "init" || (fd.Name.Name == "main" && p.Name == "main")),
+		ID:      funcID(p.Path, name),
+		Name:    name,
+		Pos:     m.sitePosAt(fd.Pos()),
+		EndLine: m.Fset.Position(fd.End()).Line,
 	}
-	e := &extractor{
-		m: m, p: p, pf: pf, ff: ff,
-		file:       m.sitePosAt(fd.Pos()).File,
-		derived:    make(map[types.Object]bool),
-		bgConsumed: make(map[*ast.CallExpr]bool),
-	}
+	e := &extractor{m: m, p: p, pf: pf, ff: ff, file: ff.Pos.File}
 	if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
 		if sig, ok := obj.Type().(*types.Signature); ok {
 			e.sigStack = append(e.sigStack, sig)
 		}
 	}
 
-	// Pre-passes: panic extents, ctx parameter seeding, derived fixpoint.
 	e.collectPanicSpans(fd)
-	e.seedCtxParams(fd)
-	ff.HasCtx = len(e.derived) > 0
-	e.deriveFixpoint(fd)
-
 	e.walk(fd)
-	e.ctxPostPass()
 	extractLockFacts(e, fd)
-	extractLeakFacts(e, fd)
 	return ff
 }
 
@@ -181,104 +154,6 @@ func (e *extractor) inPanic(pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// seedCtxParams marks every context.Context-typed parameter (of the
-// declaration and of nested literals) as ctx-derived.
-func (e *extractor) seedCtxParams(fd *ast.FuncDecl) {
-	ast.Inspect(fd, func(n ast.Node) bool {
-		ft, ok := n.(*ast.FuncType)
-		if !ok || ft.Params == nil {
-			return true
-		}
-		for _, field := range ft.Params.List {
-			for _, id := range field.Names {
-				if obj := e.p.Info.Defs[id]; obj != nil && isContextType(obj.Type()) {
-					e.derived[obj] = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-// deriveFixpoint grows the derived set over assignments: a ctx-typed
-// variable assigned from an expression mentioning a derived value — or on
-// a line blessed by //scglint:ctxdetach — becomes derived itself.
-func (e *extractor) deriveFixpoint(fd *ast.FuncDecl) {
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			var lhs, rhs []ast.Expr
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				lhs, rhs = s.Lhs, s.Rhs
-			case *ast.ValueSpec:
-				for _, id := range s.Names {
-					lhs = append(lhs, id)
-				}
-				rhs = s.Values
-			default:
-				return true
-			}
-			if len(rhs) == 0 {
-				return true
-			}
-			line := e.m.sitePosAt(rhs[0].Pos()).Line
-			blessed := e.pf.cutAt(annotCtxDetach, e.file, line) != 0
-			src := blessed
-			if !src {
-				for _, r := range rhs {
-					if e.exprDerived(r) {
-						src = true
-						break
-					}
-				}
-			}
-			if !src {
-				return true
-			}
-			for _, l := range lhs {
-				id, isIdent := l.(*ast.Ident)
-				if !isIdent {
-					continue
-				}
-				obj := identUse(e.p, id)
-				if obj == nil || e.derived[obj] || !isContextType(obj.Type()) {
-					continue
-				}
-				e.derived[obj] = true
-				changed = true
-			}
-			return true
-		})
-	}
-}
-
-// exprDerived reports whether an expression carries a ctx-derived value:
-// it mentions a derived identifier, or it is a context-returning accessor
-// method call (req.Context() and friends).
-func (e *extractor) exprDerived(expr ast.Expr) bool {
-	derived := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if derived {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && e.derived[identUse(e.p, id)] {
-			derived = true
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel && sel.Sel.Name == "Context" {
-				if tv, found := e.p.Info.Types[call]; found && tv.Type != nil && isContextType(tv.Type) {
-					derived = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return derived
 }
 
 // walk is the main facts pass over the declaration body.
@@ -388,7 +263,6 @@ func (e *extractor) visitCall(call *ast.CallExpr) {
 	if !e.inPanic(call.Pos()) {
 		cs.CutAnn = e.pf.cutAt(annotColdpath, e.file, cs.Pos.Line)
 		e.ff.Calls = append(e.ff.Calls, cs)
-		e.callASTs = append(e.callASTs, call)
 		e.recordArgBoxing(call, sig, len(e.ff.Calls))
 	}
 }
@@ -554,74 +428,4 @@ func (e *extractor) visitReturn(r *ast.ReturnStmt) {
 		}
 		e.addAlloc(res.Pos(), "interface boxing at return allocates", 0)
 	}
-}
-
-// ctxPostPass converts the recorded call sites into context violations:
-// first the drop checks (which absorb a directly passed Background/TODO),
-// then the fresh-root checks.
-func (e *extractor) ctxPostPass() {
-	isBg := func(call *ast.CallExpr) bool {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if fn, isFn := e.p.Info.Uses[sel.Sel].(*types.Func); isFn && fn.Pkg() != nil && fn.Pkg().Path() == "context" {
-				return fn.Name() == "Background" || fn.Name() == "TODO"
-			}
-		}
-		return false
-	}
-	addViolation := func(pos token.Pos, kind, what string) {
-		sp := e.m.sitePosAt(pos)
-		e.ff.CtxViolations = append(e.ff.CtxViolations, ctxViolation{
-			Pos: sp, Kind: kind, What: what,
-			SanctionAnn: e.pf.cutAt(annotCtxDetach, e.file, sp.Line),
-		})
-	}
-
-	if e.ff.HasCtx {
-		for ci, call := range e.callASTs {
-			cs := &e.ff.Calls[ci]
-			tv, found := e.p.Info.Types[call.Fun]
-			if !found || tv.Type == nil {
-				continue
-			}
-			sig, isSig := tv.Type.Underlying().(*types.Signature)
-			if !isSig || call.Ellipsis.IsValid() {
-				continue
-			}
-			ctxIdx := -1
-			for i := 0; i < sig.Params().Len(); i++ {
-				if isContextType(sig.Params().At(i).Type()) {
-					ctxIdx = i
-					break
-				}
-			}
-			if ctxIdx < 0 || ctxIdx >= len(call.Args) {
-				continue
-			}
-			arg := call.Args[ctxIdx]
-			if e.exprDerived(arg) {
-				continue
-			}
-			if bgCall, isCall := ast.Unparen(arg).(*ast.CallExpr); isCall && isBg(bgCall) {
-				e.bgConsumed[bgCall] = true
-				addViolation(arg.Pos(), "drop",
-					fmt.Sprintf("context.%s() passed to %s: the caller's context is dropped", bgName(bgCall), cs.Display))
-				continue
-			}
-			addViolation(arg.Pos(), "drop",
-				fmt.Sprintf("call to %s drops the caller's context (context argument is not derived from it)", cs.Display))
-		}
-	}
-	for _, call := range e.callASTs {
-		if isBg(call) && !e.bgConsumed[call] {
-			addViolation(call.Pos(), "background",
-				fmt.Sprintf("context.%s() creates a fresh context root outside main/init", bgName(call)))
-		}
-	}
-}
-
-func bgName(call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
-	}
-	return "Background"
 }

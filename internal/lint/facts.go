@@ -8,26 +8,23 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/pool"
 )
 
 // The interprocedural dataflow layer.
 //
-// Per-package facts (which constructs allocate, which calls drop a
-// context) are extracted bottom-up over the import DAG — packages of the
-// same DAG level in parallel via pool.Map — then two module-level passes
-// consume them: the hot walk (hotalloc) follows the call graph from every
-// //scglint:hotpath root, and the context assembly (ctxflow) applies the
-// scoping rules to the recorded violations. Facts are plain data (no AST
-// pointers), so a package's facts can be cached on disk keyed by file
-// content and reloaded on warm runs without re-walking its sources.
+// Per-package facts (which constructs allocate, which calls each function
+// makes, which locks it takes) are extracted bottom-up over the import
+// DAG — packages of the same DAG level in parallel via pool.Map — then two
+// module-level passes consume them: the hot walk (hotalloc) follows the
+// call graph from every //scglint:hotpath root, and the lock pass
+// (lockorder.go) builds the module's lock-acquisition graph.
 
-// defaultHotpathDepth bounds the hot walk when Module.HotpathDepth is
-// unset: deep enough for every real kernel chain, small enough that an
-// accidental annotation on a dispatcher cannot drag the whole module in.
-const defaultHotpathDepth = 8
+// hotpathDepth bounds the hot walk: deep enough for every real kernel
+// chain, small enough that an accidental annotation on a dispatcher cannot
+// drag the whole module in.
+const hotpathDepth = 8
 
 // hotStdAllowlist names the standard-library packages whose functions are
 // allocation-free by contract and therefore callable from hot code.
@@ -41,19 +38,13 @@ var hotStdAllowlist = map[string]bool{
 	"time":        true,
 }
 
-// ctxScopedPkgs are the path suffixes where a fresh context root
-// (context.Background / context.TODO) outside main or init is a finding;
-// dropped-context findings apply module-wide.
-var ctxScopedPkgs = []string{"internal/server", "internal/telemetry", "internal/store", "cmd/scgd", "cmd/scgload"}
-
-// sitePos is a module-relative source position. Facts are cached across
-// processes, so positions must survive token.FileSet reconstruction:
-// file + line + column are stable as long as the file content is, and the
-// cache key guarantees exactly that.
+// sitePos is a module-relative source position: the form the compiler's
+// -m diagnostics (escape.go) and the hotpath report use, and the unit
+// annotation spans are matched in.
 type sitePos struct {
-	File string `json:"file"` // module-relative, slash-separated
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string // module-relative, slash-separated
+	Line int
+	Col  int
 }
 
 // sitePosAt converts a fileset position into a module-relative sitePos.
@@ -66,7 +57,7 @@ func (m *Module) sitePosAt(pos token.Pos) sitePos {
 	return sitePos{File: filepath.ToSlash(rel), Line: position.Line, Col: position.Column}
 }
 
-// tokenPos maps a sitePos back into the live fileset so cached facts can
+// tokenPos maps a sitePos back into the fileset so facts diagnostics can
 // be reported through the ordinary Reporter path.
 func (m *Module) tokenPos(sp sitePos) token.Pos {
 	m.fileOnce.Do(func() {
@@ -91,96 +82,79 @@ func (m *Module) tokenPos(sp sitePos) token.Pos {
 // (walk findings, malformed/unused directives), replayed per package by the
 // analyzer that owns it.
 type factDiag struct {
-	Pos      sitePos `json:"pos"`
-	Analyzer string  `json:"analyzer"`
-	Message  string  `json:"message"`
-	Hint     string  `json:"hint,omitempty"`
+	Pos      sitePos
+	Analyzer string
+	Message  string
+	Hint     string
 }
 
 // allocSite is one allocating construct inside a function body.
 type allocSite struct {
-	Pos sitePos `json:"pos"`
+	Pos sitePos
 	// What is the rendered description ("make(...) allocates").
-	What string `json:"what"`
+	What string
 	// CutAnn, when non-zero, is 1 + the index of the statement-level
 	// coldpath annotation (in pkgFacts.Annotations) covering this site.
-	CutAnn int `json:"cut_ann,omitempty"`
+	CutAnn int
 	// ParentCall, when non-zero, is 1 + the index (in funcFacts.Calls) of
 	// the call this interface-boxing site belongs to; if that call is
 	// itself flagged, the boxing site is folded into its finding.
-	ParentCall int `json:"parent_call,omitempty"`
+	ParentCall int
 }
 
 // callSite is one outgoing call edge.
 type callSite struct {
-	Pos sitePos `json:"pos"`
+	Pos sitePos
 	// Class is "internal" (module function, facts available), "std"
 	// (standard library), or "dynamic" (func value, interface method).
-	Class string `json:"class"`
+	Class string
 	// CalleePkg + CalleeName identify the callee for internal and std
 	// calls (CalleeName uses the "(Recv).Name" form for methods).
-	CalleePkg  string `json:"callee_pkg,omitempty"`
-	CalleeName string `json:"callee_name,omitempty"`
+	CalleePkg  string
+	CalleeName string
 	// Display is the human-readable callee for messages.
-	Display string `json:"display"`
+	Display string
 	// CutAnn: as in allocSite.
-	CutAnn int `json:"cut_ann,omitempty"`
-}
-
-// ctxViolation is one recorded context-flow violation.
-type ctxViolation struct {
-	Pos sitePos `json:"pos"`
-	// Kind is "drop" (caller has a ctx, callee accepts one, a non-derived
-	// value is passed) or "background" (fresh context root).
-	Kind string `json:"kind"`
-	What string `json:"what"`
-	// SanctionAnn, when non-zero, is 1 + the index of the ctxdetach
-	// annotation sanctioning this violation.
-	SanctionAnn int `json:"sanction_ann,omitempty"`
+	CutAnn int
 }
 
 // funcFacts is the per-function summary the module passes consume.
 type funcFacts struct {
 	// ID is the module-unique identifier: <pkg path>.<name>, name in the
 	// "(Recv).Name" form for methods.
-	ID   string  `json:"id"`
-	Name string  `json:"name"`
-	Pos  sitePos `json:"pos"`
+	ID   string
+	Name string
+	Pos  sitePos
 	// EndLine is the last line of the declaration in Pos.File; the escape
 	// gate attributes compiler diagnostics to hotpath kernels by this span.
-	EndLine int `json:"end_line,omitempty"`
-	// HasCtx reports a context.Context parameter somewhere in the
-	// signature (including parameters of nested function literals).
-	HasCtx     bool `json:"has_ctx,omitempty"`
-	MainOrInit bool `json:"main_or_init,omitempty"`
+	EndLine int
 	// Hotpath is the annotation reason when this function is a hot root.
-	Hotpath string `json:"hotpath,omitempty"`
+	Hotpath string
 	// Coldpath cuts every call edge into this function; ColdAnn is 1 + the
 	// annotation index so the hot walk can mark the directive used.
-	Coldpath bool `json:"coldpath,omitempty"`
-	ColdAnn  int  `json:"cold_ann,omitempty"`
+	Coldpath bool
+	ColdAnn  int
 	// MayAlloc is the transitive summary: this function, or something it
 	// (un-cut) reaches, allocates. Used beyond the hot-walk depth bound.
-	MayAlloc bool `json:"may_alloc,omitempty"`
+	MayAlloc bool
 
-	Allocs        []allocSite    `json:"allocs,omitempty"`
-	Calls         []callSite     `json:"calls,omitempty"`
-	CtxViolations []ctxViolation `json:"ctx,omitempty"`
+	Allocs []allocSite
+	Calls  []callSite
 
 	// LockAcquires and HeldOps are the lock-discipline facts (lockfacts.go):
 	// every mutex acquisition with the locks already held there, and every
 	// call or directly blocking operation executed under at least one lock.
-	LockAcquires []lockAcquire `json:"lock_acquires,omitempty"`
-	HeldOps      []heldOp      `json:"held_ops,omitempty"`
+	LockAcquires []lockAcquire
+	HeldOps      []heldOp
 }
 
-// pkgFacts is the serializable facts record of one package.
+// pkgFacts is the facts record of one package.
 type pkgFacts struct {
-	Path        string                `json:"path"`
-	Funcs       map[string]*funcFacts `json:"funcs"`
-	FuncIDs     []string              `json:"func_ids"` // sorted, for deterministic passes
-	Annotations []*annotation         `json:"annotations,omitempty"`
-	Diags       []factDiag            `json:"diags,omitempty"` // malformed directives
+	Path        string
+	Funcs       map[string]*funcFacts
+	FuncIDs     []string // sorted, for deterministic passes
+	Annotations []*annotation
+	Diags       []factDiag // malformed directives
 }
 
 // cutAt returns 1 + the index of a statement-anchored annotation of the
@@ -200,23 +174,15 @@ type funcRef struct {
 	ff *funcFacts
 }
 
-// moduleFacts is the in-memory facts store of one loaded module, built
-// once per Module (see ensureFacts) and shared by every subsequent Run.
+// moduleFacts is the facts store of one loaded module, built once per
+// Module (see ensureFacts) and shared by every subsequent Run.
 type moduleFacts struct {
 	byPath map[string]*pkgFacts
 	fn     map[string]funcRef
-	// findings holds the precomputed hotalloc/ctxflow diagnostics keyed by
-	// package path; analyzer Run methods replay their own subset.
+	// findings holds the hotalloc and lockorder diagnostics of the module
+	// passes keyed by package path; analyzer Run methods replay their own
+	// subset.
 	findings map[string][]factDiag
-	stats    FactsStats
-}
-
-// FactsStats reports, per facts build, which packages were re-analyzed and
-// which were served from the on-disk cache (empty unless a cache dir is
-// configured).
-type FactsStats struct {
-	Computed []string `json:"computed"`
-	Cached   []string `json:"cached"`
 }
 
 func (mf *moduleFacts) addFinding(pkgPath string, d factDiag) {
@@ -228,13 +194,6 @@ func (mf *moduleFacts) addFinding(pkgPath string, d factDiag) {
 func (m *Module) ensureFacts() *moduleFacts {
 	m.factsOnce.Do(func() { m.facts = buildFacts(m) })
 	return m.facts
-}
-
-// FactsInfo exposes the cache statistics of the facts build (building the
-// store first if needed): the invalidation tests and the driver's -v
-// output both read it.
-func (m *Module) FactsInfo() FactsStats {
-	return m.ensureFacts().stats
 }
 
 // internalDeps lists p's module-internal imports, sorted.
@@ -251,8 +210,7 @@ func internalDeps(m *Module, p *Package) []string {
 }
 
 // buildFacts extracts per-package facts bottom-up over the import DAG
-// (levels in parallel), then runs the module-level hot walk and context
-// assembly.
+// (levels in parallel), then runs the module-level hot walk and lock pass.
 func buildFacts(m *Module) *moduleFacts {
 	mf := &moduleFacts{
 		byPath:   make(map[string]*pkgFacts),
@@ -294,47 +252,17 @@ func buildFacts(m *Module) *moduleFacts {
 		levels[depth[p.Path]] = append(levels[depth[p.Path]], p)
 	}
 
-	cache := newFactsCache(m.FactsCacheDir)
-	keys := make(map[string]string)
-	if cache != nil {
-		// Keys are transitive (each key hashes its deps' keys), so they are
-		// computed in DAG order before any extraction.
-		for _, lv := range levels {
-			for _, p := range lv {
-				keys[p.Path] = cache.key(m, p, internalDeps(m, p), keys)
-			}
-		}
-	}
-
 	workers := runtime.GOMAXPROCS(0)
-	var mu sync.Mutex
 	for _, lv := range levels {
-		lv := lv
-		computed := make([]bool, len(lv))
 		// pool.Map cannot fail here: extraction is pure and fn returns nil.
-		_, _ = pool.Map(len(lv), workers, func(i int) (struct{}, error) {
-			p := lv[i]
-			pf, hit := cache.load(keys[p.Path])
-			if !hit {
-				pf = extractPackageFacts(m, p)
-				computed[i] = true
-			}
-			mu.Lock()
-			mf.byPath[p.Path] = pf
-			mu.Unlock()
-			return struct{}{}, nil
+		extracted, _ := pool.Map(len(lv), workers, func(i int) (*pkgFacts, error) {
+			return extractPackageFacts(m, lv[i]), nil
 		})
 		// MayAlloc needs the level's deps (all in earlier levels) plus an
-		// in-package fixed point, then the completed record is cached.
-		for i, p := range lv {
-			pf := mf.byPath[p.Path]
-			if computed[i] {
-				computeMayAlloc(mf, pf)
-				cache.store(keys[p.Path], pf)
-				mf.stats.Computed = append(mf.stats.Computed, p.Path)
-			} else {
-				mf.stats.Cached = append(mf.stats.Cached, p.Path)
-			}
+		// in-package fixed point.
+		for _, pf := range extracted {
+			mf.byPath[pf.Path] = pf
+			computeMayAlloc(mf, pf)
 			for _, id := range pf.FuncIDs {
 				ff := pf.Funcs[id]
 				if _, dup := mf.fn[ff.ID]; !dup {
@@ -343,11 +271,8 @@ func buildFacts(m *Module) *moduleFacts {
 			}
 		}
 	}
-	sort.Strings(mf.stats.Computed)
-	sort.Strings(mf.stats.Cached)
 
-	runHotWalk(m, mf)
-	runCtxAssembly(m, mf)
+	runHotWalk(mf)
 	runLockOrder(m, mf)
 	sweepUnusedAnnotations(mf)
 	return mf
@@ -443,11 +368,7 @@ type hotItem struct {
 // runHotWalk BFS-walks the intra-module call graph from every hotpath
 // root, recording hotalloc findings (with the full chain from the root)
 // and marking the coldpath directives it consumes.
-func runHotWalk(m *Module, mf *moduleFacts) {
-	depthMax := m.HotpathDepth
-	if depthMax <= 0 {
-		depthMax = defaultHotpathDepth
-	}
+func runHotWalk(mf *moduleFacts) {
 	visited := make(map[string]bool)
 	var queue []hotItem
 	for _, pkgPath := range sortedPkgPaths(mf) {
@@ -506,7 +427,7 @@ func runHotWalk(m *Module, mf *moduleFacts) {
 				if visited[calleeID] {
 					continue
 				}
-				if it.depth+1 <= depthMax {
+				if it.depth+1 <= hotpathDepth {
 					visited[calleeID] = true
 					queue = append(queue, hotItem{
 						id:    calleeID,
@@ -516,8 +437,8 @@ func runHotWalk(m *Module, mf *moduleFacts) {
 				} else if cref.ff.MayAlloc {
 					mf.addFinding(ref.pf.Path, factDiag{
 						Pos: cs.Pos, Analyzer: "hotalloc",
-						Message: fmt.Sprintf("call to %s exceeds the hot-path depth bound (%d) and may allocate [%s]", cs.Display, depthMax, it.chain),
-						Hint:    "raise -hotpath-depth, flatten the chain, or cut the edge with //scglint:coldpath <reason>",
+						Message: fmt.Sprintf("call to %s exceeds the hot-path depth bound (%d) and may allocate [%s]", cs.Display, hotpathDepth, it.chain),
+						Hint:    "flatten the chain, or cut the edge with //scglint:coldpath <reason>",
 					})
 					flagged[ci] = true
 				}
@@ -540,38 +461,8 @@ func runHotWalk(m *Module, mf *moduleFacts) {
 	}
 }
 
-// runCtxAssembly turns the recorded per-function context violations into
-// findings, applying the package scoping rules, and marks the ctxdetach
-// directives that sanctioned a violation which would otherwise report.
-func runCtxAssembly(m *Module, mf *moduleFacts) {
-	for _, pkgPath := range sortedPkgPaths(mf) {
-		pf := mf.byPath[pkgPath]
-		scoped := pathHasSuffix(pkgPath, ctxScopedPkgs...)
-		for _, id := range pf.FuncIDs {
-			ff := pf.Funcs[id]
-			for _, v := range ff.CtxViolations {
-				reportable := v.Kind == "drop" || (scoped && !ff.MainOrInit)
-				if v.SanctionAnn > 0 {
-					if reportable {
-						pf.Annotations[v.SanctionAnn-1].Used = true
-					}
-					continue
-				}
-				if !reportable {
-					continue
-				}
-				hint := "thread the function's context.Context parameter through this call"
-				if v.Kind == "background" {
-					hint = "derive from an inbound context, or justify with //scglint:ctxdetach <reason>"
-				}
-				mf.addFinding(pkgPath, factDiag{Pos: v.Pos, Analyzer: "ctxflow", Message: v.What, Hint: hint})
-			}
-		}
-	}
-}
-
-// sweepUnusedAnnotations flags coldpath/ctxdetach/lockheld directives no
-// analysis consumed — the same never-rots contract ignore directives have.
+// sweepUnusedAnnotations flags coldpath/lockheld directives no analysis
+// consumed — the same never-rots contract ignore directives have.
 func sweepUnusedAnnotations(mf *moduleFacts) {
 	for _, pkgPath := range sortedPkgPaths(mf) {
 		pf := mf.byPath[pkgPath]
@@ -585,12 +476,6 @@ func sweepUnusedAnnotations(mf *moduleFacts) {
 					Pos: ann.Pos, Analyzer: "hotalloc",
 					Message: "unused //scglint:coldpath directive (no hot path reaches it)",
 					Hint:    "delete it, or annotate the relevant root with //scglint:hotpath",
-				})
-			case annotCtxDetach:
-				mf.addFinding(pkgPath, factDiag{
-					Pos: ann.Pos, Analyzer: "ctxflow",
-					Message: "unused //scglint:ctxdetach directive (it sanctions no context violation)",
-					Hint:    "delete the directive",
 				})
 			case annotLockHeld:
 				mf.addFinding(pkgPath, factDiag{

@@ -1,76 +1,9 @@
 package lint
 
 import (
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
-
-// writeTree materializes a file tree under dir from path -> contents.
-func writeTree(t *testing.T, dir string, files map[string]string) {
-	t.Helper()
-	for name, body := range files {
-		p := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// factsStats loads the module at dir with the given facts cache and returns
-// which packages were extracted versus served from the cache.
-func factsStats(t *testing.T, dir, cacheDir string) FactsStats {
-	t.Helper()
-	m, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load(%s): %v", dir, err)
-	}
-	m.FactsCacheDir = cacheDir
-	return m.FactsInfo()
-}
-
-// TestFactsCacheInvalidation pins the warm-run contract: an unchanged tree
-// is served entirely from the cache, and editing a leaf re-analyzes only the
-// leaf and its reverse dependencies — independent packages stay cached.
-func TestFactsCacheInvalidation(t *testing.T) {
-	dir := t.TempDir()
-	cacheDir := t.TempDir()
-	writeTree(t, dir, map[string]string{
-		"go.mod":         "module tmpmod\n\ngo 1.22\n",
-		"leaf/leaf.go":   "package leaf\n\n// V is the leaf value.\nfunc V() int { return 1 }\n",
-		"depnt/dep.go":   "package depnt\n\nimport \"tmpmod/leaf\"\n\n// W depends on leaf.\nfunc W() int { return leaf.V() + 1 }\n",
-		"other/other.go": "package other\n\n// X is independent of leaf.\nfunc X() int { return 3 }\n",
-	})
-
-	cold := factsStats(t, dir, cacheDir)
-	wantAll := []string{"tmpmod/depnt", "tmpmod/leaf", "tmpmod/other"}
-	if !reflect.DeepEqual(cold.Computed, wantAll) || len(cold.Cached) != 0 {
-		t.Fatalf("cold run: computed=%v cached=%v, want computed=%v cached=[]", cold.Computed, cold.Cached, wantAll)
-	}
-
-	warm := factsStats(t, dir, cacheDir)
-	if len(warm.Computed) != 0 || !reflect.DeepEqual(warm.Cached, wantAll) {
-		t.Fatalf("warm run: computed=%v cached=%v, want computed=[] cached=%v", warm.Computed, warm.Cached, wantAll)
-	}
-
-	// Edit the leaf: its key changes, and depnt's key embeds leaf's, so both
-	// recompute; other is untouched and stays cached.
-	writeTree(t, dir, map[string]string{
-		"leaf/leaf.go": "package leaf\n\n// V is the leaf value.\nfunc V() int { return 2 }\n",
-	})
-	edited := factsStats(t, dir, cacheDir)
-	if want := []string{"tmpmod/depnt", "tmpmod/leaf"}; !reflect.DeepEqual(edited.Computed, want) {
-		t.Errorf("after leaf edit: computed=%v, want %v", edited.Computed, want)
-	}
-	if want := []string{"tmpmod/other"}; !reflect.DeepEqual(edited.Cached, want) {
-		t.Errorf("after leaf edit: cached=%v, want %v", edited.Cached, want)
-	}
-}
 
 // TestHotAllocChain pins the multi-hop chain rendering end to end on the
 // golden fixture: the leaf allocation two call hops from the annotated root
@@ -102,14 +35,14 @@ func TestParseAnnotation(t *testing.T) {
 	}{
 		{"hotpath keeps the kernel allocation-free", "hotpath", "", true},
 		{"coldpath error path may allocate", "coldpath", "", true},
-		{"ctxdetach job outlives the request", "ctxdetach", "", true},
+		{"ctxdetach job outlives the request", "ctxdetach", "unknown directive", true},
 		{"lockheld the mutex exists to serialize this write", "lockheld", "", true},
 		{"hotpath", "hotpath", "missing reason", true},
 		{"lockheld", "lockheld", "missing reason", true},
 		{"coldpath ", "coldpath", "missing reason", true},
-		{"ctxdetach\t", "ctxdetach", "missing reason", true},
+		{"coldpath\t", "coldpath", "missing reason", true},
 		{"hotpathz typo verb", "hotpathz", "unknown directive", true},
-		{"ignore permalias caller frees it", "", "", false},
+		{"ignore droppederr caller closes it", "", "", false},
 		{"", "", "unknown directive", true},
 	}
 	for _, c := range cases {

@@ -17,21 +17,21 @@ import (
 //     suppresses anything.
 func FuzzIgnoreDirective(f *testing.F) {
 	for _, seed := range []string{
-		" permalias caller frees the slice",
-		" permalias,droppederr shared rationale",
-		" permalias",
+		" droppederr caller closes the file",
+		" panicstyle,droppederr shared rationale",
+		" droppederr",
 		"",
 		"   ",
 		" nosuchanalyzer because",
-		"\tsimhygiene \t reason with\ttabs",
-		" simhygiene reason trailing CR\r",
-		"\r\n simhygiene windows line endings",
-		" simhygiene,goroutinecapture multi analyzer",
-		" boundedspawn étude of a unicode reason — em dash",
-		" atomicmix, trailing comma makes an empty name",
-		",permalias leading comma",
-		" permalias  ",
-		" waitgrouplint \x00 embedded NUL",
+		"\thotalloc \t reason with\ttabs",
+		" lockorder reason trailing CR\r",
+		"\r\n telemetrylabel windows line endings",
+		" hotalloc,lockorder multi analyzer",
+		" escapegate étude of a unicode reason — em dash",
+		" telemetrylabel, trailing comma makes an empty name",
+		",panicstyle leading comma",
+		" panicstyle  ",
+		" droppederr \x00 embedded NUL",
 		strings.Repeat("a,", 100) + " long analyzer list",
 	} {
 		f.Add(seed)
@@ -75,19 +75,19 @@ func FuzzAnnotationDirective(f *testing.F) {
 	for _, seed := range []string{
 		"hotpath per-edge kernel of the BFS engines",
 		"coldpath error path may allocate",
-		"ctxdetach async job outlives the request",
+		"coldpath slow-log write runs after the answer",
 		"lockheld the mutex serializes writer I/O",
 		"lockheld",
 		"hotpath",
 		"coldpath ",
-		"ctxdetach\t",
-		"ignore permalias caller frees the slice",
+		"lockheld\t",
+		"ignore droppederr caller closes the file",
 		"",
 		"   ",
 		"hotpathz typo verb",
 		"HOTPATH wrong case is a typo too",
 		"hotpath\treason after a tab",
-		"ctxdetach étude of a unicode reason — em dash",
+		"lockheld étude of a unicode reason — em dash",
 		"coldpath reason with trailing CR\r",
 		"hotpath \x00 embedded NUL",
 		strings.Repeat("h", 200) + " very long verb",
@@ -104,7 +104,7 @@ func FuzzAnnotationDirective(f *testing.F) {
 		}
 		switch {
 		case malformed == "":
-			if kind != annotHotpath && kind != annotColdpath && kind != annotCtxDetach && kind != annotLockHeld {
+			if kind != annotHotpath && kind != annotColdpath && kind != annotLockHeld {
 				t.Fatalf("well-formed directive with unknown verb %q: %q", kind, body)
 			}
 			if strings.TrimSpace(reason) == "" {

@@ -100,18 +100,8 @@ func runFixture(t *testing.T, name string) {
 	}
 }
 
-func TestPermAliasGolden(t *testing.T)        { runFixture(t, "permalias") }
-func TestPanicStyleGolden(t *testing.T)       { runFixture(t, "panicstyle") }
-func TestNilRecorderGolden(t *testing.T)      { runFixture(t, "nilrecorder") }
-func TestDroppedErrGolden(t *testing.T)       { runFixture(t, "droppederr") }
-func TestSimHygieneGolden(t *testing.T)       { runFixture(t, "simhygiene") }
-func TestMapDeterminismGolden(t *testing.T)   { runFixture(t, "mapdeterminism") }
-func TestGoroutineCaptureGolden(t *testing.T) { runFixture(t, "goroutinecapture") }
-func TestAtomicMixGolden(t *testing.T)        { runFixture(t, "atomicmix") }
-func TestWaitGroupLintGolden(t *testing.T)    { runFixture(t, "waitgrouplint") }
-func TestBoundedSpawnGolden(t *testing.T)     { runFixture(t, "boundedspawn") }
-func TestTelemetryLabelGolden(t *testing.T)   { runFixture(t, "telemetrylabel") }
-func TestHotAllocGolden(t *testing.T)         { runFixture(t, "hotalloc") }
-func TestCtxFlowGolden(t *testing.T)          { runFixture(t, "ctxflow") }
-func TestLockOrderGolden(t *testing.T)        { runFixture(t, "lockorder") }
-func TestGoroLeakGolden(t *testing.T)         { runFixture(t, "goroleak") }
+func TestPanicStyleGolden(t *testing.T)     { runFixture(t, "panicstyle") }
+func TestDroppedErrGolden(t *testing.T)     { runFixture(t, "droppederr") }
+func TestTelemetryLabelGolden(t *testing.T) { runFixture(t, "telemetrylabel") }
+func TestHotAllocGolden(t *testing.T)       { runFixture(t, "hotalloc") }
+func TestLockOrderGolden(t *testing.T)      { runFixture(t, "lockorder") }

@@ -1,7 +1,12 @@
 package lint
 
+import (
+	"fmt"
+	"io"
+)
+
 // hotalloc: functions annotated //scglint:hotpath — and everything they
-// reach through the intra-module call graph, up to the configured depth —
+// reach through the intra-module call graph, up to hotpathDepth calls —
 // must be free of allocating constructs: make/new, composite literals,
 // append (backing-array growth), map writes, string concatenation and
 // copying conversions, closure creation, and interface boxing at call
@@ -13,7 +18,7 @@ package lint
 // interface methods) cannot be analyzed and are findings themselves.
 //
 // The analysis runs on the module facts store (facts.go): the per-package
-// Run below replays the findings precomputed by the module-level hot walk.
+// Run below replays the findings of the module-level hot walk.
 var analyzerHotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "//scglint:hotpath call graphs must be allocation-free (coldpath cuts edges; findings carry the chain from the root)",
@@ -23,9 +28,9 @@ var analyzerHotAlloc = &Analyzer{
 	needsFacts: true,
 }
 
-// replayFactDiags reports the precomputed facts-store diagnostics owned by
-// one analyzer for one package: the module-pass findings plus the
-// malformed-directive diagnostics recorded at extraction time.
+// replayFactDiags reports the facts-store diagnostics owned by one analyzer
+// for one package: the module-pass findings plus the malformed-directive
+// diagnostics recorded at extraction time.
 func replayFactDiags(p *Package, analyzer string, report Reporter) {
 	mf := p.mod.ensureFacts()
 	for _, d := range mf.findings[p.Path] {
@@ -39,5 +44,14 @@ func replayFactDiags(p *Package, analyzer string, report Reporter) {
 				report(p.mod.tokenPos(d.Pos), d.Message, d.Hint)
 			}
 		}
+	}
+}
+
+// WriteHotpathReport prints one tab-separated line per hotpath root:
+// function ID, defining position, annotation reason. cmd/benchreport
+// cross-checks this list against the benchmarked kernel set.
+func WriteHotpathReport(w io.Writer, m *Module) {
+	for _, ff := range hotpathKernels(m.ensureFacts()) {
+		_, _ = fmt.Fprintf(w, "%s\t%s:%d\t%s\n", ff.ID, ff.Pos.File, ff.Pos.Line, ff.Hotpath)
 	}
 }

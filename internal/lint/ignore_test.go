@@ -11,7 +11,7 @@ import (
 // (including across the full line span of a multi-line statement),
 // directives without effect or without a reason are findings themselves, and
 // an unsuppressed violation still fires. A regression in statement-span
-// anchoring shows up here as either a surviving simhygiene finding (the
+// anchoring shows up here as either a surviving droppederr finding (the
 // multi-line case) or an unused-directive count bump.
 func TestIgnoreDirectives(t *testing.T) {
 	m, err := Load("testdata/ignore")
@@ -21,7 +21,7 @@ func TestIgnoreDirectives(t *testing.T) {
 	findings := Run(m, Analyzers())
 
 	var (
-		unused, malformed, hygiene int
+		unused, malformed, dropped int
 	)
 	for _, f := range findings {
 		switch {
@@ -29,8 +29,8 @@ func TestIgnoreDirectives(t *testing.T) {
 			unused++
 		case f.Analyzer == "scglint" && strings.Contains(f.Message, "malformed"):
 			malformed++
-		case f.Analyzer == "simhygiene":
-			hygiene++
+		case f.Analyzer == "droppederr":
+			dropped++
 		default:
 			t.Errorf("unexpected finding: %s", f)
 		}
@@ -42,8 +42,8 @@ func TestIgnoreDirectives(t *testing.T) {
 		t.Errorf("malformed-directive findings = %d, want 1", malformed)
 	}
 	// The reasonless directive must not suppress the finding it sits on.
-	if hygiene != 1 {
-		t.Errorf("surviving simhygiene findings = %d, want 1 (from the malformed-directive line)", hygiene)
+	if dropped != 1 {
+		t.Errorf("surviving droppederr findings = %d, want 1 (from the malformed-directive line)", dropped)
 	}
 }
 
@@ -54,9 +54,9 @@ func TestParseIgnoreDirective(t *testing.T) {
 		analyzers int
 		malformed bool
 	}{
-		{" permalias caller frees the slice", 1, false},
-		{" permalias,droppederr shared rationale", 2, false},
-		{" permalias", 1, true},              // no reason
+		{" droppederr caller closes the file", 1, false},
+		{" panicstyle,droppederr shared rationale", 2, false},
+		{" droppederr", 1, true},             // no reason
 		{"", 0, true},                        // nothing at all
 		{" nosuchanalyzer because", 1, true}, // unknown analyzer
 	}

@@ -7,84 +7,20 @@ import (
 
 // The shared one-pass AST index.
 //
-// Every analyzer used to run its own ast.Inspect over every file, so adding
-// an analyzer added a full traversal of the module. The index walks each
-// package exactly once (lazily, on first use) and records the node shapes
-// the analyzers consume, each paired with its enclosing declaration context.
-// Ten analyzers therefore cost the same single traversal as six did; the
-// dominant load/type-check pass was already shared via Load.
-
-// nodeCtx pairs an indexed node with its enclosing context.
-type nodeCtx struct {
-	// fn is the enclosing function declaration (nil at package scope).
-	fn *ast.FuncDecl
-	// lit is the innermost enclosing function literal (nil outside one).
-	lit *ast.FuncLit
-}
-
-// indexed is one recorded node occurrence.
-type indexed[T ast.Node] struct {
-	node T
-	nodeCtx
-}
-
-// stmtList is one statement-list occurrence (block, case, or comm clause
-// body) — the granularity mapdeterminism reasons at.
-type stmtList struct {
-	list []ast.Stmt
-	nodeCtx
-}
+// The syntactic analyzers (panicstyle, droppederr, telemetrylabel) read
+// their node shapes from one walk per package, built lazily on first use,
+// instead of each running its own ast.Inspect over every file.
 
 // index is the per-package one-pass node catalog.
 type index struct {
-	calls      []indexed[*ast.CallExpr]
-	selectors  []indexed[*ast.SelectorExpr]
-	goStmts    []indexed[*ast.GoStmt]
-	deferStmts []indexed[*ast.DeferStmt]
-	exprStmts  []indexed[*ast.ExprStmt]
-	assigns    []indexed[*ast.AssignStmt]
-	funcDecls  []*ast.FuncDecl
-	stmtLists  []stmtList
-	composites []indexed[*ast.CompositeLit]
+	calls      []*ast.CallExpr
+	exprStmts  []*ast.ExprStmt
+	goStmts    []*ast.GoStmt
+	deferStmts []*ast.DeferStmt
+	composites []*ast.CompositeLit
 	// loopBodies records the position extent of every for/range body, for
 	// analyzers that forbid a shape inside loops (telemetrylabel).
 	loopBodies []posExtent
-	// precomputed holds replayable findings, keyed by analyzer name, for the
-	// analyzers whose sweeps resolve types on a large share of the package's
-	// nodes (goroutinecapture's capture-scope walk, waitgrouplint's sync-copy
-	// checks). The resolution runs once here, when the index is built; each
-	// Run replays the recorded findings. This is the package-scope analogue
-	// of the module-level facts store (facts.go): the warm path replays, it
-	// does not re-derive.
-	precomputed map[string][]recordedFinding
-}
-
-// recordedFinding is one precomputed diagnostic, ready to replay through a
-// Reporter.
-type recordedFinding struct {
-	pos     token.Pos
-	message string
-	hint    string
-	fix     *fixSpec
-}
-
-// record returns a Reporter that appends findings to the precomputed store
-// under the given analyzer name.
-func (ix *index) record(name string) Reporter {
-	return func(pos token.Pos, message, hint string, fix ...*fixSpec) {
-		f := recordedFinding{pos: pos, message: message, hint: hint}
-		if len(fix) > 0 {
-			f.fix = fix[0]
-		}
-		ix.precomputed[name] = append(ix.precomputed[name], f)
-	}
-}
-
-// replay forwards an analyzer's precomputed findings to report.
-func (ix *index) replay(name string, report Reporter) {
-	for _, f := range ix.precomputed[name] {
-		report(f.pos, f.message, f.hint, f.fix)
-	}
 }
 
 // posExtent is one node's [Pos, End) span.
@@ -92,7 +28,7 @@ type posExtent struct {
 	from, to token.Pos
 }
 
-// contains reports whether pos falls inside any recorded extent.
+// containsPos reports whether pos falls inside any recorded extent.
 func containsPos(extents []posExtent, pos token.Pos) bool {
 	for _, e := range extents {
 		if pos >= e.from && pos < e.to {
@@ -102,7 +38,7 @@ func containsPos(extents []posExtent, pos token.Pos) bool {
 	return false
 }
 
-// cachedIndex is the lazily built index, stored on the Package so every
+// index returns the lazily built index, stored on the Package so every
 // analyzer in a run shares it. Run fans packages out concurrently, so the
 // build is once-guarded.
 func (p *Package) index() *index {
@@ -112,61 +48,28 @@ func (p *Package) index() *index {
 	return p.idx
 }
 
-// indexWalker implements ast.Visitor, threading the enclosing-declaration
-// context down the walk (ast.Walk hands the returned visitor to children,
-// which scopes fn/lit naturally).
-type indexWalker struct {
-	ix  *index
-	ctx nodeCtx
-}
-
-func (w indexWalker) Visit(n ast.Node) ast.Visitor {
-	switch t := n.(type) {
-	case *ast.FuncDecl:
-		w.ix.funcDecls = append(w.ix.funcDecls, t)
-		return indexWalker{ix: w.ix, ctx: nodeCtx{fn: t}}
-	case *ast.FuncLit:
-		return indexWalker{ix: w.ix, ctx: nodeCtx{fn: w.ctx.fn, lit: t}}
-	case *ast.CallExpr:
-		w.ix.calls = append(w.ix.calls, indexed[*ast.CallExpr]{t, w.ctx})
-	case *ast.SelectorExpr:
-		w.ix.selectors = append(w.ix.selectors, indexed[*ast.SelectorExpr]{t, w.ctx})
-	case *ast.GoStmt:
-		w.ix.goStmts = append(w.ix.goStmts, indexed[*ast.GoStmt]{t, w.ctx})
-	case *ast.DeferStmt:
-		w.ix.deferStmts = append(w.ix.deferStmts, indexed[*ast.DeferStmt]{t, w.ctx})
-	case *ast.ExprStmt:
-		w.ix.exprStmts = append(w.ix.exprStmts, indexed[*ast.ExprStmt]{t, w.ctx})
-	case *ast.AssignStmt:
-		w.ix.assigns = append(w.ix.assigns, indexed[*ast.AssignStmt]{t, w.ctx})
-	case *ast.BlockStmt:
-		w.ix.stmtLists = append(w.ix.stmtLists, stmtList{t.List, w.ctx})
-	case *ast.CaseClause:
-		w.ix.stmtLists = append(w.ix.stmtLists, stmtList{t.Body, w.ctx})
-	case *ast.CommClause:
-		w.ix.stmtLists = append(w.ix.stmtLists, stmtList{t.Body, w.ctx})
-	case *ast.CompositeLit:
-		w.ix.composites = append(w.ix.composites, indexed[*ast.CompositeLit]{t, w.ctx})
-	case *ast.ForStmt:
-		w.ix.loopBodies = append(w.ix.loopBodies, posExtent{t.Body.Pos(), t.Body.End()})
-	case *ast.RangeStmt:
-		w.ix.loopBodies = append(w.ix.loopBodies, posExtent{t.Body.Pos(), t.Body.End()})
-	}
-	return w
-}
-
 func buildIndex(p *Package) *index {
-	ix := &index{precomputed: make(map[string][]recordedFinding)}
+	ix := &index{}
 	for _, f := range p.Files {
-		ast.Walk(indexWalker{ix: ix}, f)
-	}
-	// The type-resolving sweeps run once here, not per Run; their findings
-	// replay from the precomputed store. Collectors take ix directly —
-	// calling p.index() from inside the build would deadlock on the once
-	// guard.
-	if p.Info != nil {
-		collectGoroutineCapture(p, ix, ix.record("goroutinecapture"))
-		collectWaitGroupLint(p, ix, ix.record("waitgrouplint"))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch t := n.(type) {
+			case *ast.CallExpr:
+				ix.calls = append(ix.calls, t)
+			case *ast.ExprStmt:
+				ix.exprStmts = append(ix.exprStmts, t)
+			case *ast.GoStmt:
+				ix.goStmts = append(ix.goStmts, t)
+			case *ast.DeferStmt:
+				ix.deferStmts = append(ix.deferStmts, t)
+			case *ast.CompositeLit:
+				ix.composites = append(ix.composites, t)
+			case *ast.ForStmt:
+				ix.loopBodies = append(ix.loopBodies, posExtent{t.Body.Pos(), t.Body.End()})
+			case *ast.RangeStmt:
+				ix.loopBodies = append(ix.loopBodies, posExtent{t.Body.Pos(), t.Body.End()})
+			}
+			return true
+		})
 	}
 	return ix
 }

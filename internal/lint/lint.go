@@ -1,20 +1,20 @@
 // Package lint is scglint's engine: a stdlib-only static-analysis suite
 // (go/ast + go/parser + go/token + go/types, no golang.org/x/tools) that
-// enforces this repository's unwritten conventions as machine-checked
-// invariants.
+// holds this repository to the conventions its gates rest on.
 //
-// The analyzers are project-specific:
+// The catalog keeps an analyzer only if it caught a real bug here or
+// enforces an invariant nothing else checks:
 //
-//   - permalias: functions must not store or return a perm.Perm / []int
-//     parameter without cloning it first (aliasing-mutation bug class).
 //   - panicstyle: panic messages follow the "pkg: Func: message" convention.
-//   - nilrecorder: exported *Traced entry points must tolerate a nil
-//     obs.Recorder (guard every method call or substitute a no-op).
 //   - droppederr: error return values must not be silently discarded.
-//   - simhygiene: no wall-clock time or global math/rand inside the
-//     simulation engines (determinism and benchmark stability).
-//   - mapdeterminism: no raw map iteration feeding output in the figure and
-//     experiment packages unless the result is sorted afterwards.
+//   - telemetrylabel: metric names and label keys in internal/server are
+//     constants registered once, so /metricsz cardinality stays static.
+//   - hotalloc: //scglint:hotpath kernels, and everything they reach
+//     through the module call graph, are free of allocating constructs.
+//   - lockorder: the module's lock-acquisition graph is acyclic and no lock
+//     is held across a blocking operation.
+//   - escapegate: under -escapes, the hotpath kernels match the committed
+//     compiler escape budget exactly.
 //
 // Findings can be suppressed with an audit trail:
 //
@@ -49,28 +49,6 @@ type Finding struct {
 	Message string `json:"message"`
 	// Hint is a one-line suggested fix.
 	Hint string `json:"hint,omitempty"`
-	// Fix, when non-nil, is a machine-applyable repair: `scglint -fix`
-	// applies it, `-diff` prints it.
-	Fix *SuggestedFix `json:"fix,omitempty"`
-}
-
-// SuggestedFix is a self-contained, machine-applyable repair for one
-// finding. Edits are resolved to byte offsets in the loaded sources, so a
-// fix can be applied (or rendered as a diff) without re-analyzing.
-type SuggestedFix struct {
-	// Message describes the repair in one line ("rebind the loop variable").
-	Message string `json:"message"`
-	// Edits are the text replacements, non-overlapping within one fix.
-	Edits []TextEdit `json:"edits"`
-}
-
-// TextEdit replaces the source bytes [Start, End) of File with NewText.
-// Start == End is a pure insertion.
-type TextEdit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
 }
 
 func (f Finding) String() string {
@@ -95,34 +73,23 @@ type Analyzer struct {
 	needsFacts bool
 }
 
-// Reporter receives findings from an analyzer run. The optional trailing
-// fix attaches a machine-applyable repair (at most one is used).
-type Reporter func(pos token.Pos, message, hint string, fix ...*fixSpec)
+// Reporter receives findings from an analyzer run.
+type Reporter func(pos token.Pos, message, hint string)
 
 // Analyzers returns the full analyzer catalog in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		analyzerPermAlias,
 		analyzerPanicStyle,
-		analyzerNilRecorder,
 		analyzerDroppedErr,
-		analyzerSimHygiene,
-		analyzerMapDeterminism,
-		analyzerGoroutineCapture,
-		analyzerAtomicMix,
-		analyzerWaitGroupLint,
-		analyzerBoundedSpawn,
 		analyzerTelemetryLabel,
 		analyzerHotAlloc,
-		analyzerCtxFlow,
 		analyzerLockOrder,
-		analyzerGoroLeak,
 		analyzerEscapeGate,
 	}
 }
 
-// AnalyzerNames returns the catalog names in stable order (for -list, error
-// messages, and the SARIF rule table).
+// AnalyzerNames returns the catalog names in stable order (for -list and
+// error messages).
 func AnalyzerNames() []string {
 	all := Analyzers()
 	names := make([]string, len(all))
@@ -147,16 +114,12 @@ func analyzerByName(name string) (*Analyzer, bool) {
 // or malformed ignore directives are appended as "scglint" findings.
 //
 // Work fans out per package over the audited pool.Map chokepoint: each task
-// runs the whole analyzer catalog over one package, owns its findings slice,
-// builds the shared node index once behind a sync.Once, and every other
-// analyzer-visible structure (type info, the facts store, the catalog
-// tables) is read-only during a run. Per-package granularity keeps the task
-// count — and so the pool's per-task overhead — identical no matter how
-// many analyzers are selected, which is what TestSharedPassCost's marginal-
-// cost budget measures. Results are gathered in package order, so output is
-// deterministic before the final position sort. The facts store, when any
-// selected analyzer needs it, is built before the fan-out — its own build
-// parallelizes over import-DAG levels.
+// runs the selected analyzers over one package and owns its findings
+// slice; the shared node index is built once per package behind a
+// sync.Once, and everything else an analyzer reads (type info, the facts
+// store) is read-only during a run. Results are gathered in package order,
+// so output is deterministic before the final position sort. The facts
+// store, when any selected analyzer needs it, is built before the fan-out.
 func Run(m *Module, analyzers []*Analyzer) []Finding {
 	for _, a := range analyzers {
 		if a.needsFacts {
@@ -168,10 +131,9 @@ func Run(m *Module, analyzers []*Analyzer) []Finding {
 		p := m.Packages[i]
 		var out []Finding
 		for _, a := range analyzers {
-			a := a
-			a.Run(p, func(pos token.Pos, message, hint string, fix ...*fixSpec) {
+			a.Run(p, func(pos token.Pos, message, hint string) {
 				position := m.Fset.Position(pos)
-				f := Finding{
+				out = append(out, Finding{
 					Pos:      position,
 					File:     position.Filename,
 					Line:     position.Line,
@@ -179,11 +141,7 @@ func Run(m *Module, analyzers []*Analyzer) []Finding {
 					Analyzer: a.Name,
 					Message:  message,
 					Hint:     hint,
-				}
-				if len(fix) > 0 && fix[0] != nil {
-					f.Fix = resolveFix(m, fix[0])
-				}
-				out = append(out, f)
+				})
 			})
 		}
 		return out, nil

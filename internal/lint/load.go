@@ -50,18 +50,6 @@ type Module struct {
 	Fset *token.FileSet
 	// Packages lists every non-test package in import-path order.
 	Packages []*Package
-	// sources retains the raw bytes of every parsed file, keyed by the
-	// absolute path the Fset reports. The suggested-fix engine needs them
-	// to resolve indentation-aware edits and to print diffs without
-	// re-reading (and possibly racing with) the working tree.
-	sources map[string][]byte
-
-	// FactsCacheDir, when non-empty, enables the on-disk facts cache
-	// (factscache.go). Set before the first Run.
-	FactsCacheDir string
-	// HotpathDepth bounds the hotalloc call-graph walk; 0 means the
-	// default (defaultHotpathDepth). Set before the first Run.
-	HotpathDepth int
 
 	// The interprocedural facts store, built at most once per Module.
 	factsOnce sync.Once
@@ -69,13 +57,6 @@ type Module struct {
 	// fileByName indexes the fileset for sitePos -> token.Pos mapping.
 	fileOnce   sync.Once
 	fileByName map[string]*token.File
-}
-
-// Source returns the raw bytes of a loaded file (as parsed, not as currently
-// on disk). ok is false for files outside the module load.
-func (m *Module) Source(file string) (src []byte, ok bool) {
-	src, ok = m.sources[file]
-	return src, ok
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing a
@@ -147,7 +128,7 @@ func Load(dir string) (*Module, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	m := &Module{Dir: root, Path: modPath, Fset: fset, sources: make(map[string][]byte)}
+	m := &Module{Dir: root, Path: modPath, Fset: fset}
 
 	// Pass 1: parse every package directory.
 	var dirs []string
@@ -242,8 +223,7 @@ func Load(dir string) (*Module, error) {
 }
 
 // parseDir parses the non-test Go files of one directory, returning nil when
-// the directory holds no Go sources. Raw file bytes are retained on m for
-// the fix engine.
+// the directory holds no Go sources.
 func parseDir(fset *token.FileSet, m *Module, root, modPath, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -263,16 +243,10 @@ func parseDir(fset *token.FileSet, m *Module, root, modPath, dir string) (*Packa
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: Load: %v", err)
 		}
-		f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: Load: %v", err)
-		}
-		m.sources[path] = src
 		if p.Name != "" && p.Name != f.Name.Name {
 			return nil, fmt.Errorf("lint: Load: %s mixes packages %s and %s", dir, p.Name, f.Name.Name)
 		}

@@ -33,21 +33,21 @@ import (
 
 // lockAcquire is one mutex acquisition site.
 type lockAcquire struct {
-	Pos sitePos `json:"pos"`
+	Pos sitePos
 	// Lock is the canonical lock identity: "<pkg>.(<Type>).<field>" for
 	// receiver/struct fields, "<pkg>.<var>" for package-level vars, and
 	// "<funcID>:<expr>" for function-local or unresolvable lockers.
-	Lock string `json:"lock"`
+	Lock string
 	// Read marks RLock (shared) acquisitions.
-	Read bool `json:"read,omitempty"`
+	Read bool
 	// Held lists the locks already held at this site, outermost first.
-	Held []string `json:"held,omitempty"`
+	Held []string
 	// Async marks acquisitions inside a go-statement literal: concurrent
 	// with the creator, excluded from its transitive summary.
-	Async bool `json:"async,omitempty"`
+	Async bool
 	// SanctionAnn, when non-zero, is 1 + the index of the lockheld
 	// annotation covering this site.
-	SanctionAnn int `json:"sanction_ann,omitempty"`
+	SanctionAnn int
 }
 
 // heldOp is one operation observed by the lock walker: Kind "call" is an
@@ -55,18 +55,18 @@ type lockAcquire struct {
 // source); Kind "block" is a directly blocking operation, recorded
 // unconditionally so the may-block summary has its seeds.
 type heldOp struct {
-	Pos  sitePos  `json:"pos"`
-	Kind string   `json:"kind"` // "call" | "block"
-	Held []string `json:"held,omitempty"`
+	Pos  sitePos
+	Kind string // "call" | "block"
+	Held []string
 	// CalleePkg and CalleeName identify the callee of a "call" op.
-	CalleePkg  string `json:"callee_pkg,omitempty"`
-	CalleeName string `json:"callee_name,omitempty"`
+	CalleePkg  string
+	CalleeName string
 	// What describes the operation for messages ("channel send",
 	// "call to pool.Each (worker barrier)").
-	What  string `json:"what"`
-	Async bool   `json:"async,omitempty"`
+	What  string
+	Async bool
 	// SanctionAnn: as in lockAcquire.
-	SanctionAnn int `json:"sanction_ann,omitempty"`
+	SanctionAnn int
 }
 
 // heldLock is one entry of the walker's held stack.

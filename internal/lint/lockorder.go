@@ -23,7 +23,7 @@ import (
 // stream I/O executed under a lock — directly or via a callee that may
 // block — serializes every contender behind an unbounded wait.
 // //scglint:lockheld <reason> sanctions an individual site, audited like
-// ctxdetach: malformed or unused directives are findings themselves.
+// coldpath: malformed or unused directives are findings themselves.
 var analyzerLockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "the module lock-acquisition graph must be acyclic and no lock may be held across a blocking operation (lockheld sanctions audited cases)",

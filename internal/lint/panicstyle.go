@@ -27,8 +27,7 @@ var analyzerPanicStyle = &Analyzer{
 }
 
 func runPanicStyle(p *Package, report Reporter) {
-	for _, c := range p.index().calls {
-		call := c.node
+	for _, call := range p.index().calls {
 		id, ok := call.Fun.(*ast.Ident)
 		if !ok || id.Name != "panic" || len(call.Args) != 1 {
 			continue

@@ -51,28 +51,28 @@ func runTelemetryLabel(p *Package, report Reporter) {
 		return
 	}
 	ix := p.index()
-	for _, c := range ix.calls {
-		method, ok := registryMethodCall(p, c.node)
+	for _, call := range ix.calls {
+		method, ok := registryMethodCall(p, call)
 		if !ok {
 			continue
 		}
-		if containsPos(ix.loopBodies, c.node.Pos()) {
-			report(c.node.Pos(),
+		if containsPos(ix.loopBodies, call.Pos()) {
+			report(call.Pos(),
 				"metric registered inside a loop; the registry's cardinality is only auditable when registration happens once at construction",
 				"hoist the Registry."+method+" call out of the loop, or make the varying dimension a label value")
 		}
-		if len(c.node.Args) > 0 && !isConstExpr(p, c.node.Args[0]) {
-			report(c.node.Args[0].Pos(),
+		if len(call.Args) > 0 && !isConstExpr(p, call.Args[0]) {
+			report(call.Args[0].Pos(),
 				"dynamically-named metric: the name argument of Registry."+method+" must be a compile-time constant",
 				"use a constant metric name and move the varying part into a label value")
 		}
-		if c.node.Ellipsis != token.NoPos {
-			report(c.node.Ellipsis,
+		if call.Ellipsis != token.NoPos {
+			report(call.Ellipsis,
 				"labels passed by slice expansion hide the series set from audit",
 				"list each telemetry.Label literal explicitly in the Registry."+method+" call")
 		}
 		first := registryMethods[method]
-		for i, arg := range c.node.Args {
+		for i, arg := range call.Args {
 			if i < first {
 				continue
 			}
@@ -80,8 +80,8 @@ func runTelemetryLabel(p *Package, report Reporter) {
 		}
 	}
 	for _, cl := range ix.composites {
-		if name, isInstr := instrumentType(p, cl.node); isInstr {
-			report(cl.node.Pos(),
+		if name, isInstr := instrumentType(p, cl); isInstr {
+			report(cl.Pos(),
 				"unregistered metric instrument: a hand-built telemetry."+name+" never appears on /metricsz",
 				"obtain the instrument from Registry."+name+" so the scrape and /statsz read the same value")
 		}

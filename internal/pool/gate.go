@@ -6,8 +6,7 @@ import "context"
 // of slots, a non-blocking TryEnter for request paths that prefer shedding
 // load over queueing, and a context-aware Enter for callers that can wait.
 // It lives here, next to Map and Each, so every way this module bounds
-// concurrency is audited in one package (the same chokepoint discipline
-// scglint's boundedspawn analyzer enforces for goroutine spawns).
+// concurrency sits in one package.
 type Gate struct {
 	slots chan struct{}
 }

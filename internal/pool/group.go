@@ -4,10 +4,9 @@ import "sync"
 
 // Group runs goroutines whose number is not known up front, such as one per
 // accepted connection, and waits for all of them: the chokepoint for the
-// spawns of a serving loop, as Runner is for async jobs. Code covered by
-// scglint's boundedspawn analyzer starts such goroutines through a Group
-// instead of raw go statements, so whoever owns the Group can wait until
-// every one of them has returned.
+// spawns of a serving loop, as Runner is for async jobs. scgd starts such
+// goroutines through a Group instead of raw go statements, so whoever owns
+// the Group can wait until every one of them has returned.
 //
 // The zero value is ready to use. Go may be called before Wait, or from a
 // goroutine the Group runs, at any time; once Wait has returned it may be

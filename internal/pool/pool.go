@@ -1,9 +1,8 @@
 // Package pool provides a small bounded worker pool for measuring
 // independent network instances concurrently. Results are gathered by
 // index, so callers render them in their existing fixed order and committed
-// artifacts stay byte-identical no matter how the work interleaves (the
-// same determinism discipline scglint's mapdeterminism analyzer enforces
-// for map iteration).
+// artifacts stay byte-identical no matter how the work interleaves
+// (TestResultsGolden byte-compares them).
 package pool
 
 import (
@@ -12,20 +11,14 @@ import (
 	"sync/atomic"
 )
 
-// Map runs fn(0), ..., fn(n-1) on at most workers goroutines and returns
-// the results in index order. workers <= 0 means runtime.GOMAXPROCS(0).
-// Every fn call runs to completion even when another index fails; the
-// error for the lowest failing index is returned (deterministically, so a
-// sweep reports the same failure regardless of scheduling), with nil
-// results.
 // Each runs fn(0), ..., fn(n-1) on at most workers goroutines and blocks
 // until every call has returned. workers <= 0 means runtime.GOMAXPROCS(0).
 // It is the side-effect counterpart of Map for callers that fan work out
 // over pre-allocated per-index state (the parallel BFS engine's per-shard
 // workers): fn(i) is invoked exactly once for each index, so state keyed by
 // i is touched by exactly one goroutine. Each is, with Map, the module's
-// only sanctioned way to spawn goroutines in the measurement packages —
-// scglint's boundedspawn analyzer rejects raw go statements there.
+// sanctioned way to spawn goroutines in the measurement packages, which
+// start no raw go statements.
 func Each(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -62,6 +55,12 @@ func Each(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
+// Map runs fn(0), ..., fn(n-1) on at most workers goroutines and returns
+// the results in index order. workers <= 0 means runtime.GOMAXPROCS(0).
+// Every fn call runs to completion even when another index fails; the
+// error for the lowest failing index is returned (deterministically, so a
+// sweep reports the same failure regardless of scheduling), with nil
+// results.
 func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil

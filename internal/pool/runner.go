@@ -9,9 +9,8 @@ import (
 // goroutines draining a bounded queue. It complements Map and Each (which
 // block until a whole batch finishes) for workloads that are submitted one
 // at a time and polled later — the scgd exact-profile jobs. Like the rest
-// of this package it is the audited spawn chokepoint: code covered by
-// scglint's boundedspawn analyzer routes background work through a Runner
-// instead of raw go statements.
+// of this package it is a spawn chokepoint: scgd routes background work
+// through a Runner instead of raw go statements.
 type Runner struct {
 	tasks chan func()
 	wg    sync.WaitGroup

@@ -177,7 +177,10 @@ func (j *Jobs) run(id string) {
 	j.mu.Unlock()
 
 	start := time.Now()
-	ctx := context.Background() //scglint:ctxdetach async profile jobs outlive their 202 request; the job must not die with the submitting connection
+	// A fresh root, not the request's context: async profile jobs outlive
+	// their 202 request, and the job must not die with the submitting
+	// connection.
+	ctx := context.Background()
 	var tr *telemetry.Trace
 	if j.slow != nil {
 		tr = telemetry.AcquireTrace(reqID, start)

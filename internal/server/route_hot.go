@@ -218,8 +218,7 @@ func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp flo
 // that consecutive requests differ. The client writes prepared bytes and
 // reads each answer into one buffer, so it allocates nothing itself: the
 // heap allocations per request it returns are Run's, the ConnAllocs
-// ceiling's subject, with mean round-trip wall time, from the best of
-// three rounds of iters requests. Every target must
+// ceiling's subject, with mean round-trip wall time. Every target must
 // answer 200 once warm. Run closes s before MeasureConn returns.
 func MeasureConn(ctx context.Context, s *Server, targets []string, iters int) (nsPerOp, allocsPerOp float64, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -258,15 +257,7 @@ func MeasureConn(ctx context.Context, s *Server, targets []string, iters int) (n
 	for j := 0; j < 64; j++ {
 		roundTrip()
 	}
-	// The lowest of three rounds counts: the connection's goroutine may move
-	// to a P whose sync.Pools the warm-up never primed, which costs a few
-	// dozen allocations once, not per request.
 	nsPerOp, allocsPerOp = measureLoop(iters, roundTrip)
-	for round := 1; round < 3; round++ {
-		if ns, allocs := measureLoop(iters, roundTrip); allocs < allocsPerOp {
-			nsPerOp, allocsPerOp = ns, allocs
-		}
-	}
 	if rtErr != nil {
 		return 0, 0, fmt.Errorf("request %d: %w", i, rtErr)
 	}
@@ -318,9 +309,13 @@ func exchangeRaw(nc net.Conn, req, buf []byte) error {
 }
 
 // measureLoop times fn and reports mean nanoseconds and heap allocations per
-// call. The GC before measuring empties sync.Pool primaries into the victim
-// cache, so a short re-warm keeps pool refills out of the measurement.
+// call. Warm-up and window run at GOMAXPROCS 1, as testing.AllocsPerRun
+// does: MemStats.Mallocs counts every P, and a goroutine that moves to a P
+// whose sync.Pools the warm-up never primed allocates refilling them. The
+// GC before measuring empties sync.Pool primaries into the victim cache,
+// so a short re-warm keeps pool refills out of the measurement.
 func measureLoop(iters int, fn func()) (nsPerOp, allocsPerOp float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	for i := 0; i < 8; i++ {
 		fn()

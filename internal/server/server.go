@@ -16,8 +16,7 @@
 //   - Async jobs: k!-state exact profiles run on a bounded pool.Runner;
 //     submit returns a job ID, polls return status/result. The package
 //     contains no raw go statements — all concurrency routes through
-//     internal/pool, including Run's connection loops (conn.go), which is
-//     what scglint's boundedspawn policy enforces here.
+//     internal/pool, including Run's connection loops (conn.go).
 //
 // Telemetry (internal/telemetry) threads through all of it: every request
 // gets an X-Request-Id (generated or propagated) that stamps access-log

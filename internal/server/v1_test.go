@@ -50,14 +50,15 @@ func TestServeAllocs(t *testing.T) {
 		{"profile poll", "/v1/profile?id=" + job.ID, ServeAllocs},
 		{"profile submit (cache hit)", "/v1/profile?family=star&n=6", ProfileSubmitAllocs},
 	}
+	const iters = 1000
 	for _, tc := range cases {
-		_, allocs, err := MeasureServe(s, tc.target, 1000)
+		_, allocs, err := MeasureServe(s, tc.target, iters)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		t.Logf("%s: %.2f allocs/request (ceiling %.0f)", tc.name, allocs, tc.ceiling)
 		if allocs > tc.ceiling {
-			t.Errorf("%s (%s) allocates %.2f times per request, ceiling %.0f", tc.name, tc.target, allocs, tc.ceiling)
+			t.Errorf("%s (%s) allocates %.2f times per request (%.0f in %d requests), ceiling %.0f", tc.name, tc.target, allocs, allocs*iters, iters, tc.ceiling)
 		}
 	}
 }
