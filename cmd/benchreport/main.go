@@ -1,5 +1,5 @@
 // Command benchreport runs the repository's headline performance
-// measurements — the three rank kernels, the BFS engine at k = 8/9/10
+// measurements — the rank kernel, the BFS engine at k = 8/9/10
 // (factored neighbor-table build, then the table-resident bitset sweep on
 // one worker and on -workers), stretch sampling, the warm /v1/route
 // handler (which must be allocation-free), warm requests to the four v1
@@ -166,7 +166,7 @@ func main() {
 		kernelIters = 200_000
 		stretchPairs = 50
 	}
-	rep.Entries = append(rep.Entries, rankKernels(kernelIters)...)
+	rep.Entries = append(rep.Entries, rankKernel(kernelIters))
 	for k := 8; k <= *maxK; k++ {
 		rep.Entries = append(rep.Entries, bfsSuite(k, *rounds, *workers)...)
 	}
@@ -198,22 +198,20 @@ func main() {
 }
 
 // benchedHotpaths is the set of //scglint:hotpath-annotated functions these
-// benchmarks exercise: the rank and compose kernels (rankKernels and the
+// benchmarks exercise: the rank and compose kernels (rankKernel and the
 // neighbor-table build), the column expand kernel and the level merge of
 // the bitset engine (bfsSuite), the column build kernel (neighbor-table
 // entries), the store decode kernel (store/decode), and the warm-route
 // distance overlay (route/hot and the telemetry guard's /v1/route
-// traffic). perm.Rank is the deliberately unannotated O(k²)
-// reference, so it is absent. If an annotation is added or removed, this
-// list and the benchmark that drives the kernel must move together — the
+// traffic). If an annotation is added or removed, this list and the
+// benchmark that drives the kernel must move together — the
 // -hotpath-report cross-check fails CI otherwise.
 var benchedHotpaths = []string{
 	"repro/internal/core.(*bitsetBFS).mergeWords",
 	"repro/internal/core.(*column).expand",
 	"repro/internal/core.(*column).fill",
 	"repro/internal/perm.(Perm).ComposeInto",
-	"repro/internal/perm.(Perm).RankBits",
-	"repro/internal/perm.(Perm).RankInto",
+	"repro/internal/perm.(Perm).Rank",
 	"repro/internal/perm.UnrankInto",
 	"repro/internal/server.routeDistance",
 	"repro/internal/store.decodeU32LE",
@@ -371,37 +369,17 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// rankKernels times the three rank implementations on one fixed k = 10
-// permutation: the innermost loop of every exact measurement.
-func rankKernels(iters int) []Entry {
+// rankKernel times the rank kernel on one fixed k = 10 permutation: the
+// innermost loop of every exact measurement.
+func rankKernel(iters int) Entry {
 	p := perm.Random(10, perm.NewRNG(1))
-	scratch := perm.NewRankScratch(10)
 	var sink int64
-
 	t0 := time.Now()
 	for i := 0; i < iters; i++ {
 		sink += p.Rank()
 	}
-	rank := time.Since(t0)
-
-	t0 = time.Now()
-	for i := 0; i < iters; i++ {
-		sink += p.RankInto(scratch)
-	}
-	rankInto := time.Since(t0)
-
-	t0 = time.Now()
-	for i := 0; i < iters; i++ {
-		sink += p.RankBits()
-	}
-	rankBits := time.Since(t0)
-
-	detail := fmt.Sprintf("fixed perm, checksum %d", sink%1000)
-	return []Entry{
-		{Name: "rank/lehmer-k2", K: 10, Rounds: iters, NsPerOp: nsPerOp(rank, iters), Detail: detail},
-		{Name: "rank/fenwick", K: 10, Rounds: iters, NsPerOp: nsPerOp(rankInto, iters), Detail: detail},
-		{Name: "rank/popcount", K: 10, Rounds: iters, NsPerOp: nsPerOp(rankBits, iters), Detail: detail},
-	}
+	return Entry{Name: "rank/popcount", K: 10, Rounds: iters, NsPerOp: nsPerOp(time.Since(t0), iters),
+		Detail: fmt.Sprintf("fixed perm, checksum %d", sink%1000)}
 }
 
 // bfsSuite measures the BFS engine on star(k): the factored neighbor-table

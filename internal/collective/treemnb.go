@@ -42,8 +42,7 @@ func SimulateTreeMNB(g *core.Graph, model sim.PortModel, maxSteps int) (*TreeMNB
 	if err != nil {
 		return nil, err
 	}
-	// Precompute node permutations and inverses by rank, plus adjacency
-	// link lookup.
+	// Precompute node permutations and inverses by rank.
 	perms := make([]perm.Perm, n)
 	for r := int64(0); r < n; r++ {
 		perms[r] = perm.Unrank(k, r)
@@ -52,23 +51,11 @@ func SimulateTreeMNB(g *core.Graph, model sim.PortModel, maxSteps int) (*TreeMNB
 	for r := int64(0); r < n; r++ {
 		invRank[r] = perms[r].Inverse().Rank()
 	}
-	gens := g.GeneratorSet().Perms()
-	deg := len(gens)
-	// linkTo[u] maps neighbor rank -> link index; nbr[u][link] is the
-	// endpoint of u's link-th outgoing link.
-	linkTo := make([]map[int64]int, n)
-	nbr := make([][]int64, n)
-	for r := int64(0); r < n; r++ {
-		m := make(map[int64]int, deg)
-		row := make([]int64, deg)
-		for li, gp := range gens {
-			t := perms[r].Compose(gp).Rank()
-			m[t] = li
-			row[li] = t
-		}
-		linkTo[r] = m
-		nbr[r] = row
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return nil, err
 	}
+	deg := tbl.Degree()
 	mul := func(a, b int64) int64 { // rank of perms[a] ∘ perms[b]
 		return perms[a].Compose(perms[b]).Rank()
 	}
@@ -99,8 +86,11 @@ func SimulateTreeMNB(g *core.Graph, model sim.PortModel, maxSteps int) (*TreeMNB
 	remaining := n * (n - 1)
 	enqueue := func(u, msg int64) {
 		for _, c := range childrenOf(msg, u) {
-			li, ok := linkTo[u][c]
-			if !ok {
+			li := 0
+			for li < deg && tbl.At(u, li) != c {
+				li++
+			}
+			if li == deg {
 				panic("collective: SimulateTreeMNB: tree edge is not a graph link")
 			}
 			queues[u][li] = append(queues[u][li], msg)
@@ -126,7 +116,7 @@ func SimulateTreeMNB(g *core.Graph, model sim.PortModel, maxSteps int) (*TreeMNB
 				q[link] = q[link][1:]
 				loads[u][link]++
 				res.TotalHops++
-				arrivals = append(arrivals, arrival{node: nbr[u][link], msg: msg})
+				arrivals = append(arrivals, arrival{node: tbl.At(u, link), msg: msg})
 			}
 			switch model {
 			case sim.AllPort:

@@ -27,20 +27,20 @@ type BFSResult struct {
 	Dist DistTable
 }
 
-// meanFromHistogram computes the average distance over non-source nodes.
+// meanFromHistogram computes the average distance over all reachable
+// nodes other than the source, Σ d·hist[d] / (reachable − 1). In a 0/1
+// search hist[0] also counts the source's zero-distance cluster-mates, and
+// they are part of the average.
 func meanFromHistogram(hist []int64) float64 {
 	var sum, cnt int64
 	for d, c := range hist {
-		if d == 0 {
-			continue
-		}
 		sum += int64(d) * c
 		cnt += c
 	}
-	if cnt == 0 {
+	if cnt <= 1 {
 		return 0
 	}
-	return float64(sum) / float64(cnt)
+	return float64(sum) / float64(cnt-1)
 }
 
 // BFS runs a breadth-first search over the whole k!-state space from node
@@ -114,8 +114,8 @@ func (g *Graph) ExactProfile() (*BFSResult, error) {
 	return res, nil
 }
 
-// BFSWeighted runs a 0/1-weight shortest-path search (deque BFS) where link
-// i costs weight[i] ∈ {0, 1}. It is used to measure intercluster distances:
+// BFSWeighted runs a 0/1-weight shortest-path search where link i costs
+// weight[i] ∈ {0, 1}. It is used to measure intercluster distances:
 // nucleus links cost 0 and super (intercluster) links cost 1 (§4.3). It
 // reads neighbor ranks from the graph's memoized NeighborTable, built on
 // the same worker count as BFS.
@@ -124,26 +124,33 @@ func (g *Graph) BFSWeighted(src perm.Perm, weight []int) (*BFSResult, error) {
 	if k > MaxExplicitK {
 		return nil, fmt.Errorf("core: BFSWeighted: k=%d exceeds MaxExplicitK=%d", k, MaxExplicitK)
 	}
-	if len(weight) != len(g.genPerms) {
-		return nil, fmt.Errorf("core: BFSWeighted: %d weights for %d generators", len(weight), len(g.genPerms))
+	tbl, err := g.EnsureNeighborTable(g.bfsWorkers())
+	if err != nil {
+		return nil, err
+	}
+	return weightedSearch(tbl, src.Rank(), weight)
+}
+
+// weightedSearch is the 0/1-weight search (deque BFS) over tbl from
+// srcRank, where column j costs weight[j] ∈ {0, 1}: zero-weight edges push
+// to the deque's front and unit-weight edges to its back, so states settle
+// in nondecreasing distance. Graph.BFSWeighted and IndexGraph.BFSWeighted
+// both run it.
+func weightedSearch(tbl *NeighborTable, srcRank int64, weight []int) (*BFSResult, error) {
+	if len(weight) != tbl.deg {
+		return nil, fmt.Errorf("core: BFSWeighted: %d weights for %d links per node", len(weight), tbl.deg)
 	}
 	for i, w := range weight {
 		if w != 0 && w != 1 {
 			return nil, fmt.Errorf("core: BFSWeighted: weight[%d] = %d, only 0/1 supported", i, w)
 		}
 	}
-	tbl, err := g.EnsureNeighborTable(g.bfsWorkers())
-	if err != nil {
-		return nil, err
-	}
-	n := perm.Factorial(k)
+	n := tbl.n
 	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = -1
 	}
-	srcRank := src.Rank()
 	dist[srcRank] = 0
-	// Deque BFS: zero-weight edges push front, unit-weight edges push back.
 	deque := newIntDeque(1024)
 	deque.pushFront(srcRank)
 	settled := make([]bool, n)

@@ -20,7 +20,10 @@ func (g *Graph) WriteDOT(w io.Writer, maxNodes int64) error {
 	if n > maxNodes {
 		return fmt.Errorf("core: WriteDOT: %d nodes exceeds limit %d", n, maxNodes)
 	}
-	k := g.K()
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return err
+	}
 	set := g.GeneratorSet()
 	kind := "digraph"
 	edge := "->"
@@ -31,17 +34,13 @@ func (g *Graph) WriteDOT(w io.Writer, maxNodes int64) error {
 	if _, err := fmt.Fprintf(w, "%s %q {\n  node [shape=circle fontsize=10];\n", kind, g.name); err != nil {
 		return err
 	}
-	cur := make(perm.Perm, k)
-	next := make(perm.Perm, k)
-	scratch := make([]int, k)
-	for r := int64(0); r < n; r++ {
-		perm.UnrankInto(k, r, cur, scratch)
+	cur := perm.Identity(g.K()) // rank r; NextPermutation steps in rank order
+	for r := int64(0); r < n; r, _ = r+1, cur.NextPermutation() {
 		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", r, cur.String()); err != nil {
 			return err
 		}
-		for gi, gp := range g.genPerms {
-			cur.ComposeInto(gp, next)
-			nr := next.Rank()
+		for gi := range g.genPerms {
+			nr := tbl.At(r, gi)
 			// For undirected graphs emit each edge once (from the smaller
 			// endpoint, or self-inverse tie-break on generator index).
 			if g.undirected && nr < r {
@@ -55,6 +54,6 @@ func (g *Graph) WriteDOT(w io.Writer, maxNodes int64) error {
 			}
 		}
 	}
-	_, err := fmt.Fprintln(w, "}")
+	_, err = fmt.Fprintln(w, "}")
 	return err
 }

@@ -42,7 +42,7 @@ func TestNeighborTableRowsExhaustive(t *testing.T) {
 		for r := int64(0); r < g.Order(); r, _ = r+1, cur.NextPermutation() {
 			for j, gp := range gps {
 				cur.ComposeInto(gp, next)
-				want := next.RankBits()
+				want := next.Rank()
 				if got := rows[r*int64(deg)+int64(j)]; int64(got) != want {
 					t.Fatalf("%s: row entry (%d,%d) = %d, want %d", g.Name(), r, j, got, want)
 				}

@@ -207,6 +207,50 @@ func TestBFSWeightedZeroOne(t *testing.T) {
 	}
 }
 
+// TestBFSWeightedMeanCountsClusterMates: on MS(2,2) with free nucleus
+// links the source's cluster-mates sit at distance 0, and Mean averages
+// over them too — every reachable node but the source, as a sum over
+// Dist gives it. IndexGraph.BFSWeighted over the same adjacency runs the
+// same search and returns the same profile.
+func TestBFSWeightedMeanCountsClusterMates(t *testing.T) {
+	set := gen.MustSet(5,
+		gen.NewTransposition(2), gen.NewTransposition(3), gen.NewSwap(2, 2))
+	g := NewGraph("MS(2,2)", set)
+	weights := []int{0, 0, 1}
+	res, err := g.BFSWeighted(perm.Identity(5), weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Histogram[0] != 6 {
+		t.Fatalf("cluster of the identity has %d nodes, want 3! = 6", res.Histogram[0])
+	}
+	var sum int64
+	for r := int64(0); r < g.Order(); r++ {
+		sum += int64(max(res.Dist.At(r), 0))
+	}
+	if want := float64(sum) / float64(res.Reachable-1); res.Mean != want {
+		t.Errorf("Mean = %v, sum over Dist / (reachable-1) = %v", res.Mean, want)
+	}
+	ig := &IndexGraph{N: g.Order(), Out: func(u int64, visit func(int64)) {
+		for _, nb := range g.Neighbors(perm.Unrank(5, u)) {
+			visit(nb.Rank())
+		}
+	}}
+	ires, err := ig.BFSWeighted(res.Source, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ires, res) {
+		t.Errorf("IndexGraph.BFSWeighted = %+v, Graph.BFSWeighted = %+v", ires, res)
+	}
+	if _, err := ig.BFSWeighted(g.Order(), weights); err == nil {
+		t.Error("out-of-range source accepted")
+	}
+	if _, err := ig.BFSWeighted(0, []int{0, 1}); err == nil {
+		t.Error("wrong weight count accepted")
+	}
+}
+
 func TestWeightedMatchesUnitWhenAllOnes(t *testing.T) {
 	g := starGraph(5)
 	ones := make([]int, g.Degree())

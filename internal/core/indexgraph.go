@@ -61,6 +61,21 @@ func (ig *IndexGraph) BFS(src int64) (*BFSResult, error) {
 	return bitsetSearch(tbl, src, 1), nil
 }
 
+// BFSWeighted runs the 0/1-weight search from src, where the j-th
+// neighbor Out visits costs weight[j] ∈ {0, 1}. A node with fewer
+// out-neighbors than the largest out-degree gets self-loops in its missing
+// slots, which never shorten a distance.
+func (ig *IndexGraph) BFSWeighted(src int64, weight []int) (*BFSResult, error) {
+	if src < 0 || src >= ig.N {
+		return nil, fmt.Errorf("core: IndexGraph.BFSWeighted: source %d out of range 0..%d", src, ig.N-1)
+	}
+	tbl, err := ig.neighborTable()
+	if err != nil {
+		return nil, err
+	}
+	return weightedSearch(tbl, src, weight)
+}
+
 // DiameterExact computes the exact diameter of a vertex-transitive
 // IndexGraph by BFS from node 0. For non-transitive graphs use
 // DiameterAllPairs.

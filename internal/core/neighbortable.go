@@ -197,19 +197,9 @@ func (t *NeighborTable) At(r int64, j int) int64 {
 	return int64(t.cols[j].at(uint64(r)))
 }
 
-// Row returns the neighbor ranks of state r in generator order, in a fresh
-// slice.
-func (t *NeighborTable) Row(r int64) []uint32 {
-	row := make([]uint32, t.deg)
-	for j := range t.cols {
-		row[j] = uint32(t.cols[j].at(uint64(r)))
-	}
-	return row
-}
-
 // Rows expands the columns into a fresh row-major table: rows[r*deg+j] is
 // the rank of neighbor j of state r. It costs n·deg·4 bytes; internal/store
-// persists it, and sim.PermTopology reads its hops from it.
+// persists it.
 func (t *NeighborTable) Rows() []uint32 {
 	rows := make([]uint32, t.n*int64(t.deg))
 	for j := range t.cols {
@@ -286,7 +276,7 @@ func (c *column) fill(gp perm.Perm, hi int, from, to int64, cur, next perm.Perm,
 	perm.UnrankInto(k, from*s, cur, scratch)
 	for m := from; m < to; m++ {
 		cur.ComposeInto(gp, next)
-		c.delta[m] = int32(next.RankBits() - m*s)
+		c.delta[m] = int32(next.Rank() - m*s)
 		for a, b := hi, k-1; a < b; a, b = a+1, b-1 {
 			cur[a], cur[b] = cur[b], cur[a]
 		}

@@ -28,7 +28,7 @@ func (g *Graph) ShortestPath(src, dst perm.Perm) ([]int, error) {
 		return nil, err
 	}
 	x := src.Inverse().Compose(dst)
-	d := prof.Dist.At(x.RankBits())
+	d := prof.Dist.At(x.Rank())
 	if d < 0 {
 		return nil, fmt.Errorf("core: ShortestPath: %v unreachable from %v", dst, src)
 	}
@@ -41,7 +41,7 @@ func (g *Graph) ShortestPath(src, dst perm.Perm) ([]int, error) {
 	for ; d > 0; d-- {
 		for i, gi := range inv {
 			x.ComposeInto(gi, pred)
-			if prof.Dist.At(pred.RankBits()) == d-1 {
+			if prof.Dist.At(pred.Rank()) == d-1 {
 				path[d-1] = i
 				x, pred = pred, x
 				break
@@ -100,7 +100,7 @@ func (g *Graph) MeasureStretch(pairs int, seed uint64, route func(src, dst perm.
 		if src.Equal(dst) {
 			continue
 		}
-		exact := int(prof.Dist.At(src.Inverse().Compose(dst).RankBits()))
+		exact := int(prof.Dist.At(src.Inverse().Compose(dst).Rank()))
 		if exact < 0 {
 			return nil, fmt.Errorf("core: MeasureStretch: %v unreachable from %v", dst, src)
 		}

@@ -128,25 +128,26 @@ func NucleusRemovalDecomposition(nw *topology.Network, shape ComponentShape) (in
 		return 0, fmt.Errorf("embed: NucleusRemovalDecomposition: k=%d too large", k)
 	}
 	l := int64(nw.L())
-	set := g.GeneratorSet()
-	var supers []perm.Perm
-	for _, gg := range set.Generators() {
+	// supers holds the neighbor-table columns of the super generators.
+	var supers []int
+	for j, gg := range g.GeneratorSet().Generators() {
 		if gg.Class() == gen.Super {
-			supers = append(supers, gg.AsPerm(k))
+			supers = append(supers, j)
 		}
 	}
 	if len(supers) == 0 {
 		return 0, fmt.Errorf("embed: %s has no super generators", nw.Name())
 	}
-	n := perm.Factorial(k)
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return 0, err
+	}
+	n := g.Order()
 	comp := make([]int64, n)
 	for i := range comp {
 		comp[i] = -1
 	}
 	var components int64
-	cur := make(perm.Perm, k)
-	next := make(perm.Perm, k)
-	scratch := make([]int, k)
 	for start := int64(0); start < n; start++ {
 		if comp[start] >= 0 {
 			continue
@@ -156,10 +157,8 @@ func NucleusRemovalDecomposition(nw *topology.Network, shape ComponentShape) (in
 		members := []int64{start}
 		comp[start] = components
 		for head := 0; head < len(members); head++ {
-			perm.UnrankInto(k, members[head], cur, scratch)
-			for _, gp := range supers {
-				cur.ComposeInto(gp, next)
-				nr := next.Rank()
+			for _, j := range supers {
+				nr := tbl.At(members[head], j)
 				if comp[nr] < 0 {
 					comp[nr] = components
 					members = append(members, nr)
@@ -171,11 +170,9 @@ func NucleusRemovalDecomposition(nw *topology.Network, shape ComponentShape) (in
 		}
 		// Shape check: count super out-neighbors inside the component.
 		for _, m := range members {
-			perm.UnrankInto(k, m, cur, scratch)
 			distinct := make(map[int64]bool)
-			for _, gp := range supers {
-				cur.ComposeInto(gp, next)
-				distinct[next.Rank()] = true
+			for _, j := range supers {
+				distinct[tbl.At(m, j)] = true
 			}
 			switch shape {
 			case RingComponents:

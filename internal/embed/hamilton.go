@@ -42,24 +42,12 @@ func HamiltonianCycle(g *core.Graph, maxNodes int64, maxSteps int64) ([]int, err
 	if n > maxNodes {
 		return nil, fmt.Errorf("embed: HamiltonianCycle: N=%d exceeds limit %d", n, maxNodes)
 	}
-	k := g.K()
-	gens := g.GeneratorSet().Perms()
-	deg := len(gens)
-	// Adjacency table by rank.
-	adj := make([][]int64, n)
-	cur := make(perm.Perm, k)
-	next := make(perm.Perm, k)
-	scratch := make([]int, k)
-	for r := int64(0); r < n; r++ {
-		row := make([]int64, deg)
-		perm.UnrankInto(k, r, cur, scratch)
-		for gi, gp := range gens {
-			cur.ComposeInto(gp, next)
-			row[gi] = next.Rank()
-		}
-		adj[r] = row
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return nil, err
 	}
-	start := perm.Identity(k).Rank()
+	deg := tbl.Degree()
+	start := perm.Identity(g.K()).Rank()
 	visited := make([]bool, n)
 	visited[start] = true
 	path := make([]int, 0, n)
@@ -69,8 +57,8 @@ func HamiltonianCycle(g *core.Graph, maxNodes int64, maxSteps int64) ([]int, err
 	// practical on the vertex-symmetric instances we target.
 	unvisitedDegree := func(v int64) int {
 		c := 0
-		for _, to := range adj[v] {
-			if !visited[to] {
+		for gi := 0; gi < deg; gi++ {
+			if !visited[tbl.At(v, gi)] {
 				c++
 			}
 		}
@@ -84,8 +72,8 @@ func HamiltonianCycle(g *core.Graph, maxNodes int64, maxSteps int64) ([]int, err
 		}
 		if depth == n {
 			// Close the cycle: some generator must lead back to start.
-			for gi, to := range adj[at] {
-				if to == start {
+			for gi := 0; gi < deg; gi++ {
+				if tbl.At(at, gi) == start {
 					path = append(path, gi)
 					return true
 				}
@@ -99,7 +87,8 @@ func HamiltonianCycle(g *core.Graph, maxNodes int64, maxSteps int64) ([]int, err
 			free int
 		}
 		cands := make([]cand, 0, deg)
-		for gi, to := range adj[at] {
+		for gi := 0; gi < deg; gi++ {
+			to := tbl.At(at, gi)
 			if visited[to] {
 				continue
 			}

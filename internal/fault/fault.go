@@ -32,8 +32,12 @@ func NewSet(links ...Link) Set {
 }
 
 // RandomSet draws `count` distinct random failed links from a graph with n
-// nodes and degree deg, deterministically from the seed.
+// nodes and degree deg, deterministically from the seed. It panics unless
+// 0 <= count <= n·deg: the graph has no more distinct links to draw.
 func RandomSet(n int64, deg int, count int, seed uint64) Set {
+	if count < 0 || int64(count) > n*int64(deg) {
+		panic(fmt.Sprintf("fault: RandomSet: %d faults out of range 0..%d (%d nodes x %d links)", count, n*int64(deg), n, deg))
+	}
 	rng := perm.NewRNG(seed)
 	s := make(Set, count)
 	for len(s) < count {
@@ -59,9 +63,9 @@ type Profile struct {
 // removed. Undirected graphs should include both directions of a failed
 // edge in the set if the physical wire is cut.
 func BFS(g *core.Graph, faults Set, src perm.Perm) (*Profile, error) {
-	k := g.K()
-	if k > core.MaxExplicitK {
-		return nil, fmt.Errorf("fault: BFS: k=%d too large", k)
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return nil, fmt.Errorf("fault: BFS: %w", err)
 	}
 	n := g.Order()
 	dist := make([]int32, n)
@@ -71,23 +75,17 @@ func BFS(g *core.Graph, faults Set, src perm.Perm) (*Profile, error) {
 	srcRank := src.Rank()
 	dist[srcRank] = 0
 	queue := []int64{srcRank}
-	cur := make(perm.Perm, k)
-	next := make(perm.Perm, k)
-	scratch := make([]int, k)
-	perms := g.GeneratorSet().Perms()
 	reachable := int64(1)
 	var sum int64
 	maxD := int32(0)
 	for head := 0; head < len(queue); head++ {
 		r := queue[head]
 		d := dist[r]
-		perm.UnrankInto(k, r, cur, scratch)
-		for gi, gp := range perms {
+		for gi := 0; gi < tbl.Degree(); gi++ {
 			if faults[Link{Node: r, Gen: gi}] {
 				continue
 			}
-			cur.ComposeInto(gp, next)
-			nr := next.Rank()
+			nr := tbl.At(r, gi)
 			if dist[nr] < 0 {
 				dist[nr] = d + 1
 				reachable++
@@ -157,8 +155,12 @@ type Trial struct {
 
 // RandomTrials injects `faults` random failed links (mirrored for
 // undirected graphs), repeats `runs` times with distinct seeds, and reports
-// connectivity and distance inflation from the identity source.
+// connectivity and distance inflation from the identity source. faults
+// must lie in 0..N·deg, the graph's count of directed links.
 func RandomTrials(g *core.Graph, faults, runs int, seed uint64) (*Trial, error) {
+	if links := g.Order() * int64(g.OutDegree()); faults < 0 || int64(faults) > links {
+		return nil, fmt.Errorf("fault: RandomTrials: %d faults out of range 0..%d (the links of %s)", faults, links, g.Name())
+	}
 	base, err := g.BFS(perm.Identity(g.K()))
 	if err != nil {
 		return nil, err
@@ -169,7 +171,7 @@ func RandomTrials(g *core.Graph, faults, runs int, seed uint64) (*Trial, error) 
 	tr := &Trial{Faults: faults, Runs: runs}
 	var inflationSum float64
 	for r := 0; r < runs; r++ {
-		fs := RandomSet(g.Order(), g.GeneratorSet().Len(), faults, seed+uint64(r))
+		fs := RandomSet(g.Order(), g.OutDegree(), faults, seed+uint64(r))
 		if g.Undirected() {
 			fs, err = MirrorUndirected(g, fs)
 			if err != nil {

@@ -3,6 +3,7 @@ package fault
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/perm"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -119,6 +120,31 @@ func TestRandomTrials(t *testing.T) {
 		tr.ConnectedRuns, tr.Runs, tr.WorstEccDelta, tr.MeanDistInflation)
 }
 
+// TestRandomTrialsFaultRange: a fault count beyond the graph's N·deg
+// directed links (72 on star(4)) or below zero is an error at once, and
+// failing every link still runs and reports a disconnected graph.
+func TestRandomTrialsFaultRange(t *testing.T) {
+	g := net(t, topology.Star, 1, 3).Graph()
+	for _, faults := range []int{-1, 73} {
+		if tr, err := RandomTrials(g, faults, 1, 1); err == nil {
+			t.Errorf("%d faults accepted: %+v", faults, tr)
+		}
+	}
+	tr, err := RandomTrials(g, 72, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Faults != 72 || tr.ConnectedRuns != 0 {
+		t.Errorf("72 of 72 links failed: %+v, want no connected run", tr)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RandomSet(24, 3, 73, 1) did not panic")
+		}
+	}()
+	RandomSet(24, 3, 73, 1)
+}
+
 // TestResilienceComparison: at equal fault counts, the richer complete-RS
 // stays at least as connected as the sparser RR (directed single rotation),
 // matching the intuition that extra rotation generators add redundancy.
@@ -226,5 +252,112 @@ func TestRoutedTopologyUnreachable(t *testing.T) {
 	}
 	if p, err := rt.Path(5, 5); err != nil || len(p) != 0 {
 		t.Error("self path")
+	}
+}
+
+// composeBFS is the test's oracle: a queue BFS from src over g minus the
+// failed links, stepping by compose + rank. It returns each node's
+// distance, -1 when unreachable.
+func composeBFS(g *core.Graph, faults Set, src int64) []int32 {
+	dist := make([]int32, g.Order())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	gps := g.GeneratorSet().Perms()
+	for queue := []int64{src}; len(queue) > 0; queue = queue[1:] {
+		r := queue[0]
+		u := perm.Unrank(g.K(), r)
+		for j, gp := range gps {
+			if faults[Link{Node: r, Gen: j}] {
+				continue
+			}
+			if nr := u.Compose(gp).Rank(); dist[nr] < 0 {
+				dist[nr] = dist[r] + 1
+				queue = append(queue, nr)
+			}
+		}
+	}
+	return dist
+}
+
+// TestFaultedSearchesMatchComposeBFS holds BFS's profile and
+// RoutedTopology's path lengths to composeBFS over random fault sets, from
+// light to disconnecting, on directed and undirected families with k <= 6.
+func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
+	disconnected := 0
+	for _, c := range []struct {
+		fam  topology.Family
+		l, n int
+	}{
+		{topology.MS, 2, 2}, {topology.RR, 2, 2}, {topology.CompleteRS, 5, 1},
+		{topology.Star, 1, 5}, {topology.IS, 1, 4}, {topology.Pancake, 1, 5},
+	} {
+		nw := net(t, c.fam, c.l, c.n)
+		g := nw.Graph()
+		n, deg := g.Order(), g.GeneratorSet().Len()
+		for i, count := range []int{0, 3, int(n) * deg / 20, int(n) * deg / 4} {
+			fs := RandomSet(n, deg, count, uint64(100+i))
+			if g.Undirected() {
+				var err error
+				if fs, err = MirrorUndirected(g, fs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt, err := NewRoutedTopology(g, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []int64{0, n / 3, n - 1} {
+				dist := composeBFS(g, fs, src)
+				var reachable, sum int64
+				ecc := int32(0)
+				for dst, d := range dist {
+					if d < 0 {
+						if _, err := rt.Path(src, int64(dst)); err == nil {
+							t.Fatalf("%s, %d faults: path %d->%d to an unreachable node", g.Name(), count, src, dst)
+						}
+						continue
+					}
+					reachable++
+					sum += int64(d)
+					ecc = max(ecc, d)
+					path, err := rt.Path(src, int64(dst))
+					if err != nil {
+						t.Fatalf("%s, %d faults: %d->%d: %v", g.Name(), count, src, dst, err)
+					}
+					if len(path) != int(d) {
+						t.Fatalf("%s, %d faults: path %d->%d has %d hops, distance %d", g.Name(), count, src, dst, len(path), d)
+					}
+					cur := src
+					for _, link := range path {
+						if fs[Link{Node: cur, Gen: link}] {
+							t.Fatalf("%s: path %d->%d uses failed link (%d,%d)", g.Name(), src, dst, cur, link)
+						}
+						cur = rt.Neighbor(cur, link)
+					}
+					if cur != int64(dst) {
+						t.Fatalf("%s: path %d->%d ends at %d", g.Name(), src, dst, cur)
+					}
+				}
+				if reachable < n {
+					disconnected++
+				}
+				want := Profile{Reachable: reachable, Connected: reachable == n, Eccentricity: int(ecc)}
+				if reachable > 1 {
+					want.Mean = float64(sum) / float64(reachable-1)
+				}
+				prof, err := BFS(g, fs, perm.Unrank(g.K(), src))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *prof != want {
+					t.Fatalf("%s, %d faults, source %d: BFS = %+v, composeBFS gives %+v", g.Name(), count, src, *prof, want)
+				}
+			}
+		}
+	}
+	if disconnected == 0 {
+		t.Error("no fault set disconnected a source: the unreachable paths went untested")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/perm"
 	"repro/internal/sim"
 )
 
@@ -16,7 +15,7 @@ type RoutedTopology struct {
 	g      *core.Graph
 	faults Set
 	name   string
-	perms  []perm.Perm
+	tbl    *core.NeighborTable
 	// pathCache[src] holds predecessor data from one BFS.
 	pathCache map[int64]*bfsPaths
 }
@@ -30,14 +29,15 @@ type bfsPaths struct {
 // graph must keep every node reachable from every other (checked lazily per
 // source; unreachable destinations surface as Path errors).
 func NewRoutedTopology(g *core.Graph, faults Set) (*RoutedTopology, error) {
-	if g.K() > core.MaxExplicitK {
-		return nil, fmt.Errorf("fault: NewRoutedTopology: k=%d too large", g.K())
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return nil, fmt.Errorf("fault: NewRoutedTopology: %w", err)
 	}
 	return &RoutedTopology{
 		g:         g,
 		faults:    faults,
 		name:      g.Name() + "+faults",
-		perms:     g.GeneratorSet().Perms(),
+		tbl:       tbl,
 		pathCache: make(map[int64]*bfsPaths),
 	}, nil
 }
@@ -53,10 +53,7 @@ func (rt *RoutedTopology) NumNodes() int64 { return rt.g.Order() }
 func (rt *RoutedTopology) Degree() int { return rt.g.GeneratorSet().Len() }
 
 // Neighbor implements sim.Topology.
-func (rt *RoutedTopology) Neighbor(node int64, link int) int64 {
-	u := perm.Unrank(rt.g.K(), node)
-	return u.Compose(rt.perms[link]).Rank()
-}
+func (rt *RoutedTopology) Neighbor(node int64, link int) int64 { return rt.tbl.At(node, link) }
 
 // Path returns a shortest surviving path from src to dst as link indices.
 func (rt *RoutedTopology) Path(src, dst int64) ([]int, error) {
@@ -85,7 +82,6 @@ func (rt *RoutedTopology) bfsFrom(src int64) (*bfsPaths, error) {
 	if p, ok := rt.pathCache[src]; ok {
 		return p, nil
 	}
-	k := rt.g.K()
 	n := rt.g.Order()
 	pred := make([]int64, n)
 	via := make([]int8, n)
@@ -94,18 +90,13 @@ func (rt *RoutedTopology) bfsFrom(src int64) (*bfsPaths, error) {
 	}
 	pred[src] = src
 	queue := []int64{src}
-	cur := make(perm.Perm, k)
-	next := make(perm.Perm, k)
-	scratch := make([]int, k)
 	for head := 0; head < len(queue); head++ {
 		r := queue[head]
-		perm.UnrankInto(k, r, cur, scratch)
-		for gi, gp := range rt.perms {
+		for gi := 0; gi < rt.tbl.Degree(); gi++ {
 			if rt.faults[Link{Node: r, Gen: gi}] {
 				continue
 			}
-			cur.ComposeInto(gp, next)
-			nr := next.Rank()
+			nr := rt.tbl.At(r, gi)
 			if pred[nr] < 0 {
 				pred[nr] = r
 				via[nr] = int8(gi)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bag"
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -59,84 +60,51 @@ func (g *Graph) Generators() []gen.Generator { return append([]gen.Generator(nil
 // Order returns the node count.
 func (g *Graph) Order() (int64, error) { return g.sig.Order() }
 
-// BFSResult carries an exhaustive search profile of the quotient graph.
-type BFSResult struct {
-	Reachable    int64
-	Eccentricity int
-	Mean         float64
-	Histogram    []int64
-	Dist         []int32
-}
-
-// BFS measures the graph exhaustively from src. Index-permutation graphs
-// are vertex-transitive whenever the generator group acts transitively on
-// labels with the same signature, which holds for all instances here, so
-// the profile from the sorted label is the graph profile.
-func (g *Graph) BFS(src Label) (*BFSResult, error) {
-	if err := g.sig.Validate(src); err != nil {
-		return nil, err
-	}
+// indexGraph returns g as a core.IndexGraph over label ranks: node r's
+// out-neighbors are the ranks of Unrank(r) under each generator, in
+// generator order, so core's engines measure the quotient directly.
+func (g *Graph) indexGraph() (*core.IndexGraph, error) {
 	n, err := g.sig.Order()
 	if err != nil {
 		return nil, err
 	}
 	if n > MaxExplicitOrder {
-		return nil, fmt.Errorf("ipg: BFS: order %d exceeds limit %d", n, MaxExplicitOrder)
+		return nil, fmt.Errorf("ipg: %s: order %d exceeds limit %d", g.name, n, MaxExplicitOrder)
 	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	srcRank, err := g.sig.Rank(src)
-	if err != nil {
-		return nil, err
-	}
-	dist[srcRank] = 0
-	queue := []int64{srcRank}
-	hist := []int64{1}
-	reachable := int64(1)
-	for head := 0; head < len(queue); head++ {
-		r := queue[head]
-		d := dist[r]
+	return &core.IndexGraph{N: n, Out: func(r int64, visit func(int64)) {
+		// Ranks below the order unrank, and generators permute valid
+		// labels into valid labels, so neither call can fail.
 		cur, err := g.sig.Unrank(r)
 		if err != nil {
-			return nil, err
+			panic(fmt.Sprintf("ipg: indexGraph: %v", err))
 		}
 		for _, gg := range g.gens {
 			next := cur.Clone()
 			Apply(gg, next)
 			nr, err := g.sig.Rank(next)
 			if err != nil {
-				return nil, err
+				panic(fmt.Sprintf("ipg: indexGraph: %v", err))
 			}
-			if dist[nr] < 0 {
-				dist[nr] = d + 1
-				for len(hist) <= int(d)+1 {
-					hist = append(hist, 0)
-				}
-				hist[d+1]++
-				reachable++
-				queue = append(queue, nr)
-			}
+			visit(nr)
 		}
+	}}, nil
+}
+
+// BFS measures the graph exhaustively from src on core's engine; the
+// result's ranks are label ranks. Index-permutation graphs are
+// vertex-transitive whenever the generator group acts transitively on
+// labels with the same signature, which holds for all instances here, so
+// the profile from the sorted label is the graph profile.
+func (g *Graph) BFS(src Label) (*core.BFSResult, error) {
+	srcRank, err := g.sig.Rank(src)
+	if err != nil {
+		return nil, err
 	}
-	res := &BFSResult{
-		Reachable:    reachable,
-		Eccentricity: len(hist) - 1,
-		Histogram:    hist,
-		Dist:         dist,
+	ig, err := g.indexGraph()
+	if err != nil {
+		return nil, err
 	}
-	var sum, cnt int64
-	for d, c := range hist {
-		if d > 0 {
-			sum += int64(d) * c
-			cnt += c
-		}
-	}
-	if cnt > 0 {
-		res.Mean = float64(sum) / float64(cnt)
-	}
-	return res, nil
+	return ig.BFS(srcRank)
 }
 
 // Diameter returns the exact diameter by BFS from the sorted label.

@@ -20,107 +20,35 @@ type InterclusterProfile struct {
 	AvgInterclusterDistance float64
 }
 
-// MeasureIntercluster runs a 0/1-weighted BFS from the sorted goal label.
+// MeasureIntercluster runs core's 0/1-weighted search from the sorted
+// label (rank 0).
 func (g *Graph) MeasureIntercluster() (*InterclusterProfile, error) {
-	n, err := g.sig.Order()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxExplicitOrder {
-		return nil, fmt.Errorf("ipg: MeasureIntercluster: order %d too large", n)
-	}
+	weight := make([]int, len(g.gens))
 	di := 0
-	for _, gg := range g.gens {
+	for i, gg := range g.gens {
 		if gg.Class() == gen.Super {
+			weight[i] = 1
 			di++
 		}
 	}
 	if di == 0 {
 		return nil, fmt.Errorf("ipg: MeasureIntercluster: %s has no super generators", g.name)
 	}
-	src := g.sig.Sorted()
-	srcRank, err := g.sig.Rank(src)
+	ig, err := g.indexGraph()
 	if err != nil {
 		return nil, err
 	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
+	res, err := ig.BFSWeighted(0, weight)
+	if err != nil {
+		return nil, err
 	}
-	dist[srcRank] = 0
-	// Deque BFS over 0/1 weights.
-	deque := []int64{srcRank}
-	head := 0
-	settled := make([]bool, n)
-	var maxD int32
-	var clusterSize int64
-	for head < len(deque) || head > 0 {
-		if head >= len(deque) {
-			break
-		}
-		r := deque[head]
-		head++
-		if settled[r] {
-			continue
-		}
-		settled[r] = true
-		d := dist[r]
-		if d > maxD {
-			maxD = d
-		}
-		cur, err := g.sig.Unrank(r)
-		if err != nil {
-			return nil, err
-		}
-		for _, gg := range g.gens {
-			next := cur.Clone()
-			Apply(gg, next)
-			nr, err := g.sig.Rank(next)
-			if err != nil {
-				return nil, err
-			}
-			w := int32(0)
-			if gg.Class() == gen.Super {
-				w = 1
-			}
-			nd := d + w
-			if dist[nr] < 0 || nd < dist[nr] {
-				dist[nr] = nd
-				if w == 0 {
-					// Zero-weight relaxations must be processed before
-					// weight-1 ones; emulate the deque by inserting at the
-					// current head.
-					deque = append(deque, 0)
-					copy(deque[head+1:], deque[head:])
-					deque[head] = nr
-				} else {
-					deque = append(deque, nr)
-				}
-			}
-		}
-	}
-	var reachable int64
-	var sum int64
-	for _, d := range dist {
-		if d >= 0 {
-			reachable++
-			if d == 0 {
-				clusterSize++
-			}
-			sum += int64(d)
-		}
-	}
-	if reachable != n {
-		return nil, fmt.Errorf("ipg: MeasureIntercluster: %s not connected (%d/%d)", g.name, reachable, n)
-	}
-	mean := 0.0
-	if reachable > 1 {
-		mean = float64(sum) / float64(reachable-1)
+	if res.Reachable != ig.N {
+		return nil, fmt.Errorf("ipg: MeasureIntercluster: %s not connected (%d/%d)", g.name, res.Reachable, ig.N)
 	}
 	return &InterclusterProfile{
-		ClusterSize:             clusterSize,
+		ClusterSize:             res.Histogram[0],
 		InterclusterDegree:      di,
-		InterclusterDiameter:    int(maxD),
-		AvgInterclusterDistance: mean,
+		InterclusterDiameter:    res.Eccentricity,
+		AvgInterclusterDistance: res.Mean,
 	}, nil
 }

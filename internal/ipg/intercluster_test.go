@@ -2,6 +2,7 @@ package ipg
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bag"
@@ -96,5 +97,34 @@ func TestMeasureInterclusterRejectsNucleusOnly(t *testing.T) {
 	}
 	if _, err := g.MeasureIntercluster(); err == nil {
 		t.Error("nucleus-only graph accepted")
+	}
+}
+
+// TestSIPProfilePinned pins SIP(3,2;transposition/swap)'s unit-weight
+// profile and its intercluster profile, both from the sorted label, to the
+// values the label-level searches measured (examples/indexperm prints
+// them rounded).
+func TestSIPProfilePinned(t *testing.T) {
+	g, err := NewSIP(3, 2, sipRules(3, 2, bag.TranspositionNucleus, bag.SwapSuper))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.BFS(g.Signature().Sorted())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHist := []int64{1, 3, 9, 24, 52, 101, 155, 178, 101, 6}
+	if !reflect.DeepEqual(res.Histogram, wantHist) || res.Reachable != 630 ||
+		res.Eccentricity != 9 || res.Mean != 6.111287758346582 {
+		t.Errorf("BFS: hist %v reachable %d ecc %d mean %v; want hist %v reachable 630 ecc 9 mean 6.111287758346582",
+			res.Histogram, res.Reachable, res.Eccentricity, res.Mean, wantHist)
+	}
+	prof, err := g.MeasureIntercluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := InterclusterProfile{ClusterSize: 3, InterclusterDegree: 2, InterclusterDiameter: 4, AvgInterclusterDistance: 2.627980922098569}
+	if *prof != want {
+		t.Errorf("MeasureIntercluster = %+v, want %+v", *prof, want)
 	}
 }

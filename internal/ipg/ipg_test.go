@@ -285,7 +285,7 @@ func TestBFSSolveConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := res.Dist[goalRank]
+		exact := res.Dist.At(goalRank)
 		if exact < 0 {
 			t.Fatalf("goal unreachable from %v", u)
 		}

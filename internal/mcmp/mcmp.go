@@ -108,20 +108,17 @@ func LexBisectionCut(g *core.Graph) (int64, error) {
 	if k > core.MaxExplicitK-1 {
 		return 0, fmt.Errorf("mcmp: LexBisectionCut: k=%d too large", k)
 	}
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return 0, err
+	}
 	n := g.Order()
 	half := n / 2
 	var cut int64
-	cur := make(perm.Perm, k)
-	next := make(perm.Perm, k)
-	scratch := make([]int, k)
-	perms := g.GeneratorSet().Perms()
 	for r := int64(0); r < n; r++ {
-		perm.UnrankInto(k, r, cur, scratch)
 		inA := r < half
-		for _, gp := range perms {
-			cur.ComposeInto(gp, next)
-			nr := next.Rank()
-			if (nr < half) != inA {
+		for j := 0; j < tbl.Degree(); j++ {
+			if (tbl.At(r, j) < half) != inA {
 				cut++
 			}
 		}

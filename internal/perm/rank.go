@@ -28,93 +28,18 @@ func Factorial(k int) int64 {
 	return factorials[k]
 }
 
-// Rank returns the lexicographic rank of p in 0..k!-1 using the Lehmer code.
-// Rank(Identity(k)) == 0. The rank indexes the k! states of a
+// Rank returns the lexicographic rank of p in 0..k!-1 using the Lehmer
+// code. Rank(Identity(k)) == 0. The rank indexes the k! states of a
 // ball-arrangement game, letting breadth-first search store distances in a
-// flat array instead of a hash map.
+// flat array instead of a hash map. A 64-bit seen-symbol bitmask and a
+// popcount give each Lehmer digit in O(1), for O(k) in all with no scratch
+// state; the tests hold it to the O(k²) Lehmer definition.
+//
+//scglint:hotpath popcount rank kernel: called once per edge probe in every BFS hot loop and per warm route request
 func (p Perm) Rank() int64 {
 	k := len(p)
 	if k > MaxRankK {
 		panic(fmt.Sprintf("perm: Rank: k=%d exceeds MaxRankK=%d", k, MaxRankK))
-	}
-	// O(k^2) Lehmer code: the clear reference implementation. BFS hot
-	// loops use the allocation-free O(k log k) RankInto instead.
-	var rank int64
-	for i := 0; i < k; i++ {
-		smaller := 0
-		for j := i + 1; j < k; j++ {
-			if p[j] < p[i] {
-				smaller++
-			}
-		}
-		rank += int64(smaller) * factorials[k-1-i]
-	}
-	return rank
-}
-
-// RankScratch holds the Fenwick (binary indexed) tree reused by RankInto so
-// that ranking in BFS hot loops allocates nothing. A scratch is sized for
-// one k and must not be shared between goroutines; each BFS worker owns one.
-type RankScratch struct {
-	// tree[1..k] is a Fenwick tree over symbol values counting which
-	// symbols have been consumed by the current RankInto call.
-	tree []int32
-}
-
-// NewRankScratch returns scratch space for ranking permutations of k
-// symbols. It panics if k is outside 1..MaxRankK.
-func NewRankScratch(k int) *RankScratch {
-	if k < 1 || k > MaxRankK {
-		panic(fmt.Sprintf("perm: NewRankScratch(%d): k out of range 1..%d", k, MaxRankK))
-	}
-	return &RankScratch{tree: make([]int32, k+1)}
-}
-
-// RankInto returns the same lexicographic rank as Rank but counts each
-// Lehmer digit with a Fenwick tree, dropping the per-call cost from O(k²)
-// to O(k log k) without allocating. This is the innermost kernel of every
-// exact BFS measurement: one call per edge of the k!-state graph.
-//
-//scglint:hotpath Fenwick rank kernel: one call per BFS edge, must stay allocation-free
-func (p Perm) RankInto(s *RankScratch) int64 {
-	k := len(p)
-	if s == nil || len(s.tree) < k+1 {
-		panic(fmt.Sprintf("perm: RankInto: scratch sized for k=%d, need k=%d", len(s.tree)-1, k))
-	}
-	tree := s.tree[:k+1]
-	for i := range tree {
-		tree[i] = 0
-	}
-	var rank int64
-	for i := 0; i < k; i++ {
-		v := p[i]
-		// seen = symbols smaller than v already placed to the left of i;
-		// the Lehmer digit is the count of smaller symbols still to the
-		// right, i.e. (v-1) - seen.
-		var seen int32
-		for j := v - 1; j > 0; j -= j & (-j) {
-			seen += tree[j]
-		}
-		rank += (int64(v-1) - int64(seen)) * factorials[k-1-i]
-		for j := v; j <= k; j += j & (-j) {
-			tree[j]++
-		}
-	}
-	return rank
-}
-
-// RankBits returns the same lexicographic rank as Rank using a 64-bit
-// seen-symbol bitmask and popcount to extract each Lehmer digit in O(1),
-// for O(k) total with no scratch state at all. It is the fastest of the
-// three rank kernels for every k <= MaxRankK (see BenchmarkRank*) and the
-// one the BFS engines use per edge; RankInto remains the general
-// Fenwick-tree form that scales past 64 symbols if MaxRankK ever grows.
-//
-//scglint:hotpath popcount rank kernel: called once per edge probe in every BFS hot loop and per warm route request
-func (p Perm) RankBits() int64 {
-	k := len(p)
-	if k > MaxRankK {
-		panic(fmt.Sprintf("perm: RankBits: k=%d exceeds MaxRankK=%d", k, MaxRankK))
 	}
 	var mask uint64
 	var rank int64
@@ -138,18 +63,8 @@ func Unrank(k int, rank int64) Perm {
 	if rank < 0 || rank >= factorials[k] {
 		panic(fmt.Sprintf("perm: Unrank: rank %d out of range 0..%d", rank, factorials[k]-1))
 	}
-	avail := make([]int, k)
-	for i := range avail {
-		avail[i] = i + 1
-	}
 	p := make(Perm, k)
-	for i := 0; i < k; i++ {
-		f := factorials[k-1-i]
-		idx := rank / f
-		rank %= f
-		p[i] = avail[idx]
-		avail = append(avail[:idx], avail[idx+1:]...)
-	}
+	UnrankInto(k, rank, p, make([]int, k))
 	return p
 }
 

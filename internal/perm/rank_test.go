@@ -83,73 +83,55 @@ func TestUnrankIntoMatchesUnrank(t *testing.T) {
 	}
 }
 
-func TestRankIntoMatchesRankExhaustive(t *testing.T) {
-	// The Fenwick and popcount kernels agree with the reference O(k²) Rank
-	// on every permutation for k <= 6.
-	for k := 1; k <= 6; k++ {
-		s := NewRankScratch(k)
-		ForEach(k, func(p Perm) bool {
-			want := p.Rank()
-			if got := p.RankInto(s); got != want {
-				t.Fatalf("RankInto(%v) = %d, Rank = %d", p, got, want)
+// lehmerRank is the oracle for Rank: the O(k²) Lehmer code, counting for
+// each position the smaller symbols to its right.
+func lehmerRank(p Perm) int64 {
+	k := len(p)
+	var rank int64
+	for i := 0; i < k; i++ {
+		smaller := 0
+		for j := i + 1; j < k; j++ {
+			if p[j] < p[i] {
+				smaller++
 			}
-			if got := p.RankBits(); got != want {
-				t.Fatalf("RankBits(%v) = %d, Rank = %d", p, got, want)
+		}
+		rank += int64(smaller) * factorials[k-1-i]
+	}
+	return rank
+}
+
+func TestRankMatchesLehmerExhaustive(t *testing.T) {
+	// The popcount kernel agrees with the O(k²) Lehmer code on every
+	// permutation for k <= 7.
+	for k := 1; k <= 7; k++ {
+		ForEach(k, func(p Perm) bool {
+			if got, want := p.Rank(), lehmerRank(p); got != want {
+				t.Fatalf("Rank(%v) = %d, Lehmer code %d", p, got, want)
 			}
 			return true
 		})
 	}
 }
 
-func TestRankIntoMatchesRankRandomLargeK(t *testing.T) {
+func TestRankMatchesLehmerRandomLargeK(t *testing.T) {
 	rng := NewRNG(13)
-	for k := 7; k <= MaxRankK; k++ {
-		s := NewRankScratch(k)
+	for k := 8; k <= MaxRankK; k++ {
 		for trial := 0; trial < 50; trial++ {
 			p := Random(k, rng)
-			want := p.Rank()
-			if got := p.RankInto(s); got != want {
-				t.Fatalf("k=%d: RankInto(%v) = %d, Rank = %d", k, p, got, want)
-			}
-			if got := p.RankBits(); got != want {
-				t.Fatalf("k=%d: RankBits(%v) = %d, Rank = %d", k, p, got, want)
+			if got, want := p.Rank(), lehmerRank(p); got != want {
+				t.Fatalf("k=%d: Rank(%v) = %d, Lehmer code %d", k, p, got, want)
 			}
 		}
 	}
 }
 
-func TestRankIntoScratchReuseAcrossSizes(t *testing.T) {
-	// A scratch sized for the largest k serves smaller permutations too,
-	// which is how BFS workers share one scratch per goroutine.
-	s := NewRankScratch(MaxRankK)
-	rng := NewRNG(14)
-	for k := 1; k <= MaxRankK; k++ {
-		p := Random(k, rng)
-		if got, want := p.RankInto(s), p.Rank(); got != want {
-			t.Fatalf("k=%d with shared scratch: RankInto = %d, Rank = %d", k, got, want)
+func TestRankPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Rank of %d symbols did not panic", MaxRankK+1)
 		}
-	}
-}
-
-func TestRankIntoPanics(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"nil scratch", func() { Identity(3).RankInto(nil) }},
-		{"undersized scratch", func() { Identity(5).RankInto(NewRankScratch(3)) }},
-		{"NewRankScratch k=0", func() { NewRankScratch(0) }},
-		{"NewRankScratch k too large", func() { NewRankScratch(MaxRankK + 1) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", tc.name)
-				}
-			}()
-			tc.fn()
-		}()
-	}
+	}()
+	Identity(MaxRankK + 1).Rank()
 }
 
 func TestUnrankPanics(t *testing.T) {
@@ -266,45 +248,11 @@ func BenchmarkRank(b *testing.B) {
 	}
 }
 
-func BenchmarkRankInto(b *testing.B) {
-	p := Random(10, NewRNG(1))
-	s := NewRankScratch(10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.RankInto(s)
-	}
-}
-
-func BenchmarkRankBits(b *testing.B) {
-	p := Random(10, NewRNG(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.RankBits()
-	}
-}
-
-func BenchmarkRankBitsK20(b *testing.B) {
-	p := Random(20, NewRNG(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.RankBits()
-	}
-}
-
 func BenchmarkRankK20(b *testing.B) {
 	p := Random(20, NewRNG(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = p.Rank()
-	}
-}
-
-func BenchmarkRankIntoK20(b *testing.B) {
-	p := Random(20, NewRNG(1))
-	s := NewRankScratch(20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.RankInto(s)
 	}
 }
 

@@ -216,7 +216,7 @@ func routeDistance(prof *core.BFSResult, src, dst perm.Perm) int32 {
 	for i, di := range dst {
 		u[i] = sinv[di-1]
 	}
-	return prof.Dist.At(perm.Perm(u).RankBits())
+	return prof.Dist.At(perm.Perm(u).Rank())
 }
 
 // validateRouteKey is the RouteRequest front of parseKey.

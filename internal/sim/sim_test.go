@@ -3,7 +3,9 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/perm"
 	"repro/internal/topology"
 )
 
@@ -41,6 +43,64 @@ func TestPermTopologyNeighborsMatchPaths(t *testing.T) {
 				t.Fatalf("path %d->%d ends at %d", src, dst, cur)
 			}
 		}
+	}
+}
+
+// TestPermTopologyNeighborIsCompose holds Neighbor(r, j) to its
+// definition, Rank(Unrank(r) ∘ g_j): on every (node, link) of every
+// instance of all 15 families with k <= 7 (each has a router), and on
+// sampled nodes of MS(3,3), a k = 10 instance.
+func TestPermTopologyNeighborIsCompose(t *testing.T) {
+	for _, fam := range topology.AllFamilies() {
+		insts, err := topology.EnumerateInstances(fam, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range insts {
+			nw, err := topology.New(fam, in.L, in.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt, err := NewPermTopology(nw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gps := nw.Graph().GeneratorSet().Perms()
+			cur := perm.Identity(nw.K()) // rank r; NextPermutation steps in rank order
+			next := make(perm.Perm, nw.K())
+			for r := int64(0); r < pt.NumNodes(); r, _ = r+1, cur.NextPermutation() {
+				for j, gp := range gps {
+					cur.ComposeInto(gp, next)
+					if got, want := pt.Neighbor(r, j), next.Rank(); got != want {
+						t.Fatalf("%s: Neighbor(%d, %d) = %d, want %d", pt.Name(), r, j, got, want)
+					}
+				}
+			}
+		}
+	}
+	pt := permTopo(t, topology.MS, 3, 3)
+	gps := pt.nw.Graph().GeneratorSet().Perms()
+	rng := perm.NewRNG(10)
+	for i := 0; i < 2000; i++ {
+		r := int64(rng.Intn(int(pt.NumNodes())))
+		u := perm.Unrank(10, r)
+		for j, gp := range gps {
+			if got, want := pt.Neighbor(r, j), u.Compose(gp).Rank(); got != want {
+				t.Fatalf("%s: Neighbor(%d, %d) = %d, want %d", pt.Name(), r, j, got, want)
+			}
+		}
+	}
+}
+
+// TestPermTopologyRefusesBeyondMaxExplicitK: the simulator reads hops from
+// the graph's neighbor table, which is enumerable only up to MaxExplicitK.
+func TestPermTopologyRefusesBeyondMaxExplicitK(t *testing.T) {
+	nw, err := topology.NewStar(core.MaxExplicitK + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPermTopology(nw); err == nil {
+		t.Errorf("NewPermTopology(%s) accepted k=%d > MaxExplicitK", nw.Name(), nw.K())
 	}
 }
 

@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -36,64 +37,50 @@ type Topology interface {
 }
 
 // PermTopology adapts a permutation network (any family from
-// internal/topology that has a routing algorithm) to the simulator.
+// internal/topology that has a routing algorithm) to the simulator. Its
+// hops are read from the graph's factored neighbor table, so the network's
+// k must not exceed core.MaxExplicitK.
 type PermTopology struct {
 	nw *topology.Network
 	// linkOf maps a generator action (as a permutation string) to its link
 	// index.
 	linkOf map[string]int
-	// genPerms caches generator permutations by link.
-	genPerms []perm.Perm
-	k        int
-	// table holds the graph's NeighborTable rows ([node*degree + link])
-	// for networks small enough to enumerate; nil otherwise (Neighbor
-	// falls back to rank/unrank).
-	table []uint32
+	k      int
+	tbl    *core.NeighborTable
 }
 
-// maxNeighborTableEntries bounds the precomputed adjacency cache.
-const maxNeighborTableEntries = 1 << 23
-
 // NewPermTopology wraps nw. It fails for networks without a routing
-// algorithm.
+// algorithm and for k > core.MaxExplicitK.
 func NewPermTopology(nw *topology.Network) (*PermTopology, error) {
-	set := nw.Graph().GeneratorSet()
-	pt := &PermTopology{
-		nw:       nw,
-		linkOf:   make(map[string]int, set.Len()),
-		genPerms: set.Perms(),
-		k:        nw.K(),
+	if nw.K() > core.MaxExplicitK {
+		return nil, fmt.Errorf("sim: NewPermTopology: %s has k=%d, beyond MaxExplicitK=%d", nw.Name(), nw.K(), core.MaxExplicitK)
 	}
-	for i := 0; i < set.Len(); i++ {
-		pt.linkOf[pt.genPerms[i].String()] = i
+	genPerms := nw.Graph().GeneratorSet().Perms()
+	pt := &PermTopology{
+		nw:     nw,
+		linkOf: make(map[string]int, len(genPerms)),
+		k:      nw.K(),
+	}
+	for i, gp := range genPerms {
+		pt.linkOf[gp.String()] = i
 	}
 	// Probe the router once so misconfigured networks fail fast.
 	if _, err := nw.Route(perm.Identity(pt.k), perm.Identity(pt.k)); err != nil {
 		return nil, fmt.Errorf("sim: NewPermTopology: %s has no usable router: %v", nw.Name(), err)
 	}
-	// Expand the graph's neighbor rows so that hot simulation loops avoid
-	// per-hop unrank/compose/rank work.
-	if entries := nw.Nodes() * int64(len(pt.genPerms)); entries <= maxNeighborTableEntries {
-		tbl, err := nw.Graph().EnsureNeighborTable(0)
-		if err != nil {
-			return nil, fmt.Errorf("sim: NewPermTopology: %v", err)
-		}
-		pt.table = tbl.Rows()
+	tbl, err := nw.Graph().EnsureNeighborTable(0)
+	if err != nil {
+		return nil, fmt.Errorf("sim: NewPermTopology: %v", err)
 	}
+	pt.tbl = tbl
 	return pt, nil
 }
 
 func (pt *PermTopology) Name() string    { return pt.nw.Name() }
 func (pt *PermTopology) NumNodes() int64 { return pt.nw.Nodes() }
-func (pt *PermTopology) Degree() int     { return len(pt.genPerms) }
+func (pt *PermTopology) Degree() int     { return pt.tbl.Degree() }
 
-func (pt *PermTopology) Neighbor(node int64, link int) int64 {
-	if pt.table != nil {
-		return int64(pt.table[node*int64(len(pt.genPerms))+int64(link)])
-	}
-	u := perm.Unrank(pt.k, node)
-	return u.Compose(pt.genPerms[link]).Rank()
-}
+func (pt *PermTopology) Neighbor(node int64, link int) int64 { return pt.tbl.At(node, link) }
 
 func (pt *PermTopology) Path(src, dst int64) ([]int, error) {
 	s := perm.Unrank(pt.k, src)
