@@ -14,11 +14,12 @@
 // Every unit-weight search, baselines' IndexGraph included, runs one
 // engine: the level-synchronous bitset BFS (bfs_parallel.go) over a
 // factored NeighborTable, one column of rank deltas per generator
-// (neighbortable.go), on a worker count chosen by instance size.
-// BFSWeighted, the 0/1-weight intercluster search, is the one other search;
-// it reads the same columns. The tests hold the engine to a plain queue-BFS
-// oracle and to closed-form distances, and the columns to compose + rank on
-// every state.
+// (neighbortable.go), on a worker count chosen by instance size. The
+// 0/1-weight intercluster search (Graph.BFSWeighted and
+// IndexGraph.BFSWeighted) is the one other search; it reads the same
+// columns, and so does every other state walk in the module. The tests
+// hold the engine to a plain queue-BFS oracle and to closed-form
+// distances, and the columns to compose + rank on every state.
 package core
 
 import (

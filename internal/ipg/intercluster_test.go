@@ -128,3 +128,18 @@ func TestSIPProfilePinned(t *testing.T) {
 		t.Errorf("MeasureIntercluster = %+v, want %+v", *prof, want)
 	}
 }
+
+// BenchmarkMeasureIntercluster measures SIP(4,2;transposition/swap), 22,680
+// labels: the label-level adjacency build plus the 0/1 search.
+func BenchmarkMeasureIntercluster(b *testing.B) {
+	g, err := NewSIP(4, 2, sipRules(4, 2, bag.TranspositionNucleus, bag.SwapSuper))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.MeasureIntercluster(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

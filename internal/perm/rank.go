@@ -35,7 +35,7 @@ func Factorial(k int) int64 {
 // popcount give each Lehmer digit in O(1), for O(k) in all with no scratch
 // state; the tests hold it to the O(k²) Lehmer definition.
 //
-//scglint:hotpath popcount rank kernel: called once per edge probe in every BFS hot loop and per warm route request
+//scglint:hotpath popcount rank kernel: called once per neighbor-table column entry and per warm route request
 func (p Perm) Rank() int64 {
 	k := len(p)
 	if k > MaxRankK {

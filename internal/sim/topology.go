@@ -10,7 +10,9 @@
 // its outgoing links per step. Packets are source-routed with the
 // ball-arrangement-game solvers (exactly the routing algorithms the paper
 // derives), so measured completion times reflect the topology plus its own
-// routing algorithm, not an idealized oracle.
+// routing algorithm, not an idealized oracle. A permutation network's hops
+// come from its graph's factored neighbor table, so it is simulated up to
+// k = core.MaxExplicitK.
 package sim
 
 import (
@@ -37,9 +39,7 @@ type Topology interface {
 }
 
 // PermTopology adapts a permutation network (any family from
-// internal/topology that has a routing algorithm) to the simulator. Its
-// hops are read from the graph's factored neighbor table, so the network's
-// k must not exceed core.MaxExplicitK.
+// internal/topology that has a routing algorithm) to the simulator.
 type PermTopology struct {
 	nw *topology.Network
 	// linkOf maps a generator action (as a permutation string) to its link

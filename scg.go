@@ -287,7 +287,9 @@ const (
 	SinglePort = sim.SinglePort
 )
 
-// NewSimNetwork adapts a permutation network to the simulator.
+// NewSimNetwork adapts a permutation network to the simulator. Its hops
+// are read from the graph's neighbor table, so the network must have
+// k <= core.MaxExplicitK (10); larger ones are refused with an error.
 func NewSimNetwork(nw *Network) (SimTopology, error) { return sim.NewPermTopology(nw) }
 
 // NewSimHypercube and NewSimTorus build baseline simulator topologies.

@@ -72,7 +72,8 @@ func FaultBFS(nw *Network, faults FaultSet, src Node) (*FaultProfile, error) {
 }
 
 // RandomFaultTrials injects random link failures repeatedly and reports
-// connectivity and distance inflation.
+// connectivity and distance inflation. faults must lie in 0..N·degree,
+// the network's count of directed links.
 func RandomFaultTrials(nw *Network, faults, runs int, seed uint64) (*FaultTrial, error) {
 	return fault.RandomTrials(nw.Graph(), faults, runs, seed)
 }
