@@ -5,23 +5,26 @@
 // async exact BFS profiles — from a byte-budgeted topology cache with
 // request coalescing and per-endpoint admission control.
 //
-// Endpoints: /v1/route, /v1/neighbors, /v1/metrics, /v1/profile (async
-// jobs: submit returns a job ID, poll with ?id=), /healthz, /statsz, and
+// Endpoints: /v1/route, /v1/neighbors, /v1/metrics, /v1/profile (jobs: a
+// submit of 8! states or more returns a job ID to poll with ?id=; a
+// smaller or cached one answers with the result), /healthz, /statsz, and
 // /metricsz (Prometheus text exposition of the same counters /statsz
 // reports, plus runtime/metrics gauges).
 //
 // Every response carries an X-Request-Id (propagated from the client when
 // valid, generated otherwise) that joins the access log, the slow-request
-// log (-slow-log/-slow-ms: per-phase span timelines for slow requests and
-// async profile builds), and /v1/profile job snapshots.
+// log (-slow-log/-slow-ms: per-phase span timelines for slow requests,
+// profile builds and their store write-backs), and /v1/profile job
+// snapshots.
 //
 // Examples:
 //
 //	scgd -addr :8080
 //	curl 'localhost:8080/v1/route?family=MS&l=2&n=3&src=1234567&dst=7654321'
 //	curl 'localhost:8080/v1/metrics?family=complete-RS&l=3&n=2'
-//	curl 'localhost:8080/v1/profile?family=MS&l=2&n=3'   # -> job id
-//	curl 'localhost:8080/v1/profile?id=job-1'            # -> status/result
+//	curl 'localhost:8080/v1/profile?family=MS&l=2&n=3'   # k = 7 -> done + result
+//	curl 'localhost:8080/v1/profile?family=MS&l=2&n=4'   # k = 9 -> job id
+//	curl 'localhost:8080/v1/profile?id=job-2'            # -> status/result
 //	curl 'localhost:8080/metricsz'                       # -> Prometheus text
 //	scgd -debug-addr 127.0.0.1:6060                      # pprof sidecar
 //
@@ -31,7 +34,7 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes,
 // in-flight requests drain (bounded by -drain-timeout), queued profile
-// jobs finish, and the process exits 0.
+// jobs and store write-backs finish, and the process exits 0.
 package main
 
 import (

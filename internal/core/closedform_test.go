@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -43,7 +44,8 @@ func inversions(p perm.Perm) int {
 }
 
 // TestClosedFormDistances checks the engine's distance table on every
-// state against closed forms that need no search at all:
+// state, k = 3..10 (9 under the race detector, 7 in -short mode), against
+// closed forms that need no search at all:
 //   - star: m + c, less 2 when symbol 1 is out of place, where c counts
 //     the non-trivial cycles and m the symbols in them (Akers, Harel &
 //     Krishnamurthy, ICPP 1987);
@@ -55,9 +57,12 @@ func inversions(p perm.Perm) int {
 // invariant under inversion, so the test is blind to which of p and p⁻¹
 // the engine labels a state with; it still pins every distance.
 func TestClosedFormDistances(t *testing.T) {
-	maxK := 9
-	if testing.Short() {
+	maxK := 10
+	switch {
+	case testing.Short():
 		maxK = 7
+	case core.RaceEnabled:
+		maxK = 9
 	}
 	families := []struct {
 		name string

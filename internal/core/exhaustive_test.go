@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"flag"
 	"runtime"
 	"testing"
 
@@ -87,20 +88,30 @@ func TestExactProfileFootprint(t *testing.T) {
 	}
 }
 
+// routeMaxK widens TestRouteEveryState past its default k <= 8, as a CI
+// step does for k = 9 (12,760,290 states, 22–34 s on a 2-vCPU guest):
+//
+//	go test -run '^TestRouteEveryState$' ./internal/core -args -route-max-k 9
+var routeMaxK = flag.Int("route-max-k", 0, "largest k TestRouteEveryState sweeps (0: 8, less under -race and -short)")
+
 // TestRouteEveryState routes I → x for every state x of every instance of
-// all 15 families with k <= 8 and checks each route against the engine's
-// exact distance table: it must verify, take at least Dist(x) hops and at
-// most the family's guaranteed bound (bag.WorstCaseBound of its rule set,
-// or the closed-form bound of a nucleus-only family), and exactly Dist(x)
-// hops for the star, rotator, bubble-sort and transposition solvers, which
-// are optimal.
+// all 15 families with k <= 8 (or -route-max-k) and checks each route
+// against the engine's exact distance table: it must verify, take at least
+// Dist(x) hops and at most the family's guaranteed bound
+// (bag.WorstCaseBound of its rule set, or the closed-form bound of a
+// nucleus-only family), and exactly Dist(x) hops for the star, rotator,
+// bubble-sort and transposition solvers, which are optimal.
 func TestRouteEveryState(t *testing.T) {
 	optimal := map[topology.Family]bool{
 		topology.Star: true, topology.Rotator: true,
 		topology.BubbleSort: true, topology.TranspositionNet: true,
 	}
+	maxK := exhaustiveMaxK(8)
+	if *routeMaxK > 0 {
+		maxK = *routeMaxK
+	}
 	var states int
-	for _, nw := range equivalenceInstances(t, exhaustiveMaxK(8)) {
+	for _, nw := range equivalenceInstances(t, maxK) {
 		g := nw.Graph()
 		k := g.K()
 		prof, err := g.ExactProfile()

@@ -9,42 +9,49 @@ import "fmt"
 type IndexGraph struct {
 	// N is the number of nodes.
 	N int64
-	// Out calls visit for every out-neighbor of node u.
+	// Out calls visit for every out-neighbor of node u. The searches here
+	// call it once per node, from one goroutine, so it may reuse buffers
+	// from one call to the next.
 	Out func(u int64, visit func(v int64))
 }
 
 // neighborTable materializes Out as full-span columns (s = 1, span = N,
-// delta = v − u) of the bitset engine's NeighborTable. Nodes with fewer
-// out-neighbors than the largest out-degree are padded with self-loops
-// (delta 0), which a search never follows: a node is visited before its
-// neighbors are read. An out-of-range neighbor is an error.
+// delta = v − u) of the bitset engine's NeighborTable, in one pass: a node
+// with more out-neighbors than any before it adds columns. The slots that
+// nodes with fewer out-neighbors leave keep delta 0, a self-loop, which a
+// search never follows: a node is visited before its neighbors are read.
+// An out-of-range neighbor is an error.
 func (ig *IndexGraph) neighborTable() (*NeighborTable, error) {
 	if ig.N < 1 || ig.N > 1<<31 {
 		return nil, fmt.Errorf("core: IndexGraph: %d nodes, want 1..2^31", ig.N)
 	}
-	deg := 0
+	t := &NeighborTable{n: ig.N}
+	var u int64
+	j := 0
 	badNode, badNbr := int64(-1), int64(0)
-	for u := int64(0); u < ig.N; u++ {
-		d := 0
-		ig.Out(u, func(v int64) {
-			if (v < 0 || v >= ig.N) && badNode < 0 {
+	visit := func(v int64) {
+		if v < 0 || v >= ig.N {
+			if badNode < 0 {
 				badNode, badNbr = u, v
 			}
-			d++
-		})
-		deg = max(deg, d)
+			return
+		}
+		if j == len(t.cols) {
+			c := newColumn(ig.N, 1, ig.N)
+			c.delta = make([]int32, ig.N)
+			t.cols = append(t.cols, c)
+		}
+		t.cols[j].delta[u] = int32(v - u)
+		j++
+	}
+	for u = 0; u < ig.N; u++ {
+		j = 0
+		ig.Out(u, visit)
 	}
 	if badNode >= 0 {
 		return nil, fmt.Errorf("core: IndexGraph: node %d has neighbor %d out of range 0..%d", badNode, badNbr, ig.N-1)
 	}
-	t := fullSpanTable(ig.N, deg)
-	for u := int64(0); u < ig.N; u++ {
-		j := 0
-		ig.Out(u, func(v int64) {
-			t.cols[j].delta[u] = int32(v - u)
-			j++
-		})
-	}
+	t.deg = len(t.cols)
 	return t, nil
 }
 

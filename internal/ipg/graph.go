@@ -71,17 +71,30 @@ func (g *Graph) indexGraph() (*core.IndexGraph, error) {
 	if n > MaxExplicitOrder {
 		return nil, fmt.Errorf("ipg: %s: order %d exceeds limit %d", g.name, n, MaxExplicitOrder)
 	}
+	// Each generator's position map, once per graph: generator j takes
+	// label cur to next[i] = cur[from[j][i]], as Apply does.
+	k := g.sig.K()
+	from := make([][]int, len(g.gens))
+	for j, gg := range g.gens {
+		from[j] = make([]int, k)
+		for i, src := range gg.AsPerm(k) {
+			from[j][i] = src - 1
+		}
+	}
+	// Out's scratch: core calls it from one goroutine at a time.
+	cur, next := make(Label, k), make(Label, k)
+	counts := make([]int, g.sig.Symbols())
 	return &core.IndexGraph{N: n, Out: func(r int64, visit func(int64)) {
 		// Ranks below the order unrank, and generators permute valid
 		// labels into valid labels, so neither call can fail.
-		cur, err := g.sig.Unrank(r)
-		if err != nil {
+		if err := g.sig.unrank(r, cur, counts); err != nil {
 			panic(fmt.Sprintf("ipg: indexGraph: %v", err))
 		}
-		for _, gg := range g.gens {
-			next := cur.Clone()
-			Apply(gg, next)
-			nr, err := g.sig.Rank(next)
+		for _, f := range from {
+			for i, src := range f {
+				next[i] = cur[src]
+			}
+			nr, err := g.sig.rank(next, counts)
 			if err != nil {
 				panic(fmt.Sprintf("ipg: indexGraph: %v", err))
 			}

@@ -180,8 +180,14 @@ func (sig Signature) Rank(l Label) (int64, error) {
 	if err := sig.Validate(l); err != nil {
 		return 0, err
 	}
-	counts := append([]int(nil), sig.Counts...)
-	remaining := sig.K()
+	return sig.rank(l, make([]int, len(sig.Counts)))
+}
+
+// rank is Rank for a label known to be valid, with counts (one slot per
+// symbol) as its scratch.
+func (sig Signature) rank(l Label, counts []int) (int64, error) {
+	copy(counts, sig.Counts)
+	remaining := len(l)
 	var rank int64
 	for _, s := range l {
 		// Count arrangements starting with a smaller symbol.
@@ -212,21 +218,30 @@ func (sig Signature) Unrank(rank int64) (Label, error) {
 	if rank < 0 || rank >= order {
 		return nil, fmt.Errorf("ipg: Unrank: rank %d out of range 0..%d", rank, order-1)
 	}
-	counts := append([]int(nil), sig.Counts...)
-	remaining := sig.K()
-	out := make(Label, 0, remaining)
-	for remaining > 0 {
-		for s := 1; s <= sig.Symbols(); s++ {
+	out := make(Label, sig.K())
+	if err := sig.unrank(rank, out, make([]int, len(sig.Counts))); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// unrank writes the label of a rank known to be in range into out (K
+// slots), with counts (one slot per symbol) as its scratch.
+func (sig Signature) unrank(rank int64, out Label, counts []int) error {
+	copy(counts, sig.Counts)
+	remaining := len(out)
+	for i := range out {
+		for s := 1; s <= len(counts); s++ {
 			if counts[s-1] == 0 {
 				continue
 			}
 			counts[s-1]--
 			ways, err := arrangements(counts, remaining-1)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if rank < ways {
-				out = append(out, s)
+				out[i] = s
 				remaining--
 				break
 			}
@@ -234,7 +249,7 @@ func (sig Signature) Unrank(rank int64) (Label, error) {
 			counts[s-1]++
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // arrangements counts multiset permutations of the given residual counts

@@ -103,9 +103,11 @@ type ProfileResult struct {
 	Histogram []int64 `json:"histogram"`
 }
 
-// ProfileResponse describes an async exact-profile job. Submit returns it
-// with Status "queued" (202), "done" when the profile was already cached
-// (200); polls return the current state.
+// ProfileResponse describes an exact-profile job. Submit returns it with
+// Status "queued" or "running" (202) while the job is in flight, and with
+// the final "done" or "failed" snapshot (200) when the profile was already
+// cached or the instance has fewer than 8! states, whose job runs on the
+// submitting request; polls return the current state.
 type ProfileResponse struct {
 	JobID string `json:"job_id"`
 	// RequestID is the X-Request-Id of the request that created the job —
@@ -137,8 +139,14 @@ type JobsStats struct {
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
 	Rejected  int64 `json:"rejected"`
-	Queued    int   `json:"queued"`
-	Running   int   `json:"running"`
+	// Inline counts jobs run on their submitting request (fewer than 8!
+	// states) instead of a worker.
+	Inline int64 `json:"inline"`
+	// WriteBacksSkipped counts store write-backs of such jobs that a full
+	// worker queue refused; the profile stays served from memory.
+	WriteBacksSkipped int64 `json:"writebacks_skipped"`
+	Queued            int   `json:"queued"`
+	Running           int   `json:"running"`
 }
 
 // StatsResponse is the /statsz document.

@@ -99,9 +99,11 @@ type CacheStats struct {
 type Cache struct {
 	budget int64
 	// store, when non-nil, is the persistent content-addressed profile
-	// store: profile builds consult it before running BFS and write back
-	// after. The cache ignores store failures beyond their counters —
-	// persistence is an accelerator, never a correctness dependency.
+	// store: profile builds consult it before running BFS, and the job
+	// that built a profile writes it back (writeBack, called by Jobs once
+	// the job is done). The cache ignores store failures beyond their
+	// counters — persistence is an accelerator, never a correctness
+	// dependency.
 	store *store.Store
 
 	mu      sync.Mutex
@@ -178,11 +180,21 @@ func (c *Cache) Network(ctx context.Context, key Key) (*topology.Network, error)
 // Profile returns the exact BFS profile (diameter, average distance, and
 // the rank-indexed distance table) for key, running the k!-state search at
 // most once per residency. This is the expensive path — the scgd handlers
-// only reach it through the async job manager.
+// only reach it through the job manager. Profile writes nothing to the
+// store; the job that built a profile does (Jobs.run).
 func (c *Cache) Profile(ctx context.Context, key Key) (*core.BFSResult, error) {
+	res, _, err := c.profile(ctx, key)
+	return res, err
+}
+
+// profile is Profile that also reports whether this call ran the search:
+// built is false for a profile found resident, loaded from the store, or
+// built by a caller this one coalesced onto. Only a built profile is new
+// to the store.
+func (c *Cache) profile(ctx context.Context, key Key) (res *core.BFSResult, built bool, err error) {
 	nw, err := c.Network(ctx, key)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	tr := telemetry.TraceFrom(ctx)
 	v, err := c.getOrBuild(ctx, cacheKey{kindProfile, key}, func() (any, int64, error) {
@@ -205,22 +217,23 @@ func (c *Cache) Profile(ctx context.Context, key Key) (*core.BFSResult, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if c.store != nil {
-			// Write-back so the next process skips this BFS entirely. A
-			// failed write only bumps the store's error counter: the
-			// profile is already in hand.
-			tr.Phase("store-write")
-			sk := key.storeKey()
-			_ = c.store.Put(sk, &store.Entry{
-				Family: sk.Family, L: sk.L, N: sk.N, K: key.K(), Profile: res,
-			})
-		}
+		built = true
 		return res, profileBytes(res), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return v.(*core.BFSResult), nil
+	return v.(*core.BFSResult), built, nil
+}
+
+// writeBack persists a built profile so the next process skips its BFS
+// entirely. A failed write only bumps the store's error counter: the
+// profile is already in hand.
+func (c *Cache) writeBack(key Key, res *core.BFSResult) {
+	sk := key.storeKey()
+	_ = c.store.Put(sk, &store.Entry{
+		Family: sk.Family, L: sk.L, N: sk.N, K: key.K(), Profile: res,
+	})
 }
 
 // CachedNetwork returns the resident materialized network for key without

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pool"
 )
 
@@ -28,7 +29,11 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 	// goroutines are blocked on flights or scraping stats.
 	c := NewCache(1 << 10)
 	j := NewJobs(c, pool.NewRunner(4, 64))
+	// A write-back hook, so jobs that ran on their submit hand work to the
+	// runner while queued jobs run on it.
+	j.writeBack = func(Key, *core.BFSResult) {}
 
+	// Keys below k = 8 run on their submitters' goroutines; k = 8 is queued.
 	keys := []Key{
 		msKey(2, 1), // k=3
 		msKey(3, 1), // k=4
@@ -36,6 +41,7 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 		msKey(4, 1), // k=5
 		msKey(5, 1), // k=6
 		msKey(3, 2), // k=7
+		asyncKey,    // k=8
 	}
 
 	const (
@@ -46,8 +52,9 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 
-	// Async submit path: j.mu -> c.mu (cached fast path) and the queued
-	// worker's j.mu / build / j.mu sequence.
+	// Submit paths: j.mu -> c.mu (cached fast path), the queued worker's
+	// j.mu / build / j.mu sequence, and the same sequence on the submitter
+	// followed by a write-back hand-off.
 	for w := 0; w < submitters; w++ {
 		wg.Add(1)
 		go func(w int) {

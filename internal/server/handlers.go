@@ -344,9 +344,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, c call) i
 			}
 			return writeErr(w, http.StatusBadRequest, err.Error())
 		}
-		if job.Status == JobDone {
-			cached = true
-		} else {
+		// A cached profile, or a job small enough to run on this request,
+		// answers with its final snapshot; a queued or running one, 202.
+		cached = job.cached
+		if job.Status == JobQueued || job.Status == JobRunning {
 			status = http.StatusAccepted
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/perm"
 	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
@@ -32,37 +33,59 @@ var ErrJobsBusy = errors.New("server: job queue full")
 // been pruned).
 var ErrUnknownJob = errors.New("server: unknown job id")
 
-// Job is one asynchronous exact-profile computation. The struct returned by
-// Submit and Get is a copy; the Result pointer, once set, is immutable.
+// Job is one exact-profile computation. The struct returned by Submit and
+// Get is a copy; the Result pointer, once set, is immutable.
 type Job struct {
 	ID  string
 	Key Key
-	// ReqID is the X-Request-Id of the submitting request: the async build
-	// stays correlated with the HTTP request that asked for it, in both the
-	// poll response and the slow log.
+	// ReqID is the X-Request-Id of the submitting request: the build and
+	// its write-back stay correlated with the HTTP request that asked for
+	// them, in both the poll response and the slow log.
 	ReqID  string
 	Status JobStatus
 	Err    string
 	Result *core.BFSResult
+	// cached marks Submit's snapshot of a job that found its profile
+	// resident and ran nothing; the ledger's copy never carries it.
+	cached bool
 }
+
+// Slow-log endpoints of the work a profile job does off its request: the
+// job itself, and the store write-back of a profile it built. Only the
+// first starts with "job:", so a reader counting jobs counts each once.
+const (
+	jobEndpoint       = "job:/v1/profile"
+	writeBackEndpoint = "writeback:/v1/profile"
+)
 
 // maxFinishedJobs bounds the completed-job ledger: polls for jobs older
 // than the last maxFinishedJobs completions answer ErrUnknownJob. In-flight
 // jobs are never pruned.
 const maxFinishedJobs = 1024
 
-// Jobs runs exact-profile computations asynchronously on a bounded
-// pool.Runner — the sanctioned spawn chokepoint, so this package contains
-// no raw go statements. Submitting a key whose job is still queued or
-// running coalesces onto the existing job; submitting a key whose profile
-// is already cached completes immediately without occupying a worker.
+// Jobs runs exact-profile computations. A job on fewer than
+// core.ParallelBFSThreshold states runs on its submitter's goroutine, the
+// size below which the engine itself runs one worker; a larger one runs
+// asynchronously on a bounded pool.Runner — the sanctioned spawn
+// chokepoint, so this package contains no raw go statements. Both run
+// through the same run, and both hand the store write-back of a profile
+// they built to a runner worker, after the job is done. Submitting a key
+// whose job is still queued or running coalesces onto the existing job;
+// submitting a key whose profile is already cached completes immediately
+// without running a job.
 type Jobs struct {
 	cache  *Cache
 	runner *pool.Runner
-	// slow, when non-nil, receives each executed job's span timeline after
-	// it finishes (the server wires this to its slow log; the spans alias a
-	// pooled trace and must not be retained past the call).
-	slow func(job *Job, start time.Time, d time.Duration, spans []telemetry.PhaseSpan)
+	// slow, when non-nil, receives the span timeline of each executed job
+	// and of each write-back after it finishes, under the submitting
+	// request's ID (the server wires this to its slow log; the spans alias
+	// a pooled trace and must not be retained past the call).
+	slow func(endpoint, reqID string, start time.Time, d time.Duration, spans []telemetry.PhaseSpan)
+	// writeBack persists a profile a job built. It is the cache's store
+	// write when the cache has a store, nil otherwise, and always runs on
+	// a runner worker once the job is published done. Tests replace it to
+	// hold a write-back open.
+	writeBack func(key Key, res *core.BFSResult)
 
 	mu       sync.Mutex
 	byID     map[string]*Job
@@ -73,21 +96,37 @@ type Jobs struct {
 }
 
 // NewJobs returns a job manager executing on runner. The caller retains
-// ownership of runner's lifecycle only through Close.
+// ownership of runner's lifecycle only through Close. Attach the cache's
+// store (Cache.SetStore) first: NewJobs reads it to decide whether built
+// profiles are written back.
 func NewJobs(cache *Cache, runner *pool.Runner) *Jobs {
-	return &Jobs{
+	j := &Jobs{
 		cache:  cache,
 		runner: runner,
 		byID:   make(map[string]*Job),
 		byKey:  make(map[Key]*Job),
 	}
+	if cache.store != nil {
+		j.writeBack = cache.writeBack
+	}
+	return j
+}
+
+// runsInline reports whether key's profile job runs on its submitter's
+// goroutine: its instance has fewer than core.ParallelBFSThreshold states.
+func runsInline(key Key) bool {
+	k := key.K()
+	return k <= perm.MaxRankK && perm.Factorial(k) < core.ParallelBFSThreshold
 }
 
 // Submit registers an exact-profile job for key and returns its snapshot.
 // reqID is the submitting request's X-Request-Id, recorded on a newly
 // created job (a coalesced submit keeps the original submitter's ID).
 // Cached profiles complete synchronously; duplicate submits coalesce onto
-// the in-flight job; a full worker queue returns ErrJobsBusy.
+// the in-flight job. A job on fewer than core.ParallelBFSThreshold states
+// runs here, on the caller's goroutine, and Submit returns its final
+// snapshot; a larger one is queued, and a full worker queue returns
+// ErrJobsBusy.
 func (j *Jobs) Submit(key Key, reqID string) (Job, error) {
 	j.mu.Lock()
 	if job, ok := j.byKey[key]; ok {
@@ -106,17 +145,39 @@ func (j *Jobs) Submit(key Key, reqID string) (Job, error) {
 		j.finishLocked(job)
 		snap := *job
 		j.mu.Unlock()
+		snap.cached = true
 		return snap, nil
 	}
 	job := j.newJobLocked(key)
 	job.ReqID = reqID
 	job.Status = JobQueued
 	id := job.ID
+	if runsInline(key) {
+		// Published in byKey first, so a concurrent submit of the key
+		// coalesces onto this job while it runs.
+		j.byKey[key] = job
+		j.stats.Submitted++
+		j.stats.Inline++
+		j.mu.Unlock()
+		snap, writeBack := j.run(id)
+		if writeBack != nil && !j.runner.Submit(writeBack) {
+			// A full queue sheds the write-back, not the job: a profile
+			// this small is cheap to build again.
+			j.mu.Lock()
+			j.stats.WriteBacksSkipped++
+			j.mu.Unlock()
+		}
+		return snap, nil
+	}
 	// Admit before publishing: runner.Submit never blocks (bounded queue,
 	// non-blocking send), so holding j.mu here keeps a rejected job from
 	// ever being observable by Get or a coalescing Submit.
 	//scglint:lockheld runner.Submit is a non-blocking bounded-queue admit; atomicity under j.mu is what keeps rejected jobs unobservable
-	if !j.runner.Submit(func() { j.run(id) }) {
+	if !j.runner.Submit(func() {
+		if _, writeBack := j.run(id); writeBack != nil {
+			writeBack()
+		}
+	}) {
 		delete(j.byID, id)
 		j.stats.Rejected++
 		j.mu.Unlock()
@@ -156,20 +217,24 @@ func (j *Jobs) Stats() JobsStats {
 	return s
 }
 
-// Close drains the job queue: it blocks until every admitted job has
-// finished, and no further submits are accepted by the runner.
+// Close drains the job queue: it blocks until every admitted job and every
+// write-back handed to the runner has finished, and no further work is
+// accepted by the runner.
 func (j *Jobs) Close() { j.runner.Close() }
 
-// run executes one job on a runner worker. The worker acquires its own
-// trace under the submitting request's ID, so the build/BFS phases of an
-// async profile land in the slow log correlated with the 202 the client
-// already holds.
-func (j *Jobs) run(id string) {
+// run executes one job, on a runner worker or on its submitter's
+// goroutine, and publishes its outcome. It acquires its own trace under
+// the submitting request's ID, so the build/BFS phases of a profile land
+// in the slow log correlated with the answer the client holds. It returns
+// the job's final snapshot and, for a profile this job built (not one it
+// loaded or found resident) when a store is attached, the write-back to
+// run on a runner worker: the job is done before its profile is persisted.
+func (j *Jobs) run(id string) (Job, func()) {
 	j.mu.Lock()
 	job, ok := j.byID[id]
 	if !ok {
 		j.mu.Unlock()
-		return
+		return Job{}, nil
 	}
 	job.Status = JobRunning
 	key := job.Key
@@ -178,8 +243,7 @@ func (j *Jobs) run(id string) {
 
 	start := time.Now()
 	// A fresh root, not the request's context: async profile jobs outlive
-	// their 202 request, and the job must not die with the submitting
-	// connection.
+	// their 202 request, and no job dies with the submitting connection.
 	ctx := context.Background()
 	var tr *telemetry.Trace
 	if j.slow != nil {
@@ -188,12 +252,10 @@ func (j *Jobs) run(id string) {
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
 
-	res, err := j.cache.Profile(ctx, key)
+	res, built, err := j.cache.profile(ctx, key)
 
 	if j.slow != nil {
-		d := time.Since(start)
-		snap := Job{ID: id, Key: key, ReqID: reqID}
-		j.slow(&snap, start, d, tr.Spans())
+		j.slow(jobEndpoint, reqID, start, time.Since(start), tr.Spans())
 	}
 
 	j.mu.Lock()
@@ -210,7 +272,29 @@ func (j *Jobs) run(id string) {
 		delete(j.byKey, key)
 	}
 	j.finishLocked(job)
+	snap := *job
 	j.mu.Unlock()
+	if !built || j.writeBack == nil {
+		return snap, nil
+	}
+	return snap, func() { j.persist(key, reqID, res) }
+}
+
+// persist runs a job's write-back under a trace of its own: its slow-log
+// record carries the submitting request's ID, a store-write phase, and
+// writeBackEndpoint.
+func (j *Jobs) persist(key Key, reqID string, res *core.BFSResult) {
+	start := time.Now()
+	var tr *telemetry.Trace
+	if j.slow != nil {
+		tr = telemetry.AcquireTrace(reqID, start)
+		defer tr.Release()
+		tr.Phase("store-write")
+	}
+	j.writeBack(key, res)
+	if j.slow != nil {
+		j.slow(writeBackEndpoint, reqID, start, time.Since(start), tr.Spans())
+	}
 }
 
 // newJobLocked allocates and registers the next job. Callers hold j.mu.

@@ -6,9 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/topology"
 )
+
+// asyncKey is the smallest instance whose job is queued for a worker
+// instead of run on its submit: MS(7,1), k = 8, core.ParallelBFSThreshold
+// states.
+var asyncKey = msKey(7, 1)
 
 // waitDone polls until the job leaves queued/running or the deadline passes.
 func waitDone(t *testing.T, j *Jobs, id string) Job {
@@ -65,12 +71,20 @@ func TestJobSubmitCoalescesInFlightKey(t *testing.T) {
 	j := NewJobs(c, runner)
 	defer j.Close()
 
-	// Park the single worker so the submitted job stays queued.
+	// Park the single worker so the submitted job stays queued. The
+	// blocker is released on every exit path, before the deferred Close
+	// waits on it.
 	release := make(chan struct{})
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
 	if !runner.Submit(func() { <-release }) {
 		t.Fatal("blocker rejected")
 	}
-	key := msKey(2, 1)
+	key := asyncKey
 	first, err := j.Submit(key, "")
 	if err != nil {
 		t.Fatalf("first Submit: %v", err)
@@ -86,6 +100,7 @@ func TestJobSubmitCoalescesInFlightKey(t *testing.T) {
 		t.Fatalf("stats %+v, want Submitted=1 Coalesced=1", st)
 	}
 	close(release)
+	released = true
 	if done := waitDone(t, j, first.ID); done.Status != JobDone {
 		t.Fatalf("job ended %q (err=%q)", done.Status, done.Err)
 	}
@@ -119,7 +134,7 @@ func TestJobSubmitFullQueueRejects(t *testing.T) {
 	<-started
 	for runner.Submit(func() { <-release }) {
 	}
-	if _, err := j.Submit(msKey(2, 1), ""); !errors.Is(err, ErrJobsBusy) {
+	if _, err := j.Submit(asyncKey, ""); !errors.Is(err, ErrJobsBusy) {
 		t.Fatalf("Submit on a full queue = %v, want ErrJobsBusy", err)
 	}
 	st := j.Stats()
@@ -161,7 +176,7 @@ func TestJobGetUnknownID(t *testing.T) {
 func TestJobCloseDrainsAdmittedWork(t *testing.T) {
 	c := NewCache(64 << 20)
 	j := NewJobs(c, pool.NewRunner(1, 4))
-	job, err := j.Submit(msKey(2, 1), "")
+	job, err := j.Submit(asyncKey, "")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -173,4 +188,77 @@ func TestJobCloseDrainsAdmittedWork(t *testing.T) {
 	if got.Status != JobDone {
 		t.Fatalf("after Close job is %q, want done: Close must drain admitted work", got.Status)
 	}
+}
+
+// TestJobDoneBeforeWriteBack holds every store write-back open through the
+// writeBack hook and requires each job to read done meanwhile, on both
+// paths: a job run on its submit answers done from Submit, and a queued
+// job's worker publishes done before it writes back.
+func TestJobDoneBeforeWriteBack(t *testing.T) {
+	c := NewCache(64 << 20)
+	j := NewJobs(c, pool.NewRunner(2, 4))
+	defer j.Close()
+	// Sized to the two write-backs, so the hook never blocks on it.
+	entered := make(chan Key, 2)
+	release := make(chan struct{})
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	j.writeBack = func(key Key, _ *core.BFSResult) {
+		entered <- key
+		<-release
+	}
+	waitWriteBack := func(want Key) {
+		t.Helper()
+		select {
+		case got := <-entered:
+			if got != want {
+				t.Fatalf("write-back of %v, want %v", got, want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no write-back of %v started", want)
+		}
+	}
+
+	// Submit runs on its own goroutine, so one that waited on its
+	// write-back fails the test instead of hanging it.
+	small := msKey(3, 2) // k = 7: runs on its submit
+	submitted := make(chan Job, 1)
+	go func() {
+		job, err := j.Submit(small, "")
+		if err != nil {
+			t.Errorf("Submit(%v): %v", small, err)
+		}
+		submitted <- job
+	}()
+	var job Job
+	select {
+	case job = <-submitted:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("Submit(%v) did not return while its write-back was held", small)
+	}
+	if job.Status != JobDone || job.Result == nil {
+		t.Fatalf("Submit(%v) = %q (err=%q), want done on the submit", small, job.Status, job.Err)
+	}
+	waitWriteBack(small)
+	if got, err := j.Get(job.ID); err != nil || got.Status != JobDone {
+		t.Fatalf("%v during its write-back: %+v, %v; want done", small, got, err)
+	}
+
+	queued, err := j.Submit(asyncKey, "")
+	if err != nil {
+		t.Fatalf("Submit(%v): %v", asyncKey, err)
+	}
+	waitWriteBack(asyncKey)
+	if got, err := j.Get(queued.ID); err != nil || got.Status != JobDone {
+		t.Fatalf("%v during its write-back: %+v, %v; want done", asyncKey, got, err)
+	}
+	if st := j.Stats(); st.Inline != 1 || st.Completed != 2 || st.Running != 0 {
+		t.Fatalf("stats %+v, want Inline=1 Completed=2 Running=0", st)
+	}
+	close(release)
+	released = true
 }

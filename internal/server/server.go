@@ -13,10 +13,12 @@
 //   - Admission control: per-endpoint concurrency gates (pool.Gate) that
 //     shed load with 503 instead of queueing, plus a per-request deadline
 //     on any wait for a cold build.
-//   - Async jobs: k!-state exact profiles run on a bounded pool.Runner;
-//     submit returns a job ID, polls return status/result. The package
-//     contains no raw go statements — all concurrency routes through
-//     internal/pool, including Run's connection loops (conn.go).
+//   - Jobs: k!-state exact profiles of 8! states or more run on a bounded
+//     pool.Runner; submit returns a job ID, polls return status/result.
+//     Smaller ones run on the submitting request, which answers with the
+//     result. Store write-backs run on the runner after the job is done.
+//     The package contains no raw go statements — all concurrency routes
+//     through internal/pool, including Run's connection loops (conn.go).
 //
 // Telemetry (internal/telemetry) threads through all of it: every request
 // gets an X-Request-Id (generated or propagated) that stamps access-log
@@ -64,7 +66,8 @@ type Config struct {
 	AccessLog io.Writer
 	// SlowLog, when non-nil, receives one NDJSON SlowRecord (request ID,
 	// status, per-phase span timeline) for every request at least
-	// SlowThreshold slow, and for every async profile job's build.
+	// SlowThreshold slow, and for every profile job's build and store
+	// write-back.
 	SlowLog io.Writer
 	// SlowThreshold is the slow-log latency floor. Zero logs every request
 	// when SlowLog is set (useful for tracing a reproduction); it has no
@@ -80,8 +83,9 @@ type Config struct {
 	SampleInterval time.Duration
 	// Store, when non-nil, is the persistent content-addressed profile
 	// store (scgd -store=DIR): profile builds consult it before running
-	// BFS and write back after, so a restarted daemon — or a replica
-	// shipped a pre-baked directory — warm-starts instead of recomputing.
+	// BFS, and a job writes back the profile it built once it is done, so
+	// a restarted daemon — or a replica shipped a pre-baked directory —
+	// warm-starts instead of recomputing.
 	Store *store.Store
 }
 
@@ -248,6 +252,8 @@ func (s *Server) registerTelemetry() {
 		jobs(func(st JobsStats) int64 { return st.Failed }))
 	s.reg.CounterFunc("scgd_jobs_rejected_total", "Submits shed by a full queue.",
 		jobs(func(st JobsStats) int64 { return st.Rejected }))
+	s.reg.CounterFunc("scgd_jobs_inline_total", "Jobs run on their submitting request (fewer than 8! states).",
+		jobs(func(st JobsStats) int64 { return st.Inline }))
 	s.reg.GaugeFunc("scgd_jobs_queued", "Jobs waiting for a worker.",
 		func() float64 { return float64(s.jobs.Stats().Queued) })
 	s.reg.GaugeFunc("scgd_jobs_running", "Jobs executing now.",
@@ -263,6 +269,8 @@ func (s *Server) registerTelemetry() {
 			func() int64 { return sc.Misses.Load() })
 		s.reg.CounterFunc("scgd_store_writes_total", "Entries written back after a build.",
 			func() int64 { return sc.Writes.Load() })
+		s.reg.CounterFunc("scgd_store_writeback_skipped_total", "Write-backs of small built profiles shed by a full job queue.",
+			jobs(func(st JobsStats) int64 { return st.WriteBacksSkipped }))
 		s.reg.CounterFunc("scgd_store_write_errors_total", "Failed write-backs.",
 			func() int64 { return sc.WriteErrors.Load() })
 		s.reg.CounterFunc("scgd_store_corrupt_total", "Entries quarantined as corrupt or stale-schema.",
@@ -287,9 +295,9 @@ func (s *Server) Jobs() *Jobs { return s.jobs }
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // Close stops the runtime sampler and drains the async job queue: it
-// blocks until every admitted exact-profile job has finished. In-flight
-// HTTP requests are drained by Run's shutdown; Close handles the work
-// that outlives its submitting request.
+// blocks until every admitted exact-profile job and every pending store
+// write-back has finished. In-flight HTTP requests are drained by Run's
+// shutdown; Close handles the work that outlives its submitting request.
 func (s *Server) Close() {
 	if s.sampler != nil {
 		s.sampler.Stop()
@@ -385,15 +393,16 @@ func (s *Server) route(name string, gated bool, fn func(w http.ResponseWriter, r
 	})
 }
 
-// logSlowJob emits a slow-log line for an async profile job's build (the
-// Jobs manager calls it from the worker; tr carries the submitting
-// request's ID, so a 202 submit joins its eventual build in the log).
-func (s *Server) logSlowJob(job *Job, start time.Time, d time.Duration, spans []telemetry.PhaseSpan) {
+// logSlowJob emits a slow-log line for a profile job's build or its store
+// write-back (the Jobs manager calls it from whichever goroutine ran the
+// work; reqID is the submitting request's ID, so a submit joins its build
+// and write-back in the log).
+func (s *Server) logSlowJob(endpoint, reqID string, start time.Time, d time.Duration, spans []telemetry.PhaseSpan) {
 	if s.slow == nil || d < s.cfg.SlowThreshold {
 		return
 	}
 	s.slowCnt.Inc()
-	s.slow.log(job.ReqID, "job:/v1/profile", "", 0, start, d, spans)
+	s.slow.log(reqID, endpoint, "", 0, start, d, spans)
 }
 
 // jsonContentType is the Content-Type value of every JSON answer. Handlers

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +235,148 @@ func TestProfileJobFlow(t *testing.T) {
 	}
 }
 
+// TestProfileSubmitRunsSmallJob pins the submit answer for instances below
+// core.ParallelBFSThreshold states: their job runs on the submit, which
+// answers 200 with the final snapshot, not cached, and a poll of the job
+// answers the same bytes. A done result equals a direct ExactProfile; a
+// failed one carries the build error.
+func TestProfileSubmitRunsSmallJob(t *testing.T) {
+	s := newTestServer()
+	defer s.Close()
+	cases := []struct {
+		query  string
+		key    Key
+		status JobStatus
+	}{
+		{"family=MS&l=2&n=3", msKey(2, 3), JobDone},   // k = 7
+		{"family=MS&l=0&n=0", msKey(0, 0), JobFailed}, // k = 1: no topology
+	}
+	for _, tc := range cases {
+		w := serve(s, "/v1/profile?"+tc.query, "")
+		var resp ProfileResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("submit %s: %v", tc.query, err)
+		}
+		if w.Code != http.StatusOK || resp.Status != string(tc.status) || resp.Cached {
+			t.Fatalf("submit %s = %d %s, want 200 with a %s, uncached snapshot", tc.query, w.Code, w.Body.String(), tc.status)
+		}
+		if poll := serve(s, "/v1/profile?id="+resp.JobID, ""); poll.Code != http.StatusOK || !bytes.Equal(poll.Body.Bytes(), w.Body.Bytes()) {
+			t.Fatalf("poll of %s = %d %s, want the submit's answer %s", resp.JobID, poll.Code, poll.Body.String(), w.Body.String())
+		}
+		nw, err := topology.New(tc.key.Family, tc.key.L, tc.key.N)
+		if tc.status == JobFailed {
+			if err == nil || resp.Error != err.Error() {
+				t.Fatalf("submit %s failed with %q, want the build error %v", tc.query, resp.Error, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := nw.Graph().ExactProfile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resp.Result
+		if got == nil || got.Diameter != want.Eccentricity || got.AvgDistance != want.Mean ||
+			got.Nodes != want.Reachable || !slices.Equal(got.Histogram, want.Histogram) {
+			t.Fatalf("submit %s result %+v, direct ExactProfile %+v", tc.query, got, want)
+		}
+	}
+	if st := s.jobs.Stats(); st.Inline != 2 || st.Completed != 1 || st.Failed != 1 {
+		t.Fatalf("stats %+v, want Inline=2 Completed=1 Failed=1", st)
+	}
+}
+
+// TestProfileSubmitSmallJobBesideFullQueue fills the job runner and
+// requires a k = 7 submit to answer done regardless, since its job needs
+// no worker; the write-back it hands over is refused, skipped and counted
+// on /statsz and /metricsz.
+func TestProfileSubmitSmallJobBesideFullQueue(t *testing.T) {
+	s := newStoreServer(t, t.TempDir(), nil)
+	defer s.Close()
+	// As in TestJobSubmitFullQueueRejects: one blocker taken by the worker,
+	// then fillers until the queue refuses. All are released before the
+	// deferred Close waits on them.
+	release, started := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	if !s.jobs.runner.Submit(func() { close(started); <-release }) {
+		t.Fatal("blocker rejected")
+	}
+	<-started
+	for s.jobs.runner.Submit(func() { <-release }) {
+	}
+	var resp ProfileResponse
+	if code := do(t, s, http.MethodGet, "/v1/profile?family=MS&l=2&n=3", "", &resp); code != http.StatusOK || resp.Status != string(JobDone) {
+		t.Fatalf("k = 7 submit on a full queue = %d %+v, want 200 done", code, resp)
+	}
+	var st StatsResponse
+	if code := do(t, s, http.MethodGet, "/statsz", "", &st); code != http.StatusOK {
+		t.Fatalf("/statsz = %d", code)
+	}
+	if st.Jobs.Inline != 1 || st.Jobs.WriteBacksSkipped != 1 || st.Jobs.Rejected != 0 {
+		t.Fatalf("/statsz jobs %+v, want Inline=1 WriteBacksSkipped=1 Rejected=0", st.Jobs)
+	}
+	if st.Store == nil || st.Store.Writes != 0 {
+		t.Fatalf("/statsz store %+v, want no write", st.Store)
+	}
+	lines := scrapeMetricsz(t, s)
+	for _, name := range []string{"scgd_jobs_inline_total", "scgd_store_writeback_skipped_total"} {
+		if v := metricValue(t, lines, name); v != 1 {
+			t.Fatalf("%s = %v, want 1", name, v)
+		}
+	}
+}
+
+// TestProfileSubmitCoalescesSmallJob races submits of one cold k = 7 key:
+// its profile is built once, and every answer is done (the job that ran,
+// or a cache hit after it) or a 202 coalesced onto that job.
+func TestProfileSubmitCoalescesSmallJob(t *testing.T) {
+	s := newTestServer()
+	defer s.Close()
+	key := msKey(2, 3)
+	mustNetwork(t, s, key) // resident, so Builds below counts profile builds
+	before := s.cache.Stats().Builds
+	const callers = 16
+	codes := make([]int, callers)
+	resps := make([]ProfileResponse, callers)
+	pool.Each(callers, callers, func(i int) {
+		w := serve(s, "/v1/profile?family=MS&l=2&n=3", "")
+		codes[i] = w.Code
+		if err := json.Unmarshal(w.Body.Bytes(), &resps[i]); err != nil {
+			t.Errorf("caller %d: %v", i, err)
+		}
+	})
+	if builds := s.cache.Stats().Builds - before; builds != 1 {
+		t.Fatalf("%d profile builds for one cold key under %d submits, want 1", builds, callers)
+	}
+	ran := ""
+	for i, r := range resps {
+		if codes[i] == http.StatusOK && r.Status == string(JobDone) && !r.Cached {
+			if ran != "" {
+				t.Fatalf("jobs %s and %s both ran", ran, r.JobID)
+			}
+			ran = r.JobID
+		}
+	}
+	if ran == "" {
+		t.Fatalf("no submit ran the job: %+v", resps)
+	}
+	coalesced := int64(0)
+	for i, r := range resps {
+		switch {
+		case codes[i] == http.StatusOK && r.Status == string(JobDone):
+		case codes[i] == http.StatusAccepted && r.JobID == ran:
+			coalesced++
+		default:
+			t.Fatalf("caller %d: %d %+v, want done or a 202 on %s", i, codes[i], r, ran)
+		}
+	}
+	if st := s.jobs.Stats(); st.Inline != 1 || st.Coalesced != coalesced {
+		t.Fatalf("stats %+v, want Inline=1 Coalesced=%d", st, coalesced)
+	}
+}
+
 // TestRouteHTTPCoalescing drives the acceptance criterion end to end: 64
 // concurrent cold HTTP requests materialize the topology exactly once.
 func TestRouteHTTPCoalescing(t *testing.T) {
@@ -349,8 +493,9 @@ func TestRunGracefulShutdown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("live request = %d", resp.StatusCode)
 	}
-	// Leave an async job in flight across the shutdown boundary.
-	resp, err = http.Get(base + "/v1/profile?family=MS&l=2&n=1")
+	// Leave an async job in flight across the shutdown boundary: k = 8,
+	// the smallest instance whose job is queued.
+	resp, err = http.Get(base + "/v1/profile?family=MS&l=7&n=1")
 	if err == nil {
 		_ = resp.Body.Close()
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,14 @@ func buildProfileViaHTTP(t *testing.T, s *Server) {
 // the given endpoint.
 func storeSlowPhases(t *testing.T, slow *strings.Builder, endpoint string) []string {
 	t.Helper()
+	names, _ := storeSlowRecord(t, slow, endpoint)
+	return names
+}
+
+// storeSlowRecord returns the phase names and the request ID of the first
+// slow-log record for the given endpoint.
+func storeSlowRecord(t *testing.T, slow *strings.Builder, endpoint string) ([]string, string) {
+	t.Helper()
 	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
 		if line == "" {
 			continue
@@ -85,10 +94,10 @@ func storeSlowPhases(t *testing.T, slow *strings.Builder, endpoint string) []str
 		for _, p := range rec.Phases {
 			names = append(names, p.Name)
 		}
-		return names
+		return names, rec.ReqID
 	}
 	t.Fatalf("no slow-log record for %s in %q", endpoint, slow.String())
-	return nil
+	return nil, ""
 }
 
 // TestWarmStartServesWithoutBFS is the acceptance pin for the persistent
@@ -140,25 +149,26 @@ func TestWarmStartServesWithoutBFS(t *testing.T) {
 
 // TestStoreWritePhaseOnColdBuild pins the other half of the trace
 // contract: a cold profile build against an empty store shows build-profile
-// followed by store-write.
+// in the job's record, and store-write in the record of its write-back,
+// which runs after the job is done under the same request ID.
 func TestStoreWritePhaseOnColdBuild(t *testing.T) {
 	var slow strings.Builder
 	s := newStoreServer(t, t.TempDir(), &slow)
 	defer s.Close()
 	buildProfileViaHTTP(t, s)
+	// Close drains the write-back; the slow log is complete after it.
+	s.Close()
 
-	phases := storeSlowPhases(t, &slow, "job:/v1/profile")
-	var sawBuild, sawWrite bool
-	for _, name := range phases {
-		switch name {
-		case "build-profile":
-			sawBuild = true
-		case "store-write":
-			sawWrite = true
-		}
+	phases, jobReq := storeSlowRecord(t, &slow, jobEndpoint)
+	if !slices.Contains(phases, "build-profile") || slices.Contains(phases, "store-write") {
+		t.Fatalf("cold build phases %v: want build-profile and no store-write", phases)
 	}
-	if !sawBuild || !sawWrite {
-		t.Fatalf("cold build phases %v: want build-profile and store-write", phases)
+	phases, writeReq := storeSlowRecord(t, &slow, writeBackEndpoint)
+	if !slices.Contains(phases, "store-write") {
+		t.Fatalf("write-back phases %v: want store-write", phases)
+	}
+	if writeReq != jobReq || writeReq == "" {
+		t.Fatalf("write-back request ID %q, job's %q: want the submitter's on both", writeReq, jobReq)
 	}
 	if w := s.cache.Store().Stats().Writes.Load(); w == 0 {
 		t.Fatal("cold build wrote nothing")
@@ -211,6 +221,8 @@ func TestCorruptStoreRebuildsOverHTTP(t *testing.T) {
 				t.Fatal("rebuilt profile not serving exact distances")
 			}
 
+			// The write-back runs after the job is done; Close drains it.
+			second.Close()
 			var stats StatsResponse
 			if code := do(t, second, http.MethodGet, "/statsz", "", &stats); code != http.StatusOK {
 				t.Fatalf("/statsz = %d", code)
@@ -242,12 +254,15 @@ func TestMetricszExportsStoreCounters(t *testing.T) {
 	s := newStoreServer(t, dir, nil)
 	defer s.Close()
 	buildProfileViaHTTP(t, s)
+	// The write-back runs after the job is done; Close drains it.
+	s.Close()
 
 	body := strings.Join(scrapeMetricsz(t, s), "\n")
 	for _, name := range []string{
 		"scgd_store_hits_total", "scgd_store_misses_total", "scgd_store_writes_total",
 		"scgd_store_write_errors_total", "scgd_store_corrupt_total",
 		"scgd_store_bytes_read_total", "scgd_store_bytes_written_total",
+		"scgd_store_writeback_skipped_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Fatalf("/metricsz missing %s", name)

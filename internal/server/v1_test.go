@@ -226,9 +226,10 @@ func TestV1BodyParity(t *testing.T) {
 			close(release)
 		}
 	}()
+	// Both instances have k = 8, the smallest whose job is queued.
 	submits := []struct{ query, reqID string }{
-		{"family=MS&l=2&n=2", "a<b>&c"},   // queued, then done
-		{"family=MS&l=0&n=0", "fail-<1>"}, // queued, then failed: no topology
+		{"family=MS&l=7&n=1", "a<b>&c"},   // queued, then done
+		{"family=MS&l=1&n=7", "fail-<1>"}, // queued, then failed: no topology
 	}
 	var ids []string
 	for _, sc := range submits {
@@ -252,7 +253,7 @@ func TestV1BodyParity(t *testing.T) {
 		checkBody(t, "final poll "+id, serve(s, "/v1/profile?id="+id, ""), http.StatusOK, jsonBody(wantProfile(job, false)))
 	}
 	if job, _ := s.jobs.Get(ids[1]); job.Status != JobFailed || job.Err == "" {
-		t.Fatalf("MS(0,0) job = %+v, want failed with an error", job)
+		t.Fatalf("MS(1,7) job = %+v, want failed with an error", job)
 	}
 	// Cached submits, with minted and escaped request IDs.
 	for _, reqID := range []string{"", "x>y&z<"} {
