@@ -99,7 +99,7 @@ func main() {
 		mix         = flag.String("mix", "route:70,metrics:20,neighbors:10", "endpoint mix as name:weight pairs")
 		seed        = flag.Uint64("seed", 1, "workload RNG seed (worker i uses seed+i)")
 		out         = flag.String("out", "-", "JSON report path, or - for stdout")
-		storeBench  = flag.Bool("storebench", false, "measure cold-build vs store-load warm start per instance and emit scg-storebench/v1 (uses -sweep, -out)")
+		storeBench  = flag.Bool("storebench", false, "measure cold-build vs store-load warm start per instance and emit scg-storebench/v2 (uses -sweep, -out)")
 		sweepSpec   = flag.String("sweep", "MS:8,star:8", "family:maxK sweep specs for -storebench")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)

@@ -3,15 +3,18 @@ package bag
 import (
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/perm"
 )
 
 // FuzzSolveRoute throws arbitrary (layout, style, configuration) triples at
 // the ball-arrangement solver and checks the full routing contract: Solve
 // succeeds on every legal game, Verify accepts the returned move sequence
-// (every move permissible, final configuration the identity), and the length
+// (every move permissible, final configuration the identity), the length
 // respects the paper's worst-case bound — the diameter guarantee the derived
-// interconnection networks inherit.
+// interconnection networks inherit — and the route is the one a full scan
+// of SolveWithOffset over every offset picks (its bounded offset search
+// returns no other).
 func FuzzSolveRoute(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(0), uint8(0), uint64(7))
 	f.Add(uint8(1), uint8(4), uint8(1), uint8(0), uint64(0))
@@ -52,5 +55,44 @@ func FuzzSolveRoute(f *testing.F) {
 		if bound := WorstCaseBound(rules); len(moves) > bound {
 			t.Fatalf("Solve(%s, %v) used %d moves, bound is %d", rules, u, len(moves), bound)
 		}
+		want, err := shortestOffsetScan(rules, u)
+		if err != nil {
+			t.Fatalf("scan(%s, %v): %v", rules, u, err)
+		}
+		if !sameMoves(moves, want) {
+			t.Fatalf("Solve(%s, %v) = %v, offset scan %v", rules, u, MoveNames(moves), MoveNames(want))
+		}
 	})
+}
+
+// shortestOffsetScan is Solve's oracle: it plays every offset a game
+// admits to the end and keeps the first shortest route.
+func shortestOffsetScan(rules Rules, u perm.Perm) ([]gen.Generator, error) {
+	offsets := 1
+	if rotational(rules) {
+		offsets = rules.Layout.L
+	}
+	var best []gen.Generator
+	for b := 0; b < offsets; b++ {
+		moves, err := SolveWithOffset(rules, u, b)
+		if err != nil {
+			return nil, err
+		}
+		if b == 0 || len(moves) < len(best) {
+			best = moves
+		}
+	}
+	return best, nil
+}
+
+func sameMoves(a, b []gen.Generator) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

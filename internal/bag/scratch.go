@@ -21,10 +21,12 @@ type Scratch struct {
 }
 
 // reset rebinds the embedded state to (rules, u, offset), growing buffers
-// only when a larger game than any seen before arrives.
-func (sc *Scratch) reset(rules Rules, u perm.Perm, offset int) *state {
+// only when a larger game than any seen before arrives. The game is
+// abandoned once it has limit moves (maxMoves: never).
+func (sc *Scratch) reset(rules Rules, u perm.Perm, offset, limit int) *state {
 	s := &sc.st
 	s.rules = rules
+	s.limit = limit
 	k := len(u)
 	if cap(s.cfg) < k {
 		s.cfg = make(perm.Perm, k)
@@ -55,56 +57,85 @@ func validatePerm(u perm.Perm) error {
 	return fmt.Errorf("bag: configuration of %d symbols exceeds the 64-symbol limit", len(u))
 }
 
+// rotational reports whether the rules' games take a cyclic color offset.
+func rotational(rules Rules) bool {
+	return rules.Super == RotSingleSuper || rules.Super == RotPairSuper || rules.Super == RotCompleteSuper
+}
+
+// validateGame checks rules and configuration once per solve.
+func validateGame(rules Rules, u perm.Perm) error {
+	if err := rules.Validate(); err != nil {
+		return err
+	}
+	if len(u) != rules.Layout.K() {
+		return fmt.Errorf("bag: Solve: configuration has %d balls, layout wants %d", len(u), rules.Layout.K())
+	}
+	return validatePerm(u)
+}
+
 // SolveWithOffset is the workspace-reusing form of the package-level
 // SolveWithOffset. The returned slice aliases the Scratch.
 func (sc *Scratch) SolveWithOffset(rules Rules, u perm.Perm, offset int) ([]gen.Generator, error) {
-	if err := rules.Validate(); err != nil {
+	if err := validateGame(rules, u); err != nil {
 		return nil, err
 	}
-	if len(u) != rules.Layout.K() {
-		return nil, fmt.Errorf("bag: Solve: configuration has %d balls, layout wants %d", len(u), rules.Layout.K())
-	}
-	if err := validatePerm(u); err != nil {
-		return nil, err
-	}
-	rotational := rules.Super == RotSingleSuper || rules.Super == RotPairSuper || rules.Super == RotCompleteSuper
-	if offset != 0 && !rotational {
+	rot := rotational(rules)
+	if offset != 0 && !rot {
 		return nil, fmt.Errorf("bag: Solve: offset %d requires a rotation super style", offset)
 	}
-	if offset < 0 || (rotational && offset >= rules.Layout.L) {
+	if offset < 0 || (rot && offset >= rules.Layout.L) {
 		return nil, fmt.Errorf("bag: Solve: offset %d out of range 0..%d", offset, rules.Layout.L-1)
 	}
-	s := sc.reset(rules, u, offset)
+	moves, _, err := sc.play(rules, u, offset, maxMoves)
+	return moves, err
+}
+
+// play runs the game of a validated (rules, u, offset). It reports false,
+// and no moves, when the game reached limit moves and was abandoned.
+func (sc *Scratch) play(rules Rules, u perm.Perm, offset, limit int) ([]gen.Generator, bool, error) {
+	s := sc.reset(rules, u, offset, limit)
 	switch rules.Nucleus {
 	case TranspositionNucleus:
 		s.solveTransposition()
 	case InsertionNucleus:
 		s.solveInsertion()
 	default:
-		return nil, fmt.Errorf("bag: Solve: unknown nucleus style %v", rules.Nucleus)
+		return nil, false, fmt.Errorf("bag: Solve: unknown nucleus style %v", rules.Nucleus)
+	}
+	if s.abandoned() {
+		return nil, false, nil
 	}
 	if !s.cfg.IsIdentity() {
-		return nil, fmt.Errorf("bag: Solve: internal error: final configuration %v is not the identity", s.cfg)
+		return nil, false, fmt.Errorf("bag: Solve: internal error: final configuration %v is not the identity", s.cfg)
 	}
-	return s.moves, nil
+	return s.moves, true, nil
 }
 
 // Solve is the workspace-reusing form of the package-level Solve. The
 // returned slice aliases the Scratch.
+//
+// For rotation-style games it plays offset 0 to the end, then abandons each
+// later offset's game once it has as many moves as the best route so far.
+// Only a strictly shorter route replaces the best one, so this returns the
+// same route as playing every offset to the end and keeping the first
+// shortest.
 func (sc *Scratch) Solve(rules Rules, u perm.Perm) ([]gen.Generator, error) {
-	rotational := rules.Super == RotSingleSuper || rules.Super == RotPairSuper || rules.Super == RotCompleteSuper
-	if !rotational {
+	if !rotational(rules) {
 		return sc.SolveWithOffset(rules, u, 0)
 	}
-	found := false
+	if err := validateGame(rules, u); err != nil {
+		return nil, err
+	}
+	limit := maxMoves
 	for b := 0; b < rules.Layout.L; b++ {
-		moves, err := sc.SolveWithOffset(rules, u, b)
+		moves, done, err := sc.play(rules, u, b, limit)
 		if err != nil {
 			return nil, err
 		}
-		if !found || len(moves) < len(sc.best) {
-			sc.best = append(sc.best[:0], moves...)
-			found = true
+		if done {
+			// Keep the winner's buffer and play on in the old best's.
+			sc.best, sc.st.moves = moves, sc.best
+			limit = len(moves)
 		}
 	}
 	return sc.best, nil

@@ -22,8 +22,11 @@ func SolveWithOffset(rules Rules, u perm.Perm, offset int) ([]gen.Generator, err
 }
 
 // Solve solves the game from configuration u, searching all cyclic color
-// assignments for rotation-style games and returning the shortest solution
-// found. Swap-style and single-box games have a single canonical assignment.
+// assignments for rotation-style games and returning the first shortest
+// solution. The search stops each assignment's game once it reaches the
+// best length so far, which returns the same solution as playing every
+// assignment to the end. Swap-style and single-box games have a single
+// canonical assignment.
 func Solve(rules Rules, u perm.Perm) ([]gen.Generator, error) {
 	var sc Scratch
 	return sc.Solve(rules, u)

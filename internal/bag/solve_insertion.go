@@ -16,6 +16,9 @@ func (s *state) solveInsertion() {
 	ly := s.rules.Layout
 	n := ly.N
 	for {
+		if s.abandoned() {
+			return
+		}
 		x := s.cfg[0]
 		if x == 1 { // outside ball has color 0
 			if s.iFirstDirtySlot() == 0 {

@@ -67,6 +67,46 @@ func TestSolveExhaustiveSmall(t *testing.T) {
 	}
 }
 
+// TestSolveBoundedOffsetsMatchFullScan: Scratch.Solve abandons an
+// offset's game once it reaches the best length so far. For every
+// rotation-style rule set with k <= 8 (k <= 7 under -short and -race) it
+// must return, on every state, the route a full scan of every offset picks.
+func TestSolveBoundedOffsetsMatchFullScan(t *testing.T) {
+	maxK := 8
+	if testing.Short() || raceEnabled {
+		maxK = 7
+	}
+	var sc Scratch
+	states := 0
+	for l := 2; l+1 <= maxK; l++ {
+		for n := 1; n*l+1 <= maxK; n++ {
+			ly := MustLayout(l, n)
+			k := ly.K()
+			for _, rules := range allRules(ly) {
+				if rules.Super == SwapSuper {
+					continue
+				}
+				for r := int64(0); r < perm.Factorial(k); r++ {
+					u := perm.Unrank(k, r)
+					got, err := sc.Solve(rules, u)
+					if err != nil {
+						t.Fatalf("%s: Solve(%v): %v", rules, u, err)
+					}
+					want, err := shortestOffsetScan(rules, u)
+					if err != nil {
+						t.Fatalf("%s: scan(%v): %v", rules, u, err)
+					}
+					if !sameMoves(got, want) {
+						t.Fatalf("%s: Solve(%v) = %v, offset scan %v", rules, u, MoveNames(got), MoveNames(want))
+					}
+					states++
+				}
+			}
+		}
+	}
+	t.Logf("%d (rules, state) pairs up to k = %d", states, maxK)
+}
+
 func TestSolveIdentityIsEmpty(t *testing.T) {
 	for _, ly := range []Layout{MustLayout(2, 2), MustLayout(3, 2), MustLayout(1, 5)} {
 		for _, rules := range allRules(ly) {

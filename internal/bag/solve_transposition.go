@@ -12,6 +12,9 @@ import "repro/internal/gen"
 func (s *state) solveTransposition() {
 	ly := s.rules.Layout
 	for {
+		if s.abandoned() {
+			return
+		}
 		x := s.cfg[0]
 		if x == 1 { // Case 1.1: the outside ball has color 0.
 			dirty := s.tFirstDirtySlot()

@@ -17,8 +17,16 @@ type state struct {
 	cfg      perm.Perm
 	boxColor []int // boxColor[j-1] = color of the box currently at slot j
 	moves    []gen.Generator
+	limit    int   // the game is abandoned once it has limit moves
 	rotated  []int // scratch for rotateForward's color-array rotation
 }
+
+// maxMoves is the limit of a game that is never abandoned.
+const maxMoves = int(^uint(0) >> 1)
+
+// abandoned reports whether the game has reached its move limit: a route
+// of limit moves or more is no better than one already found.
+func (s *state) abandoned() bool { return len(s.moves) >= s.limit }
 
 func (s *state) record(g gen.Generator) {
 	g.Apply(s.cfg)

@@ -84,21 +84,15 @@ func (g *Graph) indexGraph() (*core.IndexGraph, error) {
 	// Out's scratch: core calls it from one goroutine at a time.
 	cur, next := make(Label, k), make(Label, k)
 	counts := make([]int, g.sig.Symbols())
+	// Ranks below the order unrank, and generators permute valid labels
+	// into valid labels, so rank and unrank see only valid input.
 	return &core.IndexGraph{N: n, Out: func(r int64, visit func(int64)) {
-		// Ranks below the order unrank, and generators permute valid
-		// labels into valid labels, so neither call can fail.
-		if err := g.sig.unrank(r, cur, counts); err != nil {
-			panic(fmt.Sprintf("ipg: indexGraph: %v", err))
-		}
+		g.sig.unrank(r, cur, counts, n)
 		for _, f := range from {
 			for i, src := range f {
 				next[i] = cur[src]
 			}
-			nr, err := g.sig.rank(next, counts)
-			if err != nil {
-				panic(fmt.Sprintf("ipg: indexGraph: %v", err))
-			}
-			visit(nr)
+			visit(g.sig.rank(next, counts, n))
 		}
 	}}, nil
 }

@@ -17,6 +17,7 @@ package ipg
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/gen"
@@ -175,38 +176,44 @@ func Apply(g gen.Generator, l Label) {
 }
 
 // Rank returns the lexicographic rank of l among all labels of the
-// signature, in 0..Order-1. O(k·symbols).
+// signature, in 0..Order-1. It fails when Order does (above 2⁶² labels).
+// O(k·symbols).
 func (sig Signature) Rank(l Label) (int64, error) {
 	if err := sig.Validate(l); err != nil {
 		return 0, err
 	}
-	return sig.rank(l, make([]int, len(sig.Counts)))
+	order, err := sig.Order()
+	if err != nil {
+		return 0, err
+	}
+	return sig.rank(l, make([]int, len(sig.Counts)), order), nil
 }
 
 // rank is Rank for a label known to be valid, with counts (one slot per
-// symbol) as its scratch.
-func (sig Signature) rank(l Label, counts []int) (int64, error) {
+// symbol) as its scratch and order the signature's Order.
+//
+// It carries m, the number of arrangements of the symbols still to place,
+// a running multinomial: with r positions left and c_t copies of symbol t
+// among them, m·c_t/r arrangements start with t. So the label's symbol s
+// adds m·(Σ_{t<s} c_t)/r to the rank, and placing it sets m to m·c_s/r.
+// Every such value is a whole number of arrangements, at most m ≤ 2⁶²,
+// but the product before the division can pass 2⁶⁴: share takes it in
+// 128 bits.
+func (sig Signature) rank(l Label, counts []int, order int64) int64 {
 	copy(counts, sig.Counts)
-	remaining := len(l)
-	var rank int64
-	for _, s := range l {
-		// Count arrangements starting with a smaller symbol.
-		for t := 1; t < s; t++ {
-			if counts[t-1] == 0 {
-				continue
-			}
-			counts[t-1]--
-			ways, err := arrangements(counts, remaining-1)
-			if err != nil {
-				return 0, err
-			}
-			counts[t-1]++
-			rank += ways
+	m := uint64(order)
+	var rank uint64
+	for i, s := range l {
+		r := uint64(len(l) - i)
+		below := 0 // copies of symbols smaller than s still to place
+		for _, c := range counts[:s-1] {
+			below += c
 		}
+		rank += share(m, below, r)
+		m = share(m, counts[s-1], r)
 		counts[s-1]--
-		remaining--
 	}
-	return rank, nil
+	return int64(rank)
 }
 
 // Unrank reconstructs the label with the given lexicographic rank.
@@ -219,57 +226,37 @@ func (sig Signature) Unrank(rank int64) (Label, error) {
 		return nil, fmt.Errorf("ipg: Unrank: rank %d out of range 0..%d", rank, order-1)
 	}
 	out := make(Label, sig.K())
-	if err := sig.unrank(rank, out, make([]int, len(sig.Counts))); err != nil {
-		return nil, err
-	}
+	sig.unrank(rank, out, make([]int, len(sig.Counts)), order)
 	return out, nil
 }
 
 // unrank writes the label of a rank known to be in range into out (K
-// slots), with counts (one slot per symbol) as its scratch.
-func (sig Signature) unrank(rank int64, out Label, counts []int) error {
+// slots), with counts (one slot per symbol) as its scratch and order the
+// signature's Order. It walks rank's running multinomial (see rank): at
+// each position the first symbol s whose m·c_s/r arrangements reach past
+// what is left of the rank is placed.
+func (sig Signature) unrank(rank int64, out Label, counts []int, order int64) {
 	copy(counts, sig.Counts)
-	remaining := len(out)
+	m, left := uint64(order), uint64(rank)
 	for i := range out {
-		for s := 1; s <= len(counts); s++ {
-			if counts[s-1] == 0 {
-				continue
-			}
-			counts[s-1]--
-			ways, err := arrangements(counts, remaining-1)
-			if err != nil {
-				return err
-			}
-			if rank < ways {
-				out[i] = s
-				remaining--
+		r := uint64(len(out) - i)
+		for s, c := range counts {
+			ways := share(m, c, r)
+			if left < ways {
+				out[i] = s + 1
+				m = ways
+				counts[s]--
 				break
 			}
-			rank -= ways
-			counts[s-1]++
+			left -= ways
 		}
 	}
-	return nil
 }
 
-// arrangements counts multiset permutations of the given residual counts
-// over `total` positions.
-func arrangements(counts []int, total int) (int64, error) {
-	res := int64(1)
-	remaining := total
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		ways, err := binomial(remaining, c)
-		if err != nil {
-			return 0, err
-		}
-		if ways != 0 && res > (int64(1)<<62)/ways {
-			return 0, fmt.Errorf("ipg: arrangements: overflow")
-		}
-		res *= ways
-		remaining -= c
-	}
-	return res, nil
+// share returns m·c/r, with the product in 128 bits. The callers' quotients
+// are at most m, so they fit in 64.
+func share(m uint64, c int, r uint64) uint64 {
+	hi, lo := bits.Mul64(m, uint64(c))
+	q, _ := bits.Div64(hi, lo, r)
+	return q
 }

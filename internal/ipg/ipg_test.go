@@ -1,6 +1,7 @@
 package ipg
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +84,197 @@ func TestRankUnrankExhaustive(t *testing.T) {
 			t.Errorf("%v: rank out of range accepted", counts)
 		}
 	}
+}
+
+// oracleRank and oracleUnrank are the binomial-based rank and unrank the
+// running multinomial replaced: every candidate symbol's arrangements are
+// recounted from scratch as a product of binomials.
+func oracleRank(sig Signature, l Label) (int64, error) {
+	counts := append([]int(nil), sig.Counts...)
+	remaining := len(l)
+	var rank int64
+	for _, s := range l {
+		// Count arrangements starting with a smaller symbol.
+		for t := 1; t < s; t++ {
+			if counts[t-1] == 0 {
+				continue
+			}
+			counts[t-1]--
+			ways, err := oracleArrangements(counts, remaining-1)
+			if err != nil {
+				return 0, err
+			}
+			counts[t-1]++
+			rank += ways
+		}
+		counts[s-1]--
+		remaining--
+	}
+	return rank, nil
+}
+
+func oracleUnrank(sig Signature, rank int64) (Label, error) {
+	counts := append([]int(nil), sig.Counts...)
+	out := make(Label, sig.K())
+	remaining := len(out)
+	for i := range out {
+		for s := 1; s <= len(counts); s++ {
+			if counts[s-1] == 0 {
+				continue
+			}
+			counts[s-1]--
+			ways, err := oracleArrangements(counts, remaining-1)
+			if err != nil {
+				return nil, err
+			}
+			if rank < ways {
+				out[i] = s
+				remaining--
+				break
+			}
+			rank -= ways
+			counts[s-1]++
+		}
+	}
+	return out, nil
+}
+
+// oracleArrangements counts multiset permutations of the given residual
+// counts over `total` positions.
+func oracleArrangements(counts []int, total int) (int64, error) {
+	res := int64(1)
+	remaining := total
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		ways, err := binomial(remaining, c)
+		if err != nil {
+			return 0, err
+		}
+		if ways != 0 && res > (int64(1)<<62)/ways {
+			return 0, fmt.Errorf("ipg: arrangements: overflow")
+		}
+		res *= ways
+		remaining -= c
+	}
+	return res, nil
+}
+
+// checkRankAgainstOracle checks Unrank(r) and Rank on its label against
+// the oracle, and the round trip.
+func checkRankAgainstOracle(t *testing.T, sig Signature, r int64) {
+	t.Helper()
+	l, err := sig.Unrank(r)
+	if err != nil {
+		t.Fatalf("%v: Unrank(%d): %v", sig.Counts, r, err)
+	}
+	want, err := oracleUnrank(sig, r)
+	if err != nil {
+		t.Fatalf("%v: oracle unrank(%d): %v", sig.Counts, r, err)
+	}
+	if !l.Equal(want) {
+		t.Fatalf("%v: Unrank(%d) = %v, oracle %v", sig.Counts, r, l, want)
+	}
+	got, err := sig.Rank(l)
+	if err != nil {
+		t.Fatalf("%v: Rank(%v): %v", sig.Counts, l, err)
+	}
+	wantRank, err := oracleRank(sig, l)
+	if err != nil {
+		t.Fatalf("%v: oracle rank(%v): %v", sig.Counts, l, err)
+	}
+	if got != r || wantRank != r {
+		t.Fatalf("%v: Rank(Unrank(%d)) = %d, oracle %d", sig.Counts, r, got, wantRank)
+	}
+}
+
+// TestRankMatchesBinomialOracle holds the running multinomial to the
+// binomial oracle: every rank of small signatures, and sampled ranks of a
+// signature with 0.997·2⁶² labels, where m·c_t passes 2⁶⁴.
+func TestRankMatchesBinomialOracle(t *testing.T) {
+	for _, counts := range [][]int{{1}, {2, 1}, {1, 3}, {2, 2, 1}, {3, 2, 2, 1}, {2, 2, 2, 1}, {1, 1, 1, 1, 1, 1}, {4, 1, 3}} {
+		sig, err := NewSignature(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := sig.Order()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := int64(0); r < order; r++ {
+			checkRankAgainstOracle(t, sig, r)
+		}
+	}
+	sig, err := NewSignature([]int{3, 3, 3, 4, 6, 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := sig.Order()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if order < 1<<61 {
+		t.Fatalf("order %d: want one above 2^61", order)
+	}
+	rng := perm.NewRNG(11)
+	for _, r := range []int64{0, 1, order / 2, order - 2, order - 1} {
+		checkRankAgainstOracle(t, sig, r)
+	}
+	for i := 0; i < 200; i++ {
+		checkRankAgainstOracle(t, sig, int64(rng.Uint64()%uint64(order)))
+	}
+}
+
+// TestRankRefusesOverflowingOrder: above 2⁶² labels Order fails, and Rank
+// and Unrank fail with it.
+func TestRankRefusesOverflowingOrder(t *testing.T) {
+	sig, err := NewSignature([]int{5, 5, 5, 5, 5, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sig.Order(); err == nil {
+		t.Fatal("Order of 30!/(5!)^6 did not overflow")
+	}
+	if _, err := sig.Rank(sig.Sorted()); err == nil {
+		t.Error("Rank accepted a signature whose order overflows")
+	}
+	if _, err := sig.Unrank(0); err == nil {
+		t.Error("Unrank accepted a signature whose order overflows")
+	}
+}
+
+// FuzzSignatureRank draws a signature of up to eight symbols with one to
+// eight copies each and a rank below its order, and holds Unrank and Rank
+// to the round trip and to the binomial oracle. A signature whose order
+// overflows must be refused by both.
+func FuzzSignatureRank(f *testing.F) {
+	f.Add(uint32(0x0), uint64(0))
+	f.Add(uint32(0x2d6b3), uint64(1<<40))
+	f.Add(uint32(0x7fffffff), uint64(12345))
+	f.Add(uint32(0x12345678), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, rawCounts uint32, rawRank uint64) {
+		symbols := 1 + int(rawCounts&7)
+		counts := make([]int, symbols)
+		for i := range counts {
+			counts[i] = 1 + int(rawCounts>>(3+3*i))&7
+		}
+		sig, err := NewSignature(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := sig.Order()
+		if err != nil {
+			if _, err := sig.Rank(sig.Sorted()); err == nil {
+				t.Fatalf("%v: Rank accepted an overflowing order", counts)
+			}
+			if _, err := sig.Unrank(0); err == nil {
+				t.Fatalf("%v: Unrank accepted an overflowing order", counts)
+			}
+			return
+		}
+		checkRankAgainstOracle(t, sig, int64(rawRank%uint64(order)))
+	})
 }
 
 func lexLess(a, b Label) bool {

@@ -71,30 +71,33 @@ func (t *Trace) ID() string {
 }
 
 // Phase ends the open span (if any) and starts a new one named name.
+// Stamps are offsets from the trace's start, each one monotonic clock read
+// (time.Since); time.Now would read the wall clock too.
 func (t *Trace) Phase(name string) {
 	if t == nil {
 		return
 	}
-	now := time.Now()
-	t.closeAt(now)
-	t.spans = append(t.spans, PhaseSpan{Name: name, StartUS: now.Sub(t.start).Microseconds()})
+	at := time.Since(t.start).Microseconds()
+	t.closeAt(at)
+	t.spans = append(t.spans, PhaseSpan{Name: name, StartUS: at})
 	t.open = true
 }
 
 // End closes the open span without starting another.
 func (t *Trace) End() {
-	if t == nil {
+	if t == nil || !t.open {
 		return
 	}
-	t.closeAt(time.Now())
+	t.closeAt(time.Since(t.start).Microseconds())
 }
 
-func (t *Trace) closeAt(now time.Time) {
+// closeAt closes the open span, if any, at offset at (µs from the start).
+func (t *Trace) closeAt(at int64) {
 	if !t.open {
 		return
 	}
 	sp := &t.spans[len(t.spans)-1]
-	sp.DurUS = now.Sub(t.start).Microseconds() - sp.StartUS
+	sp.DurUS = at - sp.StartUS
 	t.open = false
 }
 

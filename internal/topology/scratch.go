@@ -84,8 +84,9 @@ func (sc *RouteScratch) RouteInto(nw *Network, src, dst perm.Perm) ([]gen.Genera
 
 // VerifyRouteInto replays moves from src using sc's buffers and checks that
 // every move is one of nw's links and that the walk ends at dst. Membership
-// is decided by generator value first (covering every move our solvers
-// emit) and by generator action as a fallback, matching VerifyRoute.
+// is decided by generator value first, in nw's link table (covering every
+// move our solvers emit), and by generator action as a fallback, matching
+// VerifyRoute.
 func (sc *RouteScratch) VerifyRouteInto(nw *Network, src, dst perm.Perm, moves []gen.Generator) error {
 	k := nw.K()
 	if len(src) != k || len(dst) != k {
@@ -95,7 +96,7 @@ func (sc *RouteScratch) VerifyRouteInto(nw *Network, src, dst perm.Perm, moves [
 	cfg := sc.cfg
 	copy(cfg, src)
 	for idx, g := range moves {
-		if !nw.allowed[g] && !nw.allowedPerm[g.AsPerm(k).String()] {
+		if _, ok := nw.links.find(g); !ok && !nw.allowedPerm[g.AsPerm(k).String()] {
 			return fmt.Errorf("topology: VerifyRoute: move %d (%s) is not a link of %s", idx, g, nw.Name())
 		}
 		g.Apply(cfg)
@@ -109,8 +110,8 @@ func (sc *RouteScratch) VerifyRouteInto(nw *Network, src, dst perm.Perm, moves [
 // MoveName renders g in the paper's notation without allocating when g is
 // one of nw's links (the common case for solver output).
 func (nw *Network) MoveName(g gen.Generator) string {
-	if name, ok := nw.names[g]; ok {
-		return name
+	if j, ok := nw.links.find(g); ok {
+		return nw.names[j]
 	}
 	return g.Name()
 }

@@ -109,13 +109,13 @@ type Network struct {
 	// recursive, when non-nil, marks a recursive MS (§3.3.4); routing
 	// expands outer nucleus transpositions into inner-MS words.
 	recursive *recursiveSpec
-	// allowed/allowedPerm/names are precomputed per-network lookup tables for
-	// the allocation-free route path: generator membership by value, by
-	// action (for client-supplied moves whose notation differs), and the
-	// rendered paper notation of each link.
-	allowed     map[gen.Generator]bool
+	// links, names and allowedPerm serve the allocation-free route path:
+	// the link number of each link's generator, the rendered paper
+	// notation by link number, and link membership by action (for
+	// client-supplied moves whose notation differs).
+	links       linkTable
+	names       []string
 	allowedPerm map[string]bool
-	names       map[gen.Generator]string
 }
 
 // Family returns the network's class.
@@ -185,13 +185,15 @@ func buildNetwork(family Family, name string, l, n, k int, gens []gen.Generator,
 		rules:    rules,
 		hasRules: hasRules,
 	}
-	nw.allowed = make(map[gen.Generator]bool, len(gens))
-	nw.allowedPerm = make(map[string]bool, len(gens))
-	nw.names = make(map[gen.Generator]string, len(gens))
-	for _, g := range set.Generators() {
-		nw.allowed[g] = true
+	links := set.Generators()
+	if nw.links, err = newLinkTable(k, links); err != nil {
+		return nil, err
+	}
+	nw.names = make([]string, len(links))
+	nw.allowedPerm = make(map[string]bool, len(links))
+	for j, g := range links {
+		nw.names[j] = g.Name()
 		nw.allowedPerm[g.AsPerm(k).String()] = true
-		nw.names[g] = g.Name()
 	}
 	return nw, nil
 }

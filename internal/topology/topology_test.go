@@ -146,12 +146,16 @@ func TestConnectivity(t *testing.T) {
 }
 
 // TestExactDiameterWithinBounds computes exact BFS diameters for every
-// instance with k <= 7 and checks them against the solver-derived upper
+// super Cayley instance with k <= 10 (126 instances; k <= 8 under -race,
+// k <= 7 under -short) and checks them against the solver-derived upper
 // bounds and, where the paper states a formula, the paper's bound.
 func TestExactDiameterWithinBounds(t *testing.T) {
-	maxK := 7
-	if !testing.Short() {
-		maxK = 8 // adds the (7,1) instances at 40320 nodes
+	maxK := 10
+	switch {
+	case testing.Short():
+		maxK = 7
+	case raceEnabled:
+		maxK = 8
 	}
 	for _, nw := range smallInstances(t, maxK) {
 		d, err := nw.Graph().Diameter()
