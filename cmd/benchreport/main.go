@@ -617,14 +617,16 @@ func connEntry(iters int) Entry {
 
 // telemetryGuard is the zero-overhead assertion for scgd's request tracing:
 // it drives identical warm-cache /v1/route traffic through two in-process
-// servers — tracing enabled and disabled — and fails the whole report if
-// the allocations-per-request delta is nonzero. Pooled traces and always-on
-// atomic counters are the design invariant this pins; a regression (say, a
-// span slice escaping the pool) shows up as a broken build, not a slow
+// servers — one with a slow log (io.Discard, at a threshold no request
+// reaches), so every request stamps a span timeline nobody writes out, and
+// one without, which stamps none — and fails the whole report if the
+// allocations-per-request delta reaches 1. Pooled traces and always-on
+// atomic counters are the design invariant this pins; a regression (say,
+// a span slice escaping the pool) shows up as a broken build, not a slow
 // fleet.
 func telemetryGuard(iters int) []Entry {
-	on := measureRoute(iters, false)
-	off := measureRoute(iters, true)
+	on := measureRoute(iters, true)
+	off := measureRoute(iters, false)
 	delta := on.AllocsPerOp - off.AllocsPerOp
 	if math.Abs(delta) >= 1 {
 		fail(fmt.Errorf("benchreport: telemetry is not allocation-free: %.2f allocs/op traced vs %.2f untraced (delta %.2f)",
@@ -640,13 +642,18 @@ func telemetryGuard(iters int) []Entry {
 }
 
 // measureRoute times warm /v1/route requests against one in-process server
-// and reports mean wall time and heap allocations per request.
-func measureRoute(iters int, disableTracing bool) Entry {
-	s := server.New(server.Config{
+// and reports mean wall time and heap allocations per request. traced
+// gives the server a discarding slow log that no request is slow enough to
+// reach, so each request takes and releases a span timeline.
+func measureRoute(iters int, traced bool) Entry {
+	cfg := server.Config{
 		RequestTimeout: 30 * time.Second,
-		DisableTracing: disableTracing,
 		SampleInterval: -1,
-	})
+	}
+	if traced {
+		cfg.SlowLog, cfg.SlowThreshold = io.Discard, time.Hour
+	}
+	s := server.New(cfg)
 	defer s.Close()
 	const target = "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
 	serve := func() {
@@ -669,9 +676,9 @@ func measureRoute(iters int, disableTracing bool) Entry {
 	}
 	elapsed := time.Since(t0)
 	runtime.ReadMemStats(&after)
-	name := "telemetry/route-traced"
-	if disableTracing {
-		name = "telemetry/route-untraced"
+	name := "telemetry/route-untraced"
+	if traced {
+		name = "telemetry/route-traced"
 	}
 	return Entry{
 		Name:        name,

@@ -79,23 +79,25 @@ func main() {
 	if pb, ok := topology.PaperDiameterBound(nw.Family(), nw.L(), nw.N()); ok {
 		fmt.Printf("paper bound:         %d\n", pb)
 	}
-	if dl, err := metrics.DL(float64(nw.Nodes()), nw.Degree()); err == nil {
-		fmt.Printf("universal D_L(N,d):  %.3f\n", dl)
-	}
-
+	var prof *core.BFSResult
 	if *exact {
 		// One BFS yields the whole distance profile: diameter and average
 		// distance together.
-		prof, err := nw.Graph().ExactProfile()
+		prof, err = nw.Graph().ExactProfile()
 		fail(err)
-		d, avg := prof.Eccentricity, prof.Mean
-		fmt.Printf("exact diameter:      %d\n", d)
-		fmt.Printf("exact avg distance:  %.4f\n", avg)
-		if a, err := metrics.Alpha(d, float64(nw.Nodes()), nw.Degree()); err == nil {
-			fmt.Printf("alpha (D/D_L):       %.4f\n", a)
+	}
+	rep := boundsReport(nw, prof)
+	if rep.DL != 0 {
+		fmt.Printf("universal D_L(N,d):  %.3f (%s bound)\n", rep.DL, rep.direction)
+	}
+	if prof != nil {
+		fmt.Printf("exact diameter:      %d\n", prof.Eccentricity)
+		fmt.Printf("exact avg distance:  %.4f\n", prof.Mean)
+		if rep.Alpha != 0 {
+			fmt.Printf("alpha (D/D_L):       %.4f\n", rep.Alpha)
 		}
-		if lb, err := metrics.AvgDistanceLowerBound(float64(nw.Nodes()), nw.Degree()); err == nil {
-			fmt.Printf("alpha-avg:           %.4f\n", avg/lb)
+		if rep.AlphaAvg != 0 {
+			fmt.Printf("alpha-avg:           %.4f\n", rep.AlphaAvg)
 		}
 	}
 
@@ -119,6 +121,30 @@ func main() {
 		fail(err)
 		fmt.Printf("bisection BB >=      %.1f (Theorem 4.9)\n", bb)
 	}
+}
+
+// bounds is what netprops reports against the Moore-type lower bounds:
+// D_L and, given an exact profile, α = D/D_L and the average distance over
+// its bound. Each bound is taken in the network's direction
+// (metrics.LowerBounds, which scgd's /v1/metrics and the figures tables
+// share); a field the instance is too small for reads 0.
+type bounds struct {
+	DL, Alpha, AlphaAvg float64
+	direction           string
+}
+
+// boundsReport computes bounds for nw; prof may be nil (no -exact).
+func boundsReport(nw *topology.Network, prof *core.BFSResult) bounds {
+	lb := metrics.LowerBounds(float64(nw.Nodes()), nw.Degree(), nw.Undirected())
+	rep := bounds{DL: lb.DL, direction: "directed"}
+	if nw.Undirected() {
+		rep.direction = "undirected"
+	}
+	if prof != nil {
+		rep.Alpha = lb.Alpha(prof.Eccentricity)
+		rep.AlphaAvg = lb.AvgRatio(prof.Mean)
+	}
+	return rep
 }
 
 // sweepInstances materializes every constructible instance of fam with

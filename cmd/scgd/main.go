@@ -66,9 +66,8 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain bound for in-flight requests")
 		maxK         = flag.Int("max-k", 20, "largest node-label length a request may materialize (<= 20)")
 		accessLog    = flag.String("access-log", "", "NDJSON access-record path ('-' for stdout, empty = off)")
-		slowLog      = flag.String("slow-log", "", "NDJSON slow-request path ('-' for stdout, empty = off)")
+		slowLog      = flag.String("slow-log", "", "NDJSON slow-request path ('-' for stdout, empty = off; span timelines are stamped only with it)")
 		slowMS       = flag.Int64("slow-ms", 250, "slow-log latency threshold in milliseconds (0 logs every request)")
-		noTracing    = flag.Bool("no-tracing", false, "disable request span timelines and the slow log")
 		sampleEvery  = flag.Duration("metrics-sample", 10*time.Second, "runtime/metrics sampling interval (negative = off)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off)")
 		storeDir     = flag.String("store", "", "persistent profile-store directory (empty = off); profiles load from here before BFS and write back after")
@@ -88,7 +87,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		MaxK:           *maxK,
 		SlowThreshold:  time.Duration(*slowMS) * time.Millisecond,
-		DisableTracing: *noTracing,
 		SampleInterval: *sampleEvery,
 	}
 	cfg.AccessLog = openLog(*accessLog)

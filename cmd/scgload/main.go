@@ -3,12 +3,12 @@
 // live daemon via -url, or, when -url is empty, an in-process server.Run on
 // a loopback listener) with a weighted endpoint mix, and reports
 // per-endpoint throughput and latency percentiles as JSON — the
-// server-side counterpart of cmd/benchreport, producing the committed
-// BENCH_server.json baseline.
+// many-connection load generator beside scgbench, whose interleaved pairs
+// are the measured closed-loop comparison.
 //
 // Examples:
 //
-//	scgload -family MS -l 2 -n 3 -workers 8 -duration 5s -out BENCH_server.json
+//	scgload -family MS -l 2 -n 3 -workers 8 -duration 5s -out load.json
 //	scgload -url http://localhost:8080 -mix route:80,metrics:20
 package main
 

@@ -46,15 +46,10 @@ func avgDistanceRow(nw *topology.Network) (AvgDistanceRow, error) {
 		return AvgDistanceRow{}, fmt.Errorf("%s: %v", nw.Name(), err)
 	}
 	// Directed graphs pack distance layers with branching d rather than
-	// d-1; use the matching Moore bound.
-	var lb float64
-	if nw.Undirected() {
-		lb, err = metrics.AvgDistanceLowerBound(float64(nw.Nodes()), nw.Degree())
-	} else {
-		lb, err = metrics.AvgDistanceLowerBoundDirected(float64(nw.Nodes()), nw.Degree())
-	}
-	if err != nil {
-		return AvgDistanceRow{}, fmt.Errorf("%s: %v", nw.Name(), err)
+	// d-1; the bounds follow the network's direction.
+	lb := metrics.LowerBounds(float64(nw.Nodes()), nw.Degree(), nw.Undirected())
+	if lb.AvgDist <= 0 {
+		return AvgDistanceRow{}, fmt.Errorf("%s: no average-distance bound at N=%d, degree %d", nw.Name(), nw.Nodes(), nw.Degree())
 	}
 	th, err := metrics.PinLimitedThroughput(1, avg)
 	if err != nil {
@@ -65,8 +60,8 @@ func avgDistanceRow(nw *topology.Network) (AvgDistanceRow, error) {
 		Nodes:      nw.Nodes(),
 		Degree:     nw.Degree(),
 		AvgDist:    avg,
-		LowerBound: lb,
-		Ratio:      avg / lb,
+		LowerBound: lb.AvgDist,
+		Ratio:      lb.AvgRatio(avg),
 		Throughput: th,
 	}, nil
 }

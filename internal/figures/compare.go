@@ -18,7 +18,7 @@ type CompareRow struct {
 	DiameterBound int
 	ExactDiameter int     // -1 when not measured
 	ExactAvgDist  float64 // NaN-free: 0 when not measured
-	DL            float64 // universal lower bound at (N, degree)
+	DL            float64 // diameter lower bound at (N, degree), in the network's direction
 	Alpha         float64 // ExactDiameter / DL; 0 when not measured
 	Cost          int     // degree × (exact diameter if known, else bound)
 }
@@ -47,17 +47,9 @@ func compareRow(nw *topology.Network, exact bool) (CompareRow, error) {
 		DiameterBound: nw.DiameterUpperBound(),
 		ExactDiameter: -1,
 	}
-	if nw.Degree() >= 3 {
-		var dl float64
-		var err error
-		if nw.Undirected() {
-			dl, err = metrics.DL(float64(nw.Nodes()), nw.Degree())
-		} else {
-			dl, err = metrics.DLDirected(float64(nw.Nodes()), nw.Degree())
-		}
-		if err == nil && dl > 0 {
-			row.DL = dl
-		}
+	lb := metrics.LowerBounds(float64(nw.Nodes()), nw.Degree(), nw.Undirected())
+	if lb.DL > 0 {
+		row.DL = lb.DL
 	}
 	if exact {
 		prof, err := nw.Graph().ExactProfile()
@@ -66,9 +58,7 @@ func compareRow(nw *topology.Network, exact bool) (CompareRow, error) {
 		}
 		row.ExactDiameter = prof.Eccentricity
 		row.ExactAvgDist = prof.Mean
-		if row.DL > 0 {
-			row.Alpha = float64(prof.Eccentricity) / row.DL
-		}
+		row.Alpha = lb.Alpha(prof.Eccentricity)
 		row.Cost = nw.Degree() * prof.Eccentricity
 	} else {
 		row.Cost = nw.Degree() * row.DiameterBound

@@ -135,24 +135,12 @@ func fillMeasured(row *Table1Row, nw *topology.Network) error {
 	if err != nil {
 		return err
 	}
-	deg := nw.Degree()
-	if deg < 3 {
-		return nil // D_L needs degree >= 3
-	}
 	// Directed networks are measured against the directed Moore bound.
-	var dl float64
-	if nw.Undirected() {
-		dl, err = metrics.DL(float64(nw.Nodes()), deg)
-	} else {
-		dl, err = metrics.DLDirected(float64(nw.Nodes()), deg)
+	lb := metrics.LowerBounds(float64(nw.Nodes()), nw.Degree(), nw.Undirected())
+	if lb.DL <= 0 {
+		return nil // too small for the bound
 	}
-	if err != nil {
-		return err
-	}
-	if dl <= 0 {
-		return nil
-	}
-	row.MeasuredAlpha = float64(d) / dl
+	row.MeasuredAlpha = lb.Alpha(d)
 	row.MeasuredAt = nw.Name()
 	return nil
 }

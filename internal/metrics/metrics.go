@@ -131,6 +131,53 @@ func AvgDistanceLowerBoundDirected(n float64, d int) (float64, error) {
 	return sum / (n - 1), nil
 }
 
+// MooreBounds are the Moore-type lower bounds on one network's diameter
+// (D_L) and average distance, each taken in the network's direction. A
+// bound the instance is too small for (undirected degree below 3 for D_L,
+// degree below 2 or fewer than 2 nodes for the average) reads 0.
+type MooreBounds struct {
+	DL      float64
+	AvgDist float64
+}
+
+// LowerBounds returns the bounds of an N-node network of degree d: for an
+// undirected one, D_L of equation 2 and AvgDistanceLowerBound; for a
+// directed one (d its out-degree), DLDirected and
+// AvgDistanceLowerBoundDirected. Every surface that reports D_L, α or the
+// average-distance ratio of a network (netprops, scgd's /v1/metrics, the
+// figures tables) takes them from here, so none disagrees with another.
+func LowerBounds(n float64, d int, undirected bool) MooreBounds {
+	dlFn, avgFn := DL, AvgDistanceLowerBound
+	if !undirected {
+		dlFn, avgFn = DLDirected, AvgDistanceLowerBoundDirected
+	}
+	var b MooreBounds
+	if dl, err := dlFn(n, d); err == nil {
+		b.DL = dl
+	}
+	if avg, err := avgFn(n, d); err == nil {
+		b.AvgDist = avg
+	}
+	return b
+}
+
+// Alpha returns diameter/D_L, or 0 when D_L is not positive.
+func (b MooreBounds) Alpha(diameter int) float64 {
+	if b.DL <= 0 {
+		return 0
+	}
+	return float64(diameter) / b.DL
+}
+
+// AvgRatio returns avg over the average-distance bound (Theorem 4.7's
+// ratio), or 0 when the bound is not positive.
+func (b MooreBounds) AvgRatio(avg float64) float64 {
+	if b.AvgDist <= 0 {
+		return 0
+	}
+	return avg / b.AvgDist
+}
+
 // AlphaAvg returns the average-distance-to-lower-bound ratio used by
 // Theorem 4.7.
 func AlphaAvg(avg float64, n float64, d int) (float64, error) {

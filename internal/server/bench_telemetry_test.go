@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -13,16 +14,21 @@ import (
 // (MeasureServe times middleware and handler the way Run serves them,
 // against the ServeAllocs ceiling; BenchmarkRouteHot in
 // route_hot_test.go measures the handler itself, which must not allocate).
-// The telemetry-on and telemetry-off variants differ
-// only in Config.DisableTracing; cmd/benchreport runs the same pair
-// in-process and fails the build if the allocs/op delta is nonzero (pooled
-// traces and always-on atomic counters make tracing allocation-free).
-func benchmarkServerStack(b *testing.B, disableTracing bool) {
-	s := New(Config{
+// The telemetry-on variant has a slow log (io.Discard, at a threshold no
+// request reaches), so every request stamps a span timeline; the
+// telemetry-off variant has none, so no request does. cmd/benchreport runs
+// the same pair in-process and fails the build if the allocs/op delta
+// reaches 1 (pooled traces and always-on atomic counters make tracing
+// allocation-free).
+func benchmarkServerStack(b *testing.B, traced bool) {
+	cfg := Config{
 		RequestTimeout: 30 * time.Second,
-		DisableTracing: disableTracing,
 		SampleInterval: -1,
-	})
+	}
+	if traced {
+		cfg.SlowLog, cfg.SlowThreshold = io.Discard, time.Hour
+	}
+	s := New(cfg)
 	defer s.Close()
 	const target = "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
 	warm := httptest.NewRequest(http.MethodGet, target, nil)
@@ -39,5 +45,5 @@ func benchmarkServerStack(b *testing.B, disableTracing bool) {
 	}
 }
 
-func BenchmarkServerStackTelemetryOn(b *testing.B)  { benchmarkServerStack(b, false) }
-func BenchmarkServerStackTelemetryOff(b *testing.B) { benchmarkServerStack(b, true) }
+func BenchmarkServerStackTelemetryOn(b *testing.B)  { benchmarkServerStack(b, true) }
+func BenchmarkServerStackTelemetryOff(b *testing.B) { benchmarkServerStack(b, false) }

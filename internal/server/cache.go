@@ -236,25 +236,39 @@ func (c *Cache) writeBack(key Key, res *core.BFSResult) {
 	})
 }
 
-// CachedNetwork returns the resident materialized network for key without
-// building anything; ok is false on a cold key. It is the warm fast path of
-// /v1/route: a plain mutex-guarded map hit with no closure or interface
-// boxing, so the steady-state request allocates nothing here.
-func (c *Cache) CachedNetwork(key Key) (*topology.Network, bool) {
+// resident returns the resident materialized network for key and, when
+// withProfile is set, its resident exact profile (nil when the profile is
+// cold), without building anything; ok is false on a cold network. It is
+// the warm fast path of the v1 handlers: one mutex-guarded probe per
+// value under one lock, with no closure or interface boxing, so the
+// steady-state request allocates nothing here. Each value found counts a
+// hit and moves to the LRU front, network first, as two probes in that
+// order would.
+func (c *Cache) resident(key Key, withProfile bool) (nw *topology.Network, prof *core.BFSResult, ok bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, ok := c.entries[cacheKey{kindNetwork, key}]
 	if !ok {
-		return nil, false
+		c.mu.Unlock()
+		return nil, nil, false
 	}
 	c.touch(e)
 	c.stats.Hits++
-	return e.val.(*topology.Network), true
+	nw = e.val.(*topology.Network)
+	if withProfile {
+		if e, found := c.entries[cacheKey{kindProfile, key}]; found {
+			c.touch(e)
+			c.stats.Hits++
+			prof = e.val.(*core.BFSResult)
+		}
+	}
+	c.mu.Unlock()
+	return nw, prof, true
 }
 
 // CachedProfile returns the resident exact profile for key without building
-// anything; ok is false on a cold key. Used by /v1/route and /v1/metrics to
-// add exact distances opportunistically.
+// anything; ok is false on a cold key. A profile submit answers from it,
+// and a route or metrics request whose network was cold probes it after
+// the build (a store load may have brought the profile in with it).
 func (c *Cache) CachedProfile(key Key) (*core.BFSResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

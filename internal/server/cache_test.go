@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"testing"
 
 	"repro/internal/pool"
@@ -147,5 +148,50 @@ func TestCacheContextCancelUnblocksCoalescedWaiter(t *testing.T) {
 	cancel()
 	if _, err := c.Network(ctx, key); err == nil {
 		t.Fatal("want a context error when the awaited build never lands")
+	}
+}
+
+// TestWarmRequestCacheTouches pins what each warm v1 request does to the
+// cache, now that one probe under one lock reads the network and its
+// profile: the hits and LRU order two separate probes gave. A route or
+// metrics request counts a hit on the network and one on the resident
+// profile, and leaves the profile most recent; a neighbors request, and a
+// route refused for its labels, touch only the network.
+func TestWarmRequestCacheTouches(t *testing.T) {
+	s := newTestServer()
+	defer s.Close()
+	if code := do(t, s, http.MethodGet, "/v1/profile?family=MS&l=2&n=3", "", nil); code != http.StatusOK {
+		t.Fatalf("profile submit = %d", code)
+	}
+	front := func() cacheKey {
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		return s.cache.head.next.ck
+	}
+	const neighbors = "/v1/neighbors?family=MS&l=2&n=3&node=2314567"
+	for _, tc := range []struct {
+		target string
+		status int
+		hits   int64
+		front  cacheKind
+	}{
+		{neighbors, http.StatusOK, 1, kindNetwork},
+		{"/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321", http.StatusOK, 2, kindProfile},
+		{neighbors, http.StatusOK, 1, kindNetwork},
+		{"/v1/metrics?family=MS&l=2&n=3", http.StatusOK, 2, kindProfile},
+		{neighbors, http.StatusOK, 1, kindNetwork},
+		{"/v1/route?family=MS&l=2&n=3&src=12&dst=7654321", http.StatusBadRequest, 1, kindNetwork},
+		{"/v1/route?family=MS&l=2&n=3&src=2314567&dst=1", http.StatusBadRequest, 1, kindNetwork},
+	} {
+		before := s.cache.Stats().Hits
+		if code := do(t, s, http.MethodGet, tc.target, "", nil); code != tc.status {
+			t.Fatalf("%s = %d, want %d", tc.target, code, tc.status)
+		}
+		if got := s.cache.Stats().Hits - before; got != tc.hits {
+			t.Errorf("%s: %d cache hits, want %d", tc.target, got, tc.hits)
+		}
+		if got, want := front(), (cacheKey{tc.front, msKey(2, 3)}); got != want {
+			t.Errorf("%s: most recent entry %+v, want %+v", tc.target, got, want)
+		}
 	}
 }

@@ -23,17 +23,18 @@ import (
 )
 
 // This file is scgd's HTTP/1.1 transport: Run's accept loop and one
-// keep-alive loop per connection, serving s.mux. Each connection owns one
-// bufio reader and writer, one *http.Request reset per request from a
-// template that carries the connection's context, one request and one
-// response header map cleared per request, and a response writer that
-// buffers the body, so the status line, headers, Date, Content-Length and
-// body go out together once the handler returns. Responses are flushed
-// before the connection goes idle or reads the socket, and not while a
-// pipelined request is already buffered, so the answers to pipelined
-// requests leave in one write. Nothing starts per request: the
-// only goroutine besides the connection's own is the hang-up watch, which
-// Server.network starts while a request waits on a cold build.
+// keep-alive loop per connection, serving the Server's ServeHTTP. Each
+// connection owns one bufio reader and writer, one *http.Request reset per
+// request from a template that carries the connection's context, one
+// request and one response header map cleared per request, and a response
+// writer that buffers the body, so the status line, headers, Date,
+// Content-Length and body go out together once the handler returns.
+// Responses are flushed before the connection goes idle or reads the
+// socket, and not while a pipelined request is already buffered, so the
+// answers to pipelined requests leave in one write. Nothing starts per
+// request: the only goroutine besides the connection's own is the hang-up
+// watch, which Server.network starts while a request waits on a cold
+// build.
 //
 // What clients see matches net/http's server (TestRunMatchesNetHTTP sends
 // both the same bytes; FuzzConnRequest holds the parser to
@@ -361,7 +362,7 @@ func (c *conn) serveRequest() bool {
 		// net/http answers "OPTIONS *" itself, before any handler.
 		w.WriteHeader(http.StatusOK)
 	} else {
-		c.t.s.mux.ServeHTTP(w, r)
+		c.t.s.ServeHTTP(w, r)
 	}
 	return c.finish(r)
 }

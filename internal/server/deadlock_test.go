@@ -19,7 +19,7 @@ import (
 // test recreates the production collision that order exists for — cold
 // profile builds racing singleflight coalescing, a byte budget so tight
 // every insert evicts, and a /statsz-style scraper hammering both Stats
-// snapshots and the warm CachedNetwork/CachedProfile paths — under a hard
+// snapshots and the warm resident/CachedProfile paths — under a hard
 // deadline, so a future lock-ordering regression surfaces as a test
 // failure with full stacks instead of a hung CI job. Run under -race this
 // also checks the snapshot paths copy instead of alias.
@@ -101,7 +101,7 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 				_ = c.Stats()
 				_ = j.Stats()
 				key := keys[(i+w)%len(keys)]
-				_, _ = c.CachedNetwork(key)
+				_, _, _ = c.resident(key, true)
 				_, _ = c.CachedProfile(key)
 			}
 		}(w)

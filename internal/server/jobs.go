@@ -78,8 +78,9 @@ type Jobs struct {
 	runner *pool.Runner
 	// slow, when non-nil, receives the span timeline of each executed job
 	// and of each write-back after it finishes, under the submitting
-	// request's ID (the server wires this to its slow log; the spans alias
-	// a pooled trace and must not be retained past the call).
+	// request's ID (the server wires this to its slow log when it has one;
+	// the spans alias a pooled trace and must not be retained past the
+	// call). A nil slow means no job stamps a timeline.
 	slow func(endpoint, reqID string, start time.Time, d time.Duration, spans []telemetry.PhaseSpan)
 	// writeBack persists a profile a job built. It is the cache's store
 	// write when the cache has a store, nil otherwise, and always runs on
@@ -223,12 +224,13 @@ func (j *Jobs) Stats() JobsStats {
 func (j *Jobs) Close() { j.runner.Close() }
 
 // run executes one job, on a runner worker or on its submitter's
-// goroutine, and publishes its outcome. It acquires its own trace under
-// the submitting request's ID, so the build/BFS phases of a profile land
-// in the slow log correlated with the answer the client holds. It returns
-// the job's final snapshot and, for a profile this job built (not one it
-// loaded or found resident) when a store is attached, the write-back to
-// run on a runner worker: the job is done before its profile is persisted.
+// goroutine, and publishes its outcome. When there is a slow log to read
+// it, run acquires its own trace under the submitting request's ID, so the
+// build/BFS phases of a profile land there correlated with the answer the
+// client holds. It returns the job's final snapshot and, for a profile
+// this job built (not one it loaded or found resident) when a store is
+// attached, the write-back to run on a runner worker: the job is done
+// before its profile is persisted.
 func (j *Jobs) run(id string) (Job, func()) {
 	j.mu.Lock()
 	job, ok := j.byID[id]
@@ -247,7 +249,7 @@ func (j *Jobs) run(id string) (Job, func()) {
 	ctx := context.Background()
 	var tr *telemetry.Trace
 	if j.slow != nil {
-		tr = telemetry.AcquireTrace(reqID, start)
+		tr = acquireTrace(reqID, start)
 		defer tr.Release()
 		ctx = telemetry.WithTrace(ctx, tr)
 	}
@@ -287,7 +289,7 @@ func (j *Jobs) persist(key Key, reqID string, res *core.BFSResult) {
 	start := time.Now()
 	var tr *telemetry.Trace
 	if j.slow != nil {
-		tr = telemetry.AcquireTrace(reqID, start)
+		tr = acquireTrace(reqID, start)
 		defer tr.Release()
 		tr.Phase("store-write")
 	}

@@ -2,15 +2,18 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -224,22 +227,51 @@ func TestSlowLogPhases(t *testing.T) {
 	}
 }
 
-// TestSlowLogDisabledTracing: with DisableTracing the slow log still works
-// (request IDs and durations remain) but carries no span timeline.
-func TestSlowLogDisabledTracing(t *testing.T) {
-	var slow strings.Builder
-	s := New(Config{SlowLog: &slow, DisableTracing: true, RequestTimeout: 5 * time.Second})
-	defer s.Close()
-	do(t, s, http.MethodGet, "/healthz", "", nil)
-	var rec SlowRecord
-	if err := json.Unmarshal([]byte(strings.TrimSpace(slow.String())), &rec); err != nil {
-		t.Fatalf("bad slow record: %v", err)
+// TestTracesOnlyWithSlowLog counts the span timelines a server takes.
+// Without a slow log, their one reader, no request, profile job or store
+// write-back takes one; with it, each takes exactly one. The jobs cover
+// both places one runs: on its submit (k = 7) and on the runner (k = 8).
+func TestTracesOnlyWithSlowLog(t *testing.T) {
+	var taken atomic.Int64
+	defer func(orig func(string, time.Time) *telemetry.Trace) { acquireTrace = orig }(acquireTrace)
+	acquireTrace = func(id string, start time.Time) *telemetry.Trace {
+		taken.Add(1)
+		return telemetry.AcquireTrace(id, start)
 	}
-	if len(rec.Phases) != 0 {
-		t.Fatalf("phases present with tracing disabled: %+v", rec.Phases)
+	targets := []string{
+		"/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321", // cold network
+		"/v1/route?family=MS&l=2&n=3&src=1234567&dst=7654321",
+		"/v1/metrics?family=MS&l=2&n=3",
+		"/v1/neighbors?family=MS&l=2&n=3&node=2314567",
+		"/v1/profile?family=MS&l=2&n=3", // a job on the submit, then its write-back
+		"/v1/profile?family=star&n=7",   // a job on the runner, then its write-back
+		"/healthz",
 	}
-	if rec.ReqID == "" {
-		t.Fatal("slow record lost its request id")
+	for _, tc := range []struct {
+		name string
+		slow io.Writer
+		want int64
+	}{
+		{"without slow log", nil, 0},
+		{"with slow log", io.Discard, int64(len(targets)) + 2 + 2},
+	} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Store: st, SlowLog: tc.slow, RequestTimeout: 30 * time.Second, SampleInterval: -1})
+		for _, target := range targets {
+			if code := do(t, s, http.MethodGet, target, "", nil); code != http.StatusOK && code != http.StatusAccepted {
+				t.Fatalf("%s: %s = %d", tc.name, target, code)
+			}
+		}
+		s.Close() // drains the runner's job and both write-backs
+		if got := st.Snapshot().Writes; got != 2 {
+			t.Fatalf("%s: %d store writes, want 2", tc.name, got)
+		}
+		if got := taken.Swap(0); got != tc.want {
+			t.Errorf("%s: %d traces taken, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

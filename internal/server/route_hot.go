@@ -201,7 +201,7 @@ func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp flo
 	w := newNullResponseWriter()
 	serve := func() {
 		clear(w.h)
-		s.mux.ServeHTTP(w, r)
+		s.ServeHTTP(w, r)
 	}
 	for i := 0; i < 64; i++ {
 		serve()

@@ -22,12 +22,13 @@
 //
 // Telemetry (internal/telemetry) threads through all of it: every request
 // gets an X-Request-Id (generated or propagated) that stamps access-log
-// records and async job snapshots; a pooled span timeline follows the
-// request through admission → decode → cache → build → solve → encode and
-// feeds an NDJSON slow-request log; and one static metrics registry backs
-// both /statsz (JSON snapshot) and /metricsz (Prometheus text exposition),
-// so the two surfaces can never disagree. A runtime/metrics sampler adds
-// heap/GC/goroutine/scheduler gauges on a fixed interval.
+// records and async job snapshots; with a slow log configured, a pooled
+// span timeline follows the request through admission → decode → cache →
+// build → solve → encode and feeds that NDJSON log; and one static metrics
+// registry backs both /statsz (JSON snapshot) and /metricsz (Prometheus
+// text exposition), so the two surfaces can never disagree. A
+// runtime/metrics sampler adds heap/GC/goroutine/scheduler gauges on a
+// fixed interval.
 package server
 
 import (
@@ -35,7 +36,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/pool"
@@ -67,17 +67,13 @@ type Config struct {
 	// SlowLog, when non-nil, receives one NDJSON SlowRecord (request ID,
 	// status, per-phase span timeline) for every request at least
 	// SlowThreshold slow, and for every profile job's build and store
-	// write-back.
+	// write-back. It is the span timelines' only reader: without it no
+	// request or job stamps one.
 	SlowLog io.Writer
 	// SlowThreshold is the slow-log latency floor. Zero logs every request
 	// when SlowLog is set (useful for tracing a reproduction); it has no
 	// effect when SlowLog is nil.
 	SlowThreshold time.Duration
-	// DisableTracing turns off request span timelines and the slow log.
-	// Request IDs, /statsz counters, and /metricsz remain: tracing is the
-	// only per-request telemetry with measurable machinery, and the
-	// cmd/benchreport guard pins its cost at zero allocations per request.
-	DisableTracing bool
 	// SampleInterval is the runtime/metrics sampler period (default 10s;
 	// negative disables the sampler).
 	SampleInterval time.Duration
@@ -117,12 +113,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpoint is the per-route instrumentation. The counters and the latency
+// endpoint is one registered path: its handler, its admission gate (nil
+// when ungated) and its instrumentation. The counters and the latency
 // histogram are telemetry-registry instruments — /statsz snapshots and
 // /metricsz exposition read the same atomics, which is what guarantees the
 // two surfaces agree for identical traffic.
 type endpoint struct {
 	name     string
+	fn       func(w http.ResponseWriter, r *http.Request, c call) int
 	gate     *pool.Gate
 	requests *telemetry.Counter
 	errors   *telemetry.Counter
@@ -165,8 +163,11 @@ type Server struct {
 	sampler *telemetry.Sampler
 	slowCnt *telemetry.Counter
 	start   time.Time
-	mux     *http.ServeMux
-	eps     map[string]*endpoint
+	// eps is ServeHTTP's dispatch table, in registration order (the
+	// route endpoint first); mux holds the same endpoints for every
+	// request the table does not take.
+	eps []*endpoint
+	mux *http.ServeMux
 }
 
 // New builds a Server from cfg (zero value = defaults).
@@ -180,13 +181,12 @@ func New(cfg Config) *Server {
 		reg:    telemetry.NewRegistry(),
 		start:  time.Now(),
 		mux:    http.NewServeMux(),
-		eps:    make(map[string]*endpoint),
 	}
 	if cfg.Store != nil {
 		s.cache.SetStore(cfg.Store)
 	}
 	s.jobs = NewJobs(s.cache, pool.NewRunner(cfg.ProfileWorkers, cfg.ProfileQueue))
-	if !cfg.DisableTracing {
+	if s.slow != nil {
 		s.jobs.slow = s.logSlowJob
 	}
 
@@ -267,6 +267,8 @@ func (s *Server) registerTelemetry() {
 			func() int64 { return sc.Hits.Load() })
 		s.reg.CounterFunc("scgd_store_misses_total", "Store probes with no usable entry.",
 			func() int64 { return sc.Misses.Load() })
+		s.reg.CounterFunc("scgd_store_read_errors_total", "Store probes whose entry could not be read (not a miss: the disk or the entry's path is failing).",
+			func() int64 { return sc.ReadErrors.Load() })
 		s.reg.CounterFunc("scgd_store_writes_total", "Entries written back after a build.",
 			func() int64 { return sc.Writes.Load() })
 		s.reg.CounterFunc("scgd_store_writeback_skipped_total", "Write-backs of small built profiles shed by a full job queue.",
@@ -282,8 +284,26 @@ func (s *Server) registerTelemetry() {
 	}
 }
 
-// Handler returns the root http.Handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the root http.Handler: the Server itself.
+func (s *Server) Handler() http.Handler { return s }
+
+// ServeHTTP dispatches r. A request whose path is one of the registered
+// paths, spelled exactly (no escapes), goes straight to that endpoint:
+// http.ServeMux would clean the path, find it unchanged, match it exactly
+// and call the same endpoint, so only the pattern walk is skipped. A
+// CONNECT, whose path ServeMux leaves uncleaned, and every other path go
+// through the mux, which keeps its redirects, 404s and the answer to "*".
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawPath == "" && r.Method != http.MethodConnect {
+		for _, ep := range s.eps {
+			if ep.name == r.URL.Path {
+				s.serve(ep, w, r)
+				return
+			}
+		}
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // Cache exposes the cache for stats and tests.
 func (s *Server) Cache() *Cache { return s.cache }
@@ -308,13 +328,8 @@ func (s *Server) Close() {
 // Stats assembles the /statsz document.
 func (s *Server) Stats() StatsResponse {
 	eps := make(map[string]EndpointStats, len(s.eps))
-	names := make([]string, 0, len(s.eps))
-	for name := range s.eps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		eps[name] = s.eps[name].snapshot()
+	for _, ep := range s.eps {
+		eps[ep.name] = ep.snapshot()
 	}
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -333,8 +348,8 @@ func (s *Server) Stats() StatsResponse {
 }
 
 // call is what the middleware hands a handler beside the request: the
-// request ID it issued or accepted, the span timeline (nil with tracing
-// off), and the deadline for a wait on a cold build. Passing these by
+// request ID it issued or accepted, the span timeline (nil without a slow
+// log), and the deadline for a wait on a cold build. Passing these by
 // value replaces a context derived per request (context.WithTimeout,
 // telemetry.WithTrace, r.WithContext), which allocated on every request
 // although only a cold build ever waits; network derives one then.
@@ -344,12 +359,12 @@ type call struct {
 	deadline time.Time
 }
 
-// route registers a handler with the shared middleware: request-ID
-// issuance, span timeline, admission gate (when gated), request deadline,
-// metrics, access record, and the slow-log decision.
+// route registers a handler with the shared middleware (serve), in the
+// dispatch table and in the mux.
 func (s *Server) route(name string, gated bool, fn func(w http.ResponseWriter, r *http.Request, c call) int) {
 	ep := &endpoint{
 		name:     name,
+		fn:       fn,
 		requests: s.reg.Counter("scgd_http_requests_total", "Requests received per endpoint.", telemetry.Label{Key: "endpoint", Value: name}),
 		errors:   s.reg.Counter("scgd_http_errors_total", "Requests answered with status >= 400.", telemetry.Label{Key: "endpoint", Value: name}),
 		rejected: s.reg.Counter("scgd_http_rejected_total", "Requests shed by the admission gate (503).", telemetry.Label{Key: "endpoint", Value: name}),
@@ -358,47 +373,56 @@ func (s *Server) route(name string, gated bool, fn func(w http.ResponseWriter, r
 	if gated {
 		ep.gate = pool.NewGate(s.cfg.MaxInflight)
 	}
-	s.eps[name] = ep
-	s.mux.HandleFunc(name, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqID := r.Header.Get("X-Request-Id")
-		if !telemetry.ValidRequestID(reqID) {
-			reqID = telemetry.NewRequestID()
-		}
-		w.Header().Set("X-Request-Id", reqID)
-		var tr *telemetry.Trace
-		if !s.cfg.DisableTracing {
-			tr = telemetry.AcquireTrace(reqID, start)
-			defer tr.Release()
-			tr.Phase("admission")
-		}
-		if ep.gate != nil && !ep.gate.TryEnter() {
-			ep.reject()
-			writeJSON(w, http.StatusServiceUnavailable,
-				ErrorResponse{Error: "server busy: too many in-flight " + name + " requests"})
-			s.access.log(r, name, http.StatusServiceUnavailable, start, time.Since(start), reqID)
-			return
-		}
-		if ep.gate != nil {
-			defer ep.gate.Leave()
-		}
-		status := fn(w, r, call{id: reqID, tr: tr, deadline: start.Add(s.cfg.RequestTimeout)})
-		d := time.Since(start)
-		ep.observe(status, d)
-		s.access.log(r, name, status, start, d, reqID)
-		if s.slow != nil && d >= s.cfg.SlowThreshold {
-			s.slowCnt.Inc()
-			s.slow.log(reqID, name, r.Method, status, start, d, tr.Spans())
-		}
-	})
+	s.eps = append(s.eps, ep)
+	s.mux.HandleFunc(name, func(w http.ResponseWriter, r *http.Request) { s.serve(ep, w, r) })
 }
+
+// serve is the shared middleware: request-ID issuance, the span timeline
+// (only for the slow log, its one reader), admission gate (when gated),
+// request deadline, metrics, access record, and the slow-log decision.
+func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	reqID := r.Header.Get("X-Request-Id")
+	if !telemetry.ValidRequestID(reqID) {
+		reqID = telemetry.NewRequestID()
+	}
+	w.Header().Set("X-Request-Id", reqID)
+	var tr *telemetry.Trace
+	if s.slow != nil {
+		tr = acquireTrace(reqID, start)
+		defer tr.Release()
+		tr.Phase("admission")
+	}
+	if ep.gate != nil && !ep.gate.TryEnter() {
+		ep.reject()
+		writeJSON(w, http.StatusServiceUnavailable,
+			ErrorResponse{Error: "server busy: too many in-flight " + ep.name + " requests"})
+		s.access.log(r, ep.name, http.StatusServiceUnavailable, start, time.Since(start), reqID)
+		return
+	}
+	if ep.gate != nil {
+		defer ep.gate.Leave()
+	}
+	status := ep.fn(w, r, call{id: reqID, tr: tr, deadline: start.Add(s.cfg.RequestTimeout)})
+	d := time.Since(start)
+	ep.observe(status, d)
+	s.access.log(r, ep.name, status, start, d, reqID)
+	if s.slow != nil && d >= s.cfg.SlowThreshold {
+		s.slowCnt.Inc()
+		s.slow.log(reqID, ep.name, r.Method, status, start, d, tr.Spans())
+	}
+}
+
+// acquireTrace is telemetry.AcquireTrace, the one place the server and
+// its jobs take a span timeline; tests swap it to count them.
+var acquireTrace = telemetry.AcquireTrace
 
 // logSlowJob emits a slow-log line for a profile job's build or its store
 // write-back (the Jobs manager calls it from whichever goroutine ran the
 // work; reqID is the submitting request's ID, so a submit joins its build
 // and write-back in the log).
 func (s *Server) logSlowJob(endpoint, reqID string, start time.Time, d time.Duration, spans []telemetry.PhaseSpan) {
-	if s.slow == nil || d < s.cfg.SlowThreshold {
+	if d < s.cfg.SlowThreshold {
 		return
 	}
 	s.slowCnt.Inc()

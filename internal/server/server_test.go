@@ -408,7 +408,11 @@ func TestGateShedsExcessLoad(t *testing.T) {
 	s := New(Config{MaxInflight: 1, RequestTimeout: 5 * time.Second})
 	defer s.Close()
 	// Occupy the single route slot directly, then watch a request bounce.
-	gate := s.eps["/v1/route"].gate
+	route := s.eps[0] // registered first, so the dispatch table tries it first
+	if route.name != "/v1/route" {
+		t.Fatalf("first endpoint %q, want /v1/route", route.name)
+	}
+	gate := route.gate
 	if !gate.TryEnter() {
 		t.Fatal("fresh gate refused entry")
 	}

@@ -247,6 +247,48 @@ func TestCorruptStoreRebuildsOverHTTP(t *testing.T) {
 	}
 }
 
+// TestStoreReadErrorRebuildsOverHTTP puts a directory where MS(2,2)'s
+// entry belongs, so every read of it fails (even as root, where a chmod
+// would not): the daemon must answer as on a cold store, by building, and
+// count each failed read as a read error, neither a miss nor corruption,
+// on /statsz and /metricsz, without quarantining the path.
+func TestStoreReadErrorRebuildsOverHTTP(t *testing.T) {
+	s := newStoreServer(t, t.TempDir(), nil)
+	defer s.Close()
+	path := s.cache.Store().EntryPath(store.Key{Family: "MS", L: 2, N: 2})
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	buildProfileViaHTTP(t, s)
+	var route RouteResponse
+	if code := do(t, s, http.MethodGet, "/v1/route?family=MS&l=2&n=2&src=21435&dst=53412", "", &route); code != http.StatusOK {
+		t.Fatalf("route = %d", code)
+	}
+	if route.ExactDistance == nil {
+		t.Fatal("built profile not serving exact distances")
+	}
+	s.Close() // drains the write-back, which cannot replace a directory
+
+	var stats StatsResponse
+	if code := do(t, s, http.MethodGet, "/statsz", "", &stats); code != http.StatusOK || stats.Store == nil {
+		t.Fatalf("/statsz = %d, store block %v", code, stats.Store)
+	}
+	// The cold network probes the store once, and the profile build again.
+	if st := stats.Store; st.ReadErrors != 2 || st.Misses != 0 || st.Corrupt != 0 || st.Hits != 0 {
+		t.Fatalf("store counters %+v, want two read errors and no miss, hit or corruption", *st)
+	}
+	body := strings.Join(scrapeMetricsz(t, s), "\n")
+	if !strings.Contains(body, "\nscgd_store_read_errors_total 2\n") || !strings.Contains(body, "\nscgd_store_misses_total 0\n") {
+		t.Fatalf("/metricsz store block:\n%s", body)
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("the unreadable entry path was moved: %v", err)
+	}
+	if _, err := os.Stat(path + ".quarantined"); err == nil {
+		t.Fatal("an unreadable entry was quarantined")
+	}
+}
+
 // TestMetricszExportsStoreCounters checks the store counters ride the
 // Prometheus surface when (and only when) a store is configured.
 func TestMetricszExportsStoreCounters(t *testing.T) {
@@ -259,7 +301,7 @@ func TestMetricszExportsStoreCounters(t *testing.T) {
 
 	body := strings.Join(scrapeMetricsz(t, s), "\n")
 	for _, name := range []string{
-		"scgd_store_hits_total", "scgd_store_misses_total", "scgd_store_writes_total",
+		"scgd_store_hits_total", "scgd_store_misses_total", "scgd_store_read_errors_total", "scgd_store_writes_total",
 		"scgd_store_write_errors_total", "scgd_store_corrupt_total",
 		"scgd_store_bytes_read_total", "scgd_store_bytes_written_total",
 		"scgd_store_writeback_skipped_total",

@@ -51,10 +51,14 @@ func (k Key) Hash() string {
 var ErrNotFound = errors.New("store: entry not found")
 
 // Stats counts store traffic since process start. All fields are updated
-// atomically and may be read while the store is in use.
+// atomically and may be read while the store is in use. A Load that finds
+// no file counts a miss; one whose read fails for any other reason (a
+// failing disk, a permission or a directory in the entry's place) counts
+// a read error instead, so a sick store does not pass for a cold one.
 type Stats struct {
 	Hits         atomic.Int64
 	Misses       atomic.Int64
+	ReadErrors   atomic.Int64
 	Writes       atomic.Int64
 	WriteErrors  atomic.Int64
 	Corrupt      atomic.Int64
@@ -67,6 +71,7 @@ type StatsSnapshot struct {
 	Dir          string `json:"dir"`
 	Hits         int64  `json:"hits"`
 	Misses       int64  `json:"misses"`
+	ReadErrors   int64  `json:"read_errors"`
 	Writes       int64  `json:"writes"`
 	WriteErrors  int64  `json:"write_errors"`
 	Corrupt      int64  `json:"corrupt"`
@@ -107,6 +112,7 @@ func (s *Store) Snapshot() StatsSnapshot {
 		Dir:          s.dir,
 		Hits:         s.stats.Hits.Load(),
 		Misses:       s.stats.Misses.Load(),
+		ReadErrors:   s.stats.ReadErrors.Load(),
 		Writes:       s.stats.Writes.Load(),
 		WriteErrors:  s.stats.WriteErrors.Load(),
 		Corrupt:      s.stats.Corrupt.Load(),
@@ -129,21 +135,25 @@ func (s *Store) Has(k Key) bool {
 }
 
 // Load reads, validates, and decodes the entry addressed by k. A missing
-// file counts a miss and returns ErrNotFound. A file that fails decoding
-// — corrupt or written under a foreign schema revision — is quarantined
-// (renamed to <name>.quarantined, where the doctor will find it), counted,
-// and reported as ErrNotFound-wrapping so callers fall through to a
-// rebuild. A decoded entry whose own metadata disagrees with k (a hash
-// collision or a file copied into the wrong slot) is treated the same way.
+// file counts a miss and returns ErrNotFound. A file that cannot be read
+// counts a read error and returns that error, and is left in place (there
+// is nothing to judge it by): the caller rebuilds as on a miss. A file
+// that fails decoding — corrupt or written under a foreign schema revision
+// — is quarantined (renamed to <name>.quarantined, where the doctor will
+// find it), counted, and reported as ErrNotFound-wrapping so callers fall
+// through to a rebuild. A decoded entry whose own metadata disagrees with
+// k (a hash collision or a file copied into the wrong slot) is treated the
+// same way.
 func (s *Store) Load(k Key) (*Entry, error) {
 	path := s.EntryPath(k)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		s.stats.Misses.Add(1)
 		if errors.Is(err, fs.ErrNotExist) {
+			s.stats.Misses.Add(1)
 			return nil, fmt.Errorf("%w: %s/%d/%d", ErrNotFound, k.Family, k.L, k.N)
 		}
-		return nil, fmt.Errorf("%w: %s/%d/%d: %v", ErrNotFound, k.Family, k.L, k.N, err)
+		s.stats.ReadErrors.Add(1)
+		return nil, fmt.Errorf("store: read %s/%d/%d: %w", k.Family, k.L, k.N, err)
 	}
 	e, err := DecodeEntry(data)
 	if err == nil && (e.Family != k.Family || e.L != k.L || e.N != k.N) {

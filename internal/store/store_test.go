@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,6 +113,34 @@ func TestLoadMissingCountsMiss(t *testing.T) {
 	}
 	if s := st.Snapshot(); s.Misses != 1 || s.Corrupt != 0 {
 		t.Fatalf("counters %+v", s)
+	}
+}
+
+// TestLoadReadErrorIsNotAMiss puts a directory where an entry's file
+// belongs, which fails the read even for root (a chmod would not): Load
+// must count a read error, not a miss or corruption, leave the path alone,
+// and return an error the caller rebuilds on.
+func TestLoadReadErrorIsNotAMiss(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := Key{Family: "star", L: 1, N: 4}
+	if err := os.MkdirAll(st.EntryPath(k), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.Load(k)
+	if err == nil || e != nil {
+		t.Fatalf("Load over a directory = %v, %v; want an error", e, err)
+	}
+	if errors.Is(err, ErrNotFound) || errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("read error %v reported as not found", err)
+	}
+	if s := st.Snapshot(); s.ReadErrors != 1 || s.Misses != 0 || s.Corrupt != 0 || s.Hits != 0 {
+		t.Fatalf("counters %+v, want one read error and nothing else", s)
+	}
+	if fi, err := os.Stat(st.EntryPath(k)); err != nil || !fi.IsDir() {
+		t.Fatalf("the unreadable path was moved: %v", err)
 	}
 }
 

@@ -12,22 +12,29 @@ import (
 )
 
 // PhaseSpan is one entry of a request's span timeline: a named phase with
-// its start offset from the request start and its duration, both in
-// microseconds. Spans are sequential — the serving path is a pipeline
-// (admission -> decode -> cache -> build -> solve -> encode), so ending one
-// phase starts the next and the timeline reads as a flame graph with one
-// lane.
+// its start offset from the request start and its duration, in whole
+// microseconds and in nanoseconds. Both come from the same stamps: a
+// stamp's microsecond offset is its nanosecond offset truncated, so
+// StartUS = StartNS/1000 and DurUS is the difference of the truncated end
+// and start. A warm route's phases are each under a microsecond, which
+// only the nanosecond fields resolve. Spans are sequential — the serving
+// path is a pipeline (admission -> decode -> cache -> build -> solve ->
+// encode), so ending one phase starts the next and the timeline reads as a
+// flame graph with one lane.
 type PhaseSpan struct {
 	Name    string `json:"name"`
 	StartUS int64  `json:"start_us"`
 	DurUS   int64  `json:"dur_us"`
+	StartNS int64  `json:"start_ns"`
+	DurNS   int64  `json:"dur_ns"`
 }
 
 // Trace is a request-scoped span timeline. Traces are pooled: the serving
-// middleware acquires one per request and releases it after the slow-log
-// decision, so steady-state tracing performs no allocations (the spans
-// slice keeps its capacity across requests — the zero-overhead guard
-// benchmark in cmd/benchreport pins this at allocs/op delta = 0).
+// middleware acquires one per request when a slow log is configured and
+// releases it after the slow-log decision, so steady-state tracing
+// performs no allocations (the spans slice keeps its capacity across
+// requests — the zero-overhead guard benchmark in cmd/benchreport pins
+// this at allocs/op delta = 0).
 //
 // A nil *Trace is the documented "tracing off" value: every method no-ops,
 // mirroring the nil-Recorder discipline of internal/obs.
@@ -77,9 +84,9 @@ func (t *Trace) Phase(name string) {
 	if t == nil {
 		return
 	}
-	at := time.Since(t.start).Microseconds()
+	at := time.Since(t.start).Nanoseconds()
 	t.closeAt(at)
-	t.spans = append(t.spans, PhaseSpan{Name: name, StartUS: at})
+	t.spans = append(t.spans, PhaseSpan{Name: name, StartUS: at / 1000, StartNS: at})
 	t.open = true
 }
 
@@ -88,16 +95,17 @@ func (t *Trace) End() {
 	if t == nil || !t.open {
 		return
 	}
-	t.closeAt(time.Since(t.start).Microseconds())
+	t.closeAt(time.Since(t.start).Nanoseconds())
 }
 
-// closeAt closes the open span, if any, at offset at (µs from the start).
+// closeAt closes the open span, if any, at offset at (ns from the start).
 func (t *Trace) closeAt(at int64) {
 	if !t.open {
 		return
 	}
 	sp := &t.spans[len(t.spans)-1]
-	sp.DurUS = at - sp.StartUS
+	sp.DurNS = at - sp.StartNS
+	sp.DurUS = at/1000 - sp.StartUS
 	t.open = false
 }
 

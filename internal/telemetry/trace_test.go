@@ -42,6 +42,47 @@ func TestTracePhases(t *testing.T) {
 	}
 }
 
+// TestTraceSpanUnits pins the microsecond fields to the nanosecond ones:
+// every stamp is one clock read, its µs offset that read truncated, so
+// StartUS = StartNS/1000 and DurUS = (StartNS+DurNS)/1000 − StartNS/1000,
+// the values the µs-only spans had. Consecutive spans share their stamp.
+func TestTraceSpanUnits(t *testing.T) {
+	tr := AcquireTrace("units", time.Now())
+	defer tr.Release()
+	for i := 0; i < 40; i++ {
+		tr.Phase("p")
+		// Phases from well under to a little over a microsecond, so the
+		// truncation shows on both sides of a µs boundary.
+		for end := time.Now().Add(time.Duration(i*50) * time.Nanosecond); time.Now().Before(end); {
+		}
+	}
+	spans := tr.Spans()
+	if len(spans) != 40 {
+		t.Fatalf("%d spans, want 40", len(spans))
+	}
+	var subMicro int
+	for i, sp := range spans {
+		if sp.StartNS < 0 || sp.DurNS < 0 {
+			t.Fatalf("span %d negative: %+v", i, sp)
+		}
+		if sp.StartUS != sp.StartNS/1000 {
+			t.Errorf("span %d: StartUS %d, want StartNS/1000 = %d", i, sp.StartUS, sp.StartNS/1000)
+		}
+		if want := (sp.StartNS+sp.DurNS)/1000 - sp.StartNS/1000; sp.DurUS != want {
+			t.Errorf("span %d: DurUS %d, want %d from %+v", i, sp.DurUS, want, sp)
+		}
+		if i > 0 && spans[i-1].StartNS+spans[i-1].DurNS != sp.StartNS {
+			t.Errorf("span %d starts at %d ns, its predecessor ends at %d", i, sp.StartNS, spans[i-1].StartNS+spans[i-1].DurNS)
+		}
+		if sp.DurNS > 0 && sp.DurNS < 1000 {
+			subMicro++
+		}
+	}
+	if subMicro == 0 {
+		t.Errorf("no span resolved below a microsecond: %+v", spans)
+	}
+}
+
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Phase("x")

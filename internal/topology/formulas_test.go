@@ -111,3 +111,68 @@ func TestISExactDiameters(t *testing.T) {
 		t.Logf("IS(%d): exact diameter %d", k, d)
 	}
 }
+
+// TestTheorem44 makes Theorem 4.4 executable on DegreeFormula: for the
+// families whose degree grows in both l and n (MS, complete-RS, MR,
+// complete-RR, MIS, complete-RIS), the degree over all splits l·n = k − 1
+// is minimized only at balanced splits, 1/4 <= l/n <= 4, and never at the
+// extremes l = 2 or n = 1. RS, RR and RIS are outside the theorem: their
+// degree falls as l grows (n + 2, n + 1 and the nucleus's I/S count + 2
+// for l >= 3), so their minimum sits at n = 1.
+func TestTheorem44(t *testing.T) {
+	splits := func(m int) [][2]int {
+		var out [][2]int
+		for l := 2; l <= m; l++ {
+			if m%l == 0 {
+				out = append(out, [2]int{l, m / l})
+			}
+		}
+		return out
+	}
+	minimizers := func(fam Family, m int) (int, [][2]int) {
+		best, at := -1, [][2]int(nil)
+		for _, s := range splits(m) {
+			d, err := DegreeFormula(fam, s[0], s[1])
+			if err != nil {
+				t.Fatalf("%v(%d,%d): %v", fam, s[0], s[1], err)
+			}
+			switch {
+			case best < 0 || d < best:
+				best, at = d, [][2]int{s}
+			case d == best:
+				at = append(at, s)
+			}
+		}
+		return best, at
+	}
+	for _, m := range []int{12, 24, 36, 48, 60} {
+		for _, fam := range []Family{MS, CompleteRS, MR, CompleteRR, MIS, CompleteRIS} {
+			best, at := minimizers(fam, m)
+			for _, s := range at {
+				l, n := s[0], s[1]
+				if 4*l < n || l > 4*n || l == 2 || n == 1 {
+					t.Errorf("k-1 = %d: %v reaches its least degree %d at the unbalanced split (%d,%d) (minimizers %v)", m, fam, best, l, n, at)
+				}
+			}
+		}
+		for _, fam := range []Family{RS, RR, RIS} {
+			if _, at := minimizers(fam, m); at[len(at)-1] != [2]int{m, 1} {
+				t.Errorf("k-1 = %d: %v minimizers %v; expected its least degree at n = 1, outside the theorem", m, fam, at)
+			}
+		}
+	}
+	// Spot values: MS at k-1 = 12 and MIS at k-1 = 36.
+	for _, c := range []struct {
+		fam        Family
+		l, n, want int
+	}{
+		{MS, 2, 6, 7}, {MS, 3, 4, 6}, {MS, 4, 3, 6}, {MS, 6, 2, 7}, {MS, 12, 1, 12},
+	} {
+		if d, err := DegreeFormula(c.fam, c.l, c.n); err != nil || d != c.want {
+			t.Errorf("%v(%d,%d) degree %d (%v), want %d", c.fam, c.l, c.n, d, err, c.want)
+		}
+	}
+	if best, at := minimizers(MIS, 36); best != 15 || len(at) != 1 || at[0] != [2]int{9, 4} {
+		t.Errorf("MIS at k-1 = 36: least degree %d at %v, want 15 at (9,4)", best, at)
+	}
+}
