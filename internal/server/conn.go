@@ -12,7 +12,7 @@ import (
 	"net/textproto"
 	"net/url"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,9 +26,11 @@ import (
 // keep-alive loop per connection, serving the Server's ServeHTTP. Each
 // connection owns one bufio reader and writer, one *http.Request reset per
 // request from a template that carries the connection's context, one
-// request and one response header map cleared per request, and a response
-// writer that buffers the body, so the status line, headers, Date,
-// Content-Length and body go out together once the handler returns.
+// request header map (kept as it is when the client repeats its last
+// header block byte for byte, and otherwise cleared and parsed again), one
+// response header map cleared per request, and a response writer that
+// buffers the body, so the status line, headers, Date, Content-Length and
+// body go out together once the handler returns.
 // Responses are flushed before the connection goes idle or reads the
 // socket, and not while a pipelined request is already buffered, so the
 // answers to pipelined requests leave in one write. Nothing starts per
@@ -227,24 +229,49 @@ type conn struct {
 
 	// Parsing state: hdrN counts the current request's header bytes
 	// against maxHeaderBytes, long collects a line longer than br's
-	// buffer, strs backs the request's one-value header slices, and names
-	// interns header names with the last value each carried.
+	// buffer, strs backs the request's one-value header slices, names
+	// interns header names with the last value each carried, and reads
+	// counts br's reads of the socket.
 	hdrN      int
 	long      []byte
 	strs      []string
 	names     map[string]headerMemo
 	afterPost bool
+	reads     int
 
-	// Response state: keys sorts the header names; dateSec and date cache
-	// the Date value, formatted once per second.
-	keys    []string
-	dateSec int64
+	// What readHeader noted of the header block in hdr: the seen bits of
+	// the names the transport reads, the Host fields it took out of the
+	// map (their number, the first, and whether the first is well formed),
+	// and the block's bytes and header-byte count when reuseHeader may
+	// take a repeat of it (last is empty otherwise).
+	seen   uint8
+	hosts  int
+	host   string
+	hostOK bool
+	last   []byte
+	lastN  int
+
+	// Response state: fields holds the handler's header fields in name
+	// order; date caches the Date value, formatted at dateAt and right for
+	// dateTTL, until the wall clock's next second.
+	fields  []headerField
 	date    []byte
+	dateAt  time.Time
+	dateTTL time.Duration
 }
 
-// headerMemo is one interned header name and the last value it carried on
-// the connection.
-type headerMemo struct{ name, value string }
+// headerMemo is one interned header name, its seen bit, and the last value
+// it carried on the connection.
+type headerMemo struct {
+	name, value string
+	seen        uint8
+}
+
+// headerField is one response header name and its values.
+type headerField struct {
+	name   string
+	values []string
+}
 
 func newConn(ctx context.Context, t *transport, rwc net.Conn) *conn {
 	c := &conn{t: t, rwc: rwc}
@@ -272,6 +299,7 @@ func (c *conn) init(ctx context.Context, remote string) {
 // answers to pipelined requests when the next one has only partly
 // arrived, so no answer waits on a read.
 func (c *conn) Read(p []byte) (int, error) {
+	c.reads++
 	if c.bw.Buffered() > 0 {
 		if err := c.bw.Flush(); err != nil {
 			return 0, err
@@ -349,7 +377,7 @@ func (c *conn) serveRequest() bool {
 	}
 	w := &c.w
 	w.reset()
-	if expect := r.Header["Expect"]; len(expect) > 0 && expect[0] != "" {
+	if expect := c.field(seenExpect, "Expect"); len(expect) > 0 && expect[0] != "" {
 		if !hasToken(expect[:1], "100-continue") {
 			// net/http answers any other expectation 417 and closes.
 			w.header["Connection"] = closeValue
@@ -452,15 +480,16 @@ func (c *conn) finish(r *http.Request) bool {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
+	hs := c.collectHeader()
 	keep := true
 	switch {
-	case r.ProtoMajor == 1 && r.ProtoMinor == 0 && hasToken(r.Header["Connection"], "keep-alive"):
+	case r.ProtoMajor == 1 && r.ProtoMinor == 0 && hasToken(c.field(seenConnection, "Connection"), "keep-alive"):
 		// HTTP/1.0 keep-alive: every response here is framed by its
 		// Content-Length (or has no body), so it can stay.
 	case !r.ProtoAtLeast(1, 1) || r.Close:
 		keep = false
 	}
-	if v := w.header["Connection"]; c.t.closing.Load() || len(v) > 0 && v[0] == "close" {
+	if c.t.closing.Load() || hs.close {
 		keep = false
 	}
 	if c.body.expect && !c.body.sawEOF {
@@ -471,15 +500,56 @@ func (c *conn) finish(r *http.Request) bool {
 		keep = c.body.discard()
 		c.linger = !keep
 	}
-	c.writeResponse(r, keep)
+	c.writeResponse(r, keep, hs)
 	return keep
 }
 
+// headerSummary is what the answer head needs to know of the handler's
+// header map beyond the fields collectHeader lists.
+type headerSummary struct {
+	connection bool // a Connection field is set
+	close      bool // its first value is "close"
+	typed      bool // a Content-Type field is set
+	encoded    bool // a Content-Encoding field has a non-empty first value
+	dated      bool // a Date field is set
+}
+
+// collectHeader reads the handler's header map in one pass: it lists in
+// c.fields, in name order, the fields the answer writes as the handler
+// set them (every valid name but the framing ones, Content-Length and
+// Transfer-Encoding), and sums up the rest.
+func (c *conn) collectHeader() headerSummary {
+	var hs headerSummary
+	if cap(c.fields) > retainEntries {
+		c.fields = nil
+	}
+	c.fields = c.fields[:0]
+	for k, v := range c.w.header {
+		switch k {
+		case "Content-Length", "Transfer-Encoding":
+			continue // the connection frames the body itself
+		case "Connection":
+			hs.connection, hs.close = true, len(v) > 0 && v[0] == "close"
+		case "Content-Type":
+			hs.typed = true
+		case "Content-Encoding":
+			hs.encoded = len(v) > 0 && v[0] != ""
+		case "Date":
+			hs.dated = true
+		}
+		if validToken(k) {
+			c.fields = append(c.fields, headerField{k, v})
+		}
+	}
+	slices.SortFunc(c.fields, func(a, b headerField) int { return strings.Compare(a.name, b.name) })
+	return hs
+}
+
 // writeResponse buffers the response in bw: status line, the handler's
-// headers in sorted order, then Connection, Content-Type when the handler
+// headers in name order, then Connection, Content-Type when the handler
 // set none, Date, Content-Length and the body, as net/http frames a
 // response whose handler has returned.
-func (c *conn) writeResponse(r *http.Request, keep bool) {
+func (c *conn) writeResponse(r *http.Request, keep bool, hs headerSummary) {
 	w, bw := &c.w, c.bw
 	if r.ProtoAtLeast(1, 1) {
 		_, _ = bw.WriteString("HTTP/1.1 ") // bufio.Writer errors are sticky; Flush reports them
@@ -495,39 +565,26 @@ func (c *conn) writeResponse(r *http.Request, keep bool) {
 		_, _ = fmt.Fprintf(bw, "%03d status code %d\r\n", w.status, w.status)
 	}
 
-	c.keys = c.keys[:0]
-	for k := range w.header {
-		c.keys = append(c.keys, k)
-	}
-	sort.Strings(c.keys)
-	for _, k := range c.keys {
-		switch k {
-		case "Content-Length", "Transfer-Encoding":
-			continue // the connection frames the body itself
-		case "Connection":
-			if !keep {
-				continue
-			}
-		}
-		if !validToken(k) {
+	for _, f := range c.fields {
+		if f.name == "Connection" && !keep {
 			continue
 		}
-		for _, v := range w.header[k] {
-			writeHeaderLine(bw, k, v)
+		for _, v := range f.values {
+			writeHeaderLine(bw, f.name, v)
 		}
 	}
 	wants10KeepAlive := keep && r.ProtoMajor == 1 && r.ProtoMinor == 0
-	switch _, set := w.header["Connection"]; {
+	switch {
 	case !keep && r.ProtoAtLeast(1, 1):
 		_, _ = bw.WriteString("Connection: close\r\n")
-	case wants10KeepAlive && !set:
+	case wants10KeepAlive && !hs.connection:
 		_, _ = bw.WriteString("Connection: keep-alive\r\n")
 	}
 	allowed := bodyAllowed(w.status)
-	if _, typed := w.header["Content-Type"]; allowed && !typed && len(w.body) > 0 && w.header.Get("Content-Encoding") == "" {
+	if allowed && !hs.typed && len(w.body) > 0 && !hs.encoded {
 		writeHeaderLine(bw, "Content-Type", http.DetectContentType(w.body))
 	}
-	if _, dated := w.header["Date"]; !dated {
+	if !hs.dated {
 		_, _ = bw.WriteString("Date: ")
 		_, _ = bw.Write(c.appendDate())
 		_, _ = bw.WriteString("\r\n")
@@ -566,13 +623,16 @@ func writeHeaderLine(bw *bufio.Writer, key, v string) {
 }
 
 // appendDate returns the Date value for now in http.TimeFormat, formatted
-// at most once per second per connection.
+// at most once per second per connection. A cached value is checked with
+// one monotonic clock read: it stays right until the wall clock's second
+// ends, dateTTL after it was formatted.
 func (c *conn) appendDate() []byte {
-	now := time.Now()
-	if sec := now.Unix(); sec != c.dateSec || c.date == nil {
-		c.dateSec = sec
-		c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
+	if c.date != nil && time.Since(c.dateAt) < c.dateTTL {
+		return c.date
 	}
+	now := time.Now()
+	c.dateAt, c.dateTTL = now, time.Second-time.Duration(now.Nanosecond())
+	c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
 	return c.date
 }
 

@@ -44,11 +44,48 @@ type requestError struct {
 
 func (e *requestError) Error() string { return http.StatusText(e.status) + ": " + e.detail }
 
+// The header names the transport reads. readHeader notes which of them a
+// block carries, so a request without one never probes the map for it.
+const (
+	seenHost uint8 = 1 << iota
+	seenConnection
+	seenContentLength
+	seenTransferEncoding
+	seenTrailer
+	seenExpect
+
+	// notReused marks the names that keep a block from being reused: each
+	// sets per-request state (framing, an expectation, keep-alive) or has
+	// the parse rewrite the map (readTransfer).
+	notReused = seenConnection | seenContentLength | seenTransferEncoding | seenTrailer | seenExpect
+)
+
+// consulted returns the seen bit of a canonical header name, 0 for a name
+// the transport does not read.
+func consulted(name string) uint8 {
+	switch name {
+	case "Host":
+		return seenHost
+	case "Connection":
+		return seenConnection
+	case "Content-Length":
+		return seenContentLength
+	case "Transfer-Encoding":
+		return seenTransferEncoding
+	case "Trailer":
+		return seenTrailer
+	case "Expect":
+		return seenExpect
+	}
+	return 0
+}
+
 // readRequest parses the next request into c.req. It reads what
 // http.ReadRequest reads and applies net/http's server checks
 // (FuzzConnRequest holds it to both), but a request whose method, header
 // names and header values the connection has seen before costs one
-// allocation: the request-target string.
+// allocation: the request-target string. A header block byte-identical to
+// the connection's last one is not parsed again (reuseHeader).
 func (c *conn) readRequest() (*http.Request, error) {
 	c.hdrN = 0
 	if c.afterPost {
@@ -89,23 +126,25 @@ func (c *conn) readRequest() (*http.Request, error) {
 	if err := c.parseTarget(r); err != nil {
 		return nil, errMalformed
 	}
-	badName, err := c.readHeader()
-	if err != nil {
-		return nil, err
+	badName := false
+	if !c.reuseHeader() {
+		var err error
+		if badName, err = c.readHeader(); err != nil {
+			return nil, err
+		}
 	}
 	h := c.hdr
 	r.Header = h
-	hosts := h["Host"]
-	if len(hosts) > 1 {
+	if c.hosts > 1 {
 		return nil, errMalformed
 	}
-	if r.Host = r.URL.Host; r.Host == "" && len(hosts) == 1 {
-		r.Host = hosts[0]
+	if r.Host = r.URL.Host; r.Host == "" && c.hosts == 1 {
+		r.Host = c.host
 	}
-	if r.ProtoMajor == 1 && r.ProtoMinor == 0 {
-		r.Close = hasToken(h["Connection"], "close") || !hasToken(h["Connection"], "keep-alive")
+	if cv := c.field(seenConnection, "Connection"); r.ProtoMajor == 1 && r.ProtoMinor == 0 {
+		r.Close = hasToken(cv, "close") || !hasToken(cv, "keep-alive")
 	} else {
-		r.Close = hasToken(h["Connection"], "close")
+		r.Close = hasToken(cv, "close")
 	}
 	if err := c.readTransfer(r); err != nil {
 		return nil, err
@@ -115,18 +154,49 @@ func (c *conn) readRequest() (*http.Request, error) {
 		// serves no h2, where net/http passes the preface to the handler.
 		return nil, &requestError{http.StatusHTTPVersionNotSupported, "unsupported protocol version"}
 	}
-	if r.ProtoAtLeast(1, 1) && len(hosts) == 0 {
+	if r.ProtoAtLeast(1, 1) && c.hosts == 0 {
 		return nil, &requestError{http.StatusBadRequest, "missing required Host header"}
 	}
-	if len(hosts) == 1 && !validHost(hosts[0]) {
+	if !c.hostOK {
 		return nil, &requestError{http.StatusBadRequest, "malformed Host header"}
 	}
 	if badName {
 		return nil, &requestError{http.StatusBadRequest, "invalid header name"}
 	}
-	delete(h, "Host")
 	c.afterPost = r.Method == http.MethodPost
 	return r, nil
+}
+
+// field returns the current request's values of a name the transport
+// reads, and probes the header map only when the block carried the name.
+func (c *conn) field(seen uint8, name string) []string {
+	if c.seen&seen == 0 {
+		return nil
+	}
+	return c.hdr[name]
+}
+
+// reuseHeader takes the next header block as a repeat of the connection's
+// last one when the two are byte-identical, as keep-alive clients such as
+// net/http's Transport and curl send them, and reports whether it did. A
+// repeat is not parsed: c.hdr and the facts readHeader noted beside it
+// (seen, hosts, host, hostOK) still hold the last block's parse, because
+// nothing writes a request's header map between two requests: not the
+// transport for a block readHeader kept (no name in notReused), and not
+// a handler or the mux (TestHandlersLeaveRequestHeader). The block must
+// be buffered whole already; reuseHeader reads nothing from the socket.
+func (c *conn) reuseHeader() bool {
+	n := len(c.last)
+	if n == 0 || c.br.Buffered() < n || c.hdrN+c.lastN > maxHeaderBytes {
+		return false
+	}
+	next, _ := c.br.Peek(n) // n bytes are buffered
+	if !bytes.Equal(next, c.last) {
+		return false
+	}
+	_, _ = c.br.Discard(n)
+	c.hdrN += c.lastN
+	return true
 }
 
 // readLine returns the next line without its line break, as
@@ -162,10 +232,13 @@ func (c *conn) readLine() ([]byte, error) {
 
 // readHeader reads the header block into c.hdr, as textproto's
 // ReadMIMEHeader does: names canonicalized, values stripped of outer
-// blanks, repeated fields appended in order. It reports a name that
-// contains a space, which textproto accepts and net/http's server then
-// refuses, separately, because the server refuses it only after its other
-// checks.
+// blanks, repeated fields appended in order. It notes in c.seen the names
+// the transport reads, takes the Host fields out of the map into c.hosts,
+// c.host and c.hostOK, and keeps the block's bytes for reuseHeader when
+// the whole block was buffered before it began and carries no name in
+// notReused. It reports a name that contains a space, which textproto
+// accepts and net/http's server then refuses, separately, because the
+// server refuses it only after its other checks.
 func (c *conn) readHeader() (badName bool, err error) {
 	if len(c.hdr) > retainEntries {
 		c.hdr = make(http.Header)
@@ -175,6 +248,10 @@ func (c *conn) readHeader() (badName bool, err error) {
 		c.strs = nil
 	}
 	c.strs = c.strs[:0]
+	c.seen, c.last = 0, c.last[:0]
+	// The buffered bytes are the block's while no read refills br.
+	reads, hdrN := c.reads, c.hdrN
+	buffered, _ := c.br.Peek(c.br.Buffered())
 	var key [64]byte
 	for first := true; ; first = false {
 		line, err := c.readLine()
@@ -185,6 +262,17 @@ func (c *conn) readHeader() (badName bool, err error) {
 			return false, err
 		}
 		if len(line) == 0 {
+			c.hosts, c.host, c.hostOK = 0, "", true
+			if c.seen&seenHost != 0 {
+				hosts := c.hdr["Host"]
+				c.hosts, c.host = len(hosts), hosts[0]
+				c.hostOK = len(hosts) != 1 || validHost(c.host)
+				delete(c.hdr, "Host")
+			}
+			if c.reads == reads && c.seen&notReused == 0 && !badName {
+				c.last = append(c.last, buffered[:len(buffered)-c.br.Buffered()]...)
+				c.lastN = c.hdrN - hdrN
+			}
 			return badName, nil
 		}
 		if line[0] == ' ' || line[0] == '\t' {
@@ -210,7 +298,8 @@ func (c *conn) readHeader() (badName bool, err error) {
 			badName = true
 			continue
 		}
-		hk, hv := c.intern(name, bytes.TrimLeft(v, " \t"))
+		hk, hv, seen := c.intern(name, bytes.TrimLeft(v, " \t"))
+		c.seen |= seen
 		if vv := c.hdr[hk]; vv != nil {
 			c.hdr[hk] = append(vv, hv)
 		} else {
@@ -244,21 +333,22 @@ func canonicalKey(dst, k []byte) (name []byte, spaced, ok bool) {
 
 // intern returns a header name and value as strings, reusing the ones the
 // connection's earlier requests carried, so a client that repeats its
-// headers costs no allocation for them.
-func (c *conn) intern(name, value []byte) (string, string) {
+// headers costs no allocation for them, and the name's seen bit.
+func (c *conn) intern(name, value []byte) (string, string, uint8) {
 	m, ok := c.names[string(name)]
 	if !ok {
 		m = headerMemo{name: string(name), value: string(value)}
+		m.seen = consulted(m.name)
 		if len(c.names) < retainEntries {
 			c.names[m.name] = m
 		}
-		return m.name, m.value
+		return m.name, m.value, m.seen
 	}
 	if m.value != string(value) {
 		m.value = string(value)
 		c.names[m.name] = m
 	}
-	return m.name, m.value
+	return m.name, m.value, m.seen
 }
 
 // oneValue returns a one-element header value slice backed by the
@@ -327,9 +417,10 @@ func pathByte(b byte) bool {
 // else Content-Length (repeats must agree), else no body. The framing
 // headers net/http consumes leave the header map as they do there.
 func (c *conn) readTransfer(r *http.Request) error {
+	c.body = body{c: c}
 	h := r.Header
 	chunked := false
-	if te, ok := h["Transfer-Encoding"]; ok {
+	if te := c.field(seenTransferEncoding, "Transfer-Encoding"); te != nil {
 		delete(h, "Transfer-Encoding")
 		if r.ProtoAtLeast(1, 1) {
 			if len(te) != 1 || !asciiEqualFold(te[0], "chunked") {
@@ -338,7 +429,7 @@ func (c *conn) readTransfer(r *http.Request) error {
 			chunked = true
 		}
 	}
-	cls := h["Content-Length"]
+	cls := c.field(seenContentLength, "Content-Length")
 	if len(cls) > 1 {
 		first := textproto.TrimString(cls[0])
 		for _, v := range cls[1:] {
@@ -358,7 +449,6 @@ func (c *conn) readTransfer(r *http.Request) error {
 		}
 		n = int64(u)
 	}
-	c.body = body{c: c}
 	switch {
 	case chunked && len(cls) > 0:
 		return errFraming
@@ -375,7 +465,7 @@ func (c *conn) readTransfer(r *http.Request) error {
 		r.ContentLength = 0
 		r.Body = http.NoBody
 	}
-	if tr, ok := h["Trailer"]; ok && chunked {
+	if tr := c.field(seenTrailer, "Trailer"); chunked && tr != nil {
 		// A trailer may not redeclare the framing (net/http's fixTrailer).
 		delete(h, "Trailer")
 		for _, v := range tr {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -77,6 +78,66 @@ func TestConnAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkReadRequest times the transport's parser on warm GET /v1/route
+// requests as net/http's Transport sends them, read through conn.Read
+// from a stream of 64 requests with distinct targets. "repeated" sends
+// one header block throughout, so every request after the first may reuse
+// its parse; "varying" carries a fresh X-Request-Id on every request, as
+// scgbench's traced pass does, so none can.
+func BenchmarkReadRequest(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		id   func(i int) string
+	}{
+		{"repeated", func(int) string { return "" }},
+		{"varying", func(i int) string { return "X-Request-Id: w0-op" + strconv.Itoa(1000+i) + "\r\n" }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var stream []byte
+			for i, target := range routeTargets(64) {
+				stream = append(stream, "GET "+target+" HTTP/1.1\r\nHost: 127.0.0.1:41234\r\nUser-Agent: Go-http-client/1.1\r\n"+bc.id(i)+"\r\n"...)
+			}
+			c := &conn{rwc: readerConn{r: &loopReader{data: stream}}, bw: bufio.NewWriter(io.Discard)}
+			c.br = bufio.NewReaderSize(c, 4<<10)
+			c.init(context.Background(), "")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.readRequest(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// loopReader reads data over and over.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.data[l.off:])
+	l.off = (l.off + n) % len(l.data)
+	return n, nil
+}
+
+// TestAppendDateFollowsTheClock: the Date a connection caches is the
+// wall clock's current second whenever it is written, across the change
+// of a second.
+func TestAppendDateFollowsTheClock(t *testing.T) {
+	var c conn
+	for end := time.Now().Add(1100 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		before := time.Now().UTC().Format(http.TimeFormat)
+		got := string(c.appendDate())
+		after := time.Now().UTC().Format(http.TimeFormat)
+		if got != before && got != after {
+			t.Fatalf("Date %q written between %q and %q", got, before, after)
+		}
+	}
+}
+
 // answer is what the conformance test compares of one response.
 type answer struct {
 	status                      int // -1: the connection ended without one
@@ -118,33 +179,90 @@ func exchange(t *testing.T, addr, raw string, n int, head, perLine bool) (got []
 		method = http.MethodHead
 	}
 	for finals := 0; finals < n; {
-		resp, err := http.ReadResponse(br, &http.Request{Method: method})
-		if err != nil {
-			return append(got, answer{status: -1}), false
+		a, ok := readAnswer(t, br, method)
+		got = append(got, a)
+		if !ok {
+			return got, false
 		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("reading a %d body: %v", resp.StatusCode, err)
-		}
-		got = append(got, answer{
-			status: resp.StatusCode, body: string(body),
-			ctype: resp.Header.Get("Content-Type"), connection: resp.Header.Get("Connection"),
-			location: resp.Header.Get("Location"), close: resp.Close,
-			reqID: resp.Header.Get("X-Request-Id") != "", date: resp.Header.Get("Date") != "",
-		})
-		if resp.StatusCode >= 200 {
+		if a.status >= 200 {
 			finals++
 		}
 	}
+	return got, probe(nc, br)
+}
+
+// exchangeEach sends each of reqs over one new connection to addr, each
+// once the answer to the one before has arrived, so that each arrives on
+// its own as from a keep-alive client, and then probes whether the
+// connection still serves a request.
+func exchangeEach(t *testing.T, addr string, reqs []string) (got []answer, open bool) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(20 * time.Second))
+	br := bufio.NewReader(nc)
+	for _, raw := range reqs {
+		if _, err := io.WriteString(nc, raw); err != nil {
+			return append(got, answer{status: -1}), false
+		}
+		for {
+			a, ok := readAnswer(t, br, http.MethodGet)
+			got = append(got, a)
+			if !ok {
+				return got, false
+			}
+			if a.status >= 200 {
+				break
+			}
+		}
+	}
+	return got, probe(nc, br)
+}
+
+// readAnswer reads one response to a request of the given method; ok is
+// false when the connection ended without one.
+func readAnswer(t *testing.T, br *bufio.Reader, method string) (a answer, ok bool) {
+	t.Helper()
+	resp, err := http.ReadResponse(br, &http.Request{Method: method})
+	if err != nil {
+		return answer{status: -1}, false
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading a %d body: %v", resp.StatusCode, err)
+	}
+	return answer{
+		status: resp.StatusCode, body: string(body),
+		ctype: resp.Header.Get("Content-Type"), connection: resp.Header.Get("Connection"),
+		location: resp.Header.Get("Location"), close: resp.Close,
+		reqID: resp.Header.Get("X-Request-Id") != "", date: resp.Header.Get("Date") != "",
+	}, true
+}
+
+// probe reports whether the connection still serves a request.
+func probe(nc net.Conn, br *bufio.Reader) bool {
 	if _, err := io.WriteString(nc, "GET /healthz HTTP/1.1\r\nHost: probe\r\n\r\n"); err != nil {
-		return got, false
+		return false
 	}
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
-		return got, false
+		return false
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
-	return got, resp.StatusCode == http.StatusOK
+	return resp.StatusCode == http.StatusOK
+}
+
+// echoRequest answers with what the server parsed of the request: method,
+// target, protocol, Host, Close, ContentLength, the header map and the
+// body. Registered on both servers of TestRunMatchesNetHTTP, it shows a
+// header block reused where it should have been parsed again.
+func echoRequest(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	fmt.Fprintf(w, "%s %s %s host=%q close=%v length=%d header=%v body=%q err=%v\n",
+		r.Method, r.RequestURI, r.Proto, r.Host, r.Close, r.ContentLength, r.Header, body, err)
 }
 
 func chunk(body string) string {
@@ -162,11 +280,43 @@ func TestRunMatchesNetHTTP(t *testing.T) {
 	const metrics = "/v1/metrics?family=MS&l=2&n=3"
 	post := `{"family":"MS","l":2,"n":3,"src":"2314567","dst":"7654321"}`
 	postCL := "POST /v1/route HTTP/1.1\r\n" + host + "Content-Length: " + strconv.Itoa(len(post)) + "\r\n"
+	// A keep-alive client's header block, and requests on one connection
+	// that repeat it, change it a little, or frame a body. Each request of
+	// a seq case is written once the answer before it has arrived.
+	const block = host + "User-Agent: Go-http-client/1.1\r\nAccept-Encoding: gzip\r\n\r\n"
+	echo := func(target, block string) string { return "GET " + target + " HTTP/1.1\r\n" + block }
+	route := "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
+	idBlock := func(id string) string { return host + "X-Request-Id: " + id + "\r\nAccept: */*\r\n\r\n" }
+	seqCases := []struct {
+		name string
+		seq  []string
+	}{
+		{"repeated block", []string{echo("/echo?1", block), echo("/echo?2", block), echo(route, block), echo("/echo?3", block)}},
+		{"one byte of a value changed", []string{echo("/echo", idBlock("seq-1")), echo("/echo", idBlock("seq-2")), echo("/echo", idBlock("seq-2")), echo("/echo", idBlock("seq-1"))}},
+		{"Host changed", []string{echo("/echo", block), echo("/echo", "Host: scge\r\n"+block[len(host):]), echo("/echo", block)}},
+		{"header added, then removed", []string{echo("/echo", block), echo("/echo", "Accept: */*\r\n"+block), echo("/echo", block), echo("/echo", block)}},
+		{"absolute-form target, same block", []string{echo("http://other.example/echo", block), echo("/echo", block), echo("http://other.example/echo", block)}},
+		{"framing header on a repeated block", []string{
+			echo("/echo", block),
+			"POST /echo HTTP/1.1\r\n" + host + "Content-Length: 5\r\n" + block[len(host):] + "hello",
+			echo("/echo", block),
+			"POST /echo HTTP/1.1\r\n" + host + "Transfer-Encoding: chunked\r\n" + block[len(host):] + chunk("hello"),
+			"POST /echo HTTP/1.1\r\n" + host + "Transfer-Encoding: chunked\r\n" + block[len(host):] + chunk("again"),
+			echo("/echo", block),
+			"GET /echo HTTP/1.1\r\n" + host + "Expect: 100-continue\r\n" + block[len(host):],
+			echo("/echo", block),
+			"GET /echo HTTP/1.1\r\n" + host + "Connection: keep-alive\r\n" + block[len(host):],
+			echo("/echo", block),
+		}},
+		{"bare LF block repeated", []string{"GET /echo HTTP/1.1\nHost: scgd\nAccept: */*\n\n", "GET /echo HTTP/1.1\nHost: scgd\nAccept: */*\n\n", echo("/echo", host+"Accept: */*\r\n\r\n")}},
+		{"repeated block, then Connection: close", []string{echo("/echo", block), echo("/echo", block), "GET /echo HTTP/1.1\r\n" + host + "Connection: close\r\n" + block[len(host):]}},
+	}
 	cases := []struct {
 		name, raw     string
 		n             int
 		head, perLine bool
 	}{
+		{"pipelined repeated blocks", echo("/echo?1", block) + echo(route, block) + echo("/echo?2", block) + echo("/echo?2", idBlock("pipe")) + echo("/echo?3", block), 5, false, false},
 		{"GET keep-alive", "GET " + metrics + " HTTP/1.1\r\n" + host + "\r\n", 1, false, false},
 		{"GET one line per write", "GET " + metrics + " HTTP/1.1\r\n" + host + "X-Request-Id: line-1\r\nAccept: */*\r\n\r\n", 1, false, true},
 		{"POST one line per write", postCL + "X-Request-Id: line-2\r\n\r\n" + post, 1, false, true},
@@ -209,6 +359,7 @@ func TestRunMatchesNetHTTP(t *testing.T) {
 	defer ref.Close()
 	for _, s := range []*Server{ref, run} {
 		s.mux.HandleFunc("/panic", func(http.ResponseWriter, *http.Request) { panic("deliberate panic") })
+		s.mux.HandleFunc("/echo", echoRequest)
 	}
 	log.SetOutput(io.Discard) // both servers log the panic's stack
 	defer log.SetOutput(os.Stderr)
@@ -219,21 +370,30 @@ func TestRunMatchesNetHTTP(t *testing.T) {
 	runAddr, _ := startRun(t, run, 10*time.Second)
 	refAddr := ts.Listener.Addr().String()
 
-	for _, tc := range cases {
-		want, wantOpen := exchange(t, refAddr, tc.raw, tc.n, tc.head, tc.perLine)
-		got, gotOpen := exchange(t, runAddr, tc.raw, tc.n, tc.head, tc.perLine)
+	compare := func(name string, got, want []answer, gotOpen, wantOpen bool) {
+		t.Helper()
 		if len(got) != len(want) {
-			t.Errorf("%s: %d answers, net/http gives %d:\n got %+v\nwant %+v", tc.name, len(got), len(want), got, want)
-			continue
+			t.Errorf("%s: %d answers, net/http gives %d:\n got %+v\nwant %+v", name, len(got), len(want), got, want)
+			return
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s: answer %d differs from net/http's:\n got %+v\nwant %+v", tc.name, i, got[i], want[i])
+				t.Errorf("%s: answer %d differs from net/http's:\n got %+v\nwant %+v", name, i, got[i], want[i])
 			}
 		}
 		if gotOpen != wantOpen {
-			t.Errorf("%s: connection open after the exchange = %v, net/http %v", tc.name, gotOpen, wantOpen)
+			t.Errorf("%s: connection open after the exchange = %v, net/http %v", name, gotOpen, wantOpen)
 		}
+	}
+	for _, tc := range cases {
+		want, wantOpen := exchange(t, refAddr, tc.raw, tc.n, tc.head, tc.perLine)
+		got, gotOpen := exchange(t, runAddr, tc.raw, tc.n, tc.head, tc.perLine)
+		compare(tc.name, got, want, gotOpen, wantOpen)
+	}
+	for _, tc := range seqCases {
+		want, wantOpen := exchangeEach(t, refAddr, tc.seq)
+		got, gotOpen := exchangeEach(t, runAddr, tc.seq)
+		compare(tc.name, got, want, gotOpen, wantOpen)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/gen"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -75,8 +74,9 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendRouteResponse renders a RouteResponse.
-func appendRouteResponse(b []byte, nw *topology.Network, src, dst perm.Perm, moves []gen.Generator, exact int, hasExact bool, stretch float64, hasStretch bool) []byte {
+// appendRouteResponse renders a RouteResponse whose moves are named by
+// names, as VerifiedNames gives them.
+func appendRouteResponse(b []byte, nw *topology.Network, src, dst perm.Perm, names []string, exact int, hasExact bool, stretch float64, hasStretch bool) []byte {
 	b = append(b, "{\n  \"network\": \""...)
 	b = append(b, nw.Name()...)
 	b = append(b, "\",\n  \"k\": "...)
@@ -88,19 +88,19 @@ func appendRouteResponse(b []byte, nw *topology.Network, src, dst perm.Perm, mov
 	b = append(b, "\",\n  \"dst\": \""...)
 	b = appendPermLabel(b, dst)
 	b = append(b, "\",\n  \"moves\": ["...)
-	for i, m := range moves {
+	for i, name := range names {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, "\n    \""...)
-		b = append(b, nw.MoveName(m)...)
+		b = append(b, name...)
 		b = append(b, '"')
 	}
-	if len(moves) > 0 {
+	if len(names) > 0 {
 		b = append(b, "\n  "...)
 	}
 	b = append(b, "],\n  \"hops\": "...)
-	b = strconv.AppendInt(b, int64(len(moves)), 10)
+	b = strconv.AppendInt(b, int64(len(names)), 10)
 	b = append(b, ",\n  \"diameter_bound\": "...)
 	b = strconv.AppendInt(b, int64(nw.DiameterUpperBound()), 10)
 	b = append(b, ",\n  \"verified\": true"...)

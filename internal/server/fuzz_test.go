@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/textproto"
@@ -121,6 +122,19 @@ func FuzzConnRequest(f *testing.F) {
 		"GET / HTTP/2.0\r\nHost: h\r\n\r\n",
 		"get / HTTP/1.1\r\nhost: a\r\nhost: b\r\n\r\n",
 		"GET / HTTP/1.1\r\nHost: h\r\nX: a\x01b\r\n\r\n",
+		// Repeated header blocks, which the parser may reuse, and their
+		// near misses: a value one byte off, a field added, a framing
+		// field, a Host that only an absolute-form target overrides.
+		"GET /a HTTP/1.1\r\nHost: h\r\nUser-Agent: u\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\nUser-Agent: u\r\n\r\nGET /c HTTP/1.1\r\nHost: h\r\nUser-Agent: v\r\n\r\nGET /d HTTP/1.1\r\nHost: h\r\nUser-Agent: u\r\n\r\n",
+		"GET /a HTTP/1.1\r\nHost: h\r\nX-Request-Id: 1\r\n\r\nGET /a HTTP/1.1\r\nHost: h\r\nX-Request-Id: 1\r\nAccept: */*\r\n\r\nGET /a HTTP/1.1\r\nHost: h\r\nX-Request-Id: 1\r\n\r\n",
+		"GET /a HTTP/1.1\r\nHost: h\r\n\r\nPOST /a HTTP/1.1\r\nHost: h\r\nContent-Length: 2\r\n\r\nabGET /a HTTP/1.1\r\nHost: h\r\n\r\n",
+		"GET http://x/a HTTP/1.1\r\nHost: h\r\n\r\nGET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /a HTTP/1.0\r\nHost: h\r\n\r\n",
+		"GET /a HTTP/1.1\nHost: h\nUser-Agent: u\n\nGET /b HTTP/1.1\nHost: h\nUser-Agent: u\n\n",
+		// The second block straddles the end of the parser's 4 KB buffer,
+		// so it is parsed across a refill and not kept; the third is kept
+		// and the fourth reuses it.
+		"GET /a HTTP/1.1\r\nHost: h\r\nX-Pad: " + strings.Repeat("p", 4030) + "\r\n\r\n" +
+			strings.Repeat("GET /b HTTP/1.1\r\nHost: h\r\nUser-Agent: u\r\n\r\n", 3),
 	} {
 		f.Add([]byte(seed))
 	}
@@ -131,9 +145,13 @@ func FuzzConnRequest(f *testing.F) {
 }
 
 // checkConnRequests reads up to four requests of data with the parser,
-// from src, and with http.ReadRequest, and compares them.
+// from src, and with http.ReadRequest, and compares them. The parser reads
+// src through conn.Read, as on a socket, so it sees every refill of its
+// buffer and may reuse a repeated header block only when it was buffered
+// whole.
 func checkConnRequests(t *testing.T, data []byte, src io.Reader) {
-	c := &conn{br: bufio.NewReaderSize(src, 4<<10), bw: bufio.NewWriter(io.Discard)}
+	c := &conn{rwc: readerConn{r: src}, bw: bufio.NewWriter(io.Discard)}
+	c.br = bufio.NewReaderSize(c, 4<<10)
 	c.init(context.Background(), "")
 	oracle := bufio.NewReaderSize(bytes.NewReader(data), 64<<10)
 	for i := 0; i < 4; i++ {
@@ -187,6 +205,14 @@ func checkConnRequests(t *testing.T, data []byte, src io.Reader) {
 		}
 	}
 }
+
+// readerConn is a net.Conn that only reads, from r.
+type readerConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c readerConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 // requestHead parses the header block of the request at the start of
 // head with textproto, as http.ReadRequest does; nil when it does not

@@ -170,7 +170,7 @@ func MeasureRouteHot(s *Server, target string, iters int) (nsPerOp, allocsPerOp 
 //
 //   - 1: the request ID string telemetry.NewRequestID mints when the
 //     client sent no X-Request-Id;
-//   - 1: the one-element value slice http.Header.Set stores it in.
+//   - 1: the one-element value slice the response header stores it in.
 //
 // A profile submit answered from a resident profile also records a job:
 // the Job itself and its ID string (2), plus the amortized growth of the

@@ -382,11 +382,16 @@ func (s *Server) route(name string, gated bool, fn func(w http.ResponseWriter, r
 // request deadline, metrics, access record, and the slow-log decision.
 func (s *Server) serve(ep *endpoint, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	reqID := r.Header.Get("X-Request-Id")
+	// The name is canonical already, so the header maps are indexed
+	// directly, with Header.Get's and Header.Set's semantics.
+	reqID := ""
+	if v := r.Header["X-Request-Id"]; len(v) > 0 {
+		reqID = v[0]
+	}
 	if !telemetry.ValidRequestID(reqID) {
 		reqID = telemetry.NewRequestID()
 	}
-	w.Header().Set("X-Request-Id", reqID)
+	w.Header()["X-Request-Id"] = []string{reqID}
 	var tr *telemetry.Trace
 	if s.slow != nil {
 		tr = acquireTrace(reqID, start)

@@ -60,7 +60,8 @@ type DoctorReport struct {
 }
 
 // Doctor audits the store directory at dir: every *.scgp file is read and
-// fully decoded (checksum verified), abandoned temp files from killed
+// fully decoded (checksum verified), a directory named like an entry is
+// reported without being walked, abandoned temp files from killed
 // writers are removed, already-quarantined files are censused, and size
 // accounting is totalled. Doctor repairs nothing beyond reaping temp
 // orphans — corrupt files are reported, not deleted, so an operator can
@@ -80,14 +81,23 @@ func Doctor(dir string) (*DoctorReport, error) {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			return nil
-		}
 		rel, rerr := filepath.Rel(dir, path)
 		if rerr != nil {
 			rel = path
 		}
 		name := d.Name()
+		if d.IsDir() {
+			if path != dir && strings.HasSuffix(name, ".scgp") {
+				// Load reads an entry's path as a file, so a directory there
+				// is a read error on every probe of its key.
+				rep.Problems = append(rep.Problems, DoctorProblem{
+					Path: rel, Kind: "corrupt",
+					Detail: "a directory in an entry's place; the store cannot read or replace it",
+				})
+				return filepath.SkipDir
+			}
+			return nil
+		}
 		switch {
 		case strings.Contains(name, ".scgp.tmp."):
 			// A temp file is live only while its writer is mid-Put; any

@@ -144,6 +144,43 @@ func TestLoadReadErrorIsNotAMiss(t *testing.T) {
 	}
 }
 
+// TestDoctorReportsDirectoryEntry: the directory Load cannot read (above)
+// makes the store unhealthy in the doctor's audit too, reported once at
+// its own path and not walked, while the valid entry beside it still
+// verifies.
+func TestDoctorReportsDirectoryEntry(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, good := buildEntry(t, topology.Star, 1, 4, false)
+	if err := st.Put(good, e); err != nil {
+		t.Fatal(err)
+	}
+	bad := Key{Family: "star", L: 1, N: 3}
+	if err := os.MkdirAll(filepath.Join(st.EntryPath(bad), "inside"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.EntryPath(bad), "inside", "x.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Doctor(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := filepath.Rel(dir, st.EntryPath(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Healthy || rep.Entries != 1 || len(rep.Problems) != 1 {
+		t.Fatalf("audit %+v; want one entry and one problem, unhealthy", rep)
+	}
+	if p := rep.Problems[0]; p.Path != rel || p.Kind != "corrupt" {
+		t.Fatalf("problem %+v; want the directory %s reported as corrupt", p, rel)
+	}
+}
+
 // corruptions are the five damage shapes of the acceptance criteria; each
 // mutates a valid on-disk entry (or, for partial-write, replaces it with a
 // torn one).

@@ -71,9 +71,10 @@ func linkProbes(nw *Network) []gen.Generator {
 
 // TestLinkTableMatchesMaps holds the dense link table to the generator-keyed
 // maps it replaced, rebuilt here as the oracle: every link verifies, finds
-// its own link number and names itself; every other generator that acts on
-// k symbols gets the verdict and the name the maps gave (admitted only when
-// its action is a link's, named by its own notation).
+// its own link number and names itself, through MoveName and through the
+// name VerifyRouteInto keeps; every other generator that acts on k symbols
+// gets the verdict and the name the maps gave (admitted only when its
+// action is a link's, named by its own notation).
 func TestLinkTableMatchesMaps(t *testing.T) {
 	rng := perm.NewRNG(43)
 	var sc RouteScratch
@@ -99,6 +100,9 @@ func TestLinkTableMatchesMaps(t *testing.T) {
 			if err := sc.VerifyRouteInto(nw, src, g.ApplyTo(src), []gen.Generator{g}); err != nil {
 				t.Fatalf("%s: link %s: %v", nw.Name(), g, err)
 			}
+			if got := sc.VerifiedNames(); len(got) != 1 || got[0] != g.Name() {
+				t.Fatalf("%s: link %s verified as %q", nw.Name(), g, got)
+			}
 			links++
 		}
 		for _, g := range linkProbes(nw) {
@@ -107,6 +111,19 @@ func TestLinkTableMatchesMaps(t *testing.T) {
 			err := sc.VerifyRouteInto(nw, src, g.ApplyTo(src), []gen.Generator{g})
 			if (err == nil) != want {
 				t.Fatalf("%s: %s verifies %v (err %v), maps say %v", nw.Name(), g, err == nil, err, want)
+			}
+			if got := sc.VerifiedNames(); want && (len(got) != 1 || got[0] != g.Name()) || !want && len(got) != 0 {
+				t.Fatalf("%s: %s verified as %q (err %v)", nw.Name(), g, got, err)
+			}
+			// After a link, and after a walk that ends elsewhere, a refusal
+			// leaves no names either.
+			first := set.At(0)
+			err = sc.VerifyRouteInto(nw, src, g.ApplyTo(first.ApplyTo(src)), []gen.Generator{first, g})
+			if got := sc.VerifiedNames(); (err == nil) != want || !want && len(got) != 0 {
+				t.Fatalf("%s: %s after %s verifies %v (err %v) as %q", nw.Name(), g, first, err == nil, err, got)
+			}
+			if err := sc.VerifyRouteInto(nw, src, src, []gen.Generator{first}); err == nil || len(sc.VerifiedNames()) != 0 {
+				t.Fatalf("%s: a walk away from dst verified (err %v) as %q", nw.Name(), err, sc.VerifiedNames())
 			}
 			got, ok := nw.links.find(g)
 			if ok != isLink || (isLink && got != j) {
@@ -155,9 +172,11 @@ func TestLinkTableSpansTransposition64(t *testing.T) {
 }
 
 // BenchmarkRouteVerifyMix times the warm route path below the server: route,
-// verify and name every move, with one scratch. "mix-k7" cycles the 33
-// instances with k = 7 (the query-mix set), "MS(2,4)" is route-hot's
-// instance. Pairs are drawn once, outside the timer.
+// verify and name every move, with one scratch, as the route handler does
+// (the names are the ones VerifyRouteInto kept). "mix-k7" cycles the 33
+// instances with k = 7 (the query-mix set), "k7/<network>" times each of
+// them alone, and "MS(2,4)" is route-hot's instance. Pairs are drawn once,
+// outside the timer.
 func BenchmarkRouteVerifyMix(b *testing.B) {
 	var mix []*Network
 	for _, fam := range AllFamilies() {
@@ -183,10 +202,15 @@ func BenchmarkRouteVerifyMix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
+	type benchCase struct {
 		name string
 		nets []*Network
-	}{{"mix-k7", mix}, {"MS(2,4)", []*Network{ms24}}} {
+	}
+	cases := []benchCase{{"mix-k7", mix}}
+	for _, nw := range mix {
+		cases = append(cases, benchCase{"k7/" + nw.Name(), []*Network{nw}})
+	}
+	for _, bc := range append(cases, benchCase{"MS(2,4)", []*Network{ms24}}) {
 		b.Run(bc.name, func(b *testing.B) {
 			const pairs = 1024
 			rng := perm.NewRNG(47)
@@ -209,8 +233,8 @@ func BenchmarkRouteVerifyMix(b *testing.B) {
 				if err := sc.VerifyRouteInto(nw, src[p], dst[p], moves); err != nil {
 					b.Fatal(err)
 				}
-				for _, m := range moves {
-					names += len(nw.MoveName(m))
+				for _, name := range sc.VerifiedNames() {
+					names += len(name)
 				}
 			}
 			if names == 0 {

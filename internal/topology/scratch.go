@@ -12,14 +12,16 @@ import (
 // After one warm-up call per network shape, RouteInto and VerifyRouteInto
 // run without heap allocation for every family constructible by New; the
 // rotation-subset and recursive extensions fall back to the allocating
-// expansion path. Move slices returned by RouteInto alias the scratch and
-// are valid only until the next call. Not safe for concurrent use.
+// expansion path. Move slices returned by RouteInto, and the names
+// VerifiedNames returns, alias the scratch and are valid only until the
+// next call. Not safe for concurrent use.
 type RouteScratch struct {
 	bag   bag.Scratch
 	inv   perm.Perm // dst⁻¹
 	u     perm.Perm // dst⁻¹ ∘ src, the game configuration
 	cfg   perm.Perm // replay buffer for local solvers and verification
 	moves []gen.Generator
+	names []string // the names of the moves VerifyRouteInto last accepted
 }
 
 // NewRouteScratch returns an empty workspace; buffers grow on first use.
@@ -86,7 +88,9 @@ func (sc *RouteScratch) RouteInto(nw *Network, src, dst perm.Perm) ([]gen.Genera
 // every move is one of nw's links and that the walk ends at dst. Membership
 // is decided by generator value first, in nw's link table (covering every
 // move our solvers emit), and by generator action as a fallback, matching
-// VerifyRoute.
+// VerifyRoute. It keeps each accepted move's name, the link's own from the
+// table for every move found there, so VerifiedNames needs no second
+// lookup.
 func (sc *RouteScratch) VerifyRouteInto(nw *Network, src, dst perm.Perm, moves []gen.Generator) error {
 	k := nw.K()
 	if len(src) != k || len(dst) != k {
@@ -95,17 +99,29 @@ func (sc *RouteScratch) VerifyRouteInto(nw *Network, src, dst perm.Perm, moves [
 	sc.grow(k)
 	cfg := sc.cfg
 	copy(cfg, src)
+	sc.names = sc.names[:0]
 	for idx, g := range moves {
-		if _, ok := nw.links.find(g); !ok && !nw.allowedPerm[g.AsPerm(k).String()] {
+		if j, ok := nw.links.find(g); ok {
+			sc.names = append(sc.names, nw.names[j])
+		} else if nw.allowedPerm[g.AsPerm(k).String()] {
+			sc.names = append(sc.names, g.Name())
+		} else {
+			sc.names = sc.names[:0]
 			return fmt.Errorf("topology: VerifyRoute: move %d (%s) is not a link of %s", idx, g, nw.Name())
 		}
 		g.Apply(cfg)
 	}
 	if !cfg.Equal(dst) {
+		sc.names = sc.names[:0]
 		return fmt.Errorf("topology: VerifyRoute: walk ends at %v, want %v", cfg, dst)
 	}
 	return nil
 }
+
+// VerifiedNames returns the names of the moves the last successful
+// VerifyRouteInto accepted, in order and in the paper's notation, as
+// MoveName gives them; empty after a failed one.
+func (sc *RouteScratch) VerifiedNames() []string { return sc.names }
 
 // MoveName renders g in the paper's notation without allocating when g is
 // one of nw's links (the common case for solver output).
