@@ -2,14 +2,14 @@
 // HTTP/1.1 JSON service answering the query workload a fabric controller
 // issues against the paper's networks — route lookup (the ball-arrangement
 // game solvers), neighbor enumeration, degree/diameter/cost metrics, and
-// async exact BFS profiles — from a byte-budgeted topology cache with
-// request coalescing and per-endpoint admission control.
+// exact BFS profiles — from a byte-budgeted topology cache with request
+// coalescing and per-endpoint admission control.
 //
-// Endpoints: /v1/route, /v1/neighbors, /v1/metrics, /v1/profile (jobs: a
-// submit of 8! states or more returns a job ID to poll with ?id=; a
-// smaller or cached one answers with the result), /healthz, /statsz, and
-// /metricsz (Prometheus text exposition of the same counters /statsz
-// reports, plus runtime/metrics gauges).
+// Endpoints: /v1/route, /v1/neighbors, /v1/metrics, /v1/profile (a submit
+// runs its job and answers with the result and a job ID, which ?id= reads
+// back from the finished-job ledger), /healthz, /statsz, and /metricsz
+// (Prometheus text exposition of the same counters /statsz reports, plus
+// runtime/metrics gauges).
 //
 // Every response carries an X-Request-Id (propagated from the client when
 // valid, generated otherwise) that joins the access log, the slow-request
@@ -22,9 +22,8 @@
 //	scgd -addr :8080
 //	curl 'localhost:8080/v1/route?family=MS&l=2&n=3&src=1234567&dst=7654321'
 //	curl 'localhost:8080/v1/metrics?family=complete-RS&l=3&n=2'
-//	curl 'localhost:8080/v1/profile?family=MS&l=2&n=3'   # k = 7 -> done + result
-//	curl 'localhost:8080/v1/profile?family=MS&l=2&n=4'   # k = 9 -> job id
-//	curl 'localhost:8080/v1/profile?id=job-2'            # -> status/result
+//	curl 'localhost:8080/v1/profile?family=MS&l=2&n=4'   # k = 9 -> done + result, job-1
+//	curl 'localhost:8080/v1/profile?id=job-1'            # -> the same snapshot
 //	curl 'localhost:8080/metricsz'                       # -> Prometheus text
 //	scgd -debug-addr 127.0.0.1:6060                      # pprof sidecar
 //
@@ -33,8 +32,9 @@
 // to loopback by operator choice rather than exposed with the API.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes,
-// in-flight requests drain (bounded by -drain-timeout), queued profile
-// jobs and store write-backs finish, and the process exits 0.
+// in-flight requests and the profile jobs they run drain (bounded by
+// -drain-timeout), pending store write-backs finish, and the process
+// exits 0.
 package main
 
 import (
@@ -60,9 +60,8 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		cacheMB      = flag.Int64("cache-mb", 256, "topology/profile cache budget in MiB")
 		maxInflight  = flag.Int("max-inflight", 64, "max concurrent requests per gated endpoint (excess get 503)")
-		profWorkers  = flag.Int("profile-workers", 0, "exact-profile job workers (0 = GOMAXPROCS)")
-		profQueue    = flag.Int("profile-queue", 16, "exact-profile job queue depth (full queue gets 503)")
-		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "deadline, from request start, for a request's wait on a cold build (then 504)")
+		profWorkers  = flag.Int("profile-workers", 0, "exact-profile builds run at once, and store write-back workers (0 = GOMAXPROCS); a submit past them waits for a slot until -request-timeout (then 504)")
+		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "deadline, from request start, for a request's wait on a cold build, a build slot or a running profile job (then 504)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain bound for in-flight requests")
 		maxK         = flag.Int("max-k", 20, "largest node-label length a request may materialize (<= 20)")
 		accessLog    = flag.String("access-log", "", "NDJSON access-record path ('-' for stdout, empty = off)")
@@ -83,7 +82,6 @@ func main() {
 		CacheBytes:     *cacheMB << 20,
 		MaxInflight:    *maxInflight,
 		ProfileWorkers: *profWorkers,
-		ProfileQueue:   *profQueue,
 		RequestTimeout: *reqTimeout,
 		MaxK:           *maxK,
 		SlowThreshold:  time.Duration(*slowMS) * time.Millisecond,

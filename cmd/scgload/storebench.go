@@ -143,9 +143,12 @@ func benchInstance(ctx context.Context, dir string, in topology.Instance) (*Stor
 		// before its write-back, which Close drains.
 		srv := server.New(server.Config{Store: st, SampleInterval: -1})
 		t0 := time.Now()
-		job, err := profileJob(ctx, srv.Jobs(), key)
+		job, err := srv.Jobs().Submit(ctx, key, "")
 		cold[i] = float64(time.Since(t0).Microseconds())
 		srv.Close()
+		if err == nil && job.Status == server.JobFailed {
+			err = errors.New(job.Err)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -203,22 +206,4 @@ func benchInstance(ctx context.Context, dir string, in topology.Instance) (*Stor
 func medianMinMax(xs []float64) (median, lo, hi float64) {
 	sort.Float64s(xs)
 	return xs[len(xs)/2], xs[0], xs[len(xs)-1]
-}
-
-// profileJob submits key's profile job and waits until it is done. A job
-// on fewer than 8! states is done when Submit returns; a larger one is
-// polled every 50 µs, well below the k >= 8 builds it waits on.
-func profileJob(ctx context.Context, jobs *server.Jobs, key server.Key) (server.Job, error) {
-	job, err := jobs.Submit(key, "")
-	for err == nil && (job.Status == server.JobQueued || job.Status == server.JobRunning) {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
-		job, err = jobs.Get(job.ID)
-	}
-	if err == nil && job.Status == server.JobFailed {
-		err = errors.New(job.Err)
-	}
-	return job, err
 }

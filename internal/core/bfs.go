@@ -47,7 +47,7 @@ func meanFromHistogram(hist []int64) float64 {
 // src, using unit link weights. It errors if k exceeds MaxExplicitK.
 //
 // BFS runs the bitset engine (BFSParallel) on a worker count chosen by
-// size: one worker below ParallelBFSThreshold states, GOMAXPROCS at or
+// size: one worker below parallelBFSThreshold states, GOMAXPROCS at or
 // above it. The engine builds the graph's factored NeighborTable on first
 // use and leaves it memoized; one-shot callers should DropNeighborTable
 // afterwards. The result does not depend on the worker count
@@ -57,9 +57,9 @@ func (g *Graph) BFS(src perm.Perm) (*BFSResult, error) {
 }
 
 // bfsWorkers is the worker count BFS picks by size: one below
-// ParallelBFSThreshold states, GOMAXPROCS (0) at or above it.
+// parallelBFSThreshold states, GOMAXPROCS (0) at or above it.
 func (g *Graph) bfsWorkers() int {
-	if g.Order() < ParallelBFSThreshold {
+	if g.Order() < parallelBFSThreshold {
 		return 1
 	}
 	return 0

@@ -9,12 +9,10 @@ import (
 	"repro/internal/pool"
 )
 
-// ParallelBFSThreshold is the graph order from which BFS fans out over
+// parallelBFSThreshold is the graph order from which BFS fans out over
 // GOMAXPROCS workers. Below 8! = 40,320 states a second worker saved
 // nothing measurable on two cores, so BFS runs one and spawns nothing.
-// scgd draws its line between profile jobs it runs on the submitting
-// request and jobs it queues at the same order.
-const ParallelBFSThreshold = 40320
+const parallelBFSThreshold = 40320
 
 // bitsetBFS is the state of one bitset search over a NeighborTable's
 // columns. The frontier and visited sets are word-packed bitsets over

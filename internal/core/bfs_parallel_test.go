@@ -100,7 +100,7 @@ func TestEngineMatchesOracleK9Smoke(t *testing.T) {
 }
 
 // TestBFSDispatch pins the worker-count rule: BFS must agree with the
-// oracle on both sides of ParallelBFSThreshold.
+// oracle on both sides of parallelBFSThreshold.
 func TestBFSDispatch(t *testing.T) {
 	for _, k := range []int{5, 8} {
 		nw, err := topology.NewStar(k)

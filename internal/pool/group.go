@@ -4,7 +4,7 @@ import "sync"
 
 // Group runs goroutines whose number is not known up front, such as one per
 // accepted connection, and waits for all of them: the chokepoint for the
-// spawns of a serving loop, as Runner is for async jobs. scgd starts such
+// spawns of a serving loop, as Runner is for background work. scgd starts such
 // goroutines through a Group instead of raw go statements, so whoever owns
 // the Group can wait until every one of them has returned.
 //

@@ -7,8 +7,9 @@ import (
 
 // Runner is a bounded asynchronous executor: a fixed set of worker
 // goroutines draining a bounded queue. It complements Map and Each (which
-// block until a whole batch finishes) for workloads that are submitted one
-// at a time and polled later — the scgd exact-profile jobs. Like the rest
+// block until a whole batch finishes) for work that is submitted one task
+// at a time and outlives its submitter — scgd's store write-backs and its
+// runtime/metrics sampler. Like the rest
 // of this package it is a spawn chokepoint: scgd routes background work
 // through a Runner instead of raw go statements.
 type Runner struct {

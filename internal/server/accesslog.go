@@ -17,7 +17,7 @@ type AccessRecord struct {
 	// Time is the request start in RFC3339Nano.
 	Time string `json:"ts"`
 	// ReqID is the X-Request-Id echoed to the client — the join key between
-	// this record, the slow log, and async job snapshots.
+	// this record, the slow log, and job snapshots.
 	ReqID string `json:"req_id,omitempty"`
 	// Method and Path identify the request; Endpoint is the logical handler
 	// name used by /statsz ("/v1/route", ...).
@@ -70,7 +70,7 @@ func (a *accessLog) log(r *http.Request, endpoint string, status int, start time
 // SlowRecord is one NDJSON slow-log line: the request's identity plus its
 // span timeline, so a single grep for a request ID yields where the time
 // went (admission, decode, cache wait, topology build, BFS, solve, encode).
-// Async profile jobs emit one too, with the submitting request's ID and the
+// Profile jobs emit one too, with the submitting request's ID and the
 // pseudo-endpoint "job:/v1/profile".
 type SlowRecord struct {
 	Time     string `json:"ts"`

@@ -103,15 +103,14 @@ type ProfileResult struct {
 	Histogram []int64 `json:"histogram"`
 }
 
-// ProfileResponse describes an exact-profile job. Submit returns it with
-// Status "queued" or "running" (202) while the job is in flight, and with
-// the final "done" or "failed" snapshot (200) when the profile was already
-// cached or the instance has fewer than 8! states, whose job runs on the
-// submitting request; polls return the current state.
+// ProfileResponse describes an exact-profile job. A submit answers once
+// the job is over, with its final "done" or "failed" snapshot (200); polls
+// by job ID return the same snapshot from the finished-job ledger.
 type ProfileResponse struct {
 	JobID string `json:"job_id"`
 	// RequestID is the X-Request-Id of the request that created the job —
-	// the join key into the access and slow logs for the async build.
+	// the join key into the access and slow logs for its build and
+	// write-back.
 	RequestID string `json:"request_id,omitempty"`
 	Network   string `json:"network"`
 	Status    string `json:"status"`
@@ -138,15 +137,11 @@ type JobsStats struct {
 	Coalesced int64 `json:"coalesced"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
-	Rejected  int64 `json:"rejected"`
-	// Inline counts jobs run on their submitting request (fewer than 8!
-	// states) instead of a worker.
-	Inline int64 `json:"inline"`
-	// WriteBacksSkipped counts store write-backs of such jobs that a full
-	// worker queue refused; the profile stays served from memory.
+	// WriteBacksSkipped counts store write-backs of built profiles that a
+	// full write-back queue refused; the profile stays served from memory.
 	WriteBacksSkipped int64 `json:"writebacks_skipped"`
-	Queued            int   `json:"queued"`
-	Running           int   `json:"running"`
+	// Running is the number of jobs holding a build slot now.
+	Running int64 `json:"running"`
 }
 
 // StatsResponse is the /statsz document.

@@ -35,8 +35,9 @@ import (
 // socket, and not while a pipelined request is already buffered, so the
 // answers to pipelined requests leave in one write. Nothing starts per
 // request: the only goroutine besides the connection's own is the hang-up
-// watch, which Server.network starts while a request waits on a cold
-// build.
+// watch, which a request starts while it waits on a cold build
+// (Server.network) or on a profile job or build slot
+// (Server.submitProfile).
 //
 // What clients see matches net/http's server (TestRunMatchesNetHTTP sends
 // both the same bytes; FuzzConnRequest holds the parser to
@@ -66,8 +67,8 @@ const (
 
 // Run serves s on ln until ctx is canceled, then shuts down gracefully: it
 // closes the listener and the idle connections, waits up to drain for the
-// active ones to finish their requests, closes the rest, and then drains
-// the async job queue (Close). It returns nil on a clean shutdown, and an
+// active ones to finish their requests (and the profile jobs they run),
+// closes the rest, and then waits for pending store write-backs (Close). It returns nil on a clean shutdown, and an
 // error wrapping context.DeadlineExceeded when drain ran out first.
 func Run(ctx context.Context, ln net.Listener, s *Server, drain time.Duration) error {
 	// Connections outlive ctx by up to drain; their contexts end only when
@@ -399,10 +400,10 @@ func (c *conn) serveRequest() bool {
 // connection; like jsonContentType it is shared and only read.
 var closeValue = []string{"close"}
 
-// watchHangup lets a wait on a cold build end when the client hangs up,
-// the job net/http's per-request background read does. It reads ahead on
-// the connection while the handler waits: only a closed or reset socket
-// fails that read, and then it calls cancel. Pipelined bytes end the watch
+// watchHangup lets a wait on a cold build, a profile job or a build slot
+// end when the client hangs up, the job net/http's per-request background
+// read does. It reads ahead on the connection while the handler waits:
+// only a closed or reset socket fails that read, and then it calls cancel. Pipelined bytes end the watch
 // without canceling and stay buffered for the next request. The returned
 // stop ends the read and must run before the handler returns.
 func (c *conn) watchHangup(cancel context.CancelFunc) (stop func()) {

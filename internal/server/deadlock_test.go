@@ -2,14 +2,12 @@ package server
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pool"
 )
 
 // TestNoDeadlockColdBuildEvictionStatsScrape pins the blessed lock order
@@ -28,12 +26,11 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 	// build triggers the eviction sweep inside insert while other
 	// goroutines are blocked on flights or scraping stats.
 	c := NewCache(1 << 10)
-	j := NewJobs(c, pool.NewRunner(4, 64))
-	// A write-back hook, so jobs that ran on their submit hand work to the
-	// runner while queued jobs run on it.
+	j := NewJobs(c, 2)
+	// A write-back hook, so built profiles hand work to the runner while
+	// other jobs wait for build slots.
 	j.writeBack = func(Key, *core.BFSResult) {}
 
-	// Keys below k = 8 run on their submitters' goroutines; k = 8 is queued.
 	keys := []Key{
 		msKey(2, 1), // k=3
 		msKey(3, 1), // k=4
@@ -41,7 +38,7 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 		msKey(4, 1), // k=5
 		msKey(5, 1), // k=6
 		msKey(3, 2), // k=7
-		asyncKey,    // k=8
+		msKey(7, 1), // k=8
 	}
 
 	const (
@@ -52,8 +49,8 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 
-	// Submit paths: j.mu -> c.mu (cached fast path), the queued worker's
-	// j.mu / build / j.mu sequence, and the same sequence on the submitter
+	// Submit paths: j.mu -> c.mu (cached fast path), coalescing onto a
+	// key's job, the slot wait, and the j.mu / build / j.mu sequence
 	// followed by a write-back hand-off.
 	for w := 0; w < submitters; w++ {
 		wg.Add(1)
@@ -61,7 +58,7 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				key := keys[(i+w)%len(keys)]
-				if _, err := j.Submit(key, "deadlock-test"); err != nil && !errors.Is(err, ErrJobsBusy) {
+				if _, err := j.Submit(context.Background(), key, "deadlock-test"); err != nil {
 					t.Errorf("Submit(%v): %v", key, err)
 				}
 				if i%8 == 0 {
@@ -110,7 +107,7 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		wg.Wait()
-		j.Close() // drains every admitted job
+		j.Close() // drains every write-back
 		close(done)
 	}()
 	select {

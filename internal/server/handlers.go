@@ -340,7 +340,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, c call) i
 	}
 	q := parseQuery(r.URL.RawQuery)
 	var job Job
-	status, cached := http.StatusOK, false
 	if q.id != "" {
 		var err error
 		if job, err = s.jobs.Get(q.id); err != nil {
@@ -355,23 +354,33 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, c call) i
 			return writeErr(w, http.StatusBadRequest,
 				fmt.Sprintf("exact profile needs k <= %d (%d! states must be enumerable), got k=%d", core.MaxExplicitK, core.MaxExplicitK, k))
 		}
-		if job, err = s.jobs.Submit(key, c.id); err != nil {
-			if errors.Is(err, ErrJobsBusy) {
-				return writeErr(w, http.StatusServiceUnavailable, err.Error())
-			}
-			return writeErr(w, http.StatusBadRequest, err.Error())
-		}
-		// A cached profile, or a job small enough to run on this request,
-		// answers with its final snapshot; a queued or running one, 202.
-		cached = job.cached
-		if job.Status == JobQueued || job.Status == JobRunning {
-			status = http.StatusAccepted
+		if job, err = s.submitProfile(w, r, c, key); err != nil {
+			return writeErr(w, http.StatusGatewayTimeout, err.Error())
 		}
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.buf = appendProfileResponse(sc.buf[:0], &job, cached)
-	return writeBody(w, status, sc.buf)
+	sc.buf = appendProfileResponse(sc.buf[:0], &job, job.cached)
+	return writeBody(w, http.StatusOK, sc.buf)
+}
+
+// submitProfile runs a profile submit to its done job. A cached profile
+// answers at once with no context work, as a resident network does in
+// network. Any other submit may wait, for a build slot or for the running
+// job of its key, under a context derived from the request's: the wait
+// ends at the request deadline, or when the client hangs up (the
+// connection's hang-up watch, as in coldNetwork), and the request then
+// answers 504.
+func (s *Server) submitProfile(w http.ResponseWriter, r *http.Request, c call, key Key) (Job, error) {
+	if job, ok := s.jobs.submitCached(key, c.id); ok {
+		return job, nil
+	}
+	ctx, cancel := context.WithDeadline(r.Context(), c.deadline)
+	defer cancel()
+	if rw, ok := w.(*response); ok {
+		defer rw.c.watchHangup(cancel)()
+	}
+	return s.jobs.Submit(ctx, key, c.id)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ call) int {

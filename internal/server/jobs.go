@@ -3,12 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/perm"
 	"repro/internal/pool"
 	"repro/internal/telemetry"
 )
@@ -16,18 +16,13 @@ import (
 // JobStatus is the lifecycle state of an exact-profile job.
 type JobStatus string
 
-// Job lifecycle states.
+// Job lifecycle states. A job gets its ID, and enters the ledger, once
+// its submit holds a build slot, so the ledger never shows one waiting.
 const (
-	JobQueued  JobStatus = "queued"
 	JobRunning JobStatus = "running"
 	JobDone    JobStatus = "done"
 	JobFailed  JobStatus = "failed"
 )
-
-// ErrJobsBusy is returned by Submit when the worker queue is full; the
-// handler maps it to 503 so clients back off instead of piling up k!-state
-// searches.
-var ErrJobsBusy = errors.New("server: job queue full")
 
 // ErrUnknownJob is returned by Get for an ID that was never issued (or has
 // been pruned).
@@ -48,6 +43,9 @@ type Job struct {
 	// cached marks Submit's snapshot of a job that found its profile
 	// resident and ran nothing; the ledger's copy never carries it.
 	cached bool
+	// done is closed when the job finishes, or is withdrawn before it
+	// had a slot; submits of its key that coalesced onto it wait on it.
+	done chan struct{}
 }
 
 // Slow-log endpoints of the work a profile job does off its request: the
@@ -59,22 +57,26 @@ const (
 )
 
 // maxFinishedJobs bounds the completed-job ledger: polls for jobs older
-// than the last maxFinishedJobs completions answer ErrUnknownJob. In-flight
+// than the last maxFinishedJobs completions answer ErrUnknownJob. Running
 // jobs are never pruned.
 const maxFinishedJobs = 1024
 
-// Jobs runs exact-profile computations. A job on fewer than
-// core.ParallelBFSThreshold states runs on its submitter's goroutine, the
-// size below which the engine itself runs one worker; a larger one runs
-// asynchronously on a bounded pool.Runner — the sanctioned spawn
-// chokepoint, so this package contains no raw go statements. Both run
-// through the same run, and both hand the store write-back of a profile
-// they built to a runner worker, after the job is done. Submitting a key
-// whose job is still queued or running coalesces onto the existing job;
-// submitting a key whose profile is already cached completes immediately
-// without running a job.
+// writeBackQueue is the depth of the runner's write-back queue; a
+// write-back that finds it full is skipped (WriteBacksSkipped).
+const writeBackQueue = 16
+
+// Jobs runs exact-profile computations, each on the goroutine of the
+// submit that started it, behind a gate of build slots that bounds how
+// many run at once. Submitting a key whose job is waiting for a slot or
+// running coalesces onto that job; submitting a key whose profile is
+// already cached completes immediately without running a job. The store
+// write-back of a profile a job built runs on a bounded pool.Runner after
+// the job is done — the sanctioned spawn chokepoint, so this package
+// contains no raw go statements.
 type Jobs struct {
-	cache  *Cache
+	cache *Cache
+	// slots bounds concurrent builds: a k = 10 one holds up to ~50 MiB.
+	slots  *pool.Gate
 	runner *pool.Runner
 	// slow, when non-nil, receives the span timeline of each executed job
 	// and of each write-back after it finishes, under the submitting
@@ -88,22 +90,29 @@ type Jobs struct {
 	// hold a write-back open.
 	writeBack func(key Key, res *core.BFSResult)
 
-	mu       sync.Mutex
-	byID     map[string]*Job
-	byKey    map[Key]*Job // queued/running job per key, for coalescing
-	finished []string     // completion order, for pruning
+	mu   sync.Mutex
+	byID map[string]*Job
+	// byKey holds each key's unfinished job, from its first submit on, for
+	// coalescing; a job waiting for a slot has no ID yet.
+	byKey    map[Key]*Job
+	finished []string // completion order, for pruning
 	nextID   int64
 	stats    JobsStats
 }
 
-// NewJobs returns a job manager executing on runner. The caller retains
-// ownership of runner's lifecycle only through Close. Attach the cache's
-// store (Cache.SetStore) first: NewJobs reads it to decide whether built
-// profiles are written back.
-func NewJobs(cache *Cache, runner *pool.Runner) *Jobs {
+// NewJobs returns a job manager that runs at most workers builds at once
+// (<= 0 means runtime.GOMAXPROCS(0)) and writes built profiles back on a
+// runner of as many workers. Attach the cache's store (Cache.SetStore)
+// first: NewJobs reads it to decide whether built profiles are written
+// back.
+func NewJobs(cache *Cache, workers int) *Jobs {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	j := &Jobs{
 		cache:  cache,
-		runner: runner,
+		slots:  pool.NewGate(workers),
+		runner: pool.NewRunner(workers, writeBackQueue),
 		byID:   make(map[string]*Job),
 		byKey:  make(map[Key]*Job),
 	}
@@ -113,82 +122,95 @@ func NewJobs(cache *Cache, runner *pool.Runner) *Jobs {
 	return j
 }
 
-// runsInline reports whether key's profile job runs on its submitter's
-// goroutine: its instance has fewer than core.ParallelBFSThreshold states.
-func runsInline(key Key) bool {
-	k := key.K()
-	return k <= perm.MaxRankK && perm.Factorial(k) < core.ParallelBFSThreshold
+// Submit returns key's exact-profile job once it is done. reqID is the
+// submitting request's X-Request-Id, recorded on a job this submit
+// creates. A cached profile completes at once, as a new job that ran
+// nothing. A submit of a key whose job exists waits for that job and
+// returns its snapshot. Otherwise the submit creates the key's job, waits
+// for a build slot and runs the job on the caller's goroutine. ctx bounds
+// both waits, for the key's job and for a slot, and Submit returns ctx's
+// error when it ends one; a job that holds a slot runs to its end whatever
+// ctx does, so its profile reaches the cache, the ledger and the store.
+func (j *Jobs) Submit(ctx context.Context, key Key, reqID string) (Job, error) {
+	for {
+		j.mu.Lock()
+		if snap, ok := j.cachedLocked(key, reqID); ok {
+			j.mu.Unlock()
+			return snap, nil
+		}
+		job, ok := j.byKey[key]
+		if !ok {
+			job = &Job{Key: key, ReqID: reqID, done: make(chan struct{})}
+			j.byKey[key] = job
+			j.mu.Unlock()
+			return j.start(ctx, job)
+		}
+		j.stats.Coalesced++
+		j.mu.Unlock()
+		select {
+		case <-job.done:
+		case <-ctx.Done():
+			return Job{}, ctx.Err()
+		}
+		j.mu.Lock()
+		snap := *job
+		j.mu.Unlock()
+		if snap.ID != "" {
+			return snap, nil
+		}
+		// The submit that created the job gave up before it had a slot:
+		// look again, and take its place unless another submit has.
+	}
 }
 
-// Submit registers an exact-profile job for key and returns its snapshot.
-// reqID is the submitting request's X-Request-Id, recorded on a newly
-// created job (a coalesced submit keeps the original submitter's ID).
-// Cached profiles complete synchronously; duplicate submits coalesce onto
-// the in-flight job. A job on fewer than core.ParallelBFSThreshold states
-// runs here, on the caller's goroutine, and Submit returns its final
-// snapshot; a larger one is queued, and a full worker queue returns
-// ErrJobsBusy.
-func (j *Jobs) Submit(key Key, reqID string) (Job, error) {
+// start waits for a build slot for job, which its submit has just put in
+// byKey, and runs it. A wait that ctx ends withdraws the job unrun, with
+// no ID; the submits waiting on it look again.
+func (j *Jobs) start(ctx context.Context, job *Job) (Job, error) {
+	if err := j.slots.Enter(ctx); err != nil {
+		j.mu.Lock()
+		delete(j.byKey, job.Key)
+		close(job.done)
+		j.mu.Unlock()
+		return Job{}, err
+	}
+	defer j.slots.Leave()
 	j.mu.Lock()
-	if job, ok := j.byKey[key]; ok {
-		j.stats.Coalesced++
-		snap := *job
-		j.mu.Unlock()
-		return snap, nil
-	}
-	if res, ok := j.cache.CachedProfile(key); ok {
-		job := j.newJobLocked(key)
-		job.ReqID = reqID
-		job.Status = JobDone
-		job.Result = res
-		j.stats.Submitted++
-		j.stats.Completed++
-		j.finishLocked(job)
-		snap := *job
-		j.mu.Unlock()
-		snap.cached = true
-		return snap, nil
-	}
-	job := j.newJobLocked(key)
-	job.ReqID = reqID
-	job.Status = JobQueued
-	id := job.ID
-	if runsInline(key) {
-		// Published in byKey first, so a concurrent submit of the key
-		// coalesces onto this job while it runs.
-		j.byKey[key] = job
-		j.stats.Submitted++
-		j.stats.Inline++
-		j.mu.Unlock()
-		snap, writeBack := j.run(id)
-		if writeBack != nil && !j.runner.Submit(writeBack) {
-			// A full queue sheds the write-back, not the job: a profile
-			// this small is cheap to build again.
-			j.mu.Lock()
-			j.stats.WriteBacksSkipped++
-			j.mu.Unlock()
-		}
-		return snap, nil
-	}
-	// Admit before publishing: runner.Submit never blocks (bounded queue,
-	// non-blocking send), so holding j.mu here keeps a rejected job from
-	// ever being observable by Get or a coalescing Submit.
-	//scglint:lockheld runner.Submit is a non-blocking bounded-queue admit; atomicity under j.mu is what keeps rejected jobs unobservable
-	if !j.runner.Submit(func() {
-		if _, writeBack := j.run(id); writeBack != nil {
-			writeBack()
-		}
-	}) {
-		delete(j.byID, id)
-		j.stats.Rejected++
-		j.mu.Unlock()
-		return Job{}, ErrJobsBusy
-	}
-	j.byKey[key] = job
+	job.Status = JobRunning
+	j.registerLocked(job)
 	j.stats.Submitted++
-	snap := *job
+	j.stats.Running++
 	j.mu.Unlock()
-	return snap, nil
+	return j.run(job), nil
+}
+
+// submitCached is Submit for a key whose profile is resident and that has
+// no job: it completes at once and needs no context. ok is false for any
+// other key.
+func (j *Jobs) submitCached(key Key, reqID string) (Job, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cachedLocked(key, reqID)
+}
+
+// cachedLocked is submitCached with j.mu held: a new job, done without
+// running, whose snapshot is marked cached.
+func (j *Jobs) cachedLocked(key Key, reqID string) (Job, bool) {
+	if _, ok := j.byKey[key]; ok {
+		return Job{}, false
+	}
+	res, ok := j.cache.CachedProfile(key)
+	if !ok {
+		return Job{}, false
+	}
+	job := &Job{Key: key, ReqID: reqID, Status: JobDone, Result: res}
+	j.registerLocked(job)
+	j.stats.Submitted++
+	j.stats.Completed++
+	j.finishLocked(job)
+	snap := *job
+	snap.cached = true
+	return snap, true
 }
 
 // Get returns a snapshot of the job with the given ID.
@@ -202,50 +224,28 @@ func (j *Jobs) Get(id string) (Job, error) {
 	return *job, nil
 }
 
-// Stats returns a snapshot of the job counters plus queued/running gauges.
+// Stats returns a snapshot of the job counters and the running gauge.
 func (j *Jobs) Stats() JobsStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	s := j.stats
-	for _, job := range j.byKey {
-		switch job.Status {
-		case JobQueued:
-			s.Queued++
-		case JobRunning:
-			s.Running++
-		}
-	}
-	return s
+	return j.stats
 }
 
-// Close drains the job queue: it blocks until every admitted job and every
-// write-back handed to the runner has finished, and no further work is
-// accepted by the runner.
+// Close blocks until every write-back handed to the runner has finished,
+// and no further write-back is accepted.
 func (j *Jobs) Close() { j.runner.Close() }
 
-// run executes one job, on a runner worker or on its submitter's
-// goroutine, and publishes its outcome. When there is a slow log to read
-// it, run acquires its own trace under the submitting request's ID, so the
-// build/BFS phases of a profile land there correlated with the answer the
-// client holds. It returns the job's final snapshot and, for a profile
-// this job built (not one it loaded or found resident) when a store is
-// attached, the write-back to run on a runner worker: the job is done
-// before its profile is persisted.
-func (j *Jobs) run(id string) (Job, func()) {
-	j.mu.Lock()
-	job, ok := j.byID[id]
-	if !ok {
-		j.mu.Unlock()
-		return Job{}, nil
-	}
-	job.Status = JobRunning
-	key := job.Key
-	reqID := job.ReqID
-	j.mu.Unlock()
-
+// run executes one job on its submitter's goroutine and publishes its
+// outcome. When there is a slow log to read it, run acquires its own trace
+// under the submitting request's ID, so the build/BFS phases of a profile
+// land there correlated with the answer the client holds. A profile this
+// job built (not one it loaded or found resident) is handed to the runner
+// for its store write-back once the job is done.
+func (j *Jobs) run(job *Job) Job {
+	key, reqID := job.Key, job.ReqID
 	start := time.Now()
-	// A fresh root, not the request's context: async profile jobs outlive
-	// their 202 request, and no job dies with the submitting connection.
+	// A fresh root, not the request's context: a job that holds a slot
+	// runs to its end, whatever its client does.
 	ctx := context.Background()
 	var tr *telemetry.Trace
 	if j.slow != nil {
@@ -270,16 +270,19 @@ func (j *Jobs) run(id string) (Job, func()) {
 		job.Result = res
 		j.stats.Completed++
 	}
-	if j.byKey[key] == job {
-		delete(j.byKey, key)
-	}
+	delete(j.byKey, key)
+	j.stats.Running--
 	j.finishLocked(job)
+	close(job.done)
 	snap := *job
 	j.mu.Unlock()
-	if !built || j.writeBack == nil {
-		return snap, nil
+	if built && j.writeBack != nil && !j.runner.Submit(func() { j.persist(key, reqID, res) }) {
+		// A full queue sheds the write-back, not the job.
+		j.mu.Lock()
+		j.stats.WriteBacksSkipped++
+		j.mu.Unlock()
 	}
-	return snap, func() { j.persist(key, reqID, res) }
+	return snap
 }
 
 // persist runs a job's write-back under a trace of its own: its slow-log
@@ -299,14 +302,13 @@ func (j *Jobs) persist(key Key, reqID string, res *core.BFSResult) {
 	}
 }
 
-// newJobLocked allocates and registers the next job. Callers hold j.mu.
-func (j *Jobs) newJobLocked(key Key) *Job {
+// registerLocked gives job the next ID and enters it in the ledger.
+// Callers hold j.mu.
+func (j *Jobs) registerLocked(job *Job) {
 	j.nextID++
 	var buf [24]byte
-	id := strconv.AppendInt(append(buf[:0], "job-"...), j.nextID, 10)
-	job := &Job{ID: string(id), Key: key}
+	job.ID = string(strconv.AppendInt(append(buf[:0], "job-"...), j.nextID, 10))
 	j.byID[job.ID] = job
-	return job
 }
 
 // finishLocked records a completed job and prunes the ledger. Callers hold

@@ -11,42 +11,67 @@ import (
 	"repro/internal/topology"
 )
 
-// asyncKey is the smallest instance whose job is queued for a worker
-// instead of run on its submit: MS(7,1), k = 8, core.ParallelBFSThreshold
-// states.
-var asyncKey = msKey(7, 1)
-
-// waitDone polls until the job leaves queued/running or the deadline passes.
-func waitDone(t *testing.T, j *Jobs, id string) Job {
+// holdNetwork starts key's network build in c and holds it open until the
+// returned release runs. The build then returns the real network, so a
+// profile job that waited on it goes on to build the profile.
+func holdNetwork(t *testing.T, c *Cache, key Key) (release func()) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		job, err := j.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s): %v", id, err)
+	started, hold := make(chan struct{}), make(chan struct{})
+	var g pool.Group
+	g.Go(func() {
+		_, _ = c.getOrBuild(context.Background(), cacheKey{kindNetwork, key}, func() (any, int64, error) {
+			close(started)
+			<-hold
+			nw, err := topology.New(key.Family, key.L, key.N)
+			if err != nil {
+				return nil, 0, err
+			}
+			return nw, networkBytes(nw), nil
+		})
+	})
+	<-started
+	released := false
+	release = func() {
+		if !released {
+			released = true
+			close(hold)
+			g.Wait()
 		}
-		if job.Status == JobDone || job.Status == JobFailed {
-			return job
-		}
-		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("job %s never finished", id)
-	return Job{}
+	t.Cleanup(release)
+	return release
+}
+
+// waitFor polls cond until it holds, failing the test after 30 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// unfinished reports how many keys have a job that is waiting for a slot
+// or running.
+func (j *Jobs) unfinished() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.byKey)
 }
 
 func TestJobCompletesAndMatchesDirectBFS(t *testing.T) {
 	c := NewCache(64 << 20)
-	j := NewJobs(c, pool.NewRunner(1, 4))
+	j := NewJobs(c, 1)
 	defer j.Close()
 
 	key := msKey(2, 1) // k=3
-	job, err := j.Submit(key, "")
+	done, err := j.Submit(context.Background(), key, "")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	done := waitDone(t, j, job.ID)
-	if done.Status != JobDone || done.Result == nil {
-		t.Fatalf("job ended %q (err=%q), want done with a result", done.Status, done.Err)
+	if done.Status != JobDone || done.Result == nil || done.cached {
+		t.Fatalf("job ended %q (err=%q, cached=%v), want done with a result it built", done.Status, done.Err, done.cached)
 	}
 	nw, err := topology.New(key.Family, key.L, key.N)
 	if err != nil {
@@ -59,144 +84,180 @@ func TestJobCompletesAndMatchesDirectBFS(t *testing.T) {
 	if done.Result.Eccentricity != want.Eccentricity {
 		t.Fatalf("job diameter %d, direct BFS %d", done.Result.Eccentricity, want.Eccentricity)
 	}
+	if got, err := j.Get(done.ID); err != nil || got != done {
+		t.Fatalf("Get(%s) = %+v, %v; want the submit's snapshot %+v", done.ID, got, err, done)
+	}
 	st := j.Stats()
-	if st.Submitted != 1 || st.Completed != 1 || st.Failed != 0 {
+	if st.Submitted != 1 || st.Completed != 1 || st.Failed != 0 || st.Running != 0 {
 		t.Fatalf("stats %+v, want one clean completion", st)
 	}
 }
 
+// TestJobSubmitCoalescesInFlightKey holds a job's build open and submits
+// its key again: the second submit waits for the running job and returns
+// its snapshot, under the same ID. Once the job is done the key's profile
+// is resident, and a third submit completes at once as a new job.
 func TestJobSubmitCoalescesInFlightKey(t *testing.T) {
 	c := NewCache(64 << 20)
-	runner := pool.NewRunner(1, 4)
-	j := NewJobs(c, runner)
+	j := NewJobs(c, 1)
 	defer j.Close()
+	key := msKey(3, 2)
+	release := holdNetwork(t, c, key)
 
-	// Park the single worker so the submitted job stays queued. The
-	// blocker is released on every exit path, before the deferred Close
-	// waits on it.
-	release := make(chan struct{})
-	released := false
-	defer func() {
-		if !released {
-			close(release)
+	var jobs [2]Job
+	var errs [2]error
+	var g pool.Group
+	submit := func(i int) {
+		g.Go(func() { jobs[i], errs[i] = j.Submit(context.Background(), key, "") })
+	}
+	submit(0)
+	waitFor(t, "the first submit's job runs", func() bool { return j.Stats().Running == 1 })
+	submit(1)
+	waitFor(t, "the second submit coalesces", func() bool { return j.Stats().Coalesced == 1 })
+	release()
+	g.Wait()
+	for i, err := range errs {
+		if err != nil || jobs[i].Status != JobDone {
+			t.Fatalf("submit %d = %+v, %v; want done", i, jobs[i], err)
 		}
-	}()
-	if !runner.Submit(func() { <-release }) {
-		t.Fatal("blocker rejected")
 	}
-	key := asyncKey
-	first, err := j.Submit(key, "")
-	if err != nil {
-		t.Fatalf("first Submit: %v", err)
+	if jobs[0].ID != jobs[1].ID {
+		t.Fatalf("duplicate submit got job %s, want coalescing onto %s", jobs[1].ID, jobs[0].ID)
 	}
-	second, err := j.Submit(key, "")
-	if err != nil {
-		t.Fatalf("second Submit: %v", err)
+	if st := j.Stats(); st.Coalesced != 1 || st.Submitted != 1 || st.Running != 0 {
+		t.Fatalf("stats %+v, want Submitted=1 Coalesced=1 Running=0", st)
 	}
-	if first.ID != second.ID {
-		t.Fatalf("duplicate submit got job %s, want coalescing onto %s", second.ID, first.ID)
-	}
-	if st := j.Stats(); st.Coalesced != 1 || st.Submitted != 1 {
-		t.Fatalf("stats %+v, want Submitted=1 Coalesced=1", st)
-	}
-	close(release)
-	released = true
-	if done := waitDone(t, j, first.ID); done.Status != JobDone {
-		t.Fatalf("job ended %q (err=%q)", done.Status, done.Err)
-	}
-	// The key is released: a fresh submit now completes from cache.
-	third, err := j.Submit(key, "")
+	third, err := j.Submit(context.Background(), key, "")
 	if err != nil {
 		t.Fatalf("post-completion Submit: %v", err)
 	}
-	if third.ID == first.ID || third.Status != JobDone {
-		t.Fatalf("post-completion submit = (%s, %s), want a new immediately-done job", third.ID, third.Status)
+	if third.ID == jobs[0].ID || third.Status != JobDone || !third.cached {
+		t.Fatalf("post-completion submit = %+v, want a new cached job", third)
 	}
 }
 
-func TestJobSubmitFullQueueRejects(t *testing.T) {
+// TestJobSlotWaitEndsWithContext holds the one build slot. A cold submit
+// waits for it until its context ends, returns the context's error and
+// leaves no job in the ledger. A submit that joined its job meanwhile
+// takes its place, and runs it once the slot is free.
+func TestJobSlotWaitEndsWithContext(t *testing.T) {
 	c := NewCache(64 << 20)
-	runner := pool.NewRunner(1, 1)
-	j := NewJobs(c, runner)
+	j := NewJobs(c, 1)
 	defer j.Close()
-
-	// Saturate the runner directly: one blocker for the worker, then fillers
-	// until the queue itself rejects. The fillers go in only once the
-	// worker has taken the blocker: while the blocker still sits in the
-	// one-slot queue the first filler is refused at once, and the worker
-	// would then free the slot for the job under test. The blockers are
-	// released on every exit path, before the deferred Close waits on them.
-	release, started := make(chan struct{}), make(chan struct{})
-	defer close(release)
-	if !runner.Submit(func() { close(started); <-release }) {
-		t.Fatal("blocker rejected")
+	if !j.slots.TryEnter() {
+		t.Fatal("fresh gate refused entry")
 	}
-	<-started
-	for runner.Submit(func() { <-release }) {
+	key := msKey(3, 2)
+	const timeout = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	var g pool.Group
+	var firstErr error
+	var waited time.Duration
+	firstReturned := make(chan struct{})
+	g.Go(func() {
+		t0 := time.Now()
+		_, firstErr = j.Submit(ctx, key, "first")
+		waited = time.Since(t0)
+		close(firstReturned)
+	})
+	waitFor(t, "the first submit's job waits for a slot", func() bool { return j.unfinished() == 1 })
+	var second Job
+	var secondErr error
+	g.Go(func() { second, secondErr = j.Submit(context.Background(), key, "second") })
+	waitFor(t, "the second submit joins the job", func() bool { return j.Stats().Coalesced == 1 })
+	select {
+	case <-firstReturned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first submit's wait did not end with its context")
 	}
-	if _, err := j.Submit(asyncKey, ""); !errors.Is(err, ErrJobsBusy) {
-		t.Fatalf("Submit on a full queue = %v, want ErrJobsBusy", err)
+	if !errors.Is(firstErr, context.DeadlineExceeded) || waited < timeout {
+		t.Fatalf("first submit = %v after %v, want the deadline after at least %v", firstErr, waited, timeout)
 	}
-	st := j.Stats()
-	if st.Rejected != 1 {
-		t.Fatalf("Rejected=%d, want 1", st.Rejected)
-	}
-	// The rolled-back job must not be observable.
+	// The second submit now waits for the slot with a job of its own.
+	waitFor(t, "the second submit takes the job's place", func() bool { return j.unfinished() == 1 })
 	if _, err := j.Get("job-1"); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("Get on a rolled-back job = %v, want ErrUnknownJob", err)
+		t.Fatalf("Get(job-1) while no job ran = %v, want ErrUnknownJob", err)
+	}
+	j.slots.Leave()
+	g.Wait()
+	if secondErr != nil || second.Status != JobDone || second.ID != "job-1" || second.ReqID != "second" {
+		t.Fatalf("second submit = %+v, %v; want job-1 done under its own request ID", second, secondErr)
+	}
+	if st := j.Stats(); st.Submitted != 1 || st.Completed != 1 || st.Running != 0 {
+		t.Fatalf("stats %+v, want one job, done", st)
 	}
 }
 
 func TestJobCachedProfileCompletesSynchronously(t *testing.T) {
 	c := NewCache(64 << 20)
-	j := NewJobs(c, pool.NewRunner(1, 4))
+	j := NewJobs(c, 1)
 	defer j.Close()
 
 	key := msKey(2, 1)
 	if _, err := c.Profile(context.Background(), key); err != nil {
 		t.Fatalf("warm Profile: %v", err)
 	}
-	job, err := j.Submit(key, "")
+	// A context that has already ended: a cached profile needs no wait.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	job, err := j.Submit(ctx, key, "")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if job.Status != JobDone || job.Result == nil {
-		t.Fatalf("submit with a warm cache = %q, want an immediately-done job", job.Status)
+	if job.Status != JobDone || job.Result == nil || !job.cached {
+		t.Fatalf("submit with a warm cache = %+v, want an immediately-done cached job", job)
 	}
 }
 
 func TestJobGetUnknownID(t *testing.T) {
-	j := NewJobs(NewCache(1<<20), pool.NewRunner(1, 1))
+	j := NewJobs(NewCache(1<<20), 1)
 	defer j.Close()
 	if _, err := j.Get("job-404"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("Get = %v, want ErrUnknownJob", err)
 	}
 }
 
+// TestJobCloseDrainsAdmittedWork holds a built profile's write-back open:
+// Close must not return until it has finished.
 func TestJobCloseDrainsAdmittedWork(t *testing.T) {
-	c := NewCache(64 << 20)
-	j := NewJobs(c, pool.NewRunner(1, 4))
-	job, err := j.Submit(asyncKey, "")
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+	j := NewJobs(NewCache(64<<20), 1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	j.writeBack = func(Key, *core.BFSResult) {
+		close(entered)
+		<-release
 	}
-	j.Close() // must block until the admitted job ran
-	got, err := j.Get(job.ID)
-	if err != nil {
-		t.Fatalf("Get after Close: %v", err)
+	if job, err := j.Submit(context.Background(), msKey(2, 2), ""); err != nil || job.Status != JobDone {
+		t.Fatalf("Submit = %+v, %v; want done", job, err)
 	}
-	if got.Status != JobDone {
-		t.Fatalf("after Close job is %q, want done: Close must drain admitted work", got.Status)
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no write-back started")
 	}
+	closed := make(chan struct{})
+	var g pool.Group
+	g.Go(func() {
+		j.Close()
+		close(closed)
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a write-back was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	g.Wait()
 }
 
 // TestJobDoneBeforeWriteBack holds every store write-back open through the
-// writeBack hook and requires each job to read done meanwhile, on both
-// paths: a job run on its submit answers done from Submit, and a queued
-// job's worker publishes done before it writes back.
+// writeBack hook and requires each job to answer done from Submit, and to
+// read done in the ledger, while its write-back runs. With both runner
+// workers held and the write-back queue full, a third built profile's
+// write-back is skipped and counted.
 func TestJobDoneBeforeWriteBack(t *testing.T) {
 	c := NewCache(64 << 20)
-	j := NewJobs(c, pool.NewRunner(2, 4))
+	j := NewJobs(c, 2)
 	defer j.Close()
 	// Sized to the two write-backs, so the hook never blocks on it.
 	entered := make(chan Key, 2)
@@ -211,53 +272,53 @@ func TestJobDoneBeforeWriteBack(t *testing.T) {
 		entered <- key
 		<-release
 	}
-	waitWriteBack := func(want Key) {
-		t.Helper()
-		select {
-		case got := <-entered:
-			if got != want {
-				t.Fatalf("write-back of %v, want %v", got, want)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("no write-back of %v started", want)
-		}
-	}
 
 	// Submit runs on its own goroutine, so one that waited on its
 	// write-back fails the test instead of hanging it.
-	small := msKey(3, 2) // k = 7: runs on its submit
-	submitted := make(chan Job, 1)
-	go func() {
-		job, err := j.Submit(small, "")
-		if err != nil {
-			t.Errorf("Submit(%v): %v", small, err)
+	submit := func(key Key) Job {
+		t.Helper()
+		submitted := make(chan Job, 1)
+		var g pool.Group
+		g.Go(func() {
+			job, err := j.Submit(context.Background(), key, "")
+			if err != nil {
+				t.Errorf("Submit(%v): %v", key, err)
+			}
+			submitted <- job
+		})
+		defer g.Wait()
+		select {
+		case job := <-submitted:
+			if job.Status != JobDone || job.Result == nil {
+				t.Fatalf("Submit(%v) = %q (err=%q), want done on the submit", key, job.Status, job.Err)
+			}
+			return job
+		case <-time.After(30 * time.Second):
+			t.Fatalf("Submit(%v) did not return while its write-back was held", key)
+			return Job{}
 		}
-		submitted <- job
-	}()
-	var job Job
-	select {
-	case job = <-submitted:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("Submit(%v) did not return while its write-back was held", small)
 	}
-	if job.Status != JobDone || job.Result == nil {
-		t.Fatalf("Submit(%v) = %q (err=%q), want done on the submit", small, job.Status, job.Err)
-	}
-	waitWriteBack(small)
-	if got, err := j.Get(job.ID); err != nil || got.Status != JobDone {
-		t.Fatalf("%v during its write-back: %+v, %v; want done", small, got, err)
+	for _, key := range []Key{msKey(3, 2), msKey(7, 1)} { // k = 7 and 8
+		job := submit(key)
+		select {
+		case got := <-entered:
+			if got != key {
+				t.Fatalf("write-back of %v, want %v", got, key)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no write-back of %v started", key)
+		}
+		if got, err := j.Get(job.ID); err != nil || got.Status != JobDone {
+			t.Fatalf("%v during its write-back: %+v, %v; want done", key, got, err)
+		}
 	}
 
-	queued, err := j.Submit(asyncKey, "")
-	if err != nil {
-		t.Fatalf("Submit(%v): %v", asyncKey, err)
+	// Both workers hold a write-back; fill the queue behind them.
+	for j.runner.Submit(func() { <-release }) {
 	}
-	waitWriteBack(asyncKey)
-	if got, err := j.Get(queued.ID); err != nil || got.Status != JobDone {
-		t.Fatalf("%v during its write-back: %+v, %v; want done", asyncKey, got, err)
-	}
-	if st := j.Stats(); st.Inline != 1 || st.Completed != 2 || st.Running != 0 {
-		t.Fatalf("stats %+v, want Inline=1 Completed=2 Running=0", st)
+	submit(msKey(5, 1))
+	if st := j.Stats(); st.Completed != 3 || st.Running != 0 || st.WriteBacksSkipped != 1 {
+		t.Fatalf("stats %+v, want Completed=3 Running=0 WriteBacksSkipped=1", st)
 	}
 	close(release)
 	released = true

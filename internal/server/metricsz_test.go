@@ -229,8 +229,8 @@ func TestSlowLogPhases(t *testing.T) {
 
 // TestTracesOnlyWithSlowLog counts the span timelines a server takes.
 // Without a slow log, their one reader, no request, profile job or store
-// write-back takes one; with it, each takes exactly one. The jobs cover
-// both places one runs: on its submit (k = 7) and on the runner (k = 8).
+// write-back takes one; with it, each takes exactly one. The jobs, at k = 7
+// and k = 8, run on their submits.
 func TestTracesOnlyWithSlowLog(t *testing.T) {
 	var taken atomic.Int64
 	defer func(orig func(string, time.Time) *telemetry.Trace) { acquireTrace = orig }(acquireTrace)
@@ -243,8 +243,8 @@ func TestTracesOnlyWithSlowLog(t *testing.T) {
 		"/v1/route?family=MS&l=2&n=3&src=1234567&dst=7654321",
 		"/v1/metrics?family=MS&l=2&n=3",
 		"/v1/neighbors?family=MS&l=2&n=3&node=2314567",
-		"/v1/profile?family=MS&l=2&n=3", // a job on the submit, then its write-back
-		"/v1/profile?family=star&n=7",   // a job on the runner, then its write-back
+		"/v1/profile?family=MS&l=2&n=3", // a job, then its write-back
+		"/v1/profile?family=star&n=7",   // the same at k = 8
 		"/healthz",
 	}
 	for _, tc := range []struct {
@@ -261,11 +261,11 @@ func TestTracesOnlyWithSlowLog(t *testing.T) {
 		}
 		s := New(Config{Store: st, SlowLog: tc.slow, RequestTimeout: 30 * time.Second, SampleInterval: -1})
 		for _, target := range targets {
-			if code := do(t, s, http.MethodGet, target, "", nil); code != http.StatusOK && code != http.StatusAccepted {
+			if code := do(t, s, http.MethodGet, target, "", nil); code != http.StatusOK {
 				t.Fatalf("%s: %s = %d", tc.name, target, code)
 			}
 		}
-		s.Close() // drains the runner's job and both write-backs
+		s.Close() // drains both write-backs
 		if got := st.Snapshot().Writes; got != 2 {
 			t.Fatalf("%s: %d store writes, want 2", tc.name, got)
 		}
@@ -275,72 +275,39 @@ func TestTracesOnlyWithSlowLog(t *testing.T) {
 	}
 }
 
-// TestProfileJobCarriesRequestID follows an async job from submit to done
-// and requires the submitting request's ID on every snapshot.
+// TestProfileJobCarriesRequestID requires the submitting request's ID on
+// the submit's done snapshot and on a poll of the job.
 func TestProfileJobCarriesRequestID(t *testing.T) {
 	s := newTestServer()
 	defer s.Close()
 
-	r := httptest.NewRequest(http.MethodGet, "/v1/profile?family=MS&l=2&n=1", nil)
-	r.Header.Set("X-Request-Id", "prof-req-7")
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, r)
-	if w.Code != http.StatusAccepted && w.Code != http.StatusOK {
+	w := serve(s, "/v1/profile?family=MS&l=2&n=1", "prof-req-7")
+	if w.Code != http.StatusOK {
 		t.Fatalf("submit = %d: %s", w.Code, w.Body.String())
 	}
 	var pr ProfileResponse
 	if err := json.NewDecoder(w.Body).Decode(&pr); err != nil {
 		t.Fatalf("bad submit body: %v", err)
 	}
-	if pr.RequestID != "prof-req-7" {
-		t.Fatalf("submit snapshot request_id %q", pr.RequestID)
+	if pr.RequestID != "prof-req-7" || pr.Status != string(JobDone) {
+		t.Fatalf("submit snapshot %+v, want done with request_id prof-req-7", pr)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var poll ProfileResponse
-		do(t, s, http.MethodGet, "/v1/profile?id="+pr.JobID, "", &poll)
-		if poll.Status == string(JobDone) {
-			if poll.RequestID != "prof-req-7" {
-				t.Fatalf("done snapshot request_id %q", poll.RequestID)
-			}
-			break
-		}
-		if poll.Status == string(JobFailed) {
-			t.Fatalf("job failed: %s", poll.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job did not finish")
-		}
-		time.Sleep(5 * time.Millisecond)
+	var poll ProfileResponse
+	if code := do(t, s, http.MethodGet, "/v1/profile?id="+pr.JobID, "", &poll); code != http.StatusOK || poll.RequestID != "prof-req-7" {
+		t.Fatalf("poll = %d %+v, want request_id prof-req-7", code, poll)
 	}
 }
 
-// TestAsyncJobEmitsSlowRecord requires the worker-side build of an async
-// profile to land in the slow log under the submitting request's ID.
+// TestAsyncJobEmitsSlowRecord requires the build a profile job runs to
+// land in the slow log under the submitting request's ID, in a job record
+// of its own beside the request's.
 func TestAsyncJobEmitsSlowRecord(t *testing.T) {
 	var slow syncBuilder
 	s := New(Config{SlowLog: &slow, ProfileWorkers: 1, RequestTimeout: 30 * time.Second})
 	defer s.Close()
 
-	r := httptest.NewRequest(http.MethodGet, "/v1/profile?family=MS&l=2&n=1", nil)
-	r.Header.Set("X-Request-Id", "job-slow-1")
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, r)
-	var pr ProfileResponse
-	if err := json.NewDecoder(w.Body).Decode(&pr); err != nil {
-		t.Fatalf("bad submit body: %v", err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var poll ProfileResponse
-		do(t, s, http.MethodGet, "/v1/profile?id="+pr.JobID, "", &poll)
-		if poll.Status == string(JobDone) || poll.Status == string(JobFailed) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job did not finish")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if w := serve(s, "/v1/profile?family=MS&l=2&n=1", "job-slow-1"); w.Code != http.StatusOK {
+		t.Fatalf("submit = %d: %s", w.Code, w.Body.String())
 	}
 	found := false
 	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {

@@ -13,16 +13,19 @@
 //   - Admission control: per-endpoint concurrency gates (pool.Gate) that
 //     shed load with 503 instead of queueing, plus a per-request deadline
 //     on any wait for a cold build.
-//   - Jobs: k!-state exact profiles of 8! states or more run on a bounded
-//     pool.Runner; submit returns a job ID, polls return status/result.
-//     Smaller ones run on the submitting request, which answers with the
-//     result. Store write-backs run on the runner after the job is done.
-//     The package contains no raw go statements — all concurrency routes
-//     through internal/pool, including Run's connection loops (conn.go).
+//   - Jobs: a k!-state exact profile runs on the request that submits it,
+//     which answers with the result, behind a gate of build slots
+//     (pool.Gate) that bounds how many builds run at once; a submit waits
+//     for a slot, or for the running job of its key, under its request
+//     deadline. Every job keeps an ID that ?id= polls read from the
+//     finished-job ledger. Store write-backs run on a bounded pool.Runner
+//     after the job is done. The package contains no raw go statements —
+//     all concurrency routes through internal/pool, including Run's
+//     connection loops (conn.go).
 //
 // Telemetry (internal/telemetry) threads through all of it: every request
 // gets an X-Request-Id (generated or propagated) that stamps access-log
-// records and async job snapshots; with a slow log configured, a pooled
+// records and job snapshots; with a slow log configured, a pooled
 // span timeline follows the request through admission → decode → cache →
 // build → solve → encode and feeds that NDJSON log; and one static metrics
 // registry backs both /statsz (JSON snapshot) and /metricsz (Prometheus
@@ -51,13 +54,14 @@ type Config struct {
 	// MaxInflight caps concurrent requests per gated endpoint; excess
 	// requests are shed with 503 (default 64).
 	MaxInflight int
-	// ProfileWorkers and ProfileQueue size the async exact-profile runner
-	// (defaults: GOMAXPROCS workers, 16 queued jobs).
+	// ProfileWorkers is the number of exact-profile builds that may run at
+	// once, and of store write-back workers (default GOMAXPROCS). A submit
+	// past them waits for a slot under its request deadline.
 	ProfileWorkers int
-	ProfileQueue   int
 	// RequestTimeout bounds how long a request may wait on a cold build,
-	// counted from request start; past it the request answers 504
-	// (default 10s). Warm requests never wait and never consult it.
+	// a build slot or a running profile job, counted from request start;
+	// past it the request answers 504 (default 10s). Warm requests never
+	// wait and never consult it.
 	RequestTimeout time.Duration
 	// MaxK caps the label length a request may materialize; k! must fit in
 	// int64, so the hard ceiling (and default) is 20.
@@ -97,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProfileWorkers <= 0 {
 		c.ProfileWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.ProfileQueue <= 0 {
-		c.ProfileQueue = 16
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -185,7 +186,7 @@ func New(cfg Config) *Server {
 	if cfg.Store != nil {
 		s.cache.SetStore(cfg.Store)
 	}
-	s.jobs = NewJobs(s.cache, pool.NewRunner(cfg.ProfileWorkers, cfg.ProfileQueue))
+	s.jobs = NewJobs(s.cache, cfg.ProfileWorkers)
 	if s.slow != nil {
 		s.jobs.slow = s.logSlowJob
 	}
@@ -250,13 +251,7 @@ func (s *Server) registerTelemetry() {
 		jobs(func(st JobsStats) int64 { return st.Completed }))
 	s.reg.CounterFunc("scgd_jobs_failed_total", "Jobs that ended in error.",
 		jobs(func(st JobsStats) int64 { return st.Failed }))
-	s.reg.CounterFunc("scgd_jobs_rejected_total", "Submits shed by a full queue.",
-		jobs(func(st JobsStats) int64 { return st.Rejected }))
-	s.reg.CounterFunc("scgd_jobs_inline_total", "Jobs run on their submitting request (fewer than 8! states).",
-		jobs(func(st JobsStats) int64 { return st.Inline }))
-	s.reg.GaugeFunc("scgd_jobs_queued", "Jobs waiting for a worker.",
-		func() float64 { return float64(s.jobs.Stats().Queued) })
-	s.reg.GaugeFunc("scgd_jobs_running", "Jobs executing now.",
+	s.reg.GaugeFunc("scgd_jobs_running", "Jobs executing now, one per held build slot.",
 		func() float64 { return float64(s.jobs.Stats().Running) })
 
 	// Persistent-store traffic, present only when -store is configured (so
@@ -271,7 +266,7 @@ func (s *Server) registerTelemetry() {
 			func() int64 { return sc.ReadErrors.Load() })
 		s.reg.CounterFunc("scgd_store_writes_total", "Entries written back after a build.",
 			func() int64 { return sc.Writes.Load() })
-		s.reg.CounterFunc("scgd_store_writeback_skipped_total", "Write-backs of small built profiles shed by a full job queue.",
+		s.reg.CounterFunc("scgd_store_writeback_skipped_total", "Write-backs of built profiles shed by a full write-back queue.",
 			jobs(func(st JobsStats) int64 { return st.WriteBacksSkipped }))
 		s.reg.CounterFunc("scgd_store_write_errors_total", "Failed write-backs.",
 			func() int64 { return sc.WriteErrors.Load() })
@@ -314,10 +309,10 @@ func (s *Server) Jobs() *Jobs { return s.jobs }
 // Registry exposes the metrics registry (scrape it with WritePrometheus).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Close stops the runtime sampler and drains the async job queue: it
-// blocks until every admitted exact-profile job and every pending store
-// write-back has finished. In-flight HTTP requests are drained by Run's
-// shutdown; Close handles the work that outlives its submitting request.
+// Close stops the runtime sampler and blocks until every pending store
+// write-back has finished. In-flight HTTP requests, and the profile jobs
+// they run, are drained by Run's shutdown; Close handles the work that
+// outlives its submitting request.
 func (s *Server) Close() {
 	if s.sampler != nil {
 		s.sampler.Stop()

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"testing"
@@ -23,7 +25,6 @@ func newTestServer() *Server {
 		CacheBytes:     64 << 20,
 		MaxInflight:    64,
 		ProfileWorkers: 1,
-		ProfileQueue:   4,
 		RequestTimeout: 30 * time.Second,
 	})
 }
@@ -178,29 +179,18 @@ func TestProfileJobFlow(t *testing.T) {
 	s := newTestServer()
 	defer s.Close()
 	var submitted ProfileResponse
-	code := do(t, s, http.MethodGet, "/v1/profile?family=MS&l=2&n=1", "", &submitted)
-	if code != http.StatusAccepted && code != http.StatusOK {
+	if code := do(t, s, http.MethodGet, "/v1/profile?family=MS&l=2&n=1", "", &submitted); code != http.StatusOK {
 		t.Fatalf("profile submit = %d", code)
 	}
 	if submitted.JobID == "" {
 		t.Fatal("no job id")
 	}
-	deadline := time.Now().Add(30 * time.Second)
 	var polled ProfileResponse
-	for {
-		if code := do(t, s, http.MethodGet, "/v1/profile?id="+url.QueryEscape(submitted.JobID), "", &polled); code != http.StatusOK {
-			t.Fatalf("poll = %d", code)
-		}
-		if polled.Status == string(JobDone) || polled.Status == string(JobFailed) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", polled.Status)
-		}
-		time.Sleep(time.Millisecond)
+	if code := do(t, s, http.MethodGet, "/v1/profile?id="+url.QueryEscape(submitted.JobID), "", &polled); code != http.StatusOK {
+		t.Fatalf("poll = %d", code)
 	}
-	if polled.Status != string(JobDone) || polled.Result == nil {
-		t.Fatalf("job ended %q (err=%q)", polled.Status, polled.Error)
+	if polled.Status != string(JobDone) || polled.Result == nil || submitted.Status != polled.Status {
+		t.Fatalf("submit %q, poll %q (err=%q): want both done", submitted.Status, polled.Status, polled.Error)
 	}
 	if polled.Result.Diameter <= 0 || polled.Result.Nodes <= 0 {
 		t.Fatalf("degenerate profile %+v", polled.Result)
@@ -235,11 +225,10 @@ func TestProfileJobFlow(t *testing.T) {
 	}
 }
 
-// TestProfileSubmitRunsSmallJob pins the submit answer for instances below
-// core.ParallelBFSThreshold states: their job runs on the submit, which
-// answers 200 with the final snapshot, not cached, and a poll of the job
-// answers the same bytes. A done result equals a direct ExactProfile; a
-// failed one carries the build error.
+// TestProfileSubmitRunsSmallJob pins the submit answer: the job runs on
+// the submit, which answers 200 with the final snapshot, not cached, and a
+// poll of the job answers the same bytes. A done result equals a direct
+// ExactProfile; a failed one carries the build error.
 func TestProfileSubmitRunsSmallJob(t *testing.T) {
 	s := newTestServer()
 	defer s.Close()
@@ -283,21 +272,21 @@ func TestProfileSubmitRunsSmallJob(t *testing.T) {
 			t.Fatalf("submit %s result %+v, direct ExactProfile %+v", tc.query, got, want)
 		}
 	}
-	if st := s.jobs.Stats(); st.Inline != 2 || st.Completed != 1 || st.Failed != 1 {
-		t.Fatalf("stats %+v, want Inline=2 Completed=1 Failed=1", st)
+	if st := s.jobs.Stats(); st.Submitted != 2 || st.Completed != 1 || st.Failed != 1 {
+		t.Fatalf("stats %+v, want Submitted=2 Completed=1 Failed=1", st)
 	}
 }
 
-// TestProfileSubmitSmallJobBesideFullQueue fills the job runner and
+// TestProfileSubmitSmallJobBesideFullQueue fills the write-back runner and
 // requires a k = 7 submit to answer done regardless, since its job needs
-// no worker; the write-back it hands over is refused, skipped and counted
-// on /statsz and /metricsz.
+// no runner worker; the write-back it hands over is refused, skipped and
+// counted on /statsz and /metricsz.
 func TestProfileSubmitSmallJobBesideFullQueue(t *testing.T) {
 	s := newStoreServer(t, t.TempDir(), nil)
 	defer s.Close()
-	// As in TestJobSubmitFullQueueRejects: one blocker taken by the worker,
-	// then fillers until the queue refuses. All are released before the
-	// deferred Close waits on them.
+	// One blocker taken by the worker, then fillers until the queue
+	// refuses. The fillers go in only once the worker has taken the
+	// blocker. All are released before the deferred Close waits on them.
 	release, started := make(chan struct{}), make(chan struct{})
 	defer close(release)
 	if !s.jobs.runner.Submit(func() { close(started); <-release }) {
@@ -314,66 +303,155 @@ func TestProfileSubmitSmallJobBesideFullQueue(t *testing.T) {
 	if code := do(t, s, http.MethodGet, "/statsz", "", &st); code != http.StatusOK {
 		t.Fatalf("/statsz = %d", code)
 	}
-	if st.Jobs.Inline != 1 || st.Jobs.WriteBacksSkipped != 1 || st.Jobs.Rejected != 0 {
-		t.Fatalf("/statsz jobs %+v, want Inline=1 WriteBacksSkipped=1 Rejected=0", st.Jobs)
+	if st.Jobs.Completed != 1 || st.Jobs.WriteBacksSkipped != 1 {
+		t.Fatalf("/statsz jobs %+v, want Completed=1 WriteBacksSkipped=1", st.Jobs)
 	}
 	if st.Store == nil || st.Store.Writes != 0 {
 		t.Fatalf("/statsz store %+v, want no write", st.Store)
 	}
 	lines := scrapeMetricsz(t, s)
-	for _, name := range []string{"scgd_jobs_inline_total", "scgd_store_writeback_skipped_total"} {
+	for _, name := range []string{"scgd_jobs_completed_total", "scgd_store_writeback_skipped_total"} {
 		if v := metricValue(t, lines, name); v != 1 {
 			t.Fatalf("%s = %v, want 1", name, v)
 		}
 	}
 }
 
-// TestProfileSubmitCoalescesSmallJob races submits of one cold k = 7 key:
-// its profile is built once, and every answer is done (the job that ran,
-// or a cache hit after it) or a 202 coalesced onto that job.
+// TestProfileSubmitCoalescesSmallJob holds a cold k = 7 key's build open
+// while 64 submits of the key arrive: its profile is built once, and every
+// submit answers 200 done with the one job's snapshot, under its ID.
 func TestProfileSubmitCoalescesSmallJob(t *testing.T) {
 	s := newTestServer()
 	defer s.Close()
 	key := msKey(2, 3)
-	mustNetwork(t, s, key) // resident, so Builds below counts profile builds
+	release := holdNetwork(t, s.cache, key)
 	before := s.cache.Stats().Builds
-	const callers = 16
+	const callers = 64
 	codes := make([]int, callers)
 	resps := make([]ProfileResponse, callers)
-	pool.Each(callers, callers, func(i int) {
-		w := serve(s, "/v1/profile?family=MS&l=2&n=3", "")
-		codes[i] = w.Code
-		if err := json.Unmarshal(w.Body.Bytes(), &resps[i]); err != nil {
-			t.Errorf("caller %d: %v", i, err)
-		}
-	})
+	var g pool.Group
+	for i := range callers {
+		g.Go(func() {
+			w := serve(s, "/v1/profile?family=MS&l=2&n=3", "")
+			codes[i] = w.Code
+			if err := json.Unmarshal(w.Body.Bytes(), &resps[i]); err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+		})
+	}
+	waitFor(t, "every other submit joins the first one's job", func() bool { return s.jobs.Stats().Coalesced == callers-1 })
+	release()
+	g.Wait()
 	if builds := s.cache.Stats().Builds - before; builds != 1 {
 		t.Fatalf("%d profile builds for one cold key under %d submits, want 1", builds, callers)
 	}
-	ran := ""
 	for i, r := range resps {
-		if codes[i] == http.StatusOK && r.Status == string(JobDone) && !r.Cached {
-			if ran != "" {
-				t.Fatalf("jobs %s and %s both ran", ran, r.JobID)
+		if codes[i] != http.StatusOK || r.Status != string(JobDone) || r.Cached || r.JobID != resps[0].JobID {
+			t.Fatalf("caller %d: %d %+v, want 200 done on %s", i, codes[i], r, resps[0].JobID)
+		}
+	}
+	if st := s.jobs.Stats(); st.Submitted != 1 || st.Coalesced != callers-1 {
+		t.Fatalf("stats %+v, want Submitted=1 Coalesced=%d", st, callers-1)
+	}
+}
+
+// TestProfileBuildsBoundedBySlots sends concurrent cold submits of distinct
+// k = 10 keys (k = 8 under -short and -race) to a server with two build
+// slots. Every submit answers 200 done, and the jobs' slow-log records,
+// which span each build, never overlap more than two at a time. The test
+// logs the run's peak heap beside one build's.
+func TestProfileBuildsBoundedBySlots(t *testing.T) {
+	const slots = 2
+	families := []topology.Family{topology.MS, topology.RS, topology.RR, topology.MR, topology.CompleteRS, topology.CompleteRR}
+	l, n := 3, 3 // k = 10
+	if testing.Short() || raceEnabled {
+		l, n = 7, 1 // k = 8
+	}
+	query := func(fam topology.Family) string {
+		return fmt.Sprintf("/v1/profile?family=%s&l=%d&n=%d", fam, l, n)
+	}
+	submitAll := func(fams []topology.Family) (peak uint64, slow *syncBuilder) {
+		slow = &syncBuilder{}
+		s := New(Config{ProfileWorkers: slots, SlowLog: slow, RequestTimeout: time.Minute, SampleInterval: -1})
+		defer s.Close()
+		runtime.GC()
+		stop := sampleHeapPeak(&peak)
+		var g pool.Group
+		for _, fam := range fams {
+			g.Go(func() {
+				w := serve(s, query(fam), "")
+				var resp ProfileResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK || resp.Status != string(JobDone) {
+					t.Errorf("%s: %d %s, want 200 done", query(fam), w.Code, w.Body.String())
+				}
+			})
+		}
+		g.Wait()
+		stop()
+		return peak, slow
+	}
+	peak, slow := submitAll(families)
+	type edge struct {
+		at    time.Time
+		delta int
+	}
+	var edges []edge
+	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
+		var rec SlowRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad slow record %q: %v", line, err)
+		}
+		if rec.Endpoint != jobEndpoint {
+			continue
+		}
+		start, err := time.Parse(time.RFC3339Nano, rec.Time)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, edge{start, 1}, edge{start.Add(time.Duration(rec.DurationUS) * time.Microsecond), -1})
+	}
+	if len(edges) != 2*len(families) {
+		t.Fatalf("%d job records, want %d", len(edges)/2, len(families))
+	}
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := a.at.Compare(b.at); c != 0 {
+			return c
+		}
+		return a.delta - b.delta // an end before a start at the same instant
+	})
+	most, now := 0, 0
+	for _, e := range edges {
+		now += e.delta
+		most = max(most, now)
+	}
+	if most > slots {
+		t.Fatalf("%d builds ran at once, want at most %d", most, slots)
+	}
+	one, _ := submitAll(families[:1])
+	t.Logf("%d submits on %d slots (k = %d): at most %d builds at once, peak heap %.1f MiB; one build alone: %.1f MiB",
+		len(families), slots, l*n+1, most, float64(peak)/(1<<20), float64(one)/(1<<20))
+}
+
+// sampleHeapPeak records the largest live heap it sees, read every 100 µs
+// from runtime/metrics, into peak until the returned stop runs.
+func sampleHeapPeak(peak *uint64) (stop func()) {
+	done := make(chan struct{})
+	var g pool.Group
+	g.Go(func() {
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		for {
+			metrics.Read(sample)
+			*peak = max(*peak, sample[0].Value.Uint64())
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
 			}
-			ran = r.JobID
 		}
-	}
-	if ran == "" {
-		t.Fatalf("no submit ran the job: %+v", resps)
-	}
-	coalesced := int64(0)
-	for i, r := range resps {
-		switch {
-		case codes[i] == http.StatusOK && r.Status == string(JobDone):
-		case codes[i] == http.StatusAccepted && r.JobID == ran:
-			coalesced++
-		default:
-			t.Fatalf("caller %d: %d %+v, want done or a 202 on %s", i, codes[i], r, ran)
-		}
-	}
-	if st := s.jobs.Stats(); st.Inline != 1 || st.Coalesced != coalesced {
-		t.Fatalf("stats %+v, want Inline=1 Coalesced=%d", st, coalesced)
+	})
+	return func() {
+		close(done)
+		g.Wait()
 	}
 }
 
@@ -497,13 +575,27 @@ func TestRunGracefulShutdown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("live request = %d", resp.StatusCode)
 	}
-	// Leave an async job in flight across the shutdown boundary: k = 8,
-	// the smallest instance whose job is queued.
-	resp, err = http.Get(base + "/v1/profile?family=MS&l=7&n=1")
-	if err == nil {
+	// Leave a profile job running across the shutdown boundary: its build
+	// is held open until Run has begun to drain, and its submit must
+	// still get its answer.
+	release := holdNetwork(t, s.cache, msKey(7, 1))
+	profile := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(base + "/v1/profile?family=MS&l=7&n=1")
+		if err != nil {
+			profile <- 0
+			return
+		}
 		_ = resp.Body.Close()
-	}
+		profile <- resp.StatusCode
+	}()
+	waitFor(t, "the profile job runs", func() bool { return s.jobs.Stats().Running == 1 })
 	cancel()
+	time.Sleep(10 * time.Millisecond)
+	release()
+	if code := <-profile; code != http.StatusOK {
+		t.Fatalf("profile submit across shutdown = %d, want 200", code)
+	}
 	select {
 	case err := <-runErr:
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"net/http"
-	"net/url"
 	"os"
 	"slices"
 	"strings"
@@ -26,7 +25,6 @@ func newStoreServer(t *testing.T, dir string, slow *strings.Builder) *Server {
 		CacheBytes:     64 << 20,
 		MaxInflight:    64,
 		ProfileWorkers: 1,
-		ProfileQueue:   4,
 		RequestTimeout: 30 * time.Second,
 		Store:          st,
 	}
@@ -36,34 +34,13 @@ func newStoreServer(t *testing.T, dir string, slow *strings.Builder) *Server {
 	return New(cfg)
 }
 
-// buildProfileViaHTTP drives the full async profile flow (submit, poll to
-// done) for MS(2,2) and fails the test on any non-success.
+// buildProfileViaHTTP submits MS(2,2)'s profile and fails the test unless
+// the submit answers 200 done.
 func buildProfileViaHTTP(t *testing.T, s *Server) {
 	t.Helper()
 	var resp ProfileResponse
-	code := do(t, s, http.MethodGet, "/v1/profile?family=MS&l=2&n=2", "", &resp)
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("profile submit = %d", code)
-	}
-	if resp.Cached && resp.Status == string(JobDone) {
-		return
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var polled ProfileResponse
-		if code := do(t, s, http.MethodGet, "/v1/profile?id="+url.QueryEscape(resp.JobID), "", &polled); code != http.StatusOK {
-			t.Fatalf("profile poll = %d", code)
-		}
-		if polled.Status == string(JobDone) {
-			return
-		}
-		if polled.Status == string(JobFailed) {
-			t.Fatalf("profile job failed: %s", polled.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("profile job did not finish")
-		}
-		time.Sleep(time.Millisecond)
+	if code := do(t, s, http.MethodGet, "/v1/profile?family=MS&l=2&n=2", "", &resp); code != http.StatusOK || resp.Status != string(JobDone) {
+		t.Fatalf("profile submit = %d %+v, want 200 done", code, resp)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestServeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := s.jobs.Submit(Key{Family: fam, L: 1, N: 6}, "")
+	job, err := s.jobs.Submit(context.Background(), Key{Family: fam, L: 1, N: 6}, "")
 	if err != nil || job.Status != JobDone {
 		t.Fatalf("cache-hit submit = %+v, %v", job, err)
 	}
@@ -174,11 +174,11 @@ func checkBody(t *testing.T, what string, w *httptest.ResponseRecorder, wantStat
 // TestV1BodyParity pins the metrics, neighbors and profile append encoders
 // to the bytes the reflective writeJSON path wrote for the same answers:
 // exact fields absent and present, paper_bound absent (RS) and present,
-// k >= 10 labels, queued, failed, done and cached profile answers and their
-// polls, and request IDs that encoding/json escapes. TestRouteEncodeParity
+// k >= 10 labels, failed, done and cached profile answers and their polls,
+// and request IDs that encoding/json escapes. TestRouteEncodeParity
 // covers /v1/route.
 func TestV1BodyParity(t *testing.T) {
-	s := New(Config{ProfileWorkers: 1, ProfileQueue: 8, RequestTimeout: 30 * time.Second, SampleInterval: -1})
+	s := New(Config{ProfileWorkers: 1, RequestTimeout: 30 * time.Second, SampleInterval: -1})
 	defer s.Close()
 	keys := []struct {
 		query string
@@ -214,24 +214,15 @@ func TestV1BodyParity(t *testing.T) {
 		}
 	}
 
-	// Profile answers, with the one worker parked so a submit stays queued.
-	started, release := make(chan struct{}), make(chan struct{})
-	if !s.jobs.runner.Submit(func() { close(started); <-release }) {
-		t.Fatal("blocker rejected")
+	// Profile answers at k = 8: a submit answers with the job's final
+	// snapshot, and a poll of the job with the same.
+	submits := []struct {
+		query, reqID string
+		status       JobStatus
+	}{
+		{"family=MS&l=7&n=1", "a<b>&c", JobDone},
+		{"family=MS&l=1&n=7", "fail-<1>", JobFailed}, // no topology
 	}
-	<-started
-	released := false
-	defer func() {
-		if !released {
-			close(release)
-		}
-	}()
-	// Both instances have k = 8, the smallest whose job is queued.
-	submits := []struct{ query, reqID string }{
-		{"family=MS&l=7&n=1", "a<b>&c"},   // queued, then done
-		{"family=MS&l=1&n=7", "fail-<1>"}, // queued, then failed: no topology
-	}
-	var ids []string
 	for _, sc := range submits {
 		w := serve(s, "/v1/profile?"+sc.query, sc.reqID)
 		var resp ProfileResponse
@@ -239,21 +230,11 @@ func TestV1BodyParity(t *testing.T) {
 			t.Fatalf("submit %s: %v", sc.query, err)
 		}
 		job, err := s.jobs.Get(resp.JobID)
-		if err != nil || job.Status != JobQueued {
-			t.Fatalf("submit %s: job %+v, %v; want it queued", sc.query, job, err)
+		if err != nil || job.Status != sc.status || (job.Status == JobFailed) != (job.Err != "") {
+			t.Fatalf("submit %s: job %+v, %v; want it %s", sc.query, job, err, sc.status)
 		}
-		checkBody(t, "queued submit "+sc.query, w, http.StatusAccepted, jsonBody(wantProfile(job, false)))
-		checkBody(t, "queued poll "+sc.query, serve(s, "/v1/profile?id="+job.ID, ""), http.StatusOK, jsonBody(wantProfile(job, false)))
-		ids = append(ids, job.ID)
-	}
-	close(release)
-	released = true
-	for _, id := range ids {
-		job := waitDone(t, s.jobs, id)
-		checkBody(t, "final poll "+id, serve(s, "/v1/profile?id="+id, ""), http.StatusOK, jsonBody(wantProfile(job, false)))
-	}
-	if job, _ := s.jobs.Get(ids[1]); job.Status != JobFailed || job.Err == "" {
-		t.Fatalf("MS(1,7) job = %+v, want failed with an error", job)
+		checkBody(t, "submit "+sc.query, w, http.StatusOK, jsonBody(wantProfile(job, false)))
+		checkBody(t, "poll "+sc.query, serve(s, "/v1/profile?id="+job.ID, ""), http.StatusOK, jsonBody(wantProfile(job, false)))
 	}
 	// Cached submits, with minted and escaped request IDs.
 	for _, reqID := range []string{"", "x>y&z<"} {

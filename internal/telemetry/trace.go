@@ -125,7 +125,7 @@ type traceKey struct{}
 // WithTrace attaches t to ctx; a nil t is attached as-is. The serving
 // middleware hands each handler its trace directly, so a context carries
 // one only where work leaves the handler: a cold cache build or a wait on
-// another request's build, and an async profile job.
+// another request's build, and a profile job.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
 }
