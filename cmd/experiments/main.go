@@ -9,7 +9,7 @@
 // MS(2,2) MNB trace as NDJSON and CSV, and -cpuprofile/-memprofile write
 // pprof profiles of the whole reproduction run.
 //
-//	experiments -out results -maxk 7
+//	experiments -out results -maxk 10
 package main
 
 import (

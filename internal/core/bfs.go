@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/perm"
 )
@@ -22,8 +23,8 @@ type BFSResult struct {
 	// source (the paper's "average distance" convention).
 	Mean float64
 	// Dist maps node rank to distance from the source (At returns -1 for
-	// unreachable states). Unweighted searches use the compact 1-byte
-	// backing; weighted searches and the overflow fallback use int32.
+	// unreachable states). Unit and 0/1 searches alike use the compact
+	// 1-byte backing; only the overflow fallback uses int32.
 	Dist DistTable
 }
 
@@ -116,133 +117,44 @@ func (g *Graph) ExactProfile() (*BFSResult, error) {
 
 // BFSWeighted runs a 0/1-weight shortest-path search where link i costs
 // weight[i] ∈ {0, 1}. It is used to measure intercluster distances:
-// nucleus links cost 0 and super (intercluster) links cost 1 (§4.3). It
-// reads neighbor ranks from the graph's memoized NeighborTable, built on
-// the same worker count as BFS.
+// nucleus links cost 0 and super (intercluster) links cost 1 (§4.3), so
+// Histogram[0] counts the source's cluster. It runs the bitset engine
+// over the graph's memoized NeighborTable on the same worker count as
+// BFS; see bitsetSearch for how a level is closed under the free links.
 func (g *Graph) BFSWeighted(src perm.Perm, weight []int) (*BFSResult, error) {
+	return g.bfsWeighted(src, weight, g.bfsWorkers())
+}
+
+// bfsWeighted is BFSWeighted on the given worker count (<= 0 means
+// runtime.GOMAXPROCS(0)), for the table build and the search.
+func (g *Graph) bfsWeighted(src perm.Perm, weight []int, workers int) (*BFSResult, error) {
 	k := g.K()
 	if k > MaxExplicitK {
 		return nil, fmt.Errorf("core: BFSWeighted: k=%d exceeds MaxExplicitK=%d", k, MaxExplicitK)
 	}
-	tbl, err := g.EnsureNeighborTable(g.bfsWorkers())
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	tbl, err := g.EnsureNeighborTable(workers)
 	if err != nil {
 		return nil, err
 	}
-	return weightedSearch(tbl, src.Rank(), weight)
+	if err := checkWeights(weight, tbl.deg); err != nil {
+		return nil, err
+	}
+	return bitsetSearch(tbl, src.Rank(), workers, weight), nil
 }
 
-// weightedSearch is the 0/1-weight search (deque BFS) over tbl from
-// srcRank, where column j costs weight[j] ∈ {0, 1}: zero-weight edges push
-// to the deque's front and unit-weight edges to its back, so states settle
-// in nondecreasing distance. Graph.BFSWeighted and IndexGraph.BFSWeighted
-// both run it.
-func weightedSearch(tbl *NeighborTable, srcRank int64, weight []int) (*BFSResult, error) {
-	if len(weight) != tbl.deg {
-		return nil, fmt.Errorf("core: BFSWeighted: %d weights for %d links per node", len(weight), tbl.deg)
+// checkWeights refuses a weight vector a 0/1 search cannot run: it needs
+// one weight per link of a node, each 0 or 1.
+func checkWeights(weight []int, deg int) error {
+	if len(weight) != deg {
+		return fmt.Errorf("core: BFSWeighted: %d weights for %d links per node", len(weight), deg)
 	}
 	for i, w := range weight {
 		if w != 0 && w != 1 {
-			return nil, fmt.Errorf("core: BFSWeighted: weight[%d] = %d, only 0/1 supported", i, w)
+			return fmt.Errorf("core: BFSWeighted: weight[%d] = %d, only 0/1 supported", i, w)
 		}
 	}
-	n := tbl.n
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[srcRank] = 0
-	deque := newIntDeque(1024)
-	deque.pushFront(srcRank)
-	settled := make([]bool, n)
-	var maxD int32
-	for deque.len() > 0 {
-		r := deque.popFront()
-		if settled[r] {
-			continue
-		}
-		settled[r] = true
-		d := dist[r]
-		if d > maxD {
-			maxD = d
-		}
-		for i := range weight {
-			nr := tbl.At(r, i)
-			nd := d + int32(weight[i])
-			if dist[nr] < 0 || nd < dist[nr] {
-				dist[nr] = nd
-				if weight[i] == 0 {
-					deque.pushFront(nr)
-				} else {
-					deque.pushBack(nr)
-				}
-			}
-		}
-	}
-	hist := make([]int64, maxD+1)
-	reachable := int64(0)
-	for _, d := range dist {
-		if d >= 0 {
-			hist[d]++
-			reachable++
-		}
-	}
-	return &BFSResult{
-		Source:       srcRank,
-		Reachable:    reachable,
-		Eccentricity: int(maxD),
-		Histogram:    hist,
-		Mean:         meanFromHistogram(hist),
-		Dist:         newDistTable32(dist),
-	}, nil
-}
-
-// intDeque is a growable double-ended queue of int64 node ranks.
-type intDeque struct {
-	buf        []int64
-	head, size int
-}
-
-func newIntDeque(capacity int) *intDeque {
-	if capacity < 4 {
-		capacity = 4
-	}
-	return &intDeque{buf: make([]int64, capacity)}
-}
-
-func (d *intDeque) len() int { return d.size }
-
-func (d *intDeque) grow() {
-	nb := make([]int64, 2*len(d.buf))
-	for i := 0; i < d.size; i++ {
-		nb[i] = d.buf[(d.head+i)%len(d.buf)]
-	}
-	d.buf = nb
-	d.head = 0
-}
-
-func (d *intDeque) pushFront(v int64) {
-	if d.size == len(d.buf) {
-		d.grow()
-	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
-	d.buf[d.head] = v
-	d.size++
-}
-
-func (d *intDeque) pushBack(v int64) {
-	if d.size == len(d.buf) {
-		d.grow()
-	}
-	d.buf[(d.head+d.size)%len(d.buf)] = v
-	d.size++
-}
-
-func (d *intDeque) popFront() int64 {
-	if d.size == 0 {
-		panic("core: popFront: empty deque")
-	}
-	v := d.buf[d.head]
-	d.head = (d.head + 1) % len(d.buf)
-	d.size--
-	return v
+	return nil
 }

@@ -28,22 +28,35 @@ const parallelBFSThreshold = 40320
 // pool.Each barriers give the happens-before edges. Bit order is fixed by
 // rank order, so the result — distance table, histogram, every derived
 // statistic — is identical bit-for-bit at every worker count.
+//
+// A 0/1 search runs the same expand + merge passes (see bitsetSearch) and
+// keeps one more bitset, level: every state found so far at the distance
+// being closed.
 type bitsetBFS struct {
-	tbl     *NeighborTable
+	workers int
+	shard   int        // frontier words per worker
 	visited []uint64   // all states discovered so far
 	cur     []uint64   // the current frontier
+	level   []uint64   // 0/1 searches only: the states at the current distance
 	wnext   [][]uint64 // per-worker private next-frontier accumulators
 	d8      []uint8    // compact distances (stored +1; 0 = unreachable)
 	d32     []int32    // wide fallback, non-nil only after an overflow widen
 	counts  []int64    // per-merge-worker newly discovered counts
 }
 
+// words returns worker w's word range [lo, hi) of the frontier.
+func (e *bitsetBFS) words(w int) (lo, hi int) {
+	n := len(e.cur)
+	return min(w*e.shard, n), min((w+1)*e.shard, n)
+}
+
 // expandWords expands every frontier state in cur's word range [lo, hi)
-// into worker w's private next-frontier bitset, one column at a time.
-func (e *bitsetBFS) expandWords(w, lo, hi int) {
+// along cols into worker w's private next-frontier bitset, one column at
+// a time.
+func (e *bitsetBFS) expandWords(w, lo, hi int, cols []column) {
 	next, cur := e.wnext[w], e.cur[lo:hi]
-	for ci := range e.tbl.cols {
-		e.tbl.cols[ci].expand(next, cur, lo)
+	for ci := range cols {
+		cols[ci].expand(next, cur, lo)
 	}
 }
 
@@ -106,17 +119,59 @@ func (e *bitsetBFS) widen() {
 	e.d8 = nil
 }
 
+// pass is one expand + merge: the neighbors along cols of the frontier
+// that are not yet visited become the new frontier, at distance d. In a
+// 0/1 search they also join level. pass returns how many states it found.
+func (e *bitsetBFS) pass(cols []column, d int32) int64 {
+	if e.d32 == nil && d > u8DistLimit {
+		// These states would land past the byte limit: fall back to the
+		// wide backing for the rest of the search.
+		e.widen()
+	}
+	pool.Each(e.workers, e.workers, func(w int) {
+		lo, hi := e.words(w)
+		e.expandWords(w, lo, hi, cols)
+	})
+	stored := uint8(d + 1)
+	pool.Each(e.workers, e.workers, func(w int) {
+		lo, hi := e.words(w)
+		if e.d32 != nil {
+			e.mergeWordsWide(w, lo, hi, d)
+		} else {
+			e.mergeWords(w, lo, hi, stored)
+		}
+		if e.level != nil {
+			for wi := lo; wi < hi; wi++ {
+				e.level[wi] |= e.cur[wi]
+			}
+		}
+	})
+	var found int64
+	for _, c := range e.counts {
+		found += c
+	}
+	return found
+}
+
 // bitsetSearch is the engine's driver: a level-synchronous search of
-// tbl's graph from srcRank with the given worker count. Both Graph.BFS
-// (through BFSParallel) and IndexGraph.BFS run it.
-func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int) *BFSResult {
+// tbl's graph from srcRank with the given worker count, where column j
+// costs weight[j] ∈ {0, 1}; a nil weight makes every column cost 1.
+// Graph.BFS (through BFSParallel), IndexGraph.BFS and both BFSWeighted
+// run it.
+//
+// With unit columns only, level d is one pass from level d−1. A 0/1
+// search (§4.3's intercluster distance, nucleus links free) closes each
+// level under the zero-weight columns: level 0 starts as {src}, level d
+// as the unit-column pass from all of level d−1, and then passes along
+// the zero-weight columns, each from the states the one before it found
+// and at the same distance, repeat until one finds nothing.
+func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int, weight []int) *BFSResult {
 	n := tbl.n
 	words := int((n + 63) >> 6)
-	if workers > words {
-		workers = words
-	}
+	workers = min(workers, words)
 	e := &bitsetBFS{
-		tbl:     tbl,
+		workers: workers,
+		shard:   (words + workers - 1) / workers,
 		visited: make([]uint64, words),
 		cur:     make([]uint64, words),
 		wnext:   make([][]uint64, workers),
@@ -126,50 +181,42 @@ func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int) *BFSResult {
 	for i := range e.wnext {
 		e.wnext[i] = make([]uint64, words)
 	}
+	unit, zero := byWeight(tbl.cols, weight)
 	e.visited[srcRank>>6] |= 1 << (srcRank & 63)
 	e.cur[srcRank>>6] |= 1 << (srcRank & 63)
 	e.d8[srcRank] = 1
+	if zero != nil {
+		e.level = make([]uint64, words)
+		e.level[srcRank>>6] |= 1 << (srcRank & 63)
+	}
 
 	hist := make([]int64, 1, maxPlausibleDiameter)
 	hist[0] = 1
-	reachable := int64(1)
-	shard := (words + workers - 1) / workers
-	for d := int32(1); ; d++ {
-		if e.d32 == nil && d > u8DistLimit {
-			// This level's states would land past the byte limit: fall
-			// back to the wide backing for the rest of the search.
-			e.widen()
-		}
-		pool.Each(workers, workers, func(w int) {
-			lo := w * shard
-			hi := lo + shard
-			if hi > words {
-				hi = words
+	for d := int32(0); ; d++ {
+		if d > 0 {
+			found := e.pass(unit, d)
+			if found == 0 {
+				break
 			}
-			e.expandWords(w, lo, hi)
-		})
-		stored := uint8(d + 1)
-		pool.Each(workers, workers, func(w int) {
-			lo := w * shard
-			hi := lo + shard
-			if hi > words {
-				hi = words
-			}
-			if e.d32 != nil {
-				e.mergeWordsWide(w, lo, hi, d)
-			} else {
-				e.mergeWords(w, lo, hi, stored)
-			}
-		})
-		var found int64
-		for _, c := range e.counts {
-			found += c
+			hist = append(hist, found)
 		}
-		if found == 0 {
-			break
+		if zero == nil {
+			continue
 		}
-		hist = append(hist, found)
-		reachable += found
+		for {
+			found := e.pass(zero, d)
+			if found == 0 {
+				break
+			}
+			hist[d] += found
+		}
+		// The closure's last pass left the frontier empty: level d becomes
+		// the frontier, and the empty bitset collects level d+1.
+		e.cur, e.level = e.level, e.cur
+	}
+	var reachable int64
+	for _, c := range hist {
+		reachable += c
 	}
 
 	return &BFSResult{
@@ -180,6 +227,22 @@ func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int) *BFSResult {
 		Mean:         meanFromHistogram(hist),
 		Dist:         DistTable{d8: e.d8, d32: e.d32},
 	}
+}
+
+// byWeight splits cols into those of weight 1 and those of weight 0. A
+// nil weight makes every column unit, with no copy.
+func byWeight(cols []column, weight []int) (unit, zero []column) {
+	if weight == nil {
+		return cols, nil
+	}
+	for j, w := range weight {
+		if w == 0 {
+			zero = append(zero, cols[j])
+		} else {
+			unit = append(unit, cols[j])
+		}
+	}
+	return unit, zero
 }
 
 // BFSParallel runs the bitset engine from src on the given number of
@@ -204,5 +267,5 @@ func (g *Graph) BFSParallel(src perm.Perm, workers int) (*BFSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitsetSearch(tbl, src.Rank(), workers), nil
+	return bitsetSearch(tbl, src.Rank(), workers, nil), nil
 }

@@ -4,10 +4,12 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mcmp"
 	"repro/internal/perm"
 	"repro/internal/topology"
 )
@@ -46,8 +48,10 @@ func equivalenceInstances(t *testing.T, maxK int) []*topology.Network {
 
 // TestEngineMatchesOracle checks that the bitset engine at several worker
 // counts (including workers > frontier width, which exercises the shard
-// clamping) returns a reflect.DeepEqual-identical BFSResult to the queue
-// oracle for every family at every enumerable size with k <= 8.
+// clamping, and 60, whose last shards start past the end of k = 7's 79
+// and k = 8's 630 words) returns a reflect.DeepEqual-identical BFSResult
+// to the queue oracle for every family at every enumerable size with
+// k <= 8.
 func TestEngineMatchesOracle(t *testing.T) {
 	maxK := 8
 	if testing.Short() {
@@ -57,7 +61,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 		g := nw.Graph()
 		src := perm.Identity(g.K())
 		want := core.OracleBFS(g, src)
-		for _, workers := range []int{1, 2, 3, 7} {
+		for _, workers := range []int{1, 2, 3, 7, 60} {
 			got, err := g.BFSParallel(src, workers)
 			if err != nil {
 				t.Fatalf("%s: BFS (workers=%d): %v", g.Name(), workers, err)
@@ -69,6 +73,63 @@ func TestEngineMatchesOracle(t *testing.T) {
 					want.Eccentricity, want.Reachable, want.Histogram, want.Mean)
 			}
 		}
+		g.DropNeighborTable()
+	}
+}
+
+// TestBFSWeightedMatchesDequeOracle holds the engine's 0/1 search to the
+// deque oracle on every super Cayley instance with k <= 9 (k <= 7 under
+// -short and -race) and on MS(3,3) and complete-RR(3,3) at k = 10, with
+// nucleus links free and super links costing 1 (mcmp.InterclusterWeights):
+// Graph.BFSWeighted on one and two workers, and IndexGraph.BFSWeighted
+// over the same adjacency, must match it on reachable count, eccentricity,
+// histogram, mean and the distance of every rank.
+func TestBFSWeightedMatchesDequeOracle(t *testing.T) {
+	maxK := 9
+	if testing.Short() || core.RaceEnabled {
+		maxK = 7
+	}
+	var nws []*topology.Network
+	for _, nw := range equivalenceInstances(t, maxK) {
+		if nw.InterclusterDegree() > 0 {
+			nws = append(nws, nw)
+		}
+	}
+	if maxK == 9 {
+		for _, fam := range []topology.Family{topology.MS, topology.CompleteRR} {
+			nw, err := topology.New(fam, 3, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nws = append(nws, nw)
+		}
+	}
+	for _, nw := range nws {
+		g := nw.Graph()
+		weight := mcmp.InterclusterWeights(g.GeneratorSet())
+		src := perm.Identity(g.K())
+		tbl, err := g.EnsureNeighborTable(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.OracleWeighted(tbl, src.Rank(), weight)
+		for _, workers := range []int{1, 2} {
+			got, err := g.BFSWeightedWorkers(src, weight, workers)
+			if err != nil {
+				t.Fatalf("%s: BFSWeighted (workers=%d): %v", g.Name(), workers, err)
+			}
+			core.SameWeighted(t, fmt.Sprintf("%s workers=%d", g.Name(), workers), got, want)
+		}
+		ig := &core.IndexGraph{N: g.Order(), Out: func(u int64, visit func(int64)) {
+			for j := 0; j < tbl.Degree(); j++ {
+				visit(tbl.At(u, j))
+			}
+		}}
+		got, err := ig.BFSWeighted(src.Rank(), weight)
+		if err != nil {
+			t.Fatalf("%s: IndexGraph.BFSWeighted: %v", g.Name(), err)
+		}
+		core.SameWeighted(t, g.Name()+" IndexGraph", got, want)
 		g.DropNeighborTable()
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
-// DistTable is the compact distance map produced by the BFS engines. For
-// unweighted searches the distances of every topology we build fit in a
-// byte (diameters stay well under 255 at k <= MaxExplicitK), so the table
-// stores one uint8 per state — a 4x shrink versus the old []int32, which
-// lets 4x more profiles fit the byte-budgeted LRU in internal/server.
-// Weighted searches and the (defensive) overflow fallback keep the wide
-// int32 backing. Exactly one of d8/d32 is non-nil.
+// DistTable is the compact distance map produced by the bitset engine.
+// The distances of every topology we build fit in a byte (diameters stay
+// well under 255 at k <= MaxExplicitK, and 0/1 distances are smaller
+// still), so the table stores one uint8 per state — a 4x shrink versus
+// the old []int32, which lets 4x more profiles fit the byte-budgeted LRU
+// in internal/server. Only the (defensive) overflow fallback, unit or 0/1,
+// keeps the wide int32 backing. Exactly one of d8/d32 is non-nil.
 //
 // The byte backing stores distance+1 so that the zero value of a freshly
 // made([]uint8) slice already means "unreachable" (At returns -1): the
@@ -22,10 +22,6 @@ type DistTable struct {
 // It is a var, not a const, so the overflow-guard unit test can lower it
 // and prove the fallback path without constructing a diameter-255 graph.
 var u8DistLimit int32 = 254
-
-// newDistTable32 wraps an existing int32 distance slice (entries are true
-// distances with -1 meaning unreachable).
-func newDistTable32(d []int32) DistTable { return DistTable{d32: d} }
 
 // At returns the distance of state r, or -1 if unreachable.
 func (t DistTable) At(r int64) int32 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestDistTableAt(t *testing.T) {
 	if !compact.IsCompact() || compact.Len() != 3 || compact.Bytes() != 3 {
 		t.Fatalf("compact meta: IsCompact=%v Len=%d Bytes=%d", compact.IsCompact(), compact.Len(), compact.Bytes())
 	}
-	wide := newDistTable32([]int32{0, -1, 2})
+	wide := NewDistTableWide([]int32{0, -1, 2})
 	if wide.At(0) != 0 || wide.At(1) != -1 || wide.At(2) != 2 {
 		t.Fatal("wide At disagrees")
 	}
@@ -44,7 +45,9 @@ func TestDistTableAt(t *testing.T) {
 // TestUint8OverflowGuard lowers u8DistLimit and requires the engine to
 // widen to the int32 backing instead of wrapping: at every worker count
 // the result must be reflect.DeepEqual to the oracle's at the same limit,
-// whose distances past the limit are exact.
+// whose distances past the limit are exact. A 0/1 search must widen the
+// same way while it closes levels under its free columns, and match the
+// deque oracle.
 func TestUint8OverflowGuard(t *testing.T) {
 	const k = 7 // cycle of 7 states, eccentricity 6
 	g := cycleGraph(t, k)
@@ -79,4 +82,28 @@ func TestUint8OverflowGuard(t *testing.T) {
 		}
 	}
 	g.DropNeighborTable()
+
+	// I_6 costs 1 and T2, T3 are free: every level is closed by passes at
+	// its own distance (histogram 6 18 54 162 216 198 66), and levels 4..6
+	// lie past the lowered limit.
+	zg := NewGraph("0/1", gen.MustSet(6, gen.NewInsertion(6), gen.NewTransposition(2), gen.NewTransposition(3)))
+	zsrc, weight := perm.Identity(6), []int{1, 0, 0}
+	tbl, err := zg.EnsureNeighborTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantW := oracleWeighted(tbl, zsrc.Rank(), weight)
+	if wantW.Eccentricity <= int(u8DistLimit) || wantW.Histogram[0] < 2 {
+		t.Fatalf("0/1 graph: ecc=%d hist=%v, want distances past %d and a free closure at 0", wantW.Eccentricity, wantW.Histogram, u8DistLimit)
+	}
+	for _, workers := range []int{1, 3} {
+		got, err := zg.bfsWeighted(zsrc, weight, workers)
+		if err != nil {
+			t.Fatalf("0/1 workers=%d: %v", workers, err)
+		}
+		if got.Dist.IsCompact() {
+			t.Fatalf("0/1 workers=%d: distances exceed u8DistLimit=%d but the table stayed compact", workers, u8DistLimit)
+		}
+		sameWeighted(t, fmt.Sprintf("0/1 workers=%d", workers), got, wantW)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -47,6 +48,8 @@ func fuzzGenUniverse(k int) []gen.Generator {
 // FuzzParallelBFS drives the BFS engine over Cayley graphs of random
 // inverse-closed generator sets at k <= 7, from a random source and on one
 // to four workers, and requires a result reflect.DeepEqual to the oracle's.
+// It then draws a 0/1 weight per generator of the set and requires the
+// engine's 0/1 search on the same workers to match the deque oracle.
 // Sets that do not generate S_k are kept: equivalence must hold on
 // disconnected state spaces too.
 func FuzzParallelBFS(f *testing.F) {
@@ -99,5 +102,20 @@ func FuzzParallelBFS(f *testing.F) {
 			t.Fatalf("BFS (workers=%d) on %s from %v differs from the oracle:\ngot    ecc=%d hist=%v mean=%v\noracle ecc=%d hist=%v mean=%v",
 				workers, g, src, got.Eccentricity, got.Histogram, got.Mean, want.Eccentricity, want.Histogram, want.Mean)
 		}
+
+		weight := make([]int, set.Len())
+		for i := range weight {
+			weight[i] = rng.Intn(2)
+		}
+		tbl, err := g.EnsureNeighborTable(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotW, err := g.bfsWeighted(src, weight, workers)
+		if err != nil {
+			t.Fatalf("BFSWeighted (workers=%d): %v", workers, err)
+		}
+		sameWeighted(t, fmt.Sprintf("BFSWeighted (workers=%d, weights %v) on %s from %v", workers, weight, g, src),
+			gotW, oracleWeighted(tbl, src.Rank(), weight))
 	})
 }

@@ -11,15 +11,16 @@
 // dist(I, U⁻¹∘V). ShortestPath and MeasureStretch read pair distances off
 // that one search too.
 //
-// Every unit-weight search, baselines' IndexGraph included, runs one
-// engine: the level-synchronous bitset BFS (bfs_parallel.go) over a
-// factored NeighborTable, one column of rank deltas per generator
+// Every search, baselines' IndexGraph included, runs one engine: the
+// level-synchronous bitset BFS (bfs_parallel.go) over a factored
+// NeighborTable, one column of rank deltas per generator
 // (neighbortable.go), on a worker count chosen by instance size. The
 // 0/1-weight intercluster search (Graph.BFSWeighted and
-// IndexGraph.BFSWeighted) is the one other search; it reads the same
-// columns, and so does every other state walk in the module. The tests
-// hold the engine to a plain queue-BFS oracle and to closed-form
-// distances, and the columns to compose + rank on every state.
+// IndexGraph.BFSWeighted) is the same search with each level closed under
+// the free nucleus columns. Every other state walk in the module reads
+// the same columns. The tests hold unit searches to a plain queue-BFS
+// oracle and to closed-form distances, 0/1 searches to a deque oracle,
+// and the columns to compose + rank on every state.
 package core
 
 import (

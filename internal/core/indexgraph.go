@@ -65,13 +65,13 @@ func (ig *IndexGraph) BFS(src int64) (*BFSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitsetSearch(tbl, src, 1), nil
+	return bitsetSearch(tbl, src, 1, nil), nil
 }
 
-// BFSWeighted runs the 0/1-weight search from src, where the j-th
-// neighbor Out visits costs weight[j] ∈ {0, 1}. A node with fewer
-// out-neighbors than the largest out-degree gets self-loops in its missing
-// slots, which never shorten a distance.
+// BFSWeighted runs the 0/1-weight search from src on the bitset engine,
+// one worker, where the j-th neighbor Out visits costs weight[j] ∈ {0, 1}.
+// A node with fewer out-neighbors than the largest out-degree gets
+// self-loops in its missing slots, which never shorten a distance.
 func (ig *IndexGraph) BFSWeighted(src int64, weight []int) (*BFSResult, error) {
 	if src < 0 || src >= ig.N {
 		return nil, fmt.Errorf("core: IndexGraph.BFSWeighted: source %d out of range 0..%d", src, ig.N-1)
@@ -80,7 +80,10 @@ func (ig *IndexGraph) BFSWeighted(src int64, weight []int) (*BFSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return weightedSearch(tbl, src, weight)
+	if err := checkWeights(weight, tbl.deg); err != nil {
+		return nil, err
+	}
+	return bitsetSearch(tbl, src, 1, weight), nil
 }
 
 // DiameterExact computes the exact diameter of a vertex-transitive
@@ -107,7 +110,7 @@ func (ig *IndexGraph) DiameterAllPairs() (int, error) {
 	}
 	maxEcc := 0
 	for src := int64(0); src < ig.N; src++ {
-		res := bitsetSearch(tbl, src, 1)
+		res := bitsetSearch(tbl, src, 1, nil)
 		if res.Reachable != ig.N {
 			return 0, fmt.Errorf("core: DiameterAllPairs: node %d reaches only %d/%d", src, res.Reachable, ig.N)
 		}

@@ -31,7 +31,7 @@ type Table1Row struct {
 // Table1 reproduces the paper's Table 1 (§4.2). The asymptotic column
 // restates Theorems 4.5–4.6 plus the classical star/hypercube/torus results;
 // the measured column is computed here by exact BFS on the largest balanced
-// instance with k <= maxK (use 9 for the published numbers; smaller values
+// instance with k <= maxK (the committed results/ use 10; smaller values
 // speed up tests).
 func Table1(maxK int) ([]Table1Row, error) {
 	rows := []Table1Row{

@@ -1,11 +1,11 @@
 // Package mcmp models the multiple chip-multiprocessor (MCMP) packaging of
 // §4.3: each nucleus (the subgraph induced by nucleus generators) is one
 // chip/cluster, nucleus links are free on-chip wires, and super-generator
-// links are the expensive intercluster (off-chip) wires. It measures
-// intercluster degree, intercluster diameter, and average intercluster
-// distance exactly by 0/1-weighted BFS, computes off-chip link bandwidth
-// under a fixed per-node pin budget, and estimates bisection quantities for
-// Theorem 4.9.
+// links are the expensive intercluster (off-chip) wires. One 0/1-weighted
+// BFS from the identity measures the cluster size (its distance-0 level),
+// intercluster diameter and average intercluster distance exactly; the
+// package also computes off-chip link bandwidth under a fixed per-node pin
+// budget and estimates bisection quantities for Theorem 4.9.
 package mcmp
 
 import (
@@ -20,8 +20,9 @@ import (
 type Profile struct {
 	// ClusterSize M is the number of nodes per cluster: (n+1)! for a
 	// transposition or insertion nucleus over n+1 symbols acting freely on
-	// the remaining symbols — measured here as the orbit of the nucleus
-	// generators from the identity.
+	// the remaining symbols — measured as level 0 of the 0/1 search, the
+	// nodes the identity reaches over free nucleus links (every cluster is
+	// isomorphic to it by vertex symmetry).
 	ClusterSize int64
 	// InterclusterDegree is the number of super generators per node.
 	InterclusterDegree int
@@ -66,36 +67,12 @@ func Measure(g *core.Graph, w float64) (*Profile, error) {
 		return nil, fmt.Errorf("mcmp: Measure: %s is not connected", g.Name())
 	}
 	return &Profile{
-		ClusterSize:             clusterSize(g),
+		ClusterSize:             res.Histogram[0],
 		InterclusterDegree:      di,
 		InterclusterDiameter:    res.Eccentricity,
 		AvgInterclusterDistance: res.Mean,
 		LinkBandwidth:           w / float64(di),
 	}, nil
-}
-
-// clusterSize returns the number of nodes reachable through nucleus links
-// alone — the size of the cluster containing the identity (all clusters are
-// isomorphic by vertex symmetry).
-func clusterSize(g *core.Graph) int64 {
-	set := g.GeneratorSet()
-	k := g.K()
-	var nucleus []gen.Generator
-	for _, gg := range set.Generators() {
-		if gg.Class() == gen.Nucleus {
-			nucleus = append(nucleus, gg)
-		}
-	}
-	if len(nucleus) == 0 {
-		return 1
-	}
-	sub := gen.MustSet(k, nucleus...)
-	subGraph := core.NewGraph(g.Name()+"-nucleus", sub)
-	res, err := subGraph.BFS(perm.Identity(k))
-	if err != nil {
-		return 0
-	}
-	return res.Reachable
 }
 
 // LexBisectionCut counts the links crossing the lexicographic-half

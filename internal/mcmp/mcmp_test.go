@@ -1,6 +1,7 @@
 package mcmp
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -69,28 +70,86 @@ func TestMeasureMS(t *testing.T) {
 	}
 }
 
+// TestMeasureAcrossFamilies checks Theorem 4.8's quantities on every super
+// Cayley instance with k <= 9 (k <= 7 under -short and -race): the cluster
+// is the nucleus orbit, (n+1)! nodes; the intercluster degree is the
+// network's; the intercluster diameter and average sit on or above the
+// packing bounds; and avg <= D_inter <= the exact unit diameter.
 func TestMeasureAcrossFamilies(t *testing.T) {
+	maxK := 9
+	if testing.Short() || raceEnabled {
+		maxK = 7
+	}
+	const eps = 1e-9
 	for _, fam := range topology.AllSuperCayleyFamilies() {
-		nw, err := topology.New(fam, 3, 2)
-		if err != nil {
-			t.Fatal(err)
+		for l := 2; l+1 <= maxK; l++ {
+			for n := 1; l*n+1 <= maxK; n++ {
+				nw, err := topology.New(fam, l, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := nw.Graph()
+				p, err := Measure(g, 1.0)
+				if err != nil {
+					t.Fatalf("%s: %v", nw.Name(), err)
+				}
+				if want := perm.Factorial(n + 1); p.ClusterSize != want {
+					t.Errorf("%s: cluster size %d, want (n+1)! = %d", nw.Name(), p.ClusterSize, want)
+				}
+				if p.InterclusterDegree != nw.InterclusterDegree() {
+					t.Errorf("%s: profile degree %d vs network %d", nw.Name(), p.InterclusterDegree, nw.InterclusterDegree())
+				}
+				nodes, m := float64(nw.Nodes()), float64(p.ClusterSize)
+				dl, err := metrics.InterclusterDL(nodes, m, p.InterclusterDegree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				avgLB, err := metrics.InterclusterAvgLowerBound(nodes, m, p.InterclusterDegree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if float64(p.InterclusterDiameter) < dl-eps {
+					t.Errorf("%s: intercluster diameter %d below the packing bound %v", nw.Name(), p.InterclusterDiameter, dl)
+				}
+				if p.AvgInterclusterDistance < avgLB-eps {
+					t.Errorf("%s: average intercluster distance %v below the packing bound %v", nw.Name(), p.AvgInterclusterDistance, avgLB)
+				}
+				d, err := g.Diameter()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.AvgInterclusterDistance > float64(p.InterclusterDiameter) || p.InterclusterDiameter > d {
+					t.Errorf("%s: want avg %v <= D_inter %d <= diameter %d", nw.Name(), p.AvgInterclusterDistance, p.InterclusterDiameter, d)
+				}
+				g.DropNeighborTable()
+			}
 		}
-		p, err := Measure(nw.Graph(), 1.0)
-		if err != nil {
-			t.Fatalf("%s: %v", nw.Name(), err)
-		}
-		if p.InterclusterDegree != nw.InterclusterDegree() {
-			t.Errorf("%s: profile degree %d vs network %d", nw.Name(), p.InterclusterDegree, nw.InterclusterDegree())
-		}
-		if p.AvgInterclusterDistance > float64(p.InterclusterDiameter) {
-			t.Errorf("%s: avg %v > diameter %d", nw.Name(), p.AvgInterclusterDistance, p.InterclusterDiameter)
-		}
-		// Cluster = nucleus orbit: (n+1)! = 6 for every family at n=2.
-		if p.ClusterSize != 6 {
-			t.Errorf("%s: cluster size %d, want 6", nw.Name(), p.ClusterSize)
-		}
-		t.Logf("%s: M=%d d_i=%d D_inter=%d avg=%.3f",
-			nw.Name(), p.ClusterSize, p.InterclusterDegree, p.InterclusterDiameter, p.AvgInterclusterDistance)
+	}
+}
+
+// TestMeasureFootprint holds a cold Measure of MS(2,4) (k = 9, 362,880
+// states) to 2 MiB allocated in total, as TestExactProfileFootprint does a
+// cold unit profile: one 0/1 search, byte-per-state distances and bitsets
+// over the 236 KB of columns, and no second search for the cluster.
+func TestMeasureFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("k=9 measurement skipped in -short mode")
+	}
+	nw := build(t, topology.MS, 2, 4)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := Measure(nw.Graph(), 1.0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 2 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("cold Measure of %s allocated %d bytes, limit %d", nw.Name(), got, limit)
+	}
+	if p.ClusterSize != 120 {
+		t.Fatalf("%s: cluster size %d, want 5! = 120", nw.Name(), p.ClusterSize)
 	}
 }
 

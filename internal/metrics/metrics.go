@@ -197,12 +197,13 @@ func DegreeDiameterCost(degree, diameter int) int { return degree * diameter }
 
 // InterclusterDL returns a lower bound on the intercluster diameter of an
 // N-node network packaged as clusters of M nodes with intercluster degree
-// d_i (§4.3): with r intercluster hops a message can reach at most
-// M·(M·d_i)^r nodes, so any network needs at least
+// d_i (§4.3). A message reaches its own cluster, M nodes, with no
+// intercluster hop, and each hop multiplies what it can newly reach by at
+// most M·d_i: layer r holds at most M·(M·d_i)^r nodes, so within r hops
+// it reaches at most M·((M·d_i)^{r+1} − 1)/(M·d_i − 1). The bound is the
+// least real r for which that reaches N,
 //
-//	D_{L,inter} = log(N/M) / log(M·d_i)
-//
-// intercluster hops in the worst case.
+//	D_{L,inter} = log(1 + N·(M·d_i − 1)/M) / log(M·d_i) − 1.
 func InterclusterDL(n float64, m float64, di int) (float64, error) {
 	if n < 2 || m < 1 || di < 1 {
 		return 0, fmt.Errorf("metrics: InterclusterDL: invalid arguments N=%v M=%v di=%d", n, m, di)
@@ -210,17 +211,18 @@ func InterclusterDL(n float64, m float64, di int) (float64, error) {
 	if m >= n {
 		return 0, nil
 	}
-	denom := math.Log(m * float64(di))
-	if denom <= 0 {
+	b := m * float64(di)
+	if b <= 1 {
 		// M·d_i = 1: a single chain of clusters; bound is N/M - 1 hops.
 		return n/m - 1, nil
 	}
-	return math.Log(n/m) / denom, nil
+	return math.Log(1+n*(b-1)/m)/math.Log(b) - 1, nil
 }
 
-// InterclusterAvgLowerBound packs clusters greedily by Moore counting with
-// branching factor M·d_i and returns the minimum possible average
-// intercluster distance over all node pairs.
+// InterclusterAvgLowerBound returns the least possible average
+// intercluster distance over all node pairs: it packs the other N − 1
+// nodes greedily, M − 1 cluster-mates at distance 0 and up to M·(M·d_i)^r
+// nodes at distance r >= 1, the layer sizes InterclusterDL counts.
 func InterclusterAvgLowerBound(n float64, m float64, di int) (float64, error) {
 	if n < 2 || m < 1 || di < 1 {
 		return 0, fmt.Errorf("metrics: InterclusterAvgLowerBound: invalid arguments")
@@ -228,14 +230,9 @@ func InterclusterAvgLowerBound(n float64, m float64, di int) (float64, error) {
 	if m >= n {
 		return 0, nil
 	}
-	// Nodes at intercluster distance 0: own cluster (M). At distance r >= 1:
-	// at most M·(M·d_i)^r - already counted; take layer sizes
-	// M·(M·d_i)^{r-1}·(M·d_i - 1)... simplified geometric packing: layer r
-	// holds up to M·(M·d_i)^r - M·(M·d_i)^{r-1} new nodes.
 	b := m * float64(di)
 	if b <= 1 {
-		// Chain of clusters: average distance ~ (N/M)/2 scaled; compute
-		// directly: nodes at distance r: M each for r = 1..N/M-1.
+		// Chain of clusters: M nodes at each distance r = 1..N/M-1.
 		clusters := n / m
 		sum := 0.0
 		for r := 1.0; r < clusters; r++ {
@@ -245,21 +242,15 @@ func InterclusterAvgLowerBound(n float64, m float64, di int) (float64, error) {
 	}
 	remaining := n - m
 	sum := 0.0
-	prevReach := m
-	r := 1
-	for remaining > 0 {
-		reach := m * math.Pow(b, float64(r))
-		layer := math.Min(reach-prevReach, remaining)
-		if layer < 0 {
-			layer = 0
-		}
-		sum += layer * float64(r)
-		remaining -= layer
-		prevReach = reach
-		r++
+	layer := m
+	for r := 1; remaining > 0; r++ {
 		if r > 1<<20 {
 			return 0, fmt.Errorf("metrics: InterclusterAvgLowerBound: did not converge")
 		}
+		layer *= b
+		take := math.Min(layer, remaining)
+		sum += take * float64(r)
+		remaining -= take
 	}
 	return sum / (n - 1), nil
 }

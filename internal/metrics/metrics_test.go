@@ -138,15 +138,26 @@ func TestDegreeDiameterCost(t *testing.T) {
 }
 
 func TestInterclusterDL(t *testing.T) {
-	// N=1e6, clusters of 100, intercluster degree 2: bound =
-	// log(1e4)/log(200).
+	// N=1e6, clusters of 100, intercluster degree 2: within r hops at most
+	// 100·(200^{r+1} − 1)/199 nodes, so the bound is
+	// log(1 + 1e6·199/100)/log(200) − 1.
 	v, err := InterclusterDL(1e6, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := math.Log(1e4) / math.Log(200)
+	want := math.Log(1+1e6*199/100)/math.Log(200) - 1
 	if math.Abs(v-want) > 1e-9 {
 		t.Errorf("InterclusterDL = %v, want %v", v, want)
+	}
+	// RS(2,1): N = 6, M = 2, d_i = 1. One hop reaches 2 + 2·2 = 6 nodes,
+	// so the bound is exactly 1, the measured intercluster diameter (a
+	// count of layer r alone, M·(M·d_i)^r, gave log 3/log 2 = 1.585).
+	v, err = InterclusterDL(6, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(v-1) > 1e-9 {
+		t.Errorf("RS(2,1) bound = %v, want 1", v)
 	}
 	// Single cluster: zero intercluster hops needed.
 	v, err = InterclusterDL(100, 100, 3)
@@ -186,6 +197,17 @@ func TestInterclusterAvgLowerBound(t *testing.T) {
 	dlv, _ := InterclusterDL(1e6, 100, 2)
 	if v <= 0 || v > dlv+1 {
 		t.Errorf("avg intercluster LB %v vs diameter LB %v", v, dlv)
+	}
+	// RR(5,1): N = 720, M = 2, d_i = 1. Layer r holds up to 2·2^r nodes:
+	// 4, 8, ..., 256 at r = 1..7 and the last 210 at r = 8, Σ r·layer =
+	// 4756 over 719 nodes. The measured average is 7.385; a packing of
+	// layer r − layer r−1 new nodes gave 7.591, above it.
+	v, err = InterclusterAvgLowerBound(720, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4756.0 / 719; math.Abs(v-want) > 1e-9 {
+		t.Errorf("RR(5,1) avg bound = %v, want %v", v, want)
 	}
 	// Chain case.
 	v, err = InterclusterAvgLowerBound(10, 1, 1)

@@ -335,6 +335,10 @@ func universalDL(nw *topology.Network) float64 {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, c call) int {
+	// The span timeline: decode -> cache -> (slot-wait -> job, or
+	// job-wait, on a cold submit) -> encode. The job's own build phases
+	// are in its job:/v1/profile record, under the same request ID.
+	c.tr.Phase("decode")
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		return writeErr(w, http.StatusMethodNotAllowed, "use GET or POST")
 	}
@@ -358,6 +362,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, c call) i
 			return writeErr(w, http.StatusGatewayTimeout, err.Error())
 		}
 	}
+	c.tr.Phase("encode")
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.buf = appendProfileResponse(sc.buf[:0], &job, job.cached)
@@ -370,8 +375,10 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, c call) i
 // job of its key, under a context derived from the request's: the wait
 // ends at the request deadline, or when the client hangs up (the
 // connection's hang-up watch, as in coldNetwork), and the request then
-// answers 504.
+// answers 504. The context carries the trace, on which Submit marks its
+// waits and the job.
 func (s *Server) submitProfile(w http.ResponseWriter, r *http.Request, c call, key Key) (Job, error) {
+	c.tr.Phase("cache")
 	if job, ok := s.jobs.submitCached(key, c.id); ok {
 		return job, nil
 	}
@@ -380,7 +387,7 @@ func (s *Server) submitProfile(w http.ResponseWriter, r *http.Request, c call, k
 	if rw, ok := w.(*response); ok {
 		defer rw.c.watchHangup(cancel)()
 	}
-	return s.jobs.Submit(ctx, key, c.id)
+	return s.jobs.Submit(telemetry.WithTrace(ctx, c.tr), key, c.id)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, _ call) int {

@@ -131,7 +131,10 @@ func NewJobs(cache *Cache, workers int) *Jobs {
 // both waits, for the key's job and for a slot, and Submit returns ctx's
 // error when it ends one; a job that holds a slot runs to its end whatever
 // ctx does, so its profile reaches the cache, the ledger and the store.
+// On ctx's trace, if any, Submit marks a job-wait phase while it waits for
+// the key's job, and start marks slot-wait and job.
 func (j *Jobs) Submit(ctx context.Context, key Key, reqID string) (Job, error) {
+	tr := telemetry.TraceFrom(ctx)
 	for {
 		j.mu.Lock()
 		if snap, ok := j.cachedLocked(key, reqID); ok {
@@ -147,6 +150,7 @@ func (j *Jobs) Submit(ctx context.Context, key Key, reqID string) (Job, error) {
 		}
 		j.stats.Coalesced++
 		j.mu.Unlock()
+		tr.Phase("job-wait")
 		select {
 		case <-job.done:
 		case <-ctx.Done():
@@ -167,6 +171,8 @@ func (j *Jobs) Submit(ctx context.Context, key Key, reqID string) (Job, error) {
 // byKey, and runs it. A wait that ctx ends withdraws the job unrun, with
 // no ID; the submits waiting on it look again.
 func (j *Jobs) start(ctx context.Context, job *Job) (Job, error) {
+	tr := telemetry.TraceFrom(ctx)
+	tr.Phase("slot-wait")
 	if err := j.slots.Enter(ctx); err != nil {
 		j.mu.Lock()
 		delete(j.byKey, job.Key)
@@ -181,6 +187,7 @@ func (j *Jobs) start(ctx context.Context, job *Job) (Job, error) {
 	j.stats.Submitted++
 	j.stats.Running++
 	j.mu.Unlock()
+	tr.Phase("job")
 	return j.run(job), nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -224,6 +225,59 @@ func TestSlowLogPhases(t *testing.T) {
 	}
 	if st := s.Stats(); st.SlowRequests != 1 {
 		t.Fatalf("slow_requests %d, want 1", st.SlowRequests)
+	}
+}
+
+// TestProfileSlowRecordPhases reads the /v1/profile slow records of three
+// submits of one key: a cold one, whose job holds the one build slot while
+// holdNetwork keeps its network build open; one that coalesces onto that
+// job; and a warm one after both. Each record names the request's waits
+// instead of one admission span over the whole request, and the build's
+// own phases stay in the job's record under the cold submit's ID.
+func TestProfileSlowRecordPhases(t *testing.T) {
+	var slow syncBuilder
+	s := New(Config{SlowLog: &slow, ProfileWorkers: 1, RequestTimeout: 30 * time.Second, SampleInterval: -1})
+	defer s.Close()
+	const target = "/v1/profile?family=MS&l=2&n=3"
+
+	release := holdNetwork(t, s.cache, msKey(2, 3))
+	var g pool.Group
+	codes := make([]int, 2)
+	g.Go(func() { codes[0] = serve(s, target, "cold").Code })
+	waitFor(t, "the cold submit's job runs", func() bool { return s.jobs.Stats().Running == 1 })
+	g.Go(func() { codes[1] = serve(s, target, "coalesced").Code })
+	waitFor(t, "the second submit joins the job", func() bool { return s.jobs.Stats().Coalesced == 1 })
+	release()
+	g.Wait()
+	if w := serve(s, target, "warm"); codes[0] != http.StatusOK || codes[1] != http.StatusOK || w.Code != http.StatusOK {
+		t.Fatalf("cold %d, coalesced %d, warm %d; want 200 each", codes[0], codes[1], w.Code)
+	}
+
+	got := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
+		var rec SlowRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad slow record %q: %v", line, err)
+		}
+		var names []string
+		for _, ph := range rec.Phases {
+			names = append(names, ph.Name)
+		}
+		got[rec.Endpoint+" "+rec.ReqID] = strings.Join(names, ",")
+	}
+	for rec, want := range map[string]string{
+		"/v1/profile cold":      "admission,decode,cache,slot-wait,job,encode",
+		"/v1/profile coalesced": "admission,decode,cache,job-wait,encode",
+		"/v1/profile warm":      "admission,decode,cache,encode",
+	} {
+		if got[rec] != want {
+			t.Errorf("%s: phases %q, want %q", rec, got[rec], want)
+		}
+	}
+	// The job may or may not reach the held network build before the
+	// release (build-wait); it always builds the profile.
+	if job := got[jobEndpoint+" cold"]; !strings.HasSuffix(job, "build-profile") {
+		t.Errorf("%s cold: phases %q, want the build-profile phase last", jobEndpoint, job)
 	}
 }
 
