@@ -161,6 +161,9 @@ func RunUnicastTraced(topo Topology, pkts []Packet, model PortModel, maxSteps in
 			return nil, fmt.Errorf("sim: RunUnicast: empty path for %d->%d", p.Src, p.Dst)
 		}
 		queues[p.Src][path[0]] = append(queues[p.Src][path[0]], flight{path: path})
+		if l := len(queues[p.Src][path[0]]); l > res.MaxQueueLen {
+			res.MaxQueueLen = l
+		}
 		inFlight++
 	}
 	lat := obs.NewHistogram()

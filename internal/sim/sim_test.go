@@ -201,6 +201,32 @@ func TestRunUnicastPermutationBothModels(t *testing.T) {
 	}
 }
 
+// TestMaxQueueLenCountsInjection: five one-hop packets 0->1 on
+// hypercube(3) all wait in node 0's link-0 queue before the first step,
+// so both buffer models read a deepest queue of 5, the unbounded one
+// before any packet has moved.
+func TestMaxQueueLenCountsInjection(t *testing.T) {
+	h, err := NewHypercubeTopology(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]Packet, 5)
+	for i := range pkts {
+		pkts[i] = Packet{Src: 0, Dst: 1}
+	}
+	unb, err := RunUnicast(h, pkts, AllPort, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := RunUnicastBuffered(h, pkts, AllPort, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unb.MaxQueueLen != 5 || buf.MaxQueueLen != 5 {
+		t.Errorf("MaxQueueLen unbounded %d, buffered %d; want 5 for both", unb.MaxQueueLen, buf.MaxQueueLen)
+	}
+}
+
 func TestRunUnicastSelfAndErrors(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	res, err := RunUnicast(pt, []Packet{{Src: 3, Dst: 3}}, AllPort, 0)
