@@ -142,7 +142,7 @@ func (g *Graph) bfsWeighted(src perm.Perm, weight []int, workers int) (*BFSResul
 	if err := checkWeights(weight, tbl.deg); err != nil {
 		return nil, err
 	}
-	return bitsetSearch(tbl, src.Rank(), workers, weight), nil
+	return bitsetSearch(tbl, src.Rank(), workers, weight, nil), nil
 }
 
 // checkWeights refuses a weight vector a 0/1 search cannot run: it needs

@@ -32,6 +32,12 @@ const parallelBFSThreshold = 40320
 // A 0/1 search runs the same expand + merge passes (see bitsetSearch) and
 // keeps one more bitset, level: every state found so far at the distance
 // being closed.
+//
+// A search with cut links (Graph.BFSWithout, unit columns only) keeps a
+// cut mask per column: the states whose link along that column is cut.
+// Before a column expands, each worker AND-NOTs the column's mask into a
+// private copy of its frontier shard, so the kernels never see a cut
+// link's tail.
 type bitsetBFS struct {
 	workers int
 	shard   int        // frontier words per worker
@@ -39,6 +45,8 @@ type bitsetBFS struct {
 	cur     []uint64   // the current frontier
 	level   []uint64   // 0/1 searches only: the states at the current distance
 	wnext   [][]uint64 // per-worker private next-frontier accumulators
+	cut     [][]uint64 // per column, the states whose link is cut (nil: none)
+	masked  [][]uint64 // per-worker frontier shard minus a column's cut states
 	d8      []uint8    // compact distances (stored +1; 0 = unreachable)
 	d32     []int32    // wide fallback, non-nil only after an overflow widen
 	counts  []int64    // per-merge-worker newly discovered counts
@@ -52,11 +60,19 @@ func (e *bitsetBFS) words(w int) (lo, hi int) {
 
 // expandWords expands every frontier state in cur's word range [lo, hi)
 // along cols into worker w's private next-frontier bitset, one column at
-// a time.
+// a time. A column with a cut mask expands the shard minus the states
+// whose link along it is cut.
 func (e *bitsetBFS) expandWords(w, lo, hi int, cols []column) {
 	next, cur := e.wnext[w], e.cur[lo:hi]
 	for ci := range cols {
-		cols[ci].expand(next, cur, lo)
+		src := cur
+		if e.cut != nil && e.cut[ci] != nil {
+			src = e.masked[w][:hi-lo]
+			for i, c := range e.cut[ci][lo:hi] {
+				src[i] = cur[i] &^ c
+			}
+		}
+		cols[ci].expand(next, src, lo)
 	}
 }
 
@@ -155,9 +171,11 @@ func (e *bitsetBFS) pass(cols []column, d int32) int64 {
 
 // bitsetSearch is the engine's driver: a level-synchronous search of
 // tbl's graph from srcRank with the given worker count, where column j
-// costs weight[j] ∈ {0, 1}; a nil weight makes every column cost 1.
-// Graph.BFS (through BFSParallel), IndexGraph.BFS and both BFSWeighted
-// run it.
+// costs weight[j] ∈ {0, 1}; a nil weight makes every column cost 1. A
+// non-nil cut (unit searches only) holds, per column, nil or a bitset of
+// the states whose link along it is never followed. Graph.BFS (through
+// BFSParallel), Graph.BFSWithout, IndexGraph.BFS and both BFSWeighted run
+// it.
 //
 // With unit columns only, level d is one pass from level d−1. A 0/1
 // search (§4.3's intercluster distance, nucleus links free) closes each
@@ -165,7 +183,7 @@ func (e *bitsetBFS) pass(cols []column, d int32) int64 {
 // as the unit-column pass from all of level d−1, and then passes along
 // the zero-weight columns, each from the states the one before it found
 // and at the same distance, repeat until one finds nothing.
-func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int, weight []int) *BFSResult {
+func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int, weight []int, cut [][]uint64) *BFSResult {
 	n := tbl.n
 	words := int((n + 63) >> 6)
 	workers = min(workers, words)
@@ -180,6 +198,13 @@ func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int, weight []int) 
 	}
 	for i := range e.wnext {
 		e.wnext[i] = make([]uint64, words)
+	}
+	if cut != nil {
+		e.cut = cut
+		e.masked = make([][]uint64, workers)
+		for i := range e.masked {
+			e.masked[i] = make([]uint64, e.shard)
+		}
 	}
 	unit, zero := byWeight(tbl.cols, weight)
 	e.visited[srcRank>>6] |= 1 << (srcRank & 63)
@@ -253,6 +278,22 @@ func byWeight(cols []column, weight []int) (unit, zero []column) {
 // fan-out runs on the pool.Each chokepoint (the measurement packages spawn
 // no raw goroutines).
 func (g *Graph) BFSParallel(src perm.Perm, workers int) (*BFSResult, error) {
+	return g.bfsWithout(src, nil, workers)
+}
+
+// BFSWithout runs BFS from src over g with some links cut: cut[j], when
+// non-nil, is a bitset over state ranks (bit r&63 of word r>>6) of the
+// states whose link along generator j is cut, and holds (Order()+63)/64
+// words. A cut link is never followed, so distances are those of the
+// surviving graph, from src only: cuts break vertex symmetry. Links cost
+// 1 each. It runs on BFS's worker count, and a nil cut is BFS.
+func (g *Graph) BFSWithout(src perm.Perm, cut [][]uint64) (*BFSResult, error) {
+	return g.bfsWithout(src, cut, g.bfsWorkers())
+}
+
+// bfsWithout is BFSWithout on the given worker count (<= 0 means
+// runtime.GOMAXPROCS(0)), for the table build and the search.
+func (g *Graph) bfsWithout(src perm.Perm, cut [][]uint64, workers int) (*BFSResult, error) {
 	k := g.K()
 	if k > MaxExplicitK {
 		return nil, fmt.Errorf("core: BFS: k=%d exceeds MaxExplicitK=%d (%d states)", k, MaxExplicitK, perm.Factorial(k))
@@ -267,5 +308,16 @@ func (g *Graph) BFSParallel(src perm.Perm, workers int) (*BFSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitsetSearch(tbl, src.Rank(), workers, nil), nil
+	if cut != nil {
+		if len(cut) != tbl.deg {
+			return nil, fmt.Errorf("core: BFSWithout: %d cut masks for %d generators", len(cut), tbl.deg)
+		}
+		words := int((tbl.n + 63) >> 6)
+		for j, c := range cut {
+			if c != nil && len(c) != words {
+				return nil, fmt.Errorf("core: BFSWithout: cut mask %d has %d words, want %d", j, len(c), words)
+			}
+		}
+	}
+	return bitsetSearch(tbl, src.Rank(), workers, nil, cut), nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mcmp"
 	"repro/internal/perm"
 	"repro/internal/topology"
@@ -60,7 +61,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 	for _, nw := range equivalenceInstances(t, maxK) {
 		g := nw.Graph()
 		src := perm.Identity(g.K())
-		want := core.OracleBFS(g, src)
+		want := core.OracleBFS(g, src, nil)
 		for _, workers := range []int{1, 2, 3, 7, 60} {
 			got, err := g.BFSParallel(src, workers)
 			if err != nil {
@@ -134,6 +135,80 @@ func TestBFSWeightedMatchesDequeOracle(t *testing.T) {
 	}
 }
 
+// cutOf returns fs as BFSWithout's cut masks over g's states.
+func cutOf(g *core.Graph, fs fault.Set) [][]uint64 {
+	n := g.Order()
+	cut := make([][]uint64, g.OutDegree())
+	for l := range fs {
+		if cut[l.Gen] == nil {
+			cut[l.Gen] = make([]uint64, (n+63)/64)
+		}
+		cut[l.Gen][l.Node>>6] |= 1 << (l.Node & 63)
+	}
+	return cut
+}
+
+// TestBFSWithoutMatchesOracle holds the masked search to the queue
+// oracle, skipping the same links, on every instance with k <= 7 (k <= 6
+// under -short and -race): random fault sets from one link to a quarter
+// of them, mirrored on undirected graphs, from the first and last rank, on
+// one and two workers. The results must be reflect.DeepEqual: reachable
+// count, eccentricity, histogram, mean and every rank's distance. Cut
+// masks of the wrong shape are refused.
+func TestBFSWithoutMatchesOracle(t *testing.T) {
+	maxK := 7
+	if testing.Short() || core.RaceEnabled {
+		maxK = 6
+	}
+	disconnected := 0
+	for _, nw := range equivalenceInstances(t, maxK) {
+		g := nw.Graph()
+		n, deg := g.Order(), g.OutDegree()
+		for i, count := range []int{1, 3, int(n) * deg / 20, int(n) * deg / 4} {
+			fs := fault.RandomSet(n, deg, count, uint64(7+i))
+			if g.Undirected() {
+				var err error
+				if fs, err = fault.MirrorUndirected(g, fs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cut := cutOf(g, fs)
+			for _, r := range []int64{0, n - 1} {
+				src := perm.Unrank(g.K(), r)
+				want := core.OracleBFS(g, src, cut)
+				if want.Reachable < n {
+					disconnected++
+				}
+				for _, workers := range []int{1, 2} {
+					got, err := g.BFSWithoutWorkers(src, cut, workers)
+					if err != nil {
+						t.Fatalf("%s: BFSWithout (workers=%d): %v", g.Name(), workers, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, %d faults, source %d, workers=%d: BFSWithout differs from the oracle:\ngot:    reach=%d ecc=%d hist=%v mean=%v\noracle: reach=%d ecc=%d hist=%v mean=%v",
+							g.Name(), len(fs), r, workers,
+							got.Reachable, got.Eccentricity, got.Histogram, got.Mean,
+							want.Reachable, want.Eccentricity, want.Histogram, want.Mean)
+					}
+				}
+			}
+		}
+		src := perm.Identity(g.K())
+		if _, err := g.BFSWithout(src, make([][]uint64, deg+1)); err == nil {
+			t.Errorf("%s: %d cut masks for %d generators accepted", g.Name(), deg+1, deg)
+		}
+		short := make([][]uint64, deg)
+		short[0] = make([]uint64, (n+63)/64+1)
+		if _, err := g.BFSWithout(src, short); err == nil {
+			t.Errorf("%s: a cut mask of the wrong length accepted", g.Name())
+		}
+		g.DropNeighborTable()
+	}
+	if disconnected == 0 {
+		t.Error("no fault set disconnected a source: the unreachable states went untested")
+	}
+}
+
 // TestEngineMatchesOracleK9Smoke runs one k = 9 instance (362,880 states)
 // at one and four workers: large enough that BFS would fan out.
 func TestEngineMatchesOracleK9Smoke(t *testing.T) {
@@ -146,7 +221,7 @@ func TestEngineMatchesOracleK9Smoke(t *testing.T) {
 	}
 	g := nw.Graph()
 	src := perm.Identity(9)
-	want := core.OracleBFS(g, src)
+	want := core.OracleBFS(g, src, nil)
 	for _, workers := range []int{1, 4} {
 		got, err := g.BFSParallel(src, workers)
 		if err != nil {
@@ -173,7 +248,7 @@ func TestBFSDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := core.OracleBFS(g, perm.Identity(k)); !reflect.DeepEqual(got, want) {
+		if want := core.OracleBFS(g, perm.Identity(k), nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("star(%d): BFS result differs from the oracle", k)
 		}
 	}

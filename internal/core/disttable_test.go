@@ -53,7 +53,7 @@ func TestUint8OverflowGuard(t *testing.T) {
 	g := cycleGraph(t, k)
 	src := perm.Identity(k)
 
-	compact := oracleBFS(g, src) // default limit: compact, no overflow
+	compact := oracleBFS(g, src, nil) // default limit: compact, no overflow
 	if !compact.Dist.IsCompact() {
 		t.Fatal("reference run should stay compact")
 	}
@@ -64,7 +64,7 @@ func TestUint8OverflowGuard(t *testing.T) {
 	defer func(old int32) { u8DistLimit = old }(u8DistLimit)
 	u8DistLimit = 3
 
-	want := oracleBFS(g, src)
+	want := oracleBFS(g, src, nil)
 	if want.Dist.IsCompact() || !reflect.DeepEqual(want.Dist.Int32Slice(), compact.Dist.Int32Slice()) {
 		t.Fatal("oracle: widened distances disagree with the compact run")
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // OracleBFS exposes the test oracle to the external core_test package.
-func OracleBFS(g *Graph, src perm.Perm) *BFSResult { return oracleBFS(g, src) }
+func OracleBFS(g *Graph, src perm.Perm, cut [][]uint64) *BFSResult { return oracleBFS(g, src, cut) }
 
 // OracleWeighted exposes the 0/1 deque oracle to core_test.
 func OracleWeighted(tbl *NeighborTable, srcRank int64, weight []int) *BFSResult {
@@ -20,6 +20,11 @@ func SameWeighted(t testing.TB, what string, got, want *BFSResult) { sameWeighte
 // BFSWeightedWorkers runs BFSWeighted on the given worker count.
 func (g *Graph) BFSWeightedWorkers(src perm.Perm, weight []int, workers int) (*BFSResult, error) {
 	return g.bfsWeighted(src, weight, workers)
+}
+
+// BFSWithoutWorkers runs BFSWithout on the given worker count.
+func (g *Graph) BFSWithoutWorkers(src perm.Perm, cut [][]uint64, workers int) (*BFSResult, error) {
+	return g.bfsWithout(src, cut, workers)
 }
 
 // RaceEnabled exposes raceEnabled to the external core_test package.

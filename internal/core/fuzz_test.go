@@ -49,9 +49,11 @@ func fuzzGenUniverse(k int) []gen.Generator {
 // inverse-closed generator sets at k <= 7, from a random source and on one
 // to four workers, and requires a result reflect.DeepEqual to the oracle's.
 // It then draws a 0/1 weight per generator of the set and requires the
-// engine's 0/1 search on the same workers to match the deque oracle.
-// Sets that do not generate S_k are kept: equivalence must hold on
-// disconnected state spaces too.
+// engine's 0/1 search on the same workers to match the deque oracle, and
+// cuts one to eight random (rank, generator) links and requires
+// BFSWithout on the same workers to match the queue oracle skipping the
+// same links. Sets that do not generate S_k are kept: equivalence must
+// hold on disconnected state spaces too.
 func FuzzParallelBFS(f *testing.F) {
 	f.Add(uint8(4), uint64(1), uint8(2))
 	f.Add(uint8(6), uint64(42), uint8(3))
@@ -92,7 +94,7 @@ func FuzzParallelBFS(f *testing.F) {
 		g := NewGraph("fuzz", set)
 
 		src := perm.Random(k, rng)
-		want := oracleBFS(g, src)
+		want := oracleBFS(g, src, nil)
 		workers := 1 + int(seed%4)
 		got, err := g.BFSParallel(src, workers)
 		if err != nil {
@@ -117,5 +119,25 @@ func FuzzParallelBFS(f *testing.F) {
 		}
 		sameWeighted(t, fmt.Sprintf("BFSWeighted (workers=%d, weights %v) on %s from %v", workers, weight, g, src),
 			gotW, oracleWeighted(tbl, src.Rank(), weight))
+
+		n := g.Order()
+		cut := make([][]uint64, set.Len())
+		var links [][2]int64
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			r, j := int64(rng.Intn(int(n))), rng.Intn(set.Len())
+			if cut[j] == nil {
+				cut[j] = make([]uint64, (n+63)/64)
+			}
+			cut[j][r>>6] |= 1 << (r & 63)
+			links = append(links, [2]int64{r, int64(j)})
+		}
+		gotC, err := g.bfsWithout(src, cut, workers)
+		if err != nil {
+			t.Fatalf("BFSWithout (workers=%d): %v", workers, err)
+		}
+		if wantC := oracleBFS(g, src, cut); !reflect.DeepEqual(gotC, wantC) {
+			t.Fatalf("BFSWithout (workers=%d, cut %v) on %s from %v differs from the oracle:\ngot    reach=%d ecc=%d hist=%v\noracle reach=%d ecc=%d hist=%v",
+				workers, links, g, src, gotC.Reachable, gotC.Eccentricity, gotC.Histogram, wantC.Reachable, wantC.Eccentricity, wantC.Histogram)
+		}
 	})
 }

@@ -116,8 +116,17 @@ func (g *Graph) NeighborInto(u perm.Perm, i int, dst perm.Perm) {
 }
 
 // Connected reports whether the graph is strongly connected, i.e. whether
-// its generators generate S_k.
-func (g *Graph) Connected() bool { return g.set.Generates() }
+// its generators generate S_k. For k <= MaxExplicitK it reads Reachable
+// from one BFS from the identity (which memoizes the neighbor table, as
+// BFS does); beyond that it falls back to gen.Set.Generates, a necessary
+// condition only.
+func (g *Graph) Connected() bool {
+	if g.K() > MaxExplicitK {
+		return g.set.Generates()
+	}
+	res, err := g.BFS(perm.Identity(g.K()))
+	return err == nil && res.Reachable == g.Order()
+}
 
 // String summarizes the graph.
 func (g *Graph) String() string {

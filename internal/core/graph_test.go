@@ -165,6 +165,29 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
+// TestConnectedIsExact: a lone k-cycle moves every position to every
+// other, so it passes gen.Set.Generates's transitivity check, yet it
+// generates only Z_k; Connected reads the search and says no. Star and
+// rotator graphs generate S_k, and the fallback beyond MaxExplicitK
+// answers by transitivity.
+func TestConnectedIsExact(t *testing.T) {
+	for k := 3; k <= 8; k++ {
+		cycle := NewGraph("cycle", gen.MustSet(k, gen.NewInsertion(k)))
+		if !cycle.GeneratorSet().Generates() {
+			t.Errorf("k=%d: a k-cycle is not transitive on positions", k)
+		}
+		if cycle.Connected() {
+			t.Errorf("k=%d: a lone k-cycle reported connected", k)
+		}
+		if !starGraph(k).Connected() || !rotatorGraph(k).Connected() {
+			t.Errorf("k=%d: star or rotator graph reported disconnected", k)
+		}
+	}
+	if !starGraph(MaxExplicitK + 1).Connected() {
+		t.Error("star graph beyond MaxExplicitK reported disconnected")
+	}
+}
+
 func TestBFSWeightedZeroOne(t *testing.T) {
 	// MS(2,2): nucleus T2,T3 weight 0, super S2 weight 1. The intercluster
 	// distance profile must have eccentricity << unit-weight diameter.

@@ -65,7 +65,7 @@ func (ig *IndexGraph) BFS(src int64) (*BFSResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitsetSearch(tbl, src, 1, nil), nil
+	return bitsetSearch(tbl, src, 1, nil, nil), nil
 }
 
 // BFSWeighted runs the 0/1-weight search from src on the bitset engine,
@@ -83,7 +83,7 @@ func (ig *IndexGraph) BFSWeighted(src int64, weight []int) (*BFSResult, error) {
 	if err := checkWeights(weight, tbl.deg); err != nil {
 		return nil, err
 	}
-	return bitsetSearch(tbl, src, 1, weight), nil
+	return bitsetSearch(tbl, src, 1, weight, nil), nil
 }
 
 // DiameterExact computes the exact diameter of a vertex-transitive
@@ -110,7 +110,7 @@ func (ig *IndexGraph) DiameterAllPairs() (int, error) {
 	}
 	maxEcc := 0
 	for src := int64(0); src < ig.N; src++ {
-		res := bitsetSearch(tbl, src, 1, nil)
+		res := bitsetSearch(tbl, src, 1, nil, nil)
 		if res.Reachable != ig.N {
 			return 0, fmt.Errorf("core: DiameterAllPairs: node %d reaches only %d/%d", src, res.Reachable, ig.N)
 		}

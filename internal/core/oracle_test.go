@@ -9,10 +9,12 @@ import (
 
 // oracleBFS is the reference the engine is tested against: a plain FIFO
 // queue over Graph.Neighbors with int32 distances. It shares nothing with
-// the engine but perm's ranking. The result is laid out the way the engine
-// lays it out (a compact table unless the eccentricity reaches
-// u8DistLimit), so tests can compare the two with reflect.DeepEqual.
-func oracleBFS(g *Graph, src perm.Perm) *BFSResult {
+// the engine but perm's ranking. It skips the links BFSWithout's cut masks
+// name (nil: none): link j of state r when bit r&63 of cut[j][r>>6] is set.
+// The result is laid out the way the engine lays it out (a compact table
+// unless the eccentricity reaches u8DistLimit), so tests can compare the
+// two with reflect.DeepEqual.
+func oracleBFS(g *Graph, src perm.Perm, cut [][]uint64) *BFSResult {
 	k := g.K()
 	dist := make([]int32, perm.Factorial(k))
 	for i := range dist {
@@ -24,8 +26,12 @@ func oracleBFS(g *Graph, src perm.Perm) *BFSResult {
 	hist := []int64{1}
 	var sum int64
 	for head := 0; head < len(queue); head++ {
-		d := dist[queue[head]] + 1
-		for _, v := range g.Neighbors(perm.Unrank(k, queue[head])) {
+		u := queue[head]
+		d := dist[u] + 1
+		for j, v := range g.Neighbors(perm.Unrank(k, u)) {
+			if cut != nil && cut[j] != nil && cut[j][u>>6]>>(u&63)&1 != 0 {
+				continue
+			}
 			r := v.Rank()
 			if dist[r] >= 0 {
 				continue

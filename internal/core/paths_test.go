@@ -20,7 +20,7 @@ func TestShortestPathMatchesBFSDistance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := oracleBFS(g, src).Dist.At(dst.Rank()); int32(len(path)) != want {
+			if want := oracleBFS(g, src, nil).Dist.At(dst.Rank()); int32(len(path)) != want {
 				t.Fatalf("%s: path length %d != oracle distance %d for %v -> %v", g.Name(), len(path), want, src, dst)
 			}
 			end, err := g.WalkLinks(src, path)

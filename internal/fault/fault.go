@@ -60,52 +60,70 @@ type Profile struct {
 }
 
 // BFS runs a breadth-first search from src over g with the failed links
-// removed. Undirected graphs should include both directions of a failed
-// edge in the set if the physical wire is cut.
+// removed, on core's bitset engine (core.Graph.BFSWithout). Undirected
+// graphs should include both directions of a failed edge in the set if the
+// physical wire is cut. A link whose node or generator is outside g is an
+// error.
 func BFS(g *core.Graph, faults Set, src perm.Perm) (*Profile, error) {
-	tbl, err := g.EnsureNeighborTable(0)
+	cut, err := cutMasks(g, faults)
 	if err != nil {
 		return nil, fmt.Errorf("fault: BFS: %w", err)
 	}
-	n := g.Order()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
+	res, err := g.BFSWithout(src, cut)
+	if err != nil {
+		return nil, fmt.Errorf("fault: BFS: %w", err)
 	}
-	srcRank := src.Rank()
-	dist[srcRank] = 0
-	queue := []int64{srcRank}
-	reachable := int64(1)
-	var sum int64
-	maxD := int32(0)
-	for head := 0; head < len(queue); head++ {
-		r := queue[head]
-		d := dist[r]
-		for gi := 0; gi < tbl.Degree(); gi++ {
-			if faults[Link{Node: r, Gen: gi}] {
-				continue
-			}
-			nr := tbl.At(r, gi)
-			if dist[nr] < 0 {
-				dist[nr] = d + 1
-				reachable++
-				sum += int64(d + 1)
-				if d+1 > maxD {
-					maxD = d + 1
-				}
-				queue = append(queue, nr)
-			}
+	return &Profile{
+		Reachable:    res.Reachable,
+		Connected:    res.Reachable == g.Order(),
+		Eccentricity: res.Eccentricity,
+		Mean:         res.Mean,
+	}, nil
+}
+
+// cutMasks returns faults as BFSWithout's cut masks over g's states: mask
+// j, allocated only if some link along generator j failed, holds the
+// failed links' nodes. It refuses g beyond core.MaxExplicitK and names the
+// least link, in (Node, Gen) order, that is not a link of g.
+func cutMasks(g *core.Graph, faults Set) ([][]uint64, error) {
+	if g.K() > core.MaxExplicitK {
+		return nil, fmt.Errorf("%s has k=%d, beyond core.MaxExplicitK=%d", g.Name(), g.K(), core.MaxExplicitK)
+	}
+	if err := checkLinks(g, faults); err != nil {
+		return nil, err
+	}
+	n := g.Order()
+	cut := make([][]uint64, g.OutDegree())
+	for l, down := range faults {
+		if !down {
+			continue
+		}
+		if cut[l.Gen] == nil {
+			cut[l.Gen] = make([]uint64, (n+63)/64)
+		}
+		cut[l.Gen][l.Node>>6] |= 1 << (l.Node & 63)
+	}
+	return cut, nil
+}
+
+// checkLinks names the least failed link of faults, in (Node, Gen) order,
+// whose node lies outside 0..N−1 or whose generator lies outside
+// 0..deg−1 of g.
+func checkLinks(g *core.Graph, faults Set) error {
+	n, deg := g.Order(), g.OutDegree()
+	var bad *Link
+	for l, down := range faults {
+		if !down || l.Node >= 0 && l.Node < n && l.Gen >= 0 && l.Gen < deg {
+			continue
+		}
+		if bad == nil || l.Node < bad.Node || l.Node == bad.Node && l.Gen < bad.Gen {
+			bad = &l
 		}
 	}
-	p := &Profile{
-		Reachable:    reachable,
-		Connected:    reachable == n,
-		Eccentricity: int(maxD),
+	if bad != nil {
+		return fmt.Errorf("link %+v is not a link of %s (nodes 0..%d, generators 0..%d)", *bad, g.Name(), n-1, deg-1)
 	}
-	if reachable > 1 {
-		p.Mean = float64(sum) / float64(reachable-1)
-	}
-	return p, nil
+	return nil
 }
 
 // MirrorUndirected extends a fault set with the reverse direction of every
@@ -113,6 +131,9 @@ func BFS(g *core.Graph, faults Set, src perm.Perm) (*Profile, error) {
 // graph. The reverse of (u, g) is (u∘g, g') where g' is the generator whose
 // action inverts g.
 func MirrorUndirected(g *core.Graph, faults Set) (Set, error) {
+	if err := checkLinks(g, faults); err != nil {
+		return nil, fmt.Errorf("fault: MirrorUndirected: %w", err)
+	}
 	k := g.K()
 	set := g.GeneratorSet()
 	perms := set.Perms()

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -281,19 +283,36 @@ func composeBFS(g *core.Graph, faults Set, src int64) []int32 {
 	return dist
 }
 
+// faultedInstances returns every super Cayley instance with k <= maxK and
+// star(6), IS(5) and pancake(6).
+func faultedInstances(t *testing.T, maxK int) []*topology.Network {
+	nws := []*topology.Network{
+		net(t, topology.Star, 1, 5), net(t, topology.IS, 1, 4), net(t, topology.Pancake, 1, 5),
+	}
+	for _, fam := range topology.AllSuperCayleyFamilies() {
+		for l := 2; l+1 <= maxK; l++ {
+			for n := 1; l*n+1 <= maxK; n++ {
+				nws = append(nws, net(t, fam, l, n))
+			}
+		}
+	}
+	return nws
+}
+
 // TestFaultedSearchesMatchComposeBFS holds BFS's profile and
-// RoutedTopology's path lengths to composeBFS over random fault sets, from
-// light to disconnecting, on directed and undirected families with k <= 6.
+// RoutedTopology's paths to composeBFS over random fault sets, from light
+// to disconnecting (mirrored on undirected graphs), on every super Cayley
+// instance with k <= 7 (k <= 6 under -short and -race) and three nucleus
+// families, from three sources: every path from the first has the
+// oracle's length, uses no failed link and ends at its destination, and
+// every unreachable destination is an error.
 func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
+	maxK := 7
+	if testing.Short() || raceEnabled {
+		maxK = 6
+	}
 	disconnected := 0
-	for _, c := range []struct {
-		fam  topology.Family
-		l, n int
-	}{
-		{topology.MS, 2, 2}, {topology.RR, 2, 2}, {topology.CompleteRS, 5, 1},
-		{topology.Star, 1, 5}, {topology.IS, 1, 4}, {topology.Pancake, 1, 5},
-	} {
-		nw := net(t, c.fam, c.l, c.n)
+	for _, nw := range faultedInstances(t, maxK) {
 		g := nw.Graph()
 		n, deg := g.Order(), g.GeneratorSet().Len()
 		for i, count := range []int{0, 3, int(n) * deg / 20, int(n) * deg / 4} {
@@ -308,7 +327,7 @@ func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, src := range []int64{0, n / 3, n - 1} {
+			for si, src := range []int64{0, n / 3, n - 1} {
 				dist := composeBFS(g, fs, src)
 				var reachable, sum int64
 				ecc := int32(0)
@@ -322,6 +341,9 @@ func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
 					reachable++
 					sum += int64(d)
 					ecc = max(ecc, d)
+					if si > 0 {
+						continue // every path from the first source; profiles from all three
+					}
 					path, err := rt.Path(src, int64(dst))
 					if err != nil {
 						t.Fatalf("%s, %d faults: %d->%d: %v", g.Name(), count, src, dst, err)
@@ -359,5 +381,30 @@ func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
 	}
 	if disconnected == 0 {
 		t.Error("no fault set disconnected a source: the unreachable paths went untested")
+	}
+}
+
+// TestLinksOutsideTheGraphAreErrors: a failed link whose node lies
+// outside 0..N-1 or whose generator lies outside 0..deg-1 cannot be cut,
+// so BFS, NewRoutedTopology and MirrorUndirected refuse it and name the
+// least such link, in (Node, Gen) order, of the set.
+func TestLinksOutsideTheGraphAreErrors(t *testing.T) {
+	g := net(t, topology.MS, 2, 2).Graph() // 120 nodes, 3 generators
+	for _, bad := range []Link{{Node: -1, Gen: 0}, {Node: 120, Gen: 0}, {Node: 5, Gen: -1}, {Node: 5, Gen: 3}} {
+		fs := NewSet(Link{Node: 7, Gen: 1}, bad, Link{Node: 200, Gen: 9})
+		name := fmt.Sprintf("%+v", bad)
+		if _, err := BFS(g, fs, perm.Identity(5)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("BFS with %s: error %v, want one naming %s", name, err, name)
+		}
+		if _, err := NewRoutedTopology(g, fs); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("NewRoutedTopology with %s: error %v, want one naming %s", name, err, name)
+		}
+		if _, err := MirrorUndirected(g, fs); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("MirrorUndirected with %s: error %v, want one naming %s", name, err, name)
+		}
+	}
+	// Every link of the graph is accepted, including the last.
+	if _, err := BFS(g, NewSet(Link{Node: 119, Gen: 2}, Link{Node: 0, Gen: 0}), perm.Identity(5)); err != nil {
+		t.Errorf("in-range links refused: %v", err)
 	}
 }

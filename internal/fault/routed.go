@@ -4,41 +4,48 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/perm"
 	"repro/internal/sim"
 )
 
 // RoutedTopology adapts a faulted Cayley graph to the packet simulator:
-// paths are exact shortest paths in the surviving graph (computed by BFS
-// per source and cached), so the simulator measures end-to-end behaviour of
-// fault-aware minimal routing. Only links absent from the fault set exist.
+// paths are exact shortest paths in the surviving graph, so the simulator
+// measures end-to-end behaviour of fault-aware minimal routing. Only links
+// absent from the fault set exist. Each source's distances come from one
+// masked search on core's engine and are cached, one byte per state.
 type RoutedTopology struct {
-	g      *core.Graph
-	faults Set
-	name   string
-	tbl    *core.NeighborTable
-	// pathCache[src] holds predecessor data from one BFS.
-	pathCache map[int64]*bfsPaths
+	g    *core.Graph
+	name string
+	tbl  *core.NeighborTable
+	cut  [][]uint64  // the failed links, as BFSWithout's cut masks
+	inv  []perm.Perm // each generator's inverse, for walking back
+	dist map[int64]core.DistTable
 }
 
-type bfsPaths struct {
-	pred []int64
-	via  []int8
-}
-
-// NewRoutedTopology wraps graph g with the given fault set. The surviving
-// graph must keep every node reachable from every other (checked lazily per
-// source; unreachable destinations surface as Path errors).
+// NewRoutedTopology wraps graph g with the given fault set. A link outside
+// g is an error. The surviving graph should keep every node reachable
+// from every other; an unreachable destination surfaces as a Path error.
 func NewRoutedTopology(g *core.Graph, faults Set) (*RoutedTopology, error) {
 	tbl, err := g.EnsureNeighborTable(0)
 	if err != nil {
 		return nil, fmt.Errorf("fault: NewRoutedTopology: %w", err)
 	}
+	cut, err := cutMasks(g, faults)
+	if err != nil {
+		return nil, fmt.Errorf("fault: NewRoutedTopology: %w", err)
+	}
+	gens := g.GeneratorSet().Perms()
+	inv := make([]perm.Perm, len(gens))
+	for j, gp := range gens {
+		inv[j] = gp.Inverse()
+	}
 	return &RoutedTopology{
-		g:         g,
-		faults:    faults,
-		name:      g.Name() + "+faults",
-		tbl:       tbl,
-		pathCache: make(map[int64]*bfsPaths),
+		g:    g,
+		name: g.Name() + "+faults",
+		tbl:  tbl,
+		cut:  cut,
+		inv:  inv,
+		dist: make(map[int64]core.DistTable),
 	}, nil
 }
 
@@ -56,57 +63,41 @@ func (rt *RoutedTopology) Degree() int { return rt.g.GeneratorSet().Len() }
 func (rt *RoutedTopology) Neighbor(node int64, link int) int64 { return rt.tbl.At(node, link) }
 
 // Path returns a shortest surviving path from src to dst as link indices.
+// It walks back from dst the way core.ShortestPath does: at each node, the
+// lowest generator whose predecessor is one hop closer to src over a link
+// that did not fail.
 func (rt *RoutedTopology) Path(src, dst int64) ([]int, error) {
 	if src == dst {
 		return nil, nil
 	}
-	paths, err := rt.bfsFrom(src)
-	if err != nil {
-		return nil, err
+	k := rt.g.K()
+	dist, ok := rt.dist[src]
+	if !ok {
+		res, err := rt.g.BFSWithout(perm.Unrank(k, src), rt.cut)
+		if err != nil {
+			return nil, err
+		}
+		dist = res.Dist
+		rt.dist[src] = dist
 	}
-	if paths.pred[dst] < 0 {
+	d := dist.At(dst)
+	if d < 0 {
 		return nil, fmt.Errorf("fault: Path: %d unreachable from %d under faults", dst, src)
 	}
-	var rev []int
-	for cur := dst; cur != src; cur = paths.pred[cur] {
-		rev = append(rev, int(paths.via[cur]))
-	}
-	out := make([]int, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out, nil
-}
-
-func (rt *RoutedTopology) bfsFrom(src int64) (*bfsPaths, error) {
-	if p, ok := rt.pathCache[src]; ok {
-		return p, nil
-	}
-	n := rt.g.Order()
-	pred := make([]int64, n)
-	via := make([]int8, n)
-	for i := range pred {
-		pred[i] = -1
-	}
-	pred[src] = src
-	queue := []int64{src}
-	for head := 0; head < len(queue); head++ {
-		r := queue[head]
-		for gi := 0; gi < rt.tbl.Degree(); gi++ {
-			if rt.faults[Link{Node: r, Gen: gi}] {
-				continue
-			}
-			nr := rt.tbl.At(r, gi)
-			if pred[nr] < 0 {
-				pred[nr] = r
-				via[nr] = int8(gi)
-				queue = append(queue, nr)
+	path := make([]int, d)
+	cur, pred := perm.Unrank(k, dst), make(perm.Perm, k)
+	for ; d > 0; d-- {
+		for j, gi := range rt.inv {
+			cur.ComposeInto(gi, pred)
+			r := pred.Rank()
+			if c := rt.cut[j]; dist.At(r) == d-1 && (c == nil || c[r>>6]>>(r&63)&1 == 0) {
+				path[d-1] = j
+				cur, pred = pred, cur
+				break
 			}
 		}
 	}
-	p := &bfsPaths{pred: pred, via: via}
-	rt.pathCache[src] = p
-	return p, nil
+	return path, nil
 }
 
 // Interface compliance.

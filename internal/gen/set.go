@@ -133,54 +133,12 @@ func (s *Set) IndexOf(g Generator) int {
 	return -1
 }
 
-// Generates reports whether the set generates the full symmetric group S_k,
-// i.e. whether the derived graph is connected over all k! states. It runs a
-// union-find over orbit closure using the generators' permutations applied
-// to a spanning structure — implemented as a BFS over symbols' images that
-// is exact and cheap (transitivity + a parity/primitivity certificate would
-// not be; we instead check connectivity directly for small k and fall back
-// to a transitivity necessary-condition for large k).
-//
-// For k <= 8 this is an exact reachability check over k! states; for larger
-// k it verifies transitivity of the action on positions, which every set in
-// this repository satisfies exactly when it generates S_k (all sets contain
-// a prefix rotation or transposition making the action primitive).
+// Generates reports whether the set's action on positions is transitive:
+// whether every position can be carried to every other. That is necessary
+// but not sufficient for the set to generate S_k (a single k-cycle is
+// transitive and generates only Z_k). core.Graph.Connected decides
+// generation exactly, by one search, for k <= core.MaxExplicitK.
 func (s *Set) Generates() bool {
-	if s.k <= 8 {
-		return s.connectedExact()
-	}
-	return s.transitiveOnPositions()
-}
-
-func (s *Set) connectedExact() bool {
-	n := perm.Factorial(s.k)
-	visited := make([]bool, n)
-	gens := s.Perms()
-	start := perm.Identity(s.k).Rank()
-	queue := []int64{start}
-	visited[start] = true
-	count := int64(1)
-	cur := make(perm.Perm, s.k)
-	scratch := make([]int, s.k)
-	next := make(perm.Perm, s.k)
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		perm.UnrankInto(s.k, r, cur, scratch)
-		for _, g := range gens {
-			cur.ComposeInto(g, next)
-			nr := next.Rank()
-			if !visited[nr] {
-				visited[nr] = true
-				count++
-				queue = append(queue, nr)
-			}
-		}
-	}
-	return count == n
-}
-
-func (s *Set) transitiveOnPositions() bool {
 	// Union positions that any generator maps between; the action is
 	// transitive iff all positions end in one component.
 	parent := make([]int, s.k)

@@ -237,19 +237,19 @@ var pinnedRuns = map[string]struct{ result, trace string }{
 	"openloop/0.3/torus(4^2)/all-port":               {"{Offered:0.3 Throughput:0.2920833333333333 MeanLatency:2.253922967189729 Injected:707 Delivered:701 Dropped:42 Backlog:6 Latency:p50=2.6 p95=4.7 p99=5.6 max=6 mean=2.25}", "c6cabcf4eaaa388c12bfcaa3904299575ccc17fbed91f07d09c18b919050d55b"},
 	"openloop/1/torus(4^2)/all-port":                 {"{Offered:1 Throughput:0.9108333333333334 MeanLatency:3.1445562671546203 Injected:2236 Delivered:2186 Dropped:164 Backlog:50 Latency:p50=3.3 p95=7.1 p99=9.8 max=13 mean=3.14}", "ff9fa27b4c49d09bf22cae4f19cc1c5bdd62edcd4f20b22514e33ac9fabce028"},
 	"mnb/torus(4^2)/all-port":                        {"{Steps:15 Delivered:240 TotalHops:960 MaxLinkLoad:15 AvgLinkLoad:15 MaxQueueLen:7 LoadGini:0 Latency:p50=3.8 p95=12.6 p99=14.9 max=15 mean=4.55}", "22afc0b09f9509ea068e19ddfd241dff326f774b2acbf133690309697005f3aa"},
-	"unicast/MS(2,2)+faults/te/all-port":             {"{Steps:283 Delivered:14280 TotalHops:70894 MaxLinkLoad:283 AvgLinkLoad:196.92777777777778 MaxQueueLen:96 LoadGini:0.0893677728565025 Latency:p50=168.5 p95=223.8 p99=253.0 max=283 mean=159.33}", "64db2c06e109cc1dea2a9378d6a3b8eb2b43264c86f792b5485f3662b7f1d398"},
-	"unicast/MS(2,2)+faults/perm/all-port":           {"{Steps:9 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:3 LoadGini:0.38012452107279693 Latency:p50=5.7 p95=8.0 p99=9.0 max=9 mean=5.08}", "ccb605984135e7be708ca240792287839cc847be56a714d3d2bea2e547883dee"},
-	"buffered/1/MS(2,2)+faults/perm/all-port":        {"{Steps:19 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:1 LoadGini:0.38012452107279693 Latency:p50=8.0 p95=16.0 p99=18.7 max=19 mean=7.97}", "b7f37c33dd9f8dd22b25933c55afed39af936585d17a58e4a0957225deecb43f"},
-	"buffered/2/MS(2,2)+faults/perm/all-port":        {"{Steps:10 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:2 LoadGini:0.38012452107279693 Latency:p50=6.7 p95=9.6 p99=10.0 max=10 mean=6.10}", "37c4788621befdee75e01a7076b0fc035c4ea2dcbf037146af959e821be25cf4"},
-	"buffered/64/MS(2,2)+faults/perm/all-port":       {"{Steps:10 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:3 LoadGini:0.38012452107279693 Latency:p50=6.7 p95=9.5 p99=10.0 max=10 mean=6.08}", "3c305b360cd1878c1738ad869355aa338f5daa07ced397f75eb65217150439d0"},
-	"unicast/MS(2,2)+faults/hotspot/all-port":        {"{Steps:90 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:29 LoadGini:0.5380232687597417 Latency:p50=12.5 p95=70.6 p99=88.7 max=90 mean=23.61}", "8a325b48b7c9e4f01b869ce33bbfbb5aedcef3d596d9908a887fcfa0987498a8"},
-	"buffered/1/MS(2,2)+faults/hotspot/all-port":     {"{Steps:185 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:1 LoadGini:0.5380232687597417 Latency:p50=71.5 p95=168.9 p99=185.0 max=185 mean=74.67}", "943b8ab764766fe74850049cd247ffe51e64b557d05ff499cb54e015f0def039"},
-	"buffered/2/MS(2,2)+faults/hotspot/all-port":     {"{Steps:94 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:2 LoadGini:0.5380232687597417 Latency:p50=35.0 p95=83.1 p99=92.9 max=94 mean=36.56}", "bd512c73e3dc367c9f9bdacafafdf522d31cfe2fa4287c0bf8511841d6b61058"},
-	"buffered/64/MS(2,2)+faults/hotspot/all-port":    {"{Steps:91 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:29 LoadGini:0.5380232687597417 Latency:p50=13.8 p95=72.0 p99=89.3 max=91 mean=24.61}", "e03be047a594ee3a72d583923e060a0ad6b72f0e18a0197a2f923f8a34c9707d"},
-	"unicast/MS(2,2)+faults/random/all-port":         {"{Steps:16 Delivered:400 TotalHops:1946 MaxLinkLoad:13 AvgLinkLoad:5.405555555555556 MaxQueueLen:8 LoadGini:0.26202181112253053 Latency:p50=7.9 p95=12.7 p99=14.8 max=16 mean=7.52}", "2ffe23e22db55e14b2a6648cf80d9ca5c5c8763d9be24826249c6713bfccd232"},
-	"openloop/0.05/MS(2,2)+faults/all-port":          {"{Offered:0.05 Throughput:0.050444444444444445 MeanLatency:5.04295154185022 Injected:932 Delivered:908 Dropped:11 Backlog:24 Latency:p50=5.7 p95=7.9 p99=9.0 max=9 mean=5.04}", "11ca088c8f610a8b0db99327466deec4fd0d5e8480b5181c048b015a0ca86b03"},
-	"openloop/0.3/MS(2,2)+faults/all-port":           {"{Offered:0.3 Throughput:0.2932777777777778 MeanLatency:6.840310664898655 Injected:5492 Delivered:5279 Dropped:55 Backlog:213 Latency:p50=7.2 p95=11.9 p99=14.9 max=23 mean=6.84}", "2d2736118626d6dd03a31155b3070d546e2e001c161aeb0ca8057e27534754fc"},
-	"openloop/1/MS(2,2)+faults/all-port":             {"{Offered:1 Throughput:0.4023333333333333 MeanLatency:43.56407069870202 Injected:17852 Delivered:7242 Dropped:148 Backlog:10610 Latency:p50=40.1 p95=93.6 p99=110.1 max=134 mean=43.56}", "715cc43449729122ef77d0a783e343580c09f4526919439839572bab43f6e97a"},
+	"unicast/MS(2,2)+faults/te/all-port":             {"{Steps:283 Delivered:14280 TotalHops:70894 MaxLinkLoad:283 AvgLinkLoad:196.92777777777778 MaxQueueLen:100 LoadGini:0.0893677728565025 Latency:p50=169.2 p95=223.7 p99=253.3 max=283 mean=159.86}", "e0231d87a51b1c9b2d1d4b566c7598fb26e63cfe3d289c5bc467ef46745db1ce"},
+	"unicast/MS(2,2)+faults/perm/all-port":           {"{Steps:9 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:2 LoadGini:0.3786973180076628 Latency:p50=5.7 p95=8.5 p99=9.0 max=9 mean=5.12}", "c2403f1a9f89df1241189745d1f7df78e91f442300cf52bc64f2102cd49e3b98"},
+	"buffered/1/MS(2,2)+faults/perm/all-port":        {"{Steps:17 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:1 LoadGini:0.3786973180076628 Latency:p50=8.4 p95=15.3 p99=17.0 max=17 mean=8.35}", "f0d7f55a9cb82be9d86188c1cf177addc3e99e98735bb62e65b9de3edc798fe3"},
+	"buffered/2/MS(2,2)+faults/perm/all-port":        {"{Steps:10 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:2 LoadGini:0.3786973180076628 Latency:p50=6.7 p95=9.5 p99=9.9 max=10 mean=6.14}", "516cf75b121d5b0c1354cd23df461e7829f6577908e2bd2264e8b1eacc8b7b71"},
+	"buffered/64/MS(2,2)+faults/perm/all-port":       {"{Steps:10 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:2 LoadGini:0.3786973180076628 Latency:p50=6.7 p95=9.5 p99=9.9 max=10 mean=6.12}", "25ade6f317b9915961c97d5e59d9121dc941913fab1444197d8ee62b2de49333"},
+	"unicast/MS(2,2)+faults/hotspot/all-port":        {"{Steps:72 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:31 LoadGini:0.5368069472277889 Latency:p50=12.6 p95=64.8 p99=72.0 max=72 mean=22.93}", "3f0ed52de5c0caafad76191033a0f46282d3244ece05e8f7a7cce87be66b7aad"},
+	"buffered/1/MS(2,2)+faults/hotspot/all-port":     {"{Steps:153 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:1 LoadGini:0.5368069472277889 Latency:p50=73.2 p95=145.1 p99=153.0 max=153 mean=71.88}", "26fbbd18c728e389fbef97f714d02dcba25dc159428c726681bdb77a5d84ef7d"},
+	"buffered/2/MS(2,2)+faults/hotspot/all-port":     {"{Steps:73 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:2 LoadGini:0.5368069472277889 Latency:p50=34.4 p95=73.0 p99=73.0 max=73 mean=35.28}", "e4d944ba5fcde78363f6f3e559057c098242040b315cd4e603bb0eee6c6ae588"},
+	"buffered/64/MS(2,2)+faults/hotspot/all-port":    {"{Steps:73 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:31 LoadGini:0.5368069472277889 Latency:p50=13.9 p95=66.6 p99=73.0 max=73 mean=23.93}", "f8dc272a4ff18717b67cf0c700986f3fa128ddcd32aa6510f0d7f14cb094e44a"},
+	"unicast/MS(2,2)+faults/random/all-port":         {"{Steps:14 Delivered:400 TotalHops:1946 MaxLinkLoad:13 AvgLinkLoad:5.405555555555556 MaxQueueLen:6 LoadGini:0.2548018727874843 Latency:p50=8.0 p95=12.5 p99=13.8 max=14 mean=7.46}", "c02aebe2dbf5f1d4198427c0801874b192ad7dd47be13cefa5ff900334b0ba3b"},
+	"openloop/0.05/MS(2,2)+faults/all-port":          {"{Offered:0.05 Throughput:0.0505 MeanLatency:5.048404840484048 Injected:932 Delivered:909 Dropped:11 Backlog:23 Latency:p50=5.7 p95=7.9 p99=9.0 max=9 mean=5.05}", "feaf8875d1dd509862b4581633f7f575c5b1d5aa46f7674807e0abb6925a4330"},
+	"openloop/0.3/MS(2,2)+faults/all-port":           {"{Offered:0.3 Throughput:0.2935 MeanLatency:6.804088586030664 Injected:5492 Delivered:5283 Dropped:55 Backlog:209 Latency:p50=7.2 p95=11.8 p99=14.0 max=21 mean=6.80}", "83d15d00884c573cdc492b053f93a655089796ec431e50bad11ac1b1557bf3cd"},
+	"openloop/1/MS(2,2)+faults/all-port":             {"{Offered:1 Throughput:0.402 MeanLatency:43.87106135986733 Injected:17852 Delivered:7236 Dropped:148 Backlog:10616 Latency:p50=40.4 p95=94.4 p99=110.0 max=131 mean=43.87}", "1dee70f80c16b1c28e0bc6981611d65d814ad5f6a96f323398ef3869c45db7fd"},
 	"buffered/1/torus(4^1)/antipodal/all-port":       {"error: sim: RunUnicastBuffered: deadlock at step 1 with 4 packets in flight (buffer capacity 1)", "a3b136cb3d2f6e7c86f9745a7cbb150fe66cc9017fb5e7cea6788ab6e50d0897"},
 	"unicast/MS(2,2)/te/single-port":                 {"{Steps:743 Delivered:14280 TotalHops:89040 MaxLinkLoad:300 AvgLinkLoad:247.33333333333334 MaxQueueLen:94 LoadGini:0.07726864330637916 Latency:p50=593.0 p95=743.0 p99=743.0 max=743 mean=579.01}", "82de4a0fd2a45555d5588fc2a7dcd8f1bf6a6691fe5c97c5f0cd19603dc2a774"},
 	"unicast/MS(2,2)/perm/single-port":               {"{Steps:16 Delivered:120 TotalHops:730 MaxLinkLoad:7 AvgLinkLoad:2.0277777777777777 MaxQueueLen:4 LoadGini:0.3614764079147641 Latency:p50=8.4 p95=13.7 p99=16.0 max=16 mean=8.28}", "e09db97c3a46ca873cedc411f16bfa5fcf81d5e248fbd803d117ca49ec45560b"},
@@ -293,18 +293,18 @@ var pinnedRuns = map[string]struct{ result, trace string }{
 	"openloop/0.3/torus(4^2)/single-port":            {"{Offered:0.3 Throughput:0.2891666666666667 MeanLatency:3.185878962536023 Injected:707 Delivered:694 Dropped:42 Backlog:13 Latency:p50=3.3 p95=7.6 p99=10.0 max=13 mean=3.19}", "9e0d0b34bf7c47a965c3320101ed07bca3d721c8515cd2621b130404ccee31f7"},
 	"openloop/1/torus(4^2)/single-port":              {"{Offered:1 Throughput:0.46958333333333335 MeanLatency:28.07275953859805 Injected:2236 Delivered:1127 Dropped:164 Backlog:1109 Latency:p50=18.5 p95=83.0 p99=108.5 max=124 mean=28.07}", "4b3ac40680d600b35dd4852d635e4408f3032c6c076c6421e3c1f7f651bd9d88"},
 	"mnb/torus(4^2)/single-port":                     {"{Steps:47 Delivered:240 TotalHops:752 MaxLinkLoad:12 AvgLinkLoad:11.75 MaxQueueLen:8 LoadGini:0 Latency:p50=10.9 p95=41.5 p99=46.3 max=47 mean=14.93}", "c36ffac6a23874223e7360069df53236d9b3711dd74e2241253ecf34635f0aa5"},
-	"unicast/MS(2,2)+faults/te/single-port":          {"{Steps:761 Delivered:14280 TotalHops:70894 MaxLinkLoad:283 AvgLinkLoad:196.92777777777778 MaxQueueLen:121 LoadGini:0.0893677728565025 Latency:p50=494.7 p95=634.7 p99=728.8 max=761 mean=461.15}", "a4955889533e4cdc4e3b37c374865fc45b516c3790fb5d84d4219867b72c4ad5"},
-	"unicast/MS(2,2)+faults/perm/single-port":        {"{Steps:13 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:3 LoadGini:0.38012452107279693 Latency:p50=6.8 p95=10.0 p99=11.6 max=13 mean=6.15}", "7f2e913ef804f4485bd839d7ac7a28531351d242e8e0327bc9eb09eb13e89831"},
-	"buffered/1/MS(2,2)+faults/perm/single-port":     {"{Steps:20 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:1 LoadGini:0.38012452107279693 Latency:p50=8.7 p95=16.6 p99=19.3 max=20 mean=8.57}", "8b54eab9207530299c2c87fbf32dd099aa8c28800213a9552ab38645bf34af1b"},
-	"buffered/2/MS(2,2)+faults/perm/single-port":     {"{Steps:12 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:2 LoadGini:0.38012452107279693 Latency:p50=7.8 p95=11.5 p99=12.0 max=12 mean=7.17}", "e623058df536ef87de45c58b8b5d00337445517cf41b055e24f0ed97ead5adc0"},
-	"buffered/64/MS(2,2)+faults/perm/single-port":    {"{Steps:14 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:3 LoadGini:0.38012452107279693 Latency:p50=7.8 p95=11.5 p99=13.2 max=14 mean=7.15}", "8d536ac2fa396cc89195e8f0dafb30c50133a9397fb384d6611c3cd2820091fd"},
-	"unicast/MS(2,2)+faults/hotspot/single-port":     {"{Steps:97 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:29 LoadGini:0.5380232687597417 Latency:p50=19.2 p95=77.8 p99=93.0 max=97 mean=28.49}", "cdf45597a644e5fb5088e75433759f3c4dc499ea994304750f0ab7bcd2601b0e"},
-	"buffered/1/MS(2,2)+faults/hotspot/single-port":  {"{Steps:190 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:1 LoadGini:0.5380232687597417 Latency:p50=79.1 p95=158.7 p99=183.6 max=190 mean=77.43}", "0571d751cc233da6c60ef8e996b509dc3cf19118222e60bd200464a69e1727b8"},
-	"buffered/2/MS(2,2)+faults/hotspot/single-port":  {"{Steps:101 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:2 LoadGini:0.5380232687597417 Latency:p50=39.9 p95=86.6 p99=101.0 max=101 mean=41.20}", "2d08c7a0d0d011145ace4fc78c501edd80d63a74d7c51d1501d0a8f25920ed8e"},
-	"buffered/64/MS(2,2)+faults/hotspot/single-port": {"{Steps:98 Delivered:400 TotalHops:1996 MaxLinkLoad:90 AvgLinkLoad:5.544444444444444 MaxQueueLen:29 LoadGini:0.5380232687597417 Latency:p50=20.0 p95=78.6 p99=94.0 max=98 mean=29.49}", "5218feb9f2e15fd681d51fc08d247d4306e8afc74c2ec90b7da1c12e743182b7"},
-	"unicast/MS(2,2)+faults/random/single-port":      {"{Steps:29 Delivered:400 TotalHops:1946 MaxLinkLoad:13 AvgLinkLoad:5.405555555555556 MaxQueueLen:8 LoadGini:0.26202181112253053 Latency:p50=15.1 p95=24.8 p99=29.0 max=29 mean=14.52}", "52113ee133ea26fdbcbfe9ac33c9f837614f70ba4ad6b9e08373d4141d927394"},
-	"openloop/0.05/MS(2,2)+faults/single-port":       {"{Offered:0.05 Throughput:0.05011111111111111 MeanLatency:5.557649667405765 Injected:932 Delivered:902 Dropped:11 Backlog:30 Latency:p50=6.1 p95=9.5 p99=11.0 max=12 mean=5.56}", "e86768c75a8d12d1650dbe769f37d50eb30fdebc4db7a4177195861090281df3"},
-	"openloop/0.3/MS(2,2)+faults/single-port":        {"{Offered:0.3 Throughput:0.14277777777777778 MeanLatency:41.13618677042802 Injected:5492 Delivered:2570 Dropped:55 Backlog:2922 Latency:p50=37.3 p95=91.1 p99=109.6 max=120 mean=41.14}", "ab9e29b4e6e1e2600748a6025cea86e098ad155ce3d87fb91171e38876aa4805"},
-	"openloop/1/MS(2,2)+faults/single-port":          {"{Offered:1 Throughput:0.06627777777777778 MeanLatency:60.17937971500419 Injected:17852 Delivered:1193 Dropped:148 Backlog:16659 Latency:p50=55.6 p95=127.7 p99=148.0 max=148 mean=60.18}", "08a288ff1f7ea97747599f73ee58d9df9df7e430866f8179ade12336df65ce24"},
+	"unicast/MS(2,2)+faults/te/single-port":          {"{Steps:761 Delivered:14280 TotalHops:70894 MaxLinkLoad:283 AvgLinkLoad:196.92777777777778 MaxQueueLen:110 LoadGini:0.0893677728565025 Latency:p50=494.1 p95=634.9 p99=729.7 max=761 mean=461.60}", "b8f44b3c15082c86e0bda5ebbbccc767c31159211f7294512f88f89968f7e475"},
+	"unicast/MS(2,2)+faults/perm/single-port":        {"{Steps:13 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:3 LoadGini:0.3786973180076628 Latency:p50=6.7 p95=10.0 p99=11.6 max=13 mean=6.15}", "fec0a5c77c1bcd4ad126dd677888c5f547fa488013606ea3c48f459ecbc5b137"},
+	"buffered/1/MS(2,2)+faults/perm/single-port":     {"{Steps:18 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:1 LoadGini:0.3786973180076628 Latency:p50=8.9 p95=16.5 p99=18.0 max=18 mean=8.93}", "29e812ff05c08b3d00b0497bb78f21a4189c6945ec00486f086fc4d7919e8e96"},
+	"buffered/2/MS(2,2)+faults/perm/single-port":     {"{Steps:12 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:2 LoadGini:0.3786973180076628 Latency:p50=7.7 p95=11.5 p99=12.0 max=12 mean=7.15}", "a2f3ebf49c9c27dc5d15b2d3917604d14fa089549b46bbf636fd2b7abe1b6845"},
+	"buffered/64/MS(2,2)+faults/perm/single-port":    {"{Steps:14 Delivered:120 TotalHops:580 MaxLinkLoad:5 AvgLinkLoad:1.6111111111111112 MaxQueueLen:3 LoadGini:0.3786973180076628 Latency:p50=7.7 p95=11.5 p99=12.8 max=14 mean=7.15}", "2679531e5a5df5a898a4479194db988555a7a8da77b23a4e7112c4cb0671bdb3"},
+	"unicast/MS(2,2)+faults/hotspot/single-port":     {"{Steps:79 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:33 LoadGini:0.5368069472277889 Latency:p50=19.0 p95=71.6 p99=78.0 max=79 mean=27.93}", "631eeb7974e77fcd4825756cecc8ff08d242d6e5fb60091e59203953af52538d"},
+	"buffered/1/MS(2,2)+faults/hotspot/single-port":  {"{Steps:172 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:1 LoadGini:0.5368069472277889 Latency:p50=73.5 p95=153.1 p99=169.2 max=172 mean=75.65}", "442490b0aa7df0d63a8519021c9f815ee49d92d1724be1299ee454e816344922"},
+	"buffered/2/MS(2,2)+faults/hotspot/single-port":  {"{Steps:82 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:2 LoadGini:0.5368069472277889 Latency:p50=37.8 p95=77.3 p99=82.0 max=82 mean=39.22}", "2cf87219d6616fac08b4a2f33546164d92da5d7ecb3c6b544d2dd6dd6cacd570"},
+	"buffered/64/MS(2,2)+faults/hotspot/single-port": {"{Steps:80 Delivered:400 TotalHops:1996 MaxLinkLoad:72 AvgLinkLoad:5.544444444444444 MaxQueueLen:33 LoadGini:0.5368069472277889 Latency:p50=20.0 p95=72.4 p99=78.5 max=80 mean=28.93}", "09d273bcf454acd6c4d55e8edc6ff5cbf12e8127aae030b1a666ff7ebf3a763f"},
+	"unicast/MS(2,2)+faults/random/single-port":      {"{Steps:30 Delivered:400 TotalHops:1946 MaxLinkLoad:13 AvgLinkLoad:5.405555555555556 MaxQueueLen:7 LoadGini:0.2548018727874843 Latency:p50=15.2 p95=24.2 p99=27.4 max=30 mean=14.55}", "ef236a23b1f00bd7f10cea7f4399265bff9c9045f506abf663f69c01974d7666"},
+	"openloop/0.05/MS(2,2)+faults/single-port":       {"{Offered:0.05 Throughput:0.050166666666666665 MeanLatency:5.51937984496124 Injected:932 Delivered:903 Dropped:11 Backlog:29 Latency:p50=6.1 p95=9.3 p99=10.5 max=12 mean=5.52}", "d287f876b22ea3043c7d6efce2ddeaa277256448d491649e1e382b3661513bd5"},
+	"openloop/0.3/MS(2,2)+faults/single-port":        {"{Offered:0.3 Throughput:0.143 MeanLatency:40.94172494172494 Injected:5492 Delivered:2574 Dropped:55 Backlog:2918 Latency:p50=37.4 p95=90.0 p99=108.0 max=127 mean=40.94}", "ccbef3849035bc75a9160c97ba2f9727d19106e4be6406bd3b8badb69408b3f9"},
+	"openloop/1/MS(2,2)+faults/single-port":          {"{Offered:1 Throughput:0.06444444444444444 MeanLatency:59.560344827586206 Injected:17852 Delivered:1160 Dropped:148 Backlog:16692 Latency:p50=55.4 p95=130.5 p99=148.0 max=148 mean=59.56}", "48dc0ac7f27ff274bb04910dffb62841fd75dc7c67f8131b9f588bf5e464e132"},
 	"buffered/1/torus(4^1)/antipodal/single-port":    {"error: sim: RunUnicastBuffered: deadlock at step 1 with 4 packets in flight (buffer capacity 1)", "be50996765b82b0cac1d809053d2e363d9dfc0f80520efa03d62e87af7b074d2"},
 }

@@ -66,7 +66,7 @@ type (
 func NewFaultSet(links ...FaultLink) FaultSet { return fault.NewSet(links...) }
 
 // FaultBFS measures reachability and distances from src with the failed
-// links removed.
+// links removed. A link outside the network is an error.
 func FaultBFS(nw *Network, faults FaultSet, src Node) (*FaultProfile, error) {
 	return fault.BFS(nw.Graph(), faults, src)
 }
@@ -124,7 +124,8 @@ func SimulateTreeMNB(nw *Network, model PortModel, maxSteps int) (*TreeMNBResult
 }
 
 // NewFaultRoutedTopology adapts a faulted network to the simulator with
-// exact shortest-path routing around the failures.
+// exact shortest-path routing around the failures. A link outside the
+// network is an error.
 func NewFaultRoutedTopology(nw *Network, faults FaultSet) (SimTopology, error) {
 	return fault.NewRoutedTopology(nw.Graph(), faults)
 }

@@ -84,6 +84,14 @@ func TestFaultFacade(t *testing.T) {
 	if tr.Runs != 10 {
 		t.Fatal("trial count")
 	}
+	// A link outside the network is an error, not silently ignored.
+	outside := NewFaultSet(FaultLink{Node: nw.Nodes(), Gen: 0})
+	if _, err := FaultBFS(nw, outside, IdentityNode(5)); err == nil {
+		t.Error("FaultBFS accepted a link outside the network")
+	}
+	if _, err := NewFaultRoutedTopology(nw, outside); err == nil {
+		t.Error("NewFaultRoutedTopology accepted a link outside the network")
+	}
 }
 
 func TestThroughputFacade(t *testing.T) {
