@@ -50,7 +50,7 @@ func BenchmarkMNBTreeVsFlood(b *testing.B) {
 			b.Fatal(err)
 		}
 		bound = MNBPipelinedBound(tree, AllPort, nw.Degree())
-		res, err := RunBroadcast(topo, AllPort, 0)
+		res, err := RunBroadcast(topo, AllPort, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

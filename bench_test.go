@@ -277,7 +277,7 @@ func benchBroadcast(b *testing.B, build func() (SimTopology, error), model PortM
 	}
 	var res *SimResult
 	for i := 0; i < b.N; i++ {
-		res, err = RunBroadcast(topo, model, 0)
+		res, err = RunBroadcast(topo, model, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func benchTE(b *testing.B, build func() (SimTopology, error), model PortModel) {
 	pkts := TotalExchange(topo.NumNodes())
 	var res *SimResult
 	for i := 0; i < b.N; i++ {
-		res, err = RunUnicast(topo, pkts, model, 0)
+		res, err = RunUnicast(topo, pkts, model, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func BenchmarkRandomRoutingCompleteRS32(b *testing.B) {
 	pkts := RandomRouting(topo.NumNodes(), 5040, 11)
 	var res *SimResult
 	for i := 0; i < b.N; i++ {
-		res, err = RunUnicast(topo, pkts, AllPort, 0)
+		res, err = RunUnicast(topo, pkts, AllPort, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func BenchmarkRandomRoutingCompleteRS32(b *testing.B) {
 
 // --- observability overhead -------------------------------------------------------
 
-func benchUnicastTraced(b *testing.B, newRec func() Recorder) {
+func benchUnicastRecorder(b *testing.B, newRec func() Recorder) {
 	nw, err := NewMacroStar(2, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -386,7 +386,7 @@ func benchUnicastTraced(b *testing.B, newRec func() Recorder) {
 	var res *SimResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = RunUnicastTraced(topo, pkts, AllPort, 0, newRec())
+		res, err = RunUnicast(topo, pkts, AllPort, 0, newRec())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -396,16 +396,16 @@ func benchUnicastTraced(b *testing.B, newRec func() Recorder) {
 }
 
 // BenchmarkRunUnicastNoop measures the disabled-recorder fast path: a nil
-// Recorder must cost the same as the plain engine (compare with
-// BenchmarkRunUnicastTraced for the per-step tracing overhead).
+// Recorder skips all instrumentation work (compare with
+// BenchmarkRunUnicastTrace for the per-step tracing overhead).
 func BenchmarkRunUnicastNoop(b *testing.B) {
-	benchUnicastTraced(b, func() Recorder { return nil })
+	benchUnicastRecorder(b, func() Recorder { return nil })
 }
 
-// BenchmarkRunUnicastTraced runs the same workload with a full per-step
+// BenchmarkRunUnicastTrace runs the same workload with a full per-step
 // Trace attached (stats-every 1: step samples, events, load Gini per step).
-func BenchmarkRunUnicastTraced(b *testing.B) {
-	benchUnicastTraced(b, func() Recorder { return NewTrace(1) })
+func BenchmarkRunUnicastTrace(b *testing.B) {
+	benchUnicastRecorder(b, func() Recorder { return NewTrace(1) })
 }
 
 // --- routing throughput -----------------------------------------------------------

@@ -294,7 +294,7 @@ func commReport(statsEvery int) (string, *obs.RunRecord) {
 			trace = obs.NewTrace(statsEvery)
 			rec = trace
 		}
-		flood, err := sim.RunBroadcastTraced(topo, model, 0, rec)
+		flood, err := sim.RunBroadcast(topo, model, 0, rec)
 		if err != nil {
 			return err.Error(), nil
 		}
@@ -327,7 +327,7 @@ func commReport(statsEvery int) (string, *obs.RunRecord) {
 			)
 		}
 	}
-	te, err := sim.RunUnicast(topo, sim.TotalExchange(nw.Nodes()), sim.AllPort, 0)
+	te, err := sim.RunUnicast(topo, sim.TotalExchange(nw.Nodes()), sim.AllPort, 0, nil)
 	if err != nil {
 		return err.Error(), nil
 	}

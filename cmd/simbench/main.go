@@ -111,7 +111,7 @@ func main() {
 	var summary map[string]float64
 	switch *task {
 	case "mnb":
-		res, err := sim.RunBroadcastTraced(topo, pm, 0, rec)
+		res, err := sim.RunBroadcast(topo, pm, 0, rec)
 		fail(err)
 		fmt.Printf("MNB lower bound: %d steps\n", sim.MNBLowerBound(topo.NumNodes(), topo.Degree(), pm))
 		printResult(res)
@@ -120,9 +120,9 @@ func main() {
 		var res *sim.Result
 		if *bufCap > 0 {
 			config["bufcap"] = fmt.Sprint(*bufCap)
-			res, err = sim.RunUnicastBufferedTraced(topo, pkts, pm, *bufCap, 0, rec)
+			res, err = sim.RunUnicastBuffered(topo, pkts, pm, *bufCap, 0, rec)
 		} else {
-			res, err = sim.RunUnicastTraced(topo, pkts, pm, 0, rec)
+			res, err = sim.RunUnicast(topo, pkts, pm, 0, rec)
 		}
 		fail(err)
 		printResult(res)
@@ -130,7 +130,7 @@ func main() {
 	case "openloop":
 		config["rate"] = fmt.Sprint(*rate)
 		config["steps"] = fmt.Sprint(*steps)
-		res, err := sim.RunOpenLoopTraced(topo, *rate, *steps, pm, *seed, rec)
+		res, err := sim.RunOpenLoop(topo, *rate, *steps, pm, *seed, rec)
 		fail(err)
 		fmt.Printf("result:  %s\n", res)
 		summary = openLoopSummary(res)

@@ -40,11 +40,11 @@ func main() {
 	fmt.Println("Multinode broadcast (MNB): every node's message reaches every node")
 	fmt.Printf("%-16s %6s %7s %14s %14s\n", "network", "N", "degree", "all-port", "single-port")
 	for _, topo := range topos {
-		all, err := scg.RunBroadcast(topo, scg.AllPort, 0)
+		all, err := scg.RunBroadcast(topo, scg.AllPort, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		single, err := scg.RunBroadcast(topo, scg.SinglePort, 0)
+		single, err := scg.RunBroadcast(topo, scg.SinglePort, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func main() {
 	fmt.Println("\nTotal exchange (TE): one distinct packet per ordered node pair (all-port)")
 	fmt.Printf("%-16s %10s %14s %14s\n", "network", "steps", "max link load", "load balance")
 	for _, topo := range topos {
-		res, err := scg.RunUnicast(topo, scg.TotalExchange(topo.NumNodes()), scg.AllPort, 0)
+		res, err := scg.RunUnicast(topo, scg.TotalExchange(topo.NumNodes()), scg.AllPort, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		flood, err := scg.RunBroadcast(msTopo, model, 0)
+		flood, err := scg.RunBroadcast(msTopo, model, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

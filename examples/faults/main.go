@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, model := range []scg.PortModel{scg.AllPort, scg.SinglePort} {
-		flood, err := scg.RunBroadcast(topo, model, 0)
+		flood, err := scg.RunBroadcast(topo, model, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,11 +66,11 @@ func main() {
 		log.Fatal(err)
 	}
 	pkts := scg.PermutationRouting(nw.Nodes(), 9)
-	resF, err := scg.RunUnicast(faulted, pkts, scg.AllPort, 0)
+	resF, err := scg.RunUnicast(faulted, pkts, scg.AllPort, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	resH, err := scg.RunUnicast(healthy, pkts, scg.AllPort, 0)
+	resH, err := scg.RunUnicast(healthy, pkts, scg.AllPort, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

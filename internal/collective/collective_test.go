@@ -147,7 +147,7 @@ func TestMNBPipelinedBoundVsSimulation(t *testing.T) {
 	}
 	for _, model := range []sim.PortModel{sim.AllPort, sim.SinglePort} {
 		bound := MNBPipelinedBound(tree, model, nw.Degree())
-		res, err := sim.RunBroadcast(topo, model, 0)
+		res, err := sim.RunBroadcast(topo, model, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestSimulateTreeMNB(t *testing.T) {
 		if int64(res.Steps) < lb {
 			t.Errorf("%v: tree MNB %d below lower bound %d", model, res.Steps, lb)
 		}
-		flood, err := sim.RunBroadcast(topo, model, 0)
+		flood, err := sim.RunBroadcast(topo, model, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

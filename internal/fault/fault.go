@@ -113,17 +113,15 @@ func checkLinks(g *core.Graph, faults Set) error {
 	n, deg := g.Order(), g.OutDegree()
 	var bad *Link
 	for l, down := range faults {
-		if !down || l.Node >= 0 && l.Node < n && l.Gen >= 0 && l.Gen < deg {
-			continue
-		}
-		if bad == nil || l.Node < bad.Node || l.Node == bad.Node && l.Gen < bad.Gen {
+		outside := l.Node < 0 || l.Node >= n || l.Gen < 0 || l.Gen >= deg
+		if down && outside && (bad == nil || l.Node < bad.Node || l.Node == bad.Node && l.Gen < bad.Gen) {
 			bad = &l
 		}
 	}
-	if bad != nil {
-		return fmt.Errorf("link %+v is not a link of %s (nodes 0..%d, generators 0..%d)", *bad, g.Name(), n-1, deg-1)
+	if bad == nil {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("link %+v is not a link of %s (nodes 0..%d, generators 0..%d)", *bad, g.Name(), n-1, deg-1)
 }
 
 // MirrorUndirected extends a fault set with the reverse direction of every
@@ -137,18 +135,10 @@ func MirrorUndirected(g *core.Graph, faults Set) (Set, error) {
 	k := g.K()
 	set := g.GeneratorSet()
 	perms := set.Perms()
-	// For each generator find the index of its inverse action.
+	// For each generator the index of its inverse action.
 	invIdx := make([]int, set.Len())
 	for i := range invIdx {
-		invIdx[i] = -1
-		invP := set.At(i).Inverse(k).AsPerm(k)
-		for j := range perms {
-			if perms[j].Equal(invP) {
-				invIdx[i] = j
-				break
-			}
-		}
-		if invIdx[i] == -1 {
+		if invIdx[i] = set.IndexOf(set.At(i).Inverse(k)); invIdx[i] < 0 {
 			return nil, fmt.Errorf("fault: MirrorUndirected: generator %s has no inverse in %s", set.At(i).Name(), g.Name())
 		}
 	}
@@ -182,12 +172,9 @@ func RandomTrials(g *core.Graph, faults, runs int, seed uint64) (*Trial, error) 
 	if links := g.Order() * int64(g.OutDegree()); faults < 0 || int64(faults) > links {
 		return nil, fmt.Errorf("fault: RandomTrials: %d faults out of range 0..%d (the links of %s)", faults, links, g.Name())
 	}
-	base, err := g.BFS(perm.Identity(g.K()))
+	base, err := g.ExactProfile()
 	if err != nil {
-		return nil, err
-	}
-	if base.Reachable != g.Order() {
-		return nil, fmt.Errorf("fault: RandomTrials: %s is not connected fault-free", g.Name())
+		return nil, fmt.Errorf("fault: RandomTrials: %s fault-free: %w", g.Name(), err)
 	}
 	tr := &Trial{Faults: faults, Runs: runs}
 	var inflationSum float64
@@ -205,9 +192,7 @@ func RandomTrials(g *core.Graph, faults, runs int, seed uint64) (*Trial, error) 
 		}
 		if prof.Connected {
 			tr.ConnectedRuns++
-			if delta := prof.Eccentricity - base.Eccentricity; delta > tr.WorstEccDelta {
-				tr.WorstEccDelta = delta
-			}
+			tr.WorstEccDelta = max(tr.WorstEccDelta, prof.Eccentricity-base.Eccentricity)
 			inflationSum += prof.Mean / base.Mean
 		}
 	}

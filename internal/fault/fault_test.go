@@ -223,7 +223,7 @@ func TestRoutedTopologyUnderFaults(t *testing.T) {
 	}
 	// End-to-end simulation over the faulted network completes.
 	pkts := sim.PermutationRouting(rt.NumNodes(), 3)
-	res, err := sim.RunUnicast(rt, pkts, sim.AllPort, 0)
+	res, err := sim.RunUnicast(rt, pkts, sim.AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 // masked search on core's engine and are cached, one byte per state.
 type RoutedTopology struct {
 	g    *core.Graph
-	name string
 	tbl  *core.NeighborTable
 	cut  [][]uint64  // the failed links, as BFSWithout's cut masks
 	inv  []perm.Perm // each generator's inverse, for walking back
@@ -41,7 +40,6 @@ func NewRoutedTopology(g *core.Graph, faults Set) (*RoutedTopology, error) {
 	}
 	return &RoutedTopology{
 		g:    g,
-		name: g.Name() + "+faults",
 		tbl:  tbl,
 		cut:  cut,
 		inv:  inv,
@@ -50,7 +48,7 @@ func NewRoutedTopology(g *core.Graph, faults Set) (*RoutedTopology, error) {
 }
 
 // Name implements sim.Topology.
-func (rt *RoutedTopology) Name() string { return rt.name }
+func (rt *RoutedTopology) Name() string { return rt.g.Name() + "+faults" }
 
 // NumNodes implements sim.Topology.
 func (rt *RoutedTopology) NumNodes() int64 { return rt.g.Order() }

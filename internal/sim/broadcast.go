@@ -13,17 +13,13 @@ import (
 // (all-port) and single-port nodes additionally send on only one link per
 // step. This is the task of [7, 29, 30] that §1 and §5 argue super Cayley
 // graphs execute asymptotically optimally.
-func RunBroadcast(topo Topology, model PortModel, maxSteps int) (*Result, error) {
-	return RunBroadcastTraced(topo, model, maxSteps, nil)
-}
-
-// RunBroadcastTraced is RunBroadcast with an attached recorder (nil means
-// tracing off). A "delivery" is one node learning one foreign message, so
-// the per-step delivered deltas sum to N·(N-1). The recorder additionally
-// sees the true per-link flood loads ("link_load" histogram and per-step
-// MaxLinkLoad/LinkGini), which the aggregate Result rounds into a uniform
-// estimate.
-func RunBroadcastTraced(topo Topology, model PortModel, maxSteps int, rec obs.Recorder) (*Result, error) {
+//
+// rec (nil means tracing off) sees one delivery per node learning one
+// foreign message, so the per-step delivered deltas sum to N·(N-1). It
+// also sees the true per-link flood loads ("link_load" histogram and
+// per-step MaxLinkLoad/LinkGini), which the aggregate Result rounds into a
+// uniform estimate.
+func RunBroadcast(topo Topology, model PortModel, maxSteps int, rec obs.Recorder) (*Result, error) {
 	n := topo.NumNodes()
 	deg := topo.Degree()
 	if n > 1<<13 {
@@ -37,80 +33,56 @@ func RunBroadcastTraced(topo Topology, model PortModel, maxSteps int, rec obs.Re
 	informed := make([]bool, nn*nn)
 	// queues[node][link] holds message ids awaiting transmission.
 	queues := make([][][]int32, n)
+	loads := make([][]int64, n)
 	for i := range queues {
 		queues[i] = make([][]int32, deg)
+		loads[i] = make([]int64, deg)
 	}
 	res := &Result{}
-	remaining := int64(nn) * int64(nn-1) // informs still needed
+	informs := int64(nn) * int64(nn-1) // every node learns every foreign message
 	learn := func(node int64, msg int32) {
 		if informed[int(msg)*nn+int(node)] {
 			return
 		}
 		informed[int(msg)*nn+int(node)] = true
 		if int64(msg) != node {
-			remaining--
 			res.Delivered++
 		}
 		for link := 0; link < deg; link++ {
 			queues[node][link] = append(queues[node][link], msg)
-			if l := len(queues[node][link]); l > res.MaxQueueLen {
-				res.MaxQueueLen = l
-			}
+			res.MaxQueueLen = max(res.MaxQueueLen, len(queues[node][link]))
 		}
 	}
 	for v := int64(0); v < n; v++ {
 		learn(v, int32(v))
 	}
 	lat := obs.NewHistogram()
-	var loads [][]int64
 	var prevDelivered int64
 	var giniBuf []int64
 	if rec != nil {
-		loads = make([][]int64, n)
-		for i := range loads {
-			loads[i] = make([]int64, deg)
-		}
 		rec.OnEvent(obs.Event{Kind: obs.EventInjection, Step: 0, Node: -1, Count: n})
 	}
 	rot := make([]int, n)
-	type arrival struct {
+	type heard struct {
 		node int64
 		msg  int32
 	}
-	var arrivals []arrival
-	for step := 0; remaining > 0; step++ {
+	var arrivals []heard
+	for step := 0; res.Delivered < informs; step++ {
 		if step >= maxSteps {
-			return nil, fmt.Errorf("sim: RunBroadcast: %d informs missing after %d steps", remaining, maxSteps)
+			return nil, fmt.Errorf("sim: RunBroadcast: %d informs missing after %d steps", informs-res.Delivered, maxSteps)
 		}
 		arrivals = arrivals[:0]
 		for node := int64(0); node < n; node++ {
 			q := queues[node]
-			send := func(link int) {
+			transmit(model, q, &rot[node], func(link int) bool {
 				msg := q[link][0]
 				q[link] = q[link][1:]
 				res.TotalHops++
-				if loads != nil {
-					loads[node][link]++
-				}
-				arrivals = append(arrivals, arrival{node: topo.Neighbor(node, link), msg: msg})
-			}
-			switch model {
-			case AllPort:
-				for link := 0; link < deg; link++ {
-					if len(q[link]) > 0 {
-						send(link)
-					}
-				}
-			case SinglePort:
-				for probe := 0; probe < deg; probe++ {
-					link := (rot[node] + probe) % deg
-					if len(q[link]) > 0 {
-						send(link)
-						rot[node] = (link + 1) % deg
-						break
-					}
-				}
-			}
+				loads[node][link]++
+				arrivals = append(arrivals, heard{node: topo.Neighbor(node, link), msg: msg})
+				return true
+			})
 		}
 		for _, a := range arrivals {
 			learn(a.node, a.msg)
@@ -121,7 +93,7 @@ func RunBroadcastTraced(topo Topology, model PortModel, maxSteps int, rec obs.Re
 			lat.ObserveN(int64(step+1), delta)
 		}
 		if rec != nil {
-			s := obs.StepSample{Step: step, InFlight: remaining, Delivered: delta}
+			s := obs.StepSample{Step: step, InFlight: informs - res.Delivered, Delivered: delta}
 			s.MaxQueue, s.MeanQueue = queueStats(queues)
 			giniBuf, s.MaxLinkLoad, s.LinkGini = loadSample(loads, giniBuf)
 			if delta > 0 {
@@ -136,10 +108,7 @@ func RunBroadcastTraced(topo Topology, model PortModel, maxSteps int, rec obs.Re
 	// loads are uniform by construction; report the average as the max too.
 	res.MaxLinkLoad = int64(res.AvgLinkLoad + 0.9999)
 	res.Latency = lat.Summary()
-	if rec != nil {
-		rec.OnHistogram("latency", lat)
-		rec.OnHistogram("link_load", loadHistogram(loads))
-	}
+	recordHistograms(rec, lat, loads)
 	return res, nil
 }
 

@@ -9,11 +9,11 @@ import (
 func TestBufferedMatchesUnboundedUnderLightLoad(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	pkts := PermutationRouting(pt.NumNodes(), 5)
-	unb, err := RunUnicast(pt, pkts, AllPort, 0)
+	unb, err := RunUnicast(pt, pkts, AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := RunUnicastBuffered(pt, pkts, AllPort, 64, 0)
+	buf, err := RunUnicastBuffered(pt, pkts, AllPort, 64, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestBufferedMatchesUnboundedUnderLightLoad(t *testing.T) {
 func TestBufferedTightBuffersSlowerNotWrong(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	pkts := RandomRouting(pt.NumNodes(), 600, 11)
-	loose, err := RunUnicastBuffered(pt, pkts, AllPort, 32, 0)
+	loose, err := RunUnicastBuffered(pt, pkts, AllPort, 32, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := RunUnicastBuffered(pt, pkts, AllPort, 1, 1<<16)
+	tight, err := RunUnicastBuffered(pt, pkts, AllPort, 1, 1<<16, nil)
 	if err != nil {
 		// Deadlock with capacity 1 is a legitimate outcome; the engine must
 		// say so explicitly rather than timing out.
@@ -71,13 +71,13 @@ func containsDeadlock(s string) bool {
 
 func TestBufferedValidation(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
-	if _, err := RunUnicastBuffered(pt, nil, AllPort, 0, 0); err == nil {
+	if _, err := RunUnicastBuffered(pt, nil, AllPort, 0, 0, nil); err == nil {
 		t.Error("capacity 0 accepted")
 	}
-	if _, err := RunUnicastBuffered(pt, []Packet{{Src: -1, Dst: 0}}, AllPort, 4, 0); err == nil {
+	if _, err := RunUnicastBuffered(pt, []Packet{{Src: -1, Dst: 0}}, AllPort, 4, 0, nil); err == nil {
 		t.Error("bad packet accepted")
 	}
-	res, err := RunUnicastBuffered(pt, []Packet{{Src: 2, Dst: 2}}, AllPort, 4, 0)
+	res, err := RunUnicastBuffered(pt, []Packet{{Src: 2, Dst: 2}}, AllPort, 4, 0, nil)
 	if err != nil || res.Delivered != 1 {
 		t.Fatalf("self packet: %v %v", res, err)
 	}
@@ -88,7 +88,7 @@ func TestBufferedQueueBoundRespected(t *testing.T) {
 	pt := permTopo(t, topology.CompleteRS, 3, 1)
 	pkts := TotalExchange(pt.NumNodes())
 	for _, cap := range []int{2, 4, 8} {
-		res, err := RunUnicastBuffered(pt, pkts, AllPort, cap, 1<<16)
+		res, err := RunUnicastBuffered(pt, pkts, AllPort, cap, 1<<16, nil)
 		if err != nil {
 			if containsDeadlock(err.Error()) {
 				t.Logf("cap=%d: deadlock (acceptable with blocking flow control)", cap)

@@ -40,7 +40,7 @@ func TestUnicastConservation(t *testing.T) {
 			// deltas count network deliveries only.
 			pkts := TotalExchange(topo.NumNodes())
 			tr := obs.NewTrace(1)
-			res, err := RunUnicastTraced(topo, pkts, AllPort, 0, tr)
+			res, err := RunUnicast(topo, pkts, AllPort, 0, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestBufferedConservation(t *testing.T) {
 		t.Run(topo.Name(), func(t *testing.T) {
 			pkts := TotalExchange(topo.NumNodes())
 			tr := obs.NewTrace(1)
-			res, err := RunUnicastBufferedTraced(topo, pkts, AllPort, 64, 0, tr)
+			res, err := RunUnicastBuffered(topo, pkts, AllPort, 64, 0, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestBroadcastConservation(t *testing.T) {
 	for _, topo := range conservationTopos(t) {
 		t.Run(topo.Name(), func(t *testing.T) {
 			tr := obs.NewTrace(1)
-			res, err := RunBroadcastTraced(topo, AllPort, 0, tr)
+			res, err := RunBroadcast(topo, AllPort, 0, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestOpenLoopConservation(t *testing.T) {
 	for _, topo := range conservationTopos(t) {
 		t.Run(topo.Name(), func(t *testing.T) {
 			tr := obs.NewTrace(1)
-			res, err := RunOpenLoopTraced(topo, 0.3, 400, AllPort, 11, tr)
+			res, err := RunOpenLoop(topo, 0.3, 400, AllPort, 11, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestConservationSingleQueueRing(t *testing.T) {
 	}
 	pkts := TotalExchange(ring.NumNodes())
 	tr := obs.NewTrace(1)
-	if _, err := RunUnicastTraced(ring, pkts, SinglePort, 0, tr); err != nil {
+	if _, err := RunUnicast(ring, pkts, SinglePort, 0, tr); err != nil {
 		t.Fatal(err)
 	}
 	injected := injectionCount(t, tr.Events())

@@ -79,22 +79,22 @@ func equivalenceRuns(t *testing.T) []simRun {
 	bad := []sim.Packet{{Src: 0, Dst: ms.NumNodes()}}
 	runs := []simRun{
 		{"unicast/MS(2,2)/te/all-port/max-steps-50", func(rec obs.Recorder) string {
-			return result(sim.RunUnicastTraced(ms, te, sim.AllPort, 50, rec))
+			return result(sim.RunUnicast(ms, te, sim.AllPort, 50, rec))
 		}},
 		{"buffered/64/MS(2,2)/te/all-port/max-steps-50", func(rec obs.Recorder) string {
-			return result(sim.RunUnicastBufferedTraced(ms, te, sim.AllPort, 64, 50, rec))
+			return result(sim.RunUnicastBuffered(ms, te, sim.AllPort, 64, 50, rec))
 		}},
 		{"unicast/MS(2,2)/out-of-range", func(rec obs.Recorder) string {
-			return result(sim.RunUnicastTraced(ms, bad, sim.AllPort, 0, rec))
+			return result(sim.RunUnicast(ms, bad, sim.AllPort, 0, rec))
 		}},
 		{"buffered/4/MS(2,2)/out-of-range", func(rec obs.Recorder) string {
-			return result(sim.RunUnicastBufferedTraced(ms, bad, sim.AllPort, 4, 0, rec))
+			return result(sim.RunUnicastBuffered(ms, bad, sim.AllPort, 4, 0, rec))
 		}},
 		{"buffered/0/MS(2,2)/te/all-port", func(rec obs.Recorder) string {
-			return result(sim.RunUnicastBufferedTraced(ms, te, sim.AllPort, 0, 0, rec))
+			return result(sim.RunUnicastBuffered(ms, te, sim.AllPort, 0, 0, rec))
 		}},
 		{"openloop/0/MS(2,2)/all-port", func(rec obs.Recorder) string {
-			return result(sim.RunOpenLoopTraced(ms, 0, 150, sim.AllPort, 11, rec))
+			return result(sim.RunOpenLoop(ms, 0, 150, sim.AllPort, 11, rec))
 		}},
 	}
 	for _, model := range []sim.PortModel{sim.AllPort, sim.SinglePort} {
@@ -113,7 +113,7 @@ func equivalenceRuns(t *testing.T) []simRun {
 				runs = append(runs, simRun{
 					fmt.Sprintf("unicast/%s/%s/%s", topo.Name(), w.name, model),
 					func(rec obs.Recorder) string {
-						return result(sim.RunUnicastTraced(topo, w.pkts, model, 0, rec))
+						return result(sim.RunUnicast(topo, w.pkts, model, 0, rec))
 					},
 				})
 				if w.name != "perm" && w.name != "hotspot" {
@@ -123,7 +123,7 @@ func equivalenceRuns(t *testing.T) []simRun {
 					runs = append(runs, simRun{
 						fmt.Sprintf("buffered/%d/%s/%s/%s", bufCap, topo.Name(), w.name, model),
 						func(rec obs.Recorder) string {
-							return result(sim.RunUnicastBufferedTraced(topo, w.pkts, model, bufCap, 1<<12, rec))
+							return result(sim.RunUnicastBuffered(topo, w.pkts, model, bufCap, 1<<12, rec))
 						},
 					})
 				}
@@ -132,7 +132,7 @@ func equivalenceRuns(t *testing.T) []simRun {
 				runs = append(runs, simRun{
 					fmt.Sprintf("openloop/%g/%s/%s", rate, topo.Name(), model),
 					func(rec obs.Recorder) string {
-						return result(sim.RunOpenLoopTraced(topo, rate, 150, model, 11, rec))
+						return result(sim.RunOpenLoop(topo, rate, 150, model, 11, rec))
 					},
 				})
 			}
@@ -140,7 +140,7 @@ func equivalenceRuns(t *testing.T) []simRun {
 				runs = append(runs, simRun{
 					fmt.Sprintf("mnb/%s/%s", topo.Name(), model),
 					func(rec obs.Recorder) string {
-						return result(sim.RunBroadcastTraced(topo, model, 0, rec))
+						return result(sim.RunBroadcast(topo, model, 0, rec))
 					},
 				})
 			}
@@ -148,7 +148,7 @@ func equivalenceRuns(t *testing.T) []simRun {
 		runs = append(runs, simRun{
 			fmt.Sprintf("buffered/1/%s/antipodal/%s", ring.Name(), model),
 			func(rec obs.Recorder) string {
-				return result(sim.RunUnicastBufferedTraced(ring, antipodal, model, 1, 1<<12, rec))
+				return result(sim.RunUnicastBuffered(ring, antipodal, model, 1, 1<<12, rec))
 			},
 		})
 	}

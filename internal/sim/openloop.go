@@ -41,144 +41,33 @@ func (r *OpenLoopResult) String() string {
 // RunOpenLoop injects uniform-random traffic at `rate` packets per node per
 // step for `steps` steps and then drains nothing further: the measured
 // throughput saturates near the network's capacity once rate exceeds it.
-// Deterministic in seed.
-func RunOpenLoop(topo Topology, rate float64, steps int, model PortModel, seed uint64) (*OpenLoopResult, error) {
-	return RunOpenLoopTraced(topo, rate, steps, model, seed, nil)
-}
-
-// RunOpenLoopTraced is RunOpenLoop with an attached recorder (nil means
-// tracing off). Every step produces a StepSample whose Injected, Delivered,
-// and Dropped deltas sum to the run totals and whose Backlog gauge tracks
-// queue growth toward (or past) saturation; the end-of-run "latency" and
-// "link_load" histograms are also delivered. Per-packet events are not
-// emitted — at steady state they would dwarf the step series.
-func RunOpenLoopTraced(topo Topology, rate float64, steps int, model PortModel, seed uint64, rec obs.Recorder) (*OpenLoopResult, error) {
+// Deterministic in seed. rec (nil means tracing off) receives one
+// StepSample per step, whose Injected, Delivered and Dropped deltas sum to
+// the run totals and whose Backlog gauge tracks queue growth toward (or
+// past) saturation, and the end-of-run "latency" and "link_load"
+// histograms. Per-packet events are not emitted — at steady state they
+// would dwarf the step series.
+func RunOpenLoop(topo Topology, rate float64, steps int, model PortModel, seed uint64, rec obs.Recorder) (*OpenLoopResult, error) {
 	if rate <= 0 || rate > 1 {
 		return nil, fmt.Errorf("sim: RunOpenLoop: rate %v outside (0,1]", rate)
 	}
 	if steps <= 0 {
 		return nil, fmt.Errorf("sim: RunOpenLoop: steps must be positive")
 	}
-	n := topo.NumNodes()
-	deg := topo.Degree()
-	rng := perm.NewRNG(seed)
-	type olFlight struct {
-		path []int
-		pos  int
-		born int
+	nw, err := simulate("RunOpenLoop", topo, model, traffic{rate: rate, rng: perm.NewRNG(seed)}, 0, steps, rec)
+	if err != nil {
+		return nil, err
 	}
-	queues := make([][][]olFlight, n)
-	for i := range queues {
-		queues[i] = make([][]olFlight, deg)
-	}
-	res := &OpenLoopResult{Offered: rate}
-	lat := obs.NewHistogram()
-	var loads [][]int64
-	if rec != nil {
-		loads = make([][]int64, n)
-		for i := range loads {
-			loads[i] = make([]int64, deg)
-		}
-	}
-	var inNetwork, prevInjected, prevDelivered, prevDropped int64
-	var giniBuf []int64
-	rot := make([]int, n)
-	type arrival struct {
-		node int64
-		f    olFlight
-	}
-	var arrivals []arrival
-	for step := 0; step < steps; step++ {
-		// Injection phase.
-		for node := int64(0); node < n; node++ {
-			if rng.Float64() >= rate {
-				continue
-			}
-			dst := int64(rng.Intn(int(n)))
-			if dst == node {
-				res.Dropped++
-				continue
-			}
-			path, err := topo.Path(node, dst)
-			if err != nil {
-				return nil, err
-			}
-			if len(path) == 0 {
-				res.Dropped++
-				continue
-			}
-			queues[node][path[0]] = append(queues[node][path[0]], olFlight{path: path, born: step})
-			res.Injected++
-			inNetwork++
-		}
-		// Transmission phase.
-		arrivals = arrivals[:0]
-		for node := int64(0); node < n; node++ {
-			q := queues[node]
-			send := func(link int) {
-				f := q[link][0]
-				q[link] = q[link][1:]
-				f.pos++
-				if loads != nil {
-					loads[node][link]++
-				}
-				arrivals = append(arrivals, arrival{node: topo.Neighbor(node, link), f: f})
-			}
-			switch model {
-			case AllPort:
-				for link := 0; link < deg; link++ {
-					if len(q[link]) > 0 {
-						send(link)
-					}
-				}
-			case SinglePort:
-				for probe := 0; probe < deg; probe++ {
-					link := (rot[node] + probe) % deg
-					if len(q[link]) > 0 {
-						send(link)
-						rot[node] = (link + 1) % deg
-						break
-					}
-				}
-			}
-		}
-		for _, a := range arrivals {
-			if a.f.pos == len(a.f.path) {
-				res.Delivered++
-				inNetwork--
-				lat.Observe(int64(step - a.f.born + 1))
-				continue
-			}
-			queues[a.node][a.f.path[a.f.pos]] = append(queues[a.node][a.f.path[a.f.pos]], a.f)
-		}
-		if rec != nil {
-			s := obs.StepSample{
-				Step:      step,
-				InFlight:  inNetwork,
-				Backlog:   inNetwork,
-				Injected:  res.Injected - prevInjected,
-				Delivered: res.Delivered - prevDelivered,
-				Dropped:   res.Dropped - prevDropped,
-			}
-			s.MaxQueue, s.MeanQueue = queueStats(queues)
-			giniBuf, s.MaxLinkLoad, s.LinkGini = loadSample(loads, giniBuf)
-			rec.OnStep(s)
-			prevInjected, prevDelivered, prevDropped = res.Injected, res.Delivered, res.Dropped
-		}
-	}
-	for node := int64(0); node < n; node++ {
-		for link := 0; link < deg; link++ {
-			res.Backlog += int64(len(queues[node][link]))
-		}
-	}
-	res.Throughput = float64(res.Delivered) / (float64(n) * float64(steps))
-	res.MeanLatency = lat.Mean()
-	res.Latency = lat.Summary()
-	if rec != nil {
-		rec.OnHistogram("latency", lat)
-		rec.OnHistogram("link_load", loadHistogram(loads))
-	}
-	return res, nil
+	return &OpenLoopResult{
+		Offered:     rate,
+		Throughput:  float64(nw.delivered) / (float64(topo.NumNodes()) * float64(steps)),
+		MeanLatency: nw.lat.Mean(),
+		Injected:    nw.injected,
+		Delivered:   nw.delivered,
+		Dropped:     nw.dropped,
+		Backlog:     nw.inFlight,
+		Latency:     nw.lat.Summary(),
+	}, nil
 }
 
 // SaturationThroughput runs RunOpenLoop at increasing offered rates and
@@ -187,7 +76,7 @@ func RunOpenLoopTraced(topo Topology, rate float64, steps int, model PortModel, 
 func SaturationThroughput(topo Topology, steps int, model PortModel, seed uint64) (float64, error) {
 	best := 0.0
 	for _, rate := range []float64{0.05, 0.1, 0.2, 0.4, 0.8, 1.0} {
-		res, err := RunOpenLoop(topo, rate, steps, model, seed)
+		res, err := RunOpenLoop(topo, rate, steps, model, seed, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -8,7 +8,7 @@ import (
 
 func TestRunOpenLoopBasics(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
-	res, err := RunOpenLoop(pt, 0.05, 200, AllPort, 3)
+	res, err := RunOpenLoop(pt, 0.05, 200, AllPort, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +32,13 @@ func TestRunOpenLoopBasics(t *testing.T) {
 
 func TestRunOpenLoopValidation(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
-	if _, err := RunOpenLoop(pt, 0, 10, AllPort, 1); err == nil {
+	if _, err := RunOpenLoop(pt, 0, 10, AllPort, 1, nil); err == nil {
 		t.Error("rate 0 accepted")
 	}
-	if _, err := RunOpenLoop(pt, 1.5, 10, AllPort, 1); err == nil {
+	if _, err := RunOpenLoop(pt, 1.5, 10, AllPort, 1, nil); err == nil {
 		t.Error("rate > 1 accepted")
 	}
-	if _, err := RunOpenLoop(pt, 0.1, 0, AllPort, 1); err == nil {
+	if _, err := RunOpenLoop(pt, 0.1, 0, AllPort, 1, nil); err == nil {
 		t.Error("steps 0 accepted")
 	}
 }
@@ -47,11 +47,11 @@ func TestRunOpenLoopValidation(t *testing.T) {
 // saturation latency must be higher.
 func TestLatencyGrowsWithLoad(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
-	low, err := RunOpenLoop(pt, 0.02, 300, SinglePort, 9)
+	low, err := RunOpenLoop(pt, 0.02, 300, SinglePort, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := RunOpenLoop(pt, 0.9, 300, SinglePort, 9)
+	high, err := RunOpenLoop(pt, 0.9, 300, SinglePort, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,11 +179,11 @@ func TestTorusPaths(t *testing.T) {
 func TestRunUnicastPermutationBothModels(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	pkts := PermutationRouting(pt.NumNodes(), 42)
-	all, err := RunUnicast(pt, pkts, AllPort, 0)
+	all, err := RunUnicast(pt, pkts, AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := RunUnicast(pt, pkts, SinglePort, 0)
+	single, err := RunUnicast(pt, pkts, SinglePort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,11 @@ func TestMaxQueueLenCountsInjection(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = Packet{Src: 0, Dst: 1}
 	}
-	unb, err := RunUnicast(h, pkts, AllPort, 0)
+	unb, err := RunUnicast(h, pkts, AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := RunUnicastBuffered(h, pkts, AllPort, 8, 0)
+	buf, err := RunUnicastBuffered(h, pkts, AllPort, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,17 +229,17 @@ func TestMaxQueueLenCountsInjection(t *testing.T) {
 
 func TestRunUnicastSelfAndErrors(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
-	res, err := RunUnicast(pt, []Packet{{Src: 3, Dst: 3}}, AllPort, 0)
+	res, err := RunUnicast(pt, []Packet{{Src: 3, Dst: 3}}, AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Delivered != 1 || res.Steps != 0 || res.TotalHops != 0 {
 		t.Errorf("self packet: %+v", res)
 	}
-	if _, err := RunUnicast(pt, []Packet{{Src: -1, Dst: 3}}, AllPort, 0); err == nil {
+	if _, err := RunUnicast(pt, []Packet{{Src: -1, Dst: 3}}, AllPort, 0, nil); err == nil {
 		t.Error("negative src accepted")
 	}
-	if _, err := RunUnicast(pt, []Packet{{Src: 0, Dst: 5}}, AllPort, 1); err == nil {
+	if _, err := RunUnicast(pt, []Packet{{Src: 0, Dst: 5}}, AllPort, 1, nil); err == nil {
 		t.Error("maxSteps=1 should time out")
 	}
 }
@@ -293,7 +293,7 @@ func TestTotalExchangeOnSmallNetworks(t *testing.T) {
 	// conservation).
 	pt := permTopo(t, topology.MS, 2, 2) // N = 120
 	pkts := TotalExchange(pt.NumNodes())
-	res, err := RunUnicast(pt, pkts, AllPort, 0)
+	res, err := RunUnicast(pt, pkts, AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestTotalExchangeOnSmallNetworks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hres, err := RunUnicast(h, TotalExchange(h.NumNodes()), AllPort, 0)
+	hres, err := RunUnicast(h, TotalExchange(h.NumNodes()), AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestTotalExchangeOnSmallNetworks(t *testing.T) {
 func TestRunBroadcastCompletesAndMatchesLowerBound(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	n := pt.NumNodes()
-	res, err := RunBroadcast(pt, AllPort, 0)
+	res, err := RunBroadcast(pt, AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestRunBroadcastCompletesAndMatchesLowerBound(t *testing.T) {
 	if int64(res.Steps) < lb {
 		t.Errorf("MNB finished in %d steps, below lower bound %d", res.Steps, lb)
 	}
-	single, err := RunBroadcast(pt, SinglePort, 0)
+	single, err := RunBroadcast(pt, SinglePort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +342,14 @@ func TestRunBroadcastGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBroadcast(h, AllPort, 0); err == nil {
+	if _, err := RunBroadcast(h, AllPort, 0, nil); err == nil {
 		t.Error("oversized broadcast accepted")
 	}
 	small, err := NewHypercubeTopology(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBroadcast(small, AllPort, 1); err == nil {
+	if _, err := RunBroadcast(small, AllPort, 1, nil); err == nil {
 		t.Error("maxSteps=1 broadcast should time out")
 	}
 }
@@ -383,11 +383,11 @@ func TestHotspotWorkload(t *testing.T) {
 	}
 	// Hotspot traffic completes but with worse congestion than uniform.
 	pt := permTopo(t, topology.MS, 2, 2)
-	hotRes, err := RunUnicast(pt, Hotspot(pt.NumNodes(), 500, 0, 0.5, 5), AllPort, 0)
+	hotRes, err := RunUnicast(pt, Hotspot(pt.NumNodes(), 500, 0, 0.5, 5), AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniRes, err := RunUnicast(pt, RandomRouting(pt.NumNodes(), 500, 5), AllPort, 0)
+	uniRes, err := RunUnicast(pt, RandomRouting(pt.NumNodes(), 500, 5), AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +411,11 @@ func TestLoadGini(t *testing.T) {
 	// TE on a vertex-symmetric network routes near-uniformly: Gini stays
 	// small; hotspot traffic concentrates load.
 	pt := permTopo(t, topology.MS, 2, 2)
-	te, err := RunUnicast(pt, TotalExchange(pt.NumNodes()), AllPort, 0)
+	te, err := RunUnicast(pt, TotalExchange(pt.NumNodes()), AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := RunUnicast(pt, Hotspot(pt.NumNodes(), 2000, 0, 0.8, 3), AllPort, 0)
+	hot, err := RunUnicast(pt, Hotspot(pt.NumNodes(), 2000, 0, 0.8, 3), AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func BenchmarkTotalExchangeSim(b *testing.B) {
 	pkts := TotalExchange(pt.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunUnicast(pt, pkts, AllPort, 0); err != nil {
+		if _, err := RunUnicast(pt, pkts, AllPort, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func BenchmarkBroadcastFloodSim(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBroadcast(pt, AllPort, 0); err != nil {
+		if _, err := RunBroadcast(pt, AllPort, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

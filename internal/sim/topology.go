@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/perm"
@@ -83,9 +84,7 @@ func (pt *PermTopology) Degree() int     { return pt.tbl.Degree() }
 func (pt *PermTopology) Neighbor(node int64, link int) int64 { return pt.tbl.At(node, link) }
 
 func (pt *PermTopology) Path(src, dst int64) ([]int, error) {
-	s := perm.Unrank(pt.k, src)
-	d := perm.Unrank(pt.k, dst)
-	moves, err := pt.nw.Route(s, d)
+	moves, err := pt.nw.Route(perm.Unrank(pt.k, src), perm.Unrank(pt.k, dst))
 	if err != nil {
 		return nil, err
 	}
@@ -124,11 +123,8 @@ func (h *HypercubeTopology) Neighbor(node int64, link int) int64 {
 
 func (h *HypercubeTopology) Path(src, dst int64) ([]int, error) {
 	var links []int
-	diff := src ^ dst
-	for bit := 0; bit < h.d; bit++ {
-		if diff&(1<<uint(bit)) != 0 {
-			links = append(links, bit)
-		}
+	for diff := uint64(src ^ dst); diff != 0; diff &= diff - 1 {
+		links = append(links, bits.TrailingZeros64(diff))
 	}
 	return links, nil
 }
@@ -138,6 +134,7 @@ func (h *HypercubeTopology) Path(src, dst int64) ([]int, error) {
 // and - directions of dimension i.
 type TorusTopology struct {
 	a, n int
+	base []int64 // base[i] = a^i, the weight of digit i; base[n] is the node count
 }
 
 // NewTorusTopology returns an a^n torus simulator topology.
@@ -145,66 +142,42 @@ func NewTorusTopology(a, n int) (*TorusTopology, error) {
 	if a < 2 || n < 1 {
 		return nil, fmt.Errorf("sim: NewTorusTopology(%d,%d): need a >= 2, n >= 1", a, n)
 	}
-	nodes := 1.0
+	t := &TorusTopology{a: a, n: n, base: []int64{1}}
 	for i := 0; i < n; i++ {
-		nodes *= float64(a)
-		if nodes > 1<<30 {
+		if t.base[i] > 1<<30/int64(a) {
 			return nil, fmt.Errorf("sim: NewTorusTopology: %d^%d too large", a, n)
 		}
+		t.base = append(t.base, t.base[i]*int64(a))
 	}
-	return &TorusTopology{a: a, n: n}, nil
+	return t, nil
 }
 
-func (t *TorusTopology) Name() string { return fmt.Sprintf("torus(%d^%d)", t.a, t.n) }
-
-func (t *TorusTopology) NumNodes() int64 {
-	nodes := int64(1)
-	for i := 0; i < t.n; i++ {
-		nodes *= int64(t.a)
-	}
-	return nodes
-}
-
-func (t *TorusTopology) Degree() int { return 2 * t.n }
+func (t *TorusTopology) Name() string    { return fmt.Sprintf("torus(%d^%d)", t.a, t.n) }
+func (t *TorusTopology) NumNodes() int64 { return t.base[t.n] }
+func (t *TorusTopology) Degree() int     { return 2 * t.n }
 
 func (t *TorusTopology) Neighbor(node int64, link int) int64 {
-	dim := link / 2
-	base := int64(1)
-	for i := 0; i < dim; i++ {
-		base *= int64(t.a)
+	base, a := t.base[link/2], int64(t.a)
+	digit := node / base % a
+	step := int64(1)
+	if link%2 == 1 {
+		step = a - 1
 	}
-	digit := (node / base) % int64(t.a)
-	var nd int64
-	if link%2 == 0 {
-		nd = (digit + 1) % int64(t.a)
-	} else {
-		nd = (digit + int64(t.a) - 1) % int64(t.a)
-	}
-	return node - digit*base + nd*base
+	return node + ((digit+step)%a-digit)*base
 }
 
 func (t *TorusTopology) Path(src, dst int64) ([]int, error) {
 	var links []int
-	base := int64(1)
-	for dim := 0; dim < t.n; dim++ {
-		sd := (src / base) % int64(t.a)
-		dd := (dst / base) % int64(t.a)
-		fwd := int((dd - sd + int64(t.a)) % int64(t.a))
-		bwd := t.a - fwd
-		if fwd == 0 {
-			base *= int64(t.a)
-			continue
+	a := int64(t.a)
+	for dim, base := range t.base[:t.n] {
+		fwd := int((dst/base%a - src/base%a + a) % a)
+		link, hops := 2*dim, fwd
+		if bwd := t.a - fwd; fwd > bwd {
+			link, hops = 2*dim+1, bwd
 		}
-		if fwd <= bwd {
-			for i := 0; i < fwd; i++ {
-				links = append(links, 2*dim)
-			}
-		} else {
-			for i := 0; i < bwd; i++ {
-				links = append(links, 2*dim+1)
-			}
+		for i := 0; i < hops; i++ {
+			links = append(links, link)
 		}
-		base *= int64(t.a)
 	}
 	return links, nil
 }

@@ -25,18 +25,19 @@ func hasEvent(events []obs.Event, kind obs.EventKind) bool {
 	return false
 }
 
-// TestUnicastTraceConsistency: the traced run reproduces the untraced
-// result exactly, per-step delivered deltas sum to the final count, the
-// expected events appear, and the latency summary is internally consistent.
+// TestUnicastTraceConsistency: the run with a Trace reproduces the run
+// with a nil recorder exactly, per-step delivered deltas sum to the final
+// count, the expected events appear, and the latency summary is internally
+// consistent.
 func TestUnicastTraceConsistency(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	pkts := RandomRouting(pt.NumNodes(), 500, 7)
-	plain, err := RunUnicast(pt, pkts, AllPort, 0)
+	plain, err := RunUnicast(pt, pkts, AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace(1)
-	traced, err := RunUnicastTraced(pt, pkts, AllPort, 0, tr)
+	traced, err := RunUnicast(pt, pkts, AllPort, 0, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +84,8 @@ func TestUnicastTraceConsistency(t *testing.T) {
 
 // TestBufferedDeadlockEvent: four packets chasing each other around a
 // 4-cycle with capacity-1 buffers deadlock deterministically (each packet
-// needs the slot the next one occupies), and the traced engine must emit an
-// EventDeadlock before reporting the error.
+// needs the slot the next one occupies), and the engine must emit an
+// EventDeadlock to the recorder before reporting the error.
 func TestBufferedDeadlockEvent(t *testing.T) {
 	ring, err := NewTorusTopology(4, 1)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestBufferedDeadlockEvent(t *testing.T) {
 		pkts = append(pkts, Packet{Src: s, Dst: (s + 2) % 4})
 	}
 	tr := obs.NewTrace(1)
-	_, err = RunUnicastBufferedTraced(ring, pkts, AllPort, 1, 1<<12, tr)
+	_, err = RunUnicastBuffered(ring, pkts, AllPort, 1, 1<<12, tr)
 	if err == nil {
 		t.Fatal("expected a deadlock error")
 	}
@@ -121,12 +122,13 @@ func TestBufferedDeadlockEvent(t *testing.T) {
 	}
 }
 
-// TestBufferedTraceMatchesPlain: the buffered engine now reports link loads
-// and latency like the unbuffered one, and tracing does not perturb it.
+// TestBufferedTraceMatchesPlain: credit-limited runs report link loads and
+// latency like unbounded ones, and a Trace in place of a nil recorder does
+// not perturb them.
 func TestBufferedTraceMatchesPlain(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	pkts := PermutationRouting(pt.NumNodes(), 5)
-	plain, err := RunUnicastBuffered(pt, pkts, AllPort, 64, 0)
+	plain, err := RunUnicastBuffered(pt, pkts, AllPort, 64, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestBufferedTraceMatchesPlain(t *testing.T) {
 		t.Errorf("buffered result missing load/latency stats: %+v", plain)
 	}
 	tr := obs.NewTrace(1)
-	traced, err := RunUnicastBufferedTraced(pt, pkts, AllPort, 64, 0, tr)
+	traced, err := RunUnicastBuffered(pt, pkts, AllPort, 64, 0, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestBufferedTraceMatchesPlain(t *testing.T) {
 func TestBroadcastTraceConsistency(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	tr := obs.NewTrace(1)
-	res, err := RunBroadcastTraced(pt, AllPort, 0, tr)
+	res, err := RunBroadcast(pt, AllPort, 0, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestOpenLoopTraceConsistency(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
 	for _, every := range []int{1, 10, 7} {
 		tr := obs.NewTrace(every)
-		res, err := RunOpenLoopTraced(pt, 0.3, 200, AllPort, 5, tr)
+		res, err := RunOpenLoop(pt, 0.3, 200, AllPort, 5, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,15 +210,15 @@ func TestOpenLoopTraceConsistency(t *testing.T) {
 	}
 }
 
-// TestOpenLoopUntracedUnchanged: attaching a recorder must not change the
-// measured numbers (same RNG draw sequence).
+// TestOpenLoopUntracedUnchanged: a Trace in place of a nil recorder must
+// not change the measured numbers (same RNG draw sequence).
 func TestOpenLoopUntracedUnchanged(t *testing.T) {
 	pt := permTopo(t, topology.MS, 2, 2)
-	plain, err := RunOpenLoop(pt, 0.2, 150, SinglePort, 42)
+	plain, err := RunOpenLoop(pt, 0.2, 150, SinglePort, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := RunOpenLoopTraced(pt, 0.2, 150, SinglePort, 42, obs.NewTrace(1))
+	traced, err := RunOpenLoop(pt, 0.2, 150, SinglePort, 42, obs.NewTrace(1))
 	if err != nil {
 		t.Fatal(err)
 	}

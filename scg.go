@@ -299,6 +299,7 @@ func NewSimHypercube(d int) (SimTopology, error) { return sim.NewHypercubeTopolo
 func NewSimTorus(a, n int) (SimTopology, error) { return sim.NewTorusTopology(a, n) }
 
 // RunUnicast, RunBroadcast and the workload builders drive the simulator.
+// Every task takes a Recorder as its last argument; nil means tracing off.
 var (
 	RunUnicast         = sim.RunUnicast
 	RunBroadcast       = sim.RunBroadcast

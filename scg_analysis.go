@@ -46,9 +46,10 @@ func ShortestRoute(nw *Network, src, dst Node) ([]int, error) {
 type OpenLoopResult = sim.OpenLoopResult
 
 // RunOpenLoop injects Bernoulli uniform-random traffic at the given rate
-// (packets/node/step) for the horizon and measures throughput and latency.
-func RunOpenLoop(topo SimTopology, rate float64, steps int, model PortModel, seed uint64) (*OpenLoopResult, error) {
-	return sim.RunOpenLoop(topo, rate, steps, model, seed)
+// (packets/node/step) for the horizon and measures throughput and latency;
+// rec (nil means tracing off) receives every step.
+func RunOpenLoop(topo SimTopology, rate float64, steps int, model PortModel, seed uint64, rec Recorder) (*OpenLoopResult, error) {
+	return sim.RunOpenLoop(topo, rate, steps, model, seed, rec)
 }
 
 // SaturationThroughput estimates per-node capacity by sweeping offered
@@ -88,9 +89,10 @@ func RenderASCIIFigure(title string, series []FigureSeries, width, height int, l
 
 // RunUnicastBuffered is RunUnicast with finite per-link buffers and credit
 // flow control; it reports deadlock explicitly when blocking dependencies
-// cycle.
-func RunUnicastBuffered(topo SimTopology, pkts []SimPacket, model PortModel, bufCap, maxSteps int) (*SimResult, error) {
-	return sim.RunUnicastBuffered(topo, pkts, model, bufCap, maxSteps)
+// cycle, after a deadlock-detected event and the partial histograms to rec
+// (nil means tracing off).
+func RunUnicastBuffered(topo SimTopology, pkts []SimPacket, model PortModel, bufCap, maxSteps int, rec Recorder) (*SimResult, error) {
+	return sim.RunUnicastBuffered(topo, pkts, model, bufCap, maxSteps, rec)
 }
 
 // HotspotWorkload builds traffic with a fraction of packets aimed at one

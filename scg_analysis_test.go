@@ -65,7 +65,7 @@ func TestOpenLoopFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOpenLoop(topo, 0.05, 100, AllPort, 1)
+	res, err := RunOpenLoop(topo, 0.05, 100, AllPort, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFacadeCoverageSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := HotspotWorkload(topo.NumNodes(), 200, 0, 0.3, 2)
-	res, err := RunUnicastBuffered(topo, pkts, AllPort, 16, 0)
+	res, err := RunUnicastBuffered(topo, pkts, AllPort, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFacadeCoverageSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := RunUnicast(ft, PermutationRouting(ft.NumNodes(), 8), AllPort, 0)
+	fres, err := RunUnicast(ft, PermutationRouting(ft.NumNodes(), 8), AllPort, 0, nil)
 	if err != nil || fres.Delivered == 0 {
 		t.Fatalf("fault-routed run: %v %v", fres, err)
 	}

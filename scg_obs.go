@@ -8,14 +8,14 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Observability vocabulary re-exported from the instrumentation package.
 type (
 	// Recorder receives per-step samples, typed events, and end-of-run
-	// histograms from a traced simulation. A nil Recorder means tracing
-	// off — the engines then skip all instrumentation work.
+	// histograms from a simulation: every simulator task takes one as its
+	// last argument. A nil Recorder means tracing off — the engines then
+	// skip all instrumentation work.
 	Recorder = obs.Recorder
 	// Trace is the standard Recorder: it retains the step series (optionally
 	// coalesced into fixed windows), the event log, and the histograms, and
@@ -63,22 +63,6 @@ func NewPhaseTimer() *PhaseTimer { return obs.NewPhaseTimer() }
 
 // ReadRunRecord parses a run record back from its NDJSON encoding.
 func ReadRunRecord(r io.Reader) (*RunRecord, error) { return obs.ReadNDJSON(r) }
-
-// Traced simulator entry points: identical to their plain counterparts but
-// report every step (and typed events) to the recorder; nil disables
-// tracing with no overhead.
-var (
-	RunUnicastTraced   = sim.RunUnicastTraced
-	RunBroadcastTraced = sim.RunBroadcastTraced
-	RunOpenLoopTraced  = sim.RunOpenLoopTraced
-)
-
-// RunUnicastBufferedTraced is RunUnicastBuffered with an attached recorder;
-// on deadlock the recorder receives a deadlock-detected event and the
-// partial histograms before the error returns.
-func RunUnicastBufferedTraced(topo SimTopology, pkts []SimPacket, model PortModel, bufCap, maxSteps int, rec Recorder) (*SimResult, error) {
-	return sim.RunUnicastBufferedTraced(topo, pkts, model, bufCap, maxSteps, rec)
-}
 
 // LinkLoadGini computes the Gini coefficient of a load vector (0 = perfectly
 // balanced) — the imbalance statistic reported per step as LinkGini and in

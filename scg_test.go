@@ -142,14 +142,14 @@ func TestSimFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunUnicast(topo, PermutationRouting(topo.NumNodes(), 5), AllPort, 0)
+	res, err := RunUnicast(topo, PermutationRouting(topo.NumNodes(), 5), AllPort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	bres, err := RunBroadcast(topo, SinglePort, 0)
+	bres, err := RunBroadcast(topo, SinglePort, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
