@@ -99,8 +99,10 @@ var routeMaxK = flag.Int("route-max-k", 0, "largest k TestRouteEveryState sweeps
 // against the engine's exact distance table: it must verify, take at least
 // Dist(x) hops and at most the family's guaranteed bound
 // (bag.WorstCaseBound of its rule set, or the closed-form bound of a
-// nucleus-only family), and exactly Dist(x) hops for the star, rotator,
-// bubble-sort and transposition solvers, which are optimal.
+// nucleus-only family) and the paper's printed diameter bound, where
+// topology.PaperDiameterBound has one (star, rotator, MS, complete-RS),
+// and exactly Dist(x) hops for the star, rotator, bubble-sort and
+// transposition solvers, which are optimal.
 func TestRouteEveryState(t *testing.T) {
 	optimal := map[topology.Family]bool{
 		topology.Star: true, topology.Rotator: true,
@@ -123,6 +125,7 @@ func TestRouteEveryState(t *testing.T) {
 		if rules, ok := nw.Rules(); ok {
 			bound = bag.WorstCaseBound(rules)
 		}
+		paper, printed := topology.PaperDiameterBound(nw.Family(), nw.L(), nw.N())
 		id := perm.Identity(k)
 		x := make(perm.Perm, k)
 		scratch := make([]int, k)
@@ -142,6 +145,8 @@ func TestRouteEveryState(t *testing.T) {
 				t.Fatalf("%s: route I -> %v takes %d hops, below the exact distance %d", nw.Name(), x, hops, d)
 			case hops > bound:
 				t.Fatalf("%s: route I -> %v takes %d hops, above the bound %d", nw.Name(), x, hops, bound)
+			case printed && hops > paper:
+				t.Fatalf("%s: route I -> %v takes %d hops, above the paper's diameter bound %d", nw.Name(), x, hops, paper)
 			case optimal[nw.Family()] && hops != d:
 				t.Fatalf("%s: route I -> %v takes %d hops, exact distance %d", nw.Name(), x, hops, d)
 			}
