@@ -193,6 +193,7 @@ func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int, weight []int, 
 		visited: make([]uint64, words),
 		cur:     make([]uint64, words),
 		wnext:   make([][]uint64, workers),
+		cut:     cut,
 		d8:      make([]uint8, n),
 		counts:  make([]int64, workers),
 	}
@@ -200,7 +201,6 @@ func bitsetSearch(tbl *NeighborTable, srcRank int64, workers int, weight []int, 
 		e.wnext[i] = make([]uint64, words)
 	}
 	if cut != nil {
-		e.cut = cut
 		e.masked = make([][]uint64, workers)
 		for i := range e.masked {
 			e.masked[i] = make([]uint64, e.shard)

@@ -329,7 +329,7 @@ func simulate(name string, topo Topology, model PortModel, tr traffic, bufCap, m
 	}
 	var prevInjected, prevDelivered, prevDropped int64 // the first sample counts self-deliveries
 	var giniBuf []int64
-	var err error
+	var stuck error
 	for step := 0; !drain || nw.inFlight > 0; step++ {
 		if step == maxSteps {
 			if drain {
@@ -347,9 +347,9 @@ func simulate(name string, topo Topology, model PortModel, tr traffic, bufCap, m
 					nw.dropped++
 					continue
 				}
-				path, perr := topo.Path(node, dst)
-				if perr != nil {
-					return nil, perr
+				path, err := topo.Path(node, dst)
+				if err != nil {
+					return nil, err
 				}
 				if len(path) == 0 {
 					nw.dropped++
@@ -382,12 +382,12 @@ func simulate(name string, topo Topology, model PortModel, tr traffic, bufCap, m
 			if rec != nil {
 				rec.OnEvent(obs.Event{Kind: obs.EventDeadlock, Step: step, Node: -1, Count: nw.inFlight})
 			}
-			err = fmt.Errorf("sim: %s: deadlock at step %d with %d packets in flight (buffer capacity %d)", name, step, nw.inFlight, bufCap)
+			stuck = fmt.Errorf("sim: %s: deadlock at step %d with %d packets in flight (buffer capacity %d)", name, step, nw.inFlight, bufCap)
 			break
 		}
 	}
 	recordHistograms(rec, nw.lat, nw.loads)
-	return nw, err
+	return nw, stuck
 }
 
 // unicastResult summarizes a finished unicast run.
