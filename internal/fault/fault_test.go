@@ -303,9 +303,9 @@ func faultedInstances(t *testing.T, maxK int) []*topology.Network {
 // RoutedTopology's paths to composeBFS over random fault sets, from light
 // to disconnecting (mirrored on undirected graphs), on every super Cayley
 // instance with k <= 7 (k <= 6 under -short and -race) and three nucleus
-// families, from three sources: every path from the first has the
-// oracle's length, uses no failed link and ends at its destination, and
-// every unreachable destination is an error.
+// families, from three sources: every path has the oracle's length, uses
+// no failed link and ends at its destination, and every unreachable
+// destination is an error.
 func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
 	maxK := 7
 	if testing.Short() || raceEnabled {
@@ -327,7 +327,7 @@ func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for si, src := range []int64{0, n / 3, n - 1} {
+			for _, src := range []int64{0, n / 3, n - 1} {
 				dist := composeBFS(g, fs, src)
 				var reachable, sum int64
 				ecc := int32(0)
@@ -341,9 +341,6 @@ func TestFaultedSearchesMatchComposeBFS(t *testing.T) {
 					reachable++
 					sum += int64(d)
 					ecc = max(ecc, d)
-					if si > 0 {
-						continue // every path from the first source; profiles from all three
-					}
 					path, err := rt.Path(src, int64(dst))
 					if err != nil {
 						t.Fatalf("%s, %d faults: %d->%d: %v", g.Name(), count, src, dst, err)

@@ -33,9 +33,8 @@ func NewRoutedTopology(g *core.Graph, faults Set) (*RoutedTopology, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: NewRoutedTopology: %w", err)
 	}
-	gens := g.GeneratorSet().Perms()
-	inv := make([]perm.Perm, len(gens))
-	for j, gp := range gens {
+	inv := g.GeneratorSet().Perms() // a fresh slice: invert in place
+	for j, gp := range inv {
 		inv[j] = gp.Inverse()
 	}
 	return &RoutedTopology{

@@ -172,8 +172,9 @@ type network struct {
 	steps    int
 	inFlight int64
 	// injected counts packets that entered an output queue during a step
-	// (a Bernoulli injection, or a NIC's credit-limited one); the packets
-	// placed at step 0 are announced by the injection event instead.
+	// (a Bernoulli injection, or a NIC's credit-limited one); a drain's
+	// packets that enter unbounded queues before step 0 are announced by
+	// the injection event instead.
 	injected, delivered, dropped, hops int64
 	maxQueue                           int
 }

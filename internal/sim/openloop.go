@@ -80,9 +80,7 @@ func SaturationThroughput(topo Topology, steps int, model PortModel, seed uint64
 		if err != nil {
 			return 0, err
 		}
-		if res.Throughput > best {
-			best = res.Throughput
-		}
+		best = max(best, res.Throughput)
 	}
 	return best, nil
 }
