@@ -175,7 +175,7 @@ func main() {
 	if *quick {
 		storeIters = 50
 	}
-	rep.Entries = append(rep.Entries, storeDecodeEntry(storeIters))
+	rep.Entries = append(rep.Entries, storeLoadEntry(storeIters))
 	routeIters := 4000
 	if *quick {
 		routeIters = 1000
@@ -201,11 +201,10 @@ func main() {
 // benchmarks exercise: the rank and compose kernels (rankKernel and the
 // neighbor-table build), the column expand kernel and the level merge of
 // the bitset engine (bfsSuite), the column build kernel (neighbor-table
-// entries), the store decode kernel (store/decode), and the warm-route
-// distance overlay (route/hot and the telemetry guard's /v1/route
-// traffic). If an annotation is added or removed, this list and the
-// benchmark that drives the kernel must move together — the
-// -hotpath-report cross-check fails CI otherwise.
+// entries), and the warm-route distance overlay (route/hot and the
+// telemetry guard's /v1/route traffic). If an annotation is added or
+// removed, this list and the benchmark that drives the kernel must move
+// together — the -hotpath-report cross-check fails CI otherwise.
 var benchedHotpaths = []string{
 	"repro/internal/core.(*bitsetBFS).mergeWords",
 	"repro/internal/core.(*column).expand",
@@ -214,7 +213,6 @@ var benchedHotpaths = []string{
 	"repro/internal/perm.(Perm).Rank",
 	"repro/internal/perm.UnrankInto",
 	"repro/internal/server.routeDistance",
-	"repro/internal/store.decodeU32LE",
 }
 
 // crossCheckHotpaths compares the annotated kernel set from a
@@ -455,41 +453,40 @@ func stretchEntry(pairs int) Entry {
 	}
 }
 
-// storeDecodeEntry times store.DecodeEntry on a star(8) entry that carries
-// the neighbor table's expanded rows — the sequential-read half of a warm
-// start. The neighbor section dominates the file (k!·deg little-endian
-// words), so this benchmark is what drives the decodeU32LE hotpath kernel.
-func storeDecodeEntry(iters int) Entry {
+// storeLoadEntry times store.Load of the profile-only star(8) entry that
+// scgd's write-back leaves: the read, checksum and decode of a warm
+// start. The file lives in a temporary store directory, removed after
+// the timed loop.
+func storeLoadEntry(iters int) Entry {
 	nw, err := topology.NewStar(8)
 	fail(err)
-	g := nw.Graph()
-	prof, err := g.ExactProfile()
+	prof, err := nw.Graph().ExactProfile()
 	fail(err)
-	tbl, err := g.EnsureNeighborTable(0)
+	dir, err := os.MkdirTemp("", "benchreport-store-")
 	fail(err)
-	buf, err := store.AppendEntry(nil, &store.Entry{
-		Family: "star", L: 1, N: 7, K: 8, Profile: prof, Neighbors: tbl,
-	})
+	st, err := store.Open(dir)
 	fail(err)
-	g.DropNeighborTable()
+	key := store.Key{Family: "star", L: 1, N: 7}
+	fail(st.Put(key, &store.Entry{Family: key.Family, L: key.L, N: key.N, K: 8, Profile: prof}))
 
 	ecc := -1
 	t0 := time.Now()
 	for i := 0; i < iters; i++ {
-		dec, err := store.DecodeEntry(buf)
+		e, err := st.Load(key)
 		fail(err)
-		ecc = dec.Profile.Eccentricity
+		ecc = e.Profile.Eccentricity
 	}
 	elapsed := time.Since(t0)
+	fail(os.RemoveAll(dir))
 	if ecc != prof.Eccentricity {
-		fail(fmt.Errorf("benchreport: store decode diameter %d != built %d", ecc, prof.Eccentricity))
+		fail(fmt.Errorf("benchreport: store load diameter %d != built %d", ecc, prof.Eccentricity))
 	}
 	return Entry{
-		Name:    "store/decode-star-8",
+		Name:    "store/load-star-8",
 		K:       8,
 		Rounds:  iters,
 		NsPerOp: nsPerOp(elapsed, iters),
-		Detail:  fmt.Sprintf("%d-byte scgstore/v1 entry with neighbor table, diameter %d", len(buf), ecc),
+		Detail:  fmt.Sprintf("%d-byte profile-only scgstore/v1 entry, diameter %d", st.Snapshot().BytesRead/int64(iters), ecc),
 	}
 }
 

@@ -8,16 +8,18 @@
 //
 // warm enumerates every instance of the swept families (the same
 // enumeration as netprops -sweep), runs the exact BFS profile for each on
-// a bounded worker pool, and writes the scgstore/v1 entries. Keys already
-// present are skipped, so an interrupted warm is resumable by rerunning
-// the same command; -force rebuilds them anyway, and -neighbors also
-// persists the neighbor tables' rows (larger files; nothing reads them
-// back, since a search builds its own factored columns).
+// a bounded worker pool, and writes the scgstore/v1 entries: the profile
+// only, which is all scgd reads. Keys whose entries already decode are
+// skipped, so an interrupted warm is resumable by rerunning the same
+// command; an entry that does not decode (corrupt, or in a retired format
+// such as the old neighbor section) is quarantined and rebuilt, so one
+// rerun heals the store. -force rebuilds every key anyway.
 //
 // doctor reads and checksum-verifies every entry, censuses schema
 // revisions and quarantined files, reaps *.scgp.tmp.* partial writes left
-// by killed processes, and totals sizes per family. Exit status is 0 only
-// for a healthy store, so CI can gate on it; -json emits the full
+// by killed processes, and totals sizes per family. A file in a retired
+// format is reported as kind schema, not as corruption. Exit status is 0
+// only for a healthy store, so CI can gate on it; -json emits the full
 // scgstore-doctor/v1 report for dashboards.
 package main
 
@@ -72,16 +74,16 @@ run 'scgctl <command> -h' for command flags
 }
 
 // runWarm pre-bakes the swept instances into the store. Instances whose
-// entries already exist are skipped (resumable); the BFS builds run
-// concurrently on a bounded pool.
+// entries already decode are skipped (resumable); Load quarantines the
+// rest, which are rebuilt. The BFS builds run concurrently on a bounded
+// pool.
 func runWarm(args []string) error {
 	fs := flag.NewFlagSet("scgctl warm", flag.ExitOnError)
 	var (
-		dir       = fs.String("store", "", "store directory (required)")
-		sweep     = fs.String("sweep", "", "comma-separated family:maxK sweep specs, e.g. MS:8,star:9 (required)")
-		workers   = fs.Int("workers", 0, "concurrent BFS builds (0 = GOMAXPROCS)")
-		neighbors = fs.Bool("neighbors", false, "also persist neighbor-table rows (larger entries)")
-		force     = fs.Bool("force", false, "rebuild entries that already exist")
+		dir     = fs.String("store", "", "store directory (required)")
+		sweep   = fs.String("sweep", "", "comma-separated family:maxK sweep specs, e.g. MS:8,star:9 (required)")
+		workers = fs.Int("workers", 0, "concurrent BFS builds (0 = GOMAXPROCS)")
+		force   = fs.Bool("force", false, "rebuild entries that already decode")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -113,29 +115,24 @@ func runWarm(args []string) error {
 	results, err := pool.Map(len(ins), *workers, func(i int) (outcome, error) {
 		in := ins[i]
 		key := store.Key{Family: in.Family.String(), L: in.L, N: in.N}
-		if !*force && st.Has(key) {
-			return outcome{in: in, skipped: true}, nil
+		if !*force {
+			if _, err := st.Load(key); err == nil {
+				return outcome{in: in, skipped: true}, nil
+			}
 		}
 		nw, err := topology.New(in.Family, in.L, in.N)
 		if err != nil {
 			return outcome{}, fmt.Errorf("warm %v: %w", in, err)
 		}
 		prof, err := nw.Graph().ExactProfile()
+		nw.Graph().DropNeighborTable()
 		if err != nil {
 			return outcome{}, fmt.Errorf("warm %v: %w", in, err)
 		}
 		e := &store.Entry{Family: key.Family, L: key.L, N: key.N, K: in.K(), Profile: prof}
-		if *neighbors {
-			tbl, err := nw.Graph().EnsureNeighborTable(0)
-			if err != nil {
-				return outcome{}, fmt.Errorf("warm %v: %w", in, err)
-			}
-			e.Neighbors = tbl
-		}
 		if err := st.Put(key, e); err != nil {
 			return outcome{}, err
 		}
-		nw.Graph().DropNeighborTable()
 		fi, _ := os.Stat(st.EntryPath(key))
 		var sz int64
 		if fi != nil {
@@ -206,11 +203,7 @@ func runDoctor(args []string) error {
 
 // printDoctor renders the human-readable audit.
 func printDoctor(rep *store.DoctorReport) {
-	fmt.Printf("store %s: %d entries, %d bytes", rep.Dir, rep.Entries, rep.TotalBytes)
-	if rep.WithNeighbor > 0 {
-		fmt.Printf(" (%d with neighbor tables)", rep.WithNeighbor)
-	}
-	fmt.Println()
+	fmt.Printf("store %s: %d entries, %d bytes\n", rep.Dir, rep.Entries, rep.TotalBytes)
 	fams := make([]string, 0, len(rep.ByFamily))
 	for f := range rep.ByFamily {
 		fams = append(fams, f)

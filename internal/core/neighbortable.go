@@ -197,57 +197,6 @@ func (t *NeighborTable) At(r int64, j int) int64 {
 	return int64(t.cols[j].at(uint64(r)))
 }
 
-// Rows expands the columns into a fresh row-major table: rows[r*deg+j] is
-// the rank of neighbor j of state r. It costs n·deg·4 bytes; internal/store
-// persists it.
-func (t *NeighborTable) Rows() []uint32 {
-	rows := make([]uint32, t.n*int64(t.deg))
-	for j := range t.cols {
-		c := &t.cols[j]
-		for r, i := int64(0), j; r < t.n; r, i = r+1, i+t.deg {
-			rows[i] = uint32(c.at(uint64(r)))
-		}
-	}
-	return rows
-}
-
-// NewNeighborTableRows reconstructs a table from its row-major expansion
-// (the Rows layout), as loaded from the persistent store: each generator
-// becomes a full-span column. rows must hold k!·deg ranks below k!.
-func NewNeighborTableRows(k, deg int, rows []uint32) (*NeighborTable, error) {
-	if k < 1 || k > MaxExplicitK {
-		return nil, fmt.Errorf("core: NewNeighborTableRows: k=%d out of range [1, %d]", k, MaxExplicitK)
-	}
-	if deg < 1 {
-		return nil, fmt.Errorf("core: NewNeighborTableRows: degree %d < 1", deg)
-	}
-	n := perm.Factorial(k)
-	if int64(len(rows)) != n*int64(deg) {
-		return nil, fmt.Errorf("core: NewNeighborTableRows: %d entries, want %d (k=%d deg=%d)", len(rows), n*int64(deg), k, deg)
-	}
-	t := fullSpanTable(n, deg)
-	t.k = k
-	for j := range t.cols {
-		delta := t.cols[j].delta
-		for r, i := int64(0), j; r < n; r, i = r+1, i+deg {
-			delta[r] = int32(int64(rows[i]) - r)
-		}
-	}
-	return t, nil
-}
-
-// fullSpanTable returns a table of deg zeroed full-span columns over n
-// ranks (every delta 0: each state is its own neighbor until filled).
-func fullSpanTable(n int64, deg int) *NeighborTable {
-	t := &NeighborTable{deg: deg, n: n, cols: make([]column, deg)}
-	backing := make([]int32, n*int64(deg))
-	for j := range t.cols {
-		t.cols[j] = newColumn(n, 1, n)
-		t.cols[j].delta, backing = backing[:n:n], backing[n:]
-	}
-	return t
-}
-
 // movedRange returns the positions [lo, hi) that generator gp moves; an
 // identity generator gets [0, 0), one column entry of delta 0.
 func movedRange(gp perm.Perm) (lo, hi int) {
@@ -351,8 +300,7 @@ func (g *Graph) EnsureNeighborTable(workers int) (*NeighborTable, error) {
 	return t, nil
 }
 
-// DropNeighborTable releases the memoized columns, if any. Rows expansions
-// belong to their callers; the graph keeps none.
+// DropNeighborTable releases the memoized columns, if any.
 func (g *Graph) DropNeighborTable() {
 	g.mu.Lock()
 	g.tbl = nil

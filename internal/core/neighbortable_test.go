@@ -172,3 +172,82 @@ func TestColumnReciprocals(t *testing.T) {
 		}
 	}
 }
+
+// TestHotpathKernelsDoNotAllocate holds core's //scglint:hotpath kernels
+// to zero heap allocations per call at run time: column.expand on each of
+// its four column shapes, column.fill, and bitsetBFS.mergeWords. The
+// columns are shapes at k = 7 with zero deltas, which every kernel
+// accepts; expandShape names the case of expand's switch each one takes.
+func TestHotpathKernelsDoNotAllocate(t *testing.T) {
+	const k = 7
+	n := perm.Factorial(k)
+	words := int((n + 63) / 64)
+	cur := make([]uint64, words)
+	for i := range cur {
+		cur[i] = 0x9249_2492_4924_9249
+	}
+	cur[words-1] &= 1<<(n%64) - 1
+	next := make([]uint64, words)
+	expandShape := func(c *column) string {
+		switch {
+		case c.s >= 64:
+			return "runs"
+		case c.divS == 0 && c.modSpan == 0:
+			return "full span"
+		case c.wordS != 0:
+			return "word"
+		}
+		return "tail"
+	}
+	for _, tc := range []struct {
+		shape  string
+		lo, hi int // the positions a generator of this shape moves
+	}{
+		{"runs", 0, 2},
+		{"full span", 0, k},
+		{"word", 0, 4},
+		{"tail", 5, k},
+	} {
+		s := perm.Factorial(k - tc.hi)
+		c := newColumn(n, s, perm.Factorial(k-tc.lo)/s)
+		c.delta = make([]int32, c.span)
+		if got := expandShape(&c); got != tc.shape {
+			t.Fatalf("positions [%d, %d) make a %s column, want %s", tc.lo, tc.hi, got, tc.shape)
+		}
+		if a := testing.AllocsPerRun(10, func() { c.expand(next, cur, 0) }); a != 0 {
+			t.Errorf("expand (%s) allocates %.1f times per call, want 0", tc.shape, a)
+		}
+	}
+
+	// fill: the word-shaped column of transposition (1 4).
+	gp := perm.Identity(k)
+	gp.Swap(1, 4)
+	s := perm.Factorial(k - 4)
+	c := newColumn(n, s, n/s)
+	c.delta = make([]int32, c.span)
+	p, q, scratch := make(perm.Perm, k), make(perm.Perm, k), make([]int, k)
+	if a := testing.AllocsPerRun(10, func() { c.fill(gp, 4, 0, int64(c.span), p, q, scratch) }); a != 0 {
+		t.Errorf("fill allocates %.1f times per call, want 0", a)
+	}
+
+	e := &bitsetBFS{
+		workers: 2,
+		visited: make([]uint64, words),
+		cur:     make([]uint64, words),
+		wnext:   [][]uint64{make([]uint64, words), make([]uint64, words)},
+		d8:      make([]uint8, n),
+		counts:  make([]int64, 1),
+	}
+	merge := func() {
+		copy(e.wnext[0], cur)
+		copy(e.wnext[1], next)
+		clear(e.visited)
+		e.mergeWords(0, 0, words, 1)
+	}
+	if a := testing.AllocsPerRun(10, merge); a != 0 {
+		t.Errorf("mergeWords allocates %.1f times per call, want 0", a)
+	}
+	if e.counts[0] == 0 {
+		t.Fatal("mergeWords found no states")
+	}
+}

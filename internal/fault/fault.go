@@ -127,7 +127,8 @@ func checkLinks(g *core.Graph, faults Set) error {
 // MirrorUndirected extends a fault set with the reverse direction of every
 // failed link, modelling a severed physical wire in an undirected Cayley
 // graph. The reverse of (u, g) is (u∘g, g') where g' is the generator whose
-// action inverts g.
+// action inverts g. A link marked up (false) is copied as it is, unless it
+// is the reverse of a failed one.
 func MirrorUndirected(g *core.Graph, faults Set) (Set, error) {
 	if err := checkLinks(g, faults); err != nil {
 		return nil, fmt.Errorf("fault: MirrorUndirected: %w", err)
@@ -143,11 +144,16 @@ func MirrorUndirected(g *core.Graph, faults Set) (Set, error) {
 		}
 	}
 	out := make(Set, 2*len(faults))
+	for l, down := range faults {
+		out[l] = down
+	}
 	buf := make(perm.Perm, k)
 	scratch := make([]int, k)
 	tgt := make(perm.Perm, k)
-	for l := range faults {
-		out[l] = true
+	for l, down := range faults {
+		if !down {
+			continue
+		}
 		perm.UnrankInto(k, l.Node, buf, scratch)
 		buf.ComposeInto(perms[l.Gen], tgt)
 		out[Link{Node: tgt.Rank(), Gen: invIdx[l.Gen]}] = true

@@ -2,6 +2,8 @@ package fault
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -178,6 +180,46 @@ func TestMirrorUndirectedRejectsDirected(t *testing.T) {
 	}
 }
 
+// TestMirrorUndirectedMirrorsOnlyFailedLinks: a link marked up (false)
+// is not a cut wire. A set of up-links mirrors to a set that BFS treats
+// as fault-free, even from the link's own node; a mixed set mirrors its
+// failed links and keeps its up-link as it is.
+func TestMirrorUndirectedMirrorsOnlyFailedLinks(t *testing.T) {
+	g := net(t, topology.MS, 2, 2).Graph()
+	up, down := Link{Node: 3, Gen: 0}, Link{Node: 40, Gen: 1}
+	src := perm.Unrank(g.K(), up.Node)
+	free, err := BFS(g, nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := MirrorUndirected(g, Set{up: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 1 || m[up] {
+		t.Fatalf("Set{%v: false} mirrors to %v, want it unchanged", up, m)
+	}
+	if got, err := BFS(g, m, src); err != nil || *got != *free {
+		t.Fatalf("mirrored up-links give %+v (err %v), want the fault-free %+v", got, err, free)
+	}
+
+	wire, err := MirrorUndirected(g, NewSet(down))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := MirrorUndirected(g, Set{up: false, down: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := wire[up]; ok {
+		t.Fatalf("test links are one wire: %v", wire)
+	}
+	wire[up] = false
+	if !maps.Equal(mixed, wire) {
+		t.Fatalf("mixed set mirrors to %v, want %v", mixed, wire)
+	}
+}
+
 func TestBFSSizeGuard(t *testing.T) {
 	nw, err := topology.NewStar(11)
 	if err != nil {
@@ -297,6 +339,45 @@ func faultedInstances(t *testing.T, maxK int) []*topology.Network {
 		}
 	}
 	return nws
+}
+
+// TestRoutedTopologyCacheBounded: 1,000 distinct sources on MS(2,4)
+// would cache 363 MB of distance tables (362,880 B each); the live heap
+// must stay under distCacheBytes plus a fixed slack. Under -short and
+// -race, 150 sources (54 MB unbounded) still overrun the budget.
+func TestRoutedTopologyCacheBounded(t *testing.T) {
+	const slack = 8 << 20
+	sources := 1000
+	if testing.Short() || raceEnabled {
+		sources = 150
+	}
+	g := net(t, topology.MS, 2, 4).Graph()
+	fs, err := MirrorUndirected(g, NewSet(Link{Node: 0, Gen: 0}, Link{Node: 1, Gen: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rt, err := NewRoutedTopology(g, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.Order()
+	for i := 0; i < sources; i++ {
+		src := int64(i) * (n / int64(sources))
+		if _, err := rt.Path(src, (src+1)%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d sources: live heap +%.1f MiB, %d tables cached", sources, float64(live)/(1<<20), len(rt.dist))
+	if live > distCacheBytes+slack {
+		t.Fatalf("%d sources hold %d live bytes, budget %d + slack %d", sources, live, distCacheBytes, slack)
+	}
+	runtime.KeepAlive(rt)
 }
 
 // TestFaultedSearchesMatchComposeBFS holds BFS's profile and

@@ -12,14 +12,22 @@ import (
 // paths are exact shortest paths in the surviving graph, so the simulator
 // measures end-to-end behaviour of fault-aware minimal routing. Only links
 // absent from the fault set exist. Each source's distances come from one
-// masked search on core's engine and are cached, one byte per state.
+// masked search on core's engine and are cached, one byte per state, up
+// to distCacheBytes.
 type RoutedTopology struct {
-	g    *core.Graph
-	tbl  *core.NeighborTable
-	cut  [][]uint64  // the failed links, as BFSWithout's cut masks
-	inv  []perm.Perm // each generator's inverse, for walking back
-	dist map[int64]core.DistTable
+	g         *core.Graph
+	tbl       *core.NeighborTable
+	cut       [][]uint64  // the failed links, as BFSWithout's cut masks
+	inv       []perm.Perm // each generator's inverse, for walking back
+	dist      map[int64]core.DistTable
+	distBytes int64 // the tables' bytes in dist
 }
+
+// distCacheBytes bounds the distance tables a RoutedTopology keeps. It
+// holds every source of a graph with k <= 7 (5,040 tables of 5,040 B),
+// and 92 of MS(2,4)'s 362,880 B tables; a table past it evicts others,
+// in map order, until it fits. Paths do not depend on what is cached.
+const distCacheBytes = 32 << 20
 
 // NewRoutedTopology wraps graph g with the given fault set. A link outside
 // g is an error. The surviving graph should keep every node reachable
@@ -75,7 +83,15 @@ func (rt *RoutedTopology) Path(src, dst int64) ([]int, error) {
 			return nil, err
 		}
 		dist = res.Dist
+		for s, d := range rt.dist {
+			if rt.distBytes+dist.Bytes() <= distCacheBytes {
+				break
+			}
+			delete(rt.dist, s)
+			rt.distBytes -= d.Bytes()
+		}
 		rt.dist[src] = dist
+		rt.distBytes += dist.Bytes()
 	}
 	d := dist.At(dst)
 	if d < 0 {

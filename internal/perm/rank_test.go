@@ -264,3 +264,28 @@ func BenchmarkUnrankInto(b *testing.B) {
 		UnrankInto(10, int64(i)%Factorial(10), dst, scratch)
 	}
 }
+
+// TestHotpathKernelsDoNotAllocate holds this package's three
+// //scglint:hotpath kernels to zero heap allocations per call at run time.
+func TestHotpathKernelsDoNotAllocate(t *testing.T) {
+	const k = 10
+	p, q := Unrank(k, 1234567), Unrank(k, 987654)
+	dst := make(Perm, k)
+	scratch := make([]int, k)
+	var rank int64
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Rank", func() { rank += p.Rank() }},
+		{"UnrankInto", func() { UnrankInto(k, 3210987, dst, scratch) }},
+		{"ComposeInto", func() { p.ComposeInto(q, dst) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.call); n != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", tc.name, n)
+		}
+	}
+	if rank == 0 {
+		t.Fatal("Rank of a non-identity permutation is 0")
+	}
+}

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"slices"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/topology"
 )
 
 // newStoreServer builds a server over a store directory, optionally
@@ -221,6 +224,85 @@ func TestCorruptStoreRebuildsOverHTTP(t *testing.T) {
 				t.Fatalf("slot not rebuilt on disk: %v", err)
 			}
 		})
+	}
+}
+
+// withNeighborSection rewrites a profile-only MS(2,2) entry into the
+// retired layout that `scgctl warm -neighbors` wrote: flag bit 1, the
+// section's length in the header, then the degree and the k!·deg
+// row-major neighbor ranks after the distances, under a fresh checksum.
+func withNeighborSection(t *testing.T, data []byte) []byte {
+	t.Helper()
+	nw, err := topology.NewMS(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := nw.Graph().EnsureNeighborTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := bytes.Clone(data[:len(data)-4])
+	binary.LittleEndian.PutUint32(out[12:], binary.LittleEndian.Uint32(out[12:])|1<<1)
+	binary.LittleEndian.PutUint64(out[32:], uint64(4+4*tbl.Len()*int64(tbl.Degree())))
+	out = binary.LittleEndian.AppendUint32(out, uint32(tbl.Degree()))
+	for r := int64(0); r < tbl.Len(); r++ {
+		for j := 0; j < tbl.Degree(); j++ {
+			out = binary.LittleEndian.AppendUint32(out, uint32(tbl.At(r, j)))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestNeighborSectionRebuildsOnce puts an entry with the retired neighbor
+// section in MS(2,2)'s slot. The first read of the key quarantines it and
+// counts it corrupt; the key answers after one profile build, written
+// back profile-only; and a restarted server loads that file with no build.
+func TestNeighborSectionRebuildsOnce(t *testing.T) {
+	dir := t.TempDir()
+	first := newStoreServer(t, dir, nil)
+	buildProfileViaHTTP(t, first)
+	first.Close()
+	path := first.cache.Store().EntryPath(store.Key{Family: "MS", L: 2, N: 2})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, withNeighborSection(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var slow strings.Builder
+	second := newStoreServer(t, dir, &slow)
+	buildProfileViaHTTP(t, second)
+	if _, err := os.Stat(path + ".quarantined"); err != nil {
+		t.Fatalf("neighbor-section file not quarantined on the first read: %v", err)
+	}
+	var route RouteResponse
+	if code := do(t, second, http.MethodGet, "/v1/route?family=MS&l=2&n=2&src=21435&dst=53412", "", &route); code != http.StatusOK || route.ExactDistance == nil {
+		t.Fatalf("route after rebuild = %d, exact distance %v", code, route.ExactDistance)
+	}
+	second.Close() // drains the write-back
+	if n := strings.Count(slow.String(), `"name":"build-profile"`); n != 1 {
+		t.Fatalf("%d build-profile spans, want exactly one", n)
+	}
+	body := strings.Join(scrapeMetricsz(t, second), "\n")
+	if !strings.Contains(body, "\nscgd_store_corrupt_total 1\n") || !strings.Contains(body, "\nscgd_store_writes_total 1\n") {
+		t.Fatalf("/metricsz store block:\n%s", body)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(rewritten, data) {
+		t.Fatalf("written-back entry is %d bytes (err %v), want the profile-only %d", len(rewritten), err, len(data))
+	}
+
+	slow.Reset()
+	third := newStoreServer(t, dir, &slow)
+	defer third.Close()
+	if code := do(t, third, http.MethodGet, "/v1/route?family=MS&l=2&n=2&src=21435&dst=53412", "", &route); code != http.StatusOK || route.ExactDistance == nil {
+		t.Fatalf("route after restart = %d, exact distance %v", code, route.ExactDistance)
+	}
+	phases := storeSlowPhases(t, &slow, "/v1/route")
+	if !slices.Contains(phases, "store-load") || slices.Contains(phases, "build-profile") {
+		t.Fatalf("restarted route phases %v: want store-load and no build-profile", phases)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,13 +18,11 @@ type DoctorEntry struct {
 	N      int    `json:"n"`
 	K      int    `json:"k"`
 	Bytes  int64  `json:"bytes"`
-	// HasNeighbors reports whether the entry carries neighbor-table rows
-	// (scgctl warm -neighbors).
-	HasNeighbors bool `json:"has_neighbors"`
 }
 
 // DoctorProblem is one unhealthy file: a corrupt entry, a foreign schema
-// revision, or a name the store never writes.
+// revision or retired format (such as the neighbor section), or a name
+// the store never writes.
 type DoctorProblem struct {
 	Path   string `json:"path"`
 	Kind   string `json:"kind"` // "corrupt" | "schema" | "foreign"
@@ -42,9 +41,8 @@ type DoctorReport struct {
 	// working as designed).
 	Healthy bool `json:"healthy"`
 
-	Entries      int   `json:"entries"`
-	TotalBytes   int64 `json:"total_bytes"`
-	WithNeighbor int   `json:"entries_with_neighbors"`
+	Entries    int   `json:"entries"`
+	TotalBytes int64 `json:"total_bytes"`
 
 	// ByFamily maps canonical family name to entry count.
 	ByFamily map[string]int `json:"by_family"`
@@ -145,7 +143,7 @@ func doctorFile(rep *DoctorReport, dir, path, rel string) {
 	e, err := DecodeEntry(data)
 	if err != nil {
 		kind := "corrupt"
-		if strings.Contains(err.Error(), ErrSchema.Error()) {
+		if errors.Is(err, ErrSchema) {
 			kind = "schema"
 		}
 		rep.Problems = append(rep.Problems, DoctorProblem{Path: rel, Kind: kind, Detail: err.Error()})
@@ -163,12 +161,7 @@ func doctorFile(rep *DoctorReport, dir, path, rel string) {
 	rep.Entries++
 	rep.TotalBytes += int64(len(data))
 	rep.ByFamily[e.Family]++
-	if e.Neighbors != nil {
-		rep.WithNeighbor++
-	}
-	de := DoctorEntry{
-		Path: rel, Family: e.Family, L: e.L, N: e.N, K: e.K,
-		Bytes: int64(len(data)), HasNeighbors: e.Neighbors != nil,
-	}
-	rep.Verified = append(rep.Verified, de)
+	rep.Verified = append(rep.Verified, DoctorEntry{
+		Path: rel, Family: e.Family, L: e.L, N: e.N, K: e.K, Bytes: int64(len(data)),
+	})
 }

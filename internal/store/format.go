@@ -12,18 +12,17 @@ import (
 
 // The scgstore/v1 on-disk entry format. One file persists everything scgd
 // needs to warm-start one (family, l, n) instance: the topology parameters,
-// the rank-indexed exact distance table, the distance histogram with its
-// derived diameter/average-distance profile, and (optionally) the
-// neighbor table's rows. All integers are little-endian.
+// the rank-indexed exact distance table, and the distance histogram with
+// its derived diameter/average-distance profile. All integers are
+// little-endian.
 //
 //	offset size  field
 //	0      8     magic "scgstore"
 //	8      4     schema rev (uint32, currently 1)
-//	12     4     flags (bit 0: compact uint8 dist backing; bit 1: neighbor
-//	             section present)
+//	12     4     flags (bit 0: compact uint8 dist backing; bit 1: retired)
 //	16     8     meta section length   (uint64)
 //	24     8     dist section length   (uint64)
-//	32     8     nbr section length    (uint64)
+//	32     8     retired section length (uint64, always 0)
 //	40     4     k                     (uint32)
 //	44     8     order = k!            (uint64)
 //	52     -     meta section: famLen uint32, family name bytes, l uint32,
@@ -32,9 +31,13 @@ import (
 //	             histogram entries
 //	·      -     dist section: order bytes (stored distance+1, compact) or
 //	             order int32 words (wide)
-//	·      -     nbr section: deg uint32 + order·deg uint32 neighbor ranks
-//	             (absent when flag bit 1 is clear)
 //	end-4  4     CRC32-C of every preceding byte
+//
+// Flag bit 1 and the section after dist once held the neighbor table's
+// k!·deg rows. Nothing read them: a search rebuilds its factored columns
+// from the generators. A file with bit 1 set, or any other flag this
+// reader does not know, decodes to ErrSchema, so Load quarantines it and
+// the key is rebuilt once.
 //
 // The schema rev participates in the content-address key (see KeyHash), so
 // a format bump re-addresses every entry instead of reinterpreting old
@@ -50,40 +53,33 @@ const (
 	trailerLen = 4
 
 	flagCompactDist = 1 << 0
-	flagNeighbors   = 1 << 1
 
 	// maxFamilyLen and maxHistLen bound the variable-length meta fields so
 	// a corrupt header cannot demand an absurd allocation before the CRC
 	// check has a chance to reject the file.
 	maxFamilyLen = 64
 	maxHistLen   = 4096
-	// maxDegree bounds the neighbor-table row width (the transposition
-	// network peaks at k(k-1)/2 = 45 for k = 10).
-	maxDegree = 4096
 )
 
 // Sentinel decode failures. ErrCorrupt covers structural damage (bad magic,
 // bad checksum, truncation, inconsistent sections); ErrSchema marks a
-// well-formed file written under a different format revision. Load
-// quarantines both kinds.
+// well-formed file written under a different format revision or with a
+// flag this reader does not know, the retired neighbor section's among
+// them. Load quarantines both kinds.
 var (
 	ErrCorrupt = errors.New("store: corrupt entry")
-	ErrSchema  = errors.New("store: unsupported schema revision")
+	ErrSchema  = errors.New("store: unsupported format")
 )
 
 // Entry is one persisted instance: the topology parameters plus the
-// materialized exact profile, and optionally the neighbor table, stored as
-// its row-major expansion (scgctl warm -neighbors bakes it; scgd never
-// persists or reads it, since a search builds its own factored columns).
+// materialized exact profile. The adjacency is not stored: it follows
+// from the family's generators, and a search builds its own columns.
 type Entry struct {
 	Family string
 	L, N   int
 	K      int
 	// Profile is the exact BFS profile from the identity; required.
 	Profile *core.BFSResult
-	// Neighbors is the adjacency; optional. A decoded one holds a
-	// full-span column per generator.
-	Neighbors *core.NeighborTable
 }
 
 // AppendEntry encodes e in the scgstore/v1 format, appending to buf.
@@ -103,20 +99,11 @@ func AppendEntry(buf []byte, e *Entry) ([]byte, error) {
 	} else {
 		d32, _ = e.Profile.Dist.RawWide()
 	}
-	var rows []uint32
-	if e.Neighbors != nil {
-		flags |= flagNeighbors
-		rows = e.Neighbors.Rows()
-	}
 
 	metaLen := 4 + len(e.Family) + 4 + 4 + 8 + 8 + 4 + 4 + 8 + 8*len(hist)
 	distLen := int(order)
 	if d8 == nil {
 		distLen = 4 * int(order)
-	}
-	nbrLen := 0
-	if e.Neighbors != nil {
-		nbrLen = 4 + 4*len(rows)
 	}
 
 	start := len(buf)
@@ -125,7 +112,7 @@ func AppendEntry(buf []byte, e *Entry) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(metaLen))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(distLen))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(nbrLen))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // the retired section
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.K))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(order))
 
@@ -149,14 +136,6 @@ func AppendEntry(buf []byte, e *Entry) ([]byte, error) {
 	} else {
 		for _, d := range d32 {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-		}
-	}
-
-	// Neighbor section.
-	if e.Neighbors != nil {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Neighbors.Degree()))
-		for _, r := range rows {
-			buf = binary.LittleEndian.AppendUint32(buf, r)
 		}
 	}
 
@@ -189,23 +168,15 @@ func validateEntry(e *Entry) error {
 	if e.Profile.Eccentricity != len(e.Profile.Histogram)-1 {
 		return fmt.Errorf("store: eccentricity %d disagrees with histogram length %d", e.Profile.Eccentricity, len(e.Profile.Histogram))
 	}
-	if e.Neighbors != nil {
-		if e.Neighbors.K() != e.K {
-			return fmt.Errorf("store: neighbor table k=%d, entry k=%d", e.Neighbors.K(), e.K)
-		}
-		if e.Neighbors.Degree() < 1 || e.Neighbors.Degree() > maxDegree {
-			return fmt.Errorf("store: neighbor table degree %d out of range (1..%d)", e.Neighbors.Degree(), maxDegree)
-		}
-	}
 	return nil
 }
 
 // DecodeEntry parses and fully validates one scgstore/v1 file image. Any
 // structural problem — short file, bad magic, checksum mismatch,
 // inconsistent section lengths, out-of-range fields — returns ErrCorrupt
-// (wrapped with the reason); a well-formed header under a different schema
-// revision returns ErrSchema. DecodeEntry never panics on arbitrary input
-// (FuzzStoreDecode pins this).
+// (wrapped with the reason); a well-formed file under a different schema
+// revision, or with a flag other than bit 0, returns ErrSchema.
+// DecodeEntry never panics on arbitrary input (FuzzStoreDecode pins this).
 func DecodeEntry(data []byte) (*Entry, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("%w: %d bytes, need at least %d", ErrCorrupt, len(data), headerLen+trailerLen)
@@ -224,9 +195,12 @@ func DecodeEntry(data []byte) (*Entry, error) {
 	}
 
 	flags := binary.LittleEndian.Uint32(data[12:])
+	if flags&^flagCompactDist != 0 {
+		return nil, fmt.Errorf("%w: flags %#x; this reader knows bit 0 only (bit 1, the neighbor section, is retired)", ErrSchema, flags)
+	}
 	metaLen := binary.LittleEndian.Uint64(data[16:])
 	distLen := binary.LittleEndian.Uint64(data[24:])
-	nbrLen := binary.LittleEndian.Uint64(data[32:])
+	retiredLen := binary.LittleEndian.Uint64(data[32:])
 	k := int(binary.LittleEndian.Uint32(data[40:]))
 	order := binary.LittleEndian.Uint64(data[44:])
 
@@ -236,8 +210,11 @@ func DecodeEntry(data []byte) (*Entry, error) {
 	if order != uint64(perm.Factorial(k)) {
 		return nil, fmt.Errorf("%w: order %d, want %d! = %d", ErrCorrupt, order, k, perm.Factorial(k))
 	}
-	total := uint64(headerLen) + metaLen + distLen + nbrLen + trailerLen
-	if metaLen > uint64(len(data)) || distLen > uint64(len(data)) || nbrLen > uint64(len(data)) || total != uint64(len(data)) {
+	if retiredLen != 0 {
+		return nil, fmt.Errorf("%w: %d bytes in the retired section", ErrCorrupt, retiredLen)
+	}
+	total := uint64(headerLen) + metaLen + distLen + trailerLen
+	if metaLen > uint64(len(data)) || distLen > uint64(len(data)) || total != uint64(len(data)) {
 		return nil, fmt.Errorf("%w: sections sum to %d bytes, file has %d", ErrCorrupt, total, len(data))
 	}
 	compact := flags&flagCompactDist != 0
@@ -248,10 +225,6 @@ func DecodeEntry(data []byte) (*Entry, error) {
 		}
 	} else if distLen != wantDist {
 		return nil, fmt.Errorf("%w: compact dist section is %d bytes, want %d", ErrCorrupt, distLen, wantDist)
-	}
-	hasNbr := flags&flagNeighbors != 0
-	if !hasNbr && nbrLen != 0 {
-		return nil, fmt.Errorf("%w: %d neighbor bytes but the neighbor flag is clear", ErrCorrupt, nbrLen)
 	}
 
 	meta := data[headerLen : headerLen+metaLen]
@@ -269,32 +242,6 @@ func DecodeEntry(data []byte) (*Entry, error) {
 		wide := make([]int32, order)
 		decodeI32LE(wide, dist)
 		e.Profile.Dist = core.NewDistTableWide(wide)
-	}
-
-	if hasNbr {
-		nbr := data[headerLen+metaLen+distLen : headerLen+metaLen+distLen+nbrLen]
-		if len(nbr) < 4 {
-			return nil, fmt.Errorf("%w: neighbor section is %d bytes, need at least 4", ErrCorrupt, len(nbr))
-		}
-		deg := int(binary.LittleEndian.Uint32(nbr))
-		if deg < 1 || deg > maxDegree {
-			return nil, fmt.Errorf("%w: neighbor degree %d out of range (1..%d)", ErrCorrupt, deg, maxDegree)
-		}
-		if uint64(len(nbr)-4) != 4*order*uint64(deg) {
-			return nil, fmt.Errorf("%w: neighbor section carries %d bytes of ranks, want %d", ErrCorrupt, len(nbr)-4, 4*order*uint64(deg))
-		}
-		ranks := make([]uint32, order*uint64(deg))
-		decodeU32LE(ranks, nbr[4:])
-		for _, r := range ranks {
-			if uint64(r) >= order {
-				return nil, fmt.Errorf("%w: neighbor rank %d out of range (order %d)", ErrCorrupt, r, order)
-			}
-		}
-		tbl, err := core.NewNeighborTableRows(k, deg, ranks)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		e.Neighbors = tbl
 	}
 	return e, nil
 }
@@ -339,25 +286,9 @@ func decodeMeta(meta []byte, e *Entry, order int64) error {
 	return nil
 }
 
-// decodeU32LE fills dst with little-endian 32-bit words from src, whose
-// length must be at least 4·len(dst). This is the bulk of a warm-start
-// load when the entry carries the neighbor table's rows (k!·deg words),
-// so the loop is a pure index kernel: no bounds re-derivation, no calls,
-// no allocation.
-//
-//scglint:hotpath store decode kernel: one 4-byte little-endian load per persisted neighbor-table entry on the warm-start path
-func decodeU32LE(dst []uint32, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	_ = src[4*len(dst)-1]
-	for i := range dst {
-		o := 4 * i
-		dst[i] = uint32(src[o]) | uint32(src[o+1])<<8 | uint32(src[o+2])<<16 | uint32(src[o+3])<<24
-	}
-}
-
-// decodeI32LE is decodeU32LE for the (defensive) wide distance backing.
+// decodeI32LE fills dst with little-endian 32-bit words from src, whose
+// length must be at least 4·len(dst): the (defensive) wide distance
+// backing.
 func decodeI32LE(dst []int32, src []byte) {
 	if len(dst) == 0 {
 		return

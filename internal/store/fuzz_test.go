@@ -2,9 +2,16 @@ package store
 
 import (
 	"bytes"
+	"os"
 	"testing"
+)
 
-	"repro/internal/topology"
+// Two star(1,3) entries written by the encoder of the neighbor-section
+// era: profileOnlyFile decodes unchanged; neighborFile carries the k!·deg
+// neighbor rows under flag bit 1 and decodes to ErrSchema.
+const (
+	profileOnlyFile = "testdata/star-1-3.scgp"
+	neighborFile    = "testdata/star-1-3-neighbors.scgp"
 )
 
 // FuzzStoreDecode throws arbitrary bytes at the scgstore/v1 decoder. The
@@ -13,8 +20,12 @@ import (
 // error. When a mutation does decode cleanly, the entry must re-encode and
 // decode to the same bytes (the format is canonical).
 func FuzzStoreDecode(f *testing.F) {
-	for _, seed := range fuzzSeeds(f) {
-		f.Add(seed)
+	for _, path := range []string{profileOnlyFile, neighborFile} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
@@ -32,35 +43,4 @@ func FuzzStoreDecode(f *testing.F) {
 			t.Fatalf("re-encode is not canonical: %d vs %d bytes", len(enc), len(data))
 		}
 	})
-}
-
-// fuzzSeeds encodes a few real entries (with and without neighbor tables)
-// so the corpus starts from valid files rather than pure noise.
-func fuzzSeeds(f *testing.F) [][]byte {
-	f.Helper()
-	seeds := make([][]byte, 0, 2)
-	for _, withNbr := range []bool{false, true} {
-		nw, err := topology.New(topology.Star, 1, 3)
-		if err != nil {
-			f.Fatal(err)
-		}
-		prof, err := nw.Graph().ExactProfile()
-		if err != nil {
-			f.Fatal(err)
-		}
-		e := &Entry{Family: "star", L: 1, N: 3, K: nw.K(), Profile: prof}
-		if withNbr {
-			tbl, err := nw.Graph().EnsureNeighborTable(1)
-			if err != nil {
-				f.Fatal(err)
-			}
-			e.Neighbors = tbl
-		}
-		enc, err := AppendEntry(nil, e)
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, enc)
-	}
-	return seeds
 }

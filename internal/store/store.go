@@ -1,19 +1,20 @@
 // Package store persists materialized topology profiles between scgd
 // runs. Each (family, l, n) instance becomes one content-addressed file:
-// the exact rank-indexed distance table, the distance histogram with its
-// diameter/average-distance profile, and optionally the neighbor table's
-// rows, encoded in the versioned scgstore/v1 binary format
-// (format.go) and written atomically. The serving cache consults the
-// store before falling back to BFS, so a restarted daemon — or a fresh
-// fleet replica shipped a pre-baked store directory — answers its first
-// route query without recomputing k! distances.
+// the exact rank-indexed distance table and the distance histogram with
+// its diameter/average-distance profile, encoded in the versioned
+// scgstore/v1 binary format (format.go) and written atomically. That is
+// all scgd reads back: the adjacency follows from the family's
+// generators, so it is rebuilt, never stored. The serving cache consults
+// the store before falling back to BFS, so a restarted daemon — or a
+// fresh fleet replica shipped a pre-baked store directory — answers its
+// first route query without recomputing k! distances.
 //
 // Everything a profile contains is a pure function of the key, so entries
 // never need invalidation: a file is either present and valid, or it is
 // rebuilt. Readers treat every structural problem (truncation, bit flips,
-// bad magic, foreign schema revisions, partial writes) as a cache miss:
-// the offending file is quarantined by rename and the profile is rebuilt,
-// never fatal.
+// bad magic, foreign schema revisions, the retired neighbor section,
+// partial writes) as a cache miss: the offending file is quarantined by
+// rename and the profile is rebuilt, never fatal.
 package store
 
 import (
@@ -125,13 +126,6 @@ func (s *Store) Snapshot() StatsSnapshot {
 func (s *Store) EntryPath(k Key) string {
 	h := k.Hash()
 	return filepath.Join(s.dir, h[:2], h+".scgp")
-}
-
-// Has reports whether an entry file exists for k. It does not validate
-// the contents; use Load for that.
-func (s *Store) Has(k Key) bool {
-	_, err := os.Stat(s.EntryPath(k))
-	return err == nil
 }
 
 // Load reads, validates, and decodes the entry addressed by k. A missing

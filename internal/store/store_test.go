@@ -15,8 +15,8 @@ import (
 )
 
 // buildEntry materializes one small instance and its exact profile for
-// store tests; withNeighbors also bakes the neighbor-table rows.
-func buildEntry(t *testing.T, fam topology.Family, l, n int, withNeighbors bool) (*Entry, Key) {
+// store tests.
+func buildEntry(t *testing.T, fam topology.Family, l, n int) (*Entry, Key) {
 	t.Helper()
 	nw, err := topology.New(fam, l, n)
 	if err != nil {
@@ -27,31 +27,23 @@ func buildEntry(t *testing.T, fam topology.Family, l, n int, withNeighbors bool)
 		t.Fatal(err)
 	}
 	key := Key{Family: fam.String(), L: l, N: n}
-	e := &Entry{Family: key.Family, L: l, N: n, K: nw.K(), Profile: prof}
-	if withNeighbors {
-		tbl, err := nw.Graph().EnsureNeighborTable(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Neighbors = tbl
-	}
-	return e, key
+	return &Entry{Family: key.Family, L: l, N: n, K: nw.K(), Profile: prof}, key
 }
 
 func TestRoundTrip(t *testing.T) {
-	e, key := buildEntry(t, topology.MS, 2, 2, true)
+	e, key := buildEntry(t, topology.MS, 2, 2)
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Has(key) {
-		t.Fatal("empty store claims the key")
+	if _, err := os.Stat(st.EntryPath(key)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("empty store has a file for the key: %v", err)
 	}
 	if err := st.Put(key, e); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Has(key) {
-		t.Fatal("store does not see its own write")
+	if _, err := os.Stat(st.EntryPath(key)); err != nil {
+		t.Fatalf("store does not see its own write: %v", err)
 	}
 	got, err := st.Load(key)
 	if err != nil {
@@ -78,19 +70,6 @@ func TestRoundTrip(t *testing.T) {
 	for r := int64(0); r < int64(p.Dist.Len()); r++ {
 		if q.Dist.At(r) != p.Dist.At(r) {
 			t.Fatalf("dist[%d] = %d, want %d", r, q.Dist.At(r), p.Dist.At(r))
-		}
-	}
-	if got.Neighbors == nil {
-		t.Fatal("neighbor table dropped")
-	}
-	if got.Neighbors.Degree() != e.Neighbors.Degree() || got.Neighbors.Len() != e.Neighbors.Len() {
-		t.Fatalf("neighbor shape changed")
-	}
-	for r := int64(0); r < e.Neighbors.Len(); r++ {
-		for j := 0; j < e.Neighbors.Degree(); j++ {
-			if got.Neighbors.At(r, j) != e.Neighbors.At(r, j) {
-				t.Fatalf("neighbor (%d,%d) changed", r, j)
-			}
 		}
 	}
 	s := st.Snapshot()
@@ -154,7 +133,7 @@ func TestDoctorReportsDirectoryEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, good := buildEntry(t, topology.Star, 1, 4, false)
+	e, good := buildEntry(t, topology.Star, 1, 4)
 	if err := st.Put(good, e); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +197,7 @@ var corruptions = []struct {
 // miss (never a crash), the damaged file is quarantined, and a rebuild
 // write + reload round-trips.
 func TestCorruptionShapesQuarantineAndRebuild(t *testing.T) {
-	e, key := buildEntry(t, topology.Star, 1, 4, false)
+	e, key := buildEntry(t, topology.Star, 1, 4)
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			st, err := Open(t.TempDir())
@@ -269,7 +248,7 @@ func TestCorruptionShapesQuarantineAndRebuild(t *testing.T) {
 // TestSchemaRevErrorIsDistinguishable pins that a future-rev file decodes
 // to ErrSchema (not ErrCorrupt): the doctor censuses the two differently.
 func TestSchemaRevErrorIsDistinguishable(t *testing.T) {
-	e, _ := buildEntry(t, topology.Star, 1, 3, false)
+	e, _ := buildEntry(t, topology.Star, 1, 3)
 	data, err := AppendEntry(nil, e)
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +260,68 @@ func TestSchemaRevErrorIsDistinguishable(t *testing.T) {
 	}
 }
 
+// TestNeighborSectionIsRetired reads the two committed star(1,3) files
+// of the neighbor-section era. The profile-only one decodes and
+// re-encodes byte for byte. The one with the neighbor section decodes to
+// ErrSchema, never ErrCorrupt: in its slot, the doctor reports it as kind
+// schema, and Load quarantines it and counts it, so its key is rebuilt.
+func TestNeighborSectionIsRetired(t *testing.T) {
+	old, err := os.ReadFile(profileOnlyFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := DecodeEntry(old)
+	if err != nil {
+		t.Fatalf("profile-only file: %v", err)
+	}
+	if enc, err := AppendEntry(nil, e); err != nil || !bytes.Equal(enc, old) {
+		t.Fatalf("profile-only file re-encodes to %d bytes (err %v), want its own %d", len(enc), err, len(old))
+	}
+
+	data, err := os.ReadFile(neighborFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEntry(data); !errors.Is(err, ErrSchema) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("neighbor-section file: err = %v, want ErrSchema only", err)
+	}
+
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key{Family: e.Family, L: e.L, N: e.N}
+	path := st.EntryPath(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Doctor(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Healthy || rep.Entries != 0 || len(rep.Problems) != 1 || rep.Problems[0].Kind != "schema" || rep.BySchemaRev["1"] != 1 {
+		t.Fatalf("audit %+v; want the one file reported as kind schema", rep)
+	}
+	if _, err := st.Load(key); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Load = %v, want ErrNotFound", err)
+	}
+	if _, err := os.Stat(path + ".quarantined"); err != nil {
+		t.Fatalf("neighbor-section file not quarantined: %v", err)
+	}
+	if s := st.Snapshot(); s.Corrupt != 1 || s.Misses != 1 || s.Hits != 0 {
+		t.Fatalf("counters %+v, want one corrupt miss", s)
+	}
+}
+
 // TestLoadRejectsMisplacedEntry copies a valid file into another key's
 // slot; the decoded metadata disagrees with the address, so Load must
 // quarantine it instead of serving the wrong instance.
 func TestLoadRejectsMisplacedEntry(t *testing.T) {
-	e, key := buildEntry(t, topology.Star, 1, 4, false)
+	e, key := buildEntry(t, topology.Star, 1, 4)
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +354,7 @@ func TestLoadRejectsMisplacedEntry(t *testing.T) {
 }
 
 func TestPutRejectsMismatchedKey(t *testing.T) {
-	e, _ := buildEntry(t, topology.Star, 1, 4, false)
+	e, _ := buildEntry(t, topology.Star, 1, 4)
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -359,8 +395,8 @@ func TestDoctorAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, k1 := buildEntry(t, topology.Star, 1, 4, false)
-	e2, k2 := buildEntry(t, topology.MS, 2, 2, true)
+	e1, k1 := buildEntry(t, topology.Star, 1, 4)
+	e2, k2 := buildEntry(t, topology.MS, 2, 2)
 	if err := st.Put(k1, e1); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +409,7 @@ func TestDoctorAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Healthy || rep.Entries != 2 || rep.WithNeighbor != 1 {
+	if !rep.Healthy || rep.Entries != 2 {
 		t.Fatalf("healthy audit %+v", rep)
 	}
 	if rep.ByFamily["star"] != 1 || rep.ByFamily["MS"] != 1 || rep.BySchemaRev["1"] != 2 {
@@ -440,7 +476,7 @@ func TestDoctorAudit(t *testing.T) {
 // every reader sees either a complete valid entry or a (transient) miss,
 // never torn bytes.
 func TestConcurrentLoadWhileWriting(t *testing.T) {
-	e, key := buildEntry(t, topology.Star, 1, 4, false)
+	e, key := buildEntry(t, topology.Star, 1, 4)
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
