@@ -33,11 +33,11 @@ import (
 //	             order int32 words (wide)
 //	end-4  4     CRC32-C of every preceding byte
 //
-// Flag bit 1 and the section after dist once held the neighbor table's
-// k!·deg rows. Nothing read them: a search rebuilds its factored columns
-// from the generators. A file with bit 1 set, or any other flag this
-// reader does not know, decodes to ErrSchema, so Load quarantines it and
-// the key is rebuilt once.
+// Flag bit 1 and the length at offset 32 belong to a retired section of
+// k!·deg neighbor ranks, which no reader used: a search builds its
+// columns from the generators. A file with bit 1 set, or any other flag
+// this reader does not know, decodes to ErrSchema, so Load quarantines it
+// and the key is rebuilt once.
 //
 // The schema rev participates in the content-address key (see KeyHash), so
 // a format bump re-addresses every entry instead of reinterpreting old
