@@ -1,47 +1,28 @@
-// Command benchreport runs the repository's headline performance
+// Command benchreport times the repository's headline performance
 // measurements — the rank kernel, the BFS engine at k = 8/9/10
 // (factored neighbor-table build, then the table-resident bitset sweep on
-// one worker and on -workers), stretch sampling, the warm /v1/route
-// handler (which must be allocation-free), warm requests to the four v1
-// endpoints through the whole middleware (each held to its allocation
-// ceiling), warm routes through scgd's own HTTP/1.1 transport (held to its
-// ceiling), and the scgd telemetry zero-overhead guard (traced vs untraced
-// /v1/route must differ by zero allocations per request) — and emits them
-// as JSON so each PR can be compared against the committed
+// one worker and on -workers), stretch sampling, a warm store load, the
+// warm /v1/route handler, warm requests to the four v1 endpoints through
+// the whole middleware, warm routes through scgd's own HTTP/1.1
+// transport, and /v1/route with and without request tracing — and emits
+// them as JSON so each PR can be compared against the committed
 // BENCH_baseline.json and the perf trajectory of the exact-measurement
-// engine stays visible.
+// engine stays visible. The server entries also record their heap
+// allocations per request; the go tests (TestRouteHotAllocs*,
+// TestServeAllocs, TestConnAllocs) hold those to their ceilings.
 //
 // Entries are emitted in a fixed order (no map iteration feeds the file),
-// so two runs on the same machine differ only in the timing fields.
-//
-// The -hotpath-report flag turns the command into a cross-check instead of
-// a benchmark run: it reads the output of `scglint -hotpath-report` and
-// asserts that the set of //scglint:hotpath-annotated kernels equals the set
-// of kernels these benchmarks actually drive, so the static analysis and the
-// measured reality cannot drift apart silently.
+// so two runs on the same machine differ only in the measured fields.
 //
 // The -compare flag turns the command into a regression gate: it reads two
 // reports and fails if any benchmark present in both slowed past the ratio
-// threshold, gained allocations, or — for route/hot — allocates at all, or
-// — for the serve/* entries, serve/conn-route included — allocates past
-// its ceiling.
-// Wall-clock ratios tolerate machine-to-machine noise (-max-ratio, default
-// 3x); allocation counts are deterministic and gate exactly.
-//
-// The -escapes flag is the compile-time sibling of -compare: it runs the
-// compiler's escape analysis over the module (optionally named as the one
-// positional argument, default ".") and checks every //scglint:hotpath
-// kernel against the committed results/escape_budget.json, exactly as
-// `scglint -escapes` does. Allocation counts measured at run time and
-// escapes proven at compile time gate side by side.
+// threshold (-max-ratio, default 3x, to tolerate machine-to-machine noise).
 //
 // Examples:
 //
 //	benchreport -out BENCH_baseline.json
 //	benchreport -quick -out bench_smoke.json   # CI smoke: k <= 8, 1 round
 //	benchreport -compare BENCH_baseline.json bench_smoke.json
-//	benchreport -escapes
-//	scglint -hotpath-report | benchreport -hotpath-report -
 package main
 
 import (
@@ -50,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -59,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/lint"
 	"repro/internal/perm"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -91,7 +70,7 @@ type Entry struct {
 	// NsPerOp is the mean wall time per operation in nanoseconds.
 	NsPerOp float64 `json:"ns_per_op"`
 	// AllocsPerOp is the mean heap allocations per operation; present only
-	// for entries that measure allocation behavior (telemetry guard).
+	// for the server entries, which count them.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// Detail carries a human-oriented annotation (diameter found, pairs
 	// sampled, ...).
@@ -105,9 +84,7 @@ func main() {
 		rounds      = flag.Int("rounds", 3, "rounds per BFS benchmark (best-of is not used; the mean is reported)")
 		quick       = flag.Bool("quick", false, "CI smoke mode: k <= 8, one round, fewer kernel iterations")
 		workers     = flag.Int("workers", 0, "parallel BFS worker count (0 = GOMAXPROCS)")
-		hotpaths    = flag.String("hotpath-report", "", "cross-check mode: read `scglint -hotpath-report` output from this file (- for stdin) and assert the annotated kernel set matches the benchmarked set")
 		compare     = flag.Bool("compare", false, "regression-gate mode: compare two reports (old.json new.json) instead of measuring")
-		escapes     = flag.Bool("escapes", false, "escape-gate mode: run go build -gcflags=-m and check //scglint:hotpath kernels against the committed escape budget")
 		maxRatio    = flag.Float64("max-ratio", 3.0, "compare mode: fail when new ns/op exceeds old by this factor")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -115,21 +92,6 @@ func main() {
 	if *showVersion {
 		fmt.Println(version.String("benchreport"))
 		return
-	}
-	if *hotpaths != "" {
-		os.Exit(crossCheckHotpaths(*hotpaths))
-	}
-	if *escapes {
-		dir := "."
-		if flag.NArg() == 1 {
-			dir = flag.Arg(0)
-		}
-		m, err := lint.Load(dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchreport:", err)
-			os.Exit(2)
-		}
-		os.Exit(lint.RunEscapeGate(m, "", false, os.Stdout, os.Stderr))
 	}
 	if *compare {
 		if flag.NArg() != 2 {
@@ -183,7 +145,7 @@ func main() {
 	rep.Entries = append(rep.Entries, routeHotEntry(routeIters*4))
 	rep.Entries = append(rep.Entries, serveEntries(routeIters)...)
 	rep.Entries = append(rep.Entries, connEntry(routeIters))
-	rep.Entries = append(rep.Entries, telemetryGuard(routeIters)...)
+	rep.Entries = append(rep.Entries, measureRoute(routeIters, true), measureRoute(routeIters, false))
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	fail(err)
@@ -197,88 +159,11 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Entries))
 }
 
-// benchedHotpaths is the set of //scglint:hotpath-annotated functions these
-// benchmarks exercise: the rank and compose kernels (rankKernel and the
-// neighbor-table build), the column expand kernel and the level merge of
-// the bitset engine (bfsSuite), the column build kernel (neighbor-table
-// entries), and the warm-route distance overlay (route/hot and the
-// telemetry guard's /v1/route traffic). If an annotation is added or
-// removed, this list and the benchmark that drives the kernel must move
-// together — the -hotpath-report cross-check fails CI otherwise.
-var benchedHotpaths = []string{
-	"repro/internal/core.(*bitsetBFS).mergeWords",
-	"repro/internal/core.(*column).expand",
-	"repro/internal/core.(*column).fill",
-	"repro/internal/perm.(Perm).ComposeInto",
-	"repro/internal/perm.(Perm).Rank",
-	"repro/internal/perm.UnrankInto",
-	"repro/internal/server.routeDistance",
-}
-
-// crossCheckHotpaths compares the annotated kernel set from a
-// `scglint -hotpath-report` dump (one `id<TAB>pos<TAB>reason` line per
-// root) against benchedHotpaths and reports the difference in both
-// directions. Returns the process exit code.
-func crossCheckHotpaths(path string) int {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		return 1
-	}
-	annotated := make(map[string]bool)
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		id, _, _ := strings.Cut(line, "\t")
-		annotated[id] = true
-	}
-	benched := make(map[string]bool, len(benchedHotpaths))
-	for _, id := range benchedHotpaths {
-		benched[id] = true
-	}
-	var unbenched, unannotated []string
-	for id := range annotated {
-		if !benched[id] {
-			unbenched = append(unbenched, id)
-		}
-	}
-	for _, id := range benchedHotpaths {
-		if !annotated[id] {
-			unannotated = append(unannotated, id)
-		}
-	}
-	sort.Strings(unbenched)
-	sort.Strings(unannotated)
-	for _, id := range unbenched {
-		fmt.Fprintf(os.Stderr, "benchreport: hotpath %s is annotated but no benchmark drives it\n", id)
-	}
-	for _, id := range unannotated {
-		fmt.Fprintf(os.Stderr, "benchreport: kernel %s is benchmarked but carries no //scglint:hotpath annotation\n", id)
-	}
-	if len(unbenched) > 0 || len(unannotated) > 0 {
-		return 1
-	}
-	fmt.Printf("benchreport: %d hotpath kernel(s) verified against the benchmark set\n", len(annotated))
-	return 0
-}
-
 // compareReports is the regression gate: every benchmark present in both
-// reports must hold new ns/op <= old ns/op * maxRatio and must not gain
-// allocations (tolerance half an alloc, since the counts are means over a
-// finite loop); route/hot additionally must report exactly zero allocs/op,
-// and each serve/* entry at most its ceiling, no matter what the old report
-// says. Benchmarks present in only one report are
-// listed but do not fail the gate — CI compares a -quick smoke run (k <= 8)
-// against the full committed baseline (k <= 10). Returns the process exit
-// code.
+// reports must hold new ns/op <= old ns/op * maxRatio. Benchmarks present
+// in only one report are listed but do not fail the gate — CI compares a
+// -quick smoke run (k <= 8) against the full committed baseline (k <= 10).
+// Returns the process exit code.
 func compareReports(oldPath, newPath string, maxRatio float64) int {
 	oldRep, err := readReport(oldPath)
 	if err != nil {
@@ -297,14 +182,6 @@ func compareReports(oldPath, newPath string, maxRatio float64) int {
 	bad := 0
 	compared := 0
 	for _, n := range newRep.Entries {
-		if n.Name == "route/hot" && n.AllocsPerOp != 0 {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL %s: %.2f allocs/op, the warm route handler must not allocate\n", n.Name, n.AllocsPerOp)
-			bad++
-		}
-		if ceiling, ok := serveCeiling(n.Name); ok && n.AllocsPerOp > ceiling {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL %s: %.2f allocs/op, ceiling %.0f\n", n.Name, n.AllocsPerOp, ceiling)
-			bad++
-		}
 		o, ok := oldByName[n.Name]
 		if !ok {
 			fmt.Printf("benchreport: new benchmark %s (%.0f ns/op), no old counterpart\n", n.Name, n.NsPerOp)
@@ -315,11 +192,6 @@ func compareReports(oldPath, newPath string, maxRatio float64) int {
 		if o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*maxRatio {
 			fmt.Fprintf(os.Stderr, "benchreport: FAIL %s: %.0f ns/op vs %.0f ns/op old (%.2fx > %.2fx allowed)\n",
 				n.Name, n.NsPerOp, o.NsPerOp, n.NsPerOp/o.NsPerOp, maxRatio)
-			bad++
-			continue
-		}
-		if n.AllocsPerOp > o.AllocsPerOp+0.5 {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL %s: %.2f allocs/op vs %.2f old\n", n.Name, n.AllocsPerOp, o.AllocsPerOp)
 			bad++
 			continue
 		}
@@ -490,11 +362,9 @@ func storeLoadEntry(iters int) Entry {
 	}
 }
 
-// routeHotEntry measures the warm /v1/route handler alone — past the mux
-// middleware, straight into the pooled-scratch path — and fails the whole
-// report if it allocates at all. This is the allocs/op = 0 gate on the
-// server's hottest endpoint; BenchmarkRouteHot is the go-test spelling of
-// the same loop.
+// routeHotEntry times the warm /v1/route handler alone — past the mux
+// middleware, straight into the pooled-scratch path. TestRouteHotAllocs
+// holds the same loop to zero allocations.
 func routeHotEntry(iters int) Entry {
 	s := server.New(server.Config{
 		RequestTimeout: 30 * time.Second,
@@ -504,52 +374,30 @@ func routeHotEntry(iters int) Entry {
 	const target = "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
 	ns, allocs, err := server.MeasureRouteHot(s, target, iters)
 	fail(err)
-	if allocs != 0 {
-		fail(fmt.Errorf("benchreport: warm /v1/route handler allocates %.2f times per request (%.0f in %d requests), want exactly 0", allocs, allocs*float64(iters), iters))
-	}
 	return Entry{
 		Name:        "route/hot",
 		K:           7,
 		Rounds:      iters,
 		NsPerOp:     ns,
 		AllocsPerOp: allocs,
-		Detail:      "warm-cache MS(2,3) GET handler only, asserted 0 allocs/op",
+		Detail:      "warm-cache MS(2,3) GET handler only",
 	}
 }
 
-// serveTargets are the warm v1 requests serveEntries measures, with the
-// allocation ceilings internal/server names the allocations of.
-var serveTargets = []struct {
-	name, target string
-	ceiling      float64
-}{
-	{"serve/route", "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321", server.ServeAllocs},
-	{"serve/metrics", "/v1/metrics?family=MS&l=2&n=3", server.ServeAllocs},
-	{"serve/neighbors", "/v1/neighbors?family=MS&l=2&n=3&node=2314567", server.ServeAllocs},
-	{"serve/profile", "/v1/profile?family=MS&l=2&n=3", server.ProfileSubmitAllocs},
-}
-
-// connRoute is the entry for warm routes served by server.Run over one
-// keep-alive loopback connection (connEntry), held to server.ConnAllocs.
-const connRoute = "serve/conn-route"
-
-func serveCeiling(name string) (float64, bool) {
-	if name == connRoute {
-		return server.ConnAllocs, true
-	}
-	for _, t := range serveTargets {
-		if t.name == name {
-			return t.ceiling, true
-		}
-	}
-	return 0, false
+// serveTargets are the warm v1 requests serveEntries measures.
+var serveTargets = []struct{ name, target string }{
+	{"serve/route", "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"},
+	{"serve/metrics", "/v1/metrics?family=MS&l=2&n=3"},
+	{"serve/neighbors", "/v1/neighbors?family=MS&l=2&n=3&node=2314567"},
+	{"serve/profile", "/v1/profile?family=MS&l=2&n=3"},
 }
 
 // serveEntries measures warm requests to the four v1 endpoints through the
 // whole middleware, as server.Run serves them (server.MeasureServe: one
-// response header map cleared per request, no client X-Request-Id), and
-// fails the report when any allocates past its ceiling. The profile row is a submit
-// answered from the resident MS(2,3) profile, which also mints a job.
+// response header map cleared per request, no client X-Request-Id). The
+// profile row is a submit answered from the resident MS(2,3) profile,
+// which also mints a job. TestServeAllocs holds the same requests to
+// their allocation ceilings.
 func serveEntries(iters int) []Entry {
 	s := server.New(server.Config{
 		RequestTimeout: 30 * time.Second,
@@ -567,16 +415,13 @@ func serveEntries(iters int) []Entry {
 	for _, t := range serveTargets {
 		ns, allocs, err := server.MeasureServe(s, t.target, iters)
 		fail(err)
-		if allocs > t.ceiling {
-			fail(fmt.Errorf("benchreport: warm %s allocates %.2f times per request (%.0f in %d requests), ceiling %.0f", t.target, allocs, allocs*float64(iters), iters, t.ceiling))
-		}
 		out = append(out, Entry{
 			Name:        t.name,
 			K:           7,
 			Rounds:      iters,
 			NsPerOp:     ns,
 			AllocsPerOp: allocs,
-			Detail:      fmt.Sprintf("warm MS(2,3) GET through the middleware, reused response header, asserted <= %.0f allocs/op", t.ceiling),
+			Detail:      "warm MS(2,3) GET through the middleware, reused response header",
 		})
 	}
 	return out
@@ -584,9 +429,8 @@ func serveEntries(iters int) []Entry {
 
 // connEntry measures warm MS(2,3) routes served by server.Run over one
 // keep-alive loopback connection from a client that allocates nothing, a
-// different pair on every request (server.MeasureConn), and fails the
-// report when a request allocates past server.ConnAllocs: the transport's
-// own gate, beside route/hot's for the handler.
+// different pair on every request (server.MeasureConn). TestConnAllocs
+// holds the same loop to its allocation ceiling.
 func connEntry(iters int) Entry {
 	s := server.New(server.Config{
 		RequestTimeout: 30 * time.Second,
@@ -599,49 +443,21 @@ func connEntry(iters int) Entry {
 	}
 	ns, allocs, err := server.MeasureConn(context.Background(), s, targets, iters)
 	fail(err)
-	if allocs > server.ConnAllocs {
-		fail(fmt.Errorf("benchreport: a warm route through server.Run allocates %.2f times per request (%.0f in %d requests), ceiling %d", allocs, allocs*float64(iters), iters, server.ConnAllocs))
-	}
 	return Entry{
-		Name:        connRoute,
+		Name:        "serve/conn-route",
 		K:           7,
 		Rounds:      iters,
 		NsPerOp:     ns,
 		AllocsPerOp: allocs,
-		Detail:      fmt.Sprintf("warm MS(2,3) GETs, 256 pairs, over one loopback keep-alive connection to server.Run, asserted <= %d allocs/op", server.ConnAllocs),
+		Detail:      "warm MS(2,3) GETs, 256 pairs, over one loopback keep-alive connection to server.Run",
 	}
-}
-
-// telemetryGuard is the zero-overhead assertion for scgd's request tracing:
-// it drives identical warm-cache /v1/route traffic through two in-process
-// servers — one with a slow log (io.Discard, at a threshold no request
-// reaches), so every request stamps a span timeline nobody writes out, and
-// one without, which stamps none — and fails the whole report if the
-// allocations-per-request delta reaches 1. Pooled traces and always-on
-// atomic counters are the design invariant this pins; a regression (say,
-// a span slice escaping the pool) shows up as a broken build, not a slow
-// fleet.
-func telemetryGuard(iters int) []Entry {
-	on := measureRoute(iters, true)
-	off := measureRoute(iters, false)
-	delta := on.AllocsPerOp - off.AllocsPerOp
-	if math.Abs(delta) >= 1 {
-		fail(fmt.Errorf("benchreport: telemetry is not allocation-free: %.2f allocs/op traced vs %.2f untraced (delta %.2f)",
-			on.AllocsPerOp, off.AllocsPerOp, delta))
-	}
-	guard := Entry{
-		Name:        "telemetry/route-alloc-delta",
-		Rounds:      iters,
-		AllocsPerOp: delta,
-		Detail:      "asserted |delta| < 1 alloc/op between traced and untraced /v1/route",
-	}
-	return []Entry{on, off, guard}
 }
 
 // measureRoute times warm /v1/route requests against one in-process server
 // and reports mean wall time and heap allocations per request. traced
 // gives the server a discarding slow log that no request is slow enough to
-// reach, so each request takes and releases a span timeline.
+// reach, so each request takes and releases a span timeline;
+// TestServeAllocs holds such a server to the untraced ceiling.
 func measureRoute(iters int, traced bool) Entry {
 	cfg := server.Config{
 		RequestTimeout: 30 * time.Second,

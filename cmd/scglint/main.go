@@ -1,4 +1,4 @@
-// Command scglint is the project's static-analysis suite: six custom
+// Command scglint is the project's static-analysis suite: five custom
 // analyzers that machine-check the repository's conventions using only the
 // standard library's go/ast, go/parser, go/token, and go/types. Each one
 // either caught a real bug in this tree or enforces an invariant nothing
@@ -10,11 +10,14 @@
 //     registered once, so /metricsz cardinality is static;
 //   - hotalloc: //scglint:hotpath kernels, and everything they reach
 //     through the module call graph, are free of allocating constructs
-//     (findings print the call chain from the root);
+//     (findings print the call chain from the root); it also runs
+//     `go build -gcflags=-m` over the packages holding a kernel and
+//     reports each heap escape the compiler finds in a kernel's body,
+//     except in a panic argument, at an inlined call into module code
+//     (the walk vets the callee), under a statement-level coldpath, or
+//     on a line already reported;
 //   - lockorder: the module's lock-acquisition graph is acyclic, and no
-//     lock is held across a blocking operation;
-//   - escapegate (under -escapes): the hotpath kernels match the
-//     committed compiler escape budget exactly.
+//     lock is held across a blocking operation.
 //
 // Usage:
 //
@@ -22,20 +25,12 @@
 //	go run ./cmd/scglint -json ./...
 //	go run ./cmd/scglint -only droppederr,lockorder ./...
 //	go run ./cmd/scglint -list -v
-//	go run ./cmd/scglint -hotpath-report      # id/position/reason of hot roots
-//	go run ./cmd/scglint -escapes ./...       # gate kernels on the escape budget
-//	go run ./cmd/scglint -escapes -escapes-update ./...   # rewrite the budget
 //
 // The driver exits 0 when the tree is clean, 1 when findings were reported,
 // and 2 when the module could not be loaded or the flags are invalid.
-// -escapes runs `go build -gcflags=-m`, attributes the heap escapes the
-// compiler reports to the //scglint:hotpath kernels, and compares the
-// per-kernel counts against results/escape_budget.json in both directions
-// — new escapes fail with the compiler's diagnostic line, and budgets
-// looser than reality (or naming vanished kernels) fail as stale. Findings
-// can be suppressed with an audited directive on the flagged statement
-// (trailing, or on its own line above — covering the statement's full line
-// span when it wraps):
+// Findings can be suppressed with an audited directive on the flagged
+// statement (trailing, or on its own line above — covering the
+// statement's full line span when it wraps):
 //
 //	//scglint:ignore <analyzer> <reason>
 //

@@ -173,9 +173,21 @@ func TestColumnReciprocals(t *testing.T) {
 	}
 }
 
+// totalAllocs returns the heap allocations of runs calls of fn, counted
+// as testing.AllocsPerRun counts them (GOMAXPROCS 1, after a warm-up) but
+// not averaged: AllocsPerRun truncates its mean to an integer, which
+// reads 0 for an amortized append that allocates once every few calls.
+func totalAllocs(runs int, fn func()) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			fn()
+		}
+	})
+}
+
 // TestHotpathKernelsDoNotAllocate holds core's //scglint:hotpath kernels
-// to zero heap allocations per call at run time: column.expand on each of
-// its four column shapes, column.fill, and bitsetBFS.mergeWords. The
+// to zero heap allocations in 10 calls at run time: column.expand on each
+// of its four column shapes, column.fill, and bitsetBFS.mergeWords. The
 // columns are shapes at k = 7 with zero deltas, which every kernel
 // accepts; expandShape names the case of expand's switch each one takes.
 func TestHotpathKernelsDoNotAllocate(t *testing.T) {
@@ -214,8 +226,8 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		if got := expandShape(&c); got != tc.shape {
 			t.Fatalf("positions [%d, %d) make a %s column, want %s", tc.lo, tc.hi, got, tc.shape)
 		}
-		if a := testing.AllocsPerRun(10, func() { c.expand(next, cur, 0) }); a != 0 {
-			t.Errorf("expand (%s) allocates %.1f times per call, want 0", tc.shape, a)
+		if a := totalAllocs(10, func() { c.expand(next, cur, 0) }); a != 0 {
+			t.Errorf("expand (%s) allocates %.0f times in 10 calls, want 0", tc.shape, a)
 		}
 	}
 
@@ -226,8 +238,8 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 	c := newColumn(n, s, n/s)
 	c.delta = make([]int32, c.span)
 	p, q, scratch := make(perm.Perm, k), make(perm.Perm, k), make([]int, k)
-	if a := testing.AllocsPerRun(10, func() { c.fill(gp, 4, 0, int64(c.span), p, q, scratch) }); a != 0 {
-		t.Errorf("fill allocates %.1f times per call, want 0", a)
+	if a := totalAllocs(10, func() { c.fill(gp, 4, 0, int64(c.span), p, q, scratch) }); a != 0 {
+		t.Errorf("fill allocates %.0f times in 10 calls, want 0", a)
 	}
 
 	e := &bitsetBFS{
@@ -244,8 +256,8 @@ func TestHotpathKernelsDoNotAllocate(t *testing.T) {
 		clear(e.visited)
 		e.mergeWords(0, 0, words, 1)
 	}
-	if a := testing.AllocsPerRun(10, merge); a != 0 {
-		t.Errorf("mergeWords allocates %.1f times per call, want 0", a)
+	if a := totalAllocs(10, merge); a != 0 {
+		t.Errorf("mergeWords allocates %.0f times in 10 calls, want 0", a)
 	}
 	if e.counts[0] == 0 {
 		t.Fatal("mergeWords found no states")

@@ -36,12 +36,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		chdir    = fs.String("C", ".", "directory whose enclosing module is analyzed")
 		showDocs = fs.Bool("v", false, "with -list, include analyzer documentation")
 		showVer  = fs.Bool("version", false, "print version and exit")
-
-		hotReport = fs.Bool("hotpath-report", false, "list //scglint:hotpath roots (id, position, reason) and exit")
-
-		escapes       = fs.Bool("escapes", false, "run go build -gcflags=-m and gate every //scglint:hotpath kernel against the committed escape budget")
-		escapesUpdate = fs.Bool("escapes-update", false, "with -escapes, rewrite the committed budget from the current compiler output")
-		escapeBudget  = fs.String("escape-budget", "", "escape budget file (default results/escape_budget.json under the module root)")
 	)
 	fs.Usage = func() {
 		_, _ = fmt.Fprintf(stderr, "usage: scglint [flags] [packages]\n\n")
@@ -66,20 +60,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		}
 		return ExitClean
 	}
-	exclusive := 0
-	for _, on := range []bool{*jsonOut, *hotReport, *escapes} {
-		if on {
-			exclusive++
-		}
-	}
-	if exclusive > 1 {
-		_, _ = fmt.Fprintln(stderr, "scglint: -json, -hotpath-report, and -escapes are mutually exclusive")
-		return ExitError
-	}
-	if *escapesUpdate && !*escapes {
-		_, _ = fmt.Fprintln(stderr, "scglint: -escapes-update requires -escapes")
-		return ExitError
-	}
 	analyzers, err := selectAnalyzers(*only, *skip)
 	if err != nil {
 		_, _ = fmt.Fprintln(stderr, "scglint:", err)
@@ -89,13 +69,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		_, _ = fmt.Fprintln(stderr, "scglint:", err)
 		return ExitError
-	}
-	if *hotReport {
-		WriteHotpathReport(stdout, m)
-		return ExitClean
-	}
-	if *escapes {
-		return RunEscapeGate(m, *escapeBudget, *escapesUpdate, stdout, stderr)
 	}
 	findings := Run(m, analyzers)
 	if *jsonOut {

@@ -130,28 +130,13 @@ func TestDriverUnknownAnalyzerMessage(t *testing.T) {
 	}
 }
 
-// TestDriverOutputModesExclusive checks -json, -hotpath-report and
-// -escapes reject each other.
-func TestDriverOutputModesExclusive(t *testing.T) {
-	for _, args := range [][]string{
-		{"-json", "-hotpath-report"},
-		{"-json", "-escapes"},
-		{"-hotpath-report", "-escapes"},
-	} {
-		var out, errOut bytes.Buffer
-		if code := Main(append(args, "-C", "testdata/clean"), &out, &errOut); code != ExitError {
-			t.Errorf("%v: exit code = %d, want %d", args, code, ExitError)
-		}
-	}
-}
-
 // TestDriverList checks -list prints exactly the catalog, in order.
 func TestDriverList(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := Main([]string{"-list"}, &out, &errOut); code != ExitClean {
 		t.Fatalf("-list: exit code = %d", code)
 	}
-	const want = "panicstyle\ndroppederr\ntelemetrylabel\nhotalloc\nlockorder\nescapegate\n"
+	const want = "panicstyle\ndroppederr\ntelemetrylabel\nhotalloc\nlockorder\n"
 	if out.String() != want {
 		t.Errorf("-list printed %q, want %q", out.String(), want)
 	}

@@ -1,17 +1,15 @@
 package lint
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestParseEscapeDiags feeds a canned `go build -gcflags=-m` transcript
-// through the parser: only heap-escape lines survive, package headers and
-// inlining chatter are dropped, and "./"-prefixed paths normalize to the
-// module-relative form the facts store uses.
+// through the parser: only heap-escape lines survive, package headers,
+// inlining chatter and "does not escape" lines are dropped, and
+// "./"-prefixed paths normalize to the module-relative form the facts
+// store uses.
 func TestParseEscapeDiags(t *testing.T) {
 	out := strings.Join([]string{
 		"# repro/internal/core",
@@ -19,6 +17,7 @@ func TestParseEscapeDiags(t *testing.T) {
 		"internal/core/bfs.go:42:13: frontier escapes to heap",
 		"./internal/core/bfs.go:57:2: moved to heap: dist",
 		"internal/core/bfs.go:60:19: inlining call to levelSize",
+		"internal/core/bfs.go:61:7: \"x escapes to heap\" does not escape",
 		"not-a-diag-line",
 		"bad:line:escapes to heap",
 		"",
@@ -26,9 +25,9 @@ func TestParseEscapeDiags(t *testing.T) {
 	}, "\n")
 	got := parseEscapeDiags(out)
 	want := []escapeDiag{
-		{File: "internal/core/bfs.go", Line: 42, Msg: "frontier escapes to heap"},
-		{File: "internal/core/bfs.go", Line: 57, Msg: "moved to heap: dist"},
-		{File: "internal/sim/run.go", Line: 7, Msg: "make([]byte, n) escapes to heap"},
+		{File: "internal/core/bfs.go", Line: 42, Col: 13, Msg: "frontier escapes to heap"},
+		{File: "internal/core/bfs.go", Line: 57, Col: 2, Msg: "moved to heap: dist"},
+		{File: "internal/sim/run.go", Line: 7, Col: 9, Msg: "make([]byte, n) escapes to heap"},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parseEscapeDiags: got %d diags, want %d: %v", len(got), len(want), got)
@@ -41,12 +40,12 @@ func TestParseEscapeDiags(t *testing.T) {
 }
 
 // TestAttributeEscapes checks the span bucketing: a diagnostic belongs to
-// a kernel iff it lands in the kernel's file between its first and last
-// line; everything else is the rest of the module allocating normally.
+// a root iff it lands in the root's file between its first and last line;
+// everything else is the rest of the module allocating normally.
 func TestAttributeEscapes(t *testing.T) {
-	kernels := []*funcFacts{
-		{ID: "m/a.Kernel", Pos: sitePos{File: "a/a.go", Line: 10}, EndLine: 20, Hotpath: "x"},
-		{ID: "m/b.Other", Pos: sitePos{File: "b/b.go", Line: 5}, EndLine: 9, Hotpath: "y"},
+	roots := []funcRef{
+		{ff: &funcFacts{ID: "m/a.Kernel", Pos: sitePos{File: "a/a.go", Line: 10}, EndLine: 20, Hotpath: "x"}},
+		{ff: &funcFacts{ID: "m/b.Other", Pos: sitePos{File: "b/b.go", Line: 5}, EndLine: 9, Hotpath: "y"}},
 	}
 	diags := []escapeDiag{
 		{File: "a/a.go", Line: 10, Msg: "first line"},
@@ -56,177 +55,18 @@ func TestAttributeEscapes(t *testing.T) {
 		{File: "b/b.go", Line: 7, Msg: "other kernel"},
 		{File: "c/c.go", Line: 7, Msg: "unrelated file"},
 	}
-	byKernel := attributeEscapes(kernels, diags)
-	if n := len(byKernel["m/a.Kernel"]); n != 2 {
-		t.Errorf("m/a.Kernel: got %d diags, want 2: %v", n, byKernel["m/a.Kernel"])
+	byRoot := attributeEscapes(roots, diags)
+	if n := len(byRoot["m/a.Kernel"]); n != 2 {
+		t.Errorf("m/a.Kernel: got %d diags, want 2: %v", n, byRoot["m/a.Kernel"])
 	}
-	if n := len(byKernel["m/b.Other"]); n != 1 {
-		t.Errorf("m/b.Other: got %d diags, want 1: %v", n, byKernel["m/b.Other"])
+	if n := len(byRoot["m/b.Other"]); n != 1 {
+		t.Errorf("m/b.Other: got %d diags, want 1: %v", n, byRoot["m/b.Other"])
 	}
 	total := 0
-	for _, ds := range byKernel {
+	for _, ds := range byRoot {
 		total += len(ds)
 	}
 	if total != 3 {
-		t.Errorf("attributed %d diags in total, want 3 (the rest are outside every kernel)", total)
-	}
-}
-
-// TestCompareEscapeBudget covers all four violation directions plus the
-// clean case.
-func TestCompareEscapeBudget(t *testing.T) {
-	kernels := []*funcFacts{
-		{ID: "m/a.Exact", Hotpath: "x"},
-		{ID: "m/a.Over", Hotpath: "x"},
-		{ID: "m/a.Under", Hotpath: "x"},
-		{ID: "m/a.New", Hotpath: "x"},
-	}
-	byKernel := map[string][]escapeDiag{
-		"m/a.Exact": {{File: "a/a.go", Line: 1, Msg: "moved to heap: x"}},
-		"m/a.Over": {
-			{File: "a/a.go", Line: 2, Msg: "moved to heap: y"},
-			{File: "a/a.go", Line: 3, Msg: "z escapes to heap"},
-		},
-		"m/a.Under": nil,
-		"m/a.New":   {{File: "a/a.go", Line: 9, Msg: "moved to heap: q"}},
-	}
-	budget := &EscapeBudget{Schema: escapeBudgetSchema, Kernels: map[string]int{
-		"m/a.Exact": 1,
-		"m/a.Over":  1,
-		"m/a.Under": 2,
-		"m/a.Gone":  3,
-	}}
-	violations := compareEscapeBudget(kernels, byKernel, budget)
-	if len(violations) != 4 {
-		t.Fatalf("got %d violations, want 4:\n%s", len(violations), strings.Join(violations, "\n"))
-	}
-	wantSubs := []string{
-		"kernel m/a.Over exceeds its escape budget (2 > 1)",
-		"a/a.go:3: z escapes to heap", // the exact diagnostic line rides along
-		"stale escape budget for kernel m/a.Under: budget 2, compiler reports 0",
-		"stale escape budget entry m/a.Gone",
-		"unbudgeted hotpath kernel m/a.New: 1 heap escape(s)",
-	}
-	joined := strings.Join(violations, "\n")
-	for _, sub := range wantSubs {
-		if !strings.Contains(joined, sub) {
-			t.Errorf("violations missing %q:\n%s", sub, joined)
-		}
-	}
-
-	// Clean: budget matching reality exactly, stale entry removed.
-	budget.Kernels = map[string]int{"m/a.Exact": 1, "m/a.Over": 2, "m/a.Under": 0, "m/a.New": 1}
-	if v := compareEscapeBudget(kernels, byKernel, budget); len(v) != 0 {
-		t.Errorf("matching budget still reports violations: %v", v)
-	}
-}
-
-// TestRunEscapeGateEndToEnd compiles a throwaway module whose single
-// hotpath kernel deliberately leaks a local to the heap, bootstraps the
-// budget with -escapes-update, verifies the check passes against it, then
-// tampers with the budget in both directions and expects failures.
-func TestRunEscapeGateEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles a module; skipped in -short")
-	}
-	dir := t.TempDir()
-	writeFile := func(rel, src string) {
-		t.Helper()
-		p := filepath.Join(dir, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("go.mod", "module fixescape\n\ngo 1.22\n")
-	writeFile("a/a.go", `package a
-
-//scglint:hotpath fixture kernel that deliberately leaks a local
-func Escapes() *int {
-	x := 42
-	return &x
-}
-
-// Clean stays on the stack.
-func Clean(xs []int) int {
-	total := 0
-	for _, v := range xs {
-		total += v
-	}
-	return total
-}
-`)
-	m, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	budgetPath := filepath.Join(dir, "results", "escape_budget.json")
-
-	var out, errOut bytes.Buffer
-	if code := RunEscapeGate(m, budgetPath, true, &out, &errOut); code != ExitClean {
-		t.Fatalf("update: exit %d, stderr: %s", code, errOut.String())
-	}
-	data, err := os.ReadFile(budgetPath)
-	if err != nil {
-		t.Fatalf("budget not written: %v", err)
-	}
-	if !strings.Contains(string(data), "fixescape/a.Escapes") {
-		t.Fatalf("budget misses the kernel:\n%s", data)
-	}
-
-	out.Reset()
-	if code := RunEscapeGate(m, budgetPath, false, &out, &errOut); code != ExitClean {
-		t.Fatalf("check against fresh budget: exit %d\n%s%s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(out.String(), "within the committed escape budget") {
-		t.Errorf("clean check output: %q", out.String())
-	}
-
-	// Tighten the budget below reality: the kernel must fail with the
-	// compiler's own diagnostic line.
-	tampered := strings.Replace(string(data), `"fixescape/a.Escapes": 1`, `"fixescape/a.Escapes": 0`, 1)
-	if tampered == string(data) {
-		t.Fatalf("tamper failed; budget was:\n%s", data)
-	}
-	if err := os.WriteFile(budgetPath, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := RunEscapeGate(m, budgetPath, false, &out, &errOut); code != ExitFindings {
-		t.Fatalf("over-budget check: exit %d, want %d\n%s", code, ExitFindings, out.String())
-	}
-	if !strings.Contains(out.String(), "exceeds its escape budget (1 > 0)") ||
-		!strings.Contains(out.String(), "moved to heap: x") {
-		t.Errorf("over-budget output misses the diagnostic:\n%s", out.String())
-	}
-
-	// A stale extra entry fails too (the committed file must state exactly
-	// what the compiler proves).
-	stale := strings.Replace(string(data), `"fixescape/a.Escapes": 1`,
-		`"fixescape/a.Escapes": 1,
-    "fixescape/a.Vanished": 2`, 1)
-	if err := os.WriteFile(budgetPath, []byte(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := RunEscapeGate(m, budgetPath, false, &out, &errOut); code != ExitFindings {
-		t.Fatalf("stale-entry check: exit %d, want %d\n%s", code, ExitFindings, out.String())
-	}
-	if !strings.Contains(out.String(), "stale escape budget entry fixescape/a.Vanished") {
-		t.Errorf("stale-entry output:\n%s", out.String())
-	}
-
-	// A wrong schema is an error, not a finding.
-	if err := os.WriteFile(budgetPath, []byte(`{"schema":"scglint-escapes/v0","kernels":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	errOut.Reset()
-	if code := RunEscapeGate(m, budgetPath, false, &out, &errOut); code != ExitError {
-		t.Fatalf("schema mismatch: exit %d, want %d", code, ExitError)
-	}
-	if !strings.Contains(errOut.String(), "regenerate with -escapes-update") {
-		t.Errorf("schema-mismatch stderr: %q", errOut.String())
+		t.Errorf("attributed %d diags in total, want 3 (the rest are outside every root)", total)
 	}
 }

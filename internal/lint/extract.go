@@ -101,9 +101,8 @@ type extractor struct {
 	ff   *funcFacts
 	file string // module-relative path of the file under walk
 
-	sigStack   []*types.Signature // enclosing signatures, innermost last
-	panicSpans [][2]token.Pos     // panic(...) argument extents: exempt
-	stack      []ast.Node         // ancestors of the node being visited
+	sigStack []*types.Signature // enclosing signatures, innermost last
+	stack    []ast.Node         // ancestors of the node being visited
 }
 
 // extractFuncFacts walks one declaration and records its facts. Function
@@ -133,7 +132,8 @@ func extractFuncFacts(m *Module, p *Package, pf *pkgFacts, fd *ast.FuncDecl) *fu
 
 // collectPanicSpans records the argument extents of panic(...) calls:
 // building a panic message (fmt.Sprintf, string concat, boxing) is
-// already the cold, terminal path and is exempt from alloc facts.
+// already the cold, terminal path and is exempt from alloc facts and from
+// the compiler's escapes.
 func (e *extractor) collectPanicSpans(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -141,19 +141,10 @@ func (e *extractor) collectPanicSpans(fd *ast.FuncDecl) {
 			return true
 		}
 		if b, isB := identUse(e.p, call.Fun).(*types.Builtin); isB && b.Name() == "panic" {
-			e.panicSpans = append(e.panicSpans, [2]token.Pos{call.Lparen, call.Rparen})
+			e.ff.PanicArgs = append(e.ff.PanicArgs, [2]token.Pos{call.Lparen, call.Rparen})
 		}
 		return true
 	})
-}
-
-func (e *extractor) inPanic(pos token.Pos) bool {
-	for _, s := range e.panicSpans {
-		if pos > s[0] && pos < s[1] {
-			return true
-		}
-	}
-	return false
 }
 
 // walk is the main facts pass over the declaration body.
@@ -201,7 +192,7 @@ func (e *extractor) parent() ast.Node {
 // argument; statement-level coldpath spans are recorded as cuts, not
 // dropped, so the hot walk can mark the directive used.
 func (e *extractor) addAlloc(pos token.Pos, what string, parentCall int) {
-	if e.inPanic(pos) {
+	if e.ff.inPanicArg(pos) {
 		return
 	}
 	sp := e.m.sitePosAt(pos)
@@ -232,7 +223,7 @@ func (e *extractor) visitCall(call *ast.CallExpr) {
 	}
 
 	// Classify the call edge.
-	cs := callSite{Pos: e.m.sitePosAt(call.Pos()), Class: "dynamic",
+	cs := callSite{Pos: e.m.sitePosAt(call.Pos()), Lparen: call.Lparen, Class: "dynamic",
 		Display: truncate(types.ExprString(call.Fun), 48)}
 	var sig *types.Signature
 	if hasTV && tv.Type != nil {
@@ -260,7 +251,7 @@ func (e *extractor) visitCall(call *ast.CallExpr) {
 			}
 		}
 	}
-	if !e.inPanic(call.Pos()) {
+	if !e.ff.inPanicArg(call.Pos()) {
 		cs.CutAnn = e.pf.cutAt(annotColdpath, e.file, cs.Pos.Line)
 		e.ff.Calls = append(e.ff.Calls, cs)
 		e.recordArgBoxing(call, sig, len(e.ff.Calls))

@@ -16,10 +16,12 @@ import (
 //
 // Per-package facts (which constructs allocate, which calls each function
 // makes, which locks it takes) are extracted bottom-up over the import
-// DAG — packages of the same DAG level in parallel via pool.Map — then two
+// DAG — packages of the same DAG level in parallel via pool.Map — then the
 // module-level passes consume them: the hot walk (hotalloc) follows the
-// call graph from every //scglint:hotpath root, and the lock pass
-// (lockorder.go) builds the module's lock-acquisition graph.
+// call graph from every //scglint:hotpath root, the escape rule
+// (escape.go) holds the roots' bodies to the compiler's escape analysis,
+// and the lock pass (lockorder.go) builds the module's lock-acquisition
+// graph.
 
 // hotpathDepth bounds the hot walk: deep enough for every real kernel
 // chain, small enough that an accidental annotation on a dispatcher cannot
@@ -39,8 +41,8 @@ var hotStdAllowlist = map[string]bool{
 }
 
 // sitePos is a module-relative source position: the form the compiler's
-// -m diagnostics (escape.go) and the hotpath report use, and the unit
-// annotation spans are matched in.
+// -m diagnostics (escape.go) use, and the unit annotation spans are
+// matched in.
 type sitePos struct {
 	File string // module-relative, slash-separated
 	Line int
@@ -105,6 +107,9 @@ type allocSite struct {
 // callSite is one outgoing call edge.
 type callSite struct {
 	Pos sitePos
+	// Lparen is the call's opening parenthesis, where the compiler reports
+	// the escapes of a callee inlined there.
+	Lparen token.Pos
 	// Class is "internal" (module function, facts available), "std"
 	// (standard library), or "dynamic" (func value, interface method).
 	Class string
@@ -126,8 +131,12 @@ type funcFacts struct {
 	Name string
 	Pos  sitePos
 	// EndLine is the last line of the declaration in Pos.File; the escape
-	// gate attributes compiler diagnostics to hotpath kernels by this span.
+	// rule (escape.go) attributes compiler diagnostics to hot roots by
+	// this span.
 	EndLine int
+	// PanicArgs are the argument extents of the body's panic(...) calls,
+	// exempt from alloc facts and from the escape rule.
+	PanicArgs [][2]token.Pos
 	// Hotpath is the annotation reason when this function is a hot root.
 	Hotpath string
 	// Coldpath cuts every call edge into this function; ColdAnn is 1 + the
@@ -146,6 +155,27 @@ type funcFacts struct {
 	// call or directly blocking operation executed under at least one lock.
 	LockAcquires []lockAcquire
 	HeldOps      []heldOp
+}
+
+// inPanicArg reports whether pos lies inside a panic(...) argument.
+func (ff *funcFacts) inPanicArg(pos token.Pos) bool {
+	for _, s := range ff.PanicArgs {
+		if pos > s[0] && pos < s[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// callsModuleAt reports whether pos is the opening parenthesis of a call
+// into module code.
+func (ff *funcFacts) callsModuleAt(pos token.Pos) bool {
+	for _, cs := range ff.Calls {
+		if cs.Class == "internal" && cs.Lparen == pos {
+			return true
+		}
+	}
+	return false
 }
 
 // pkgFacts is the facts record of one package.
@@ -210,7 +240,8 @@ func internalDeps(m *Module, p *Package) []string {
 }
 
 // buildFacts extracts per-package facts bottom-up over the import DAG
-// (levels in parallel), then runs the module-level hot walk and lock pass.
+// (levels in parallel), then runs the module-level hot walk, escape rule
+// and lock pass.
 func buildFacts(m *Module) *moduleFacts {
 	mf := &moduleFacts{
 		byPath:   make(map[string]*pkgFacts),
@@ -273,6 +304,7 @@ func buildFacts(m *Module) *moduleFacts {
 	}
 
 	runHotWalk(mf)
+	runEscapeRule(m, mf)
 	runLockOrder(m, mf)
 	sweepUnusedAnnotations(mf)
 	return mf

@@ -27,7 +27,7 @@ func FuzzIgnoreDirective(f *testing.F) {
 		" lockorder reason trailing CR\r",
 		"\r\n telemetrylabel windows line endings",
 		" hotalloc,lockorder multi analyzer",
-		" escapegate étude of a unicode reason — em dash",
+		" hotalloc étude of a unicode reason — em dash",
 		" telemetrylabel, trailing comma makes an empty name",
 		",panicstyle leading comma",
 		" panicstyle  ",

@@ -1,10 +1,5 @@
 package lint
 
-import (
-	"fmt"
-	"io"
-)
-
 // hotalloc: functions annotated //scglint:hotpath — and everything they
 // reach through the intra-module call graph, up to hotpathDepth calls —
 // must be free of allocating constructs: make/new, composite literals,
@@ -16,12 +11,16 @@ import (
 // only for the allocation-free allowlist (math, math/bits, sync,
 // sync/atomic, unsafe, runtime, time); dynamic calls (func values,
 // interface methods) cannot be analyzed and are findings themselves.
+// The roots' own bodies are also held to the compiler's escape analysis
+// (escape.go), which catches a kept local address or boxing by
+// assignment that no construct above names.
 //
 // The analysis runs on the module facts store (facts.go): the per-package
-// Run below replays the findings of the module-level hot walk.
+// Run below replays the findings of the module-level hot walk and escape
+// rule.
 var analyzerHotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "//scglint:hotpath call graphs must be allocation-free (coldpath cuts edges; findings carry the chain from the root)",
+	Doc:  "//scglint:hotpath call graphs must be allocation-free, and the roots' bodies free of compiler heap escapes (coldpath cuts edges; findings carry the chain from the root)",
 	Run: func(p *Package, report Reporter) {
 		replayFactDiags(p, "hotalloc", report)
 	},
@@ -44,14 +43,5 @@ func replayFactDiags(p *Package, analyzer string, report Reporter) {
 				report(p.mod.tokenPos(d.Pos), d.Message, d.Hint)
 			}
 		}
-	}
-}
-
-// WriteHotpathReport prints one tab-separated line per hotpath root:
-// function ID, defining position, annotation reason. cmd/benchreport
-// cross-checks this list against the benchmarked kernel set.
-func WriteHotpathReport(w io.Writer, m *Module) {
-	for _, ff := range hotpathKernels(m.ensureFacts()) {
-		_, _ = fmt.Fprintf(w, "%s\t%s:%d\t%s\n", ff.ID, ff.Pos.File, ff.Pos.Line, ff.Hotpath)
 	}
 }

@@ -10,11 +10,10 @@
 //   - telemetrylabel: metric names and label keys in internal/server are
 //     constants registered once, so /metricsz cardinality stays static.
 //   - hotalloc: //scglint:hotpath kernels, and everything they reach
-//     through the module call graph, are free of allocating constructs.
+//     through the module call graph, are free of allocating constructs,
+//     and the compiler reports no heap escape in the kernels' bodies.
 //   - lockorder: the module's lock-acquisition graph is acyclic and no lock
 //     is held across a blocking operation.
-//   - escapegate: under -escapes, the hotpath kernels match the committed
-//     compiler escape budget exactly.
 //
 // Findings can be suppressed with an audit trail:
 //
@@ -84,7 +83,6 @@ func Analyzers() []*Analyzer {
 		analyzerTelemetryLabel,
 		analyzerHotAlloc,
 		analyzerLockOrder,
-		analyzerEscapeGate,
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -78,12 +79,30 @@ func TestLoadRealModule(t *testing.T) {
 	}
 }
 
-// TestRepoCleanUnderAllAnalyzers pins two release invariants at once: the
-// repository's own tree is clean under the full analyzer catalog, and it
+// hotKernels is the pinned set of //scglint:hotpath roots: the rank and
+// frontier-decode kernels, generator application, the neighbor-table
+// column build and expand, the bitset level merge, and the warm-route
+// distance overlay. Each has a run-time zero-allocation test
+// (TestHotpathKernelsDoNotAllocate in internal/perm and internal/core,
+// TestRouteHotAllocs* in internal/server); an annotation added or removed
+// moves this list and those tests together.
+var hotKernels = []string{
+	"repro/internal/core.(*bitsetBFS).mergeWords",
+	"repro/internal/core.(*column).expand",
+	"repro/internal/core.(*column).fill",
+	"repro/internal/perm.(Perm).ComposeInto",
+	"repro/internal/perm.(Perm).Rank",
+	"repro/internal/perm.UnrankInto",
+	"repro/internal/server.routeDistance",
+}
+
+// TestRepoCleanUnderAllAnalyzers pins three release invariants at once:
+// the repository's own tree is clean under the full analyzer catalog, it
 // gets there with zero suppressions (no //scglint:ignore directives in
 // production code — testdata is outside the loader's scope; the hotpath,
 // coldpath and lockheld annotations carry mandatory reasons and are
-// audited by the analyzers themselves, so they are not suppressions).
+// audited by the analyzers themselves, so they are not suppressions), and
+// its hot roots are exactly hotKernels.
 func TestRepoCleanUnderAllAnalyzers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole repository module")
@@ -96,6 +115,13 @@ func TestRepoCleanUnderAllAnalyzers(t *testing.T) {
 		for range ds {
 			t.Errorf("suppression directive in production code: %s (the tree must be clean without ignores)", file)
 		}
+	}
+	var roots []string
+	for _, r := range hotRoots(m.ensureFacts()) {
+		roots = append(roots, r.ff.ID)
+	}
+	if !slices.Equal(roots, hotKernels) {
+		t.Errorf("//scglint:hotpath roots\n  %s\nwant the pinned\n  %s", strings.Join(roots, "\n  "), strings.Join(hotKernels, "\n  "))
 	}
 }
 

@@ -43,6 +43,28 @@ func BoxReturn(n int) interface{} {
 	return n //lintwant interface boxing at return allocates in hot path
 }
 
+var (
+	sink any
+	kept *int
+)
+
+// BoxAssign boxes its argument by assignment, which no construct the walk
+// reads names; the compiler's escape analysis reports it.
+//
+//scglint:hotpath fixture root: boxing by assignment
+func BoxAssign(n int) {
+	sink = n //lintwant compiler: n escapes to heap in hot path [kernel.BoxAssign]
+}
+
+// KeepAddr keeps a local's address past the call, so the compiler moves
+// the local to the heap.
+//
+//scglint:hotpath fixture root: kept local address
+func KeepAddr(n int) {
+	x := n + 1 //lintwant compiler: moved to heap: x
+	kept = &x
+}
+
 // Close allocates a closure over its parameter.
 //
 //scglint:hotpath fixture root: closure creation
@@ -93,6 +115,16 @@ func Cut(n int) []int {
 //scglint:hotpath fixture root: statement-level exemption
 func Justified(xs []int) []int {
 	return append(xs, 1) //scglint:coldpath fixture: growth amortized by caller preallocation
+}
+
+// JustifiedEscape keeps a local's address on a statement a coldpath
+// exempts: the compiler still moves the local to the heap, but the escape
+// rule honors the directive and counts it as used.
+//
+//scglint:hotpath fixture root: statement-level exemption of a compiler escape
+func JustifiedEscape(n int) {
+	x := n //scglint:coldpath fixture: kept once at start-up, not per call
+	kept = &x
 }
 
 // Ignored proves the pre-existing //scglint:ignore machinery still

@@ -16,9 +16,9 @@ import (
 // route_hot_test.go measures the handler itself, which must not allocate).
 // The telemetry-on variant has a slow log (io.Discard, at a threshold no
 // request reaches), so every request stamps a span timeline; the
-// telemetry-off variant has none, so no request does. cmd/benchreport runs
-// the same pair in-process and fails the build if the allocs/op delta
-// reaches 1 (pooled traces and always-on atomic counters make tracing
+// telemetry-off variant has none, so no request does. TestServeAllocs
+// holds a server with such a slow log to the same ceiling as one without
+// (pooled traces and always-on atomic counters make tracing
 // allocation-free).
 func benchmarkServerStack(b *testing.B, traced bool) {
 	cfg := Config{

@@ -144,6 +144,14 @@ func (c *Cache) Store() *store.Store { return c.store }
 // Network returns the materialized network for key, building it at most
 // once no matter how many requests race on a cold key.
 func (c *Cache) Network(ctx context.Context, key Key) (*topology.Network, error) {
+	nw, _, err := c.network(ctx, key)
+	return nw, err
+}
+
+// network is Network that also reports whether this call's build read the
+// store for key's profile. A hit side-inserts the profile; after a miss,
+// the same call's profile build does not read the store again.
+func (c *Cache) network(ctx context.Context, key Key) (nw *topology.Network, probed bool, err error) {
 	// tr marks the build phase only when this caller loses the singleflight
 	// race into an actual build; a warm hit stays inside the handler's
 	// "cache" span.
@@ -155,6 +163,7 @@ func (c *Cache) Network(ctx context.Context, key Key) (*topology.Network, error)
 		// request observes exact distances without any BFS — the trace
 		// shows a store-load phase and no build phase.
 		if c.store != nil && !c.hasProfile(key) {
+			probed = true
 			tr.Phase("store-load")
 			if e, err := c.store.Load(key.storeKey()); err == nil && e.K == key.K() {
 				nw, nerr := topology.New(key.Family, key.L, key.N)
@@ -172,9 +181,9 @@ func (c *Cache) Network(ctx context.Context, key Key) (*topology.Network, error)
 		return nw, networkBytes(nw), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, probed, err
 	}
-	return v.(*topology.Network), nil
+	return v.(*topology.Network), probed, nil
 }
 
 // Profile returns the exact BFS profile (diameter, average distance, and
@@ -192,7 +201,7 @@ func (c *Cache) Profile(ctx context.Context, key Key) (*core.BFSResult, error) {
 // built by a caller this one coalesced onto. Only a built profile is new
 // to the store.
 func (c *Cache) profile(ctx context.Context, key Key) (res *core.BFSResult, built bool, err error) {
-	nw, err := c.Network(ctx, key)
+	nw, probed, err := c.network(ctx, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -200,8 +209,9 @@ func (c *Cache) profile(ctx context.Context, key Key) (res *core.BFSResult, buil
 	v, err := c.getOrBuild(ctx, cacheKey{kindProfile, key}, func() (any, int64, error) {
 		// Reaching this closure means the profile is cold in memory; the
 		// persistent store may still have it (e.g. the LRU evicted it, or
-		// the network was already warm when the daemon restarted).
-		if c.store != nil {
+		// the network was already warm when the daemon restarted), unless
+		// this call's network build just read it and missed.
+		if c.store != nil && !probed {
 			tr.Phase("store-load")
 			if e, err := c.store.Load(key.storeKey()); err == nil && e.K == key.K() {
 				return e.Profile, profileBytes(e.Profile), nil

@@ -61,7 +61,7 @@ func routeTargets(n int) []string {
 // TestConnAllocs is the allocation ceiling at the transport: a warm v1 GET
 // served by Run over one keep-alive loopback connection, a different route
 // on every request, allocates at most ConnAllocs times. The benchreport
-// serve/conn-route entry gates the same ceiling.
+// serve/conn-route entry times the same loop.
 func TestConnAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates inside sync.Pool and the instrumented handler")

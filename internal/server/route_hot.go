@@ -22,10 +22,10 @@ import (
 // pooled per-request workspace and a copy-free query decoder shared by all
 // four v1 endpoints (the response side is encode.go), plus the
 // measurements that pin it. A warm GET /v1/route handler allocates nothing
-// on the heap (TestRouteHotAllocs and the benchreport route/hot gate); a
-// warm request to any v1 endpoint through the whole middleware allocates
-// only what ServeAllocs names, and through Run's transport only what
-// ConnAllocs names.
+// on the heap (TestRouteHotAllocs); a warm request to any v1 endpoint
+// through the whole middleware allocates only what ServeAllocs names
+// (TestServeAllocs), and through Run's transport only what ConnAllocs
+// names (TestConnAllocs).
 
 // scratch bundles every buffer one v1 request needs: node-label parse
 // targets, the topology routing workspace, and the response encoding
@@ -146,7 +146,7 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 // MeasureRouteHot drives iters warm-cache GET /v1/route requests through the
 // route handler alone, past the middleware (MeasureServe times the two
 // together), and returns mean wall time and heap allocations per request.
-// cmd/benchreport gates allocs/op at exactly zero.
+// TestRouteHotAllocs holds allocs/op at exactly zero.
 func MeasureRouteHot(s *Server, target string, iters int) (nsPerOp, allocsPerOp float64, err error) {
 	r, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {

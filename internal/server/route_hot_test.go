@@ -53,6 +53,23 @@ func warmHotPath(t testing.TB, s *Server, target string) (*nullResponseWriter, *
 	return w, r, c
 }
 
+// requireNoRouteAllocs drives iters warm requests for target through the
+// route handler (MeasureRouteHot, at GOMAXPROCS 1) and fails unless their
+// MemStats.Mallocs delta is 0 in total: a mean truncated to an integer,
+// as testing.AllocsPerRun reports it, reads 0 for an amortized append that
+// allocates once every few calls.
+func requireNoRouteAllocs(t *testing.T, s *Server, target string) {
+	t.Helper()
+	const iters = 200
+	_, allocs, err := MeasureRouteHot(s, target, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm %s handler allocates %.0f times in %d requests, want 0", target, allocs*iters, iters)
+	}
+}
+
 // TestRouteHotAllocs is the zero-allocation contract of the warm route
 // path: once the network is resident and the scratch pool is primed, the
 // handler itself must not touch the heap.
@@ -60,14 +77,7 @@ func TestRouteHotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates inside sync.Pool and the instrumented handler")
 	}
-	s := newHotServer(t)
-	w, r, c := warmHotPath(t, s, hotTarget)
-	allocs := testing.AllocsPerRun(200, func() {
-		s.handleRoute(w, r, c)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm /v1/route handler allocates %.1f times per request, want 0", allocs)
-	}
+	requireNoRouteAllocs(t, newHotServer(t), hotTarget)
 }
 
 // TestRouteHotAllocsWithProfile repeats the contract with a resident exact
@@ -79,13 +89,7 @@ func TestRouteHotAllocsWithProfile(t *testing.T) {
 	}
 	s := newHotServer(t)
 	warmProfile(t, s, 4)
-	w, r, c := warmHotPath(t, s, "/v1/route?family=star&n=4&src=21345&dst=53421")
-	allocs := testing.AllocsPerRun(200, func() {
-		s.handleRoute(w, r, c)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm /v1/route with profile overlay allocates %.1f times per request, want 0", allocs)
-	}
+	requireNoRouteAllocs(t, s, "/v1/route?family=star&n=4&src=21345&dst=53421")
 }
 
 // TestRouteEncodeParity pins the hand-rolled route encoder to encoding/json:
@@ -160,8 +164,8 @@ func TestRouteScratchReuseDeterministic(t *testing.T) {
 }
 
 // BenchmarkRouteHot measures the handler alone on the warm path; the
-// benchreport route/hot entry runs the same loop and hard-fails on any
-// allocation.
+// benchreport route/hot entry times the same loop, and TestRouteHotAllocs
+// holds it to zero allocations.
 func BenchmarkRouteHot(b *testing.B) {
 	s := newHotServer(b)
 	w, r, c := warmHotPath(b, s, hotTarget)

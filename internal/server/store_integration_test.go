@@ -309,8 +309,8 @@ func TestNeighborSectionRebuildsOnce(t *testing.T) {
 // TestStoreReadErrorRebuildsOverHTTP puts a directory where MS(2,2)'s
 // entry belongs, so every read of it fails (even as root, where a chmod
 // would not): the daemon must answer as on a cold store, by building, and
-// count each failed read as a read error, neither a miss nor corruption,
-// on /statsz and /metricsz, without quarantining the path.
+// count its one failed read as a read error, neither a miss nor
+// corruption, on /statsz and /metricsz, without quarantining the path.
 func TestStoreReadErrorRebuildsOverHTTP(t *testing.T) {
 	s := newStoreServer(t, t.TempDir(), nil)
 	defer s.Close()
@@ -332,12 +332,13 @@ func TestStoreReadErrorRebuildsOverHTTP(t *testing.T) {
 	if code := do(t, s, http.MethodGet, "/statsz", "", &stats); code != http.StatusOK || stats.Store == nil {
 		t.Fatalf("/statsz = %d, store block %v", code, stats.Store)
 	}
-	// The cold network probes the store once, and the profile build again.
-	if st := stats.Store; st.ReadErrors != 2 || st.Misses != 0 || st.Corrupt != 0 || st.Hits != 0 {
-		t.Fatalf("store counters %+v, want two read errors and no miss, hit or corruption", *st)
+	// The cold network reads the store once; the profile build of the same
+	// request does not read it again.
+	if st := stats.Store; st.ReadErrors != 1 || st.Misses != 0 || st.Corrupt != 0 || st.Hits != 0 {
+		t.Fatalf("store counters %+v, want one read error and no miss, hit or corruption", *st)
 	}
 	body := strings.Join(scrapeMetricsz(t, s), "\n")
-	if !strings.Contains(body, "\nscgd_store_read_errors_total 2\n") || !strings.Contains(body, "\nscgd_store_misses_total 0\n") {
+	if !strings.Contains(body, "\nscgd_store_read_errors_total 1\n") || !strings.Contains(body, "\nscgd_store_misses_total 0\n") {
 		t.Fatalf("/metricsz store block:\n%s", body)
 	}
 	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
@@ -371,6 +372,10 @@ func TestMetricszExportsStoreCounters(t *testing.T) {
 	}
 	if !strings.Contains(body, "scgd_store_writes_total 1") {
 		t.Fatalf("writes counter not incremented:\n%s", body)
+	}
+	// One cold profile on an empty store reads the store once.
+	if !strings.Contains(body, "\nscgd_store_misses_total 1\n") {
+		t.Fatalf("a cold profile on an empty store counts other than one miss:\n%s", body)
 	}
 
 	// Without a store the counters must not appear at all.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -22,13 +23,28 @@ import (
 // TestServeAllocs is the allocation budget of a warm v1 request through
 // the whole middleware, measured as Run serves it (MeasureServe): at
 // most ServeAllocs for route, metrics, neighbors and a job poll, at most
-// ProfileSubmitAllocs for a cache-hit profile submit. The benchreport
-// serve/* entries gate the same ceilings.
+// ProfileSubmitAllocs for a cache-hit profile submit. A server with a
+// slow log that no request reaches, so that every request takes and
+// releases a span timeline, is held to the same ceilings: tracing must
+// not allocate.
 func TestServeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates inside sync.Pool and the instrumented handler")
 	}
-	s := newHotServer(t)
+	t.Run("untraced", func(t *testing.T) { testServeAllocs(t, newHotServer(t)) })
+	t.Run("traced", func(t *testing.T) {
+		s := New(Config{
+			RequestTimeout: 30 * time.Second,
+			SampleInterval: -1,
+			SlowLog:        io.Discard,
+			SlowThreshold:  time.Hour,
+		})
+		t.Cleanup(s.Close)
+		testServeAllocs(t, s)
+	})
+}
+
+func testServeAllocs(t *testing.T, s *Server) {
 	warmProfile(t, s, 6)
 	fam, err := topology.ParseFamily("star")
 	if err != nil {

@@ -33,8 +33,8 @@ type PhaseSpan struct {
 // middleware acquires one per request when a slow log is configured and
 // releases it after the slow-log decision, so steady-state tracing
 // performs no allocations (the spans slice keeps its capacity across
-// requests — the zero-overhead guard benchmark in cmd/benchreport pins
-// this at allocs/op delta = 0).
+// requests — internal/server's TestServeAllocs holds a server with a slow
+// log to the same ceiling as one without).
 //
 // A nil *Trace is the documented "tracing off" value: every method no-ops,
 // mirroring the nil-Recorder discipline of internal/obs.
