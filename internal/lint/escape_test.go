@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -68,5 +71,64 @@ func TestAttributeEscapes(t *testing.T) {
 	}
 	if total != 3 {
 		t.Errorf("attributed %d diags in total, want 3 (the rest are outside every root)", total)
+	}
+}
+
+// TestRunEscapeGateEndToEnd runs the escape gate, hotalloc's compiler
+// half, as scglint does: on a module written to a temp dir and compiled
+// there. A hot root that keeps a local's address fails the run with the
+// compiler's own diagnostic at the local; the same module with the root
+// annotation on a function that stays on the stack passes.
+func TestRunEscapeGateEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a module; skipped in -short")
+	}
+	dir := t.TempDir()
+	writeFile := func(rel, src string) {
+		t.Helper()
+		p := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const src = `package a
+
+//scglint:hotpath fixture kernel that deliberately leaks a local
+func Escapes() *int {
+	x := 42
+	return &x
+}
+
+// Clean stays on the stack.
+func Clean(xs []int) int {
+	total := 0
+	for _, v := range xs {
+		total += v
+	}
+	return total
+}
+`
+	writeFile("go.mod", "module fixescape\n\ngo 1.22\n")
+	writeFile("a/a.go", src)
+
+	var out, errOut bytes.Buffer
+	if code := Main([]string{"-C", dir, "-only", "hotalloc"}, &out, &errOut); code != ExitFindings {
+		t.Fatalf("leaking root: exit %d, want %d\n%s%s", code, ExitFindings, out.String(), errOut.String())
+	}
+	if !strings.Contains(out.String(), "a.go:5:2: [hotalloc] compiler: moved to heap: x in hot path") ||
+		!strings.Contains(out.String(), "scglint: 1 finding(s) in fixescape") {
+		t.Errorf("leaking-root output misses the diagnostic:\n%s", out.String())
+	}
+
+	clean := strings.Replace(src, "//scglint:hotpath fixture kernel that deliberately leaks a local\n", "", 1)
+	clean = strings.Replace(clean, "// Clean stays on the stack.", "//scglint:hotpath fixture kernel that stays on the stack", 1)
+	writeFile("a/a.go", clean)
+	out.Reset()
+	errOut.Reset()
+	if code := Main([]string{"-C", dir, "-only", "hotalloc"}, &out, &errOut); code != ExitClean {
+		t.Fatalf("clean root: exit %d, want %d\n%s%s", code, ExitClean, out.String(), errOut.String())
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,14 +150,20 @@ func TestJobSlotWaitEndsWithContext(t *testing.T) {
 	}
 	key := msKey(3, 2)
 	const timeout = 100 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	// The first submit's context ends at its deadline, but not before the
+	// second submit has joined its job, however slowly that goroutine runs.
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	t0 := time.Now()
+	deadline, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
+	ctx := holdDone(deadline, release)
 	var g pool.Group
 	var firstErr error
 	var waited time.Duration
 	firstReturned := make(chan struct{})
 	g.Go(func() {
-		t0 := time.Now()
 		_, firstErr = j.Submit(ctx, key, "first")
 		waited = time.Since(t0)
 		close(firstReturned)
@@ -166,6 +173,7 @@ func TestJobSlotWaitEndsWithContext(t *testing.T) {
 	var secondErr error
 	g.Go(func() { second, secondErr = j.Submit(context.Background(), key, "second") })
 	waitFor(t, "the second submit joins the job", func() bool { return j.Stats().Coalesced == 1 })
+	releaseOnce()
 	select {
 	case <-firstReturned:
 	case <-time.After(30 * time.Second):
@@ -186,6 +194,34 @@ func TestJobSlotWaitEndsWithContext(t *testing.T) {
 	}
 	if st := j.Stats(); st.Submitted != 1 || st.Completed != 1 || st.Running != 0 {
 		t.Fatalf("stats %+v, want one job, done", st)
+	}
+}
+
+// heldDone is a context whose Done closes once its parent's has and
+// release is closed; Err reports the parent's error from then on.
+type heldDone struct {
+	context.Context
+	done chan struct{}
+}
+
+func holdDone(parent context.Context, release <-chan struct{}) context.Context {
+	h := &heldDone{Context: parent, done: make(chan struct{})}
+	go func() {
+		<-parent.Done()
+		<-release
+		close(h.done)
+	}()
+	return h
+}
+
+func (h *heldDone) Done() <-chan struct{} { return h.done }
+
+func (h *heldDone) Err() error {
+	select {
+	case <-h.done:
+		return h.Context.Err()
+	default:
+		return nil
 	}
 }
 
