@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/perm"
 	"repro/internal/pool"
+	"repro/internal/topology"
 )
 
 // startRun serves s with Run on a loopback listener and returns its
@@ -61,20 +62,43 @@ func routeTargets(n int) []string {
 // TestConnAllocs is the allocation ceiling at the transport: a warm v1 GET
 // served by Run over one keep-alive loopback connection, a different route
 // on every request, allocates at most ConnAllocs times. The benchreport
-// serve/conn-route entry times the same loop.
+// serve/conn-route entry times the same loop. The second run has MS(2,3)'s
+// exact profile resident, so every answer also looks up its pair's
+// distance (routeDistance) and carries exact_distance.
 func TestConnAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates inside sync.Pool and the instrumented handler")
 	}
-	s := New(Config{RequestTimeout: 30 * time.Second, SampleInterval: -1})
-	const iters = 2000
-	_, allocs, err := MeasureConn(context.Background(), s, routeTargets(256), iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%.4f allocs/request through Run (ceiling %d)", allocs, ConnAllocs)
-	if allocs > ConnAllocs {
-		t.Fatalf("a warm route through Run allocates %.2f times per request (%.0f in %d requests), ceiling %d", allocs, allocs*iters, iters, ConnAllocs)
+	for _, resident := range []bool{false, true} {
+		t.Run(fmt.Sprintf("profile-resident=%v", resident), func(t *testing.T) {
+			s := New(Config{RequestTimeout: 30 * time.Second, SampleInterval: -1})
+			targets := routeTargets(256)
+			if resident {
+				fam, err := topology.ParseFamily("MS")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.cache.Profile(context.Background(), Key{Family: fam, L: 2, N: 3}); err != nil {
+					t.Fatal(err)
+				}
+				for _, target := range targets {
+					w := httptest.NewRecorder()
+					s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+					if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"exact_distance"`) {
+						t.Fatalf("%s: status %d without exact_distance: %s", target, w.Code, w.Body.String())
+					}
+				}
+			}
+			const iters = 2000
+			_, allocs, err := MeasureConn(context.Background(), s, targets, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%.4f allocs/request through Run (ceiling %d)", allocs, ConnAllocs)
+			if allocs > ConnAllocs {
+				t.Fatalf("a warm route through Run allocates %.2f times per request (%.0f in %d requests), ceiling %d", allocs, allocs*iters, iters, ConnAllocs)
+			}
+		})
 	}
 }
 

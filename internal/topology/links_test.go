@@ -171,18 +171,15 @@ func TestLinkTableSpansTransposition64(t *testing.T) {
 	}
 }
 
-// BenchmarkRouteVerifyMix times the warm route path below the server: route,
-// verify and name every move, with one scratch, as the route handler does
-// (the names are the ones VerifyRouteInto kept). "mix-k7" cycles the 33
-// instances with k = 7 (the query-mix set), "k7/<network>" times each of
-// them alone, and "MS(2,4)" is route-hot's instance. Pairs are drawn once,
-// outside the timer.
-func BenchmarkRouteVerifyMix(b *testing.B) {
-	var mix []*Network
+// k7Networks is every instance New builds with k = 7: query-mix's 33
+// networks.
+func k7Networks(tb testing.TB) []*Network {
+	tb.Helper()
+	var nets []*Network
 	for _, fam := range AllFamilies() {
 		ins, err := EnumerateInstances(fam, 7)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, in := range ins {
 			if in.K() != 7 {
@@ -190,14 +187,68 @@ func BenchmarkRouteVerifyMix(b *testing.B) {
 			}
 			nw, err := New(in.Family, in.L, in.N)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
-			mix = append(mix, nw)
+			nets = append(nets, nw)
 		}
 	}
-	if len(mix) != 33 {
-		b.Fatalf("%d instances with k = 7, want 33", len(mix))
+	if len(nets) != 33 {
+		tb.Fatalf("%d instances with k = 7, want 33", len(nets))
 	}
+	return nets
+}
+
+// TestRouteIntoDoesNotAllocate holds RouteScratch to its claim for every
+// family New builds: once a scratch has routed a set of pairs, routing and
+// verifying them again allocates nothing. Each of the 33 k = 7 instances
+// routes and verifies 64 random pairs twice to warm its scratch (a
+// rotation-style game swaps its two move buffers between color offsets,
+// so a second pass may start with their roles exchanged), then once more
+// under testing.AllocsPerRun (GOMAXPROCS 1), which must count 0 mallocs in
+// total.
+func TestRouteIntoDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates in instrumented code")
+	}
+	rng := perm.NewRNG(11)
+	for _, nw := range k7Networks(t) {
+		const pairs = 64
+		src, dst := make([]perm.Perm, pairs), make([]perm.Perm, pairs)
+		for i := range src {
+			src[i], dst[i] = perm.Random(nw.K(), rng), perm.Random(nw.K(), rng)
+		}
+		var sc RouteScratch
+		var routeErr error
+		route := func() {
+			for i := range src {
+				moves, err := sc.RouteInto(nw, src[i], dst[i])
+				if err == nil {
+					err = sc.VerifyRouteInto(nw, src[i], dst[i], moves)
+				}
+				if err != nil && routeErr == nil {
+					routeErr = err
+				}
+			}
+		}
+		route()
+		allocs := testing.AllocsPerRun(1, route)
+		if routeErr != nil {
+			t.Fatalf("%s: %v", nw.Name(), routeErr)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %d warm routes with verify allocate %.0f times, want 0", nw.Name(), pairs, allocs)
+		}
+	}
+}
+
+// BenchmarkRouteVerifyMix times the warm route path below the server: route,
+// verify and name every move, with one scratch, as the route handler does
+// (the names are the ones VerifyRouteInto kept). "mix-k7" cycles the 33
+// instances with k = 7 (the query-mix set), "k7/<network>" times each of
+// them alone, and "MS(2,4)" is route-hot's instance. Pairs are drawn once,
+// outside the timer.
+func BenchmarkRouteVerifyMix(b *testing.B) {
+	mix := k7Networks(b)
 	ms24, err := NewMS(2, 4)
 	if err != nil {
 		b.Fatal(err)
