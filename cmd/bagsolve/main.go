@@ -28,7 +28,7 @@ func main() {
 		balls       = flag.String("balls", "transposition", "ball moves: transposition | insertion")
 		boxes       = flag.String("boxes", "swap", "box moves: swap | rot-single | rot-pair | rot-complete | none")
 		offset      = flag.Int("offset", -1, "fixed box-color offset (rotation styles); -1 searches all")
-		star        = flag.Bool("star", false, "solve as a star-graph game (T2..Tk) instead")
+		star        = flag.Bool("star", false, "solve the k-star game (T2..Tk): one box of k-1 balls, transposition balls, no box moves")
 		optimal     = flag.Bool("optimal", false, "find a provably shortest solution (IDA*; exponential in distance)")
 		trace       = flag.Bool("trace", false, "print every intermediate configuration")
 		showVersion = flag.Bool("version", false, "print version and exit")
@@ -39,17 +39,16 @@ func main() {
 		return
 	}
 
+	rules := bag.Rules{Nucleus: nucleusOf(*balls), Super: superOf(*boxes)}
 	if *star {
-		u := mustState(*state, *seed, kFromState(*state, 5))
-		moves, err := bag.SolveStar(u)
-		fail(err)
-		report(u, moves, *trace)
-		return
+		// The k-star game is the one-box game (1, k-1) with transposition
+		// balls and no box moves.
+		*l, *n = 1, kFromState(*state, 5)-1
+		rules.Nucleus, rules.Super = bag.TranspositionNucleus, bag.NoSuper
 	}
-
 	ly, err := bag.NewLayout(*l, *n)
 	fail(err)
-	rules := bag.Rules{Layout: ly, Nucleus: nucleusOf(*balls), Super: superOf(*boxes)}
+	rules.Layout = ly
 	fail(rules.Validate())
 	u := mustState(*state, *seed, ly.K())
 

@@ -13,6 +13,19 @@
 // and positions (j-1)n+2 .. jn+1 form the box at slot j. The goal
 // configuration is the identity permutation: ball 1 outside and box slot i
 // holding the color-i balls in ascending order.
+//
+// The star game is the game with one box (l = 1, n = k-1), transposition
+// balls and no box moves (SolveStar); the rotator game is the same with
+// insertion balls (SolveRotator).
+//
+// # Quotient game
+//
+// In the quotient game of §4.3 (SolveQuotient), balls of one color are
+// indistinguishable, so a configuration is a label: position i holds the
+// color of its ball, with color 0 written l+1 so that the colors run
+// 1..l+1. The goal label is the identity's colors, l+1 followed by n 1s,
+// n 2s, ..., n ls. Its states are the nodes of the super-index-permutation
+// graphs in internal/ipg.
 package bag
 
 import "fmt"

@@ -14,13 +14,14 @@ import (
 // practical for instances within a few moves of the diameter at k ≤ 9 and
 // for short-distance queries at any size.
 //
-// The heuristic is admissible: every nucleus move changes the contents of
-// at most 2 positions outside...; concretely we use
+// The heuristic is
 //
-//	h(U) = max(dirtyBoxes-ish lower bound, ceil(misplaced / maxFix))
+//	h(U) = ⌈displaced / maxFix⌉
 //
-// where `misplaced` counts positions holding a wrong symbol and maxFix is
-// the largest number of positions any single permissible move can correct.
+// where displaced counts the positions of U holding a wrong symbol and
+// maxFix is the largest number of positions any one permissible move
+// changes. A move fixes at most the positions it changes, so h never
+// overestimates the distance: it is admissible.
 func SolveOptimal(rules Rules, u perm.Perm, maxDepth int) ([]gen.Generator, error) {
 	if err := rules.Validate(); err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ type Scratch struct {
 // reset rebinds the embedded state to (rules, u, offset), growing buffers
 // only when a larger game than any seen before arrives. The game is
 // abandoned once it has limit moves (maxMoves: never).
-func (sc *Scratch) reset(rules Rules, u perm.Perm, offset, limit int) *state {
+func (sc *Scratch) reset(rules Rules, u []int, offset, limit int) *state {
 	s := &sc.st
 	s.rules = rules
 	s.limit = limit
@@ -92,12 +92,14 @@ func (sc *Scratch) SolveWithOffset(rules Rules, u perm.Perm, offset int) ([]gen.
 
 // play runs the game of a validated (rules, u, offset). It reports false,
 // and no moves, when the game reached limit moves and was abandoned.
-func (sc *Scratch) play(rules Rules, u perm.Perm, offset, limit int) ([]gen.Generator, bool, error) {
+func (sc *Scratch) play(rules Rules, u []int, offset, limit int) ([]gen.Generator, bool, error) {
 	s := sc.reset(rules, u, offset, limit)
-	switch rules.Nucleus {
-	case TranspositionNucleus:
+	switch {
+	case s.quotient:
+		s.solveQuotient()
+	case rules.Nucleus == TranspositionNucleus:
 		s.solveTransposition()
-	case InsertionNucleus:
+	case rules.Nucleus == InsertionNucleus:
 		s.solveInsertion()
 	default:
 		return nil, false, fmt.Errorf("bag: Solve: unknown nucleus style %v", rules.Nucleus)
@@ -105,26 +107,49 @@ func (sc *Scratch) play(rules Rules, u perm.Perm, offset, limit int) ([]gen.Gene
 	if s.abandoned() {
 		return nil, false, nil
 	}
-	if !s.cfg.IsIdentity() {
-		return nil, false, fmt.Errorf("bag: Solve: internal error: final configuration %v is not the identity", s.cfg)
+	if !s.solved() {
+		return nil, false, fmt.Errorf("bag: Solve: internal error: final configuration %v is not the goal", s.cfg)
 	}
 	return s.moves, true, nil
 }
 
+// solved reports whether the game is at its goal: the identity, or in the
+// quotient game the identity's colors, with color 0 written l+1.
+func (s *state) solved() bool {
+	if !s.quotient {
+		return s.cfg.IsIdentity()
+	}
+	ly := s.rules.Layout
+	for i, c := range s.cfg {
+		want := ly.ColorOf(i + 1)
+		if want == 0 {
+			want = ly.L + 1
+		}
+		if c != want {
+			return false
+		}
+	}
+	return true
+}
+
 // Solve is the workspace-reusing form of the package-level Solve. The
 // returned slice aliases the Scratch.
-//
-// For rotation-style games it plays offset 0 to the end, then abandons each
-// later offset's game once it has as many moves as the best route so far.
-// Only a strictly shorter route replaces the best one, so this returns the
-// same route as playing every offset to the end and keeping the first
-// shortest.
 func (sc *Scratch) Solve(rules Rules, u perm.Perm) ([]gen.Generator, error) {
-	if !rotational(rules) {
-		return sc.SolveWithOffset(rules, u, 0)
-	}
 	if err := validateGame(rules, u); err != nil {
 		return nil, err
+	}
+	return sc.search(rules, u)
+}
+
+// search solves a validated game. For rotation-style games it plays offset
+// 0 to the end, then abandons each later offset's game once it has as many
+// moves as the best route so far. Only a strictly shorter route replaces
+// the best one, so this returns the same route as playing every offset to
+// the end and keeping the first shortest.
+func (sc *Scratch) search(rules Rules, u []int) ([]gen.Generator, error) {
+	if !rotational(rules) {
+		moves, _, err := sc.play(rules, u, 0, maxMoves)
+		return moves, err
 	}
 	limit := maxMoves
 	for b := 0; b < rules.Layout.L; b++ {
@@ -144,47 +169,23 @@ func (sc *Scratch) Solve(rules Rules, u perm.Perm) ([]gen.Generator, error) {
 // SolveStar is the workspace-reusing form of the package-level SolveStar.
 // The returned slice aliases the Scratch.
 func (sc *Scratch) SolveStar(u perm.Perm) ([]gen.Generator, error) {
-	if err := validatePerm(u); err != nil {
-		return nil, err
-	}
-	s := &sc.st
-	k := len(u)
-	if cap(s.cfg) < k {
-		s.cfg = make(perm.Perm, k)
-	}
-	s.cfg = s.cfg[:k]
-	copy(s.cfg, u)
-	s.moves = s.moves[:0]
-	cfg := s.cfg
-	apply := func(i int) {
-		g := gen.NewTransposition(i)
-		g.Apply(cfg)
-		s.moves = append(s.moves, g)
-	}
-	for !cfg.IsIdentity() {
-		if x := cfg[0]; x != 1 {
-			apply(x) // send the leftmost ball home, ejecting the occupant
-		} else {
-			for i := 2; i <= k; i++ {
-				if cfg[i-1] != i {
-					apply(i) // pull any misplaced ball to the front
-					break
-				}
-			}
-		}
-	}
-	return s.moves, nil
+	return sc.solveOneBox(TranspositionNucleus, u)
 }
 
 // SolveRotator is the workspace-reusing form of the package-level
 // SolveRotator. The returned slice aliases the Scratch.
 func (sc *Scratch) SolveRotator(u perm.Perm) ([]gen.Generator, error) {
+	return sc.solveOneBox(InsertionNucleus, u)
+}
+
+// solveOneBox is Solve on the game of len(u) balls with one box, (1, k-1),
+// no box moves and the given ball moves.
+func (sc *Scratch) solveOneBox(nucleus NucleusStyle, u perm.Perm) ([]gen.Generator, error) {
 	if len(u) < 2 {
 		if err := validatePerm(u); err != nil {
 			return nil, err
 		}
 		return nil, nil
 	}
-	rules := Rules{Layout: MustLayout(1, len(u)-1), Nucleus: InsertionNucleus, Super: NoSuper}
-	return sc.Solve(rules, u)
+	return sc.Solve(Rules{Layout: Layout{L: 1, N: len(u) - 1}, Nucleus: nucleus, Super: NoSuper}, u)
 }

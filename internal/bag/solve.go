@@ -34,8 +34,9 @@ func Solve(rules Rules, u perm.Perm) ([]gen.Generator, error) {
 
 // SolveStar solves the ball-arrangement game behind the k-star graph
 // (Akers, Harel & Krishnamurthy): at each step the leftmost ball may be
-// exchanged with an arbitrary ball, i.e. generators T_2..T_k. The solution
-// has at most ⌊3(k-1)/2⌋ moves.
+// exchanged with an arbitrary ball, i.e. generators T_2..T_k. It is Solve
+// on the one-box transposition game (1, k-1), whose solution has at most
+// ⌊3(k-1)/2⌋ moves.
 func SolveStar(u perm.Perm) ([]gen.Generator, error) {
 	var sc Scratch
 	return sc.SolveStar(u)

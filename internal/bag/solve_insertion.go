@@ -21,17 +21,12 @@ func (s *state) solveInsertion() {
 		}
 		x := s.cfg[0]
 		if x == 1 { // outside ball has color 0
-			if s.iFirstDirtySlot() == 0 {
+			dirty := s.iFirstDirtySlot()
+			if dirty == 0 {
 				break // every box holds its full color class in order
 			}
-			if !s.iDirtyBox(1) {
-				j := s.nearestDirtySlot(s.iDirtyBox)
-				switch s.rules.Super {
-				case SwapSuper:
-					s.applySwap(j)
-				default:
-					s.rotateForward((ly.L - j + 1) % ly.L)
-				}
+			if dirty != 1 {
+				s.bringToFront(s.nearestDirtySlot(s.iDirtyBox))
 			}
 			// Park ball 1 immediately left of the clean suffix.
 			ci := s.iCleanCount(1)

@@ -138,6 +138,34 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestSolveQuotientRejectsBadLabels: a label must hold n balls of each
+// color 1..l and one of color l+1; anything else is refused before play.
+func TestSolveQuotientRejectsBadLabels(t *testing.T) {
+	rules := Rules{Layout: MustLayout(3, 2), Nucleus: InsertionNucleus, Super: RotPairSuper}
+	for _, u := range [][]int{
+		nil,
+		{4, 1, 1, 2, 2, 3},       // too short
+		{4, 1, 1, 2, 2, 3, 3, 3}, // too long
+		{4, 1, 1, 2, 2, 3, 5},    // color out of range
+		{4, 1, 1, 1, 2, 3, 3},    // three balls of color 1
+		{4, 4, 1, 2, 2, 3, 3},    // two color-0 balls
+		{0, 1, 1, 2, 2, 3, 3},    // color 0 written as 0
+	} {
+		if moves, err := SolveQuotient(rules, u); err == nil {
+			t.Errorf("label %v accepted, solved by %v", u, MoveNames(moves))
+		}
+	}
+	if _, err := SolveQuotient(Rules{Layout: MustLayout(3, 2), Super: NoSuper}, []int{4, 1, 1, 2, 2, 3, 3}); err == nil {
+		t.Error("invalid rules accepted")
+	}
+	for _, rules := range allRules(MustLayout(3, 2)) {
+		moves, err := SolveQuotient(rules, []int{4, 1, 1, 2, 2, 3, 3})
+		if err != nil || len(moves) != 0 {
+			t.Errorf("%s: goal label solved by %v, %v", rules, MoveNames(moves), err)
+		}
+	}
+}
+
 // TestFigure2Configuration solves the paper's Figure 2 instance: source
 // 5342671, destination 1234567, l = 3 boxes of n = 2 balls, balls moved by
 // insertions and boxes by rotations.

@@ -21,15 +21,9 @@ func (s *state) solveTransposition() {
 			if dirty == 0 {
 				break // all boxes clean: go to Phase 2
 			}
-			if !s.tDirtyBox(1) {
+			if dirty != 1 {
 				// 1.1.1: leftmost box clean; bring a dirty box to the front.
-				j := s.nearestDirtySlot(s.tDirtyBox)
-				switch s.rules.Super {
-				case SwapSuper:
-					s.applySwap(j)
-				default:
-					s.rotateForward((ly.L - j + 1) % ly.L)
-				}
+				s.bringToFront(s.nearestDirtySlot(s.tDirtyBox))
 			}
 			// 1.1.2: exchange the outside ball with a dirty ball in the
 			// leftmost box. The algorithm may pick any dirty ball; we prefer

@@ -19,6 +19,7 @@ type state struct {
 	moves    []gen.Generator
 	limit    int   // the game is abandoned once it has limit moves
 	rotated  []int // scratch for rotateForward's color-array rotation
+	quotient bool  // cfg is a label of colors (SolveQuotient), not balls
 }
 
 // maxMoves is the limit of a game that is never abandoned.
@@ -119,8 +120,11 @@ func (s *state) rotationCost(t int) int {
 
 // bringColorToFront moves the box of color c to slot 1 using the permitted
 // super moves.
-func (s *state) bringColorToFront(c int) {
-	j := s.slotOfColor(c)
+func (s *state) bringColorToFront(c int) { s.bringToFront(s.slotOfColor(c)) }
+
+// bringToFront moves the box at slot j to slot 1 using the permitted super
+// moves.
+func (s *state) bringToFront(j int) {
 	if j == 1 {
 		return
 	}
@@ -131,7 +135,7 @@ func (s *state) bringColorToFront(c int) {
 		l := s.rules.Layout.L
 		s.rotateForward((l - j + 1) % l)
 	case NoSuper:
-		panic("bag: bringColorToFront: box moves are not permitted (l = 1)")
+		panic("bag: bringToFront: box moves are not permitted (l = 1)")
 	}
 }
 
@@ -143,12 +147,11 @@ func (s *state) ballAt(j, o int) int {
 // --- cleanliness under the transposition nucleus (Balls-to-Boxes, §2.1) ---
 
 // tDirtyBall reports whether the ball at offset o of the box at slot j is
-// dirty: wrong color for its box, or right color at the wrong offset.
+// dirty: wrong color for its box, or right color at the wrong offset. The
+// one clean ball there is the one the goal puts at offset o of the box's
+// color, ball (c-1)n+o+1.
 func (s *state) tDirtyBall(j, o int) bool {
-	ly := s.rules.Layout
-	b := s.ballAt(j, o)
-	c := s.boxColor[j-1]
-	return ly.ColorOf(b) != c || ly.HomeOffset(b) != o
+	return s.ballAt(j, o) != (s.boxColor[j-1]-1)*s.rules.Layout.N+o+1
 }
 
 // tDirtyBox reports whether the box at slot j contains any dirty ball.

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/gen"
+	"repro/internal/perm"
 )
 
 // Label is a multiset permutation: position i holds symbol Label[i] (1-based
@@ -164,16 +165,7 @@ func (l Label) String() string {
 // Apply performs generator g's position rearrangement on the label in
 // place. All gen operators are position permutations, so they act on
 // multiset labels exactly as on permutations.
-func Apply(g gen.Generator, l Label) {
-	// Reuse the generator's permutation action by treating the label as raw
-	// positions: V[i] = U[gp[i]-1].
-	gp := g.AsPerm(len(l))
-	tmp := make([]int, len(l))
-	for i, src := range gp {
-		tmp[i] = l[src-1]
-	}
-	copy(l, tmp)
-}
+func Apply(g gen.Generator, l Label) { g.Apply(perm.Perm(l)) }
 
 // Rank returns the lexicographic rank of l among all labels of the
 // signature, in 0..Order-1. It fails when Order does (above 2⁶² labels).

@@ -13,299 +13,20 @@ import (
 // offsets to fix, so solutions are shorter than in the super Cayley case —
 // the quantitative advantage §4.3 exploits. The returned moves are
 // generators of rules; rotation styles are solved for every cyclic color
-// offset and the shortest solution returned.
+// offset and the shortest solution returned. The game is bag's quotient
+// game (bag.SolveQuotient), whose labels are SIP labels.
 func Solve(rules bag.Rules, u Label) ([]gen.Generator, error) {
 	if err := rules.Validate(); err != nil {
 		return nil, err
 	}
-	ly := rules.Layout
-	sig, err := SIPSignature(ly.L, ly.N)
+	sig, err := SIPSignature(rules.Layout.L, rules.Layout.N)
 	if err != nil {
 		return nil, err
 	}
 	if err := sig.Validate(u); err != nil {
 		return nil, err
 	}
-	rotational := rules.Super == bag.RotSingleSuper || rules.Super == bag.RotPairSuper || rules.Super == bag.RotCompleteSuper
-	offsets := 1
-	if rotational {
-		offsets = ly.L
-	}
-	var best []gen.Generator
-	found := false
-	for b := 0; b < offsets; b++ {
-		moves, err := solveOffset(rules, u, b)
-		if err != nil {
-			return nil, err
-		}
-		if !found || len(moves) < len(best) {
-			best, found = moves, true
-		}
-	}
-	return best, nil
-}
-
-// sipState mirrors the bag solver state for multiset labels.
-type sipState struct {
-	rules    bag.Rules
-	cfg      Label
-	boxColor []int
-	moves    []gen.Generator
-}
-
-func solveOffset(rules bag.Rules, u Label, offset int) ([]gen.Generator, error) {
-	ly := rules.Layout
-	s := &sipState{rules: rules, cfg: u.Clone(), boxColor: make([]int, ly.L)}
-	for j := 1; j <= ly.L; j++ {
-		s.boxColor[j-1] = (j-1+offset)%ly.L + 1
-	}
-	guard := 4 * (ly.K() + ly.L) * (ly.L + 2) // generous termination guard
-	for steps := 0; ; steps++ {
-		if steps > guard {
-			return nil, fmt.Errorf("ipg: Solve: no progress after %d steps (cfg %v)", steps, s.cfg)
-		}
-		x := s.cfg[0]
-		if x == ly.L+1 { // color-0 ball outside
-			if s.firstDirty() == 0 {
-				break
-			}
-			if !s.dirtyBox(1) {
-				s.bringToFront(s.boxColor[s.nearestDirty()-1])
-			}
-			s.parkColor0()
-			continue
-		}
-		if s.boxColor[0] != x {
-			s.bringToFront(x)
-		}
-		s.place(x)
-	}
-	s.finish()
-	goal := SIPGoal(ly.L, ly.N)
-	if !s.cfg.Equal(goal) {
-		return nil, fmt.Errorf("ipg: Solve: ended at %v, want %v", s.cfg, goal)
-	}
-	return s.moves, nil
-}
-
-func (s *sipState) record(g gen.Generator) {
-	Apply(g, s.cfg)
-	s.moves = append(s.moves, g)
-}
-
-func (s *sipState) ball(j, o int) int { return s.cfg[s.rules.Layout.BoxStart(j)-1+o-1] }
-
-// dirtyBox reports whether the box at slot j holds any symbol other than
-// its color.
-func (s *sipState) dirtyBox(j int) bool {
-	c := s.boxColor[j-1]
-	for o := 1; o <= s.rules.Layout.N; o++ {
-		if s.ball(j, o) != c {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *sipState) firstDirty() int {
-	for j := 1; j <= s.rules.Layout.L; j++ {
-		if s.dirtyBox(j) {
-			return j
-		}
-	}
-	return 0
-}
-
-// nearestDirty picks the dirty slot cheapest to bring to front.
-func (s *sipState) nearestDirty() int {
-	ly := s.rules.Layout
-	best, bestCost := 0, int(^uint(0)>>1)
-	for j := 1; j <= ly.L; j++ {
-		if !s.dirtyBox(j) {
-			continue
-		}
-		cost := s.moveCost(j)
-		if cost < bestCost {
-			best, bestCost = j, cost
-		}
-	}
-	return best
-}
-
-func (s *sipState) moveCost(j int) int {
-	if j == 1 {
-		return 0
-	}
-	ly := s.rules.Layout
-	t := (ly.L - j + 1) % ly.L
-	switch s.rules.Super {
-	case bag.SwapSuper:
-		return 1
-	case bag.RotCompleteSuper:
-		return 1
-	case bag.RotSingleSuper:
-		return t
-	case bag.RotPairSuper:
-		if ly.L == 2 || t <= ly.L-t {
-			return t
-		}
-		return ly.L - t
-	}
-	return 0
-}
-
-func (s *sipState) bringToFront(c int) {
-	ly := s.rules.Layout
-	j := 0
-	for idx, col := range s.boxColor {
-		if col == c {
-			j = idx + 1
-			break
-		}
-	}
-	if j == 0 {
-		panic(fmt.Sprintf("ipg: bringToFront: no box of color %d", c))
-	}
-	if j == 1 {
-		return
-	}
-	switch s.rules.Super {
-	case bag.SwapSuper:
-		s.record(gen.NewSwap(j, ly.N))
-		s.boxColor[0], s.boxColor[j-1] = s.boxColor[j-1], s.boxColor[0]
-	default:
-		t := (ly.L - j + 1) % ly.L
-		s.rotateForward(t)
-	}
-}
-
-func (s *sipState) rotateForward(t int) {
-	ly := s.rules.Layout
-	t = ((t % ly.L) + ly.L) % ly.L
-	if t == 0 {
-		return
-	}
-	switch s.rules.Super {
-	case bag.RotCompleteSuper:
-		s.record(gen.NewRotation(t, ly.N))
-	case bag.RotSingleSuper:
-		for i := 0; i < t; i++ {
-			s.record(gen.NewRotation(1, ly.N))
-		}
-	case bag.RotPairSuper:
-		if t <= ly.L-t || ly.L == 2 {
-			for i := 0; i < t; i++ {
-				s.record(gen.NewRotation(1, ly.N))
-			}
-		} else {
-			for i := 0; i < ly.L-t; i++ {
-				s.record(gen.NewRotation(ly.L-1, ly.N))
-			}
-		}
-	default:
-		panic("ipg: rotateForward: rules have no rotation style")
-	}
-	rotated := make([]int, ly.L)
-	for j := 0; j < ly.L; j++ {
-		rotated[(j+t)%ly.L] = s.boxColor[j]
-	}
-	copy(s.boxColor, rotated)
-}
-
-// cleanSuffix counts the maximal run of the box's own color at its right
-// end (used by insertion play).
-func (s *sipState) cleanSuffix() int {
-	ly := s.rules.Layout
-	c := s.boxColor[0]
-	cnt := 0
-	for o := ly.N; o >= 1; o-- {
-		if s.ball(1, o) != c {
-			break
-		}
-		cnt++
-	}
-	return cnt
-}
-
-// place moves the outside ball (color c = its symbol) into the front box,
-// ejecting a dirty ball.
-func (s *sipState) place(c int) {
-	ly := s.rules.Layout
-	switch s.rules.Nucleus {
-	case bag.TranspositionNucleus:
-		for o := 1; o <= ly.N; o++ {
-			if s.ball(1, o) != c {
-				s.record(gen.NewTransposition(1 + o))
-				return
-			}
-		}
-		panic(fmt.Sprintf("ipg: place: box of color %d already clean", c))
-	case bag.InsertionNucleus:
-		// Insert just left of (or extending) the clean suffix; the ejected
-		// leftmost ball is dirty while the suffix is shorter than n.
-		s.record(gen.NewInsertion(ly.N + 1))
-	}
-}
-
-// parkColor0 stores the color-0 ball inside the dirty front box.
-func (s *sipState) parkColor0() {
-	ly := s.rules.Layout
-	switch s.rules.Nucleus {
-	case bag.TranspositionNucleus:
-		c := s.boxColor[0]
-		for o := 1; o <= ly.N; o++ {
-			if s.ball(1, o) != c {
-				s.record(gen.NewTransposition(1 + o))
-				return
-			}
-		}
-		panic("ipg: parkColor0: front box is clean")
-	case bag.InsertionNucleus:
-		cnt := s.cleanSuffix()
-		s.record(gen.NewInsertion(ly.N + 1 - cnt))
-	}
-}
-
-func (s *sipState) finish() {
-	ly := s.rules.Layout
-	switch s.rules.Super {
-	case bag.SwapSuper:
-		for {
-			sorted := true
-			for j, c := range s.boxColor {
-				if c != j+1 {
-					sorted = false
-					break
-				}
-			}
-			if sorted {
-				return
-			}
-			if s.boxColor[0] == 1 {
-				for j := 2; j <= ly.L; j++ {
-					if s.boxColor[j-1] != j {
-						s.record(gen.NewSwap(j, ly.N))
-						s.boxColor[0], s.boxColor[j-1] = s.boxColor[j-1], s.boxColor[0]
-						break
-					}
-				}
-			} else {
-				j := s.boxColor[0]
-				s.record(gen.NewSwap(j, ly.N))
-				s.boxColor[0], s.boxColor[j-1] = s.boxColor[j-1], s.boxColor[0]
-			}
-		}
-	case bag.RotSingleSuper, bag.RotPairSuper, bag.RotCompleteSuper:
-		j := 0
-		for idx, c := range s.boxColor {
-			if c == 1 {
-				j = idx + 1
-				break
-			}
-		}
-		s.rotateForward((ly.L - j + 1) % ly.L)
-	case bag.NoSuper:
-	}
+	return bag.SolveQuotient(rules, u)
 }
 
 // Verify replays moves on u and checks legality and the goal.
