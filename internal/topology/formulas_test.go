@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/perm"
+)
 
 // TestBoundFormulaMatchesInstanceBound: the standalone formula evaluator
 // must agree with the bound computed from a constructed instance, for every
@@ -42,6 +46,37 @@ func TestBoundFormulaMatchesInstanceBound(t *testing.T) {
 	}
 	if _, err := DegreeFormula(Family(99), 2, 2); err == nil {
 		t.Error("unknown family accepted by DegreeFormula")
+	}
+}
+
+// TestLongestRouteMeetsBound: for each nucleus-only family at k = 3..7,
+// the longest route over all k! states is DiameterUpperBound, so the bound
+// each family reports is its solver's worst case, not above it.
+func TestLongestRouteMeetsBound(t *testing.T) {
+	var sc RouteScratch
+	for _, fam := range AllFamilies() {
+		if fam.IsSuperCayley() {
+			continue
+		}
+		for k := 3; k <= 7; k++ {
+			nw, err := New(fam, 1, k-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, x, scratch := perm.Identity(k), make(perm.Perm, k), make([]int, k)
+			longest := 0
+			for r := int64(0); r < nw.Nodes(); r++ {
+				perm.UnrankInto(k, r, x, scratch)
+				moves, err := sc.RouteInto(nw, id, x)
+				if err != nil {
+					t.Fatalf("%s: route I -> %v: %v", nw.Name(), x, err)
+				}
+				longest = max(longest, len(moves))
+			}
+			if bound := nw.DiameterUpperBound(); longest != bound {
+				t.Errorf("%s: longest route %d, bound %d", nw.Name(), longest, bound)
+			}
+		}
 	}
 }
 
