@@ -139,9 +139,11 @@ func (s *state) bringToFront(j int) {
 	}
 }
 
-// ballAt returns the ball at offset o (1..n) of the box at slot j.
+// ballAt returns the ball at offset o (1..n) of the box at slot j. It
+// indexes cfg directly, not through Layout.BoxStart, whose range-check
+// panic would keep it and its callers from inlining.
 func (s *state) ballAt(j, o int) int {
-	return s.cfg[s.rules.Layout.BoxStart(j)-1+o-1]
+	return s.cfg[(j-1)*s.rules.Layout.N+o]
 }
 
 // --- cleanliness under the transposition nucleus (Balls-to-Boxes, §2.1) ---
