@@ -121,7 +121,6 @@ func runStoreBench(ctx context.Context, sweep, out string) error {
 // then storeBenchSamples store loads, each through a brand-new server (the
 // restart) against the entry the last cold build persisted.
 func benchInstance(ctx context.Context, dir string, in topology.Instance) (*StoreBenchInstance, error) {
-	key := server.Key{Family: in.Family, L: in.L, N: in.N}
 	sk := store.Key{Family: in.Family.String(), L: in.L, N: in.N}
 
 	cold := make([]float64, storeBenchSamples)
@@ -143,7 +142,7 @@ func benchInstance(ctx context.Context, dir string, in topology.Instance) (*Stor
 		// before its write-back, which Close drains.
 		srv := server.New(server.Config{Store: st, SampleInterval: -1})
 		t0 := time.Now()
-		job, err := srv.Jobs().Submit(ctx, key, "")
+		job, err := srv.Jobs().Submit(ctx, in, "")
 		cold[i] = float64(time.Since(t0).Microseconds())
 		srv.Close()
 		if err == nil && job.Status == server.JobFailed {
@@ -168,7 +167,7 @@ func benchInstance(ctx context.Context, dir string, in topology.Instance) (*Stor
 		}
 		srv := server.New(server.Config{Store: st, SampleInterval: -1})
 		t0 := time.Now()
-		wprof, err := srv.Cache().Profile(ctx, key)
+		wprof, err := srv.Cache().Profile(ctx, in)
 		load[i] = float64(time.Since(t0).Microseconds())
 		srv.Close()
 		if err != nil {

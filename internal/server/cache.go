@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -14,35 +13,12 @@ import (
 // Key identifies one network instance. For nucleus-only families the
 // request decoder canonicalizes L to 1, so "star with l=3" and "star with
 // l=1" share one cache line.
-type Key struct {
-	Family topology.Family
-	L, N   int
-}
-
-func (k Key) String() string { return string(k.appendName(nil)) }
-
-// appendName appends k's String form, family(l,n), without allocating.
-func (k Key) appendName(b []byte) []byte {
-	b = append(b, k.Family.String()...)
-	b = append(b, '(')
-	b = strconv.AppendInt(b, int64(k.L), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(k.N), 10)
-	return append(b, ')')
-}
-
-// K returns the label length n·l+1 (n+1 for nucleus-only families).
-func (k Key) K() int {
-	if k.Family.IsSuperCayley() {
-		return k.N*k.L + 1
-	}
-	return k.N + 1
-}
+type Key = topology.Instance
 
 // storeKey maps the cache key to its persistent-store address. The request
 // decoder has already canonicalized L for nucleus-only families, so the
 // mapping is direct.
-func (k Key) storeKey() store.Key {
+func storeKey(k Key) store.Key {
 	return store.Key{Family: k.Family.String(), L: k.L, N: k.N}
 }
 
@@ -165,7 +141,7 @@ func (c *Cache) network(ctx context.Context, key Key) (nw *topology.Network, pro
 		if c.store != nil && !c.hasProfile(key) {
 			probed = true
 			tr.Phase("store-load")
-			if e, err := c.store.Load(key.storeKey()); err == nil && e.K == key.K() {
+			if e, err := c.store.Load(storeKey(key)); err == nil && e.K == key.K() {
 				nw, nerr := topology.New(key.Family, key.L, key.N)
 				if nerr == nil {
 					c.insertProfile(key, e.Profile)
@@ -213,7 +189,7 @@ func (c *Cache) profile(ctx context.Context, key Key) (res *core.BFSResult, buil
 		// this call's network build just read it and missed.
 		if c.store != nil && !probed {
 			tr.Phase("store-load")
-			if e, err := c.store.Load(key.storeKey()); err == nil && e.K == key.K() {
+			if e, err := c.store.Load(storeKey(key)); err == nil && e.K == key.K() {
 				return e.Profile, profileBytes(e.Profile), nil
 			}
 		}
@@ -240,7 +216,7 @@ func (c *Cache) profile(ctx context.Context, key Key) (res *core.BFSResult, buil
 // entirely. A failed write only bumps the store's error counter: the
 // profile is already in hand.
 func (c *Cache) writeBack(key Key, res *core.BFSResult) {
-	sk := key.storeKey()
+	sk := storeKey(key)
 	_ = c.store.Put(sk, &store.Entry{
 		Family: sk.Family, L: sk.L, N: sk.N, K: key.K(), Profile: res,
 	})

@@ -208,7 +208,7 @@ func appendProfileResponse(b []byte, job *Job, cached bool) []byte {
 		b = appendJSONString(b, job.ReqID)
 	}
 	b = append(b, ",\n  \"network\": \""...)
-	b = job.Key.appendName(b)
+	b = job.Key.AppendName(b)
 	b = append(b, "\",\n  \"status\": "...)
 	b = appendJSONString(b, string(job.Status))
 	if cached {

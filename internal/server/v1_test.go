@@ -200,12 +200,12 @@ func TestV1BodyParity(t *testing.T) {
 		query string
 		key   Key
 	}{
-		{"family=MS&l=2&n=3", Key{topology.MS, 2, 3}},
-		{"family=RS&l=2&n=3", Key{topology.RS, 2, 3}},
-		{"family=complete-RIS&l=3&n=2", Key{topology.CompleteRIS, 3, 2}},
-		{"family=rotator&n=5", Key{topology.Rotator, 1, 5}},
-		{"family=bubble-sort&n=4", Key{topology.BubbleSort, 1, 4}},
-		{"family=star&l=7&n=9", Key{topology.Star, 1, 9}}, // k = 10 labels
+		{"family=MS&l=2&n=3", Key{Family: topology.MS, L: 2, N: 3}},
+		{"family=RS&l=2&n=3", Key{Family: topology.RS, L: 2, N: 3}},
+		{"family=complete-RIS&l=3&n=2", Key{Family: topology.CompleteRIS, L: 3, N: 2}},
+		{"family=rotator&n=5", Key{Family: topology.Rotator, L: 1, N: 5}},
+		{"family=bubble-sort&n=4", Key{Family: topology.BubbleSort, L: 1, N: 4}},
+		{"family=star&l=7&n=9", Key{Family: topology.Star, L: 1, N: 9}}, // k = 10 labels
 	}
 	for round := 0; round < 2; round++ {
 		for _, kc := range keys {
@@ -294,7 +294,7 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		for j, res := range results {
 			for _, cached := range []bool{false, true} {
 				job := Job{
-					ID: "job-" + strconv.Itoa(i), ReqID: s, Key: Key{topology.CompleteRS, i, j},
+					ID: "job-" + strconv.Itoa(i), ReqID: s, Key: Key{Family: topology.CompleteRS, L: i, N: j},
 					Status: JobStatus([]string{"queued", "running", "done", "failed"}[(i+j)%4]),
 					Err:    strs[(i+j)%len(strs)], Result: res,
 				}

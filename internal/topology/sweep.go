@@ -23,8 +23,16 @@ func (in Instance) K() int {
 	return in.N + 1
 }
 
-func (in Instance) String() string {
-	return fmt.Sprintf("%v(%d,%d)", in.Family, in.L, in.N)
+func (in Instance) String() string { return string(in.AppendName(nil)) }
+
+// AppendName appends in's String form, family(l,n), without allocating.
+func (in Instance) AppendName(b []byte) []byte {
+	b = append(b, in.Family.String()...)
+	b = append(b, '(')
+	b = strconv.AppendInt(b, int64(in.L), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(in.N), 10)
+	return append(b, ')')
 }
 
 // EnumerateInstances lists every constructible instance of fam with
