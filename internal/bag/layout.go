@@ -15,8 +15,8 @@
 // holding the color-i balls in ascending order.
 //
 // The star game is the game with one box (l = 1, n = k-1), transposition
-// balls and no box moves (SolveStar); the rotator game is the same with
-// insertion balls (SolveRotator).
+// balls and no box moves (SolveStar); the rotator game, which the IS
+// network also plays, is the same with insertion balls.
 //
 // # Quotient game
 //

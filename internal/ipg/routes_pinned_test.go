@@ -12,7 +12,7 @@ import (
 )
 
 // pinnedShape is one game whose every route is pinned: star is the k-star
-// game (bag's SolveStar, l = 1 and n = k-1), otherwise SIP(l,n) under the
+// game (bag's one-box transposition game, l = 1 and n = k-1), otherwise SIP(l,n) under the
 // rules (ipg's Solve).
 type pinnedShape struct {
 	star  bool
@@ -82,7 +82,7 @@ func routesHash(t *testing.T, p pinnedShape) string {
 	if p.star {
 		var sc bag.Scratch
 		for r := int64(0); r < perm.Factorial(ly.K()); r++ {
-			moves, err := sc.SolveStar(perm.Unrank(ly.K(), r))
+			moves, err := sc.Solve(p.rules, perm.Unrank(ly.K(), r))
 			if err != nil {
 				t.Fatal(err)
 			}

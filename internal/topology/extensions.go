@@ -44,17 +44,17 @@ func NewRotationSubsetStar(l, n int, exps []int) (*Network, error) {
 		return nil, fmt.Errorf("topology: NewRotationSubsetStar: exponents %v do not generate Z_%d (gcd %d)", exps, l, g)
 	}
 	k := n*l + 1
-	gens := transpositionNucleus(n)
+	// Routing plays the complete-rotation game and expands each of its
+	// rotations into a word over the available powers (routeRotationSubset);
+	// the links are that game's nucleus block and the available rotations.
+	rules := bag.Rules{Layout: bag.MustLayout(l, n), Nucleus: bag.TranspositionNucleus, Super: bag.RotCompleteSuper}
+	gens := rules.Generators()[:n]
 	sorted := append([]int(nil), exps...)
 	sort.Ints(sorted)
 	for _, e := range sorted {
 		gens = append(gens, gen.NewRotation(e, n))
 	}
 	name := fmt.Sprintf("RS(%d,%d;R%v)", l, n, sorted)
-	// Routing reuses the complete-rotation solver restricted to available
-	// powers via move expansion (see Route in routingext.go); the base rules
-	// use the single-rotation game when only R^1-compatible powers exist.
-	rules := bag.Rules{Layout: bag.MustLayout(l, n), Nucleus: bag.TranspositionNucleus, Super: bag.RotCompleteSuper}
 	nw, err := buildNetwork(RS, name, l, n, k, gens, rules, false)
 	if err != nil {
 		return nil, err
@@ -124,27 +124,22 @@ func NewRecursiveMS(l, l1, n1 int) (*Network, error) {
 	}
 	n := l1 * n1
 	k := n*l + 1
-	var gens []gen.Generator
-	gens = append(gens, transpositionNucleus(n1)...)
-	for i := 2; i <= l1; i++ {
-		gens = append(gens, gen.NewSwap(i, n1))
-	}
-	for i := 2; i <= l; i++ {
-		gens = append(gens, gen.NewSwap(i, n))
-	}
-	name := fmt.Sprintf("recursive-MS(%d;%d,%d)", l, l1, n1)
+	// The links are the inner MS(l1,n1)'s and the outer MS(l,n)'s swaps.
 	rules := bag.Rules{Layout: bag.MustLayout(l, n), Nucleus: bag.TranspositionNucleus, Super: bag.SwapSuper}
+	inner := bag.Rules{Layout: bag.MustLayout(l1, n1), Nucleus: bag.TranspositionNucleus, Super: bag.SwapSuper}
+	gens := append(inner.Generators(), rules.Generators()[n:]...)
+	name := fmt.Sprintf("recursive-MS(%d;%d,%d)", l, l1, n1)
 	nw, err := buildNetwork(MS, name, l, n, k, gens, rules, false)
 	if err != nil {
 		return nil, err
 	}
-	nw.recursive = &recursiveSpec{l1: l1, n1: n1}
+	nw.recursive = &recursiveSpec{inner: inner}
 	return nw, nil
 }
 
-// recursiveSpec marks a recursive MS and carries the inner parameters.
+// recursiveSpec marks a recursive MS and carries the inner MS's game.
 type recursiveSpec struct {
-	l1, n1 int
+	inner bag.Rules
 	// dict caches the expansion of each outer nucleus transposition T_i
 	// into a word over the inner MS(l1,n1) generators.
 	dict map[int][]gen.Generator
@@ -158,17 +153,12 @@ func (rs *recursiveSpec) transpositionDictionary(n int) (map[int][]gen.Generator
 	if rs.dict != nil {
 		return rs.dict, nil
 	}
-	innerRules := bag.Rules{
-		Layout:  bag.MustLayout(rs.l1, rs.n1),
-		Nucleus: bag.TranspositionNucleus,
-		Super:   bag.SwapSuper,
-	}
 	dict := make(map[int][]gen.Generator, n)
 	for i := 2; i <= n+1; i++ {
 		// Route identity -> T_i in the inner graph: the word product must
 		// equal T_i, i.e. solve the game from configuration T_i⁻¹ = T_i.
-		cfg := gen.NewTransposition(i).AsPerm(rs.l1*rs.n1 + 1).Inverse()
-		word, err := bag.Solve(innerRules, cfg)
+		cfg := gen.NewTransposition(i).AsPerm(rs.inner.Layout.K()).Inverse()
+		word, err := bag.Solve(rs.inner, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -87,4 +87,4 @@ func (nw *Network) routeRecursive(u perm.Perm) ([]gen.Generator, error) {
 
 // The baseline solvers (pancake prefix-reversal sort, bubble insertion
 // sort, transposition cycle chasing) live on RouteScratch in scratch.go;
-// Route reaches them through RouteInto.
+// RouteInto reaches them through their rows of the family table.

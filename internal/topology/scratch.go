@@ -65,23 +65,10 @@ func (sc *RouteScratch) RouteInto(nw *Network, src, dst perm.Perm) ([]gen.Genera
 	if nw.recursive != nil {
 		return nw.routeRecursive(u)
 	}
-	switch nw.family {
-	case Star:
-		return sc.bag.SolveStar(u)
-	case Rotator:
-		return sc.bag.SolveRotator(u)
-	case Pancake:
-		return sc.solvePancake(u)
-	case BubbleSort:
-		return sc.solveBubble(u)
-	case TranspositionNet:
-		return sc.solveTranspositionNet(u)
-	default:
-		if !nw.hasRules {
-			return nil, fmt.Errorf("topology: Route: no routing algorithm for %v", nw.family)
-		}
+	if nw.hasRules {
 		return sc.bag.Solve(nw.rules, u)
 	}
+	return families[nw.family].solve(sc, u)
 }
 
 // VerifyRouteInto replays moves from src using sc's buffers and checks that
@@ -141,14 +128,16 @@ func labelError(p perm.Perm) error {
 	return fmt.Errorf("topology: node label of %d symbols exceeds the 64-symbol limit", len(p))
 }
 
-// resetLocal primes cfg/moves for the baseline solvers below.
+// resetLocal primes cfg/moves for the baseline solvers below, the solve
+// entries of the pancake, bubble-sort and transposition rows.
 func (sc *RouteScratch) resetLocal(u perm.Perm) perm.Perm {
 	copy(sc.cfg[:len(u)], u)
 	sc.moves = sc.moves[:0]
 	return sc.cfg[:len(u)]
 }
 
-// solvePancake is the scratch form of the package-level pancake solver.
+// solvePancake sorts by prefix reversals: each symbol from k down to 2 is
+// flipped to the front, then into place.
 func (sc *RouteScratch) solvePancake(u perm.Perm) ([]gen.Generator, error) {
 	cfg := sc.resetLocal(u)
 	k := len(cfg)
@@ -173,7 +162,7 @@ func (sc *RouteScratch) solvePancake(u perm.Perm) ([]gen.Generator, error) {
 	return sc.moves, nil
 }
 
-// solveBubble is the scratch form of the package-level bubble-sort solver.
+// solveBubble sorts by adjacent swaps (insertion sort).
 func (sc *RouteScratch) solveBubble(u perm.Perm) ([]gen.Generator, error) {
 	cfg := sc.resetLocal(u)
 	for i := 1; i < len(cfg); i++ {
@@ -189,8 +178,7 @@ func (sc *RouteScratch) solveBubble(u perm.Perm) ([]gen.Generator, error) {
 	return sc.moves, nil
 }
 
-// solveTranspositionNet is the scratch form of the package-level
-// transposition-network solver.
+// solveTranspositionNet sorts by position swaps, chasing each cycle.
 func (sc *RouteScratch) solveTranspositionNet(u perm.Perm) ([]gen.Generator, error) {
 	cfg := sc.resetLocal(u)
 	for pos := 1; pos <= len(cfg); pos++ {
