@@ -8,16 +8,17 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/figures"
 	"repro/internal/perm"
 )
 
 // BenchmarkTheorem47AvgDistanceTable regenerates the average-distance /
 // Moore-bound table at (3,2) — the measured side of Theorem 4.7.
 func BenchmarkTheorem47AvgDistanceTable(b *testing.B) {
-	var rows []AvgDistanceRow
+	var rows []figures.AvgDistanceRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = AvgDistanceTable(3, 2)
+		rows, err = figures.AvgDistanceTable(3, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

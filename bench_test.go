@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/bag"
+	"repro/internal/obs"
 	"repro/internal/perm"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -162,7 +164,7 @@ func BenchmarkTheorem42MSDiameter(b *testing.B) {
 // BenchmarkTheorem43RotatorDiameters measures the insertion-based networks
 // of Theorem 4.3 (MR, MIS, complete-RR, complete-RIS at (3,2)).
 func BenchmarkTheorem43RotatorDiameters(b *testing.B) {
-	fams := []Family{MRFamily, MISFamily, CompleteRRFamily, CompleteRISFamily}
+	fams := []Family{topology.MR, topology.MIS, topology.CompleteRR, topology.CompleteRIS}
 	var total int
 	for i := 0; i < b.N; i++ {
 		total = 0
@@ -275,7 +277,7 @@ func benchBroadcast(b *testing.B, build func() (SimTopology, error), model PortM
 	if err != nil {
 		b.Fatal(err)
 	}
-	var res *SimResult
+	var res *sim.Result
 	for i := 0; i < b.N; i++ {
 		res, err = RunBroadcast(topo, model, 0, nil)
 		if err != nil {
@@ -325,7 +327,7 @@ func benchTE(b *testing.B, build func() (SimTopology, error), model PortModel) {
 		b.Fatal(err)
 	}
 	pkts := TotalExchange(topo.NumNodes())
-	var res *SimResult
+	var res *sim.Result
 	for i := 0; i < b.N; i++ {
 		res, err = RunUnicast(topo, pkts, model, 0, nil)
 		if err != nil {
@@ -359,8 +361,8 @@ func BenchmarkRandomRoutingCompleteRS32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pkts := RandomRouting(topo.NumNodes(), 5040, 11)
-	var res *SimResult
+	pkts := sim.RandomRouting(topo.NumNodes(), 5040, 11)
+	var res *sim.Result
 	for i := 0; i < b.N; i++ {
 		res, err = RunUnicast(topo, pkts, AllPort, 0, nil)
 		if err != nil {
@@ -373,7 +375,7 @@ func BenchmarkRandomRoutingCompleteRS32(b *testing.B) {
 
 // --- observability overhead -------------------------------------------------------
 
-func benchUnicastRecorder(b *testing.B, newRec func() Recorder) {
+func benchUnicastRecorder(b *testing.B, newRec func() obs.Recorder) {
 	nw, err := NewMacroStar(2, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -382,8 +384,8 @@ func benchUnicastRecorder(b *testing.B, newRec func() Recorder) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pkts := RandomRouting(topo.NumNodes(), 2000, 3)
-	var res *SimResult
+	pkts := sim.RandomRouting(topo.NumNodes(), 2000, 3)
+	var res *sim.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err = RunUnicast(topo, pkts, AllPort, 0, newRec())
@@ -399,13 +401,13 @@ func benchUnicastRecorder(b *testing.B, newRec func() Recorder) {
 // Recorder skips all instrumentation work (compare with
 // BenchmarkRunUnicastTrace for the per-step tracing overhead).
 func BenchmarkRunUnicastNoop(b *testing.B) {
-	benchUnicastRecorder(b, func() Recorder { return nil })
+	benchUnicastRecorder(b, func() obs.Recorder { return nil })
 }
 
 // BenchmarkRunUnicastTrace runs the same workload with a full per-step
 // Trace attached (stats-every 1: step samples, events, load Gini per step).
 func BenchmarkRunUnicastTrace(b *testing.B) {
-	benchUnicastRecorder(b, func() Recorder { return NewTrace(1) })
+	benchUnicastRecorder(b, func() obs.Recorder { return NewTrace(1) })
 }
 
 // --- routing throughput -----------------------------------------------------------
@@ -421,7 +423,7 @@ func BenchmarkRoutingSolvers(b *testing.B) {
 		{"MS(4,3)", func() (*Network, error) { return NewMacroStar(4, 3) }},
 		{"complete-RS(4,3)", func() (*Network, error) { return NewCompleteRotationStar(4, 3) }},
 		{"MR(4,3)", func() (*Network, error) { return NewMacroRotator(4, 3) }},
-		{"complete-RIS(4,3)", func() (*Network, error) { return NewCompleteRotationIS(4, 3) }},
+		{"complete-RIS(4,3)", func() (*Network, error) { return New(topology.CompleteRIS, 4, 3) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

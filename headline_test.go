@@ -1,6 +1,11 @@
 package scg
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/bag"
+	"repro/internal/topology"
+)
 
 // TestHeadlineNumbers locks the repository's key measured results: any
 // change to solvers, generators, or BFS that shifts these exact values is a
@@ -12,17 +17,17 @@ func TestHeadlineNumbers(t *testing.T) {
 		want int
 	}{
 		{"star(7)", func() (*Network, error) { return NewStarGraph(7) }, 9},
-		{"rotator(7)", func() (*Network, error) { return NewRotatorGraph(7) }, 6},
+		{"rotator(7)", func() (*Network, error) { return New(topology.Rotator, 1, 6) }, 6},
 		{"IS(7)", func() (*Network, error) { return NewISNetwork(7) }, 6},
 		{"MS(3,2)", func() (*Network, error) { return NewMacroStar(3, 2) }, 13},
 		{"RS(3,2)", func() (*Network, error) { return NewRotationStar(3, 2) }, 15},
 		{"complete-RS(3,2)", func() (*Network, error) { return NewCompleteRotationStar(3, 2) }, 15},
 		{"MR(3,2)", func() (*Network, error) { return NewMacroRotator(3, 2) }, 10},
-		{"RR(3,2)", func() (*Network, error) { return NewRotationRotator(3, 2) }, 14},
+		{"RR(3,2)", func() (*Network, error) { return New(topology.RR, 3, 2) }, 14},
 		{"complete-RR(3,2)", func() (*Network, error) { return NewCompleteRotationRotator(3, 2) }, 13},
-		{"MIS(3,2)", func() (*Network, error) { return NewMacroIS(3, 2) }, 10},
+		{"MIS(3,2)", func() (*Network, error) { return New(topology.MIS, 3, 2) }, 10},
 		{"RIS(3,2)", func() (*Network, error) { return NewRotationIS(3, 2) }, 13},
-		{"complete-RIS(3,2)", func() (*Network, error) { return NewCompleteRotationIS(3, 2) }, 13},
+		{"complete-RIS(3,2)", func() (*Network, error) { return New(topology.CompleteRIS, 3, 2) }, 13},
 	}
 	for _, c := range diameters {
 		nw, err := c.mk()
@@ -64,7 +69,7 @@ func TestHeadlineNumbers(t *testing.T) {
 	if len(moves) != 7 {
 		t.Errorf("Figure 2 solution length %d, headline 7", len(moves))
 	}
-	opt, err := SolveOptimal(rules, u, 0)
+	opt, err := bag.SolveOptimal(rules, u, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,10 +84,6 @@ func (ly Layout) BoxStart(j int) int {
 	return (j-1)*ly.N + 2
 }
 
-// BoxEnd returns the 1-based permutation position of the last ball of the
-// box at slot j.
-func (ly Layout) BoxEnd(j int) int { return ly.BoxStart(j) + ly.N - 1 }
-
 // SlotOfPosition returns the box slot (1..l) containing 1-based permutation
 // position pos, or 0 for the outside slot (pos == 1).
 func (ly Layout) SlotOfPosition(pos int) int {

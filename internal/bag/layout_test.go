@@ -27,8 +27,8 @@ func TestLayoutBoxRanges(t *testing.T) {
 		{1, 2, 3}, {2, 4, 5}, {3, 6, 7},
 	}
 	for _, c := range cases {
-		if ly.BoxStart(c.slot) != c.start || ly.BoxEnd(c.slot) != c.end {
-			t.Errorf("slot %d: [%d,%d], want [%d,%d]", c.slot, ly.BoxStart(c.slot), ly.BoxEnd(c.slot), c.start, c.end)
+		if ly.BoxStart(c.slot) != c.start || ly.BoxStart(c.slot)+ly.N-1 != c.end {
+			t.Errorf("slot %d: [%d,%d], want [%d,%d]", c.slot, ly.BoxStart(c.slot), ly.BoxStart(c.slot)+ly.N-1, c.start, c.end)
 		}
 	}
 	if ly.SlotOfPosition(1) != 0 {
@@ -36,7 +36,7 @@ func TestLayoutBoxRanges(t *testing.T) {
 	}
 	for pos := 2; pos <= 7; pos++ {
 		slot := ly.SlotOfPosition(pos)
-		if pos < ly.BoxStart(slot) || pos > ly.BoxEnd(slot) {
+		if pos < ly.BoxStart(slot) || pos > ly.BoxStart(slot)+ly.N-1 {
 			t.Errorf("SlotOfPosition(%d) = %d inconsistent", pos, slot)
 		}
 	}

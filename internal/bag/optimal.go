@@ -126,13 +126,3 @@ func movedPositions(g gen.Generator, k int) int {
 	}
 	return moved
 }
-
-// Distance returns the exact game distance from u to the identity (the
-// length of an optimal solution), via SolveOptimal.
-func Distance(rules Rules, u perm.Perm, maxDepth int) (int, error) {
-	moves, err := SolveOptimal(rules, u, maxDepth)
-	if err != nil {
-		return 0, err
-	}
-	return len(moves), nil
-}

@@ -63,12 +63,12 @@ func TestSolveOptimalNeverLongerThanHeuristic(t *testing.T) {
 func TestDistance(t *testing.T) {
 	rules := Rules{Layout: MustLayout(2, 2), Nucleus: TranspositionNucleus, Super: SwapSuper}
 	u := perm.MustNew([]int{3, 2, 1, 4, 5})
-	d, err := Distance(rules, u, 0)
+	moves, err := SolveOptimal(rules, u, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d < 1 || d > 12 {
-		t.Fatalf("distance %d out of range", d)
+	if d := len(moves); d < 1 || d > 12 {
+		t.Fatalf("distance %d out of range", len(moves))
 	}
 }
 

@@ -41,15 +41,6 @@ func SolveStar(u perm.Perm) ([]gen.Generator, error) {
 	return Solve(Rules{Layout: Layout{L: 1, N: len(u) - 1}, Nucleus: TranspositionNucleus, Super: NoSuper}, u)
 }
 
-// Replay applies moves to u and returns the resulting configuration.
-func Replay(u perm.Perm, moves []gen.Generator) perm.Perm {
-	cfg := u.Clone()
-	for _, g := range moves {
-		g.Apply(cfg)
-	}
-	return cfg
-}
-
 // Verify checks that moves is a legal solution of the game (rules, u): every
 // move must be one of the rules' permissible actions and the final
 // configuration must be the identity.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/perm"
 )
 
@@ -423,4 +424,13 @@ func BenchmarkSolveStarK13(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Replay applies moves to u and returns the resulting configuration.
+func Replay(u perm.Perm, moves []gen.Generator) perm.Perm {
+	cfg := u.Clone()
+	for _, g := range moves {
+		g.Apply(cfg)
+	}
+	return cfg
 }

@@ -1,9 +1,11 @@
 package bag
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/perm"
 )
 
@@ -94,5 +96,61 @@ func TestColor0Bound(t *testing.T) {
 	}
 	if Color0Bound(Rules{Layout: ly, Nucleus: TranspositionNucleus, Super: SwapSuper}) != 6 {
 		t.Error("transposition bound should be k/2")
+	}
+}
+
+// Stats summarizes one solved game, exposing the quantities §2.2–§2.3
+// reason about.
+type Stats struct {
+	// Moves is the total solution length.
+	Moves int
+	// NucleusMoves counts transpositions/insertions (ball moves).
+	NucleusMoves int
+	// SuperMoves counts swaps/rotations (box moves).
+	SuperMoves int
+	// Color0Events counts ball moves made while the outside ball was ball 1
+	// — the "wasted" moves that the insertion rules of §2.3 nearly
+	// eliminate (at most l parkings versus up to ~k/2 exchanges).
+	Color0Events int
+}
+
+// Analyze replays a legal solution of (rules, u) and gathers statistics. It
+// assumes moves were produced by Solve/SolveWithOffset (it does not
+// re-verify legality; call Verify for that).
+func Analyze(rules Rules, u perm.Perm, moves []gen.Generator) Stats {
+	var st Stats
+	cfg := u.Clone()
+	for _, m := range moves {
+		st.Moves++
+		switch m.Class() {
+		case gen.Nucleus:
+			st.NucleusMoves++
+			if cfg[0] == 1 {
+				st.Color0Events++
+			}
+		case gen.Super:
+			st.SuperMoves++
+		}
+		m.Apply(cfg)
+	}
+	return st
+}
+
+// String renders the statistics compactly.
+func (s Stats) String() string {
+	return fmt.Sprintf("moves=%d nucleus=%d super=%d color0=%d",
+		s.Moves, s.NucleusMoves, s.SuperMoves, s.Color0Events)
+}
+
+// Color0Bound returns the maximum number of color-0 ball moves the rules can
+// incur on any instance: at most l parkings under insertion play (§2.3,
+// "this can only happen at most l times"), versus up to ⌊k/2⌋ exchanges
+// under transposition play.
+func Color0Bound(rules Rules) int {
+	switch rules.Nucleus {
+	case InsertionNucleus:
+		return rules.Layout.L
+	default:
+		return rules.Layout.K() / 2
 	}
 }

@@ -119,33 +119,6 @@ func (t *Tree) sortChildrenBySubtree() {
 	}
 }
 
-// Validate checks the tree spans the graph consistently.
-func (t *Tree) Validate() error {
-	n := int64(len(t.Parent))
-	seen := int64(0)
-	for v := int64(0); v < n; v++ {
-		if v == t.Root {
-			if t.Parent[v] != -1 {
-				return fmt.Errorf("collective: root has parent %d", t.Parent[v])
-			}
-			seen++
-			continue
-		}
-		p := t.Parent[v]
-		if p < 0 || p >= n {
-			return fmt.Errorf("collective: node %d has invalid parent %d", v, p)
-		}
-		if t.Depth[v] != t.Depth[p]+1 {
-			return fmt.Errorf("collective: node %d depth %d, parent depth %d", v, t.Depth[v], t.Depth[p])
-		}
-		seen++
-	}
-	if seen != n {
-		return fmt.Errorf("collective: tree covers %d of %d nodes", seen, n)
-	}
-	return nil
-}
-
 // BroadcastTime returns the completion time of a single-node broadcast from
 // the root along the tree. All-port: every informed node forwards to all
 // children simultaneously, so the time is the tree height. Single-port:

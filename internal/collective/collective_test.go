@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/perm"
@@ -214,4 +215,31 @@ func TestSimulateTreeMNBGuards(t *testing.T) {
 	if _, err := SimulateTreeMNB(big.Graph(), sim.AllPort, 0); err == nil {
 		t.Error("oversized instance accepted")
 	}
+}
+
+// Validate checks the tree spans the graph consistently.
+func (t *Tree) Validate() error {
+	n := int64(len(t.Parent))
+	seen := int64(0)
+	for v := int64(0); v < n; v++ {
+		if v == t.Root {
+			if t.Parent[v] != -1 {
+				return fmt.Errorf("collective: root has parent %d", t.Parent[v])
+			}
+			seen++
+			continue
+		}
+		p := t.Parent[v]
+		if p < 0 || p >= n {
+			return fmt.Errorf("collective: node %d has invalid parent %d", v, p)
+		}
+		if t.Depth[v] != t.Depth[p]+1 {
+			return fmt.Errorf("collective: node %d depth %d, parent depth %d", v, t.Depth[v], t.Depth[p])
+		}
+		seen++
+	}
+	if seen != n {
+		return fmt.Errorf("collective: tree covers %d of %d nodes", seen, n)
+	}
+	return nil
 }

@@ -33,11 +33,11 @@ func equivalenceInstances(t *testing.T, maxK int) []*topology.Network {
 		}
 	}
 	for k := 3; k <= maxK; k++ {
-		for _, mk := range []func(int) (*topology.Network, error){
-			topology.NewStar, topology.NewRotator, topology.NewPancake,
-			topology.NewBubbleSort, topology.NewTranspositionNet, topology.NewIS,
+		for _, fam := range []topology.Family{
+			topology.Star, topology.Rotator, topology.Pancake,
+			topology.BubbleSort, topology.TranspositionNet, topology.IS,
 		} {
-			nw, err := mk(k)
+			nw, err := topology.New(fam, 1, k-1)
 			if err != nil {
 				t.Fatalf("nucleus family at k=%d: %v", k, err)
 			}

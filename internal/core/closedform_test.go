@@ -66,25 +66,25 @@ func TestClosedFormDistances(t *testing.T) {
 	}
 	families := []struct {
 		name string
-		mk   func(int) (*topology.Network, error)
+		fam  topology.Family
 		dist func(p perm.Perm) int
 	}{
-		{"star", topology.NewStar, func(p perm.Perm) int {
+		{"star", topology.Star, func(p perm.Perm) int {
 			_, c, m := cycleStats(p)
 			if p[0] != 1 {
 				return m + c - 2
 			}
 			return m + c
 		}},
-		{"bubble-sort", topology.NewBubbleSort, inversions},
-		{"transposition", topology.NewTranspositionNet, func(p perm.Perm) int {
+		{"bubble-sort", topology.BubbleSort, inversions},
+		{"transposition", topology.TranspositionNet, func(p perm.Perm) int {
 			cycles, _, _ := cycleStats(p)
 			return len(p) - cycles
 		}},
 	}
 	for _, fam := range families {
 		for k := 3; k <= maxK; k++ {
-			nw, err := fam.mk(k)
+			nw, err := topology.New(fam.fam, 1, k-1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,9 +39,6 @@ func (t DistTable) Len() int {
 	return len(t.d32)
 }
 
-// IsCompact reports whether the table uses the 1-byte backing.
-func (t DistTable) IsCompact() bool { return t.d8 != nil }
-
 // Bytes returns the approximate heap footprint of the backing array, used
 // by the server's byte-budgeted cache accounting.
 func (t DistTable) Bytes() int64 {

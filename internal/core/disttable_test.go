@@ -27,15 +27,15 @@ func TestDistTableAt(t *testing.T) {
 	if compact.At(0) != 0 || compact.At(1) != -1 || compact.At(2) != 2 {
 		t.Fatalf("compact At = %d,%d,%d, want 0,-1,2", compact.At(0), compact.At(1), compact.At(2))
 	}
-	if !compact.IsCompact() || compact.Len() != 3 || compact.Bytes() != 3 {
-		t.Fatalf("compact meta: IsCompact=%v Len=%d Bytes=%d", compact.IsCompact(), compact.Len(), compact.Bytes())
+	if compact.d8 == nil || compact.Len() != 3 || compact.Bytes() != 3 {
+		t.Fatalf("compact meta: compact=%v Len=%d Bytes=%d", compact.d8 != nil, compact.Len(), compact.Bytes())
 	}
 	wide := NewDistTableWide([]int32{0, -1, 2})
 	if wide.At(0) != 0 || wide.At(1) != -1 || wide.At(2) != 2 {
 		t.Fatal("wide At disagrees")
 	}
-	if wide.IsCompact() || wide.Bytes() != 12 {
-		t.Fatalf("wide meta: IsCompact=%v Bytes=%d", wide.IsCompact(), wide.Bytes())
+	if wide.d8 != nil || wide.Bytes() != 12 {
+		t.Fatalf("wide meta: compact=%v Bytes=%d", wide.d8 != nil, wide.Bytes())
 	}
 	if !reflect.DeepEqual(compact.Int32Slice(), []int32{0, -1, 2}) {
 		t.Fatalf("Int32Slice = %v", compact.Int32Slice())
@@ -54,7 +54,7 @@ func TestUint8OverflowGuard(t *testing.T) {
 	src := perm.Identity(k)
 
 	compact := oracleBFS(g, src, nil) // default limit: compact, no overflow
-	if !compact.Dist.IsCompact() {
+	if compact.Dist.d8 == nil {
 		t.Fatal("reference run should stay compact")
 	}
 	if compact.Eccentricity != k-1 || compact.Reachable != int64(k) {
@@ -65,7 +65,7 @@ func TestUint8OverflowGuard(t *testing.T) {
 	u8DistLimit = 3
 
 	want := oracleBFS(g, src, nil)
-	if want.Dist.IsCompact() || !reflect.DeepEqual(want.Dist.Int32Slice(), compact.Dist.Int32Slice()) {
+	if want.Dist.d8 != nil || !reflect.DeepEqual(want.Dist.Int32Slice(), compact.Dist.Int32Slice()) {
 		t.Fatal("oracle: widened distances disagree with the compact run")
 	}
 	for _, workers := range []int{1, 3} {
@@ -73,7 +73,7 @@ func TestUint8OverflowGuard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got.Dist.IsCompact() {
+		if got.Dist.d8 != nil {
 			t.Fatalf("workers=%d: distances exceed u8DistLimit=%d but the table stayed compact", workers, u8DistLimit)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -101,7 +101,7 @@ func TestUint8OverflowGuard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("0/1 workers=%d: %v", workers, err)
 		}
-		if got.Dist.IsCompact() {
+		if got.Dist.d8 != nil {
 			t.Fatalf("0/1 workers=%d: distances exceed u8DistLimit=%d but the table stayed compact", workers, u8DistLimit)
 		}
 		sameWeighted(t, fmt.Sprintf("0/1 workers=%d", workers), got, wantW)

@@ -8,8 +8,8 @@
 // generator g with V = U ∘ g. Because Cayley graphs are vertex-symmetric
 // (Akers & Krishnamurthy), a single-source BFS from the identity yields the
 // exact diameter and average distance of the whole graph: dist(U, V) =
-// dist(I, U⁻¹∘V). ShortestPath and MeasureStretch read pair distances off
-// that one search too.
+// dist(I, U⁻¹∘V). MeasureStretch reads pair distances off that one search
+// too.
 //
 // Every search, baselines' IndexGraph included, runs one engine: the
 // level-synchronous bitset BFS (bfs_parallel.go) over a factored

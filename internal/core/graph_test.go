@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -437,4 +438,23 @@ func BenchmarkShortestPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// DiameterAllPairs computes the exact diameter by BFS from every node,
+// building the neighbor table once. It is O(N·(N+E)) and intended only for
+// small baseline instances.
+func (ig *IndexGraph) DiameterAllPairs() (int, error) {
+	tbl, err := ig.neighborTable()
+	if err != nil {
+		return 0, err
+	}
+	maxEcc := 0
+	for src := int64(0); src < ig.N; src++ {
+		res := bitsetSearch(tbl, src, 1, nil, nil)
+		if res.Reachable != ig.N {
+			return 0, fmt.Errorf("core: DiameterAllPairs: node %d reaches only %d/%d", src, res.Reachable, ig.N)
+		}
+		maxEcc = max(maxEcc, res.Eccentricity)
+	}
+	return maxEcc, nil
 }

@@ -87,8 +87,8 @@ func (ig *IndexGraph) BFSWeighted(src int64, weight []int) (*BFSResult, error) {
 }
 
 // DiameterExact computes the exact diameter of a vertex-transitive
-// IndexGraph by BFS from node 0. For non-transitive graphs use
-// DiameterAllPairs.
+// IndexGraph by BFS from node 0; a graph that is not vertex-transitive
+// needs a BFS from every node.
 func (ig *IndexGraph) DiameterExact() (int, error) {
 	res, err := ig.BFS(0)
 	if err != nil {
@@ -98,23 +98,4 @@ func (ig *IndexGraph) DiameterExact() (int, error) {
 		return 0, fmt.Errorf("core: DiameterExact: not strongly connected (%d/%d reachable)", res.Reachable, ig.N)
 	}
 	return res.Eccentricity, nil
-}
-
-// DiameterAllPairs computes the exact diameter by BFS from every node,
-// building the neighbor table once. It is O(N·(N+E)) and intended only for
-// small baseline instances.
-func (ig *IndexGraph) DiameterAllPairs() (int, error) {
-	tbl, err := ig.neighborTable()
-	if err != nil {
-		return 0, err
-	}
-	maxEcc := 0
-	for src := int64(0); src < ig.N; src++ {
-		res := bitsetSearch(tbl, src, 1, nil, nil)
-		if res.Reachable != ig.N {
-			return 0, fmt.Errorf("core: DiameterAllPairs: node %d reaches only %d/%d", src, res.Reachable, ig.N)
-		}
-		maxEcc = max(maxEcc, res.Eccentricity)
-	}
-	return maxEcc, nil
 }

@@ -174,23 +174,8 @@ func (c *column) expand(next, cur []uint64, lo int) {
 // decode while keeping enough tasks for the worker pool.
 const neighborChunk = 1 << 13
 
-// K returns the symbol count of the underlying graph.
-func (t *NeighborTable) K() int { return t.k }
-
 // Degree returns the number of generators (row width).
 func (t *NeighborTable) Degree() int { return t.deg }
-
-// Len returns the number of states covered.
-func (t *NeighborTable) Len() int64 { return t.n }
-
-// Bytes returns the heap footprint of the columns' deltas.
-func (t *NeighborTable) Bytes() int64 {
-	var n int64
-	for i := range t.cols {
-		n += int64(len(t.cols[i].delta)) * 4
-	}
-	return n
-}
 
 // At returns the rank of neighbor j of state r.
 func (t *NeighborTable) At(r int64, j int) int64 {

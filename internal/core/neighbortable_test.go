@@ -24,16 +24,20 @@ func TestNeighborTableMatchesComposeRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.K() != 5 || tbl.Degree() != len(gens) || tbl.Len() != 120 {
-		t.Fatalf("table meta: k=%d deg=%d n=%d", tbl.K(), tbl.Degree(), tbl.Len())
+	if tbl.k != 5 || tbl.Degree() != len(gens) || tbl.n != 120 {
+		t.Fatalf("table meta: k=%d deg=%d n=%d", tbl.k, tbl.Degree(), tbl.n)
 	}
 	// Transposition (1 i) moves positions [0, i): its column holds
 	// 5!/(5−i)! deltas, capped at s = 1 for the last two.
-	if want := int64(20+60+120+120) * 4; tbl.Bytes() != want {
-		t.Fatalf("Bytes() = %d, want %d", tbl.Bytes(), want)
+	var deltas int
+	for i := range tbl.cols {
+		deltas += len(tbl.cols[i].delta)
+	}
+	if want := 20 + 60 + 120 + 120; deltas != want {
+		t.Fatalf("columns hold %d deltas, want %d", deltas, want)
 	}
 	next := make(perm.Perm, 5)
-	for r := int64(0); r < tbl.Len(); r++ {
+	for r := int64(0); r < tbl.n; r++ {
 		u := perm.Unrank(5, r)
 		for j, gp := range g.genPerms {
 			u.ComposeInto(gp, next)
@@ -101,7 +105,7 @@ func FuzzNeighborTable(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EnsureNeighborTable(workers=%d): %v", workers, err)
 		}
-		n := tbl.Len()
+		n := tbl.n
 		next := make(perm.Perm, k)
 		stride := int64(1)
 		if n > 2048 {

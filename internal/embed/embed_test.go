@@ -1,9 +1,11 @@
 package embed
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bag"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/perm"
 	"repro/internal/topology"
@@ -146,4 +148,93 @@ func TestEmulateStarOnIS(t *testing.T) {
 	if _, err := EmulateStarOnIS([]gen.Generator{gen.NewInsertion(3)}); err == nil {
 		t.Error("insertion accepted as star move")
 	}
+}
+
+// ComponentShape describes what the super-generator-only subgraph of a
+// network decomposes into.
+type ComponentShape int
+
+const (
+	// RingComponents: each component is a directed or undirected l-cycle.
+	RingComponents ComponentShape = iota
+	// CompleteComponents: each component is a complete digraph K_l.
+	CompleteComponents
+)
+
+// NucleusRemovalDecomposition removes all nucleus links from a super Cayley
+// network and verifies the §3.3.4 structure: k!/l components, each an
+// l-node ring (rotation pair / single) or complete graph (complete
+// rotation). It returns the number of components found.
+func NucleusRemovalDecomposition(nw *topology.Network, shape ComponentShape) (int64, error) {
+	g := nw.Graph()
+	k := g.K()
+	if k > core.MaxExplicitK-1 {
+		return 0, fmt.Errorf("embed: NucleusRemovalDecomposition: k=%d too large", k)
+	}
+	l := int64(nw.L())
+	// supers holds the neighbor-table columns of the super generators.
+	var supers []int
+	for j, gg := range g.GeneratorSet().Generators() {
+		if gg.Class() == gen.Super {
+			supers = append(supers, j)
+		}
+	}
+	if len(supers) == 0 {
+		return 0, fmt.Errorf("embed: %s has no super generators", nw.Name())
+	}
+	tbl, err := g.EnsureNeighborTable(0)
+	if err != nil {
+		return 0, err
+	}
+	n := g.Order()
+	comp := make([]int64, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	var components int64
+	for start := int64(0); start < n; start++ {
+		if comp[start] >= 0 {
+			continue
+		}
+		// Collect the component by BFS over super links (both directions are
+		// present in the closure because rotations have finite order).
+		members := []int64{start}
+		comp[start] = components
+		for head := 0; head < len(members); head++ {
+			for _, j := range supers {
+				nr := tbl.At(members[head], j)
+				if comp[nr] < 0 {
+					comp[nr] = components
+					members = append(members, nr)
+				}
+			}
+		}
+		if int64(len(members)) != l {
+			return 0, fmt.Errorf("embed: %s: component of size %d, want l=%d", nw.Name(), len(members), l)
+		}
+		// Shape check: count super out-neighbors inside the component.
+		for _, m := range members {
+			distinct := make(map[int64]bool)
+			for _, j := range supers {
+				distinct[tbl.At(m, j)] = true
+			}
+			switch shape {
+			case RingComponents:
+				// A ring node reaches 1 (single rotation) or 2 (pair)
+				// distinct neighbors, but never more.
+				if len(distinct) > 2 || len(distinct) < 1 {
+					return 0, fmt.Errorf("embed: %s: node has %d super neighbors, not a ring", nw.Name(), len(distinct))
+				}
+			case CompleteComponents:
+				if int64(len(distinct)) != l-1 {
+					return 0, fmt.Errorf("embed: %s: node reaches %d of %d others, not complete", nw.Name(), len(distinct), l-1)
+				}
+			}
+		}
+		components++
+	}
+	if components*l != n {
+		return 0, fmt.Errorf("embed: %s: %d components of size %d != %d nodes", nw.Name(), components, l, n)
+	}
+	return components, nil
 }

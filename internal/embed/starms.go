@@ -47,80 +47,3 @@ func EmulateStarOnMS(ly bag.Layout, moves []gen.Generator) ([]gen.Generator, err
 	}
 	return out, nil
 }
-
-// MeasureStarIntoMS verifies the star(k) -> MS(l,n) emulation on every
-// dimension from sampled nodes and reports dilation and (sampled)
-// congestion.
-func MeasureStarIntoMS(ly bag.Layout, samples int) (*EmbeddingReport, error) {
-	k := ly.K()
-	nodes, err := sampleNodes(k, samples)
-	if err != nil {
-		return nil, err
-	}
-	usage := make(map[string]int)
-	rep := &EmbeddingReport{}
-	var totalLen, edges int
-	for _, u := range nodes {
-		for i := 2; i <= k; i++ {
-			want := gen.NewTransposition(i).ApplyTo(u)
-			path, err := StarToMS(ly, i)
-			if err != nil {
-				return nil, err
-			}
-			cur := u.Clone()
-			for _, g := range path {
-				usage[fmt.Sprintf("%d:%s", cur.Rank(), g.Name())]++
-				g.Apply(cur)
-			}
-			if !cur.Equal(want) {
-				return nil, fmt.Errorf("embed: StarToMS edge (%v, T%d) ends at %v, want %v", u, i, cur, want)
-			}
-			if len(path) > rep.Dilation {
-				rep.Dilation = len(path)
-			}
-			totalLen += len(path)
-			edges++
-		}
-	}
-	for _, c := range usage {
-		if c > rep.Congestion {
-			rep.Congestion = c
-		}
-	}
-	rep.AvgPathLen = float64(totalLen) / float64(edges)
-	return rep, nil
-}
-
-// BubbleToStar maps a bubble-sort-graph generator (the adjacent
-// transposition of positions i and i+1) onto a star-graph path: P(1,2) is
-// T_2 itself, and for i >= 2 the conjugation P(i,i+1) = T_i ∘ T_{i+1} ∘ T_i.
-// Dilation 3. Composed with StarToIS/StarToMS this realizes the paper's
-// remark that bubble-sort graphs embed in super Cayley graphs with constant
-// dilation.
-func BubbleToStar(i int) ([]gen.Generator, error) {
-	if i < 1 {
-		return nil, fmt.Errorf("embed: BubbleToStar: position %d out of range", i)
-	}
-	if i == 1 {
-		return []gen.Generator{gen.NewTransposition(2)}, nil
-	}
-	ti := gen.NewTransposition(i)
-	return []gen.Generator{ti, gen.NewTransposition(i + 1), ti}, nil
-}
-
-// EmulateBubbleOnStar converts a bubble-sort-graph route (adjacent position
-// swaps) to a star-graph route with slowdown at most 3.
-func EmulateBubbleOnStar(moves []gen.Generator) ([]gen.Generator, error) {
-	var out []gen.Generator
-	for _, m := range moves {
-		if m.Kind() != gen.PositionSwap || m.SecondIndex() != m.Index()+1 {
-			return nil, fmt.Errorf("embed: EmulateBubbleOnStar: move %s is not an adjacent transposition", m.Name())
-		}
-		path, err := BubbleToStar(m.Index())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, path...)
-	}
-	return out, nil
-}

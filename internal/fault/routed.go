@@ -68,9 +68,8 @@ func (rt *RoutedTopology) Degree() int { return rt.g.GeneratorSet().Len() }
 func (rt *RoutedTopology) Neighbor(node int64, link int) int64 { return rt.tbl.At(node, link) }
 
 // Path returns a shortest surviving path from src to dst as link indices.
-// It walks back from dst the way core.ShortestPath does: at each node, the
-// lowest generator whose predecessor is one hop closer to src over a link
-// that did not fail.
+// It walks back from dst: at each node, the lowest generator whose
+// predecessor is one hop closer to src over a link that did not fail.
 func (rt *RoutedTopology) Path(src, dst int64) ([]int, error) {
 	if src == dst {
 		return nil, nil

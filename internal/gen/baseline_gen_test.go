@@ -25,7 +25,7 @@ func TestPositionSwapAction(t *testing.T) {
 	if NewPositionSwap(2, 4).Name() != "P(2,4)" {
 		t.Error("name")
 	}
-	if !NewPositionSwap(2, 4).SelfInverse(5) {
+	if !selfInverse(NewPositionSwap(2, 4), 5) {
 		t.Error("position swap must be self-inverse")
 	}
 	if NewPositionSwap(2, 4).Class() != Nucleus {
@@ -60,7 +60,7 @@ func TestPrefixReversalAction(t *testing.T) {
 	if !p.IsIdentity() {
 		t.Fatalf("F4 not involutive: %v", p)
 	}
-	if !NewPrefixReversal(3).SelfInverse(5) {
+	if !selfInverse(NewPrefixReversal(3), 5) {
 		t.Error("prefix reversal must be self-inverse")
 	}
 	if NewPrefixReversal(3).Name() != "F3" {

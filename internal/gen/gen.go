@@ -303,10 +303,3 @@ func (g Generator) AsPerm(k int) perm.Perm {
 	g.Apply(p)
 	return p
 }
-
-// SelfInverse reports whether applying g twice returns to the start for
-// permutations of k symbols.
-func (g Generator) SelfInverse(k int) bool {
-	gp := g.AsPerm(k)
-	return gp.Compose(gp).IsIdentity()
-}

@@ -118,9 +118,6 @@ func (s *Set) Perms() []perm.Perm {
 	return ps
 }
 
-// Apply applies the i-th generator to p in place.
-func (s *Set) Apply(i int, p perm.Perm) { s.gens[i].Apply(p) }
-
 // IndexOf returns the position of the first generator whose action equals
 // g's action on k symbols, or -1 if absent.
 func (s *Set) IndexOf(g Generator) int {

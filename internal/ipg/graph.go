@@ -46,17 +46,6 @@ func NewGraph(name string, sig Signature, gens []gen.Generator) (*Graph, error) 
 // Name returns the display name.
 func (g *Graph) Name() string { return g.name }
 
-// Signature returns the multiset signature.
-func (g *Graph) Signature() Signature { return g.sig }
-
-// Degree returns the out-degree (number of distinct generator actions; note
-// that on multiset labels distinct generators may still coincide on some
-// states — degree is the uniform upper value).
-func (g *Graph) Degree() int { return len(g.gens) }
-
-// Generators returns the defining generator list.
-func (g *Graph) Generators() []gen.Generator { return append([]gen.Generator(nil), g.gens...) }
-
 // Order returns the node count.
 func (g *Graph) Order() (int64, error) { return g.sig.Order() }
 

@@ -33,7 +33,7 @@ func TestMeasureIntercluster(t *testing.T) {
 		t.Errorf("inconsistent profile %+v", prof)
 	}
 	// Must respect the packing lower bound.
-	order, _ := g.Signature().Order()
+	order, _ := g.sig.Order()
 	lb, err := metrics.InterclusterDL(float64(order), float64(prof.ClusterSize), prof.InterclusterDegree)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSIPInterclusterCloserToBoundThanMS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, _ := g.Signature().Order()
+	order, _ := g.sig.Order()
 	sipLB, err := metrics.InterclusterDL(float64(order), float64(sip.ClusterSize), sip.InterclusterDegree)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestSIPProfilePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := g.BFS(g.Signature().Sorted())
+	res, err := g.BFS(g.sig.Sorted())
 	if err != nil {
 		t.Fatal(err)
 	}

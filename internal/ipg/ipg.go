@@ -208,20 +208,6 @@ func (sig Signature) rank(l Label, counts []int, order int64) int64 {
 	return int64(rank)
 }
 
-// Unrank reconstructs the label with the given lexicographic rank.
-func (sig Signature) Unrank(rank int64) (Label, error) {
-	order, err := sig.Order()
-	if err != nil {
-		return nil, err
-	}
-	if rank < 0 || rank >= order {
-		return nil, fmt.Errorf("ipg: Unrank: rank %d out of range 0..%d", rank, order-1)
-	}
-	out := make(Label, sig.K())
-	sig.unrank(rank, out, make([]int, len(sig.Counts)), order)
-	return out, nil
-}
-
 // unrank writes the label of a rank known to be in range into out (K
 // slots), with counts (one slot per symbol) as its scratch and order the
 // signature's Order. It walks rank's running multinomial (see rank): at

@@ -439,8 +439,8 @@ func TestGraphValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Degree() != 1 {
-		t.Errorf("degree %d after dedupe, want 1", g.Degree())
+	if len(g.gens) != 1 {
+		t.Errorf("degree %d after dedupe, want 1", len(g.gens))
 	}
 	if _, err := NewSIP(3, 2, sipRules(2, 2, bag.TranspositionNucleus, bag.SwapSuper)); err == nil {
 		t.Error("mismatched rules accepted")
@@ -458,7 +458,7 @@ func TestBFSSolveConsistency(t *testing.T) {
 	// graph; the graph is not symmetric for insertion styles but is for
 	// transposition+rotation-complete... rotations are not self-inverse, so
 	// measure distances from each sampled state instead.
-	sig := g.Signature()
+	sig := g.sig
 	order, err := sig.Order()
 	if err != nil {
 		t.Fatal(err)
@@ -573,4 +573,18 @@ func TestQuickApplyPreservesSignature(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Unrank reconstructs the label with the given lexicographic rank.
+func (sig Signature) Unrank(rank int64) (Label, error) {
+	order, err := sig.Order()
+	if err != nil {
+		return nil, err
+	}
+	if rank < 0 || rank >= order {
+		return nil, fmt.Errorf("ipg: Unrank: rank %d out of range 0..%d", rank, order-1)
+	}
+	out := make(Label, sig.K())
+	sig.unrank(rank, out, make([]int, len(sig.Counts)), order)
+	return out, nil
 }

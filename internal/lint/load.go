@@ -57,6 +57,10 @@ type Module struct {
 	// fileByName indexes the fileset for sitePos -> token.Pos mapping.
 	fileOnce   sync.Once
 	fileByName map[string]*token.File
+	// imp resolves an import path to the loaded package of this module or
+	// to the standard library's, so that code outside the module (a nested
+	// module that imports this one) type-checks against the same objects.
+	imp types.Importer
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing a
@@ -219,6 +223,7 @@ func Load(dir string) (*Module, error) {
 			return nil, err
 		}
 	}
+	m.imp = imp
 	return m, nil
 }
 

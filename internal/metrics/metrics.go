@@ -58,25 +58,6 @@ func Alpha(diameter int, n float64, d int) (float64, error) {
 	return float64(diameter) / dl, nil
 }
 
-// MooreReach returns the maximum number of nodes within distance r of a
-// node in a degree-d undirected graph: 1 + d + d(d-1) + ... + d(d-1)^{r-1}.
-// It saturates at math.MaxFloat64 rather than overflowing.
-func MooreReach(d, r int) float64 {
-	if r < 0 || d < 1 {
-		return 1
-	}
-	total := 1.0
-	layer := float64(d)
-	for i := 1; i <= r; i++ {
-		total += layer
-		layer *= float64(d - 1)
-		if total > math.MaxFloat64/2 {
-			return math.MaxFloat64
-		}
-	}
-	return total
-}
-
 // AvgDistanceLowerBound returns the smallest possible average distance of an
 // N-node degree-d undirected graph, obtained by packing nodes as close as
 // Moore counting allows: fill distance classes 1, 2, ... with d(d-1)^{r-1}
@@ -176,19 +157,6 @@ func (b MooreBounds) AvgRatio(avg float64) float64 {
 		return 0
 	}
 	return avg / b.AvgDist
-}
-
-// AlphaAvg returns the average-distance-to-lower-bound ratio used by
-// Theorem 4.7.
-func AlphaAvg(avg float64, n float64, d int) (float64, error) {
-	lb, err := AvgDistanceLowerBound(n, d)
-	if err != nil {
-		return 0, err
-	}
-	if lb <= 0 {
-		return 0, fmt.Errorf("metrics: AlphaAvg: non-positive lower bound")
-	}
-	return avg / lb, nil
 }
 
 // DegreeDiameterCost returns the degree×diameter product plotted in

@@ -38,22 +38,6 @@ func TestDLErrors(t *testing.T) {
 	}
 }
 
-func TestMooreReach(t *testing.T) {
-	// d=3: 1, 4, 10, 22, ...
-	want := []float64{1, 4, 10, 22}
-	for r, w := range want {
-		if got := MooreReach(3, r); got != w {
-			t.Errorf("MooreReach(3,%d) = %v, want %v", r, got, w)
-		}
-	}
-	if MooreReach(3, -1) != 1 {
-		t.Error("negative radius")
-	}
-	if MooreReach(5, 600) != math.MaxFloat64 {
-		t.Error("saturation")
-	}
-}
-
 // The diameter of any graph is at least DL: check against known exact
 // diameters (hypercube: N=2^d, degree d, diameter d).
 func TestDLIsALowerBoundForHypercubes(t *testing.T) {
@@ -118,16 +102,6 @@ func TestAvgDistanceLowerBound(t *testing.T) {
 	}
 	if _, err := AvgDistanceLowerBound(10, 1); err == nil {
 		t.Error("d=1 accepted")
-	}
-}
-
-func TestAlphaAvg(t *testing.T) {
-	v, err := AlphaAvg(2.0, 10, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 2.0 {
-		t.Errorf("AlphaAvg = %v, want 2 (LB=1 for K10)", v)
 	}
 }
 
@@ -301,11 +275,5 @@ func TestAvgDistanceLowerBoundDirected(t *testing.T) {
 	}
 	if _, err := AvgDistanceLowerBoundDirected(10, 1); err == nil {
 		t.Error("d=1 accepted")
-	}
-}
-
-func TestAlphaAvgErrors(t *testing.T) {
-	if _, err := AlphaAvg(2, 1, 3); err == nil {
-		t.Error("N=1 accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -45,4 +46,26 @@ func TestCompareThroughput(t *testing.T) {
 	if _, err := CompareThroughput(16, map[string]float64{"bad": -1}); err == nil {
 		t.Error("negative avg accepted")
 	}
+}
+
+// ThroughputComparison holds the normalized throughput of one network under
+// a shared pin budget.
+type ThroughputComparison struct {
+	Name       string
+	AvgDist    float64
+	Throughput float64
+}
+
+// CompareThroughput evaluates PinLimitedThroughput for several networks at
+// a common pin budget; callers pass measured (or bounded) average distances.
+func CompareThroughput(pins float64, entries map[string]float64) ([]ThroughputComparison, error) {
+	out := make([]ThroughputComparison, 0, len(entries))
+	for name, avg := range entries {
+		th, err := PinLimitedThroughput(pins, avg)
+		if err != nil {
+			return nil, fmt.Errorf("metrics: CompareThroughput: %s: %v", name, err)
+		}
+		out = append(out, ThroughputComparison{Name: name, AvgDist: avg, Throughput: th})
+	}
+	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -92,52 +91,6 @@ func (r *RunRecord) WriteNDJSON(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadNDJSON parses a record previously written by WriteNDJSON. Lines with
-// unknown types are skipped so readers stay compatible with future fields.
-func ReadNDJSON(r io.Reader) (*RunRecord, error) {
-	rec := &RunRecord{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var line ndjsonLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, fmt.Errorf("obs: ReadNDJSON: line %d: %v", lineNo, err)
-		}
-		switch line.Type {
-		case "config":
-			rec.Config = line.Config
-		case "step":
-			if line.Step != nil {
-				rec.Steps = append(rec.Steps, *line.Step)
-			}
-		case "event":
-			if line.Event != nil {
-				rec.Events = append(rec.Events, *line.Event)
-			}
-		case "histogram":
-			if line.Histogram != nil {
-				rec.Histograms = append(rec.Histograms, *line.Histogram)
-			}
-		case "phase":
-			if line.Phase != nil {
-				rec.Phases = append(rec.Phases, *line.Phase)
-			}
-		case "summary":
-			rec.Summary = line.Summary
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: ReadNDJSON: %v", err)
-	}
-	return rec, nil
 }
 
 // CSVHeader is the column order of WriteCSV.

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strconv"
 	"strings"
@@ -141,4 +145,50 @@ func TestPhaseTimer(t *testing.T) {
 		}
 	}
 	pt.Stop() // idle Stop must be a no-op
+}
+
+// ReadNDJSON parses a record previously written by WriteNDJSON. Lines with
+// unknown types are skipped so readers stay compatible with future fields.
+func ReadNDJSON(r io.Reader) (*RunRecord, error) {
+	rec := &RunRecord{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		var line ndjsonLine
+		if err := json.Unmarshal(raw, &line); err != nil {
+			return nil, fmt.Errorf("obs: ReadNDJSON: line %d: %v", lineNo, err)
+		}
+		switch line.Type {
+		case "config":
+			rec.Config = line.Config
+		case "step":
+			if line.Step != nil {
+				rec.Steps = append(rec.Steps, *line.Step)
+			}
+		case "event":
+			if line.Event != nil {
+				rec.Events = append(rec.Events, *line.Event)
+			}
+		case "histogram":
+			if line.Histogram != nil {
+				rec.Histograms = append(rec.Histograms, *line.Histogram)
+			}
+		case "phase":
+			if line.Phase != nil {
+				rec.Phases = append(rec.Phases, *line.Phase)
+			}
+		case "summary":
+			rec.Summary = line.Summary
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("obs: ReadNDJSON: %v", err)
+	}
+	return rec, nil
 }

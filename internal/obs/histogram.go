@@ -235,15 +235,3 @@ func (h *Histogram) Cumulative() []CumBucket {
 	}
 	return out
 }
-
-// FromBuckets rebuilds a histogram from exported buckets plus the exact
-// aggregates; used by the NDJSON reader. Each bucket's observations are
-// attributed to its Lo bound, so rebuilt quantiles match the original within
-// bucket resolution.
-func FromBuckets(buckets []Bucket, count, sum, min, max int64) *Histogram {
-	h := &Histogram{count: count, sum: sum, min: min, max: max}
-	for _, b := range buckets {
-		h.counts[bucketIndex(b.Lo)] += b.Count
-	}
-	return h
-}

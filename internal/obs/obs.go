@@ -83,11 +83,3 @@ type Recorder interface {
 	// engines: "latency" in steps and "link_load" in traversals per link).
 	OnHistogram(name string, h *Histogram)
 }
-
-// Noop is a Recorder that discards everything. Engines accept nil directly,
-// so Noop exists for call sites that need a non-nil Recorder value.
-type Noop struct{}
-
-func (Noop) OnStep(StepSample)              {}
-func (Noop) OnEvent(Event)                  {}
-func (Noop) OnHistogram(string, *Histogram) {}

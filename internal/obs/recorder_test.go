@@ -79,12 +79,3 @@ func TestTraceEventsAndHistograms(t *testing.T) {
 	}
 	tr.OnHistogram("empty", nil) // must not panic
 }
-
-func TestNoopRecorder(t *testing.T) {
-	var n Noop
-	n.OnStep(StepSample{})
-	n.OnEvent(Event{})
-	n.OnHistogram("x", nil)
-	var _ Recorder = Noop{}
-	var _ Recorder = NewTrace(1)
-}

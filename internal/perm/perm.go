@@ -186,14 +186,6 @@ func (p Perm) IsIdentity() bool {
 	return true
 }
 
-// At returns the symbol at 1-based position pos.
-func (p Perm) At(pos int) int {
-	if pos < 1 || pos > len(p) {
-		panic(fmt.Sprintf("perm: At(%d): position out of range 1..%d", pos, len(p)))
-	}
-	return p[pos-1]
-}
-
 // PositionOf returns the 1-based position of symbol v, or 0 if v is not
 // present (which cannot happen for a valid Perm of sufficient size).
 func (p Perm) PositionOf(v int) int {
@@ -330,52 +322,6 @@ func (p Perm) SwapBlocks(a, b, n int) {
 	}
 }
 
-// Order returns the multiplicative order of p, i.e. the smallest t >= 1 with
-// p^t = identity. It is computed as the lcm of the cycle lengths.
-func (p Perm) Order() int {
-	order := 1
-	for _, c := range p.Cycles() {
-		order = lcm(order, len(c))
-	}
-	return order
-}
-
-// Cycles returns the cycle decomposition of p as slices of symbols. Fixed
-// points are included as length-1 cycles; cycles are reported with their
-// smallest symbol first, in increasing order of that symbol.
-func (p Perm) Cycles() [][]int {
-	k := len(p)
-	seen := make([]bool, k+1)
-	var cycles [][]int
-	for start := 1; start <= k; start++ {
-		if seen[start] {
-			continue
-		}
-		cycle := []int{start}
-		seen[start] = true
-		// Follow the mapping position->symbol: symbol v sits at position
-		// PositionOf(v); the cycle structure of the function i -> p[i-1].
-		for v := p[start-1]; v != start; v = p[v-1] {
-			cycle = append(cycle, v)
-			seen[v] = true
-		}
-		cycles = append(cycles, cycle)
-	}
-	return cycles
-}
-
-// Sign returns +1 for even permutations and -1 for odd permutations.
-func (p Perm) Sign() int {
-	transpositions := 0
-	for _, c := range p.Cycles() {
-		transpositions += len(c) - 1
-	}
-	if transpositions%2 == 0 {
-		return 1
-	}
-	return -1
-}
-
 // Displacement returns the number of positions holding a symbol different
 // from the identity's, i.e. the Hamming distance from the identity. The
 // paper calls such symbols "dirty balls".
@@ -388,15 +334,6 @@ func (p Perm) Displacement() int {
 	}
 	return d
 }
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }
 
 // NextPermutation advances p to its lexicographic successor in place,
 // returning false (and leaving p as the last permutation) when p is already

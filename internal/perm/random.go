@@ -53,14 +53,3 @@ func Random(k int, r *RNG) Perm {
 	}
 	return p
 }
-
-// RandomEven returns a uniformly random even permutation of k symbols
-// (needed when sampling nodes of directed rotator-style graphs restricted to
-// alternating subgroups in ablation studies).
-func RandomEven(k int, r *RNG) Perm {
-	p := Random(k, r)
-	if p.Sign() < 0 {
-		p.Swap(1, 2)
-	}
-	return p
-}

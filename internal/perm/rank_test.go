@@ -220,16 +220,6 @@ func TestRandomIsUniformish(t *testing.T) {
 	}
 }
 
-func TestRandomEvenAlwaysEven(t *testing.T) {
-	r := NewRNG(5)
-	for trial := 0; trial < 200; trial++ {
-		k := 2 + r.Intn(8)
-		if RandomEven(k, r).Sign() != 1 {
-			t.Fatal("RandomEven produced odd permutation")
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(8)
 	for i := 0; i < 1000; i++ {

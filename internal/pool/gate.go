@@ -50,9 +50,3 @@ func (g *Gate) Leave() {
 		panic("pool: Gate.Leave: release without a matching acquire")
 	}
 }
-
-// InUse returns the number of currently held slots.
-func (g *Gate) InUse() int { return len(g.slots) }
-
-// Cap returns the gate's slot count.
-func (g *Gate) Cap() int { return cap(g.slots) }

@@ -9,8 +9,8 @@ import (
 
 func TestGateTryEnter(t *testing.T) {
 	g := NewGate(2)
-	if g.Cap() != 2 {
-		t.Fatalf("Cap = %d, want 2", g.Cap())
+	if cap(g.slots) != 2 {
+		t.Fatalf("capacity %d, want 2", cap(g.slots))
 	}
 	if !g.TryEnter() || !g.TryEnter() {
 		t.Fatal("TryEnter failed with free slots")
@@ -18,8 +18,8 @@ func TestGateTryEnter(t *testing.T) {
 	if g.TryEnter() {
 		t.Fatal("TryEnter succeeded beyond capacity")
 	}
-	if g.InUse() != 2 {
-		t.Fatalf("InUse = %d, want 2", g.InUse())
+	if len(g.slots) != 2 {
+		t.Fatalf("slots in use %d, want 2", len(g.slots))
 	}
 	g.Leave()
 	if !g.TryEnter() {
@@ -90,7 +90,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 
 func TestGateZeroCapacityClampsToOne(t *testing.T) {
 	g := NewGate(0)
-	if g.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", g.Cap())
+	if cap(g.slots) != 1 {
+		t.Fatalf("capacity %d, want 1", cap(g.slots))
 	}
 }

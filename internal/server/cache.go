@@ -114,9 +114,6 @@ func NewCache(budgetBytes int64) *Cache {
 // SetStore attaches the persistent profile store. Call before serving.
 func (c *Cache) SetStore(st *store.Store) { c.store = st }
 
-// Store returns the attached persistent store, or nil.
-func (c *Cache) Store() *store.Store { return c.store }
-
 // Network returns the materialized network for key, building it at most
 // once no matter how many requests race on a cold key.
 func (c *Cache) Network(ctx context.Context, key Key) (*topology.Network, error) {

@@ -59,6 +59,12 @@ func routeTargets(n int) []string {
 	return out
 }
 
+// ConnAllocs is the ceiling for a warm v1 GET served by Run over a
+// keep-alive connection, as MeasureConn counts it: ServeAllocs, plus the
+// request-target string the connection reads it into (RequestURI, which
+// URL.Path and URL.RawQuery slice).
+const ConnAllocs = ServeAllocs + 1
+
 // TestConnAllocs is the allocation ceiling at the transport: a warm v1 GET
 // served by Run over one keep-alive loopback connection, a different route
 // on every request, allocates at most ConnAllocs times. The benchreport

@@ -23,9 +23,9 @@ import (
 // four v1 endpoints (the response side is encode.go), plus the
 // measurements that pin it. A warm GET /v1/route handler allocates nothing
 // on the heap (TestRouteHotAllocs); a warm request to any v1 endpoint
-// through the whole middleware allocates only what ServeAllocs names
-// (TestServeAllocs), and through Run's transport only what ConnAllocs
-// names (TestConnAllocs).
+// through the whole middleware allocates only the request ID and its
+// header slice (TestServeAllocs), and through Run's transport one more,
+// the request target (TestConnAllocs).
 
 // scratch bundles every buffer one v1 request needs: node-label parse
 // targets, the topology routing workspace, and the response encoding
@@ -165,34 +165,12 @@ func MeasureRouteHot(s *Server, target string, iters int) (nsPerOp, allocsPerOp 
 	return ns, allocs, nil
 }
 
-// Allocation ceilings for one warm v1 GET through Handler().ServeHTTP, as
-// MeasureServe counts them. Every such request pays two:
-//
-//   - 1: the request ID string telemetry.NewRequestID mints when the
-//     client sent no X-Request-Id;
-//   - 1: the one-element value slice the response header stores it in.
-//
-// A profile submit answered from a resident profile also records a job:
-// the Job itself and its ID string (2), plus the amortized growth of the
-// job ledger's map and completion list, which the last 2 bound.
-//
-// ConnAllocs is the ceiling for the same request served by Run over a
-// keep-alive connection, as MeasureConn counts it: the two above, plus
-// the request-target string the connection reads it into (RequestURI,
-// which URL.Path and URL.RawQuery slice).
-const (
-	ServeAllocs         = 2
-	ProfileSubmitAllocs = 6
-	ConnAllocs          = ServeAllocs + 1
-)
-
 // MeasureServe drives iters warm GET requests for target through
 // Handler(), middleware included, the way Run serves them: one reused
 // request without X-Request-Id, and one response header map cleared
 // before each call. The target must already answer 200 (a profile submit
 // needs its profile resident). It returns mean wall time and heap
-// allocations per request; the ServeAllocs and ProfileSubmitAllocs
-// ceilings apply to the latter.
+// allocations per request, which TestServeAllocs holds to its ceilings.
 func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp float64, err error) {
 	r, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {
@@ -217,8 +195,8 @@ func MeasureServe(s *Server, target string, iters int) (nsPerOp, allocsPerOp flo
 // GET requests over one keep-alive connection, cycling through targets, so
 // that consecutive requests differ. The client writes prepared bytes and
 // reads each answer into one buffer, so it allocates nothing itself: the
-// heap allocations per request it returns are Run's, the ConnAllocs
-// ceiling's subject, with mean round-trip wall time. Every target must
+// heap allocations per request it returns are Run's, the subject of
+// TestConnAllocs's ceiling, with mean round-trip wall time. Every target must
 // answer 200 once warm. Run closes s before MeasureConn returns.
 func MeasureConn(ctx context.Context, s *Server, targets []string, iters int) (nsPerOp, allocsPerOp float64, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -91,7 +91,7 @@ func TestWarmStartServesWithoutBFS(t *testing.T) {
 	first := newStoreServer(t, dir, nil)
 	buildProfileViaHTTP(t, first)
 	first.Close()
-	if w := first.cache.Store().Stats().Writes.Load(); w == 0 {
+	if w := first.cache.store.Stats().Writes.Load(); w == 0 {
 		t.Fatal("first server persisted nothing")
 	}
 
@@ -121,7 +121,7 @@ func TestWarmStartServesWithoutBFS(t *testing.T) {
 		t.Fatalf("no store-load phase in warm-start trace (phases %v)", phases)
 	}
 
-	snap := second.cache.Store().Snapshot()
+	snap := second.cache.store.Snapshot()
 	if snap.Hits == 0 || snap.Misses != 0 || snap.Corrupt != 0 {
 		t.Fatalf("warm-start counters %+v", snap)
 	}
@@ -150,7 +150,7 @@ func TestStoreWritePhaseOnColdBuild(t *testing.T) {
 	if writeReq != jobReq || writeReq == "" {
 		t.Fatalf("write-back request ID %q, job's %q: want the submitter's on both", writeReq, jobReq)
 	}
-	if w := s.cache.Store().Stats().Writes.Load(); w == 0 {
+	if w := s.cache.store.Stats().Writes.Load(); w == 0 {
 		t.Fatal("cold build wrote nothing")
 	}
 }
@@ -180,7 +180,7 @@ func TestCorruptStoreRebuildsOverHTTP(t *testing.T) {
 			first.Close()
 
 			sk := store.Key{Family: "MS", L: 2, N: 2}
-			path := first.cache.Store().EntryPath(sk)
+			path := first.cache.store.EntryPath(sk)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -243,9 +243,9 @@ func withNeighborSection(t *testing.T, data []byte) []byte {
 	}
 	out := bytes.Clone(data[:len(data)-4])
 	binary.LittleEndian.PutUint32(out[12:], binary.LittleEndian.Uint32(out[12:])|1<<1)
-	binary.LittleEndian.PutUint64(out[32:], uint64(4+4*tbl.Len()*int64(tbl.Degree())))
+	binary.LittleEndian.PutUint64(out[32:], uint64(4+4*nw.Nodes()*int64(tbl.Degree())))
 	out = binary.LittleEndian.AppendUint32(out, uint32(tbl.Degree()))
-	for r := int64(0); r < tbl.Len(); r++ {
+	for r := int64(0); r < nw.Nodes(); r++ {
 		for j := 0; j < tbl.Degree(); j++ {
 			out = binary.LittleEndian.AppendUint32(out, uint32(tbl.At(r, j)))
 		}
@@ -262,7 +262,7 @@ func TestNeighborSectionRebuildsOnce(t *testing.T) {
 	first := newStoreServer(t, dir, nil)
 	buildProfileViaHTTP(t, first)
 	first.Close()
-	path := first.cache.Store().EntryPath(store.Key{Family: "MS", L: 2, N: 2})
+	path := first.cache.store.EntryPath(store.Key{Family: "MS", L: 2, N: 2})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestNeighborSectionRebuildsOnce(t *testing.T) {
 func TestStoreReadErrorRebuildsOverHTTP(t *testing.T) {
 	s := newStoreServer(t, t.TempDir(), nil)
 	defer s.Close()
-	path := s.cache.Store().EntryPath(store.Key{Family: "MS", L: 2, N: 2})
+	path := s.cache.store.EntryPath(store.Key{Family: "MS", L: 2, N: 2})
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,22 @@ import (
 	"repro/internal/topology"
 )
 
+// Allocation ceilings for one warm v1 GET through Handler().ServeHTTP, as
+// MeasureServe counts them. Every such request pays two (ServeAllocs):
+//
+//   - 1: the request ID string telemetry.NewRequestID mints when the
+//     client sent no X-Request-Id;
+//   - 1: the one-element value slice the response header stores it in.
+//
+// A profile submit answered from a resident profile also records a job
+// (ProfileSubmitAllocs): the Job itself and its ID string (2), plus the
+// amortized growth of the job ledger's map and completion list, which the
+// last 2 bound.
+const (
+	ServeAllocs         = 2
+	ProfileSubmitAllocs = 6
+)
+
 // TestServeAllocs is the allocation budget of a warm v1 request through
 // the whole middleware, measured as Run serves it (MeasureServe): at
 // most ServeAllocs for route, metrics, neighbors and a job poll, at most

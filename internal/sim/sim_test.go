@@ -462,3 +462,25 @@ func BenchmarkBroadcastFloodSim(b *testing.B) {
 		}
 	}
 }
+
+// Hotspot builds a workload where `fraction` of the traffic targets a single
+// hot node and the rest is uniform random — the classic stress pattern for
+// link-balance claims. count packets total, deterministic in seed.
+func Hotspot(n int64, count int, hot int64, fraction float64, seed uint64) []Packet {
+	rng := perm.NewRNG(seed)
+	pkts := make([]Packet, 0, count)
+	for i := 0; i < count; i++ {
+		s := int64(rng.Intn(int(n)))
+		var d int64
+		if rng.Float64() < fraction {
+			d = hot
+		} else {
+			d = int64(rng.Intn(int(n)))
+		}
+		for d == s {
+			d = int64(rng.Intn(int(n)))
+		}
+		pkts = append(pkts, Packet{Src: s, Dst: d})
+	}
+	return pkts
+}

@@ -69,14 +69,6 @@ func (t *Trace) Release() {
 	tracePool.Put(t)
 }
 
-// ID returns the request ID the trace was acquired with ("" on nil).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Phase ends the open span (if any) and starts a new one named name.
 // Stamps are offsets from the trace's start, each one monotonic clock read
 // (time.Since); time.Now would read the wall clock too.

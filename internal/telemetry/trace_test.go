@@ -10,8 +10,8 @@ func TestTracePhases(t *testing.T) {
 	start := time.Now()
 	tr := AcquireTrace("req-1", start)
 	defer tr.Release()
-	if tr.ID() != "req-1" {
-		t.Fatalf("ID %q", tr.ID())
+	if tr.id != "req-1" {
+		t.Fatalf("ID %q", tr.id)
 	}
 	tr.Phase("decode")
 	tr.Phase("cache")
@@ -88,7 +88,7 @@ func TestTraceNilSafe(t *testing.T) {
 	tr.Phase("x")
 	tr.End()
 	tr.Release()
-	if tr.ID() != "" || tr.Spans() != nil {
+	if tr.Spans() != nil {
 		t.Fatal("nil trace must be inert")
 	}
 }

@@ -23,10 +23,6 @@ type Baseline struct {
 	graph          *core.IndexGraph
 }
 
-// Graph returns an explicit IndexGraph for the instance, or nil when the
-// instance is formula-only (too large to enumerate).
-func (b *Baseline) Graph() *core.IndexGraph { return b.graph }
-
 func (b *Baseline) String() string {
 	return fmt.Sprintf("%s: N=%d, degree=%d, diameter=%d", b.Name, b.Nodes, b.Degree, b.Diameter)
 }

@@ -13,7 +13,7 @@ func TestHypercubeFormulaVsBFS(t *testing.T) {
 		if h.Nodes != int64(1)<<uint(d) || h.Degree != d {
 			t.Fatalf("hypercube(%d): N=%d degree=%d", d, h.Nodes, h.Degree)
 		}
-		got, err := h.Graph().DiameterExact()
+		got, err := h.graph.DiameterExact()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestTorusFormulaVsBFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tor.Graph().DiameterExact()
+		got, err := tor.graph.DiameterExact()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestTorusFormulaVsBFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tor.Graph().DiameterExact()
+		got, err := tor.graph.DiameterExact()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestKAryNCubeFormulaVsBFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := kc.Graph().DiameterExact()
+		got, err := kc.graph.DiameterExact()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestCCCFormulaVsBFS(t *testing.T) {
 			t.Fatalf("ccc(%d): N=%d degree=%d", d, c.Nodes, c.Degree)
 		}
 		// CCC is vertex-transitive; BFS from node 0 gives the diameter.
-		got, err := c.Graph().DiameterExact()
+		got, err := c.graph.DiameterExact()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,15 +133,18 @@ func NewRecursiveMS(l, l1, n1 int) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw.recursive = &recursiveSpec{inner: inner}
+	dict, err := transpositionDictionary(inner, n)
+	if err != nil {
+		return nil, err
+	}
+	nw.recursive = &recursiveSpec{dict: dict}
 	return nw, nil
 }
 
-// recursiveSpec marks a recursive MS and carries the inner MS's game.
+// recursiveSpec marks a recursive MS. dict expands each outer nucleus
+// transposition T_i into a word over the inner MS(l1,n1) generators; the
+// constructor fills it, so concurrent routes only read it.
 type recursiveSpec struct {
-	inner bag.Rules
-	// dict caches the expansion of each outer nucleus transposition T_i
-	// into a word over the inner MS(l1,n1) generators.
 	dict map[int][]gen.Generator
 }
 
@@ -149,22 +152,18 @@ type recursiveSpec struct {
 // into inner-MS words: T_i, viewed as a node of the inner MS(l1,n1) Cayley
 // graph (a permutation of n+1 = l1·n1+1 symbols), is reached from the
 // identity by solving the inner Balls-to-Boxes game on T_i⁻¹ = T_i.
-func (rs *recursiveSpec) transpositionDictionary(n int) (map[int][]gen.Generator, error) {
-	if rs.dict != nil {
-		return rs.dict, nil
-	}
+func transpositionDictionary(inner bag.Rules, n int) (map[int][]gen.Generator, error) {
 	dict := make(map[int][]gen.Generator, n)
 	for i := 2; i <= n+1; i++ {
 		// Route identity -> T_i in the inner graph: the word product must
 		// equal T_i, i.e. solve the game from configuration T_i⁻¹ = T_i.
-		cfg := gen.NewTransposition(i).AsPerm(rs.inner.Layout.K()).Inverse()
-		word, err := bag.Solve(rs.inner, cfg)
+		cfg := gen.NewTransposition(i).AsPerm(inner.Layout.K()).Inverse()
+		word, err := bag.Solve(inner, cfg)
 		if err != nil {
 			return nil, err
 		}
 		dict[i] = word
 	}
-	rs.dict = dict
 	return dict, nil
 }
 
@@ -174,12 +173,8 @@ func (nw *Network) RecursiveDilation() (int, error) {
 	if nw.recursive == nil {
 		return 0, fmt.Errorf("topology: RecursiveDilation: %s is not recursive", nw.Name())
 	}
-	dict, err := nw.recursive.transpositionDictionary(nw.n)
-	if err != nil {
-		return 0, err
-	}
 	max := 0
-	for _, w := range dict {
+	for _, w := range nw.recursive.dict {
 		if len(w) > max {
 			max = len(w)
 		}

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/perm"
@@ -251,4 +254,91 @@ func TestRecursiveMSExactDiameter(t *testing.T) {
 		t.Errorf("diameter %d above expanded bound", d)
 	}
 	t.Logf("recursive-MS(2;2,1): exact diameter %d, dilation %d", d, dil)
+}
+
+// TestSharedNetworksRouteConcurrently shares one network of every family
+// at a small k, a rotation-subset network and a recursive MS among several
+// goroutines, which start on each network together, each routing with its
+// own scratch: a network is read-only once built, so the race detector
+// must stay quiet and every goroutine must get the same routes.
+func TestSharedNetworksRouteConcurrently(t *testing.T) {
+	var nets []*Network
+	for _, fam := range AllFamilies() {
+		ins, err := EnumerateInstances(fam, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := ins[len(ins)-1]
+		nw, err := New(in.Family, in.L, in.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, nw)
+	}
+	sub, err := NewRotationSubsetStar(5, 1, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewRecursiveMS(2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, sub, rec)
+
+	const workers, pairs = 4, 8
+	for _, nw := range nets {
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- routeShared(nw, w, pairs)
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// routeShared routes pairs random pairs on nw with Route, VerifyRoute and
+// a RouteInto of its own scratch, and holds each route to the bound. Odd
+// workers read the bound first and even ones route first, so the two
+// orders race each other.
+func routeShared(nw *Network, worker, pairs int) error {
+	bound := -1
+	if worker%2 == 1 {
+		bound = nw.DiameterUpperBound()
+	}
+	sc := NewRouteScratch()
+	rng := perm.NewRNG(1)
+	for i := 0; i < pairs; i++ {
+		src, dst := perm.Random(nw.K(), rng), perm.Random(nw.K(), rng)
+		moves, err := nw.Route(src, dst)
+		if err != nil {
+			return err
+		}
+		if err := nw.VerifyRoute(src, dst, moves); err != nil {
+			return err
+		}
+		if bound < 0 {
+			bound = nw.DiameterUpperBound()
+		}
+		if len(moves) > bound {
+			return fmt.Errorf("%s: route of %d moves above the bound %d", nw.Name(), len(moves), bound)
+		}
+		into, err := sc.RouteInto(nw, src, dst)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(into, moves) {
+			return fmt.Errorf("%s: RouteInto %v, Route %v", nw.Name(), into, moves)
+		}
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bag"
-	"repro/internal/perm"
 )
 
 // DegreeFormula returns the closed-form node degree of a family instance
@@ -152,10 +151,4 @@ func PaperDiameterBound(fam Family, l, n int) (int, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// NodesFormula returns the network size for a family instance: (n·l+1)! for
-// super Cayley families and (n+1)! for nucleus-only families.
-func NodesFormula(fam Family, l, n int) int64 {
-	return perm.Factorial(Instance{Family: fam, L: l, N: n}.K())
 }

@@ -20,19 +20,12 @@ func TestBoundFormulaMatchesInstanceBound(t *testing.T) {
 		}
 	}
 	for k := 2; k <= 8; k++ {
-		cases := []struct {
-			fam Family
-			mk  func(int) (*Network, error)
-		}{
-			{Star, NewStar}, {Rotator, NewRotator}, {Pancake, NewPancake},
-			{BubbleSort, NewBubbleSort}, {TranspositionNet, NewTranspositionNet}, {IS, NewIS},
-		}
-		for _, c := range cases {
-			nw, err := c.mk(k)
+		for _, fam := range []Family{Star, Rotator, Pancake, BubbleSort, TranspositionNet, IS} {
+			nw, err := New(fam, 1, k-1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := DiameterUpperBoundFormula(c.fam, 1, k-1)
+			want, err := DiameterUpperBoundFormula(fam, 1, k-1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +79,7 @@ func TestLongestRouteMeetsBound(t *testing.T) {
 func TestExactBaselineDiameters(t *testing.T) {
 	pancakeDiam := map[int]int{2: 1, 3: 3, 4: 4, 5: 5, 6: 7, 7: 8}
 	for k := 2; k <= 7; k++ {
-		bub, err := NewBubbleSort(k)
+		bub, err := New(BubbleSort, 1, k-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +90,7 @@ func TestExactBaselineDiameters(t *testing.T) {
 		if d != k*(k-1)/2 {
 			t.Errorf("bubble(%d) diameter %d, want %d", k, d, k*(k-1)/2)
 		}
-		tn, err := NewTranspositionNet(k)
+		tn, err := New(TranspositionNet, 1, k-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +101,7 @@ func TestExactBaselineDiameters(t *testing.T) {
 		if d != k-1 {
 			t.Errorf("transposition(%d) diameter %d, want %d", k, d, k-1)
 		}
-		pan, err := NewPancake(k)
+		pan, err := New(Pancake, 1, k-1)
 		if err != nil {
 			t.Fatal(err)
 		}

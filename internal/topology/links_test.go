@@ -29,7 +29,7 @@ func linkTableNetworks(t testing.TB) []*Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn11, err := NewTranspositionNet(11)
+	tn11, err := New(TranspositionNet, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestLinkTableMatchesMaps(t *testing.T) {
 
 // TestLinkTableSpansTransposition64: link numbers pass a byte.
 func TestLinkTableSpansTransposition64(t *testing.T) {
-	nw, err := NewTranspositionNet(64)
+	nw, err := New(TranspositionNet, 1, 63)
 	if err != nil {
 		t.Fatal(err)
 	}

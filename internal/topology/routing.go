@@ -66,17 +66,13 @@ func (nw *Network) routeRecursive(u perm.Perm) ([]gen.Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	dict, err := nw.recursive.transpositionDictionary(nw.n)
-	if err != nil {
-		return nil, err
-	}
 	var out []gen.Generator
 	for _, m := range moves {
 		if m.Kind() != gen.Transposition {
 			out = append(out, m)
 			continue
 		}
-		word, ok := dict[m.Index()]
+		word, ok := nw.recursive.dict[m.Index()]
 		if !ok {
 			return nil, fmt.Errorf("topology: routeRecursive: no expansion for %s", m.Name())
 		}

@@ -309,18 +309,6 @@ func NewStar(k int) (*Network, error) { return New(Star, 1, k-1) }
 // Cayley graph with insertion generators I_2..I_k.
 func NewRotator(k int) (*Network, error) { return New(Rotator, 1, k-1) }
 
-// NewPancake returns the k-dimensional pancake graph: undirected Cayley
-// graph with prefix-reversal generators F_2..F_k.
-func NewPancake(k int) (*Network, error) { return New(Pancake, 1, k-1) }
-
-// NewBubbleSort returns the k-dimensional bubble-sort graph: undirected
-// Cayley graph with adjacent transpositions P_{i,i+1}.
-func NewBubbleSort(k int) (*Network, error) { return New(BubbleSort, 1, k-1) }
-
-// NewTranspositionNet returns the k-dimensional transposition network:
-// undirected Cayley graph with all position swaps P_{i,j}.
-func NewTranspositionNet(k int) (*Network, error) { return New(TranspositionNet, 1, k-1) }
-
 // NewIS returns the k-dimensional insertion-selection network (Definition
 // 3.10): undirected Cayley graph with insertions I_2..I_k and selections
 // I_2'..I_k' (I_2' duplicates I_2, so the degree is 2k-3).
@@ -342,25 +330,13 @@ func NewCompleteRS(l, n int) (*Network, error) { return New(CompleteRS, l, n) }
 // insertion nucleus plus swap super generators (directed).
 func NewMR(l, n int) (*Network, error) { return New(MR, l, n) }
 
-// NewRR returns the rotation-rotator network RR(l,n) (Definition 3.8):
-// insertion nucleus plus the single rotation R (directed).
-func NewRR(l, n int) (*Network, error) { return New(RR, l, n) }
-
 // NewCompleteRR returns the complete-rotation-rotator network (Definition
 // 3.9): insertion nucleus plus all rotations (directed).
 func NewCompleteRR(l, n int) (*Network, error) { return New(CompleteRR, l, n) }
 
-// NewMIS returns the macro-IS network MIS(l,n) (Definition 3.11):
-// insertion+selection nucleus plus swap super generators (undirected).
-func NewMIS(l, n int) (*Network, error) { return New(MIS, l, n) }
-
 // NewRIS returns the rotation-IS network RIS(l,n) (Definition 3.12):
 // insertion+selection nucleus plus the rotation pair (undirected).
 func NewRIS(l, n int) (*Network, error) { return New(RIS, l, n) }
-
-// NewCompleteRIS returns the complete-rotation-IS network (Definition 3.13):
-// insertion+selection nucleus plus all rotations (undirected).
-func NewCompleteRIS(l, n int) (*Network, error) { return New(CompleteRIS, l, n) }
 
 // AllFamilies lists every family constructible by New, in table order: the
 // permutation-graph baselines first, then the super Cayley classes in paper

@@ -56,7 +56,7 @@ func TestConstructorValidation(t *testing.T) {
 		func() error { _, err := NewIS(1); return err },
 		func() error { _, err := NewMS(1, 2); return err },
 		func() error { _, err := NewMS(2, 0); return err },
-		func() error { _, err := NewRR(1, 3); return err },
+		func() error { _, err := New(RR, 1, 3); return err },
 		func() error { _, err := New(Family(99), 2, 2); return err },
 	} {
 		if f() == nil {
@@ -79,18 +79,12 @@ func TestDegreeMatchesFormula(t *testing.T) {
 		}
 	}
 	for k := 2; k <= 8; k++ {
-		for _, mk := range []struct {
-			fam Family
-			f   func(int) (*Network, error)
-		}{
-			{Star, NewStar}, {Rotator, NewRotator}, {Pancake, NewPancake},
-			{BubbleSort, NewBubbleSort}, {TranspositionNet, NewTranspositionNet}, {IS, NewIS},
-		} {
-			nw, err := mk.f(k)
+		for _, fam := range []Family{Star, Rotator, Pancake, BubbleSort, TranspositionNet, IS} {
+			nw, err := New(fam, 1, k-1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := DegreeFormula(mk.fam, 1, k-1)
+			want, err := DegreeFormula(fam, 1, k-1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,13 +117,13 @@ func TestDirectedness(t *testing.T) {
 		}
 	}
 	for _, mk := range []struct {
-		f    func(int) (*Network, error)
+		fam  Family
 		want bool
 	}{
-		{NewStar, true}, {NewPancake, true}, {NewBubbleSort, true},
-		{NewTranspositionNet, true}, {NewIS, true}, {NewRotator, false},
+		{Star, true}, {Pancake, true}, {BubbleSort, true},
+		{TranspositionNet, true}, {IS, true}, {Rotator, false},
 	} {
-		nw, err := mk.f(5)
+		nw, err := New(mk.fam, 1, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +184,8 @@ func TestMSWithN1IsStar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mk := range []func(int, int) (*Network, error){NewMS, NewMR, NewMIS} {
-			nw, err := mk(l, 1)
+		for _, fam := range []Family{MS, MR, MIS} {
+			nw, err := New(fam, l, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,10 +210,8 @@ func TestRoutingRandomPairs(t *testing.T) {
 	rng := perm.NewRNG(31)
 	var nets []*Network
 	nets = append(nets, smallInstances(t, 9)...)
-	for _, mk := range []func(int) (*Network, error){
-		NewStar, NewRotator, NewPancake, NewBubbleSort, NewTranspositionNet, NewIS,
-	} {
-		nw, err := mk(7)
+	for _, fam := range []Family{Star, Rotator, Pancake, BubbleSort, TranspositionNet, IS} {
+		nw, err := New(fam, 1, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +276,7 @@ func TestVerifyRouteRejectsForeignMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := NewRR(3, 2)
+	rr, err := New(RR, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,15 +299,6 @@ func TestVerifyRouteRejectsForeignMoves(t *testing.T) {
 	}
 	if err := ms.VerifyRoute(src, dst, nil); err == nil {
 		t.Error("empty route accepted for distinct src/dst")
-	}
-}
-
-func TestNodesFormula(t *testing.T) {
-	if NodesFormula(MS, 3, 2) != 5040 {
-		t.Error("NodesFormula MS(3,2)")
-	}
-	if NodesFormula(Star, 1, 6) != 5040 {
-		t.Error("NodesFormula star k=7")
 	}
 }
 
@@ -356,7 +339,8 @@ func TestParseFamilyRoundTrip(t *testing.T) {
 // n = 1..12, plus one request with l = 3, which New ignores). A line holds
 // the instance's name, family, parameters, generator names in order,
 // degree, intercluster degree, directedness, both route bounds, the
-// paper's bound, NodesFormula and the ParseFamily round trip.
+// paper's bound, the node count (n·l+1)! or (n+1)! and the ParseFamily
+// round trip.
 func familyFingerprint(t *testing.T, fam Family) string {
 	t.Helper()
 	type ln struct{ l, n int }
@@ -393,7 +377,7 @@ func familyFingerprint(t *testing.T, fam Family) string {
 		fmt.Fprintf(h, "%s %v l=%d n=%d k=%d gens=%s degree=%d super=%d undirected=%v bound=%d formula=%d paper=%d,%v nodes=%d parse=%v,%v\n",
 			nw.Name(), nw.Family(), nw.L(), nw.N(), nw.K(), strings.Join(names, ","),
 			nw.Degree(), nw.InterclusterDegree(), nw.Undirected(), nw.DiameterUpperBound(),
-			formula, paper, printed, NodesFormula(fam, p.l, p.n), parsed, err)
+			formula, paper, printed, perm.Factorial(Instance{Family: fam, L: p.l, N: p.n}.K()), parsed, err)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }

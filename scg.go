@@ -6,9 +6,10 @@
 // The package is a façade over the implementation packages:
 //
 //   - game construction and solving (= routing): NewGame, Solve, SolveStar;
-//   - the nine super Cayley network classes plus the star, rotator,
-//     pancake, bubble-sort, transposition, and IS baselines: NewMacroStar,
-//     NewRotationStar, ... , New;
+//   - the nine super Cayley network classes (NewMacroStar,
+//     NewRotationStar, ..., or New over AllSuperCayleyFamilies) plus the
+//     star graph and IS network baselines, and the hypercube and k-ary
+//     n-cube;
 //   - exact measurement (diameter, average distance, intercluster metrics)
 //     for every instance small enough to enumerate;
 //   - the universal lower bound D_L(N,d), α ratios, and bisection bounds;
@@ -62,8 +63,6 @@ type Move = gen.Generator
 type (
 	// GameRules fixes a ball-arrangement game variant (layout + move styles).
 	GameRules = bag.Rules
-	// Layout is the box structure: l boxes of n balls plus the outside ball.
-	Layout = bag.Layout
 )
 
 // Nucleus and super move styles (§2 of the paper).
@@ -71,10 +70,8 @@ const (
 	TranspositionBalls = bag.TranspositionNucleus
 	InsertionBalls     = bag.InsertionNucleus
 	SwapBoxes          = bag.SwapSuper
-	RotateBoxesSingle  = bag.RotSingleSuper
 	RotateBoxesPair    = bag.RotPairSuper
 	RotateBoxesAll     = bag.RotCompleteSuper
-	NoBoxMoves         = bag.NoSuper
 )
 
 // NewGame builds the rules of a BAG with l boxes of n balls and the given
@@ -108,10 +105,6 @@ func VerifyGame(rules GameRules, u Node, moves []Move) error { return bag.Verify
 // MoveNames renders moves in the paper's notation (T3, S2, I4, R2, ...).
 func MoveNames(moves []Move) []string { return bag.MoveNames(moves) }
 
-// GameWorstCaseBound returns the move-count bound our solver guarantees for
-// the rules (an upper bound on the derived network's diameter).
-func GameWorstCaseBound(rules GameRules) int { return bag.WorstCaseBound(rules) }
-
 // --- networks -------------------------------------------------------------------
 
 // Network is a concrete interconnection network instance.
@@ -120,24 +113,8 @@ type Network = topology.Network
 // Family identifies a network class.
 type Family = topology.Family
 
-// Network families.
-const (
-	StarFamily          = topology.Star
-	RotatorFamily       = topology.Rotator
-	PancakeFamily       = topology.Pancake
-	BubbleSortFamily    = topology.BubbleSort
-	TranspositionFamily = topology.TranspositionNet
-	ISFamily            = topology.IS
-	MSFamily            = topology.MS
-	RSFamily            = topology.RS
-	CompleteRSFamily    = topology.CompleteRS
-	MRFamily            = topology.MR
-	RRFamily            = topology.RR
-	CompleteRRFamily    = topology.CompleteRR
-	MISFamily           = topology.MIS
-	RISFamily           = topology.RIS
-	CompleteRISFamily   = topology.CompleteRIS
-)
+// MSFamily names the macro-star class for New and DegreeFormula.
+const MSFamily = topology.MS
 
 // New builds any family instance; see the per-family constructors for the
 // parameter conventions.
@@ -145,9 +122,6 @@ func New(fam Family, l, n int) (*Network, error) { return topology.New(fam, l, n
 
 // NewStarGraph returns the k-dimensional star graph.
 func NewStarGraph(k int) (*Network, error) { return topology.NewStar(k) }
-
-// NewRotatorGraph returns the k-dimensional rotator graph.
-func NewRotatorGraph(k int) (*Network, error) { return topology.NewRotator(k) }
 
 // NewISNetwork returns the k-dimensional insertion-selection network
 // (Definition 3.10).
@@ -165,51 +139,25 @@ func NewCompleteRotationStar(l, n int) (*Network, error) { return topology.NewCo
 // NewMacroRotator returns the macro-rotator network MR(l,n) (Definition 3.7).
 func NewMacroRotator(l, n int) (*Network, error) { return topology.NewMR(l, n) }
 
-// NewRotationRotator returns the rotation-rotator network RR(l,n)
-// (Definition 3.8).
-func NewRotationRotator(l, n int) (*Network, error) { return topology.NewRR(l, n) }
-
 // NewCompleteRotationRotator returns complete-RR(l,n) (Definition 3.9).
 func NewCompleteRotationRotator(l, n int) (*Network, error) { return topology.NewCompleteRR(l, n) }
-
-// NewMacroIS returns the macro-IS network MIS(l,n) (Definition 3.11).
-func NewMacroIS(l, n int) (*Network, error) { return topology.NewMIS(l, n) }
 
 // NewRotationIS returns the rotation-IS network RIS(l,n) (Definition 3.12).
 func NewRotationIS(l, n int) (*Network, error) { return topology.NewRIS(l, n) }
 
-// NewCompleteRotationIS returns complete-RIS(l,n) (Definition 3.13).
-func NewCompleteRotationIS(l, n int) (*Network, error) { return topology.NewCompleteRIS(l, n) }
-
 // AllSuperCayleyFamilies lists the nine super Cayley classes in paper order.
 func AllSuperCayleyFamilies() []Family { return topology.AllSuperCayleyFamilies() }
-
-// Baseline is a non-permutation reference topology (hypercube, torus, k-ary
-// n-cube, CCC).
-type Baseline = topology.Baseline
 
 // Baseline constructors.
 var (
 	NewHypercube = topology.NewHypercube
-	NewTorus2D   = topology.NewTorus2D
-	NewTorus3D   = topology.NewTorus3D
 	NewKAryNCube = topology.NewKAryNCube
-	NewCCC       = topology.NewCCC
 )
 
 // DegreeFormula returns the closed-form degree of a family instance.
 func DegreeFormula(fam Family, l, n int) (int, error) { return topology.DegreeFormula(fam, l, n) }
 
-// DiameterUpperBoundFormula returns the routing-algorithm diameter bound of
-// a family instance without building it.
-func DiameterUpperBoundFormula(fam Family, l, n int) (int, error) {
-	return topology.DiameterUpperBoundFormula(fam, l, n)
-}
-
 // --- metrics --------------------------------------------------------------------
-
-// UniversalDiameterLowerBound is D_L(N,d) of equation 2.
-func UniversalDiameterLowerBound(n float64, d int) (float64, error) { return metrics.DL(n, d) }
 
 // AlphaRatio is the diameter-to-lower-bound ratio α of §4.2.
 func AlphaRatio(diameter int, n float64, d int) (float64, error) {
@@ -251,16 +199,6 @@ func MeasureStarIntoIS(k, samples int) (*StarEmbeddingReport, error) {
 // at most 2.
 func EmulateStarOnIS(moves []Move) ([]Move, error) { return embed.EmulateStarOnIS(moves) }
 
-// MeasureStarIntoMS verifies the star(k) -> MS(l,n) emulation (dilation 3
-// via the S_b·T_o·S_b conjugation, §5).
-func MeasureStarIntoMS(l, n, samples int) (*StarEmbeddingReport, error) {
-	ly, err := bag.NewLayout(l, n)
-	if err != nil {
-		return nil, err
-	}
-	return embed.MeasureStarIntoMS(ly, samples)
-}
-
 // EmulateStarOnMS converts a star-graph route to a macro-star route with
 // slowdown at most 3.
 func EmulateStarOnMS(l, n int, moves []Move) ([]Move, error) {
@@ -276,8 +214,6 @@ func EmulateStarOnMS(l, n int, moves []Move) ([]Move, error) {
 // Simulator vocabulary re-exported from the packet-level engine.
 type (
 	SimTopology = sim.Topology
-	SimPacket   = sim.Packet
-	SimResult   = sim.Result
 	PortModel   = sim.PortModel
 )
 
@@ -292,11 +228,8 @@ const (
 // k <= core.MaxExplicitK (10); larger ones are refused with an error.
 func NewSimNetwork(nw *Network) (SimTopology, error) { return sim.NewPermTopology(nw) }
 
-// NewSimHypercube and NewSimTorus build baseline simulator topologies.
+// NewSimHypercube builds the baseline hypercube simulator topology.
 func NewSimHypercube(d int) (SimTopology, error) { return sim.NewHypercubeTopology(d) }
-
-// NewSimTorus returns an a^n torus simulator topology.
-func NewSimTorus(a, n int) (SimTopology, error) { return sim.NewTorusTopology(a, n) }
 
 // RunUnicast, RunBroadcast and the workload builders drive the simulator.
 // Every task takes a Recorder as its last argument; nil means tracing off.
@@ -304,18 +237,10 @@ var (
 	RunUnicast         = sim.RunUnicast
 	RunBroadcast       = sim.RunBroadcast
 	TotalExchange      = sim.TotalExchange
-	RandomRouting      = sim.RandomRouting
 	PermutationRouting = sim.PermutationRouting
 )
 
 // --- figures and tables -----------------------------------------------------------
-
-// Figure/table harness re-exports.
-type (
-	FigureSeries = figures.Series
-	FigurePoint  = figures.Point
-	Table1Row    = figures.Table1Row
-)
 
 var (
 	// Fig4Degrees regenerates Figure 4 (node degree vs log2 N).
@@ -324,11 +249,6 @@ var (
 	Fig5Diameters = figures.Fig5Diameters
 	// Fig6Cost regenerates Figure 6 (degree × diameter vs log2 N).
 	Fig6Cost = figures.Fig6Cost
-	// ExactDiameterOverlay measures exact diameters for the Figure 5 points.
-	ExactDiameterOverlay = figures.ExactDiameterOverlay
 	// Table1 regenerates Table 1 (α ratios).
 	Table1 = figures.Table1
-	// RenderSeries and RenderTable1 produce the textual plots.
-	RenderSeries = figures.RenderSeries
-	RenderTable1 = figures.RenderTable1
 )

@@ -1,15 +1,11 @@
 package scg
 
 // Façade for the extension modules: §3.3.4 network variants, spanning-tree
-// collectives, fault-tolerance measurement, and the pin-limited throughput
-// model.
+// collectives and fault-tolerance measurement.
 
 import (
 	"repro/internal/collective"
-	"repro/internal/embed"
 	"repro/internal/fault"
-	"repro/internal/figures"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -27,12 +23,6 @@ func NewRotationSubsetStar(l, n int, exps []int) (*Network, error) {
 // (§3.3.4).
 func NewRecursiveMS(l, l1, n1 int) (*Network, error) {
 	return topology.NewRecursiveMS(l, l1, n1)
-}
-
-// RotationExpansion expresses a rotation by t box positions as a minimal
-// word over the available rotation exponents modulo l.
-func RotationExpansion(l, t int, exps []int) ([]int, error) {
-	return topology.RotationExpansion(l, t, exps)
 }
 
 // --- collectives ----------------------------------------------------------------
@@ -56,20 +46,13 @@ func MNBPipelinedBound(t *BroadcastTree, model PortModel, inDegree int) int64 {
 
 // Fault vocabulary re-exported from the fault-injection engine.
 type (
-	FaultLink    = fault.Link
-	FaultSet     = fault.Set
-	FaultProfile = fault.Profile
-	FaultTrial   = fault.Trial
+	FaultLink  = fault.Link
+	FaultSet   = fault.Set
+	FaultTrial = fault.Trial
 )
 
 // NewFaultSet builds a fault set from directed links.
 func NewFaultSet(links ...FaultLink) FaultSet { return fault.NewSet(links...) }
-
-// FaultBFS measures reachability and distances from src with the failed
-// links removed. A link outside the network is an error.
-func FaultBFS(nw *Network, faults FaultSet, src Node) (*FaultProfile, error) {
-	return fault.BFS(nw.Graph(), faults, src)
-}
 
 // RandomFaultTrials injects random link failures repeatedly and reports
 // connectivity and distance inflation. faults must lie in 0..N·degree,
@@ -84,33 +67,7 @@ func MirrorFaultsUndirected(nw *Network, faults FaultSet) (FaultSet, error) {
 	return fault.MirrorUndirected(nw.Graph(), faults)
 }
 
-// --- throughput and average-distance analysis --------------------------------------
-
-// PinLimitedThroughput returns the §4.2 throughput bound P / D̄ for a
-// per-node pin budget P and average distance D̄.
-func PinLimitedThroughput(pins, avgDist float64) (float64, error) {
-	return metrics.PinLimitedThroughput(pins, avgDist)
-}
-
-// DirectedDiameterLowerBound is the directed-graph analogue of D_L.
-func DirectedDiameterLowerBound(n float64, d int) (float64, error) {
-	return metrics.DLDirected(n, d)
-}
-
-// AvgDistanceRow is one row of the Theorem 4.7 table.
-type AvgDistanceRow = figures.AvgDistanceRow
-
-// AvgDistanceTable measures exact average distances (Theorem 4.7) for every
-// family at (l,n) plus the same-k star graph.
-func AvgDistanceTable(l, n int) ([]AvgDistanceRow, error) { return figures.AvgDistanceTable(l, n) }
-
-// RenderAvgDistanceTable renders the Theorem 4.7 table as text.
-func RenderAvgDistanceTable(rows []AvgDistanceRow) string {
-	return figures.RenderAvgDistanceTable(rows)
-}
-
-// RecursiveDilation re-exported: worst inner-word length of a recursive MS.
-func RecursiveDilation(nw *Network) (int, error) { return nw.RecursiveDilation() }
+// --- simulation over spanning trees and faulted networks ---------------------------
 
 // TreeMNBResult reports a translated-tree multinode broadcast simulation.
 type TreeMNBResult = collective.TreeMNBResult
@@ -128,43 +85,4 @@ func SimulateTreeMNB(nw *Network, model PortModel, maxSteps int) (*TreeMNBResult
 // network is an error.
 func NewFaultRoutedTopology(nw *Network, faults FaultSet) (SimTopology, error) {
 	return fault.NewRoutedTopology(nw.Graph(), faults)
-}
-
-// ScatterTime computes single-node scatter (one-to-all personalized)
-// completion time along a spanning tree with farthest-first scheduling;
-// gather is its time reversal with identical cost on undirected networks.
-func ScatterTime(t *BroadcastTree, model PortModel) (int, error) {
-	return collective.ScatterTime(t, model)
-}
-
-// ScatterLowerBound returns max(⌈(N-1)/ports⌉, tree height).
-func ScatterLowerBound(t *BroadcastTree, model PortModel, outDegree int) int64 {
-	return collective.ScatterLowerBound(t, model, outDegree)
-}
-
-// GrowthRow is one row of the exact-diameter growth table.
-type GrowthRow = figures.GrowthRow
-
-// DiameterGrowthTable measures exact diameters of families across sizes.
-func DiameterGrowthTable(maxK int, fams []Family) ([]GrowthRow, error) {
-	return figures.DiameterGrowthTable(maxK, fams)
-}
-
-// RenderGrowthTable renders the growth table as text.
-func RenderGrowthTable(rows []GrowthRow) string { return figures.RenderGrowthTable(rows) }
-
-// SJTCycle returns the constructive Steinhaus–Johnson–Trotter Hamiltonian
-// cycle of the k-dimensional bubble-sort graph (k! adjacent transpositions);
-// through EmulateBubbleOnStar it walks star-based networks as a dilation-3
-// ring.
-func SJTCycle(k int) ([]Move, error) { return embed.SJTCycle(k) }
-
-// EmulateBubbleOnStar converts a bubble-sort route or cycle to star-graph
-// moves with slowdown at most 3.
-func EmulateBubbleOnStar(moves []Move) ([]Move, error) { return embed.EmulateBubbleOnStar(moves) }
-
-// HamiltonianCycle searches a small Cayley graph for a Hamiltonian cycle by
-// bounded backtracking (demonstrating ring embeddings on 24-node instances).
-func HamiltonianCycle(nw *Network, maxNodes, maxSteps int64) ([]int, error) {
-	return embed.HamiltonianCycle(nw.Graph(), maxNodes, maxSteps)
 }

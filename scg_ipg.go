@@ -13,8 +13,6 @@ import (
 type (
 	// IPLabel is a multiset-permutation node label.
 	IPLabel = ipg.Label
-	// IPSignature fixes the multiset of ball numbers.
-	IPSignature = ipg.Signature
 	// IPGraph is an index-permutation graph.
 	IPGraph = ipg.Graph
 	// IPInterclusterProfile is the §4.3 measurement of an IPGraph.

@@ -2,6 +2,10 @@ package scg
 
 import (
 	"testing"
+
+	"repro/internal/bag"
+	"repro/internal/figures"
+	"repro/internal/topology"
 )
 
 // TestQuickstartFlow exercises the façade end to end, mirroring the README
@@ -48,8 +52,8 @@ func TestGameFacade(t *testing.T) {
 	if err := VerifyGame(rules, u, moves); err != nil {
 		t.Fatal(err)
 	}
-	if len(moves) > GameWorstCaseBound(rules) {
-		t.Fatalf("solution %d beyond bound %d", len(moves), GameWorstCaseBound(rules))
+	if len(moves) > bag.WorstCaseBound(rules) {
+		t.Fatalf("solution %d beyond bound %d", len(moves), bag.WorstCaseBound(rules))
 	}
 	fixed, err := SolveWithOffset(rules, u, 1)
 	if err != nil {
@@ -73,17 +77,17 @@ func TestGameFacade(t *testing.T) {
 func TestAllFamilyConstructors(t *testing.T) {
 	ctors := map[string]func() (*Network, error){
 		"star":         func() (*Network, error) { return NewStarGraph(5) },
-		"rotator":      func() (*Network, error) { return NewRotatorGraph(5) },
+		"rotator":      func() (*Network, error) { return New(topology.Rotator, 1, 4) },
 		"IS":           func() (*Network, error) { return NewISNetwork(5) },
 		"MS":           func() (*Network, error) { return NewMacroStar(2, 2) },
 		"RS":           func() (*Network, error) { return NewRotationStar(2, 2) },
 		"complete-RS":  func() (*Network, error) { return NewCompleteRotationStar(3, 2) },
 		"MR":           func() (*Network, error) { return NewMacroRotator(2, 2) },
-		"RR":           func() (*Network, error) { return NewRotationRotator(2, 2) },
+		"RR":           func() (*Network, error) { return New(topology.RR, 2, 2) },
 		"complete-RR":  func() (*Network, error) { return NewCompleteRotationRotator(3, 2) },
-		"MIS":          func() (*Network, error) { return NewMacroIS(2, 2) },
+		"MIS":          func() (*Network, error) { return New(topology.MIS, 2, 2) },
 		"RIS":          func() (*Network, error) { return NewRotationIS(2, 2) },
-		"complete-RIS": func() (*Network, error) { return NewCompleteRotationIS(3, 2) },
+		"complete-RIS": func() (*Network, error) { return New(topology.CompleteRIS, 3, 2) },
 	}
 	for name, f := range ctors {
 		nw, err := f()
@@ -100,13 +104,6 @@ func TestAllFamilyConstructors(t *testing.T) {
 }
 
 func TestMetricsFacade(t *testing.T) {
-	dl, err := UniversalDiameterLowerBound(5040, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dl <= 0 {
-		t.Fatalf("DL = %v", dl)
-	}
 	a, err := AlphaRatio(13, 5040, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +157,6 @@ func TestSimFacade(t *testing.T) {
 	if _, err := NewSimHypercube(4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSimTorus(4, 2); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestEmbeddingFacade(t *testing.T) {
@@ -187,7 +181,7 @@ func TestEmbeddingFacade(t *testing.T) {
 }
 
 func TestFiguresFacade(t *testing.T) {
-	for _, f := range []func() ([]FigureSeries, error){Fig4Degrees, Fig5Diameters, Fig6Cost} {
+	for _, f := range []func() ([]figures.Series, error){Fig4Degrees, Fig5Diameters, Fig6Cost} {
 		series, err := f()
 		if err != nil {
 			t.Fatal(err)
@@ -195,15 +189,12 @@ func TestFiguresFacade(t *testing.T) {
 		if len(series) < 4 {
 			t.Fatalf("only %d series", len(series))
 		}
-		if RenderSeries("t", series) == "" {
-			t.Fatal("empty rendering")
-		}
 	}
 	rows, err := Table1(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RenderTable1(rows) == "" {
+	if len(rows) == 0 {
 		t.Fatal("empty table")
 	}
 }
