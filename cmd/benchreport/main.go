@@ -1,28 +1,28 @@
-// Command benchreport times the repository's headline performance
-// measurements — the rank kernel, the BFS engine at k = 8/9/10
-// (factored neighbor-table build, then the table-resident bitset sweep on
-// one worker and on -workers), stretch sampling, a warm store load, the
-// warm /v1/route handler, warm requests to the four v1 endpoints through
-// the whole middleware, warm routes through scgd's own HTTP/1.1
-// transport, and /v1/route with and without request tracing — and emits
-// them as JSON so each PR can be compared against the committed
-// BENCH_baseline.json and the perf trajectory of the exact-measurement
-// engine stays visible. The server entries also record their heap
+// Command benchreport times the repository's two engines and the server
+// paths around them, and gates each row against a committed baseline. The
+// rows: the rank kernel; for star(k), k = 8..10, the factored
+// neighbor-table build and the table-resident bitset sweep on one worker
+// and on two; stretch sampling on star(7); a GET /v1/profile on a fresh
+// server, cold (no store) and loaded from a store, for star(8), star(9)
+// and MS(2,4); the warm /v1/route handler alone; warm requests to the
+// four v1 endpoints through the whole middleware, and /v1/route on a
+// traced server; and warm routes through scgd's own HTTP/1.1 transport.
+//
+// Every row is timed by measure: rounds of its operation, each between two
+// blocks of a fixed reference kernel in which no program code runs. A row
+// records the median of its rounds' ratios to the reference and the
+// spread of those ratios, so a host that runs slower for a while reads
+// about the same ratio. The server rows also record their heap
 // allocations per request; the go tests (TestRouteHotAllocs*,
 // TestServeAllocs, TestConnAllocs) hold those to their ceilings.
 //
-// Entries are emitted in a fixed order (no map iteration feeds the file),
-// so two runs on the same machine differ only in the measured fields.
-//
-// The -compare flag turns the command into a regression gate: it reads two
-// reports and fails if any benchmark present in both slowed past the ratio
-// threshold (-max-ratio, default 3x, to tolerate machine-to-machine noise).
-//
-// Examples:
+// Rows are written in a fixed order, so two runs differ only in the
+// measured fields. -compare fails a row whose ratio exceeds the
+// baseline's by more than the bound the baseline's spread gives it
+// (bound, never above 3×), and a row that only one report holds.
 //
 //	benchreport -out BENCH_baseline.json
-//	benchreport -quick -out bench_smoke.json   # CI smoke: k <= 8, 1 round
-//	benchreport -compare BENCH_baseline.json bench_smoke.json
+//	benchreport -compare BENCH_baseline.json new.json
 package main
 
 import (
@@ -31,61 +31,68 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/perm"
+	"repro/internal/pool"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/topology"
 	"repro/internal/version"
 )
 
+// schema names the report format; readReport refuses any other.
+const schema = "scg-bench/v2"
+
 // Report is the top-level JSON document.
 type Report struct {
-	Schema     string  `json:"schema"`
-	GoVersion  string  `json:"go_version"`
-	GOOS       string  `json:"goos"`
-	GOARCH     string  `json:"goarch"`
-	NumCPU     int     `json:"num_cpu"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Entries    []Entry `json:"benchmarks"`
+	Schema    string  `json:"schema"`
+	GoVersion string  `json:"go_version"`
+	GOOS      string  `json:"goos"`
+	GOARCH    string  `json:"goarch"`
+	NumCPU    int     `json:"num_cpu"`
+	Entries   []Entry `json:"benchmarks"`
 }
 
-// Entry is one measured benchmark.
+// Entry is one measured row.
 type Entry struct {
-	// Name identifies the benchmark, e.g. "bfs-parallel/star-9".
+	// Name identifies the row, e.g. "bfs-parallel/star-9".
 	Name string `json:"name"`
-	// K is the permutation dimension the benchmark ran at, 0 if n/a.
+	// K is the permutation dimension the row ran at, 0 if n/a.
 	K int `json:"k,omitempty"`
-	// Workers is the BFS worker count, 0 for non-BFS entries.
-	Workers int `json:"workers,omitempty"`
-	// Rounds is how many times the measured operation ran.
-	Rounds int `json:"rounds"`
-	// NsPerOp is the mean wall time per operation in nanoseconds.
+	// Workers is the GOMAXPROCS the row was timed at: 1, except for the
+	// rows that time parallel work, where it is also the worker count.
+	Workers int `json:"workers"`
+	// Ops is how many operations one round runs.
+	Ops int `json:"ops"`
+	// NsPerOp is the median round's wall time per operation.
 	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is the mean heap allocations per operation; present only
-	// for the server entries, which count them.
+	// Ratio is the median over the rounds of a round's ns/op divided by
+	// the reference's ns per step in the two blocks beside it.
+	Ratio float64 `json:"ratio"`
+	// Spread is the interquartile range of the rounds' ratios over their
+	// median; -compare derives the row's bound from it (bound).
+	Spread float64 `json:"spread"`
+	// AllocsPerOp is the heap allocations per request of the last round;
+	// present only for the server rows, which count them.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// Detail carries a human-oriented annotation (diameter found, pairs
-	// sampled, ...).
+	// Detail carries a human-oriented annotation.
 	Detail string `json:"detail,omitempty"`
 }
 
 func main() {
 	var (
 		out         = flag.String("out", "BENCH_baseline.json", "output path, or - for stdout")
-		maxK        = flag.Int("maxk", 10, "largest BFS dimension to measure (8..10)")
-		rounds      = flag.Int("rounds", 3, "rounds per BFS benchmark (best-of is not used; the mean is reported)")
-		quick       = flag.Bool("quick", false, "CI smoke mode: k <= 8, one round, fewer kernel iterations")
-		workers     = flag.Int("workers", 0, "parallel BFS worker count (0 = GOMAXPROCS)")
 		compare     = flag.Bool("compare", false, "regression-gate mode: compare two reports (old.json new.json) instead of measuring")
-		maxRatio    = flag.Float64("max-ratio", 3.0, "compare mode: fail when new ns/op exceeds old by this factor")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -98,54 +105,34 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchreport: -compare needs exactly two arguments: old.json new.json")
 			os.Exit(2)
 		}
-		os.Exit(compareReports(flag.Arg(0), flag.Arg(1), *maxRatio))
-	}
-	if *quick {
-		if *maxK > 8 {
-			*maxK = 8
-		}
-		*rounds = 1
-	}
-	if *maxK < 8 {
-		*maxK = 8
-	}
-	if *maxK > 10 {
-		*maxK = 10
+		os.Exit(gate(flag.Arg(0), flag.Arg(1)))
 	}
 
+	dir, err := os.MkdirTemp("", "benchreport-store-")
+	fail(err)
+	s := newServer(server.Config{})
+	traced := newServer(server.Config{SlowLog: io.Discard, SlowThreshold: time.Hour})
+	rows := []row{rankRow()}
+	for k := 8; k <= 10; k++ {
+		rows = append(rows, bfsRows(k)...)
+	}
+	rows = append(rows, stretchRow())
+	for _, in := range storeInstances {
+		rows = append(rows, storeRows(dir, in.name, in.query, in.k)...)
+	}
+	rows = append(rows, serveRows(s, traced)...)
+	rows = append(rows, connRow())
 	rep := &Report{
-		Schema:     "scg-bench/v1",
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Schema:    schema,
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		Entries:   measure(rows),
 	}
-
-	kernelIters := 2_000_000
-	stretchPairs := 200
-	if *quick {
-		kernelIters = 200_000
-		stretchPairs = 50
-	}
-	rep.Entries = append(rep.Entries, rankKernel(kernelIters))
-	for k := 8; k <= *maxK; k++ {
-		rep.Entries = append(rep.Entries, bfsSuite(k, *rounds, *workers)...)
-	}
-	rep.Entries = append(rep.Entries, stretchEntry(stretchPairs))
-	storeIters := 200
-	if *quick {
-		storeIters = 50
-	}
-	rep.Entries = append(rep.Entries, storeLoadEntry(storeIters))
-	routeIters := 4000
-	if *quick {
-		routeIters = 1000
-	}
-	rep.Entries = append(rep.Entries, routeHotEntry(routeIters*4))
-	rep.Entries = append(rep.Entries, serveEntries(routeIters)...)
-	rep.Entries = append(rep.Entries, connEntry(routeIters))
-	rep.Entries = append(rep.Entries, measureRoute(routeIters, true), measureRoute(routeIters, false))
+	s.Close()
+	traced.Close()
+	fail(os.RemoveAll(dir))
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	fail(err)
@@ -159,71 +146,473 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Entries))
 }
 
-// compareReports is the regression gate: every benchmark present in both
-// reports must hold new ns/op <= old ns/op * maxRatio. Benchmarks present
-// in only one report are listed but do not fail the gate — CI compares a
-// -quick smoke run (k <= 8) against the full committed baseline (k <= 10).
-// Returns the process exit code.
-func compareReports(oldPath, newPath string, maxRatio float64) int {
-	oldRep, err := readReport(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		return 1
+// A row is one entry to time. round runs Ops operations and returns their
+// wall time, leaving any per-round set-up outside it; finish, when set,
+// fills in what the rounds found (Detail, AllocsPerOp) after the last.
+// spawns marks a round whose work runs on more than one goroutine.
+type row struct {
+	Entry
+	round  func() time.Duration
+	finish func(*Entry)
+	spawns bool
+}
+
+// rounds is how many timed rounds each row runs; the median and the
+// quartiles are the rounds' order statistics 10, 5 and 15.
+const rounds = 21
+
+// measure times rounds rounds of every row and returns their entries with
+// NsPerOp, Ratio and Spread filled in. The rows' rounds interleave: each
+// pass runs one round of every row in order, after one untimed pass that
+// keeps first-use costs (page faults, pools) out. The host's speed drifts
+// in stretches of seconds, so a row whose rounds ran back to back could
+// spend all of them in one stretch; interleaved, each row's rounds spread
+// over the whole run. Each round starts on a collected heap whose free
+// pages went back to the OS, so its allocations fault their pages in as a
+// fresh process's do, whatever the rounds before it freed. It runs
+// between two blocks of the reference, at GOMAXPROCS Workers on a locked
+// thread, so the scheduler neither adds a P nor moves the timing
+// goroutine between threads (see roundOf for the rounds that spawn).
+func measure(rows []row) []Entry {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ns := make([][]float64, len(rows))
+	ratio := make([][]float64, len(rows))
+	for pass := -1; pass < rounds; pass++ {
+		for i, r := range rows {
+			runtime.GOMAXPROCS(r.Workers)
+			debug.FreeOSMemory()
+			before := reference(r.Workers)
+			op := float64(roundOf(r).Nanoseconds()) / float64(r.Ops)
+			ref := (before + reference(r.Workers)) / 2
+			if pass >= 0 {
+				ns[i] = append(ns[i], op)
+				ratio[i] = append(ratio[i], op/ref)
+			}
+		}
 	}
-	newRep, err := readReport(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		return 1
+	out := make([]Entry, len(rows))
+	for i, r := range rows {
+		sort.Float64s(ns[i])
+		sort.Float64s(ratio[i])
+		e := r.Entry
+		e.NsPerOp = ns[i][rounds/2]
+		e.Ratio = ratio[i][rounds/2]
+		e.Spread = (ratio[i][3*rounds/4] - ratio[i][rounds/4]) / e.Ratio
+		if r.finish != nil {
+			r.finish(&e)
+		}
+		out[i] = e
 	}
-	oldByName := make(map[string]Entry, len(oldRep.Entries))
-	for _, e := range oldRep.Entries {
-		oldByName[e.Name] = e
+	return out
+}
+
+// roundOf runs one round of r. A round whose work runs on more than one
+// goroutine runs on a goroutine of its own, off the locked thread: there,
+// every handoff between its goroutines would be a switch between threads,
+// which scgd's own goroutines do not pay.
+func roundOf(r row) time.Duration {
+	if !r.spawns {
+		return r.round()
 	}
-	bad := 0
-	compared := 0
-	for _, n := range newRep.Entries {
-		o, ok := oldByName[n.Name]
+	var d time.Duration
+	var g pool.Group
+	g.Go(func() { d = r.round() })
+	g.Wait()
+	return d
+}
+
+// refSteps is the length of one reference block, about 0.5 ms on a 2-vCPU
+// KVM guest.
+const refSteps = 1 << 16
+
+// refSink keeps the reference's result live.
+var refSink int
+
+// reference times one block of the reference kernel on each of procs
+// goroutines at once, and returns the blocks' ns per step: a row that
+// runs on two Ps is held against what two Ps do. The kernel is the
+// benchmark's own code on the standard library only, so no change to the
+// program can move it.
+func reference(procs int) float64 {
+	sums := make([]int, procs)
+	var g pool.Group
+	t0 := time.Now()
+	for i := 1; i < procs; i++ {
+		g.Go(func() { sums[i] = refBlock() })
+	}
+	sums[0] = refBlock()
+	g.Wait()
+	elapsed := time.Since(t0)
+	for _, s := range sums {
+		refSink += s
+	}
+	return float64(elapsed.Nanoseconds()) / refSteps
+}
+
+// refBlock runs refSteps steps of the reference kernel. A step advances
+// four independent xorshift64 generators and sums their outputs'
+// popcounts: work with the instruction-level parallelism of the program's
+// kernels, so a sibling hyperthread's load slows it as it slows them,
+// where one dependent chain barely notices.
+func refBlock() int {
+	a, b, c, d := uint64(1), uint64(2), uint64(3), uint64(4)
+	sum := 0
+	for i := 0; i < refSteps; i++ {
+		a ^= a << 13
+		a ^= a >> 7
+		a ^= a << 17
+		b ^= b << 13
+		b ^= b >> 7
+		b ^= b << 17
+		c ^= c << 13
+		c ^= c >> 7
+		c ^= c << 17
+		d ^= d << 13
+		d ^= d >> 7
+		d ^= d << 17
+		sum += bits.OnesCount64(a) + bits.OnesCount64(b) + bits.OnesCount64(c) + bits.OnesCount64(d)
+	}
+	return sum
+}
+
+// timed returns fn's wall time.
+func timed(fn func()) time.Duration {
+	t0 := time.Now()
+	fn()
+	return time.Since(t0)
+}
+
+// rankRow times the rank kernel on one fixed k = 10 permutation: the
+// innermost loop of every exact measurement.
+func rankRow() row {
+	const ops = 100_000
+	p := perm.Random(10, perm.NewRNG(1))
+	var sink int64
+	return row{
+		Entry: Entry{Name: "rank/popcount", K: 10, Workers: 1, Ops: ops},
+		round: func() time.Duration {
+			return timed(func() {
+				for i := 0; i < ops; i++ {
+					sink += p.Rank()
+				}
+			})
+		},
+		finish: func(e *Entry) { e.Detail = fmt.Sprintf("fixed perm, checksum %d", sink%1000) },
+	}
+}
+
+// bfsRows times the BFS engine on star(k): the factored neighbor-table
+// build, cold every round (star keeps about 2.7·k! deltas: its two
+// longest transpositions move the whole label), and the table-resident
+// bitset sweep on one worker and on two. Every sweep's diameter must
+// equal star's closed form ⌊3(k−1)/2⌋.
+func bfsRows(k int) []row {
+	nw, err := topology.NewStar(k)
+	fail(err)
+	g := nw.Graph()
+	src := perm.Identity(k)
+	diam := 3 * (k - 1) / 2
+	build := row{
+		Entry: Entry{
+			Name: fmt.Sprintf("neighbor-table/star-%d", k), K: k, Workers: 1, Ops: 1,
+			Detail: fmt.Sprintf("star(%d), %d states x degree %d, cold build", k, perm.Factorial(k), g.OutDegree()),
+		},
+		round: func() time.Duration {
+			g.DropNeighborTable()
+			return timed(func() {
+				_, err := g.EnsureNeighborTable(1)
+				fail(err)
+			})
+		},
+	}
+	sweep := func(name string, workers int) row {
+		return row{
+			Entry: Entry{
+				Name: fmt.Sprintf("%s/star-%d", name, k), K: k, Workers: workers, Ops: 1,
+				Detail: fmt.Sprintf("star(%d), %d states, diameter %d, table resident", k, perm.Factorial(k), diam),
+			},
+			round: func() time.Duration {
+				_, err := g.EnsureNeighborTable(1)
+				fail(err)
+				var ecc int
+				d := timed(func() {
+					res, err := g.BFSParallel(src, workers)
+					fail(err)
+					ecc = res.Eccentricity
+				})
+				if ecc != diam {
+					fail(fmt.Errorf("BFS (workers=%d) diameter %d != closed form %d at k=%d", workers, ecc, diam, k))
+				}
+				return d
+			},
+			spawns: workers > 1,
+		}
+	}
+	return []row{build, sweep("bfs-bitset", 1), sweep("bfs-parallel", 2)}
+}
+
+// stretchRow times MeasureStretch on star(7) per sampled pair: the
+// neighbor-table build and one search from the identity, then one table
+// lookup and one solver route per pair.
+func stretchRow() row {
+	const pairs = 200
+	nw, err := topology.NewStar(7)
+	fail(err)
+	g := nw.Graph()
+	var detail string
+	return row{
+		Entry: Entry{Name: "stretch/star-7", K: 7, Workers: 1, Ops: pairs},
+		round: func() time.Duration {
+			g.DropNeighborTable()
+			return timed(func() {
+				st, err := g.MeasureStretch(pairs, 1, nw.RouteLen)
+				fail(err)
+				detail = fmt.Sprintf("%d pairs, mean stretch %.3f, %d optimal", st.Pairs, st.MeanStretch, st.Optimal)
+			})
+		},
+		finish: func(e *Entry) { e.Detail = detail },
+	}
+}
+
+// storeInstances are the profiles the store rows request.
+var storeInstances = []struct {
+	name, query string
+	k           int
+}{
+	{"star-8", "family=star&l=1&n=7", 8},
+	{"star-9", "family=star&l=1&n=8", 9},
+	{"MS-2-4", "family=MS&l=2&n=4", 9},
+}
+
+// storeRows times one GET /v1/profile, each round through the handler of
+// a fresh server. The cold row's server has no store, so the request
+// builds the profile and no write-back follows: its time is the build a
+// first profile after deploy costs, with or without a store. The load
+// row's server opens a store under dir that one request populated before
+// the rounds, as a restarted daemon does, and answers from one read and
+// decode.
+func storeRows(dir, name, query string, k int) []row {
+	target := "/v1/profile?" + query
+	get := func(s *server.Server) time.Duration {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodGet, target, nil)
+		d := timed(func() { s.ServeHTTP(w, r) })
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"status": "done"`) {
+			fail(fmt.Errorf("%s = %d: %s", target, w.Code, w.Body.String()))
+		}
+		return d
+	}
+	dir = filepath.Join(dir, name)
+	st, err := store.Open(dir)
+	fail(err)
+	s := newServer(server.Config{Store: st})
+	get(s)
+	s.Close() // waits for the write-back
+	if n := st.Snapshot().Writes; n != 1 {
+		fail(fmt.Errorf("%s: the cold request wrote %d store entries, want 1", target, n))
+	}
+	var bytesRead int64
+	return []row{{
+		Entry: Entry{
+			Name: "store/cold-" + name, K: k, Workers: 1, Ops: 1,
+			Detail: "GET " + target + " on a fresh server without a store: the profile build",
+		},
+		round: func() time.Duration {
+			s := newServer(server.Config{})
+			defer s.Close()
+			return get(s)
+		},
+	}, {
+		Entry: Entry{Name: "store/load-" + name, K: k, Workers: 1, Ops: 1},
+		round: func() time.Duration {
+			st, err := store.Open(dir)
+			fail(err)
+			s := newServer(server.Config{Store: st})
+			defer s.Close()
+			d := get(s)
+			snap := st.Snapshot()
+			if snap.Hits != 1 || snap.Writes != 0 {
+				fail(fmt.Errorf("%s on a populated store: %d hits, %d writes, want 1 and 0", target, snap.Hits, snap.Writes))
+			}
+			bytesRead = snap.BytesRead
+			return d
+		},
+		finish: func(e *Entry) {
+			e.Detail = fmt.Sprintf("GET %s on a fresh server over a populated store: one %d-byte entry read and decoded", target, bytesRead)
+		},
+	}}
+}
+
+// newServer returns a server with no runtime sampler beside the timed
+// loops.
+func newServer(cfg server.Config) *server.Server {
+	cfg.SampleInterval = -1
+	return server.New(cfg)
+}
+
+// routeTarget is the warm route every in-memory server row requests.
+const routeTarget = "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
+
+// serveTargets are the warm v1 requests timed through the middleware.
+var serveTargets = []struct{ name, target string }{
+	{"serve/route", routeTarget},
+	{"serve/metrics", "/v1/metrics?family=MS&l=2&n=3"},
+	{"serve/neighbors", "/v1/neighbors?family=MS&l=2&n=3&node=2314567"},
+	{"serve/profile", "/v1/profile?family=MS&l=2&n=3"},
+}
+
+// serverRow times fn, one of server's Measure functions, on e.Ops
+// requests a round at GOMAXPROCS 1, and reports the last round's
+// allocations per request.
+func serverRow(e Entry, fn func(ops int) (nsPerOp, allocsPerOp float64, err error)) row {
+	e.Workers = 1
+	var allocs float64
+	return row{
+		Entry: e,
+		round: func() time.Duration {
+			ns, a, err := fn(e.Ops)
+			fail(err)
+			allocs = a
+			return time.Duration(ns * float64(e.Ops))
+		},
+		finish: func(e *Entry) { e.AllocsPerOp = allocs },
+	}
+}
+
+// serveRows times warm MS(2,3) requests in memory on s: the /v1/route
+// handler alone, past the middleware (server.MeasureRouteHot); the four
+// v1 endpoints through the whole middleware as server.Run serves them
+// (server.MeasureServe: one response header map cleared per request, no
+// client X-Request-Id), the profile row a submit answered from the
+// resident profile; and the route through the middleware of traced, a
+// server with a slow log that no request is slow enough to reach, so
+// each request takes and releases a span timeline.
+func serveRows(s, traced *server.Server) []row {
+	// k = 7: the submit runs the job and answers with the finished
+	// profile, which stays resident for serve/profile.
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/profile?family=MS&l=2&n=3", nil))
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"status": "done"`) {
+		fail(fmt.Errorf("MS(2,3) profile = %d: %s", w.Code, w.Body.String()))
+	}
+	rows := []row{serverRow(Entry{
+		Name: "route/hot", K: 7, Ops: 8000, Detail: "warm-cache MS(2,3) GET handler only",
+	}, func(ops int) (float64, float64, error) { return server.MeasureRouteHot(s, routeTarget, ops) })}
+	for _, t := range serveTargets {
+		rows = append(rows, serverRow(Entry{
+			Name: t.name, K: 7, Ops: 4000, Detail: "warm MS(2,3) GET through the middleware, reused response header",
+		}, func(ops int) (float64, float64, error) { return server.MeasureServe(s, t.target, ops) }))
+	}
+	return append(rows, serverRow(Entry{
+		Name: "telemetry/route-traced", K: 7, Ops: 4000, Detail: "warm MS(2,3) route through the middleware of a traced server",
+	}, func(ops int) (float64, float64, error) { return server.MeasureServe(traced, routeTarget, ops) }))
+}
+
+// connRow times warm MS(2,3) routes served by server.Run over one
+// keep-alive loopback connection from a client that allocates nothing, a
+// different pair on every request (server.MeasureConn). Run closes its
+// server, so each round has a fresh one, warmed before its window. The
+// client and Run's connection goroutine hand the P to each other on every
+// request.
+func connRow() row {
+	rng := perm.NewRNG(7)
+	targets := make([]string, 256)
+	for i := range targets {
+		targets[i] = "/v1/route?family=MS&l=2&n=3&src=" + perm.Random(7, rng).String() + "&dst=" + perm.Random(7, rng).String()
+	}
+	r := serverRow(Entry{
+		Name: "serve/conn-route", K: 7, Ops: 500,
+		Detail: "warm MS(2,3) GETs, 256 pairs, over one loopback keep-alive connection to server.Run",
+	}, func(ops int) (float64, float64, error) {
+		return server.MeasureConn(context.Background(), newServer(server.Config{}), targets, ops)
+	})
+	r.spawns = true
+	return r
+}
+
+// maxBound caps every row's bound: no row passes at three times its
+// baseline ratio, however widely its baseline rounds spread.
+const maxBound = 3.0
+
+// bound is the factor by which a row's ratio may exceed its baseline ratio
+// before -compare fails it, from the spread of the baseline's rounds:
+// 1 + boundFloor + boundSpreads·spread, at most maxBound.
+func bound(spread float64) float64 {
+	return min(maxBound, 1+boundFloor+boundSpreads*spread)
+}
+
+// boundFloor and boundSpreads come from runs of unchanged code on a
+// 2-vCPU KVM guest whose raw speed moved by up to 2× between stretches
+// (CHANGES.md): in ten runs against the baseline, and in the rows off the
+// injected path of four runs with a kernel slowed, no row grew past 0.97
+// of its bound, while a 25% slowdown of the rank kernel or of the column
+// expand kernel failed its rows in every run.
+const (
+	boundFloor   = 0.15
+	boundSpreads = 1.0
+)
+
+// compare writes one line per row to w, its ratio against the baseline's
+// and its bound, and returns how many rows fail: a ratio past its bound,
+// or a row in only one report.
+func compare(old, cur *Report, w *strings.Builder) (failed int) {
+	base := make(map[string]Entry, len(old.Entries))
+	for _, e := range old.Entries {
+		base[e.Name] = e
+	}
+	for _, e := range cur.Entries {
+		o, ok := base[e.Name]
 		if !ok {
-			fmt.Printf("benchreport: new benchmark %s (%.0f ns/op), no old counterpart\n", n.Name, n.NsPerOp)
+			fmt.Fprintf(w, "FAIL %-26s ratio %.4g, not in the baseline\n", e.Name, e.Ratio)
+			failed++
 			continue
 		}
-		delete(oldByName, n.Name)
-		compared++
-		if o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*maxRatio {
-			fmt.Fprintf(os.Stderr, "benchreport: FAIL %s: %.0f ns/op vs %.0f ns/op old (%.2fx > %.2fx allowed)\n",
-				n.Name, n.NsPerOp, o.NsPerOp, n.NsPerOp/o.NsPerOp, maxRatio)
-			bad++
-			continue
+		delete(base, e.Name)
+		growth, b := e.Ratio/o.Ratio, bound(o.Spread)
+		verdict := "ok  "
+		if !(growth <= b) { // a NaN growth fails too
+			verdict = "FAIL"
+			failed++
 		}
-		fmt.Printf("benchreport: ok %s: %.0f ns/op vs %.0f old (%.2fx)\n", n.Name, n.NsPerOp, o.NsPerOp, ratioOf(n.NsPerOp, o.NsPerOp))
+		fmt.Fprintf(w, "%s %-26s ratio %.4g vs %.4g: %.3fx, bound %.3fx (%.0f vs %.0f ns/op)\n",
+			verdict, e.Name, e.Ratio, o.Ratio, growth, b, e.NsPerOp, o.NsPerOp)
 	}
-	var missing []string
-	for name := range oldByName {
-		missing = append(missing, name)
+	for _, o := range old.Entries {
+		if _, ok := base[o.Name]; ok {
+			fmt.Fprintf(w, "FAIL %-26s ratio %.4g, absent from the new report\n", o.Name, o.Ratio)
+			failed++
+		}
 	}
-	sort.Strings(missing)
-	for _, name := range missing {
-		fmt.Printf("benchreport: old benchmark %s absent from the new report\n", name)
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchreport: the reports share no benchmarks — nothing was gated")
+	return failed
+}
+
+// gate is -compare: it reads the two reports, compares them on stdout and
+// returns the process exit code.
+func gate(oldPath, newPath string) int {
+	old, err := readReport(oldPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		return 1
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "benchreport: %d regression(s) across %d shared benchmark(s)\n", bad, compared)
+	cur, err := readReport(newPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		return 1
 	}
-	fmt.Printf("benchreport: %d shared benchmark(s) within thresholds\n", compared)
+	var out strings.Builder
+	failed := compare(old, cur, &out)
+	fmt.Print(out.String())
+	if failed > 0 {
+		fmt.Printf("benchreport: %d row(s) failed\n", failed)
+		return 1
+	}
+	fmt.Printf("benchreport: all %d rows within their bounds\n", len(cur.Entries))
 	return 0
 }
 
-func ratioOf(n, o float64) float64 {
-	if o == 0 {
-		return 0
-	}
-	return n / o
-}
-
+// readReport reads a report of this schema that holds at least one row.
 func readReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -233,281 +622,13 @@ func readReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	if rep.Schema != "scg-bench/v1" {
-		return nil, fmt.Errorf("%s: unknown schema %q", path, rep.Schema)
+	if rep.Schema != schema {
+		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, schema)
+	}
+	if len(rep.Entries) == 0 {
+		return nil, fmt.Errorf("%s: no rows", path)
 	}
 	return &rep, nil
-}
-
-// rankKernel times the rank kernel on one fixed k = 10 permutation: the
-// innermost loop of every exact measurement.
-func rankKernel(iters int) Entry {
-	p := perm.Random(10, perm.NewRNG(1))
-	var sink int64
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		sink += p.Rank()
-	}
-	return Entry{Name: "rank/popcount", K: 10, Rounds: iters, NsPerOp: nsPerOp(time.Since(t0), iters),
-		Detail: fmt.Sprintf("fixed perm, checksum %d", sink%1000)}
-}
-
-// bfsSuite measures the BFS engine on star(k): the factored neighbor-table
-// build (star keeps about 2.7·k! deltas: its two longest transpositions
-// move the whole label), and the table-resident bitset sweep on one worker
-// and at the requested worker count. The table is dropped between build
-// rounds so every build is cold, left resident for the sweep entries so
-// they time only the frontier work, and dropped at the end. Every sweep's
-// diameter must equal star's closed form ⌊3(k−1)/2⌋.
-func bfsSuite(k, rounds, workers int) []Entry {
-	nw, err := topology.NewStar(k)
-	fail(err)
-	g := nw.Graph()
-	src := perm.Identity(k)
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	diam := 3 * (k - 1) / 2
-
-	build := time.Duration(0)
-	for r := 0; r < rounds; r++ {
-		g.DropNeighborTable()
-		t0 := time.Now()
-		_, err := g.EnsureNeighborTable(workers)
-		fail(err)
-		build += time.Since(t0)
-	}
-
-	sweep := func(workers int) time.Duration {
-		total := time.Duration(0)
-		for r := 0; r < rounds; r++ {
-			t0 := time.Now()
-			res, err := g.BFSParallel(src, workers)
-			fail(err)
-			total += time.Since(t0)
-			if res.Eccentricity != diam {
-				fail(fmt.Errorf("benchreport: BFS (workers=%d) diameter %d != closed form %d at k=%d", workers, res.Eccentricity, diam, k))
-			}
-		}
-		return total
-	}
-	bitset := sweep(1)
-	parallel := sweep(workers)
-	g.DropNeighborTable()
-
-	detail := fmt.Sprintf("star(%d), %d states, diameter %d", k, perm.Factorial(k), diam)
-	tblDetail := fmt.Sprintf("star(%d), %d states x degree %d, cold build", k, perm.Factorial(k), g.OutDegree())
-	return []Entry{
-		{Name: fmt.Sprintf("neighbor-table/star-%d", k), K: k, Workers: w, Rounds: rounds, NsPerOp: nsPerOp(build, rounds), Detail: tblDetail},
-		{Name: fmt.Sprintf("bfs-bitset/star-%d", k), K: k, Workers: 1, Rounds: rounds, NsPerOp: nsPerOp(bitset, rounds), Detail: detail + ", table resident"},
-		{Name: fmt.Sprintf("bfs-parallel/star-%d", k), K: k, Workers: w, Rounds: rounds, NsPerOp: nsPerOp(parallel, rounds), Detail: detail + ", table resident"},
-	}
-}
-
-// stretchEntry times MeasureStretch on star(7): one search from the
-// identity, then one table lookup and one solver route per pair.
-func stretchEntry(pairs int) Entry {
-	nw, err := topology.NewStar(7)
-	fail(err)
-	t0 := time.Now()
-	st, err := nw.Graph().MeasureStretch(pairs, 1, func(src, dst perm.Perm) (int, error) {
-		return nw.RouteLen(src, dst)
-	})
-	fail(err)
-	elapsed := time.Since(t0)
-	return Entry{
-		Name:    "stretch/star-7",
-		K:       7,
-		Rounds:  pairs,
-		NsPerOp: nsPerOp(elapsed, pairs),
-		Detail:  fmt.Sprintf("%d pairs, mean stretch %.3f, %d optimal", st.Pairs, st.MeanStretch, st.Optimal),
-	}
-}
-
-// storeLoadEntry times store.Load of the profile-only star(8) entry that
-// scgd's write-back leaves: the read, checksum and decode of a warm
-// start. The file lives in a temporary store directory, removed after
-// the timed loop.
-func storeLoadEntry(iters int) Entry {
-	nw, err := topology.NewStar(8)
-	fail(err)
-	prof, err := nw.Graph().ExactProfile()
-	fail(err)
-	dir, err := os.MkdirTemp("", "benchreport-store-")
-	fail(err)
-	st, err := store.Open(dir)
-	fail(err)
-	key := store.Key{Family: "star", L: 1, N: 7}
-	fail(st.Put(key, &store.Entry{Family: key.Family, L: key.L, N: key.N, K: 8, Profile: prof}))
-
-	ecc := -1
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		e, err := st.Load(key)
-		fail(err)
-		ecc = e.Profile.Eccentricity
-	}
-	elapsed := time.Since(t0)
-	fail(os.RemoveAll(dir))
-	if ecc != prof.Eccentricity {
-		fail(fmt.Errorf("benchreport: store load diameter %d != built %d", ecc, prof.Eccentricity))
-	}
-	return Entry{
-		Name:    "store/load-star-8",
-		K:       8,
-		Rounds:  iters,
-		NsPerOp: nsPerOp(elapsed, iters),
-		Detail:  fmt.Sprintf("%d-byte profile-only scgstore/v1 entry, diameter %d", st.Snapshot().BytesRead/int64(iters), ecc),
-	}
-}
-
-// routeHotEntry times the warm /v1/route handler alone — past the mux
-// middleware, straight into the pooled-scratch path. TestRouteHotAllocs
-// holds the same loop to zero allocations.
-func routeHotEntry(iters int) Entry {
-	s := server.New(server.Config{
-		RequestTimeout: 30 * time.Second,
-		SampleInterval: -1,
-	})
-	defer s.Close()
-	const target = "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
-	ns, allocs, err := server.MeasureRouteHot(s, target, iters)
-	fail(err)
-	return Entry{
-		Name:        "route/hot",
-		K:           7,
-		Rounds:      iters,
-		NsPerOp:     ns,
-		AllocsPerOp: allocs,
-		Detail:      "warm-cache MS(2,3) GET handler only",
-	}
-}
-
-// serveTargets are the warm v1 requests serveEntries measures.
-var serveTargets = []struct{ name, target string }{
-	{"serve/route", "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"},
-	{"serve/metrics", "/v1/metrics?family=MS&l=2&n=3"},
-	{"serve/neighbors", "/v1/neighbors?family=MS&l=2&n=3&node=2314567"},
-	{"serve/profile", "/v1/profile?family=MS&l=2&n=3"},
-}
-
-// serveEntries measures warm requests to the four v1 endpoints through the
-// whole middleware, as server.Run serves them (server.MeasureServe: one
-// response header map cleared per request, no client X-Request-Id). The
-// profile row is a submit answered from the resident MS(2,3) profile,
-// which also mints a job. TestServeAllocs holds the same requests to
-// their allocation ceilings.
-func serveEntries(iters int) []Entry {
-	s := server.New(server.Config{
-		RequestTimeout: 30 * time.Second,
-		SampleInterval: -1,
-	})
-	defer s.Close()
-	// k = 7 is below 8! states, so the job runs on the submit, which
-	// answers with the finished profile.
-	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/profile?family=MS&l=2&n=3", nil))
-	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"status": "done"`) {
-		fail(fmt.Errorf("benchreport: MS(2,3) profile = %d: %s", w.Code, w.Body.String()))
-	}
-	out := make([]Entry, 0, len(serveTargets))
-	for _, t := range serveTargets {
-		ns, allocs, err := server.MeasureServe(s, t.target, iters)
-		fail(err)
-		out = append(out, Entry{
-			Name:        t.name,
-			K:           7,
-			Rounds:      iters,
-			NsPerOp:     ns,
-			AllocsPerOp: allocs,
-			Detail:      "warm MS(2,3) GET through the middleware, reused response header",
-		})
-	}
-	return out
-}
-
-// connEntry measures warm MS(2,3) routes served by server.Run over one
-// keep-alive loopback connection from a client that allocates nothing, a
-// different pair on every request (server.MeasureConn). TestConnAllocs
-// holds the same loop to its allocation ceiling.
-func connEntry(iters int) Entry {
-	s := server.New(server.Config{
-		RequestTimeout: 30 * time.Second,
-		SampleInterval: -1,
-	})
-	rng := perm.NewRNG(7)
-	targets := make([]string, 256)
-	for i := range targets {
-		targets[i] = "/v1/route?family=MS&l=2&n=3&src=" + perm.Random(7, rng).String() + "&dst=" + perm.Random(7, rng).String()
-	}
-	ns, allocs, err := server.MeasureConn(context.Background(), s, targets, iters)
-	fail(err)
-	return Entry{
-		Name:        "serve/conn-route",
-		K:           7,
-		Rounds:      iters,
-		NsPerOp:     ns,
-		AllocsPerOp: allocs,
-		Detail:      "warm MS(2,3) GETs, 256 pairs, over one loopback keep-alive connection to server.Run",
-	}
-}
-
-// measureRoute times warm /v1/route requests against one in-process server
-// and reports mean wall time and heap allocations per request. traced
-// gives the server a discarding slow log that no request is slow enough to
-// reach, so each request takes and releases a span timeline;
-// TestServeAllocs holds such a server to the untraced ceiling.
-func measureRoute(iters int, traced bool) Entry {
-	cfg := server.Config{
-		RequestTimeout: 30 * time.Second,
-		SampleInterval: -1,
-	}
-	if traced {
-		cfg.SlowLog, cfg.SlowThreshold = io.Discard, time.Hour
-	}
-	s := server.New(cfg)
-	defer s.Close()
-	const target = "/v1/route?family=MS&l=2&n=3&src=2314567&dst=7654321"
-	serve := func() {
-		r := httptest.NewRequest(http.MethodGet, target, nil)
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			fail(fmt.Errorf("benchreport: route = %d: %s", w.Code, w.Body.String()))
-		}
-	}
-	for i := 0; i < 100; i++ {
-		serve() // warm the cache, the trace pool, and the JSON encoder paths
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		serve()
-	}
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&after)
-	name := "telemetry/route-untraced"
-	if traced {
-		name = "telemetry/route-traced"
-	}
-	return Entry{
-		Name:        name,
-		K:           7,
-		Rounds:      iters,
-		NsPerOp:     nsPerOp(elapsed, iters),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(iters),
-		Detail:      "warm-cache MS(2,3) route through the full middleware stack",
-	}
-}
-
-func nsPerOp(d time.Duration, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(d.Nanoseconds()) / float64(n)
 }
 
 func fail(err error) {

@@ -35,8 +35,8 @@ import (
 	"repro/internal/version"
 )
 
-// Report is the top-level JSON document; the env fields match
-// cmd/benchreport's so the two baselines can be compared machine-to-machine.
+// Report is the top-level JSON document. Its environment fields are the
+// ones cmd/benchreport writes, plus gomaxprocs.
 type Report struct {
 	Schema          string         `json:"schema"`
 	Target          string         `json:"target"`
@@ -99,8 +99,6 @@ func main() {
 		mix         = flag.String("mix", "route:70,metrics:20,neighbors:10", "endpoint mix as name:weight pairs")
 		seed        = flag.Uint64("seed", 1, "workload RNG seed (worker i uses seed+i)")
 		out         = flag.String("out", "-", "JSON report path, or - for stdout")
-		storeBench  = flag.Bool("storebench", false, "measure cold-build vs store-load warm start per instance and emit scg-storebench/v2 (uses -sweep, -out)")
-		sweepSpec   = flag.String("sweep", "MS:8,star:8", "family:maxK sweep specs for -storebench")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -108,11 +106,6 @@ func main() {
 		fmt.Println(version.String("scgload"))
 		return
 	}
-	if *storeBench {
-		fail(runStoreBench(context.Background(), *sweepSpec, *out))
-		return
-	}
-
 	fam, err := topology.ParseFamily(*family)
 	fail(err)
 	nw, err := topology.New(fam, *l, *n)

@@ -159,20 +159,14 @@ func (c *Cache) network(ctx context.Context, key Key) (nw *topology.Network, pro
 	return v.(*topology.Network), probed, nil
 }
 
-// Profile returns the exact BFS profile (diameter, average distance, and
+// profile returns the exact BFS profile (diameter, average distance, and
 // the rank-indexed distance table) for key, running the k!-state search at
 // most once per residency. This is the expensive path — the scgd handlers
-// only reach it through the job manager. Profile writes nothing to the
-// store; the job that built a profile does (Jobs.run).
-func (c *Cache) Profile(ctx context.Context, key Key) (*core.BFSResult, error) {
-	res, _, err := c.profile(ctx, key)
-	return res, err
-}
-
-// profile is Profile that also reports whether this call ran the search:
-// built is false for a profile found resident, loaded from the store, or
-// built by a caller this one coalesced onto. Only a built profile is new
-// to the store.
+// only reach it through the job manager. profile writes nothing to the
+// store; the job that built a profile does (Jobs.run). built reports
+// whether this call ran the search: it is false for a profile found
+// resident, loaded from the store, or built by a caller this one
+// coalesced onto. Only a built profile is new to the store.
 func (c *Cache) profile(ctx context.Context, key Key) (res *core.BFSResult, built bool, err error) {
 	nw, probed, err := c.network(ctx, key)
 	if err != nil {

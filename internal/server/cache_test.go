@@ -112,9 +112,9 @@ func TestCacheOversizeServedNotCached(t *testing.T) {
 func TestCacheProfileMatchesDirectBFS(t *testing.T) {
 	c := NewCache(64 << 20)
 	key := msKey(2, 1) // k=3: 6 states, instant
-	prof, err := c.Profile(context.Background(), key)
+	prof, _, err := c.profile(context.Background(), key)
 	if err != nil {
-		t.Fatalf("Profile: %v", err)
+		t.Fatalf("profile: %v", err)
 	}
 	nw, err := topology.New(key.Family, key.L, key.N)
 	if err != nil {

@@ -84,7 +84,7 @@ func TestConnAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.cache.Profile(context.Background(), Key{Family: fam, L: 2, N: 3}); err != nil {
+				if _, _, err := s.cache.profile(context.Background(), Key{Family: fam, L: 2, N: 3}); err != nil {
 					t.Fatal(err)
 				}
 				for _, target := range targets {

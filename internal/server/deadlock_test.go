@@ -82,8 +82,8 @@ func TestNoDeadlockColdBuildEvictionStatsScrape(t *testing.T) {
 				if _, err := c.Network(ctx, key); err != nil {
 					t.Errorf("Network(%v): %v", key, err)
 				}
-				if _, err := c.Profile(ctx, key); err != nil {
-					t.Errorf("Profile(%v): %v", key, err)
+				if _, _, err := c.profile(ctx, key); err != nil {
+					t.Errorf("profile(%v): %v", key, err)
 				}
 			}
 		}(w)

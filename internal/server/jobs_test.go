@@ -231,8 +231,8 @@ func TestJobCachedProfileCompletesSynchronously(t *testing.T) {
 	defer j.Close()
 
 	key := msKey(2, 1)
-	if _, err := c.Profile(context.Background(), key); err != nil {
-		t.Fatalf("warm Profile: %v", err)
+	if _, _, err := c.profile(context.Background(), key); err != nil {
+		t.Fatalf("warm profile: %v", err)
 	}
 	// A context that has already ended: a cached profile needs no wait.
 	ctx, cancel := context.WithCancel(context.Background())

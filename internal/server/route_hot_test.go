@@ -30,7 +30,7 @@ func warmProfile(t testing.TB, s *Server, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.cache.Profile(context.Background(), Key{Family: fam, L: 1, N: n}); err != nil {
+	if _, _, err := s.cache.profile(context.Background(), Key{Family: fam, L: 1, N: n}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -300,12 +300,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Cache exposes the cache for stats and tests.
-func (s *Server) Cache() *Cache { return s.cache }
-
-// Jobs exposes the job manager for stats and tests.
-func (s *Server) Jobs() *Jobs { return s.jobs }
-
 // Registry exposes the metrics registry (scrape it with WritePrometheus).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 

@@ -473,7 +473,7 @@ func TestRouteHTTPCoalescing(t *testing.T) {
 			t.Fatalf("caller %d got %d", i, code)
 		}
 	}
-	st := s.Cache().Stats()
+	st := s.cache.Stats()
 	if st.Builds != 1 {
 		t.Fatalf("Builds=%d for one cold key under 64 concurrent requests, want 1", st.Builds)
 	}

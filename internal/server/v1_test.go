@@ -239,7 +239,7 @@ func TestV1BodyParity(t *testing.T) {
 			}
 			if round == 0 && k <= 7 {
 				// The second round sees the exact fields.
-				if _, err := s.cache.Profile(context.Background(), kc.key); err != nil {
+				if _, _, err := s.cache.profile(context.Background(), kc.key); err != nil {
 					t.Fatal(err)
 				}
 			}
